@@ -107,15 +107,15 @@ class DMPCApproxMST(DMPCConnectivity):
     def _insert(self, x: int, y: int, weight: float = 1.0) -> None:
         self.shadow.insert_edge(x, y, weight)
         stored = self.bucketed_weight(weight)
-        sx = self._vertex_state(x, create=True)
-        sy = self._vertex_state(y, create=True)
+        comp = self._comp(x, create=True)
+        comp_y = self._comp(y, create=True)
         self._endpoint_query(x, y)
 
-        if sx["comp"] != sy["comp"]:
+        if comp != comp_y:
             self._link(x, y, weight=stored)
             return
         # Cycle: locate the maximum-weight tree edge on the path x .. y.
-        heaviest = self._max_weight_path_edge(x, y, sx, sy)
+        heaviest = self._max_weight_path_edge(x, y, comp)
         if heaviest is None:
             self._store_edge_record(x, y, tree=False, weight=stored)
             self._store_edge_record(y, x, tree=False, weight=stored)
@@ -136,9 +136,9 @@ class DMPCApproxMST(DMPCConnectivity):
 
     def _cut_tree_edge(self, x: int, y: int) -> None:
         """Broadcast the cut of tree edge ``(x, y)`` without a replacement search."""
+        scalars = self._cut_scalars(x, y)
         self._remove_edge_record(x, y)
         self._remove_edge_record(y, x)
-        scalars = self._cut_scalars(x, y)
         self._broadcast(scalars)
         self._commit_cut(scalars)
 
@@ -152,7 +152,7 @@ class DMPCApproxMST(DMPCConnectivity):
         """
         self._apply_batch_sequential(updates)
 
-    def _max_weight_path_edge(self, x: int, y: int, sx: dict, sy: dict) -> tuple[int, int, float] | None:
+    def _max_weight_path_edge(self, x: int, y: int, comp: int) -> tuple[int, int, float] | None:
         """Find the maximum-weight tree edge on the tree path between x and y (2 rounds).
 
         The endpoints' ``f`` values are broadcast.  For every tree-edge copy
@@ -164,22 +164,19 @@ class DMPCApproxMST(DMPCConnectivity):
         and y.  Each machine reports its heaviest on-path candidate to the
         aggregator, which picks the global maximum.
         """
-        fx = min(sx["indexes"], default=0)
-        fy = min(sy["indexes"], default=0)
-        comp = sx["comp"]
+        fx = self._tours.span(x)[0]
+        fy = self._tours.span(y)[0]
         scalars = {"op": "path-query", "x": x, "y": y, "f_x": fx, "f_y": fy, "comp": comp}
         self._broadcast(scalars)
 
         for machine in self.cluster.machines(role="worker"):
             best: tuple[float, int, int] | None = None
-            for v, indexes, edge_row in self._tours.path_scan_items(machine, comp):
-                f_v = min(indexes, default=0)
-                l_v = max(indexes, default=0)
+            for v, span, edge_row in self._tours.path_scan_items(machine, comp):
                 for w, record in edge_row.items():
                     if not record.get("tree") or record.get("indexes") is None:
                         continue
                     i1, i2 = record["indexes"]
-                    if (i1, i2) == (f_v, l_v):
+                    if (i1, i2) == span:
                         child_lo, child_hi = i1, i2  # this copy belongs to the child endpoint
                     else:
                         child_lo, child_hi = i1 + 1, i2 - 1  # parent copy: the pair brackets the child

@@ -24,13 +24,14 @@ Two storage layouts implement that contract behind the ``_TourStore`` seam
     per-vertex dicts, which is what profiles showed dominating the update
     hot path.
 ``csr``
-    one flat :class:`~repro.mpc.layout.TourShard` per machine, mutated in
-    place behind frozen-charge handles, with an incrementally maintained
-    component→members index (``by_comp``).  Scalar-broadcast application,
-    replacement-edge scans and the MST path-maximum scan iterate exactly the
-    touched component's members instead of every key on the machine, and the
-    index persists across batches — it is invalidated only by the structural
-    change (link / cut) itself.
+    one :class:`~repro.mpc.layout.TourShard` pair table per machine, mutated
+    in place behind a frozen-charge handle.  ``index_v`` is not stored: it is
+    the union of the index pairs of ``v``'s tree-edge records, so every tour
+    index lives once and a link / cut is one pass over the touched
+    component's tree pairs (found through ``by_comp``), never visiting a
+    non-tree record.  A shift cannot move a machine's word charge, so it
+    re-stores the handle the machine holds (version bump, no sizing); only
+    the endpoint owners, whose record sets changed, get a fresh one.
 
 Update mechanism
 ----------------
@@ -49,7 +50,7 @@ them as a tree edge.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc.base import DynamicMPCAlgorithm
@@ -74,20 +75,6 @@ register_closed_form("endpoint-info", lambda payload: 1 + len(payload))
 register_closed_form("endpoint-ack", lambda payload: 1)
 
 
-def _shift_edge_row(row: "dict[int, dict[str, Any]]", shift: "Callable[[int], int]") -> None:
-    """Apply an index transformation to a row of in-place-mutable edge records.
-
-    Rerooting can flip an edge's parent/child orientation, in which case the
-    transformed pair comes out reversed; storing it sorted keeps the "pair
-    brackets the child's subtree" reading used by the MST path queries valid.
-    """
-    for record in row.values():
-        indexes = record.get("indexes")
-        if indexes is not None and record.get("tree"):
-            a, b = shift(indexes[0]), shift(indexes[1])
-            record["indexes"] = (a, b) if a <= b else (b, a)
-
-
 class _DictTourStore:
     """The seed per-vertex-key layout: ``("tour", v)`` / ``("edges", v)`` dicts.
 
@@ -104,8 +91,13 @@ class _DictTourStore:
         return self.algo.cluster.machine(self.algo.owner(v))
 
     # ------------------------------------------------------------------ tours
-    def load_state(self, v: int) -> "dict | None":
-        return self._machine(v).load(("tour", v))
+    def comp_of(self, v: int) -> "int | None":
+        state = self._machine(v).load(("tour", v))
+        return None if state is None else state["comp"]
+
+    def span(self, v: int) -> "tuple[int, int]":
+        indexes = self._machine(v).load(("tour", v))["indexes"]
+        return min(indexes, default=0), max(indexes, default=0)
 
     def create_vertex(self, v: int, comp: int) -> None:
         machine = self._machine(v)
@@ -259,23 +251,23 @@ class _DictTourStore:
                 offers.append((state["comp"], v, w, float(record.get("weight", 1.0))))
         return offers
 
-    def path_scan_items(self, machine: Machine, comp: int) -> "Iterator[tuple[int, set[int], dict]]":
+    def path_scan_items(self, machine: Machine, comp: int) -> "Iterator[tuple[int, tuple[int, int], dict]]":
         for key, state in machine.items():
             if not (isinstance(key, tuple) and key[0] == "tour"):
                 continue
             if state["comp"] != comp:
                 continue
             v = key[1]
-            yield v, state["indexes"], machine.load(("edges", v), {})
+            yield v, self.span(v), machine.load(("edges", v), {})
 
 
 class _ShardTourStore:
-    """The flat layout: one in-place :class:`TourShard` per worker machine.
+    """The pair-table layout: one in-place :class:`TourShard` per worker machine.
 
-    Mutations edit the shard directly and commit a fresh frozen-charge
-    :class:`TourShardHandle` (the :class:`StatsTableHandle` discipline), so
-    index rewrites cost no recursive sizing on any backend and the word
-    totals stay in dict-layout parity.
+    Mutations edit the shard directly and commit through the machine's
+    frozen-charge :class:`TourShardHandle` (the :class:`StatsTableHandle`
+    discipline), so index rewrites cost no sizing on any backend and the
+    word totals stay in dict-layout parity.
     """
 
     layout = "csr"
@@ -283,169 +275,113 @@ class _ShardTourStore:
     def __init__(self, algo: "DMPCConnectivity") -> None:
         self.algo = algo
 
-    def _shard(self, machine: Machine) -> TourShard:
+    def _handle(self, machine: Machine) -> TourShardHandle:
         handle = machine.load(TOUR_SHARD_KEY)
         if handle is None:
-            shard = TourShard()
-            machine.store(TOUR_SHARD_KEY, TourShardHandle(shard))
-            return shard
-        return handle.shard
+            handle = TourShardHandle(TourShard())
+            machine.store(TOUR_SHARD_KEY, handle)
+        return handle
 
     def _peek(self, machine: Machine) -> "TourShard | None":
         handle = machine.load(TOUR_SHARD_KEY)
         return None if handle is None else handle.shard
 
-    def _commit(self, machine: Machine, shard: TourShard) -> None:
-        machine.store(TOUR_SHARD_KEY, TourShardHandle(shard))
+    @staticmethod
+    def _commit(machine: Machine, handle: TourShardHandle) -> None:
+        """Re-store ``handle`` while its frozen charge still holds, else mint a fresh one.
+
+        Re-storing the object a machine holds is the storage backends'
+        in-place path (version bump, nothing sized), exact only while the
+        charge did not move: an index shift takes it, a changed record set
+        does not.
+        """
+        if handle.dmpc_words() != max(1, handle.shard.live_words()):
+            handle = TourShardHandle(handle.shard)
+        machine.store(TOUR_SHARD_KEY, handle)
 
     def _machine(self, v: int) -> Machine:
         return self.algo.cluster.machine(self.algo.owner(v))
 
     # ------------------------------------------------------------------ tours
-    def load_state(self, v: int) -> "dict | None":
+    def comp_of(self, v: int) -> "int | None":
         shard = self._peek(self._machine(v))
-        if shard is None or v not in shard.comp:
-            return None
-        return {"comp": shard.comp[v], "indexes": shard.indexes[v]}
+        return None if shard is None else shard.comp.get(v)
+
+    def span(self, v: int) -> "tuple[int, int]":
+        return self._peek(self._machine(v)).span(v)
 
     def create_vertex(self, v: int, comp: int) -> None:
         machine = self._machine(v)
-        shard = self._shard(machine)
-        shard.add_vertex(v, comp)
-        self._commit(machine, shard)
+        handle = self._handle(machine)
+        handle.shard.add_vertex(v, comp)
+        self._commit(machine, handle)
 
     def place_vertex(self, v: int, comp: int, indexes: "set[int]", records: "dict[int, dict]") -> None:
         machine = self._machine(v)
-        shard = self._shard(machine)
-        shard.add_vertex(v, comp, indexes)
+        handle = self._handle(machine)
+        shard = handle.shard
+        shard.add_vertex(v, comp)
         for w, record in records.items():
             shard.set_edge(v, w, record)
-        self._commit(machine, shard)
+        if shard.index_set(v) != indexes:
+            raise InvariantViolation(f"vertex {v}: tour indexes are not the union of its tree-record pairs")
+        self._commit(machine, handle)
 
     # ------------------------------------------------------------------ edges
     def edges_of(self, v: int) -> dict:
         shard = self._peek(self._machine(v))
-        if shard is None:
-            return {}
-        return shard.edge_row(v)
+        return {} if shard is None else shard.edge_row(v)
 
     def store_edge_record(self, v: int, w: int, record: "dict[str, Any]") -> None:
         machine = self._machine(v)
-        shard = self._shard(machine)
-        shard.set_edge(v, w, record)
-        self._commit(machine, shard)
+        handle = self._handle(machine)
+        handle.shard.set_edge(v, w, record)
+        self._commit(machine, handle)
 
     def remove_edge_record(self, v: int, w: int) -> None:
         machine = self._machine(v)
-        shard = self._shard(machine)
-        shard.pop_edge(v, w)
-        self._commit(machine, shard)
+        handle = self._handle(machine)
+        handle.shard.pop_edge(v, w)
+        self._commit(machine, handle)
 
     # ------------------------------------------------------------- global reads
-    def components(self) -> "list[set[int]]":
-        groups: dict[int, set[int]] = {}
+    def _shards(self) -> "Iterator[TourShard]":
         for machine in self.algo.cluster.machines(role="worker"):
             shard = self._peek(machine)
-            if shard is None:
-                continue
+            if shard is not None:
+                yield shard
+
+    def components(self) -> "list[set[int]]":
+        groups: dict[int, set[int]] = {}
+        for shard in self._shards():
             for comp, members in shard.by_comp.items():
                 groups.setdefault(comp, set()).update(members)
         return list(groups.values())
 
     def spanning_forest(self) -> "set[tuple[int, int]]":
-        forest: set[tuple[int, int]] = set()
-        for machine in self.algo.cluster.machines(role="worker"):
-            shard = self._peek(machine)
-            if shard is None:
-                continue
-            for v, row in shard.edges.items():
-                for w, record in row.items():
-                    if record.get("tree"):
-                        forest.add(normalize_edge(v, w))
-        return forest
+        return {normalize_edge(v, w) for shard in self._shards() for v, row in shard.tree.items() for w in row}
 
     def tour_groups(self) -> "dict[int, list[set[int]]]":
         groups: dict[int, list[set[int]]] = {}
-        for machine in self.algo.cluster.machines(role="worker"):
-            shard = self._peek(machine)
-            if shard is None:
-                continue
+        for shard in self._shards():
             for comp, members in shard.by_comp.items():
-                bucket = groups.setdefault(comp, [])
-                for v in members:
-                    bucket.append(set(shard.indexes[v]))
+                groups.setdefault(comp, []).extend(shard.index_set(v) for v in members)
         return groups
 
     # ------------------------------------------------------- local application
     def apply_link_locally(self, machine: Machine, scalars: dict) -> None:
-        shard = self._peek(machine)
-        if shard is None:
-            return
-        comp_x, comp_y = scalars["comp_x"], scalars["comp_y"]
-        f_x, l_y, len_y = scalars["f_x"], scalars["l_y"], scalars["len_y"]
-        reroot = scalars.get("reroot", True)
-        x, y = scalars["x"], scalars["y"]
-
-        def shift_y(i: int) -> int:
-            if reroot and len_y > 0:
-                i = ((i - l_y) % len_y) + 1
-            return i + f_x + 2
-
-        def shift_x(i: int) -> int:
-            return i + len_y + 4 if i > f_x else i
-
-        # Snapshot both member lists first: retouring the comp_y members
-        # moves them into by_comp[comp_x], and they must not be shifted twice.
-        members_y = list(shard.by_comp.get(comp_y, ()))
-        members_x = list(shard.by_comp.get(comp_x, ()))
-        if not members_y and not members_x:
-            return
-        for vertex in members_y:
-            new_indexes = {shift_y(i) for i in shard.indexes[vertex]}
-            if vertex == y:
-                new_indexes.update({f_x + 2, f_x + len_y + 3})
-            shard.retour(vertex, comp_x, new_indexes)
-            _shift_edge_row(shard.edges[vertex], shift_y)
-        for vertex in members_x:
-            new_indexes = {shift_x(i) for i in shard.indexes[vertex]}
-            if vertex == x:
-                new_indexes.update({f_x + 1, f_x + len_y + 4})
-            shard.set_indexes(vertex, new_indexes)
-            _shift_edge_row(shard.edges[vertex], shift_x)
-        self._commit(machine, shard)
+        handle = machine.load(TOUR_SHARD_KEY)
+        if handle is not None and handle.shard.apply_link(
+            scalars["comp_x"], scalars["comp_y"], scalars["f_x"], scalars["l_y"], scalars["len_y"], scalars["reroot"]
+        ):
+            self._commit(machine, handle)
 
     def apply_cut_locally(self, machine: Machine, scalars: dict) -> None:
-        shard = self._peek(machine)
-        if shard is None:
-            return
-        comp, new_comp = scalars["comp"], scalars["new_comp"]
-        f_y, l_y = scalars["f_y"], scalars["l_y"]
-        x, y = scalars["x"], scalars["y"]
-        shift = (l_y - f_y + 1) + 2
-
-        def shift_any(i: int) -> int:
-            if f_y <= i <= l_y:
-                return i - f_y
-            if i > l_y + 1:
-                return i - shift
-            return i
-
-        members = list(shard.by_comp.get(comp, ()))
-        if not members:
-            return
-        for vertex in members:
-            indexes = set(shard.indexes[vertex])
-            if vertex == x:
-                indexes -= {f_y - 1, l_y + 1}
-            if vertex == y:
-                indexes -= {f_y, l_y}
-            first = min(indexes, default=0)
-            last = max(indexes, default=0)
-            in_subtree = vertex == y or (bool(indexes) and f_y <= first and last <= l_y)
-            new_indexes = {shift_any(i) for i in indexes}
-            shard.retour(vertex, new_comp if in_subtree else comp, new_indexes)
-            _shift_edge_row(shard.edges[vertex], shift_any)
-        self._commit(machine, shard)
+        handle = machine.load(TOUR_SHARD_KEY)
+        if handle is not None and handle.shard.apply_cut(
+            scalars["comp"], scalars["new_comp"], scalars["y"], scalars["f_y"], scalars["l_y"]
+        ):
+            self._commit(machine, handle)
 
     # ------------------------------------------------------------------ scans
     def replacement_offers(self, machine: Machine, comps: "set[int]") -> "list[tuple[int, int, int, float]]":
@@ -461,12 +397,12 @@ class _ShardTourStore:
                     offers.append((comp, v, w, float(record.get("weight", 1.0))))
         return offers
 
-    def path_scan_items(self, machine: Machine, comp: int) -> "Iterator[tuple[int, set[int], dict]]":
+    def path_scan_items(self, machine: Machine, comp: int) -> "Iterator[tuple[int, tuple[int, int], dict]]":
         shard = self._peek(machine)
         if shard is None:
             return
         for v in shard.by_comp.get(comp, ()):
-            yield v, shard.indexes[v], shard.edges[v]
+            yield v, shard.span(v), shard.edges[v]
 
 
 class DMPCConnectivity(DynamicMPCAlgorithm):
@@ -497,13 +433,13 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         """The worker machine owning vertex ``v``'s tour state and edge records."""
         return hash_partition(v, self.worker_ids)
 
-    def _vertex_state(self, v: int, *, create: bool = False) -> dict | None:
-        state = self._tours.load_state(v)
-        if state is None and create:
+    def _comp(self, v: int, *, create: bool = False) -> int | None:
+        """Component id of ``v``; ``None`` for an unseen vertex unless ``create``."""
+        comp = self._tours.comp_of(v)
+        if comp is None and create:
             comp = self._new_component(0)
             self._tours.create_vertex(v, comp)
-            state = self._tours.load_state(v)
-        return state
+        return comp
 
     def _new_component(self, length: int) -> int:
         comp = self._next_comp
@@ -517,17 +453,15 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
     # -------------------------------------------------------------- accessors
     def component_of(self, v: int) -> int:
         """Component identifier of ``v`` (driver-side read of its owner)."""
-        state = self._vertex_state(v)
-        if state is None:
+        comp = self._comp(v)
+        if comp is None:
             raise KeyError(f"vertex {v} is not known to the algorithm")
-        return state["comp"]
+        return comp
 
     def connected(self, u: int, v: int) -> bool:
         """True iff ``u`` and ``v`` are currently in the same component."""
-        su, sv = self._vertex_state(u), self._vertex_state(v)
-        if su is None or sv is None:
-            return False
-        return su["comp"] == sv["comp"]
+        comp = self._comp(u)
+        return comp is not None and comp == self._comp(v)
 
     def components(self) -> list[set[int]]:
         """All connected components (assembled from the worker machines)."""
@@ -621,15 +555,13 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         Keys are the touched component ids; endpoints the algorithm has
         never seen key by vertex id instead.
         """
-        keys = set()
-        states = []
-        for v in (update.u, update.v):
-            state = self._vertex_state(v)
-            states.append(state)
-            keys.add(("comp", state["comp"]) if state is not None else ("vertex", v))
+        comps = [self._comp(update.u), self._comp(update.v)]
+        keys = {
+            ("comp", comp) if comp is not None else ("vertex", v)
+            for v, comp in zip((update.u, update.v), comps)
+        }
         if update.is_insert:
-            sx, sy = states
-            structural = sx is None or sy is None or sx["comp"] != sy["comp"]
+            structural = None in comps or comps[0] != comps[1]
         else:
             record = self._edges_of(update.u).get(update.v, {})
             structural = bool(record.get("tree"))
@@ -692,21 +624,17 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
             x, y = update.u, update.v
             if update.is_insert:
                 self.shadow.insert_edge(x, y, update.weight)
-                sx = self._vertex_state(x, create=True)
-                sy = self._vertex_state(y, create=True)
-                if sx["comp"] == sy["comp"]:
+                if self._comp(x, create=True) == self._comp(y, create=True):
                     self._store_edge_record(x, y, tree=False, weight=update.weight)
                     self._store_edge_record(y, x, tree=False, weight=update.weight)
                 else:
                     packets.append(("link", self._link_scalars(x, y), update.weight))
             else:
                 self.shadow.delete_edge(x, y)
-                record = self._edges_of(x).get(y, {})
-                is_tree = bool(record.get("tree"))
+                if self._edges_of(x).get(y, {}).get("tree"):
+                    packets.append(("cut", self._cut_scalars(x, y), 0.0))
                 self._remove_edge_record(x, y)
                 self._remove_edge_record(y, x)
-                if is_tree:
-                    packets.append(("cut", self._cut_scalars(x, y), 0.0))
 
         self._broadcast_many([scalars for (_op, scalars, _w) in packets])
         pending_cuts: list[dict] = []
@@ -729,7 +657,7 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
                 continue
             a, b, weight = replacement
             # Re-orient so the first endpoint lies in the surviving component.
-            if self._vertex_state(a)["comp"] == scalars["new_comp"]:
+            if self._comp(a) == scalars["new_comp"]:
                 a, b = b, a
             self._remove_edge_record(a, b)
             self._remove_edge_record(b, a)
@@ -741,14 +669,14 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
     # ------------------------------------------------------------------ insert
     def _insert(self, x: int, y: int, weight: float = 1.0) -> None:
         self.shadow.insert_edge(x, y, weight)
-        sx = self._vertex_state(x, create=True)
-        sy = self._vertex_state(y, create=True)
+        comp_x = self._comp(x, create=True)
+        comp_y = self._comp(y, create=True)
 
         # Round 1-2: the endpoints' owners exchange their scalars through the
         # aggregator (constant-size messages).
         self._endpoint_query(x, y)
 
-        if sx["comp"] == sy["comp"]:
+        if comp_x == comp_y:
             self._store_edge_record(x, y, tree=False, weight=weight)
             self._store_edge_record(y, x, tree=False, weight=weight)
             return
@@ -768,15 +696,13 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         :meth:`_broadcast` / :meth:`_commit_link`, so batched application
         can merge several packets into a single broadcast round.
         """
-        sx = self._vertex_state(x, create=True)
-        sy = self._vertex_state(y, create=True)
-        comp_x, comp_y = sx["comp"], sy["comp"]
+        comp_x = self._comp(x, create=True)
+        comp_y = self._comp(y, create=True)
         len_y = self._comp_length[comp_y]
-        l_y = max(sy["indexes"], default=0)
-        f_y = min(sy["indexes"], default=0)
+        f_y, l_y = self._tours.span(y)
         # Attachment offset: x's first appearance rounded down to the arc
         # boundary (0 when x is a root or a singleton).
-        f_x = min(sx["indexes"], default=0)
+        f_x = self._tours.span(x)[0]
         if f_x % 2 == 1:
             f_x -= 1
 
@@ -810,15 +736,14 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
     # ------------------------------------------------------------------ delete
     def _delete(self, x: int, y: int) -> None:
         self.shadow.delete_edge(x, y)
-        record = self._edges_of(x).get(y, {})
-        is_tree = bool(record.get("tree"))
+        is_tree = bool(self._edges_of(x).get(y, {}).get("tree"))
         self._endpoint_query(x, y)
+        scalars = self._cut_scalars(x, y) if is_tree else None
         self._remove_edge_record(x, y)
         self._remove_edge_record(y, x)
-        if not is_tree:
+        if scalars is None:
             return
 
-        scalars = self._cut_scalars(x, y)
         self._broadcast(scalars)
         self._commit_cut(scalars)
 
@@ -826,7 +751,7 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         if replacement is not None:
             a, b, weight = replacement
             # Re-orient so the first endpoint lies in the surviving component.
-            if self._vertex_state(a)["comp"] == scalars["new_comp"]:
+            if self._comp(a) == scalars["new_comp"]:
                 a, b = b, a
             self._remove_edge_record(a, b)
             self._remove_edge_record(b, a)
@@ -835,29 +760,26 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
     def _cut_scalars(self, x: int, y: int) -> dict:
         """The constant-size scalar packet describing the cut of tree edge ``(x, y)``.
 
-        Orients the pair so ``x`` is the ancestor endpoint and allocates the
-        identifier of the split-off component; like :meth:`_link_scalars`
-        this is pure driver-side arithmetic so packets can be batched.
+        Read from the two copies of the edge, so it must run **before** they
+        are removed: the child's copy holds ``(f(y), l(y))`` and the parent's
+        brackets it one position on each side.  Orients the pair so ``x`` is
+        the ancestor endpoint and allocates the identifier of the split-off
+        component; like :meth:`_link_scalars` this is pure driver-side
+        arithmetic so packets can be batched.
         """
-        sx = self._vertex_state(x)
-        sy = self._vertex_state(y)
-        assert sx is not None and sy is not None
-        # Ensure x is the ancestor endpoint.
-        fx, lx = min(sx["indexes"], default=0), max(sx["indexes"], default=0)
-        fy, ly = min(sy["indexes"], default=0), max(sy["indexes"], default=0)
-        if not (fx < fy and lx > ly):
-            x, y = y, x
-            sx, sy = sy, sx
-            fx, lx, fy, ly = fy, ly, fx, lx
+        pair_x = self._edges_of(x)[y]["indexes"]
+        pair_y = self._edges_of(y)[x]["indexes"]
+        if pair_x[0] > pair_y[0]:  # x holds the inner pair: it is the child
+            x, y, pair_y = y, x, pair_x
 
         return {
             "op": "cut",
             "x": x,
             "y": y,
-            "comp": sx["comp"],
+            "comp": self._comp(x),
             "new_comp": self._new_component(0),
-            "f_y": fy,
-            "l_y": ly,
+            "f_y": pair_y[0],
+            "l_y": pair_y[1],
         }
 
     def _commit_cut(self, scalars: dict) -> None:

@@ -1,4 +1,4 @@
-"""Flat array state layouts: CSR adjacency, interning, struct-of-arrays stats.
+"""Per-machine state layouts: CSR adjacency, interning, struct-of-arrays stats, tour pairs.
 
 The machine stores of the static baselines were dict-of-objects — an
 ``("adj", v)`` list and a ``("weights", v)`` dict per vertex — and the
@@ -35,6 +35,10 @@ process/resident wire.  This module owns the flat replacements:
     charge it recorded at store time.  A fresh frozen handle per seam commit
     makes both release the previous frozen charge and add the new one —
     identical totals on every backend, tracking the live table size in O(1).
+:class:`TourShard` / :class:`TourShardHandle`
+    dynamic connectivity's Euler-tour state as one pair table per machine
+    (plain dicts, no arrays): every tour index lives once, in the index pair
+    of its tree-edge record, shifted in place by the link / cut kernels.
 
 NumPy acceleration is optional everywhere: kernels consult
 :data:`HAVE_NUMPY` and fall back to pure-python loops with identical
@@ -639,113 +643,171 @@ _TOUR_WORDS_PER_VERTEX = 12
 def _edge_record_words(record: "dict[str, Any]") -> int:
     # dict-layout parity for one record entry inside the ("edges", v) value:
     # neighbor key (1) + {"tree": bool, "weight": float, "indexes": pair|None}
-    # = 8 words for a non-tree record, 10 when the index pair is present.
-    return 10 if record.get("indexes") is not None else 8
+    # = 8 words for a non-tree record, 10 when the index pair is present, plus
+    # the pair's two tour indexes (charged on ("tour", v) by the dict layout).
+    return 10 + 2 if record.get("indexes") is not None else 8
 
 
 class TourShard:
-    """One worker machine's slice of every Euler-tour forest, flattened.
+    """One worker machine's slice of every Euler-tour forest, as a pair table.
 
-    The dynamic connectivity driver replicates tour state on every worker
-    (each holds the vertices it owns); the seed layout stored one
-    ``("tour", v)`` dict and one ``("edges", v)`` dict per vertex, which made
-    every link/cut re-store — and therefore re-size — O(degree) python dicts
-    per touched vertex.  The shard keeps the same information as four flat
-    maps mutated in place:
+    A vertex's tour occurrences are exactly the index pairs of its tree-edge
+    records (``index_v = ⋃ pair(v, w)`` over tree neighbours ``w``: the
+    child's copy of an edge holds its own first/last appearance, the parent's
+    copy the two positions bracketing them), so the shard stores **every tour
+    index once** — in the mutable ``[lo, hi]`` pair of the record that
+    produced it — and derives ``f(v)`` / ``l(v)`` / ``index_v`` on demand:
 
     ``comp``
         vertex → component id,
-    ``indexes``
-        vertex → set of Euler-tour occurrence indexes,
     ``edges``
         vertex → {neighbor → record dict} (records share the dict layout's
-        ``{"tree", "weight", "indexes"}`` shape),
+        ``{"tree", "weight", "indexes"}`` shape; a tree record's
+        ``"indexes"`` *is* its tree-row pair, kept sorted),
+    ``tree``
+        vertex → {tree neighbor → pair}: the rows the link/cut kernels walk,
+        so an index shift never visits a non-tree record,
     ``by_comp``
-        component id → vertex set: the cross-batch broadcast index.  Link and
-        cut commits maintain it incrementally, so scalar-broadcast
+        component id → vertex set, maintained by the kernels: broadcast
         application, replacement-edge scans and the MST path-maximum scan
-        iterate exactly the component's members instead of every key on the
-        machine — and the index survives across batches, invalidated only by
-        the structural change itself.
+        iterate a component's members instead of every key on the machine.
 
-    Word accounting is incremental (``live_words`` is O(1)) and kept in
-    parity with what the dict layout charged for the same state, so strict
-    capacity enforcement behaves identically under either layout.
+    Word accounting is incremental (``live_words`` is O(1)) and in parity
+    with the dict layout: 12 words per vertex plus one per tour index, 10 /
+    8 per tree / non-tree record.  Only ``add_vertex`` / ``set_edge`` /
+    ``pop_edge`` move it; an index shift never does.
     """
 
-    __slots__ = ("comp", "indexes", "edges", "by_comp", "_words")
+    __slots__ = ("comp", "edges", "tree", "by_comp", "_words")
 
     def __init__(self) -> None:
         self.comp: "dict[int, int]" = {}
-        self.indexes: "dict[int, set[int]]" = {}
         self.edges: "dict[int, dict[int, dict[str, Any]]]" = {}
+        self.tree: "dict[int, dict[int, list[int]]]" = {}
         self.by_comp: "dict[int, set[int]]" = {}
         self._words = 0
 
     # ------------------------------------------------------------------ tours
-    def has_vertex(self, vertex: int) -> bool:
-        return vertex in self.comp
-
-    def add_vertex(self, vertex: int, comp: int, indexes: "set[int] | None" = None) -> None:
-        """Place a fresh vertex in ``comp`` (empty edge row, empty tour)."""
-        idx = set() if indexes is None else set(indexes)
+    def add_vertex(self, vertex: int, comp: int) -> None:
+        """Place a fresh vertex in ``comp`` (empty edge row, no tour occurrence)."""
         self.comp[vertex] = comp
-        self.indexes[vertex] = idx
         self.edges[vertex] = {}
+        self.tree[vertex] = {}
+        self.by_comp.setdefault(comp, set()).add(vertex)
+        self._words += _TOUR_WORDS_PER_VERTEX
+
+    def span(self, vertex: int) -> "tuple[int, int]":
+        """``(f(v), l(v))`` derived from the tree row, ``(0, 0)`` for a singleton."""
+        pairs = self.tree[vertex].values()
+        if not pairs:
+            return (0, 0)
+        return min(pair[0] for pair in pairs), max(pair[1] for pair in pairs)
+
+    def index_set(self, vertex: int) -> "set[int]":
+        """The derived occurrence set ``index_v`` (two indexes per tree record)."""
+        return {i for pair in self.tree[vertex].values() for i in pair}
+
+    # ---------------------------------------------------------------- kernels
+    def apply_link(self, comp_x: int, comp_y: int, f_x: int, l_y: int, len_y: int, reroot: bool) -> bool:
+        """Shift this shard's pairs for a broadcast link; False if it holds neither tree.
+
+        ``T_x`` entries past ``f_x`` make room (``+len_y+4``); ``T_y`` is
+        rotated to ``y`` when ``reroot`` — a flipped edge comes out reversed
+        and is re-sorted — then offset by ``f_x+2`` and moved into ``comp_x``.
+        The new edge's own two pairs arrive with its records (``set_edge``).
+        """
+        members_x = self.by_comp.get(comp_x)
+        members_y = self.by_comp.pop(comp_y, None)
+        if not members_x and not members_y:
+            return False
+        tree = self.tree
+        if members_x:
+            grow = len_y + 4
+            for v in members_x:
+                for pair in tree[v].values():
+                    if pair[1] > f_x:
+                        pair[1] += grow
+                        if pair[0] > f_x:
+                            pair[0] += grow
+        if members_y:
+            offset = f_x + 2
+            comp = self.comp
+            for v in members_y:
+                comp[v] = comp_x
+                for pair in tree[v].values():
+                    a, b = pair
+                    if reroot:
+                        a = (a - l_y) % len_y + 1
+                        b = (b - l_y) % len_y + 1
+                        if a > b:
+                            a, b = b, a
+                    pair[0] = a + offset
+                    pair[1] = b + offset
+            if members_x:
+                members_x |= members_y
+            else:
+                self.by_comp[comp_x] = members_y
+        return True
+
+    def apply_cut(self, comp: int, new_comp: int, y: int, f_y: int, l_y: int) -> bool:
+        """Shift this shard's pairs for a broadcast cut; False if it holds none of ``comp``.
+
+        The cut edge's own records are already gone.  A pair inside
+        ``[f_y, l_y]`` belongs to ``y``'s subtree: it drops by ``f_y`` and
+        its vertex moves to ``new_comp`` (as does ``y`` itself, even when the
+        cut left it a singleton); entries past ``l_y`` close the gap.
+        """
         members = self.by_comp.get(comp)
-        if members is None:
-            members = self.by_comp[comp] = set()
-        members.add(vertex)
-        self._words += _TOUR_WORDS_PER_VERTEX + len(idx)
-
-    def set_indexes(self, vertex: int, indexes: "set[int]") -> None:
-        """Replace ``vertex``'s tour-index set (component unchanged)."""
-        self._words += len(indexes) - len(self.indexes[vertex])
-        self.indexes[vertex] = indexes
-
-    def retour(self, vertex: int, comp: int, indexes: "set[int]") -> None:
-        """Move ``vertex`` to ``comp`` with a new index set, keeping ``by_comp`` true."""
-        old_comp = self.comp[vertex]
-        self._words += len(indexes) - len(self.indexes[vertex])
-        self.indexes[vertex] = indexes
-        if comp != old_comp:
-            self.comp[vertex] = comp
-            members = self.by_comp[old_comp]
-            members.discard(vertex)
+        if not members:
+            return False
+        tree = self.tree
+        gap = l_y - f_y + 3
+        moved = []
+        for v in members:
+            inside = v == y
+            for pair in tree[v].values():
+                a = pair[0]
+                if a > l_y:
+                    pair[0] = a - gap
+                    pair[1] -= gap
+                elif a >= f_y:
+                    pair[0] = a - f_y
+                    pair[1] -= f_y
+                    inside = True
+                elif pair[1] > l_y:
+                    pair[1] -= gap
+            if inside:
+                moved.append(v)
+        if moved:
+            for v in moved:
+                self.comp[v] = new_comp
+            members.difference_update(moved)
             if not members:
-                del self.by_comp[old_comp]
-            target = self.by_comp.get(comp)
-            if target is None:
-                target = self.by_comp[comp] = set()
-            target.add(vertex)
-
-    def members(self, comp: int) -> "set[int]":
-        """The vertices of ``comp`` stored on this shard (empty set if none)."""
-        return self.by_comp.get(comp, set())
+                del self.by_comp[comp]
+            self.by_comp[new_comp] = set(moved)
+        return True
 
     # ------------------------------------------------------------------ edges
     def edge_row(self, vertex: int) -> "dict[int, dict[str, Any]]":
         return self.edges.get(vertex, {})
 
     def set_edge(self, vertex: int, neighbor: int, record: "dict[str, Any]") -> None:
-        row = self.edges.get(vertex)
-        if row is None:
-            # stragglers without a tour entry still get a row (4 words of
-            # dict-layout key+empty-value parity, same as add_vertex charges)
-            row = self.edges[vertex] = {}
-            self._words += 4
-        old = row.get(neighbor)
-        if old is not None:
-            self._words -= _edge_record_words(old)
+        """Store ``record`` (the shard takes ownership); ``KeyError`` for an unknown vertex."""
+        row = self.edges[vertex]
+        self.pop_edge(vertex, neighbor)
+        pair = record.get("indexes")
+        if pair is not None:
+            lo, hi = pair
+            record["indexes"] = self.tree[vertex][neighbor] = [lo, hi] if lo <= hi else [hi, lo]
         row[neighbor] = record
         self._words += _edge_record_words(record)
 
     def pop_edge(self, vertex: int, neighbor: int) -> None:
         row = self.edges.get(vertex)
-        if row is not None:
-            old = row.pop(neighbor, None)
-            if old is not None:
-                self._words -= _edge_record_words(old)
+        old = row.pop(neighbor, None) if row else None
+        if old is not None:
+            self._words -= _edge_record_words(old)
+            self.tree[vertex].pop(neighbor, None)
 
     # ------------------------------------------------------------- accounting
     def live_words(self) -> int:
@@ -754,10 +816,19 @@ class TourShard:
 
     # ------------------------------------------------------------ serialization
     def __getstate__(self) -> tuple:
-        return (self.comp, self.indexes, self.edges, self.by_comp, self._words)
+        return (self.comp, self.edges, self._words)
 
     def __setstate__(self, state: tuple) -> None:
-        self.comp, self.indexes, self.edges, self.by_comp, self._words = state
+        # tree rows and by_comp are rebuilt, so a restored record's "indexes"
+        # is again the very pair its tree row holds
+        self.comp, self.edges, self._words = state
+        self.tree = {
+            v: {w: rec["indexes"] for w, rec in row.items() if rec.get("indexes") is not None}
+            for v, row in self.edges.items()
+        }
+        self.by_comp = {}
+        for v, comp in self.comp.items():
+            self.by_comp.setdefault(comp, set()).add(v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,9 +3,11 @@
 Three guarantees from the recut are locked down here:
 
 * **Layout A/B** — the ``dict`` (one object per vertex / per tour entry)
-  and ``csr`` (flat struct-of-arrays) state layouts are pure storage
-  choices: every dynamic algorithm reaches bit-identical solutions,
-  per-update round records and word totals under both.
+  and ``csr`` (flat struct-of-arrays / pair table) state layouts are pure
+  storage choices: every dynamic algorithm reaches bit-identical solutions,
+  per-update round records and word totals under both, and the Euler-tour
+  state — index sets, record pairs, per-machine charges — agrees with the
+  ``dict`` oracle at every update boundary, not only at the end.
 * **Coalesced batches** — with coalescing on, ``apply_batch`` reaches the
   same solution as sequentially replaying the *normalized* stream
   (:meth:`normalize_batch`), never spends more rounds, and this holds on
@@ -33,9 +35,10 @@ from repro.dynamic_mpc import (
     DMPCThreeHalvesMatching,
     DMPCTwoPlusEpsMatching,
 )
+from repro.dynamic_mpc.connectivity import TOUR_SHARD_KEY
 from repro.dynamic_mpc.state import VertexStats
-from repro.graph import DynamicGraph, batched
-from repro.graph.generators import gnm_random_graph, random_weighted_graph
+from repro.graph import DynamicGraph, GraphUpdate, batched
+from repro.graph.generators import gnm_random_graph, random_forest, random_weighted_graph
 from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
 from repro.mpc.layout import DYNAMIC_LAYOUTS
 from repro.mpc.sizing import closed_form_words, registered_closed_forms, word_size
@@ -71,10 +74,11 @@ def churn_stream(n: int, num_updates: int, seed: int) -> list:
     return list(mixed_stream(n, num_updates, seed=seed, insert_probability=0.5))
 
 
-def recorded_adversary(n: int, m: int, num_updates: int, seed: int):
+def recorded_adversary(n: int, m: int, num_updates: int, seed: int, *, graph=None, make=DMPCConnectivity):
     """Record an adaptive tree-edge adversary stream once, for replays."""
-    graph = gnm_random_graph(n, m, seed=seed)
-    recorder = DMPCConnectivity(DMPCConfig.for_graph(n, 2 * m))
+    if graph is None:
+        graph = gnm_random_graph(n, m, seed=seed)
+    recorder = make(DMPCConfig.for_graph(n, 2 * m))
     recorder.preprocess(graph.copy())
     adaptive = tree_edge_adversary_stream(
         n, num_updates, recorder.spanning_forest, seed=seed + 1, delete_probability=0.6
@@ -178,6 +182,103 @@ class TestLayoutAB:
         )
         assert runs["dict"].matching() == runs["csr"].matching()
         self.assert_identical_costs(runs)
+
+
+# ------------------------------------- tour state at every update boundary
+def tour_snapshot(algorithm):
+    """Layout-neutral tour state: per-vertex (comp, index set), per-record (tree, weight, pair), per-machine words."""
+    vertices, rows, words = {}, {}, {}
+    for machine in algorithm.cluster.machines(role="worker"):
+        words[machine.machine_id] = machine.used_words
+        for key, value in machine.items():
+            if key == TOUR_SHARD_KEY:
+                words[machine.machine_id] -= word_size(key)  # the one store key the dict layout does not have
+                for v, comp in value.shard.comp.items():
+                    vertices[v] = (comp, value.shard.index_set(v))
+                    rows[v] = value.shard.edge_row(v)
+            elif key[0] == "tour":
+                vertices[key[1]] = (value["comp"], set(value["indexes"]))
+            else:
+                rows[key[1]] = value
+    records = {
+        (v, w): (rec["tree"], rec["weight"], None if rec["indexes"] is None else tuple(rec["indexes"]))
+        for v, row in rows.items()
+        for w, rec in row.items()
+    }
+    assert set(rows) == set(vertices)
+    return vertices, records, words
+
+
+class TestTourStateAtEveryBoundary:
+    """On adversarial streams the pair table never leaves the ``dict`` oracle, step by step."""
+
+    def assert_lockstep(self, make, graph, stream, batch_size=None):
+        runs = {layout: make(layout) for layout in DYNAMIC_LAYOUTS}
+        for algorithm in runs.values():
+            algorithm.preprocess(graph.copy())
+        assert tour_snapshot(runs["csr"]) == tour_snapshot(runs["dict"])
+        steps = [[update] for update in stream] if batch_size is None else list(batched(stream, batch_size))
+        for step in steps:
+            for algorithm in runs.values():
+                if batch_size is None:
+                    algorithm.apply(step[0])
+                else:
+                    algorithm.apply_batch(step, coalesce=True)
+            assert tour_snapshot(runs["csr"]) == tour_snapshot(runs["dict"]), f"layouts diverged after {step}"
+        assert per_update_rounds(runs["csr"]) == per_update_rounds(runs["dict"])
+        # non-vacuous: tree edges were cut (a non-tree update costs two rounds)
+        assert sum(rounds > 2 for _label, rounds in per_update_rounds(runs["csr"])) >= len(steps) // 8
+
+    def test_connectivity(self):
+        n, m = 24, 36
+        graph, stream = recorded_adversary(n, m, 120, seed=41)
+        self.assert_lockstep(
+            lambda layout: DMPCConnectivity(make_config(n, 4 * m, None), layout=layout, check_invariants=True),
+            graph,
+            stream,
+        )
+
+    def test_connectivity_coalesced_batches(self):
+        n, m = 24, 36
+        graph, stream = recorded_adversary(n, m, 160, seed=42)
+        self.assert_lockstep(
+            lambda layout: DMPCConnectivity(make_config(n, 4 * m, None), layout=layout, check_invariants=True),
+            graph,
+            stream,
+            batch_size=16,
+        )
+
+    def test_approx_mst(self):
+        n, m = 20, 40
+        graph, stream = recorded_adversary(
+            n, m, 100, seed=43, graph=random_weighted_graph(n, m, seed=43), make=DMPCApproxMST
+        )
+        self.assert_lockstep(
+            lambda layout: DMPCApproxMST(make_config(n, 4 * m, None), epsilon=0.1, layout=layout, check_invariants=True),
+            graph,
+            stream,
+        )
+
+    def test_shift_only_machines_keep_their_handle(self):
+        """A link / cut mints a handle on the endpoint owners only; every other machine of the
+        component re-stores the handle it holds — same object, same charge, a newer version."""
+        n = 64
+        graph = random_forest(n, num_trees=1, seed=44)  # a tree: no replacement edge, so a cut stays a cut
+        algorithm = DMPCConnectivity(make_config(n, 2 * n, None), layout="csr", check_invariants=True)
+        algorithm.preprocess(graph.copy())
+        workers = [m for m in algorithm.cluster.machines(role="worker") if m.load(TOUR_SHARD_KEY) is not None]
+        x, y = sorted(algorithm.spanning_forest())[n // 2]
+        owners = {algorithm.owner(x), algorithm.owner(y)}
+        assert len(workers) > len(owners)
+        for update in (GraphUpdate.delete(x, y), GraphUpdate.insert(x, y)):
+            before = {m.machine_id: (m.load(TOUR_SHARD_KEY), m.storage.version, m.used_words) for m in workers}
+            algorithm.apply(update)
+            for machine in workers:
+                handle, version, words = before[machine.machine_id]
+                assert machine.storage.version > version
+                assert (machine.load(TOUR_SHARD_KEY) is handle) == (machine.machine_id not in owners)
+                if machine.machine_id not in owners:
+                    assert machine.used_words == words
 
 
 # ------------------------------------------------- coalesced-batch replay
