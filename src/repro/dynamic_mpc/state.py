@@ -19,7 +19,10 @@ Edge machines learn about updates lazily: whenever the coordinator contacts
 a machine it piggy-backs the history entries the machine has not yet seen,
 and after every update one additional machine is refreshed round-robin, so
 no machine is ever more than ``O(sqrt N)`` updates stale — which is what
-bounds the history size.
+bounds the history size.  Every contact is the same two steps: the sender
+takes ``_pending_history`` (the unseen suffix, sized by its length), the
+receiver runs ``_catch_up``; an update pays for the entries it ships, not
+for the buffer, and the round-robin cycles over a maintained list.
 
 All cross-machine data movement uses messages on the cluster, so the
 metrics ledger observes the true round / machine / communication costs.
@@ -27,6 +30,7 @@ metrics ledger observes the true round / machine / communication costs.
 
 from __future__ import annotations
 
+from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -127,9 +131,10 @@ class MatchingFabric:
         pool_size = 2 * config.num_worker_machines + 8
         self.edge_pool = [m.machine_id for m in cluster.add_machines("edge", pool_size, role="edge")]
         self._unallocated = list(reversed(self.edge_pool))
-        # Set mirror of _unallocated: the round-robin maintenance tests pool
-        # membership once per update, which must not scan the whole pool.
-        self._unallocated_set = set(self._unallocated)
+        # The machines the round-robin maintenance cycles over, in pool
+        # order; kept current where it changes (_allocate_machine, the
+        # release in fetch_suspended) instead of rebuilt every update.
+        self._allocated: list[str] = []
         self._light_machines: list[str] = []
         self._machine_seen_seq: dict[str, int] = {mid: 0 for mid in self.edge_pool}
         self._refresh_pointer = 0
@@ -153,7 +158,8 @@ class MatchingFabric:
         if not self._unallocated:
             raise ProtocolError("edge machine pool exhausted — size the DMPCConfig for the workload")
         machine_id = self._unallocated.pop()
-        self._unallocated_set.discard(machine_id)
+        # A released machine is handed out again before higher pool slots.
+        insort(self._allocated, machine_id, key=lambda mid: self.cluster.machine(mid).index)
         if light:
             self._light_machines.append(machine_id)
         return machine_id
@@ -292,12 +298,26 @@ class MatchingFabric:
     def record(self, kind: str, u: int, v: int) -> HistoryEntry:
         return self.coordinator.record(kind, u, v)
 
-    def _history_payload_for(self, machine_id: str) -> list[HistoryEntry]:
+    def _pending_history(self, machine_id: str) -> tuple[list[HistoryEntry], int]:
+        """The history suffix ``machine_id`` has not seen and the words it is
+        charged as when piggy-backed on a message to that machine."""
         entries = self.coordinator.history.entries_since(self._machine_seen_seq.get(machine_id, 0))
-        return entries
+        return entries, max(1, HistoryEntry.WORDS * len(entries))
 
     def _mark_seen(self, machine_id: str) -> None:
         self._machine_seen_seq[machine_id] = self.coordinator.history.last_seq
+
+    def _catch_up(self, machine_id: str, entries: list[HistoryEntry], tag: str | None = None):
+        """The receiving end of every history piggy-back: drain the message
+        ``tag`` that carried the slice ``entries`` (``None``: it rides on a
+        later message of the same operation), apply it, mark ``machine_id``
+        current.  Returns the machine."""
+        machine = self.cluster.machine(machine_id)
+        if tag is not None:
+            machine.drain(tag)
+        self._apply_history_locally(machine, entries)
+        self._mark_seen(machine_id)
+        return machine
 
     @staticmethod
     def _apply_history_locally(machine, entries: list[HistoryEntry]) -> None:
@@ -425,14 +445,10 @@ class MatchingFabric:
 
     def refresh_machine(self, machine_id: str) -> None:
         """Coordinator ships pending history to one edge machine (1 round)."""
-        entries = self._history_payload_for(machine_id)
-        coordinator = self.coordinator.machine
-        coordinator.send(machine_id, "refresh", None, words=max(1, sum(e.dmpc_words() for e in entries)))
+        entries, words = self._pending_history(machine_id)
+        self.coordinator.machine.send(machine_id, "refresh", None, words=words)
         self.cluster.exchange()
-        machine = self.cluster.machine(machine_id)
-        machine.drain("refresh")
-        self._apply_history_locally(machine, entries)
-        self._mark_seen(machine_id)
+        self._catch_up(machine_id, entries, "refresh")
 
     def round_robin_refresh(self) -> None:
         """Refresh the next edge machine in round-robin order (1 round).
@@ -450,10 +466,9 @@ class MatchingFabric:
             if self._deferred_refreshes >= self._max_deferred_refreshes:
                 self.flush_deferred_refreshes()
             return
-        allocated = [mid for mid in self.edge_pool if mid not in self._unallocated_set]
-        if not allocated:
+        if not self._allocated:
             return
-        machine_id = allocated[self._refresh_pointer % len(allocated)]
+        machine_id = self._allocated[self._refresh_pointer % len(self._allocated)]
         self._refresh_pointer += 1
         self.refresh_machine(machine_id)
 
@@ -486,26 +501,21 @@ class MatchingFabric:
         count, self._deferred_refreshes = self._deferred_refreshes, 0
         if count == 0:
             return 0
-        allocated = [mid for mid in self.edge_pool if mid not in self._unallocated_set]
+        allocated = self._allocated
         if not allocated:
             return 0
-        targets: dict[str, None] = {}
+        pending: dict[str, list[HistoryEntry]] = {}
         for _ in range(count):
-            targets.setdefault(allocated[self._refresh_pointer % len(allocated)], None)
+            pending.setdefault(allocated[self._refresh_pointer % len(allocated)], [])
             self._refresh_pointer += 1
         coordinator = self.coordinator.machine
-        payloads: dict[str, list[HistoryEntry]] = {}
-        for machine_id in targets:
-            entries = self._history_payload_for(machine_id)
-            payloads[machine_id] = entries
-            coordinator.send(machine_id, "refresh", None, words=max(1, sum(e.dmpc_words() for e in entries)))
+        for machine_id in pending:
+            pending[machine_id], words = self._pending_history(machine_id)
+            coordinator.send(machine_id, "refresh", None, words=words)
         self.cluster.exchange()
-        for machine_id, entries in payloads.items():
-            machine = self.cluster.machine(machine_id)
-            machine.drain("refresh")
-            self._apply_history_locally(machine, entries)
-            self._mark_seen(machine_id)
-        return len(payloads)
+        for machine_id, entries in pending.items():
+            self._catch_up(machine_id, entries, "refresh")
+        return len(pending)
 
     def update_vertex(self, v: int, stats: VertexStats, query: str | None = None, *, exclude: tuple[int, ...] = ()) -> dict:
         """The paper's ``updateVertex``: refresh ``v``'s alive machine and optionally query it.
@@ -523,16 +533,11 @@ class MatchingFabric:
         Returns the reply payload dict.
         """
         machine_id = self._ensure_alive_machine(v, stats)
-        entries = self._history_payload_for(machine_id)
+        entries, words = self._pending_history(machine_id)
         coordinator = self.coordinator.machine
-        words = max(1, sum(e.dmpc_words() for e in entries)) + 4
-        coordinator.send(machine_id, "vertex-update", {"vertex": v, "query": query or ""}, words=words)
+        coordinator.send(machine_id, "vertex-update", {"vertex": v, "query": query or ""}, words=words + 4)
         self.cluster.exchange()
-
-        machine = self.cluster.machine(machine_id)
-        machine.drain("vertex-update")
-        self._apply_history_locally(machine, entries)
-        self._mark_seen(machine_id)
+        machine = self._catch_up(machine_id, entries, "vertex-update")
 
         reply: dict = {"free": None, "matched": []}
         adjacency = machine.load(("adj", v), {})
@@ -564,18 +569,14 @@ class MatchingFabric:
         if not stats.suspended_machines:
             return None
         coordinator = self.coordinator.machine
+        pending: dict[str, list[HistoryEntry]] = {}
         for machine_id in stats.suspended_machines:
-            entries = self._history_payload_for(machine_id)
-            words = max(1, sum(e.dmpc_words() for e in entries)) + 2
-            coordinator.send(machine_id, "suspended-scan", v, words=words)
+            pending[machine_id], words = self._pending_history(machine_id)
+            coordinator.send(machine_id, "suspended-scan", v, words=words + 2)
         self.cluster.exchange()
         found: int | None = None
-        for machine_id in stats.suspended_machines:
-            machine = self.cluster.machine(machine_id)
-            machine.drain("suspended-scan")
-            entries = self._history_payload_for(machine_id)
-            self._apply_history_locally(machine, entries)
-            self._mark_seen(machine_id)
+        for machine_id, entries in pending.items():
+            machine = self._catch_up(machine_id, entries, "suspended-scan")
             candidate = None
             for w in sorted(machine.load(("adj", v), {})):
                 if w not in exclude and machine.load(("status", w)) is None:
@@ -611,18 +612,14 @@ class MatchingFabric:
         for vertex, stats, exclude in queries:
             machine_id = self._ensure_alive_machine(vertex, stats)
             by_machine.setdefault(machine_id, []).append((vertex, exclude))
+        pending: dict[str, list[HistoryEntry]] = {}
         for machine_id, items in by_machine.items():
-            entries = self._history_payload_for(machine_id)
-            words = max(1, sum(e.dmpc_words() for e in entries)) + 2 * len(items)
-            coordinator.send(machine_id, "batch-free-query", [(v, list(ex)) for v, ex in items], words=words)
+            pending[machine_id], words = self._pending_history(machine_id)
+            coordinator.send(machine_id, "batch-free-query", [(v, list(ex)) for v, ex in items], words=words + 2 * len(items))
         self.cluster.exchange()
         results: dict[int, int | None] = {}
         for machine_id, items in by_machine.items():
-            machine = self.cluster.machine(machine_id)
-            machine.drain("batch-free-query")
-            entries = self._history_payload_for(machine_id)
-            self._apply_history_locally(machine, entries)
-            self._mark_seen(machine_id)
+            machine = self._catch_up(machine_id, pending[machine_id], "batch-free-query")
             replies = []
             for vertex, exclude in items:
                 found: int | None = None
@@ -653,14 +650,10 @@ class MatchingFabric:
         """
         machine_id = self._ensure_alive_machine(v, stats)
         coordinator = self.coordinator.machine
-        entries = self._history_payload_for(machine_id)
-        words = max(1, sum(e.dmpc_words() for e in entries)) + 2
-        coordinator.send(machine_id, "neighbor-list-query", v, words=words)
+        entries, words = self._pending_history(machine_id)
+        coordinator.send(machine_id, "neighbor-list-query", v, words=words + 2)
         self.cluster.exchange()
-        machine = self.cluster.machine(machine_id)
-        machine.drain("neighbor-list-query")
-        self._apply_history_locally(machine, entries)
-        self._mark_seen(machine_id)
+        machine = self._catch_up(machine_id, entries, "neighbor-list-query")
         neighbors = sorted(machine.load(("adj", v), {}))
         machine.send(
             self.coordinator.machine_id,
@@ -722,7 +715,7 @@ class MatchingFabric:
                     target_id = top.machine_id
             if target_id is None:
                 target_id = self._allocate_machine(light=False)
-                stats.suspended_machines.append(target_id)
+                stats.suspended_machines = [*stats.suspended_machines, target_id]
         else:
             target_id = machine_id
             if self.cluster.machine(target_id).free_words < 16 and not heavy:
@@ -768,10 +761,8 @@ class MatchingFabric:
         if source_id is None or source_id == target_id:
             stats.alive_machine = target_id
             return
-        source = self.cluster.machine(source_id)
+        source = self._catch_up(source_id, self._pending_history(source_id)[0])
         target = self.cluster.machine(target_id)
-        self._apply_history_locally(source, self._history_payload_for(source_id))
-        self._mark_seen(source_id)
         adjacency = dict(source.load(("adj", v), {}))
         statuses = {w: source.load(("status", w)) for w in adjacency}
         self.coordinator.machine.send(source_id, "move-request", v, words=closed_form_words("move-request", v))
@@ -799,10 +790,7 @@ class MatchingFabric:
         if need <= 0:
             return
         top_id = stats.suspended_machines[-1]
-        top = self.cluster.machine(top_id)
-        entries = self._history_payload_for(top_id)
-        self._apply_history_locally(top, entries)
-        self._mark_seen(top_id)
+        top = self._catch_up(top_id, self._pending_history(top_id)[0])
         suspended_adj = dict(top.load(("adj", v), {}))
         moved = {}
         for w in sorted(suspended_adj):
@@ -826,9 +814,9 @@ class MatchingFabric:
             top.store(("adj", v), suspended_adj)
         else:
             top.delete(("adj", v))
-            stats.suspended_machines.pop()
+            stats.suspended_machines = stats.suspended_machines[:-1]
             self._unallocated.append(top_id)
-            self._unallocated_set.add(top_id)
+            self._allocated.remove(top_id)
         alive.store(("adj", v), alive_adj)
 
     # -------------------------------------------------------------- preprocessing

@@ -13,15 +13,17 @@ stores:
 * the available memory of every machine (so ``toFit`` queries are local).
 
 The coordinator is *not* a sequential simulator: it forwards the buffered
-history to the machines that need it on a need-to-know basis, which is what
-keeps the number of active machines per round constant.
+history to the machines that need it on a need-to-know basis — each gets the
+suffix it has not seen, an O(k) slice off the buffer's right end — which is
+what keeps the number of active machines per round constant.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import islice
+from typing import ClassVar, Iterable
 
 from repro.mpc.cluster import Cluster
 from repro.mpc.machine import Machine
@@ -41,6 +43,9 @@ class HistoryEntry:
     the endpoint's machine already reflects the change.
     """
 
+    #: words per entry — constant, so ``k`` entries are sized as ``WORDS * k``
+    WORDS: ClassVar[int] = 6
+
     seq: int
     kind: str
     u: int
@@ -49,8 +54,7 @@ class HistoryEntry:
     applied: tuple[bool, bool] = (False, False)
 
     def dmpc_words(self) -> int:
-        """A history entry is a constant number of words."""
-        return 6
+        return self.WORDS
 
 
 class UpdateHistory:
@@ -68,17 +72,12 @@ class UpdateHistory:
         self.capacity = capacity
         self._entries: deque[HistoryEntry] = deque(maxlen=capacity)
         self._seq = 0
-        self._words = 0
 
     def append(self, kind: str, u: int, v: int, weight: float | None = None) -> HistoryEntry:
         """Record a new change and return its entry."""
         self._seq += 1
         entry = HistoryEntry(seq=self._seq, kind=kind, u=u, v=v, weight=weight)
-        if len(self._entries) == self.capacity:
-            # The deque evicts its oldest entry on append; release its words.
-            self._words -= self._entries[0].dmpc_words()
-        self._entries.append(entry)
-        self._words += entry.dmpc_words()
+        self._entries.append(entry)  # at capacity the deque evicts its oldest
         return entry
 
     def entries(self) -> list[HistoryEntry]:
@@ -86,8 +85,16 @@ class UpdateHistory:
         return list(self._entries)
 
     def entries_since(self, seq: int) -> list[HistoryEntry]:
-        """Entries strictly newer than sequence number ``seq``."""
-        return [e for e in self._entries if e.seq > seq]
+        """Entries strictly newer than sequence number ``seq``, oldest first.
+
+        Sequence numbers are consecutive and eviction is oldest-first, so
+        these are the last ``last_seq - seq`` buffered entries (all of them
+        for a reader staler than the buffer), taken from the right end: O(k)
+        in the size of the slice, not of the buffer.
+        """
+        suffix = list(islice(reversed(self._entries), max(0, self._seq - seq)))
+        suffix.reverse()
+        return suffix
 
     def entries_for_vertex(self, vertex: int) -> list[HistoryEntry]:
         """Entries touching ``vertex`` (as either endpoint)."""
@@ -101,14 +108,10 @@ class UpdateHistory:
         return len(self._entries)
 
     def dmpc_words(self) -> int:
-        """Charged size when the history is shipped in a message.
-
-        Maintained incrementally on append/evict, so the coordinator's
-        per-update ``send_history`` does not re-walk the ``O(sqrt N)``
-        buffer to size it — an accounting-policy refactor that keeps the
-        charged value identical to summing the entries.
-        """
-        return max(1, self._words)
+        """Charged size when the whole buffer is shipped in one message
+        (:meth:`Coordinator.send_history`): a closed form of the entry
+        count, identical to summing the entries."""
+        return max(1, HistoryEntry.WORDS * len(self._entries))
 
 
 @dataclass

@@ -34,7 +34,9 @@ process/resident wire.  This module owns the flat replacements:
     the *current* value on overwrite while the cached storage releases the
     charge it recorded at store time.  A fresh frozen handle per seam commit
     makes both release the previous frozen charge and add the new one —
-    identical totals on every backend, tracking the live table size in O(1).
+    identical totals on every backend, tracking the live table size in O(1):
+    ``live_words`` reads two counters, and a suspended stack changes only
+    through its record's setter, which moves the second one.
 :class:`TourShard` / :class:`TourShardHandle`
     dynamic connectivity's Euler-tour state as one pair table per machine
     (plain dicts, no arrays): every tour index lives once, in the index pair
@@ -388,8 +390,10 @@ class StatsTable:
     block: ``present`` marks occupancy, ``degree``/``mate``/
     ``free_neighbors`` are ``array('q')`` columns (``mate`` uses ``-1`` for
     "unmatched"), ``heavy`` a bitmap, ``alive`` the per-slot edge-machine
-    id (``None`` when absent), and ``suspended`` a sparse per-slot list —
-    only heavy vertices ever hold one, so a dense column would be waste.
+    id (``None`` when absent), and ``suspended`` a sparse per-slot stack —
+    only heavy vertices ever hold one, so only non-empty stacks are stored
+    and ``suspended_words`` counts their entries (see :class:`_StackRecord`);
+    with ``occupied`` that makes :meth:`live_words` O(1).
 
     The range partition wraps vertex ids past its sizing capacity back onto
     a machine while keeping the original id, so a machine can legitimately
@@ -407,6 +411,7 @@ class StatsTable:
         "free_neighbors",
         "alive",
         "suspended",
+        "suspended_words",
         "occupied",
         "overflow",
     )
@@ -416,13 +421,12 @@ class StatsTable:
         self.size = size
         self.present = bytearray(size)
         self.degree = array("q", bytes(8 * size))
-        self.mate = array("q", bytes(8 * size))
-        for slot in range(size):
-            self.mate[slot] = -1
+        self.mate = array("q", [-1]) * size
         self.heavy = bytearray(size)
         self.free_neighbors = array("q", bytes(8 * size))
         self.alive: "list[str | None]" = [None] * size
-        self.suspended: "dict[int, list[str]]" = {}
+        self.suspended: "dict[int, tuple[str, ...]]" = {}
+        self.suspended_words = 0
         self.occupied = 0
         self.overflow: "dict[int, OverflowStats]" = {}
 
@@ -439,7 +443,7 @@ class StatsTable:
         if not 0 <= offset < self.size:
             record = self.overflow.get(vertex)
             if record is None:
-                record = self.overflow[vertex] = OverflowStats()
+                record = self.overflow[vertex] = OverflowStats(self, offset)
             return record
         if not self.present[offset]:
             self.present[offset] = 1
@@ -471,12 +475,38 @@ class StatsTable:
 
     def live_words(self) -> int:
         """Current word footprint, same charging as the dict layout's keys."""
-        suspended_total = sum(len(entries) for entries in self.suspended.values())
-        total = _STATS_WORDS_PER_VERTEX * (self.occupied + len(self.overflow)) + suspended_total
-        return total + sum(len(record.suspended_machines) for record in self.overflow.values())
+        return _STATS_WORDS_PER_VERTEX * (self.occupied + len(self.overflow)) + self.suspended_words
 
 
-class StatsView:
+class _StackRecord:
+    """What both record kinds of a :class:`StatsTable` share: the suspended
+    stack, an immutable tuple in ``table.suspended`` under the record's
+    slot (an overflow record's lies outside the dense block), replaced only
+    by the setter, which moves ``table.suspended_words`` by the difference."""
+
+    __slots__ = ("_table", "_slot")
+
+    def __init__(self, table: StatsTable, slot: int) -> None:
+        self._table = table
+        self._slot = slot
+
+    @property
+    def suspended_machines(self) -> "tuple[str, ...]":
+        return self._table.suspended.get(self._slot, ())
+
+    @suspended_machines.setter
+    def suspended_machines(self, value: "Iterable[str]") -> None:
+        table = self._table
+        stack = tuple(value)
+        table.suspended_words += len(stack) - len(table.suspended.pop(self._slot, ()))
+        if stack:
+            table.suspended[self._slot] = stack
+
+    def dmpc_words(self) -> int:
+        return 6 + len(self.suspended_machines)
+
+
+class StatsView(_StackRecord):
     """Write-through view of one :class:`StatsTable` slot.
 
     Duck-typed to :class:`repro.dynamic_mpc.state.VertexStats`: same
@@ -485,11 +515,7 @@ class StatsView:
     ``stats_of`` returned, and every mutation lands in the flat columns.
     """
 
-    __slots__ = ("_table", "_slot")
-
-    def __init__(self, table: StatsTable, slot: int) -> None:
-        self._table = table
-        self._slot = slot
+    __slots__ = ()
 
     @property
     def vertex(self) -> int:
@@ -537,30 +563,16 @@ class StatsView:
     def alive_machine(self, value: "str | None") -> None:
         self._table.alive[self._slot] = value
 
-    @property
-    def suspended_machines(self) -> "list[str]":
-        return self._table.suspended.setdefault(self._slot, [])
-
-    @suspended_machines.setter
-    def suspended_machines(self, value: "list[str]") -> None:
-        self._table.suspended[self._slot] = list(value)
-
-    # ------------------------------------------------------------ conversions
-    def dmpc_words(self) -> int:
-        suspended = self._table.suspended.get(self._slot)
-        return 6 + (len(suspended) if suspended else 0)
-
     def as_payload(self) -> "dict[str, Any]":
         """Same wire dict as ``VertexStats.as_payload`` (payload parity)."""
         table = self._table
         slot = self._slot
-        suspended = table.suspended.get(slot)
         return {
             "degree": table.degree[slot],
             "mate": table.mate[slot],
             "heavy": bool(table.heavy[slot]),
             "alive": table.alive[slot] or "",
-            "suspended": list(suspended) if suspended else [],
+            "suspended": list(table.suspended.get(slot, ())),
             "free_neighbors": table.free_neighbors[slot],
         }
 
@@ -571,7 +583,7 @@ class StatsView:
         )
 
 
-class OverflowStats:
+class OverflowStats(_StackRecord):
     """Sparse record for a vertex outside its table's dense block.
 
     Same attribute surface, payload dict and word charge as
@@ -579,18 +591,15 @@ class OverflowStats:
     the three they hold.
     """
 
-    __slots__ = ("degree", "mate", "heavy", "alive_machine", "suspended_machines", "free_neighbors")
+    __slots__ = ("degree", "mate", "heavy", "alive_machine", "free_neighbors")
 
-    def __init__(self) -> None:
+    def __init__(self, table: StatsTable, slot: int) -> None:
+        super().__init__(table, slot)
         self.degree = 0
         self.mate: "int | None" = None
         self.heavy = False
         self.alive_machine: "str | None" = None
-        self.suspended_machines: list[str] = []
         self.free_neighbors = 0
-
-    def dmpc_words(self) -> int:
-        return 6 + len(self.suspended_machines)
 
     def as_payload(self) -> "dict[str, Any]":
         return {

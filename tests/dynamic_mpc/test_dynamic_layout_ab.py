@@ -36,7 +36,7 @@ from repro.dynamic_mpc import (
     DMPCTwoPlusEpsMatching,
 )
 from repro.dynamic_mpc.connectivity import TOUR_SHARD_KEY
-from repro.dynamic_mpc.state import VertexStats
+from repro.dynamic_mpc.state import STATS_KEY, VertexStats
 from repro.graph import DynamicGraph, GraphUpdate, batched
 from repro.graph.generators import gnm_random_graph, random_forest, random_weighted_graph
 from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
@@ -279,6 +279,100 @@ class TestTourStateAtEveryBoundary:
                 assert (machine.load(TOUR_SHARD_KEY) is handle) == (machine.machine_id not in owners)
                 if machine.machine_id not in owners:
                     assert machine.used_words == words
+
+
+# ------------------------------- heavy-vertex fabric state at every boundary
+def hub_stream(n: int, hubs: tuple[int, ...], seed: int, cycles: int = 2) -> list:
+    """Star-building stream: each cycle grows every hub's star over all leaves (past the heavy
+    threshold, onto a suspended stack), then deletes three quarters of it in ascending order —
+    which chases the hub's matched edge, so the alive set drains and refills from the stack.
+    A random leaf-leaf flip after every step matches leaves away from the hubs."""
+    rng = random.Random(seed)
+    leaves = [v for v in range(n) if v not in hubs]
+    updates, present = [], set()
+
+    def flip(u, v):
+        edge = (min(u, v), max(u, v))
+        if edge in present:
+            present.remove(edge)
+            updates.append(GraphUpdate.delete(*edge))
+        else:
+            present.add(edge)
+            updates.append(GraphUpdate.insert(*edge))
+
+    for _ in range(cycles):
+        for targets in (leaves, leaves[: 3 * len(leaves) // 4]):
+            for w in targets:
+                for hub in hubs:
+                    flip(hub, w)
+                flip(*rng.sample(leaves, 2))
+    return updates
+
+
+def fabric_snapshot(algorithm, n):
+    """Layout-neutral matching-fabric state: per-vertex suspended stack, per-stats-machine live
+    word footprint, matching.
+
+    The footprint is sized *live* on both sides — the table's O(1) ``live_words()`` against a
+    fresh walk of the dict layout's ``("st", v)`` records — not read from ``used_words``: the
+    dict layout mutates its stored ``VertexStats`` in place, which the storage accounting never
+    charges (see ``CachedStorage``), so its stored charge misses every stack push by design,
+    while the table's is picked up by the next frozen handle.
+    """
+    fabric = algorithm.fabric
+    stacks = {v: list(fabric.stats_of(v).suspended_machines) for v in range(n)}
+    words = {}
+    for machine in algorithm.cluster.machines(role="stats"):
+        handle = machine.load(STATS_KEY)
+        if handle is not None:
+            words[machine.machine_id] = handle.table.live_words()
+            assert machine.used_words == word_size(STATS_KEY) + handle.dmpc_words()
+        else:
+            words[machine.machine_id] = sum(word_size(key) + word_size(value) for key, value in machine.items())
+    return stacks, words, algorithm.matching()
+
+
+class TestHeavyFabricAtEveryBoundary:
+    """Degrees past the heavy threshold (which ``mm-stream`` never reaches): suspended stacks grow
+    through ``add_edge_copy`` and shrink through ``fetch_suspended``, and the flat stats table
+    never leaves the ``dict`` oracle — stacks, word footprint, matching — step by step."""
+
+    N, HUBS, CAPACITY_M = 40, (0, 1), 128  # threshold 16 against hub degrees up to 38
+
+    def assert_lockstep(self, make, batch_size=None):
+        n = self.N
+        stream = hub_stream(n, self.HUBS, seed=16)
+        runs = {layout: make(make_config(n, self.CAPACITY_M, None), layout) for layout in DYNAMIC_LAYOUTS}
+        for algorithm in runs.values():
+            algorithm.preprocess(DynamicGraph(n))
+        steps = [[update] for update in stream] if batch_size is None else list(batched(stream, batch_size))
+        depths = []
+        for step in steps:
+            for algorithm in runs.values():
+                if batch_size is None:
+                    algorithm.apply(step[0])
+                else:
+                    algorithm.apply_batch(step)
+            stacks, words, matching = fabric_snapshot(runs["csr"], n)
+            assert (stacks, words, matching) == fabric_snapshot(runs["dict"], n), f"layouts diverged after {step}"
+            for algorithm in runs.values():
+                fabric = algorithm.fabric
+                # the maintained allocation list is the filter it replaced, in pool order
+                assert fabric._allocated == [mid for mid in fabric.edge_pool if mid not in fabric._unallocated]
+            depths.append(sum(len(stack) for stack in stacks.values()))
+        assert per_update_rounds(runs["csr"]) == per_update_rounds(runs["dict"])
+        # non-vacuous: stacks were pushed onto and popped (a pop releases the machine to the pool)
+        assert any(after > before for before, after in zip([0, *depths], depths))
+        assert any(after < before for before, after in zip(depths, depths[1:]))
+
+    def test_maximal_matching(self):
+        self.assert_lockstep(lambda config, layout: DMPCMaximalMatching(config, layout=layout, check_invariants=True))
+
+    def test_maximal_matching_batches(self):
+        self.assert_lockstep(lambda config, layout: DMPCMaximalMatching(config, layout=layout), batch_size=8)
+
+    def test_three_halves_matching(self):
+        self.assert_lockstep(lambda config, layout: DMPCThreeHalvesMatching(config, layout=layout))
 
 
 # ------------------------------------------------- coalesced-batch replay

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DMPCConfig
 from repro.mpc import (
     Cluster,
     Coordinator,
+    HistoryEntry,
     RangePartition,
     UpdateHistory,
     aggregate_sum,
@@ -124,3 +127,27 @@ class TestCoordinator:
         coordinator.send_history({"stats3", "stats1", "stats0", coordinator.machine_id})
         staged = [msg.receiver for msg in coordinator.machine.outbox]
         assert staged == ["stats0", "stats1", "stats3"]  # self excluded, index order
+
+
+class TestHistorySuffix:
+    """``entries_since`` takes the unseen suffix from the right end of the
+    buffer; the filter over the whole buffer is its definition."""
+
+    @pytest.mark.parametrize("capacity", [1, 4, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(appends=st.lists(st.sampled_from(["insert", "delete", "match", "unmatch"]), max_size=20))
+    def test_suffix_equals_filter_for_every_reader(self, capacity, appends):
+        history = UpdateHistory(capacity=capacity)
+        for step, kind in enumerate([None, *appends]):
+            if kind is not None:
+                history.append(kind, step, step + 1)
+            buffered = history.entries()
+            assert [e.seq for e in buffered] == list(range(history.last_seq - len(buffered) + 1, history.last_seq + 1))
+            for seq in range(-1, history.last_seq + 2):
+                suffix = history.entries_since(seq)
+                assert suffix == [e for e in buffered if e.seq > seq]
+                assert HistoryEntry.WORDS * len(suffix) == sum(e.dmpc_words() for e in suffix)
+            # a reader staler than the buffer gets all of it, a current one nothing
+            assert history.entries_since(history.last_seq - capacity - 3) == buffered
+            assert history.entries_since(history.last_seq) == []
+            assert history.dmpc_words() == max(1, sum(e.dmpc_words() for e in buffered))
