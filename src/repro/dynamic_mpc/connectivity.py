@@ -827,21 +827,15 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         self.cluster.exchange()
         agg = self.cluster.machine(self.aggregator_id)
         agg.drain("endpoint-info")
-        for owner_id in by_owner:
-            agg.send(owner_id, "endpoint-ack", None, words=closed_form_words("endpoint-ack", None))
+        ack_words = closed_form_words("endpoint-ack", None)
+        agg.send_many("endpoint-ack", [(owner_id, None, ack_words) for owner_id in by_owner])
         self.cluster.exchange()
         for owner_id in by_owner:
             self.cluster.machine(owner_id).drain("endpoint-ack")
 
     def _broadcast(self, scalars: dict) -> None:
         """Broadcast the constant-size update scalars to every worker (1 round)."""
-        sender = self.cluster.machine(self.owner(scalars["x"]))
-        for machine_id in self.worker_ids:
-            if machine_id != sender.machine_id:
-                sender.send(machine_id, "tour-scalars", None, words=10)
-        self.cluster.exchange()
-        for machine_id in self.worker_ids:
-            self.cluster.machine(machine_id).drain("tour-scalars")
+        self._fan_out_scalars(self.owner(scalars["x"]), 10)
 
     def _broadcast_many(self, packets: list[dict]) -> None:
         """Broadcast a merged list of scalar packets to every worker (1 round).
@@ -850,13 +844,14 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         during :meth:`_endpoint_query_many`, so the aggregator is the sender
         of the composed packet (``10`` words per update, one round total).
         """
-        if not packets:
-            return
-        sender = self.cluster.machine(self.aggregator_id)
-        words = 10 * len(packets)
-        for machine_id in self.worker_ids:
-            if machine_id != sender.machine_id:
-                sender.send(machine_id, "tour-scalars", None, words=words)
+        if packets:
+            self._fan_out_scalars(self.aggregator_id, 10 * len(packets))
+
+    def _fan_out_scalars(self, sender_id: str, words: int) -> None:
+        """One ``tour-scalars`` message of ``words`` words to every other worker (1 round)."""
+        self.cluster.machine(sender_id).send_many(
+            "tour-scalars", [(machine_id, None, words) for machine_id in self.worker_ids if machine_id != sender_id]
+        )
         self.cluster.exchange()
         for machine_id in self.worker_ids:
             self.cluster.machine(machine_id).drain("tour-scalars")

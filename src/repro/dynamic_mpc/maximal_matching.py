@@ -197,27 +197,31 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
         fabric.record("unmatch", u, v)
         fabric.push_stats({u: su, v: sv})
 
+    def _query_free_neighbor(self, z: int, sz: VertexStats) -> int | None:
+        """A free neighbour of ``z`` among its alive *and* suspended edges, if any."""
+        fabric = self.fabric
+        free = fabric.update_vertex(z, sz, query="free-neighbor")["free"]
+        if free is None and sz.suspended_machines:
+            # Deletions can drain the alive set while neighbours — possibly
+            # the only free ones — still sit on the suspended stack, and the
+            # vertex may meanwhile have dropped below the heavy threshold
+            # (which would skip the callers' heavy fallbacks entirely).
+            # Refill the alive set from the stack (the paper's
+            # ``fetchSuspended``), re-query it, and as a last resort scan
+            # the remaining suspended machines directly.
+            fabric.fetch_suspended(z, sz)
+            fabric.push_stats({z: sz})
+            free = fabric.update_vertex(z, sz, query="free-neighbor")["free"]
+            if free is None and sz.suspended_machines:
+                free = fabric.scan_suspended_for_free(z, sz)
+        return free
+
     def _settle(self, z: int, sz: VertexStats) -> None:
         """(Re)match a free vertex ``z``, restoring maximality and Invariant 3.1."""
         fabric = self.fabric
         if sz.mate is not None:
             return
-        reply = fabric.update_vertex(z, sz, query="free-neighbor")
-        free = reply["free"]
-        if free is None and sz.suspended_machines:
-            # Deletions can drain the alive set while neighbours — possibly
-            # the only free ones — still sit on the suspended stack, and the
-            # vertex may meanwhile have dropped below the heavy threshold
-            # (which would skip the heavy fallbacks below entirely).  Refill
-            # the alive set from the stack (the paper's ``fetchSuspended``),
-            # re-query it, and as a last resort scan the remaining suspended
-            # machines directly.
-            fabric.fetch_suspended(z, sz)
-            fabric.push_stats({z: sz})
-            reply = fabric.update_vertex(z, sz, query="free-neighbor")
-            free = reply["free"]
-            if free is None and sz.suspended_machines:
-                free = fabric.scan_suspended_for_free(z, sz)
+        free = self._query_free_neighbor(z, sz)
         if free is not None:
             sfree = fabric.query_stats([free])[free]
             if sfree.mate is None:

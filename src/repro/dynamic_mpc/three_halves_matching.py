@@ -182,8 +182,9 @@ class DMPCThreeHalvesMatching(DMPCMaximalMatching):
         fabric = self.fabric
         if sz.mate is not None:
             return
-        reply = fabric.update_vertex(z, sz, query="free-neighbor")
-        free = reply["free"]
+        # the Section-3 query: a vertex that fell below the threshold may
+        # still keep its only free neighbours on the suspended stack
+        free = self._query_free_neighbor(z, sz)
         if free is not None:
             s_free = fabric.query_stats([free])[free]
             if s_free.mate is None:

@@ -22,8 +22,9 @@ governs:
 * ``apply`` writes that a ``delta_scope = "driver"`` declaration promises
   no ``run`` will ever read (RP104, the stale-copy bug class);
 * nondeterminism sources — ``random`` / ``time`` / ``id()`` / ``hash()``
-  / ``os.environ`` / iteration over unordered sets — anywhere in ``run``
-  or ``apply`` (RP105);
+  / ``os.environ`` / iteration over unordered sets, including a set handed
+  to ``*.send_many`` (which stages in iteration order) — anywhere in
+  ``run`` or ``apply`` (RP105);
 * picklability hazards — program classes defined inside functions, or
   ``__init__`` storing cluster/machine/closure references (RP106);
 * declared-but-never-touched keys, which make resident sessions over-ship
@@ -511,6 +512,15 @@ class _MethodScanner(ast.NodeVisitor):
             elif isinstance(owner, ast.Name) and owner.id == self.ctx_name and func.attr == "load":
                 if node.args:
                     self._scan_store_load(node.args[0], node)
+            # *.send_many(tag, sends) stages one message per element *in
+            # iteration order*: a set handed over directly is as much an
+            # unordered iteration as a ``for`` loop of sends over it.
+            elif func.attr == "send_many":
+                sends = node.args[1] if len(node.args) > 1 else next(
+                    (kw.value for kw in node.keywords if kw.arg == "sends"), None
+                )
+                if sends is not None:
+                    self._check_iteration(sends)
             # mutator through an alias: labels.update(...), or directly on a
             # subscript: shared["free_adj"].update(...)
             elif func.attr in _MUTATORS:
@@ -1003,7 +1013,11 @@ def _closed_form_tags(trees: list[tuple[str, ast.Module]]) -> frozenset[str]:
 
 
 def _scan_unsized_sends(path: str, tree: ast.Module, tags: frozenset[str]) -> list[Finding]:
-    """RP109 — ``*.send(_, "tag", payload)`` without ``words=`` for a registered tag."""
+    """RP109 — ``*.send(_, "tag", payload)`` without ``words=`` for a registered tag.
+
+    The fan-out form ``*.send_many(tag, sends)`` has nothing to flag: every
+    triple carries its words, there is no unsized batch form.
+    """
     findings: list[Finding] = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, MutableMapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, MutableMapping
 
 from repro.exceptions import ContractViolationError
 from repro.mpc.program import MachineContext, _key_matches
@@ -305,6 +305,9 @@ class ContractCheckContext(MachineContext):
 
     def send(self, receiver: str, tag: str, payload: Any = None, *, words: int | None = None) -> None:
         self._inner.send(receiver, tag, payload, words=words)
+
+    def send_many(self, tag: str, sends: "Iterable[tuple[str, Any, int]]") -> None:
+        self._inner.send_many(tag, sends)
 
 
 class GuardedInbox(list):

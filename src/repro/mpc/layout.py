@@ -15,8 +15,9 @@ process/resident wire.  This module owns the flat replacements:
     one machine's owned adjacency as contiguous ``array('q')``/``array('d')``
     buffers (``verts``/``indptr``/``indices``/``weights``) plus two
     materialized pure functions of them: per-entry partition owners
-    (``owner_pos``) and the static per-target entry grouping the CC kernel
-    sends along.  Stored under the single ``"csr"`` key behind the ordinary
+    (``owner_pos``) and the *send plan* — the entries regrouped by target
+    machine, which the CC kernel slices its proposals from.  Stored under
+    the single ``"csr"`` key behind the ordinary
     :class:`~repro.runtime.base.MachineStorage` seam, so every backend ships
     it like any other store value (one pickle buffer, no per-key framing).
 :class:`AliveTable`
@@ -179,14 +180,30 @@ class MachineCSR:
     when the graph is weighted.  ``owner_pos[e]`` is the
     :func:`~repro.mpc.partition.hash_partition` owner of ``indices[e]`` as
     an index into the cluster's worker-id list, hoisted out of the per-round
-    loops; ``groups`` is the static first-appearance grouping of entries by
-    owner the CC kernel batches its proposals with.  Both are pure functions
-    of ``(indices, worker ids)`` — materialized ownership, not extra state —
+    loops.  The *send plan* is the same entries regrouped by that owner, in
+    first-appearance target order and ascending entry order within a target
+    (the order the dict layout's per-vertex loops appended proposals in):
+    ``plan_indices`` / ``plan_sources`` hold each entry's neighbour and
+    source vertex, ``plan_spans`` the flattened ``(target_pos, start, stop)``
+    triples delimiting each target's slice.  Both are pure functions of
+    ``(indices, worker ids)`` — materialized ownership, not extra state —
     so ``dmpc_words`` charges only the four data buffers (plus a framing
     word), mirroring what the dict layout's per-vertex values represented.
     """
 
-    __slots__ = ("verts", "indptr", "indices", "weights", "owner_pos", "groups", "_np_cache", "_list_cache")
+    __slots__ = (
+        "verts",
+        "indptr",
+        "indices",
+        "weights",
+        "owner_pos",
+        "plan_indices",
+        "plan_sources",
+        "plan_spans",
+        "_np_cache",
+        "_list_cache",
+        "_plan_cache",
+    )
 
     def __init__(
         self,
@@ -195,16 +212,21 @@ class MachineCSR:
         indices: array,
         weights: "array | None",
         owner_pos: array,
-        groups: "tuple[tuple[int, array], ...]",
+        plan_indices: array,
+        plan_sources: array,
+        plan_spans: array,
     ) -> None:
         self.verts = verts
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
         self.owner_pos = owner_pos
-        self.groups = groups
+        self.plan_indices = plan_indices
+        self.plan_sources = plan_sources
+        self.plan_spans = plan_spans
         self._np_cache: "dict[str, Any] | None" = None
         self._list_cache: "dict[str, Any] | None" = None
+        self._plan_cache: "tuple[list[int], list[int], list[tuple[int, int, int]]] | None" = None
 
     # ------------------------------------------------------------- accounting
     def dmpc_words(self) -> int:
@@ -276,16 +298,42 @@ class MachineCSR:
             }
         return cache
 
+    def send_plan(self) -> "tuple[list[int], list[int], list[tuple[int, int, int]]]":
+        """The send plan as plain lists, lazily cached: ``(neighbours, sources, spans)``.
+
+        ``neighbours[i]`` / ``sources[i]`` are the endpoints of the ``i``-th
+        entry in target order and ``spans`` the ``(target_pos, start, stop)``
+        slices — a kernel zips per-entry values against the two lists once
+        and cuts one slice per target.  Never pickled, numpy-free.
+        """
+        cache = self._plan_cache
+        if cache is None:
+            flat = self.plan_spans.tolist()
+            cache = self._plan_cache = (
+                self.plan_indices.tolist(),
+                self.plan_sources.tolist(),
+                list(zip(flat[0::3], flat[1::3], flat[2::3])),
+            )
+        return cache
+
     # ------------------------------------------------------------ serialization
     def _state(self) -> tuple:
-        return (self.verts, self.indptr, self.indices, self.weights, self.owner_pos, list(self.groups))
+        return (
+            self.verts,
+            self.indptr,
+            self.indices,
+            self.weights,
+            self.owner_pos,
+            self.plan_indices,
+            self.plan_sources,
+            self.plan_spans,
+        )
 
     def __getstate__(self) -> tuple:
         return self._state()
 
     def __setstate__(self, state: tuple) -> None:
-        verts, indptr, indices, weights, owner_pos, groups = state
-        self.__init__(verts, indptr, indices, weights, owner_pos, tuple(tuple(g) for g in groups))
+        self.__init__(*state)
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, MachineCSR):
@@ -319,27 +367,35 @@ def build_machine_csr(
     indptr = array("q", [0])
     indices = array("q")
     weights: "array | None" = array("d") if weight is not None else None
+    position = {machine_id: pos for pos, machine_id in enumerate(worker_ids)}
+    owner_pos = array("q")
+    # target position -> (neighbours, sources) of its entries; dict order is
+    # first appearance over the row-major entry scan — exactly the order the
+    # dict layout's per-vertex loops appended proposals in.
+    by_target: "dict[int, tuple[array, array]]" = {}
     for v in owned:
         row = neighbors(v)
         indices.extend(row)
         if weights is not None:
             weights.extend(weight(v, w) for w in row)
         indptr.append(len(indices))
-    position = {machine_id: pos for pos, machine_id in enumerate(worker_ids)}
-    owner_pos = array("q", (position[hash_partition(w, worker_ids)] for w in indices))
-    # Static per-target grouping, first appearance over the row-major entry
-    # scan — exactly the order the dict layout's per-vertex loops appended
-    # proposals in.
-    order: "list[int]" = []
-    selections: "dict[int, array]" = {}
-    for entry, pos in enumerate(owner_pos):
-        sel = selections.get(pos)
-        if sel is None:
-            sel = selections[pos] = array("q")
-            order.append(pos)
-        sel.append(entry)
-    groups = tuple((pos, selections[pos]) for pos in order)
-    return MachineCSR(verts, indptr, indices, weights, owner_pos, groups)
+        for w in row:
+            pos = position[hash_partition(w, worker_ids)]
+            owner_pos.append(pos)
+            bucket = by_target.get(pos)
+            if bucket is None:
+                bucket = by_target[pos] = (array("q"), array("q"))
+            bucket[0].append(w)
+            bucket[1].append(v)
+    plan_indices = array("q")
+    plan_sources = array("q")
+    plan_spans = array("q")
+    for pos, (nbrs, sources) in by_target.items():
+        start = len(plan_indices)
+        plan_indices.extend(nbrs)
+        plan_sources.extend(sources)
+        plan_spans.extend((pos, start, len(plan_indices)))
+    return MachineCSR(verts, indptr, indices, weights, owner_pos, plan_indices, plan_sources, plan_spans)
 
 
 # -------------------------------------------------------------- alive table
@@ -877,8 +933,7 @@ def _csr_to_wire(csr: MachineCSR) -> tuple:
 
 
 def _csr_from_wire(payload: tuple) -> MachineCSR:
-    verts, indptr, indices, weights, owner_pos, groups = payload
-    return MachineCSR(verts, indptr, indices, weights, owner_pos, tuple(tuple(g) for g in groups))
+    return MachineCSR(*payload)
 
 
 def _alive_to_wire(table: AliveTable) -> list:

@@ -24,7 +24,7 @@ which preserves the historical eager-sizing behaviour.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.mpc.message import Message
 
@@ -122,17 +122,28 @@ class Machine:
         if words is None:
             sizer = None if transport is None else transport.message_sizer
             words = -1 if sizer is None else sizer(tag) + sizer(payload)
-        message = Message(
-            sender=self.machine_id,
-            receiver=receiver,
-            tag=tag,
-            payload=payload,
-            words=words,
-        )
+        message = Message(self.machine_id, receiver, tag, payload, words)
         self.outbox.append(message)
         if transport is not None:
             transport.note_staged(self)
         return message
+
+    def send_many(self, tag: str, sends: "Iterable[tuple[str, Any, int]]") -> None:
+        """Stage one ``tag`` message per pre-sized ``(receiver, payload, words)`` triple.
+
+        The fan-out form of :meth:`send`: exactly the messages a loop of
+        ``send(receiver, tag, payload, words=words)`` would stage, in the
+        same order, with one outbox ``extend`` and one staging notification.
+        Every triple carries its charged size — there is no unsized batch
+        form, so the transport's sizer is never consulted.  A refused triple
+        (``words < 1``) raises ``ValueError`` before anything is staged.
+        """
+        sender = self.machine_id
+        messages = [Message(sender, receiver, tag, payload, words) for receiver, payload, words in sends]
+        if messages:
+            self.outbox.extend(messages)
+            if self.transport is not None:
+                self.transport.note_staged(self)
 
     def receive(self, tag: str | None = None) -> list[Message]:
         """Return (without consuming) inbox messages, optionally filtered by tag."""

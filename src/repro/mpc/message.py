@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.mpc.sizing import word_size
@@ -10,9 +9,13 @@ from repro.mpc.sizing import word_size
 __all__ = ["Message"]
 
 
-@dataclass(frozen=True)
 class Message:
     """A single message sent from one machine to another in one round.
+
+    A plain ``__slots__`` class with value equality: a round stages
+    thousands of these, so a message costs one object — no ``__dict__``, no
+    frozen-dataclass ``object.__setattr__`` per field.  Treat instances as
+    immutable (they are hashed by value).
 
     Attributes
     ----------
@@ -34,23 +37,24 @@ class Message:
         aggregates many constant-size memory accesses into one record).
     """
 
-    sender: str
-    receiver: str
-    tag: str
-    payload: Any = None
-    words: int = field(default=-1)
+    __slots__ = ("sender", "receiver", "tag", "payload", "words")
 
-    def __post_init__(self) -> None:
-        if self.words < 0:
-            object.__setattr__(self, "words", word_size(self.tag) + word_size(self.payload))
-        if self.words < 1:
+    def __init__(self, sender: str, receiver: str, tag: str, payload: Any = None, words: int = -1) -> None:
+        if words < 0:
+            words = word_size(tag) + word_size(payload)
+        if words < 1:
             raise ValueError("a message always costs at least one word")
+        self.sender = sender
+        self.receiver = receiver
+        self.tag = tag
+        self.payload = payload
+        self.words = words
 
     def as_fields(self) -> tuple[str, str, str, Any, int]:
         """Flatten to a ``(sender, receiver, tag, payload, words)`` tuple.
 
         The wire form used by the worker backends (:mod:`repro.runtime.wire`):
-        a frozen dataclass pickles as a class reference plus per-instance
+        a class instance pickles as a class reference plus per-instance
         state, while a flat tuple of builtins marshals in a fraction of the
         bytes.  ``words`` travels with the fields so the far side never
         re-sizes the message.
@@ -60,8 +64,15 @@ class Message:
     @classmethod
     def from_fields(cls, fields: tuple[str, str, str, Any, int]) -> "Message":
         """Rebuild a message from :meth:`as_fields` output (words preserved)."""
-        sender, receiver, tag, payload, words = fields
-        return cls(sender=sender, receiver=receiver, tag=tag, payload=payload, words=words)
+        return cls(*fields)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_fields() == other.as_fields()
+
+    def __hash__(self) -> int:
+        return hash(self.as_fields())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

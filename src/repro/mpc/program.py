@@ -33,10 +33,13 @@ worker by the ``process`` backend:
   calls, before the exchange.  Because the superstep contract already
   requires per-machine code to mutate only machine-owned state, deltas of
   different machines are disjoint and barrier-merging is unobservable.
-* **messages out** — staged through :meth:`MachineContext.send`.  A worker
-  records ``(receiver, tag, payload)`` triples and the driver replays them
-  through :meth:`Machine.send` in the same order, so sizing, staging order
-  and delivery are identical to in-process execution.
+* **messages out** — staged through :meth:`MachineContext.send`, or, for a
+  fan-out of pre-sized messages under one tag, :meth:`MachineContext.send_many`
+  (the same messages in the same order as the ``send`` loop, staged in one
+  step).  A worker records ``(receiver, tag, payload, words)`` tuples and
+  the driver replays them through :meth:`Machine.send` in the same order,
+  so sizing, staging order and delivery are identical to in-process
+  execution.
 
 The one sanctioned exception to the read-only rule for ``shared``: a
 mutation that is *semantically invisible* — e.g. union-find path
@@ -96,7 +99,7 @@ diverges three backends deep.  Two tools keep them honest:
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, MutableMapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, MutableMapping
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpc.machine import Machine
@@ -145,6 +148,18 @@ class MachineContext(abc.ABC):
         tests pin down.
         """
 
+    def send_many(self, tag: str, sends: "Iterable[tuple[str, Any, int]]") -> None:
+        """Stage one ``tag`` message per pre-sized ``(receiver, payload, words)`` triple.
+
+        The fan-out form of :meth:`send` — the same messages, in the same
+        order, as ``send(receiver, tag, payload, words=words)`` per triple.
+        There is no unsized batch form: a kernel that fans out knows its
+        closed-form sizes.  Contexts that build their own send records
+        override this loop with a single bulk append.
+        """
+        for receiver, payload, words in sends:
+            self.send(receiver, tag, payload, words=words)
+
 
 class LiveMachineContext(MachineContext):
     """In-process view: delegates straight to the live machine."""
@@ -163,6 +178,9 @@ class LiveMachineContext(MachineContext):
 
     def send(self, receiver: str, tag: str, payload: Any = None, *, words: int | None = None) -> None:
         self._machine.send(receiver, tag, payload, words=words)
+
+    def send_many(self, tag: str, sends: "Iterable[tuple[str, Any, int]]") -> None:
+        self._machine.send_many(tag, sends)
 
 
 class WorkerMachineContext(MachineContext):
@@ -192,6 +210,9 @@ class WorkerMachineContext(MachineContext):
 
     def send(self, receiver: str, tag: str, payload: Any = None, *, words: int | None = None) -> None:
         self.sent.append((receiver, tag, payload, words))
+
+    def send_many(self, tag: str, sends: "Iterable[tuple[str, Any, int]]") -> None:
+        self.sent.extend([(receiver, tag, payload, words) for receiver, payload, words in sends])
 
 
 class SuperstepProgram(abc.ABC):

@@ -177,8 +177,11 @@ class Transport(abc.ABC):
         (``MessageSizeExceeded``), append to the receivers' inboxes in the
         reference delivery order (senders by machine registration order,
         messages within a sender in staging order) and record the round in
-        the cluster's ledger.  Concrete transports normally implement this
-        by choosing a sender iteration and calling :meth:`deliver`.
+        the cluster's ledger.  A refused round is all-or-nothing: when
+        either error is raised every staged message is still staged, so the
+        caller can correct the round and exchange again.  Concrete
+        transports normally implement this by choosing a sender iteration
+        and calling :meth:`deliver`.
         """
 
     def deliver(self, senders: Iterable["Machine"]) -> "RoundRecord":
@@ -192,12 +195,11 @@ class Transport(abc.ABC):
         """
         cluster = self.cluster
         machines = cluster.machines_by_id
+        staged = [machine for machine in senders if machine.outbox]
         outgoing: list["Message"] = []
         enforce = cluster.enforce_io_cap
         sent_words: dict[str, int] = {}
-        for machine in senders:
-            if not machine.outbox:
-                continue
+        for machine in staged:
             for msg in machine.outbox:
                 if msg.receiver not in machines:
                     raise UnknownMachineError(
@@ -206,7 +208,6 @@ class Transport(abc.ABC):
                 outgoing.append(msg)
                 if enforce:
                     sent_words[msg.sender] = sent_words.get(msg.sender, 0) + msg.words
-            machine.outbox = []
 
         if enforce:
             cap = cluster.config.machine_memory
@@ -220,6 +221,10 @@ class Transport(abc.ABC):
                 if words > cap:
                     raise MessageSizeExceeded(machine_id, "receive", words, cap)
 
+        # The whole round passed: only now do the senders let go of their
+        # messages, so a refused round leaves every outbox as it was staged.
+        for machine in staged:
+            machine.outbox = []
         for msg in outgoing:
             machines[msg.receiver].inbox.append(msg)
 

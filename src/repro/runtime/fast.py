@@ -162,9 +162,9 @@ class FastTransport(Transport):
         self._staged.add(machine)
 
     def exchange(self) -> "RoundRecord":
-        senders = sorted(self._staged, key=lambda machine: machine.index)
+        record = self.deliver(sorted(self._staged, key=lambda machine: machine.index))
         self._staged.clear()
-        return self.deliver(senders)
+        return record
 
     def discard_undelivered(self) -> None:
         super().discard_undelivered()

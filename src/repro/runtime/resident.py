@@ -105,7 +105,7 @@ import itertools
 import os
 import pickle
 import threading
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.config import resolve_fuse_rounds
 from repro.exceptions import ProtocolError
@@ -238,7 +238,8 @@ class _SizingMachineContext(WorkerMachineContext):
     :func:`~repro.mpc.sizing.fast_word_size` — the exact sizer the sharded
     transport charges with — so the driver's replay can construct the
     staged :class:`Message` objects directly instead of re-sizing every
-    payload a second time.
+    payload a second time.  ``send_many`` triples arrive sized, so the
+    inherited bulk record already has this shape.
     """
 
     __slots__ = ()
@@ -285,6 +286,15 @@ class _RoutingMachineContext(WorkerMachineContext):
                 payload,
                 words,
             )
+        )
+
+    def send_many(self, tag: str, sends: "Iterable[tuple[str, Any, int]]") -> None:
+        epoch, index, sender, sent = self._epoch, self._index, self._machine_id, self.sent
+        sent.extend(
+            [
+                (epoch, index, seq, sender, receiver, tag, payload, words)
+                for seq, (receiver, payload, words) in enumerate(sends, len(sent))
+            ]
         )
 
 

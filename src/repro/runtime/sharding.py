@@ -299,11 +299,7 @@ class ShardedTransport(Transport):
             # appends behind them in arrival order (worker-held messages
             # are always from strictly earlier rounds).
             router.flush_for_exchange()
-        per_shard = []
-        for staged in self._staged:
-            if staged:
-                per_shard.append(sorted(staged, key=_by_index))
-                staged.clear()
+        per_shard = [sorted(staged, key=_by_index) for staged in self._staged if staged]
         if not per_shard:
             senders: Iterable["Machine"] = ()
         elif len(per_shard) == 1:
@@ -318,25 +314,32 @@ class ShardedTransport(Transport):
             # take the factory-honouring delivery path instead of the fused
             # one (which builds the aggregate record directly), keeping the
             # shard_load() diagnostic accurate along the way.
-            senders = list(senders)
-            shard_words = self._shard_words
-            machine_words = self._machine_words
-            for machine in senders:
-                if machine.outbox:
-                    words = sum(msg.words for msg in machine.outbox)
-                    shard_words[self.shard_of(machine)] += words
-                    machine_words[machine.machine_id] = machine_words.get(machine.machine_id, 0) + words
-            return self.deliver(senders)
-        return self._deliver_fused(senders)
+            loads = [(machine, sum(msg.words for msg in machine.outbox)) for machine in senders if machine.outbox]
+            record = self.deliver([machine for machine, _ in loads])
+            self._note_loads(loads)
+        else:
+            record = self._deliver_fused(senders)
+        # A refused round raised above and left every staged set as it was.
+        for staged in self._staged:
+            staged.clear()
+        return record
+
+    def _note_loads(self, loads: "list[tuple[Machine, int]]") -> None:
+        """Add a delivered round's per-sender words to the load diagnostics."""
+        shard_words = self._shard_words
+        machine_words = self._machine_words
+        for machine, words in loads:
+            shard_words[self.shard_of(machine)] += words
+            machine_words[machine.machine_id] = machine_words.get(machine.machine_id, 0) + words
 
     def _deliver_fused(self, senders: Iterable["Machine"]) -> "RoundRecord":
         """One pass: validate, cap-check, deliver *and* condense the round.
 
         Mirrors :meth:`Transport.deliver` decision for decision (collection
-        order, validation point, send-then-receive cap checks, delivery
-        order) while accumulating the scalar aggregates the accounting
-        policy retains, so the delivered messages are iterated once instead
-        of once for delivery plus once for the record factory.
+        order, validation point, send-then-receive cap checks, all-or-nothing
+        refusal, delivery order) while accumulating the scalar aggregates the
+        accounting policy retains, so the delivered messages are iterated
+        once instead of once for delivery plus once for the record factory.
         """
         from repro.mpc.metrics import RoundRecord
 
@@ -347,11 +350,9 @@ class ShardedTransport(Transport):
         sample_every = self._sample_every
         sampled = sample_every > 0 and round_index % sample_every == 0
         enforce = cluster.enforce_io_cap
-        shard_words = self._shard_words
-        per_machine = self._machine_words
 
         outgoing: list["Message"] = []
-        sent_words: dict[str, int] = {}
+        loads: list[tuple["Machine", int]] = []
         active: set[str] = set()
         total = 0
         count = 0
@@ -379,24 +380,23 @@ class ShardedTransport(Transport):
                 if sampled:
                     key = (msg.sender, msg.receiver)
                     pair_words[key] = pair_words.get(key, 0) + words
-            if enforce:
-                sent_words[machine.machine_id] = machine_words
-            shard_words[self.shard_of(machine)] += machine_words
-            per_machine[machine.machine_id] = per_machine.get(machine.machine_id, 0) + machine_words
-            machine.outbox = []
+            loads.append((machine, machine_words))
 
         if enforce:
             cap = cluster.config.machine_memory
             received_words: dict[str, int] = {}
             for msg in outgoing:
                 received_words[msg.receiver] = received_words.get(msg.receiver, 0) + msg.words
-            for machine_id, words in sent_words.items():
+            for machine, words in loads:
                 if words > cap:
-                    raise MessageSizeExceeded(machine_id, "send", words, cap)
+                    raise MessageSizeExceeded(machine.machine_id, "send", words, cap)
             for machine_id, words in received_words.items():
                 if words > cap:
                     raise MessageSizeExceeded(machine_id, "receive", words, cap)
 
+        for machine, _ in loads:
+            machine.outbox = []
+        self._note_loads(loads)
         for msg in outgoing:
             machines[msg.receiver].inbox.append(msg)
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Any, Mapping, MutableMapping
 
 from repro.graph.graph import DynamicGraph, normalize_edge
-from repro.mpc.layout import numpy_or_none
 from repro.mpc.program import MachineContext
 from repro.static_mpc.common import StaticMPCSetup, VertexProgram, build_static_cluster
 
@@ -69,18 +68,20 @@ class LabelProposeProgram(VertexProgram):
 
 
 class CSRLabelProposeProgram(VertexProgram):
-    """The CSR recut of :class:`LabelProposeProgram`: one batch per target.
+    """The CSR recut of :class:`LabelProposeProgram`: one slice per target.
 
-    Walks the machine's flat CSR buffers instead of per-vertex adjacency
-    lists: labels are gathered once per owned row, repeated per entry, and
-    shipped per target through the CSR's precomputed entry grouping — the
-    same ``(neighbour, label, source)`` triples, in the same first-appearance
+    Walks the machine's precomputed send plan (:meth:`MachineCSR.send_plan`)
+    instead of per-vertex adjacency lists: one label gather over the plan's
+    source column, one ``zip`` into ``(neighbour, label, source)`` triples,
+    one slice per target — the same triples, in the same first-appearance
     target order and ascending entry order the dict layout produced, so the
-    staged messages are byte-identical.  Message words use the closed form
-    ``3 + 4k`` (tag 2 + list framing 1 + 3 words per triple), which equals
-    the self-sized charge exactly (pinned in the layout A/B tests) and skips
-    the O(k) sizing walk.  NumPy, when present, does the repeat/gather per
-    machine; the pure-python path walks the same buffers row by row.
+    staged messages are byte-identical.  The slices are staged in one
+    :meth:`MachineContext.send_many` call (a machine talks to nearly every
+    other machine with a triple or two each, so the cost is per message,
+    not per word).  Message words use the closed form ``3 + 4k`` (tag 2 +
+    list framing 1 + 3 words per triple), which equals the self-sized
+    charge exactly (pinned in the layout A/B tests) and skips the O(k)
+    sizing walk.
     """
 
     shared_reads = ("labels",)
@@ -96,33 +97,13 @@ class CSRLabelProposeProgram(VertexProgram):
         csr = ctx.load("csr")
         if csr is None or not csr.num_entries:
             return
-        labels = shared["labels"]
+        neighbours, sources, spans = csr.send_plan()
+        items = list(zip(neighbours, map(shared["labels"].__getitem__, sources), sources))
         worker_ids = self.worker_ids
-        np = numpy_or_none()
-        if np is not None:
-            views = csr.np_views()
-            per_row = np.fromiter((labels[v] for v in csr.verts), dtype=np.int64, count=csr.num_rows)
-            label_of = np.repeat(per_row, views["degrees"])
-            source_of = np.repeat(views["verts"], views["degrees"])
-            indices = views["indices"]
-            for pos, selection in csr.groups:
-                sel = np.frombuffer(selection, dtype=np.int64)
-                items = list(
-                    zip(indices[sel].tolist(), label_of[sel].tolist(), source_of[sel].tolist())
-                )
-                ctx.send(worker_ids[pos], "label-proposal", items, words=3 + 4 * len(items))
-            return
-        indptr = csr.indptr
-        indices = csr.indices
-        owner_pos = csr.owner_pos
-        buckets: dict[int, list[tuple[int, int, int]]] = {pos: [] for pos, _ in csr.groups}
-        for row, v in enumerate(csr.verts):
-            label_v = labels[v]
-            for entry in range(indptr[row], indptr[row + 1]):
-                buckets[owner_pos[entry]].append((indices[entry], label_v, v))
-        for pos, _ in csr.groups:
-            items = buckets[pos]
-            ctx.send(worker_ids[pos], "label-proposal", items, words=3 + 4 * len(items))
+        ctx.send_many(
+            "label-proposal",
+            [(worker_ids[pos], items[start:stop], 3 + 4 * (stop - start)) for pos, start, stop in spans],
+        )
 
 
 class LabelApplyProgram(VertexProgram):
@@ -175,9 +156,10 @@ class LabelApplyProgram(VertexProgram):
                 if proposed < current:
                     improvements[w] = (proposed, (sender_vertex, w))
         changed = bool(improvements)
-        # One more round of constant-size messages to agree on termination.
+        # One more round of constant-size messages (tag + flag: 2 words) to
+        # agree on termination.
         if ctx.machine_id != self.leader_id:
-            ctx.send(self.leader_id, "changed", changed)
+            ctx.send(self.leader_id, "changed", changed, words=2)
         return improvements, changed
 
     def apply(self, shared: MutableMapping[str, Any], machine_id: str, delta: tuple[dict, bool]) -> None:

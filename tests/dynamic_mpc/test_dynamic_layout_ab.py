@@ -37,9 +37,10 @@ from repro.dynamic_mpc import (
 )
 from repro.dynamic_mpc.connectivity import TOUR_SHARD_KEY
 from repro.dynamic_mpc.state import STATS_KEY, VertexStats
-from repro.graph import DynamicGraph, GraphUpdate, batched
+from repro.graph import DynamicGraph, GraphUpdate, UpdateSequence, batched
 from repro.graph.generators import gnm_random_graph, random_forest, random_weighted_graph
 from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
+from repro.graph.validation import is_matching, is_maximal_matching
 from repro.mpc.layout import DYNAMIC_LAYOUTS
 from repro.mpc.sizing import closed_form_words, registered_closed_forms, word_size
 
@@ -373,6 +374,23 @@ class TestHeavyFabricAtEveryBoundary:
 
     def test_three_halves_matching(self):
         self.assert_lockstep(lambda config, layout: DMPCThreeHalvesMatching(config, layout=layout))
+
+    @pytest.mark.parametrize("layout", DYNAMIC_LAYOUTS)
+    def test_three_halves_matching_stays_maximal(self, layout):
+        """Regression: a hub whose degree fell below the threshold with neighbours still on its
+        suspended stack was settled as a light vertex — its free suspended neighbours were never
+        looked at, and the matching was not maximal for 27 boundaries of this stream (it ended
+        maximal only because later deletions removed the missed edges)."""
+        n = self.N
+        algorithm = DMPCThreeHalvesMatching(make_config(n, self.CAPACITY_M, None), layout=layout)
+        algorithm.preprocess(DynamicGraph(n))
+        graph = DynamicGraph(n)
+        for update in hub_stream(n, self.HUBS, seed=16):
+            algorithm.apply(update)
+            UpdateSequence([update]).apply_to(graph)
+            matching = algorithm.matching()
+            assert is_matching(graph, matching)
+            assert is_maximal_matching(graph, matching), f"not maximal after {update}"
 
 
 # ------------------------------------------------- coalesced-batch replay

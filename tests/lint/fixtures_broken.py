@@ -116,6 +116,17 @@ class NondeterministicProgram(SuperstepProgram):
         return None
 
 
+class UnorderedFanOutProgram(SuperstepProgram):
+    """RP105: ``send_many`` stages in iteration order — a set has none."""
+
+    shared_reads = ("peers",)
+
+    def run(self, ctx, inbox, shared):
+        sends = {(peer, None, 1) for peer in sorted(shared["peers"])}
+        ctx.send_many("noise", sends)
+        return None
+
+
 class UnpicklableInitProgram(SuperstepProgram):
     """RP106: ``__init__`` stores a live cluster reference and a lambda."""
 

@@ -94,6 +94,15 @@ class TestRuleFirings:
         assert any("os.environ" in m for m in messages)
         assert any("unordered set" in m for m in messages)
 
+    def test_rp105_send_many_fed_from_a_set(self, broken):
+        # the comprehension building the set iterates a sorted list (clean);
+        # the one finding is the set handed to send_many
+        (finding,) = findings_for(broken, "RP105", "UnorderedFanOutProgram")
+        assert "iterates an unordered set" in finding.message
+        assert "wrap the iterable in sorted(...)" in finding.hint
+        source_line = FIXTURES.read_text(encoding="utf-8").splitlines()[finding.line - 1]
+        assert 'ctx.send_many("noise", sends)' in source_line
+
     def test_rp106_stored_runtime_reference_and_lambda(self, broken):
         messages = [f.message for f in findings_for(broken, "RP106", "UnpicklableInitProgram")]
         assert any("'cluster'" in m for m in messages)

@@ -258,6 +258,54 @@ class TestTransportParity:
         assert record.message_count == 0
         assert cluster.machine("b").inbox == []
 
+    @pytest.mark.parametrize("backend", ["reference", "fast", "sharded"])
+    @pytest.mark.parametrize("fault", ["unknown-receiver", "over-cap"])
+    def test_refused_round_keeps_every_staged_message(self, backend, fault):
+        """A round the transport refuses is all-or-nothing: the *last* sender (in
+        registration order) carries the fault, so every earlier sender has already been
+        walked when the error is raised — none of them may have lost its outbox, and a
+        corrected retry must deliver exactly the round the reference delivers."""
+
+        def stage(name):
+            config = DMPCConfig(capacity_n=32, capacity_m=64, backend=name, shard_count=3)
+            cluster = Cluster(config, enforce_io_cap=True)
+            machines = cluster.add_machines("m", 5)
+            cluster.add_machine("sink")
+            for machine in machines:
+                machine.send("sink", "probe", machine.machine_id)
+                machine.send(machines[0].machine_id, "echo", None, words=2)
+            return cluster, machines
+
+        expected, machines = stage("reference")
+        expected.exchange()
+
+        cluster, machines = stage(backend)
+        last = machines[-1]
+        if fault == "unknown-receiver":
+            bad, error = last.send("ghost", "ping", 1), UnknownMachineError
+        else:
+            bad, error = last.send("sink", "big", None, words=cluster.config.machine_memory + 1), MessageSizeExceeded
+        staged = {machine.machine_id: list(machine.outbox) for machine in cluster.machines()}
+        rounds_before = cluster.ledger.total_rounds()
+        with pytest.raises(error):
+            cluster.exchange()
+        assert {machine.machine_id: machine.outbox for machine in cluster.machines()} == staged
+        assert all(machine.inbox == [] for machine in cluster.machines())
+        assert cluster.ledger.total_rounds() == rounds_before
+        transport = last.transport
+        if backend == "sharded":
+            assert sum(transport.shard_load()) == 0 and transport.machine_load() == {}
+
+        last.outbox.remove(bad)
+        record = cluster.exchange()
+        assert record.message_count == 10
+        if backend == "sharded":
+            assert sum(transport.shard_load()) == sum(transport.machine_load().values()) == record.total_words
+        for machine_id in ("sink", "m0"):
+            assert cluster.machine(machine_id).inbox == expected.machine(machine_id).inbox
+        assert all(machine.outbox == [] for machine in cluster.machines())
+        assert cluster.exchange().message_count == 0
+
     @pytest.mark.parametrize("backend", ["sharded", "parallel"])
     def test_message_words_match_reference_sizer(self, backend):
         """The transport message sizer must charge exactly the reference words."""

@@ -12,6 +12,7 @@ when the frames ride a shared-memory ring.
 
 from __future__ import annotations
 
+import pickle
 from array import array
 
 import pytest
@@ -80,9 +81,30 @@ class TestLayoutTypeRoundTrips:
         assert back.dmpc_words() == csr.dmpc_words()
         # materialized ownership survives too — kernels index it directly
         assert list(back.owner_pos) == list(csr.owner_pos)
-        assert [(pos, list(sel)) for pos, sel in back.groups] == [
-            (pos, list(sel)) for pos, sel in csr.groups
-        ]
+
+    @pytest.mark.parametrize(
+        "ship",
+        [lambda csr: decode_obj(encode_obj({"csr": csr}))["csr"], lambda csr: pickle.loads(pickle.dumps(csr))],
+        ids=["wire-codec", "pickle"],
+    )
+    def test_send_plan_round_trip(self, ship):
+        csr = sample_csr()
+        csr.send_plan()  # a warm cache must not travel (or be needed) on the far side
+        back = ship(csr)
+        for column in ("plan_indices", "plan_sources", "plan_spans"):
+            assert type(getattr(back, column)) is array
+            assert getattr(back, column) == getattr(csr, column)
+        neighbours, sources, spans = back.send_plan()
+        assert (neighbours, sources, spans) == csr.send_plan()
+        # the plan is the CSR's own entries regrouped: every target's slice
+        # lists exactly the entries that target owns, in entry order
+        entries = [(v, w) for row, v in enumerate(csr.verts) for w in csr.indices[slice(*csr.row_bounds(row))]]
+        assert [pos for pos, _, _ in spans] == list(dict.fromkeys(csr.owner_pos))
+        assert [stop - start for _, start, stop in spans] == [list(csr.owner_pos).count(pos) for pos, _, _ in spans]
+        for pos, start, stop in spans:
+            assert list(zip(sources[start:stop], neighbours[start:stop])) == [
+                entry for entry, owner in zip(entries, csr.owner_pos) if owner == pos
+            ]
 
     def test_alive_table_round_trip(self):
         table = AliveTable({"w0": bytearray(b"\x01\x01\x00"), "w1": bytearray()})

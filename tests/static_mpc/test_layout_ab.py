@@ -21,6 +21,8 @@ kernel docstrings defer to this file for.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.graph.generators import gnm_random_graph, random_weighted_graph
@@ -29,8 +31,11 @@ from repro.mpc.layout import (
     VertexInterner,
     resolve_static_layout,
 )
+from repro.mpc.program import WorkerMachineContext
 from repro.mpc.sizing import fast_word_size, word_size
 from repro.static_mpc import StaticBoruvkaMST, StaticConnectedComponents, StaticMaximalMatching
+from repro.static_mpc.common import build_static_cluster
+from repro.static_mpc.connected_components import CSRLabelProposeProgram, LabelProposeProgram
 
 BACKENDS = ("reference", "fast", "sharded", "parallel", "process", "resident", "resident-shm")
 
@@ -96,6 +101,58 @@ class TestLayoutABEquivalence:
         )
 
 
+class TestSendPlanEqualsDictLayoutProposals:
+    """The CSR send plan stages, message for message, what the dict layout stages.
+
+    One propose round per machine on both layouts, recorded through
+    :class:`WorkerMachineContext` (so nothing else of the superstep machinery
+    is in the way): same receivers in the same first-appearance order, same
+    ``(neighbour, label, source)`` triples in the same order, and the CSR
+    closed-form ``words`` equal to what the sizer charges the dict layout's
+    unsized send.  Labels are scrambled so a label gathered from the wrong
+    row cannot pass.
+    """
+
+    @pytest.mark.parametrize("num_workers", [2, 3, 7])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_target_slices(self, num_workers, seed):
+        n = 24 + 5 * seed
+        graph = gnm_random_graph(n, 2 * n + seed, seed=100 + seed)
+        rng = random.Random(seed)
+        shared = {"labels": {v: rng.randrange(10 * n) for v in graph.vertices}}
+        staged = {}
+        for layout, program_cls in (("dict", LabelProposeProgram), ("csr", CSRLabelProposeProgram)):
+            setup = build_static_cluster(graph, num_workers=num_workers, backend="reference", layout=layout, weighted=False)
+            program = program_cls(setup.owned, setup.worker_ids)
+            staged[layout] = {}
+            for machine_id in setup.worker_ids:
+                ctx = WorkerMachineContext(machine_id, dict(setup.cluster.machine(machine_id).items()))
+                assert program.run(ctx, [], shared) is None
+                staged[layout][machine_id] = [
+                    (receiver, tag, payload, word_size(tag) + word_size(payload) if words is None else words)
+                    for receiver, tag, payload, words in ctx.sent
+                ]
+        assert staged["csr"] == staged["dict"]
+        # non-vacuous: every edge was proposed along in both directions
+        assert sum(len(payload) for sends in staged["csr"].values() for _, _, payload, _ in sends) == 2 * graph.num_edges
+
+    def test_plan_is_a_regrouping_of_the_csr_entries(self):
+        graph = gnm_random_graph(40, 90, seed=5)
+        setup = build_static_cluster(graph, num_workers=5, backend="reference", layout="csr", weighted=False)
+        for machine_id in setup.worker_ids:
+            csr = setup.machine_csr(machine_id)
+            neighbours, sources, spans = csr.send_plan()
+            assert sorted(zip(sources, neighbours)) == sorted(
+                (v, w) for row, v in enumerate(csr.verts) for w in csr.indices[slice(*csr.row_bounds(row))]
+            )
+            # spans tile the plan, one per distinct target, each target's entries owned by it
+            assert [start for _, start, _ in spans] == [0, *(stop for _, _, stop in spans)][:-1]
+            assert (spans[-1][2] if spans else 0) == csr.num_entries
+            assert len({pos for pos, _, _ in spans}) == len(spans)
+            for pos, start, stop in spans:
+                assert {setup.owner(w) for w in neighbours[start:stop]} == {setup.worker_ids[pos]}
+
+
 class TestClosedFormWords:
     """The ``words=`` closed forms equal the sizer's charge, element for element.
 
@@ -122,6 +179,11 @@ class TestClosedFormWords:
     def test_matched_status_is_3_plus_k(self, sizer, k):
         payload = list(range(k))
         assert sizer("matched-status") + sizer(payload) == 3 + k
+
+    @pytest.mark.parametrize("sizer", [word_size, fast_word_size], ids=["reference", "fast"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_changed_flag_is_2(self, sizer, flag):
+        assert sizer("changed") + sizer(flag) == 2
 
     @pytest.mark.parametrize("sizer", [word_size, fast_word_size], ids=["reference", "fast"])
     def test_mst_candidate_is_7(self, sizer):
