@@ -30,7 +30,7 @@ import math
 from repro.config import DMPCConfig
 from repro.dynamic_mpc.connectivity import DMPCConnectivity
 from repro.exceptions import InvariantViolation
-from repro.graph.graph import DynamicGraph, normalize_edge
+from repro.graph.graph import DynamicGraph
 from repro.graph.validation import is_spanning_forest, minimum_spanning_forest_weight
 from repro.mpc.sizing import closed_form_words, register_closed_form
 
@@ -86,6 +86,12 @@ class DMPCApproxMST(DMPCConnectivity):
         with respect to stored weights at all times (the insert/delete swap
         rules preserve exactness), which is what pins its true weight within
         ``(1+eps)`` of the true optimum.
+
+        Like connectivity's, this preprocessing is *unmodelled*: the forest
+        and its tours are seeded centrally on the driver in ``O(n + m)``
+        after the sort (:meth:`IndexedEulerTourForest.link_all` over the
+        weight-sorted edges) and one 4-word ``preprocess-plan`` round is
+        charged.
         """
         rounded = DynamicGraph(graph.num_vertices)
         for (u, v, w) in graph.weighted_edges():
@@ -95,11 +101,8 @@ class DMPCApproxMST(DMPCConnectivity):
 
         self.shadow = graph.copy()
         forest = IndexedEulerTourForest(graph.vertices)
-        tree_edges: set[tuple[int, int]] = set()
-        for (u, v, w) in sorted(rounded.weighted_edges(), key=lambda t: (t[2], t[0], t[1])):
-            if not forest.connected(u, v):
-                forest.link(u, v)
-                tree_edges.add(normalize_edge(u, v))
+        by_weight = sorted(rounded.weighted_edges(), key=lambda t: (t[2], t[0], t[1]))
+        tree_edges = forest.link_all((u, v) for (u, v, _) in by_weight)
 
         self._load_shards(rounded, forest, tree_edges)
 

@@ -480,20 +480,17 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
 
         The paper's preprocessing builds the forest and its tours in
         ``O(log n)`` rounds by augmenting a contraction-based spanning-forest
-        algorithm; here the initial tours are computed centrally and the
-        per-vertex shards are placed with one round of loading traffic (the
-        per-update costs, which Table 1 bounds, are unaffected — see
-        EXPERIMENTS.md).
+        algorithm.  Here it is *unmodelled*: the spanning forest and its
+        tours are seeded centrally on the driver in ``O(n + m)``
+        (:meth:`IndexedEulerTourForest.link_all`), the per-vertex shards are
+        placed directly, and one 4-word ``preprocess-plan`` round is charged.
+        The per-update costs, which Table 1 bounds, are unaffected.
         """
         from repro.eulertour.indexed import IndexedEulerTourForest
 
         self.shadow = graph.copy()
         forest = IndexedEulerTourForest(graph.vertices)
-        tree_edges: set[tuple[int, int]] = set()
-        for (u, v) in graph.edge_list():
-            if not forest.connected(u, v):
-                forest.link(u, v)
-                tree_edges.add(normalize_edge(u, v))
+        tree_edges = forest.link_all(graph.edge_list())
 
         # Remap component ids into this algorithm's id space.
         self._load_shards(graph, forest, tree_edges)

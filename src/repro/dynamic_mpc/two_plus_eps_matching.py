@@ -13,8 +13,7 @@ per update cycle.  The maintained matching is therefore *almost* maximal:
 at any time a small number of vertices are still waiting in the scheduler
 queues, and at most an ``eps`` fraction of the matching may be missing.
 
-This implementation keeps the same architecture with simplified schedulers
-(documented in DESIGN.md):
+This implementation keeps the same architecture with simplified schedulers:
 
 * every owner machine caches, for each owned vertex, the level and matching
   status of its neighbours; caches are brought up to date by *notification*

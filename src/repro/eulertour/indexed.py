@@ -224,6 +224,82 @@ class IndexedEulerTourForest:
         del self._length[comp_y]
         self._tree_edges.add(normalize_edge(x, y))
 
+    def link_all(self, edges: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+        """Seed an edgeless forest from ``edges`` in one pass; returns the tree edges.
+
+        Equivalent to ``link(u, v)`` for every pair of ``edges``, in order,
+        whose endpoints are not yet connected — same tree edges, same
+        component identifiers and same root per tree (``link`` hangs ``v``'s
+        tree below ``u``, so a merged tree keeps the root, and with it the
+        identifier, of ``u``'s side) — but each tour is laid out by one
+        traversal from its root instead of one rewrite of both trees per
+        link.  Only the order of a vertex's children in the tour may differ.
+
+        The edge ``(p, c)`` whose block starts at position ``b`` gives ``p``
+        the indexes ``b`` and ``b + 4·size(c) − 1`` and ``c`` the indexes
+        ``b + 1`` and ``b + 4·size(c) − 2``; ``c``'s own children start at
+        ``b + 2``, the next sibling at ``b + 4·size(c)``, a root's first
+        block at 1.
+        """
+        if self._tree_edges:
+            raise ValueError("link_all: the forest already has tree edges")
+        # Union-find whose representative is the root of the set's tour.
+        rep: dict[int, int] = {}
+
+        def find(v: int) -> int:
+            r = rep.setdefault(v, v)
+            while rep[r] != r:
+                rep[r] = rep[rep[r]]  # path halving
+                r = rep[r]
+            return r
+
+        children: dict[int, list[int]] = {}
+        tree_edges: set[tuple[int, int]] = set()
+        for (u, v) in edges:
+            self.add_vertex(u)
+            self.add_vertex(v)
+            root_u, root_v = find(u), find(v)
+            if root_u == root_v:
+                continue
+            rep[root_v] = root_u
+            children.setdefault(u, []).append(v)
+            children.setdefault(v, []).append(u)
+            tree_edges.add(normalize_edge(u, v))
+
+        state = self._state
+        for root in [v for v in children if rep[v] == v]:
+            # Parents before children (dropping each vertex's parent from its
+            # adjacency), then subtree sizes bottom-up.
+            order = [root]
+            for p in order:
+                for c in children[p]:
+                    children[c].remove(p)
+                order.extend(children[p])
+            size = dict.fromkeys(order, 1)
+            for p in reversed(order):
+                for c in children[p]:
+                    size[p] += size[c]
+            # Positions top-down: ``start[p]`` is where p's first child block begins.
+            start = {root: 1}
+            for p in order:
+                b = start[p]
+                p_indexes = state[p].indexes
+                for c in children[p]:
+                    end = b + 4 * size[c]
+                    p_indexes.update((b, end - 1))
+                    state[c].indexes.update((b + 1, end - 2))
+                    start[c] = b + 2
+                    b = end
+            # The tree keeps the root's component; the other singletons dissolve into it.
+            comp = state[root].component
+            for c in order[1:]:
+                del self._members[state[c].component], self._length[state[c].component]
+                state[c].component = comp
+            self._members[comp].update(order)
+            self._length[comp] = 4 * (len(order) - 1)
+        self._tree_edges = tree_edges
+        return self.tree_edges()
+
     def cut(self, x: int, y: int) -> int:
         """Delete tree edge ``(x, y)``; returns the new component's identifier."""
         edge = normalize_edge(x, y)

@@ -43,9 +43,10 @@ process/resident wire.  This module owns the flat replacements:
     (plain dicts, no arrays): every tour index lives once, in the index pair
     of its tree-edge record, shifted in place by the link / cut kernels.
 
-NumPy acceleration is optional everywhere: kernels consult
-:data:`HAVE_NUMPY` and fall back to pure-python loops with identical
-results; buffers are always ``array``/``bytearray`` (never numpy scalars —
+NumPy acceleration is optional everywhere and imported on first use, not
+with this module: kernels ask :func:`numpy_or_none` and fall back to
+pure-python loops with identical results, so a run that never vectorises
+never loads it; buffers are always ``array``/``bytearray`` (never numpy scalars —
 ``np.int64`` is not an ``int`` subclass and would corrupt both the word
 sizer and the marshal wire), with zero-copy ``np.frombuffer`` views built
 lazily per process and ``.tolist()`` conversions at every payload boundary.
@@ -53,17 +54,14 @@ lazily per process and ``.tolist()`` conversions at every payload boundary.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import os
 from array import array
 from typing import Any, Callable, Iterable
 
 from repro.mpc.partition import hash_partition
 from repro.runtime.wire import register_wire_type
-
-try:  # pragma: no cover - exercised via both branches in CI images
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback container
-    _np = None
 
 __all__ = [
     "HAVE_NUMPY",
@@ -84,8 +82,9 @@ __all__ = [
     "TourShardHandle",
 ]
 
-#: whether the vectorized kernel paths are available in this interpreter.
-HAVE_NUMPY = _np is not None
+#: whether the vectorized kernel paths are available in this interpreter
+#: (numpy is installed; nothing is imported until a kernel asks for it).
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 #: layouts :func:`resolve_static_layout` accepts.
 STATIC_LAYOUTS = ("dict", "csr")
@@ -100,9 +99,14 @@ DYNAMIC_LAYOUTS = ("dict", "csr")
 DYNAMIC_LAYOUT_ENV_VAR = "REPRO_DYNAMIC_LAYOUT"
 
 
+@functools.cache
 def numpy_or_none():
-    """The numpy module when importable, else ``None`` (kernel guard)."""
-    return _np
+    """The numpy module, imported on the first call, else ``None`` (kernel guard)."""
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 def resolve_static_layout(layout: "str | None" = None) -> str:
@@ -256,23 +260,22 @@ class MachineCSR:
         Keys: ``verts``/``indptr``/``indices`` (+ ``weights`` when present)
         as ``np.frombuffer`` views, ``degrees`` per row, and ``rows`` — the
         row position of every entry.  Never pickled (see ``__getstate__``);
-        requires numpy (guard with :data:`HAVE_NUMPY`).
+        requires numpy (guard with :func:`numpy_or_none`).
         """
         cache = self._np_cache
         if cache is None:
-            indptr = _np.frombuffer(self.indptr, dtype=_np.int64)
-            degrees = _np.diff(indptr)
+            np = numpy_or_none()
+            indptr = np.frombuffer(self.indptr, dtype=np.int64)
+            degrees = np.diff(indptr)
             cache = {
-                "verts": _np.frombuffer(self.verts, dtype=_np.int64) if self.verts else _np.empty(0, _np.int64),
+                "verts": np.frombuffer(self.verts, dtype=np.int64) if self.verts else np.empty(0, np.int64),
                 "indptr": indptr,
-                "indices": _np.frombuffer(self.indices, dtype=_np.int64)
-                if self.indices
-                else _np.empty(0, _np.int64),
+                "indices": np.frombuffer(self.indices, dtype=np.int64) if self.indices else np.empty(0, np.int64),
                 "degrees": degrees,
-                "rows": _np.repeat(_np.arange(len(self.verts), dtype=_np.int64), degrees),
+                "rows": np.repeat(np.arange(len(self.verts), dtype=np.int64), degrees),
             }
             if self.weights is not None and len(self.weights):
-                cache["weights"] = _np.frombuffer(self.weights, dtype=_np.float64)
+                cache["weights"] = np.frombuffer(self.weights, dtype=np.float64)
             self._np_cache = cache
         return cache
 

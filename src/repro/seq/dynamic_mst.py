@@ -7,8 +7,7 @@ whose updates cost ``O(n)`` (insertion: find the maximum-weight edge on the
 tree path and swap) and ``O(m)`` (deletion of a tree edge: scan non-tree
 edges for the cheapest reconnecting edge).  It is exact, deterministic and
 fully dynamic, which is all the reduction machinery needs; the round counts
-produced through the reduction simply reflect this payload's update time
-(documented in EXPERIMENTS.md).
+produced through the reduction simply reflect this payload's update time.
 """
 
 from __future__ import annotations

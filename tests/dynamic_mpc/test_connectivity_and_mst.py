@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc import DMPCApproxMST, DMPCConnectivity
-from repro.graph import DynamicGraph, GraphUpdate
+from repro.eulertour import IndexedEulerTourForest
+from repro.graph import DynamicGraph, GraphUpdate, batched
 from repro.graph.generators import gnm_random_graph, grid_graph, random_forest, random_weighted_graph
 from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
 from repro.graph.validation import (
@@ -186,3 +187,89 @@ def test_property_connectivity_matches_bfs_reference(pairs):
             alg.apply(GraphUpdate.insert(*edge))
             present.add(edge)
     assert same_partition(alg.components(), connected_components(alg.shadow))
+
+
+# ------------------------------------------------- preprocess seeding (link_all)
+def incremental_link_all(forest, edges):
+    """The seeding ``link_all`` replaced: one ``link`` per unconnected pair, in order."""
+    for (u, v) in edges:
+        if not forest.connected(u, v):
+            forest.link(u, v)
+    return forest.tree_edges()
+
+
+#: algorithm -> (graph generator, weighted stream?, constructor)
+SEEDING_CASES = {
+    "connectivity": (
+        gnm_random_graph,
+        False,
+        lambda **kw: DMPCConnectivity(DMPCConfig.for_graph(24, 128), **kw),
+    ),
+    "mst": (
+        random_weighted_graph,
+        True,
+        lambda **kw: DMPCApproxMST(DMPCConfig.for_graph(24, 128), epsilon=0.25, **kw),
+    ),
+}
+
+
+class TestPreprocessSeeding:
+    """Seeding the tours in one pass moved nothing the model sees."""
+
+    def drive(self, make, graph, stream, batch):
+        alg = make()
+        alg.preprocess(graph.copy())
+        alg.verify_invariants()
+        for chunk in batched(stream, 16 if batch else 1):
+            if batch:
+                alg.apply_batch(chunk)
+            else:
+                alg.apply(chunk[0])
+            alg.verify_invariants()
+        return alg
+
+    def observed(self, alg):
+        return {
+            "components": alg.components(),
+            "forest": alg.spanning_forest(),
+            "per_update": [
+                (u.label, u.num_rounds, u.total_words, u.max_words_per_round, u.max_active_machines)
+                for u in alg.ledger.updates
+            ],
+            "summary": alg.update_summary().as_dict(),
+            "used_words": {m.machine_id: m.used_words for m in alg.cluster.machines()},
+        }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [False, True], ids=["apply", "apply_batch-coalesce"])
+    @pytest.mark.parametrize("layout", ["csr", "dict"])
+    @pytest.mark.parametrize("algorithm", list(SEEDING_CASES))
+    def test_link_all_and_incremental_seeding_are_indistinguishable(self, monkeypatch, algorithm, layout, batch, seed):
+        generator, weighted, construct = SEEDING_CASES[algorithm]
+        graph = generator(24, 36, seed=seed)
+        stream = list(mixed_stream(24, 300, seed=seed + 40, insert_probability=0.5, initial=graph, weighted=weighted))
+        assert len(stream) == 300
+
+        def make():
+            return construct(layout=layout, coalesce=batch)
+
+        seeded = self.observed(self.drive(make, graph, stream, batch))
+        monkeypatch.setattr(IndexedEulerTourForest, "link_all", incremental_link_all)
+        oracle = self.observed(self.drive(make, graph, stream, batch))
+        assert len(seeded["per_update"]) > 1 and seeded["summary"]["num_updates"] > 0
+        for key in seeded:
+            assert seeded[key] == oracle[key], key
+
+    @pytest.mark.parametrize("algorithm", list(SEEDING_CASES))
+    def test_preprocess_never_links_or_reroots_incrementally(self, monkeypatch, algorithm):
+        def refuse(self, *args):
+            raise AssertionError("preprocess reached the O(tree) incremental path")
+
+        monkeypatch.setattr(IndexedEulerTourForest, "link", refuse)
+        monkeypatch.setattr(IndexedEulerTourForest, "reroot", refuse)
+        generator, _, construct = SEEDING_CASES[algorithm]
+        graph = generator(24, 36, seed=4)
+        alg = construct()
+        alg.preprocess(graph.copy())
+        alg.verify_invariants()
+        assert is_spanning_forest(graph, alg.spanning_forest())
