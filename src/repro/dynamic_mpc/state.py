@@ -24,6 +24,22 @@ takes ``_pending_history`` (the unseen suffix, sized by its length), the
 receiver runs ``_catch_up``; an update pays for the entries it ships, not
 for the buffer, and the round-robin cycles over a maintained list.
 
+A machine is shipped, and replays, only what it can be missing.  Two
+events stamp a machine current (``seen = last_seq``): ``_catch_up``, after
+it has applied the suffix it was sent, and ``_allocate_machine``, when the
+machine is handed out.  The second stamp is vacuously true: a machine is
+only handed out empty (``_release_machine`` clears an exclusive machine when
+its vertex's last edges leave it), so no buffered entry can apply to it, and
+everything placed on it afterwards (``add_edge_copy``, ``move_vertex_edges``,
+``fetch_suspended``) is placed current.  Without it the first contact would
+carry the whole buffer in one message — ``O(capacity)`` words instead of
+``O(sqrt N)`` — and replay it *over* those current records, where an old
+``delete`` drops the live copy of an edge re-inserted since.  A reader that
+falls behind the bounded buffer cannot be caught up at all, so
+``_pending_history`` raises rather than ship a suffix with a gap.  (Not
+covered: records moved onto an *existing* light machine that is a few
+entries behind are replayed over in the same way — ROADMAP item 1.)
+
 All cross-machine data movement uses messages on the cluster, so the
 metrics ledger observes the true round / machine / communication costs.
 """
@@ -51,6 +67,9 @@ __all__ = ["VertexStats", "MatchingFabric"]
 #: layout keeps one ``("st", v)`` key and one ``VertexStats`` object per
 #: vertex, exactly as before the flat recut).
 STATS_KEY = "stats"
+
+#: ``load`` default that no stored value can be (a status record may hold ``None``)
+_ABSENT = object()
 
 
 # Closed forms for every fabric message the protocol previously sized by
@@ -155,14 +174,38 @@ class MatchingFabric:
 
     # ------------------------------------------------------------- allocation
     def _allocate_machine(self, *, light: bool) -> str:
+        """Hand out the next free edge machine, stamped current.
+
+        Only an empty machine is handed out (fresh, or cleared by
+        :meth:`_release_machine`), and an empty machine has nothing to catch
+        up on: no buffered entry can apply to it, and every
+        record it receives from now on is placed current.  So it starts at
+        ``seen = last_seq`` — its first contact ships what was recorded
+        since, not the whole buffer, and never replays an old ``delete`` or
+        ``unmatch`` over a record placed after it.
+        """
         if not self._unallocated:
             raise ProtocolError("edge machine pool exhausted — size the DMPCConfig for the workload")
-        machine_id = self._unallocated.pop()
+        machine_id = self._unallocated[-1]
+        if len(self.cluster.machine(machine_id).storage):
+            raise ProtocolError(f"edge machine {machine_id!r} still holds records — it cannot be stamped current")
+        self._unallocated.pop()
+        self._mark_seen(machine_id)
         # A released machine is handed out again before higher pool slots.
         insort(self._allocated, machine_id, key=lambda mid: self.cluster.machine(mid).index)
         if light:
             self._light_machines.append(machine_id)
         return machine_id
+
+    def _release_machine(self, machine_id: str) -> None:
+        """Return a machine that was exclusive to one vertex to the pool once
+        that vertex's edges have all left it (:meth:`fetch_suspended` drained
+        a suspended machine, :meth:`move_vertex_edges` moved an alive set
+        away).  The status records left on it go with the last ``("adj", v)``:
+        a re-allocated machine is as empty as a fresh one."""
+        self.cluster.machine(machine_id).clear()
+        self._allocated.remove(machine_id)
+        self._unallocated.append(machine_id)
 
     def _light_machine_with_room(self, words_needed: int) -> str:
         """A light machine with at least ``words_needed`` free words (the paper's ``toFit``)."""
@@ -300,8 +343,21 @@ class MatchingFabric:
 
     def _pending_history(self, machine_id: str) -> tuple[list[HistoryEntry], int]:
         """The history suffix ``machine_id`` has not seen and the words it is
-        charged as when piggy-backed on a message to that machine."""
-        entries = self.coordinator.history.entries_since(self._machine_seen_seq.get(machine_id, 0))
+        charged as when piggy-backed on a message to that machine.
+
+        Raises :class:`ProtocolError` if the buffer has already evicted
+        entries the machine has not seen: the suffix would have a gap, and
+        the records on the machine could never be made current again.
+        """
+        history = self.coordinator.history
+        seen = self._machine_seen_seq[machine_id]
+        evicted = history.evicted_since(seen)
+        if evicted:
+            raise ProtocolError(
+                f"edge machine {machine_id!r} (seen {seen}) missed {evicted} evicted history entries — "
+                f"the update-history (capacity {history.capacity}) is too small for its staleness"
+            )
+        entries = history.entries_since(seen)
         return entries, max(1, HistoryEntry.WORDS * len(entries))
 
     def _mark_seen(self, machine_id: str) -> None:
@@ -310,8 +366,10 @@ class MatchingFabric:
     def _catch_up(self, machine_id: str, entries: list[HistoryEntry], tag: str | None = None):
         """The receiving end of every history piggy-back: drain the message
         ``tag`` that carried the slice ``entries`` (``None``: it rides on a
-        later message of the same operation), apply it, mark ``machine_id``
-        current.  Returns the machine."""
+        later message of the same operation), apply it, stamp ``machine_id``
+        current.  ``entries`` must be the machine's whole
+        :meth:`_pending_history` — the stamp says so.  The only other stamp
+        is :meth:`_allocate_machine`'s.  Returns the machine."""
         machine = self.cluster.machine(machine_id)
         if tag is not None:
             machine.drain(tag)
@@ -321,25 +379,46 @@ class MatchingFabric:
 
     @staticmethod
     def _apply_history_locally(machine, entries: list[HistoryEntry]) -> None:
-        """Apply history entries to a machine's adjacency/status records."""
+        """Replay ``entries`` over the adjacency/status records ``machine`` holds.
+
+        One pass, oldest first, storage methods bound once per slice.  Sound only for a suffix the machine has not
+        seen, applied to records that were current when that suffix began —
+        the two stamps (see :meth:`_catch_up`) are what guarantee it.  A
+        ``delete`` drops the edge copy if it is here, ``match`` / ``unmatch``
+        rewrite the status records that are here (a stored status may be
+        ``None``, hence the sentinel probe); ``insert`` entries are skipped
+        outright — edge copies are placed by ``add_edge_copy`` during their
+        own update, never by replay.
+        """
+        storage = machine.storage
+        load, store = storage.load, storage.store
         for entry in entries:
-            # "insert" entries need no lazy application: edge copies are
-            # placed explicitly by ``add_edge_copy`` during their own update.
-            if entry.kind == "delete":
-                for a, b in ((entry.u, entry.v), (entry.v, entry.u)):
-                    adj = machine.load(("adj", a))
-                    if adj is not None and b in adj:
-                        adj = dict(adj)
-                        del adj[b]
-                        machine.store(("adj", a), adj)
-            elif entry.kind == "match":
-                for a, b in ((entry.u, entry.v), (entry.v, entry.u)):
-                    if ("status", a) in machine:
-                        machine.store(("status", a), b)
-            elif entry.kind == "unmatch":
-                for a in (entry.u, entry.v):
-                    if ("status", a) in machine:
-                        machine.store(("status", a), None)
+            kind = entry.kind
+            if kind == "insert":
+                continue
+            u, v = entry.u, entry.v
+            # both endpoints spelt out: the pair loop cost three tuples an entry
+            if kind == "delete":
+                adj = load(("adj", u))
+                if adj is not None and v in adj:
+                    adj = dict(adj)
+                    del adj[v]
+                    store(("adj", u), adj)
+                adj = load(("adj", v))
+                if adj is not None and u in adj:
+                    adj = dict(adj)
+                    del adj[u]
+                    store(("adj", v), adj)
+            elif kind == "match":
+                if load(("status", u), _ABSENT) is not _ABSENT:
+                    store(("status", u), v)
+                if load(("status", v), _ABSENT) is not _ABSENT:
+                    store(("status", v), u)
+            elif kind == "unmatch":
+                if load(("status", u), _ABSENT) is not _ABSENT:
+                    store(("status", u), None)
+                if load(("status", v), _ABSENT) is not _ABSENT:
+                    store(("status", v), None)
 
     # ------------------------------------------------------------ edge machines
     def _ensure_alive_machine(self, v: int, stats: VertexStats) -> str:
@@ -771,7 +850,12 @@ class MatchingFabric:
         source.send(target_id, "move-edges", {"vertex": v, "count": len(adjacency)}, words=2 * len(adjacency) + 4)
         self.cluster.exchange()
         target.drain("move-edges")
-        source.delete(("adj", v))
+        if source_id in self._light_machines:
+            source.delete(("adj", v))
+        else:
+            # ``v`` had the machine to itself (it was heavy before): without
+            # the release every re-crossing of the threshold leaks a machine.
+            self._release_machine(source_id)
         target.store(("adj", v), adjacency)
         for w, status in statuses.items():
             if ("status", w) not in target:
@@ -813,10 +897,8 @@ class MatchingFabric:
         if suspended_adj:
             top.store(("adj", v), suspended_adj)
         else:
-            top.delete(("adj", v))
             stats.suspended_machines = stats.suspended_machines[:-1]
-            self._unallocated.append(top_id)
-            self._allocated.remove(top_id)
+            self._release_machine(top_id)
         alive.store(("adj", v), alive_adj)
 
     # -------------------------------------------------------------- preprocessing
@@ -859,4 +941,3 @@ class MatchingFabric:
         machine.store(("adj", v), {w: True for w in neighbors})
         for w in neighbors:
             machine.store(("status", w), mate.get(w))
-        self._mark_seen(machine_id)

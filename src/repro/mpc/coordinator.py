@@ -63,7 +63,9 @@ class UpdateHistory:
     The capacity is ``O(sqrt(N))``; every machine is refreshed (brought up to
     date with the history) at least once every ``capacity`` updates by the
     round-robin maintenance of Section 3, so entries older than the buffer
-    are guaranteed to have been applied everywhere and can be dropped.
+    are guaranteed to have been applied everywhere and can be dropped.  The
+    buffer itself only evicts; a reader that would need an evicted entry is
+    the matching fabric's to refuse (:meth:`evicted_since`).
     """
 
     def __init__(self, capacity: int) -> None:
@@ -95,6 +97,14 @@ class UpdateHistory:
         suffix = list(islice(reversed(self._entries), max(0, self._seq - seq)))
         suffix.reverse()
         return suffix
+
+    def evicted_since(self, seq: int) -> int:
+        """How many entries newer than ``seq`` the buffer has already dropped.
+
+        Non-zero means a reader current to ``seq`` can no longer be caught
+        up: :meth:`entries_since` would hand it a suffix with a gap.
+        """
+        return max(0, self._seq - seq - len(self._entries))
 
     def entries_for_vertex(self, vertex: int) -> list[HistoryEntry]:
         """Entries touching ``vertex`` (as either endpoint)."""

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc import DMPCMaximalMatching
+from repro.dynamic_mpc.state import MatchingFabric
+from repro.exceptions import InvariantViolation
 from repro.graph import DynamicGraph, GraphUpdate
 from repro.graph.generators import gnm_random_graph, preferential_attachment_graph, star_graph
 from repro.graph.streams import matched_edge_adversary_stream, mixed_stream
@@ -150,6 +152,57 @@ class TestInvariantsUnderRandomStreams:
         stream = mixed_stream(26, 80, seed=12, insert_probability=0.6, initial=graph)
         alg.apply_sequence(stream)
         assert 2 * len(alg.matching()) >= maximum_matching_size(alg.shadow)
+
+
+# (n, graph seed, stream seed): the three shortest dense-churn recipes on
+# which the parent of PR 22 lost maximality (at updates 324, 340 and 362).
+CHURN_RECIPES = [(48, 4, 14), (96, 8, 18), (48, 3, 13)]
+
+
+def run_churn_recipe(n: int, graph_seed: int, stream_seed: int, *, chunk: int | None = None) -> DMPCMaximalMatching:
+    """600 ``mixed_stream`` updates on ``gnm(n, 2n)`` with maximality checked
+    at every boundary (every update through ``apply``, every chunk through
+    ``apply_batch``)."""
+    graph = gnm_random_graph(n, 2 * n, seed=graph_seed)
+    stream = list(mixed_stream(n, 600, seed=stream_seed, insert_probability=0.5, initial=graph))
+    alg = DMPCMaximalMatching(DMPCConfig.for_graph(n, 4 * n, backend="fast"), check_invariants=True)
+    alg.preprocess(graph.copy())
+    if chunk is None:
+        for update in stream:
+            alg.apply(update)
+    else:
+        for start in range(0, len(stream), chunk):
+            alg.apply_batch(stream[start : start + chunk])
+    return alg
+
+
+class TestDenseChurn:
+    """Updates ≫ n, so edges are deleted and re-inserted: a replayed ``delete``
+    must never reach the copy of a later incarnation of its edge."""
+
+    @pytest.mark.parametrize("chunk", [None, 8], ids=["apply", "apply_batch-8"])
+    @pytest.mark.parametrize("n, graph_seed, stream_seed", CHURN_RECIPES)
+    def test_maximal_at_every_boundary(self, n, graph_seed, stream_seed, chunk):
+        alg = run_churn_recipe(n, graph_seed, stream_seed, chunk=chunk)
+        assert is_maximal_matching(alg.shadow, alg.matching())
+        if chunk is None:
+            # a piggy-back is the unseen suffix, never the buffer (a batch's
+            # merged refresh round carries one suffix per machine it visits)
+            assert alg.update_summary().max_words_per_round <= alg.config.machine_memory
+
+    def test_dropping_the_allocation_stamp_is_caught(self, monkeypatch):
+        """Seeded mutation: hand machines out at ``seen = 0`` again (the
+        parent's behaviour) and the first recipe must fail."""
+        allocate = MatchingFabric._allocate_machine
+
+        def allocate_unstamped(fabric, *, light):
+            machine_id = allocate(fabric, light=light)
+            fabric._machine_seen_seq[machine_id] = 0
+            return machine_id
+
+        monkeypatch.setattr(MatchingFabric, "_allocate_machine", allocate_unstamped)
+        with pytest.raises(InvariantViolation, match="not maximal"):
+            run_churn_recipe(*CHURN_RECIPES[0])
 
 
 class TestCostModel:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from repro.config import DMPCConfig, ExperimentConfig
 from repro.dynamic_mpc.state import MatchingFabric, VertexStats
+from repro.exceptions import ProtocolError
 from repro.graph.generators import gnm_random_graph, star_graph
 from repro.graph.validation import greedy_maximal_matching
 from repro.mpc.cluster import Cluster
+from repro.mpc.coordinator import HistoryEntry
 
 
 class TestDMPCConfig:
@@ -47,6 +50,19 @@ class TestDMPCConfig:
         exp = ExperimentConfig()
         assert exp.seed == 2019
         assert len(exp.sizes) >= 2
+
+
+def replay_reference(machine, entries) -> None:
+    """The replay as one pair loop over public ``Machine`` calls — the oracle
+    for the unrolled pass of ``MatchingFabric._apply_history_locally``."""
+    for entry in entries:
+        for a, b in ((entry.u, entry.v), (entry.v, entry.u)):
+            if entry.kind == "delete":
+                adj = machine.load(("adj", a))
+                if adj is not None and b in adj:
+                    machine.store(("adj", a), {w: True for w in adj if w != b})
+            elif entry.kind in ("match", "unmatch") and ("status", a) in machine:
+                machine.store(("status", a), b if entry.kind == "match" else None)
 
 
 def make_fabric(n: int = 16, m: int = 80) -> MatchingFabric:
@@ -118,13 +134,133 @@ class TestMatchingFabric:
         fabric = make_fabric(n=10, m=40)
         graph = gnm_random_graph(10, 15, seed=6)
         fabric.load_initial_graph(graph, set())
-        before = fabric.coordinator.history.last_seq
-        fabric.record("insert", 0, 9)
-        fabric.round_robin_refresh()
-        assert fabric.coordinator.history.last_seq == before + 1
-        # the refreshed machine's seen sequence catches up to the history head
-        refreshed = [mid for mid, seq in fabric._machine_seen_seq.items() if seq == fabric.coordinator.history.last_seq]
-        assert refreshed
+        assert len(fabric._allocated) >= 2
+        history = fabric.coordinator.history
+        for step in range(len(fabric._allocated) + 1):
+            selected = fabric._allocated[fabric._refresh_pointer % len(fabric._allocated)]
+            seen_before = dict(fabric._machine_seen_seq)
+            fabric.record("insert", 0, 9)
+            fabric.round_robin_refresh()
+            # the machine the pointer selected catches up to the history head ...
+            assert fabric._machine_seen_seq[selected] == history.last_seq == step + 1
+            # ... and nobody else is stamped: every other machine keeps its previous seen
+            for machine_id in fabric._allocated:
+                if machine_id != selected:
+                    assert fabric._machine_seen_seq[machine_id] == seen_before[machine_id]
+        # one full cycle later no machine is staler than the cycle is long
+        assert all(history.last_seq - fabric._machine_seen_seq[mid] < len(fabric._allocated) for mid in fabric._allocated)
+
+    def test_just_allocated_machine_has_nothing_pending(self):
+        """An empty machine is vacuously current: however much was recorded
+        before it was handed out, its first piggy-back carries none of it."""
+        fabric = make_fabric()
+        for i in range(5000):
+            fabric.record("delete" if i % 2 else "insert", i % 7, 7 + i % 9)
+        history = fabric.coordinator.history
+        assert len(history) == history.capacity < 5000
+        machine_id = fabric._allocate_machine(light=True)
+        assert fabric._machine_seen_seq[machine_id] == history.last_seq == 5000
+        assert fabric._pending_history(machine_id) == ([], 1)
+        fabric.record("match", 1, 2)
+        entries, words = fabric._pending_history(machine_id)
+        assert [(e.seq, e.kind) for e in entries] == [(5001, "match")]
+        assert words == 6
+
+    def test_released_machine_is_empty_and_stamped_again(self):
+        n = 30
+        fabric = make_fabric(n=n, m=n)
+        fabric.load_initial_graph(star_graph(n), {(0, 1)})
+        stats = fabric.stats_of(0)
+        top_id = stats.suspended_machines[-1]
+        top = fabric.cluster.machine(top_id)
+        assert ("adj", 0) in top and len(top.storage) > 1  # the suspended edges and their status records
+        # drain the alive set, then refill it from the stack until the top machine is released
+        alive = fabric.cluster.machine(stats.alive_machine)
+        while top_id in stats.suspended_machines:
+            alive.store(("adj", 0), {})
+            fabric.record("delete", 0, 1)
+            fabric.fetch_suspended(0, stats)
+        assert len(top.storage) == 0 and top.used_words == 0
+        assert top_id not in fabric._allocated and fabric._unallocated[-1] == top_id
+        released_at = fabric._machine_seen_seq[top_id]
+        fabric.record("unmatch", 0, 1)
+        fabric.record("delete", 0, 2)
+        assert fabric._allocate_machine(light=False) == top_id
+        assert fabric._machine_seen_seq[top_id] == fabric.coordinator.history.last_seq > released_at
+        assert fabric._pending_history(top_id) == ([], 1)
+
+    def test_moving_off_an_exclusive_machine_releases_it(self):
+        """A vertex that was heavy keeps its exclusive machine while light; when
+        it crosses the threshold again its edges move to a new exclusive
+        machine and the old one must go back to the pool, empty."""
+        n = 30
+        fabric = make_fabric(n=n, m=n)
+        fabric.load_initial_graph(star_graph(n), {(0, 1)})
+        stats = fabric.stats_of(0)
+        old_id = stats.alive_machine
+        assert old_id not in fabric._light_machines
+        allocated_before = len(fabric._allocated)
+        new_id = fabric._allocate_machine(light=False)
+        fabric.move_vertex_edges(0, stats, new_id)
+        assert stats.alive_machine == new_id
+        assert len(fabric.cluster.machine(old_id).storage) == 0
+        assert old_id not in fabric._allocated and fabric._unallocated[-1] == old_id
+        assert len(fabric._allocated) == allocated_before  # one handed out, one returned
+        assert len(fabric.alive_neighbors(0)) == fabric.threshold
+        # a shared light machine stays allocated when one of its vertices moves away
+        light = make_fabric(n=12, m=60)
+        light.load_initial_graph(gnm_random_graph(12, 30, seed=4), set())
+        v = 0
+        light_stats = light.stats_of(v)
+        shared_id = light_stats.alive_machine
+        assert shared_id in light._light_machines
+        light.move_vertex_edges(v, light_stats, light._allocate_machine(light=True))
+        assert shared_id in light._allocated and ("adj", v) not in light.cluster.machine(shared_id)
+
+    def test_allocating_a_non_empty_machine_is_refused(self):
+        fabric = make_fabric()
+        next_id = fabric._unallocated[-1]
+        fabric.cluster.machine(next_id).store(("status", 3), None)
+        with pytest.raises(ProtocolError, match="still holds records"):
+            fabric._allocate_machine(light=True)
+        # refused, not half-done: the machine is still the next one to hand out
+        assert fabric._unallocated[-1] == next_id and next_id not in fabric._allocated
+        fabric.cluster.machine(next_id).delete(("status", 3))
+        assert fabric._allocate_machine(light=True) == next_id
+
+    def test_reader_staler_than_the_buffer_is_refused(self):
+        fabric = make_fabric()
+        machine_id = fabric._allocate_machine(light=True)
+        history = fabric.coordinator.history
+        for _ in range(history.capacity):
+            fabric.record("insert", 0, 1)
+        entries, words = fabric._pending_history(machine_id)  # exactly the buffer: still whole
+        assert len(entries) == history.capacity and words == 6 * history.capacity
+        fabric.record("delete", 0, 1)
+        assert history.evicted_since(fabric._machine_seen_seq[machine_id]) == 1
+        assert len(history.entries_since(0)) == history.capacity  # the pinned contract: truncated, silently
+        with pytest.raises(ProtocolError, match="missed 1 evicted"):
+            fabric._pending_history(machine_id)
+        with pytest.raises(ProtocolError, match="missed 1 evicted"):
+            fabric.refresh_machine(machine_id)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_replay_matches_the_pair_loop_reference(self, seed):
+        rng = random.Random(seed)
+        records = {("adj", v): {w: True for w in rng.sample(range(12), 4) if w != v} for v in rng.sample(range(12), 5)}
+        records.update({("status", w): rng.choice([None, rng.randrange(12)]) for w in rng.sample(range(12), 7)})
+        ours, reference = Cluster(DMPCConfig.for_graph(16, 80)).add_machines("edge", 2, role="edge")
+        for key, value in records.items():  # shared values are safe: both replays copy before they write
+            ours.store(key, value)
+            reference.store(key, value)
+        entries = [
+            HistoryEntry(seq, rng.choice(["insert", "delete", "match", "unmatch"]), *rng.sample(range(12), 2))
+            for seq in range(1, 301)
+        ]
+        MatchingFabric._apply_history_locally(ours, entries)
+        replay_reference(reference, entries)
+        assert dict(ours.items()) == dict(reference.items())
+        assert ours.used_words == reference.used_words
 
     def test_counter_deltas_clamped_at_zero(self):
         fabric = make_fabric()
