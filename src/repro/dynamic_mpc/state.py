@@ -56,7 +56,7 @@ from repro.exceptions import ProtocolError
 from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.mpc.cluster import Cluster
 from repro.mpc.coordinator import Coordinator, HistoryEntry, UpdateHistory
-from repro.mpc.layout import StatsTable, StatsTableHandle, resolve_dynamic_layout
+from repro.mpc.layout import StatsTable, StatsTableHandle, is_live_record, resolve_dynamic_layout
 from repro.mpc.partition import RangePartition
 from repro.mpc.sizing import closed_form_words, register_closed_form, string_words
 
@@ -283,9 +283,8 @@ class MatchingFabric:
             machine.store(("st", v), record)
             return
         table = self._stats_table(machine_id)
-        record = table.ensure(v)
-        if record is not stats:
-            self._write_record(record, stats)
+        if not is_live_record(stats, table, v):
+            self._write_record(table.ensure(v), stats)
         self._commit_stats(machine_id, table)
 
     @contextmanager
@@ -517,9 +516,8 @@ class MatchingFabric:
                 continue
             table = self._stats_table(machine_id)
             for v, stats in items:
-                record = table.ensure(v)
-                if record is not stats:
-                    self._write_record(record, stats)
+                if not is_live_record(stats, table, v):
+                    self._write_record(table.ensure(v), stats)
             self._commit_stats(machine_id, table)
 
     def refresh_machine(self, machine_id: str) -> None:

@@ -66,13 +66,18 @@ class Cluster:
         self.ledger.install_round_record_factory(
             self.backend.round_record_factory(), policy=self.backend.accounting_policy_name
         )
-        self._machines: dict[str, Machine] = {}
+        #: the registered machines keyed by id (registration order preserved).
+        #: Transports iterate it directly, once per round; treat it as
+        #: read-only — register machines through :meth:`add_machine`.
+        self.machines_by_id: dict[str, Machine] = {}
         self._transport = self.backend.create_transport(self)
         #: the execution session an active :meth:`session` scope opened;
         #: resident backends route supersteps through it.
         self._active_session: "ExecutionSession | None" = None
-        #: rounds delivered so far — drives the ``replan_every`` autotuner.
+        #: rounds delivered so far, and every how many of them the autotuner
+        #: re-plans (``0``: never; the config is frozen, so it is read once).
         self._rounds_delivered = 0
+        self._replan_every = getattr(config, "replan_every", None) or 0
         #: plans adopted by :meth:`replan`, in order, with the round index
         #: each one took effect at — the autotuning loop's audit trail.
         self.replan_history: list[dict] = []
@@ -80,7 +85,7 @@ class Cluster:
     # --------------------------------------------------------------- machines
     def add_machine(self, machine_id: str, *, role: str = "worker", capacity: int | None = None) -> Machine:
         """Create and register a machine.  Capacity defaults to ``S`` from config."""
-        if machine_id in self._machines:
+        if machine_id in self.machines_by_id:
             raise ProtocolError(f"machine {machine_id!r} already exists")
         capacity = capacity if capacity is not None else self.config.machine_memory
         strict = self.config.strict_memory
@@ -90,10 +95,10 @@ class Cluster:
             strict=strict,
             role=role,
             storage=self.backend.create_storage(machine_id, capacity, strict=strict),
-            index=len(self._machines),
+            index=len(self.machines_by_id),
         )
         machine.transport = self._transport
-        self._machines[machine_id] = machine
+        self.machines_by_id[machine_id] = machine
         return machine
 
     def add_machines(self, prefix: str, count: int, *, role: str = "worker") -> list[Machine]:
@@ -103,38 +108,29 @@ class Cluster:
     def machine(self, machine_id: str) -> Machine:
         """Return the machine with the given id."""
         try:
-            return self._machines[machine_id]
+            return self.machines_by_id[machine_id]
         except KeyError:
             raise UnknownMachineError(f"no machine named {machine_id!r}") from None
-
-    @property
-    def machines_by_id(self) -> dict[str, Machine]:
-        """The registered machines keyed by id (registration order preserved).
-
-        Transports iterate this directly; treat it as read-only — register
-        machines through :meth:`add_machine`.
-        """
-        return self._machines
 
     def machines(self, role: str | None = None) -> list[Machine]:
         """All machines, optionally filtered by role."""
         if role is None:
-            return list(self._machines.values())
-        return [m for m in self._machines.values() if m.role == role]
+            return list(self.machines_by_id.values())
+        return [m for m in self.machines_by_id.values() if m.role == role]
 
     def machine_ids(self, role: str | None = None) -> list[str]:
         return [m.machine_id for m in self.machines(role)]
 
     def __contains__(self, machine_id: str) -> bool:
-        return machine_id in self._machines
+        return machine_id in self.machines_by_id
 
     def __len__(self) -> int:
-        return len(self._machines)
+        return len(self.machines_by_id)
 
     @property
     def total_stored_words(self) -> int:
         """Sum of local-store sizes over all machines (the ``O(N)`` total memory)."""
-        return sum(m.used_words for m in self._machines.values())
+        return sum(m.used_words for m in self.machines_by_id.values())
 
     # ----------------------------------------------------------------- rounds
     def exchange(self) -> RoundRecord:
@@ -148,7 +144,7 @@ class Cluster:
         """
         record = self._transport.exchange()
         self._rounds_delivered += 1
-        every = getattr(self.config, "replan_every", None)
+        every = self._replan_every
         if every and self._rounds_delivered % every == 0:
             session = self._active_session
             if session is not None and session.in_fused_block:
@@ -328,6 +324,6 @@ class Cluster:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Cluster(machines={len(self._machines)}, S={self.config.machine_memory}, "
+            f"Cluster(machines={len(self.machines_by_id)}, S={self.config.machine_memory}, "
             f"backend={self.backend.name!r})"
         )

@@ -78,6 +78,7 @@ __all__ = [
     "StatsView",
     "OverflowStats",
     "StatsTableHandle",
+    "is_live_record",
     "TourShard",
     "TourShardHandle",
 ]
@@ -550,6 +551,10 @@ class _StackRecord:
         self._slot = slot
 
     @property
+    def vertex(self) -> int:
+        return self._table.base + self._slot
+
+    @property
     def suspended_machines(self) -> "tuple[str, ...]":
         return self._table.suspended.get(self._slot, ())
 
@@ -565,6 +570,12 @@ class _StackRecord:
         return 6 + len(self.suspended_machines)
 
 
+def is_live_record(stats: Any, table: StatsTable, vertex: int) -> bool:
+    """Whether ``stats`` is ``table``'s own live record of ``vertex`` (writing it back would copy a
+    slot onto itself).  Views are minted per read: table and slot are compared, not object identity."""
+    return isinstance(stats, _StackRecord) and stats._table is table and stats.vertex == vertex
+
+
 class StatsView(_StackRecord):
     """Write-through view of one :class:`StatsTable` slot.
 
@@ -575,10 +586,6 @@ class StatsView(_StackRecord):
     """
 
     __slots__ = ()
-
-    @property
-    def vertex(self) -> int:
-        return self._table.base + self._slot
 
     # ------------------------------------------------------------- attributes
     @property

@@ -168,8 +168,12 @@ class Machine:
         if tag is None:
             drained, self.inbox = self.inbox, []
             return drained
-        drained = [m for m in self.inbox if m.tag == tag]
-        self.inbox = [m for m in self.inbox if m.tag != tag]
+        drained: list[Message] = []
+        kept: list[Message] = []
+        for message in self.inbox:
+            (drained if message.tag == tag else kept).append(message)
+        if drained:
+            self.inbox = kept
         return drained
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

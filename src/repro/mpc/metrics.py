@@ -17,7 +17,7 @@ worst-case and mean behaviour that Table 1 bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import mean
 from typing import Iterable
 
@@ -27,19 +27,36 @@ from repro.mpc.message import Message
 __all__ = ["RoundRecord", "UpdateRecord", "UpdateSummary", "MetricsLedger"]
 
 
-@dataclass(frozen=True)
 class RoundRecord:
-    """Costs of a single synchronous round."""
+    """Costs of a single synchronous round.
 
-    round_index: int
-    active_machines: int
-    total_words: int
-    message_count: int
-    max_message_words: int
-    pair_words: dict[tuple[str, str], int] = field(default_factory=dict, compare=False)
+    A plain ``__slots__`` value class like :class:`~repro.mpc.message.Message`
+    (a stream retains one per round).  Equality and hash cover the five
+    scalar costs; ``pair_words`` — the per-(sender, receiver) breakdown, empty
+    where the accounting policy kept none — is detail, not identity.  Treat
+    instances as immutable.
+    """
+
+    __slots__ = ("round_index", "active_machines", "total_words", "message_count", "max_message_words", "pair_words")
+
+    def __init__(
+        self,
+        round_index: int,
+        active_machines: int,
+        total_words: int,
+        message_count: int,
+        max_message_words: int,
+        pair_words: "dict[tuple[str, str], int] | None" = None,
+    ) -> None:
+        self.round_index = round_index
+        self.active_machines = active_machines
+        self.total_words = total_words
+        self.message_count = message_count
+        self.max_message_words = max_message_words
+        self.pair_words = {} if pair_words is None else pair_words
 
     @staticmethod
-    def from_messages(round_index: int, messages: Iterable[Message]) -> "RoundRecord":
+    def from_messages(round_index: int, messages: Iterable[Message], *, pair_detail: bool = True) -> "RoundRecord":
         """Build a record from the messages delivered in one round."""
         active: set[str] = set()
         total = 0
@@ -52,31 +69,50 @@ class RoundRecord:
             total += msg.words
             count += 1
             largest = max(largest, msg.words)
-            key = (msg.sender, msg.receiver)
-            pair_words[key] = pair_words.get(key, 0) + msg.words
-        return RoundRecord(
-            round_index=round_index,
-            active_machines=len(active),
-            total_words=total,
-            message_count=count,
-            max_message_words=largest,
-            pair_words=pair_words,
-        )
+            if pair_detail:
+                key = (msg.sender, msg.receiver)
+                pair_words[key] = pair_words.get(key, 0) + msg.words
+        return RoundRecord(round_index, len(active), total, count, largest, pair_words)
+
+    def _costs(self) -> tuple[int, int, int, int, int]:
+        return (self.round_index, self.active_machines, self.total_words, self.message_count, self.max_message_words)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._costs() == other._costs()
+
+    def __hash__(self) -> int:
+        return hash(self._costs())
+
+    def __repr__(self) -> str:
+        return "RoundRecord(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
-@dataclass
 class UpdateRecord:
     """All rounds executed on behalf of one update (or one labelled phase).
 
     ``batch_id`` tags records that were produced inside a
     :meth:`MetricsLedger.begin_batch` / :meth:`MetricsLedger.end_batch`
     scope; records of the same batch are aggregated into one pseudo-update
-    by :meth:`MetricsLedger.batch_summary`.
+    by :meth:`MetricsLedger.batch_summary`.  Mutable (rounds are appended as
+    they happen), so compared by value and not hashable.
     """
 
-    label: str
-    rounds: list[RoundRecord] = field(default_factory=list)
-    batch_id: int | None = None
+    __slots__ = ("label", "rounds", "batch_id")
+
+    def __init__(self, label: str, rounds: "list[RoundRecord] | None" = None, batch_id: int | None = None) -> None:
+        self.label = label
+        self.rounds: list[RoundRecord] = [] if rounds is None else rounds
+        self.batch_id = batch_id
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.rounds, self.batch_id) == (other.label, other.rounds, other.batch_id)
+
+    def __repr__(self) -> str:
+        return f"UpdateRecord(label={self.label!r}, rounds={self.rounds!r}, batch_id={self.batch_id!r})"
 
     @property
     def num_rounds(self) -> int:
@@ -139,23 +175,28 @@ class MetricsLedger:
     """Collects :class:`RoundRecord` objects grouped into labelled updates.
 
     How a delivered round is condensed into a :class:`RoundRecord` is an
-    execution-backend accounting policy: :attr:`round_record_factory` is a
-    ``(round_index, messages) -> RoundRecord`` callable, defaulting to the
-    reference policy (:meth:`RoundRecord.from_messages`, which retains the
-    full per-(sender, receiver) breakdown).  Clusters overwrite it with
-    their backend's policy at construction time.
+    execution-backend accounting policy; all it decides is which rounds keep
+    their per-(sender, receiver) breakdown.  A transport condenses the round
+    while delivering it and files the record with :meth:`append_round`.
+    :attr:`round_record_factory` is the ``(round_index, messages) ->
+    RoundRecord`` form of that policy (stock: :meth:`RoundRecord.from_messages`,
+    full breakdown; clusters install their backend's at construction) for
+    :meth:`record_round` — rounds recorded from a message list, which
+    includes every round of a ledger whose factory was assigned by hand.
     """
 
     def __init__(self, *, round_record_factory=None) -> None:
         self._updates: list[UpdateRecord] = []
         self._current: UpdateRecord | None = None
-        self._round_counter = 0
+        #: index the next recorded round will carry — ``rounds so far + 1``,
+        #: global across updates and :meth:`reset`; advanced only by
+        #: :meth:`record_round` / :meth:`append_round`.  Whoever condenses a
+        #: round itself reads it up front (to decide metrics sampling), once
+        #: per round: hence a plain attribute.
+        self.next_round_index = 1
         self._batch_counter = 0
         self._current_batch: int | None = None
-        #: accounting policy building the per-round record (backend-supplied)
-        self.round_record_factory = (
-            round_record_factory if round_record_factory is not None else RoundRecord.from_messages
-        )
+        self._factory = round_record_factory if round_record_factory is not None else RoundRecord.from_messages
         #: name of the backend accounting policy installed via
         #: :meth:`install_round_record_factory` (``None`` until a cluster
         #: adopts this ledger, or forever for hand-customised factories),
@@ -163,6 +204,13 @@ class MetricsLedger:
         #: re-assigned by hand *after* adoption is detectable.
         self._record_policy: str | None = None
         self._policy_factory = None
+        #: the accounting-policy name currently governing this ledger; read
+        #: by every delivered round, written only by this class.  ``None``:
+        #: no cluster adopted the ledger yet, or its factory was customised
+        #: by hand (at construction or by assignment afterwards) — transports
+        #: then hand :meth:`record_round` the message list instead of
+        #: condensing the round themselves, so the factory is honoured.
+        self.record_policy: str | None = None
         #: per-round wire-path traffic: ``(round_index, counters)`` entries
         #: appended by slot-routing transports via :meth:`record_traffic`.
         #: Orthogonal to the word accounting above — words measure the
@@ -178,6 +226,17 @@ class MetricsLedger:
         #: rounds it covered.  ``fused_rounds`` over ``driver_round_trips``
         #: is the barrier-elision win the benchmarks report.
         self.driver_round_trips = 0
+
+    @property
+    def round_record_factory(self):
+        """Accounting policy :meth:`record_round` builds its record with;
+        assigning any but the installed policy's own clears :attr:`record_policy`."""
+        return self._factory
+
+    @round_record_factory.setter
+    def round_record_factory(self, factory) -> None:
+        self._factory = factory
+        self.record_policy = self._record_policy if factory is self._policy_factory else None
 
     def install_round_record_factory(self, factory, *, policy: str) -> None:
         """Adopt a backend accounting policy without clobbering an existing one.
@@ -199,28 +258,12 @@ class MetricsLedger:
                     f"use separate ledgers for clusters with different backends"
                 )
             return
-        if self.round_record_factory is not RoundRecord.from_messages:
+        if self._factory is not RoundRecord.from_messages:
             # Externally customised factory: the user's choice wins.
             return
-        self.round_record_factory = factory
         self._record_policy = policy
         self._policy_factory = factory
-
-    @property
-    def record_policy(self) -> str | None:
-        """The accounting-policy name currently governing this ledger.
-
-        ``None`` means no backend policy governs it — no cluster adopted it
-        yet, a hand-customised factory was installed at construction, or
-        :attr:`round_record_factory` was re-assigned by hand after adoption
-        (the historical customisation pattern).  Transports with a fused
-        (factory-bypassing) delivery path check this and fall back to the
-        factory path when it is ``None``, so customised factories are
-        honoured under every backend.
-        """
-        if self._record_policy is not None and self.round_record_factory is not self._policy_factory:
-            return None
-        return self._record_policy
+        self.round_record_factory = factory
 
     # ----------------------------------------------------------------- update
     def begin_update(self, label: str) -> UpdateRecord:
@@ -308,46 +351,34 @@ class MetricsLedger:
         return self._summarize(merged)
 
     def record_round(self, messages: Iterable[Message]) -> RoundRecord:
-        """Record one synchronous round.  Rounds outside an update are allowed
+        """Record one synchronous round from its message list, condensed by
+        :attr:`round_record_factory`.  Rounds outside an update are allowed
         (e.g. ad-hoc probes) but are tracked under an anonymous update."""
-        self._round_counter += 1
-        record = self.round_record_factory(self._round_counter, messages)
+        record = self.round_record_factory(self.next_round_index, messages)
+        self.next_round_index += 1
         return self._file_round(record)
-
-    @property
-    def next_round_index(self) -> int:
-        """Index the next recorded round will carry.
-
-        Transports that condense a round *while* delivering it (the fused
-        per-shard aggregation of :mod:`repro.runtime.sharding`) need the
-        index up front — e.g. to decide metrics sampling — before handing
-        the finished record to :meth:`append_round`.
-        """
-        return self._round_counter + 1
 
     def append_round(self, record: RoundRecord) -> RoundRecord:
         """Record an already-condensed round built for :attr:`next_round_index`.
 
-        The fused-delivery counterpart of :meth:`record_round`: the caller
-        iterated the messages once during delivery and built the record
-        itself.  The record must continue the global round counter so that
-        sampling policies and round totals stay exact.
+        The per-round entry point of every transport: the delivery pass
+        iterated the messages once and built the record itself.  The record
+        must continue the global round counter so that sampling policies and
+        round totals stay exact.
         """
-        if record.round_index != self._round_counter + 1:
+        if record.round_index != self.next_round_index:
             raise ProtocolError(
-                f"append_round() expects round_index {self._round_counter + 1}, "
-                f"got {record.round_index}"
+                f"append_round() expects round_index {self.next_round_index}, got {record.round_index}"
             )
-        self._round_counter += 1
+        self.next_round_index += 1
         return self._file_round(record)
 
     def _file_round(self, record: RoundRecord) -> RoundRecord:
-        if self._current is None:
-            anonymous = UpdateRecord(label="<unlabelled>", batch_id=self._current_batch)
-            anonymous.rounds.append(record)
-            self._updates.append(anonymous)
-        else:
-            self._current.rounds.append(record)
+        current = self._current
+        if current is None:
+            current = UpdateRecord("<unlabelled>", batch_id=self._current_batch)
+            self._updates.append(current)
+        current.rounds.append(record)
         return record
 
     # ---------------------------------------------------------- wire traffic
@@ -372,7 +403,7 @@ class MetricsLedger:
         """
         self._traffic.append(
             (
-                self._round_counter,
+                self.next_round_index - 1,
                 {
                     "local_messages": local_messages,
                     "cross_slot_messages": cross_slot_messages,

@@ -18,11 +18,17 @@ three cooperating policies:
     including the word-size accounting and (when ``strict``) the
     ``MachineMemoryExceeded`` enforcement;
 ``Transport``
-    the mailbox fabric: collecting staged outboxes, validating receivers,
-    enforcing the per-round I/O cap, and delivering one synchronous round;
-``round_record_factory``
-    the accounting policy: how a delivered round is condensed into the
-    :class:`~repro.mpc.metrics.RoundRecord` the ledger retains.
+    the mailbox fabric.  A concrete transport chooses *which* machines a
+    round visits; what a round does to them is one pass shared by all,
+    :meth:`Transport.deliver` — validate receivers, enforce the per-round
+    I/O cap, condense the round into its
+    :class:`~repro.mpc.metrics.RoundRecord` and move the outboxes into the
+    inboxes;
+accounting policy
+    which rounds keep their per-(sender, receiver) breakdown —
+    ``Transport.pair_detail_every`` on the delivery pass,
+    ``round_record_factory`` for rounds the ledger records from a message
+    list.
 
 Backends are selected per :class:`~repro.mpc.cluster.Cluster`, normally via
 ``DMPCConfig(backend="reference" | "fast")`` so algorithm code never needs
@@ -41,6 +47,7 @@ import os
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.exceptions import MessageSizeExceeded, UnknownMachineError
+from repro.mpc.metrics import RoundRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from typing import Union
@@ -49,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.mpc.cluster import Cluster
     from repro.mpc.machine import Machine
     from repro.mpc.message import Message
-    from repro.mpc.metrics import RoundRecord
     from repro.mpc.program import SuperstepProgram
 
     #: what :meth:`Cluster.superstep` accepts: a declarative program, or the
@@ -134,7 +140,7 @@ class MachineStorage(abc.ABC):
 class Transport(abc.ABC):
     """Mailbox fabric delivering one synchronous round for a cluster."""
 
-    __slots__ = ("cluster",)
+    __slots__ = ("cluster", "pair_detail_every")
 
     #: optional ``payload -> words`` sizer :meth:`Machine.send` uses to charge
     #: messages staged through this transport.  ``None`` keeps the historical
@@ -159,6 +165,10 @@ class Transport(abc.ABC):
 
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
+        #: the accounting policy: every ``k``-th round keeps its
+        #: per-(sender, receiver) word breakdown (1: all, the reference
+        #: policy; 0: none; aggregate backends: ``metrics_sampling``)
+        self.pair_detail_every = 1
 
     def note_staged(self, machine: "Machine") -> None:
         """Hook called by :meth:`Machine.send` after staging a message.
@@ -180,55 +190,97 @@ class Transport(abc.ABC):
         the cluster's ledger.  A refused round is all-or-nothing: when
         either error is raised every staged message is still staged, so the
         caller can correct the round and exchange again.  Concrete
-        transports normally implement this by choosing a sender iteration
-        and calling :meth:`deliver`.
+        transports implement this by choosing a sender iteration and calling
+        :meth:`deliver` — the one place staged messages move.
         """
 
-    def deliver(self, senders: Iterable["Machine"]) -> "RoundRecord":
-        """Collect, validate, cap-check and deliver one round from ``senders``.
+    def deliver(
+        self,
+        senders: Iterable["Machine"],
+        note_loads: "Callable[[list[tuple[Machine, int]]], None] | None" = None,
+    ) -> "RoundRecord":
+        """The round engine: validate, cap-check, condense and deliver ``senders``' outboxes.
 
-        The shared round-delivery core: transports differ only in *which*
-        machines they iterate (all registered machines vs the staged
-        subset), never in what a delivered round means.  ``senders`` must
-        be in machine registration order — that is the delivery order the
-        simulation semantics fix.
+        ``senders`` must be in machine registration order — the delivery
+        order the simulation semantics fix.  One pass over the staged
+        messages checks every receiver, sums the words each machine sends
+        (and, under the I/O cap, receives) and accumulates the round's
+        record; only when the whole round has passed — unknown receiver,
+        then send cap, then receive cap — do the outboxes move into the
+        inboxes, so a refused round leaves every outbox as staged and
+        nothing recorded.  ``note_loads``, when given, is called with the
+        ``(machine, words sent)`` list of a round that passed.  The record
+        goes to ``ledger.append_round``, with pair detail on every
+        :attr:`pair_detail_every`-th round; a ledger whose factory was
+        assigned by hand (``ledger.record_policy is None``) gets the message
+        list through ``ledger.record_round`` instead.
         """
         cluster = self.cluster
         machines = cluster.machines_by_id
-        staged = [machine for machine in senders if machine.outbox]
-        outgoing: list["Message"] = []
+        ledger = cluster.ledger
+        round_index = ledger.next_round_index
+        every = self.pair_detail_every
+        detail = every > 0 and round_index % every == 0
         enforce = cluster.enforce_io_cap
-        sent_words: dict[str, int] = {}
-        for machine in staged:
-            for msg in machine.outbox:
-                if msg.receiver not in machines:
+
+        loads: list[tuple["Machine", int]] = []
+        active: set[str] = set()
+        total = 0
+        count = 0
+        largest = 0
+        pair_words: dict[tuple[str, str], int] = {}
+        received: dict[str, int] = {}
+        for machine in senders:
+            outbox = machine.outbox
+            if not outbox:
+                continue
+            # a staged message's sender is the machine whose outbox holds it
+            sender = machine.machine_id
+            sent = 0
+            for msg in outbox:
+                receiver = msg.receiver
+                if receiver not in machines:
                     raise UnknownMachineError(
-                        f"message from {msg.sender!r} addressed to unknown machine {msg.receiver!r}"
+                        f"message from {msg.sender!r} addressed to unknown machine {receiver!r}"
                     )
-                outgoing.append(msg)
+                words = msg.words
+                sent += words
+                active.add(receiver)
+                if words > largest:
+                    largest = words
+                if detail:
+                    pair = (sender, receiver)
+                    pair_words[pair] = pair_words.get(pair, 0) + words
                 if enforce:
-                    sent_words[msg.sender] = sent_words.get(msg.sender, 0) + msg.words
+                    received[receiver] = received.get(receiver, 0) + words
+            active.add(sender)
+            total += sent
+            count += len(outbox)
+            loads.append((machine, sent))
 
         if enforce:
             cap = cluster.config.machine_memory
-            received_words: dict[str, int] = {}
-            for msg in outgoing:
-                received_words[msg.receiver] = received_words.get(msg.receiver, 0) + msg.words
-            for machine_id, words in sent_words.items():
+            for machine, words in loads:
                 if words > cap:
-                    raise MessageSizeExceeded(machine_id, "send", words, cap)
-            for machine_id, words in received_words.items():
+                    raise MessageSizeExceeded(machine.machine_id, "send", words, cap)
+            for machine_id, words in received.items():
                 if words > cap:
                     raise MessageSizeExceeded(machine_id, "receive", words, cap)
 
-        # The whole round passed: only now do the senders let go of their
-        # messages, so a refused round leaves every outbox as it was staged.
-        for machine in staged:
+        if note_loads is not None:
+            note_loads(loads)
+        custom = ledger.record_policy is None
+        delivered: list["Message"] = []
+        for machine, _ in loads:
+            outbox = machine.outbox
             machine.outbox = []
-        for msg in outgoing:
-            machines[msg.receiver].inbox.append(msg)
-
-        return cluster.ledger.record_round(outgoing)
+            for msg in outbox:
+                machines[msg.receiver].inbox.append(msg)
+            if custom:
+                delivered += outbox
+        if custom:
+            return ledger.record_round(delivered)
+        return ledger.append_round(RoundRecord(round_index, len(active), total, count, largest, pair_words))
 
     def discard_undelivered(self) -> None:
         """Drop all staged (outbox) and pending (inbox) messages."""

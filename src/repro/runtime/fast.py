@@ -18,9 +18,10 @@ decision:
 * **staged-sender transport** (:class:`FastTransport`) — machines register
   themselves when they stage a message, so a round visits only the actual
   senders instead of rescanning the whole (mostly idle) machine pool.
-  Senders are replayed in machine registration order, which reproduces the
-  reference delivery order exactly.
-* **aggregate accounting** — each delivered round is condensed into the
+  Senders go to the shared delivery pass (:meth:`Transport.deliver`) in
+  machine registration order, which reproduces the reference delivery
+  order exactly; a round costs what it carries.
+* **aggregate accounting** — that pass condenses each round into the
   scalar aggregates (active machines, words, message count) without the
   per-(sender, receiver) breakdown the reference retains.
   ``DMPCConfig.metrics_sampling = k`` opt-in keeps the full breakdown on
@@ -36,9 +37,11 @@ pin that.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.exceptions import MachineMemoryExceeded
+from repro.mpc.metrics import RoundRecord
 from repro.mpc.sizing import fast_word_size
 from repro.runtime.base import ExecutionBackend, MachineStorage, Transport, register_backend
 
@@ -46,7 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpc.cluster import Cluster
     from repro.mpc.machine import Machine
     from repro.mpc.message import Message
-    from repro.mpc.metrics import RoundRecord
 
 __all__ = ["CachedStorage", "FastTransport", "FastBackend"]
 
@@ -72,7 +74,10 @@ class CachedStorage(MachineStorage):
     * **for a different object, the charge is replaced wholesale** with
       ``word_size(key) + word_size(value)`` at store time, so releasing the
       cached charge and adding the fresh size reproduces the reference
-      total.
+      total.  The key's share is the same before and after, so a key is
+      sized when it enters the store and not again while it stays (equal
+      strings, numbers and tuples of them have equal sizes); a scalar
+      value is one word without a call.
 
     Contract for drivers (already honoured throughout the package): a
     stored value may be mutated in place only if it is re-stored as the
@@ -89,7 +94,8 @@ class CachedStorage(MachineStorage):
     def __init__(self, machine_id: str, capacity: int, *, strict: bool) -> None:
         super().__init__(machine_id, capacity, strict=strict)
         self._store: dict[Any, Any] = {}
-        self._sizes: dict[Any, int] = {}
+        #: key -> (words of the key, words of the value) as charged at its store
+        self._sizes: dict[Any, tuple[int, int]] = {}
         self._total = 0
 
     def store(self, key: Any, value: Any) -> None:
@@ -99,15 +105,25 @@ class CachedStorage(MachineStorage):
             # read-modify-write pattern), so shipped snapshots still stale.
             self.version += 1
             return
-        new_words = fast_word_size(key) + fast_word_size(value)
-        old_words = self._sizes.get(key, 0)
-        projected = self._total - old_words + new_words
+        kind = type(value)
+        if kind is int or kind is float or kind is bool or value is None:
+            value_words = 1
+        else:
+            value_words = fast_word_size(value)
+        charge = self._sizes.get(key)
+        if charge is None:
+            key_words = fast_word_size(key)
+            old_words = 0
+        else:
+            key_words = charge[0]
+            old_words = key_words + charge[1]
+        projected = self._total - old_words + key_words + value_words
         if self.strict and projected > self.capacity:
             raise MachineMemoryExceeded(
-                self.machine_id, self._total - old_words, self.capacity, new_words
+                self.machine_id, self._total - old_words, self.capacity, key_words + value_words
             )
         self._store[key] = value
-        self._sizes[key] = new_words
+        self._sizes[key] = (key_words, value_words)
         self._total = projected
         self.version += 1
 
@@ -120,7 +136,8 @@ class CachedStorage(MachineStorage):
     def delete(self, key: Any) -> None:
         if key in self._store:
             del self._store[key]
-            self._total -= self._sizes.pop(key, 0)
+            key_words, value_words = self._sizes.pop(key)
+            self._total -= key_words + value_words
             self.version += 1
 
     def keys(self) -> Iterator[Any]:
@@ -143,13 +160,17 @@ class CachedStorage(MachineStorage):
         return len(self._store)
 
 
+#: sort key restoring machine registration order — the reference delivery order
+by_registration = attrgetter("index")
+
+
 class FastTransport(Transport):
     """Visit only the machines that staged messages this round.
 
-    :meth:`Machine.send` notifies the transport, so the exchange walks the
-    staged senders (sorted by registration index — the reference delivery
-    order) instead of the whole machine pool.  I/O-cap bookkeeping is only
-    materialised when enforcement is actually on.
+    :meth:`Machine.send` notifies the transport, so the exchange hands
+    :meth:`Transport.deliver` the staged senders (sorted by registration
+    index — the reference delivery order) instead of the whole machine
+    pool.  It has no delivery loop of its own.
     """
 
     __slots__ = ("_staged",)
@@ -161,8 +182,8 @@ class FastTransport(Transport):
     def note_staged(self, machine: "Machine") -> None:
         self._staged.add(machine)
 
-    def exchange(self) -> "RoundRecord":
-        record = self.deliver(sorted(self._staged, key=lambda machine: machine.index))
+    def exchange(self) -> RoundRecord:
+        record = self.deliver(sorted(self._staged, key=by_registration))
         self._staged.clear()
         return record
 
@@ -171,36 +192,15 @@ class FastTransport(Transport):
         self._staged.clear()
 
 
-def _aggregate_round_record(sample_every: int) -> Callable[[int, Iterable["Message"]], "RoundRecord"]:
-    """Accounting policy keeping scalar aggregates; pair detail every ``k``-th round."""
-    from repro.mpc.metrics import RoundRecord
+def _aggregate_round_record(sample_every: int) -> Callable[[int, Iterable["Message"]], RoundRecord]:
+    """The aggregate accounting policy in its ``(round_index, messages)`` form:
+    scalar aggregates, pair detail every ``sample_every``-th round.  Off the
+    per-round path (:meth:`Transport.deliver` condenses delivered rounds
+    itself); the ledger keeps it for ``record_round``."""
 
     def build(round_index: int, messages: Iterable["Message"]) -> RoundRecord:
         sampled = sample_every > 0 and round_index % sample_every == 0
-        active: set[str] = set()
-        total = 0
-        count = 0
-        largest = 0
-        pair_words: dict[tuple[str, str], int] = {}
-        for msg in messages:
-            active.add(msg.sender)
-            active.add(msg.receiver)
-            words = msg.words
-            total += words
-            count += 1
-            if words > largest:
-                largest = words
-            if sampled:
-                key = (msg.sender, msg.receiver)
-                pair_words[key] = pair_words.get(key, 0) + words
-        return RoundRecord(
-            round_index=round_index,
-            active_machines=len(active),
-            total_words=total,
-            message_count=count,
-            max_message_words=largest,
-            pair_words=pair_words,
-        )
+        return RoundRecord.from_messages(round_index, messages, pair_detail=sampled)
 
     return build
 
@@ -215,16 +215,22 @@ class FastBackend(ExecutionBackend):
         return CachedStorage(machine_id, capacity, strict=strict)
 
     def create_transport(self, cluster: "Cluster") -> FastTransport:
-        return FastTransport(cluster)
+        transport = FastTransport(cluster)
+        transport.pair_detail_every = self._sampling
+        return transport
 
-    def round_record_factory(self) -> Callable[[int, Iterable["Message"]], "RoundRecord"]:
-        return _aggregate_round_record(getattr(self.config, "metrics_sampling", 0))
+    @property
+    def _sampling(self) -> int:
+        return getattr(self.config, "metrics_sampling", 0)
+
+    def round_record_factory(self) -> Callable[[int, Iterable["Message"]], RoundRecord]:
+        return _aggregate_round_record(self._sampling)
 
     @property
     def accounting_policy_name(self) -> str:
         # Same policy as the sharded/parallel backends at the same sampling
         # stride, so clusters on any aggregate backend may share a ledger.
-        return f"scalar-aggregate/k={getattr(self.config, 'metrics_sampling', 0)}"
+        return f"scalar-aggregate/k={self._sampling}"
 
     @property
     def guarantees(self) -> dict[str, bool]:

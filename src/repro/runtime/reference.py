@@ -8,10 +8,11 @@ This backend preserves the simulator's historical behaviour bit for bit:
   that causes it;
 * every round rescans all registered machines for staged outboxes and
   enforces the per-round send/receive I/O cap per machine;
-* every delivered round is condensed with
-  :meth:`RoundRecord.from_messages`, retaining the full per-(sender,
-  receiver) communication breakdown that the Section 8 entropy metric
-  consumes.
+* every delivered round keeps the full per-(sender, receiver)
+  communication breakdown that the Section 8 entropy metric consumes
+  (``pair_detail_every = 1``, the :class:`Transport` default; the
+  ``(round_index, messages)`` form of that policy is
+  :meth:`RoundRecord.from_messages`).
 
 It is the correctness baseline the cross-backend equivalence tests compare
 against, and the right choice whenever the model-limit experiments (E8) or
@@ -23,13 +24,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from repro.exceptions import MachineMemoryExceeded
+from repro.mpc.metrics import RoundRecord
 from repro.mpc.sizing import word_size
 from repro.runtime.base import ExecutionBackend, MachineStorage, Transport, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpc.cluster import Cluster
     from repro.mpc.message import Message
-    from repro.mpc.metrics import RoundRecord
 
 __all__ = ["ReferenceStorage", "ReferenceTransport", "ReferenceBackend"]
 
@@ -94,7 +95,7 @@ class ReferenceTransport(Transport):
 
     __slots__ = ()
 
-    def exchange(self) -> "RoundRecord":
+    def exchange(self) -> RoundRecord:
         return self.deliver(self.cluster.machines_by_id.values())
 
 
@@ -110,9 +111,7 @@ class ReferenceBackend(ExecutionBackend):
     def create_transport(self, cluster: "Cluster") -> ReferenceTransport:
         return ReferenceTransport(cluster)
 
-    def round_record_factory(self) -> Callable[[int, Iterable["Message"]], "RoundRecord"]:
-        from repro.mpc.metrics import RoundRecord
-
+    def round_record_factory(self) -> Callable[[int, Iterable["Message"]], RoundRecord]:
         return RoundRecord.from_messages
 
     @property

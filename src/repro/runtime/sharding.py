@@ -28,11 +28,10 @@ both invisible to the simulation:
   :func:`~repro.mpc.sizing.fast_word_size` (property-tested equal to the
   reference ``word_size`` on every input) instead of the recursive
   reference sizer, via the transport's ``message_sizer`` hook;
-* **fused delivery accounting** — the delivery loop accumulates the round
-  aggregates (active machines, words, message count, per-shard word load)
-  *while* validating and delivering, and hands the finished
-  :class:`~repro.mpc.metrics.RoundRecord` straight to the ledger instead of
-  re-iterating every message through a record factory.
+* **per-shard load accounting** — the words each machine sends fall out of
+  the delivery pass every transport shares
+  (:meth:`Transport.deliver <repro.runtime.base.Transport.deliver>`); this
+  transport only adds them to its per-shard and per-machine totals.
 
 The per-shard cumulative word loads are exposed via
 :meth:`ShardedTransport.shard_load` so deployments can judge how balanced a
@@ -48,16 +47,16 @@ from heapq import merge as heap_merge
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.exceptions import MessageSizeExceeded, ProtocolError, UnknownMachineError
+from repro.mpc.message import Message
+from repro.mpc.metrics import RoundRecord
 from repro.mpc.partition import rendezvous_shard
 from repro.mpc.sizing import fast_word_size
 from repro.runtime.base import ExecutionBackend, Transport, register_backend
-from repro.runtime.fast import CachedStorage, _aggregate_round_record
+from repro.runtime.fast import CachedStorage, _aggregate_round_record, by_registration
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpc.cluster import Cluster
     from repro.mpc.machine import Machine
-    from repro.mpc.message import Message
-    from repro.mpc.metrics import RoundRecord
 
 __all__ = ["ShardPlan", "ShardedTransport", "ShardedBackend", "DEFAULT_SHARD_COUNT"]
 
@@ -164,10 +163,6 @@ class ShardPlan:
         return f"ShardPlan(shard_count={self.shard_count}, strategy={self.strategy!r}{pinned})"
 
 
-def _by_index(machine: "Machine") -> int:
-    return machine.index
-
-
 class ShardedTransport(Transport):
     """Per-shard staged senders and word aggregates; reference delivery order.
 
@@ -175,15 +170,14 @@ class ShardedTransport(Transport):
     handlers running concurrently (the parallel backend) never contend on
     shared staging state.  ``exchange`` collects each shard's staged senders
     (sorted by registration index), merges the shard lists back into global
-    registration order — the deterministic merge barrier — and runs the
-    fused delivery loop.
+    registration order — the deterministic merge barrier — and hands them
+    to the shared delivery pass.
     """
 
     __slots__ = (
         "plan",
         "_staged",
         "_shard_cache",
-        "_sample_every",
         "_shard_words",
         "_machine_words",
         "inbox_router",
@@ -192,12 +186,11 @@ class ShardedTransport(Transport):
 
     message_sizer = staticmethod(fast_word_size)
 
-    def __init__(self, cluster: "Cluster", plan: ShardPlan, *, sample_every: int = 0) -> None:
+    def __init__(self, cluster: "Cluster", plan: ShardPlan) -> None:
         super().__init__(cluster)
         self.plan = plan
         self._staged: list[set["Machine"]] = [set() for _ in range(plan.shard_count)]
         self._shard_cache: dict["Machine", int] = {}
-        self._sample_every = sample_every
         self._shard_words = [0] * plan.shard_count
         self._machine_words: dict[str, int] = {}
         #: slot-routing hook (see :attr:`Transport.inbox_router`); shadowed
@@ -266,8 +259,8 @@ class ShardedTransport(Transport):
         A resident session that routed all of a superstep's messages at the
         workers cannot funnel them through the driver's staged-sender path —
         the whole point is that most never reached the driver.  Instead the
-        workers return, per send, the same quantities the fused delivery
-        loop would have accumulated: per-(sender, receiver) word totals /
+        workers return, per send, the same quantities the delivery pass
+        would have accumulated: per-(sender, receiver) word totals /
         counts / maxima (sized once by the reference-equal ``fast_word_size``
         at staging time), plus the few frames that must be driver-delivered
         (receivers outside the worker map).  ``stats`` keys:
@@ -288,7 +281,7 @@ class ShardedTransport(Transport):
         """
         self._worker_rounds.append(stats)
 
-    def exchange(self) -> "RoundRecord":
+    def exchange(self) -> RoundRecord:
         if self._worker_rounds:
             return self._deliver_deposit(self._worker_rounds.popleft())
         router = self.inbox_router
@@ -299,26 +292,15 @@ class ShardedTransport(Transport):
             # appends behind them in arrival order (worker-held messages
             # are always from strictly earlier rounds).
             router.flush_for_exchange()
-        per_shard = [sorted(staged, key=_by_index) for staged in self._staged if staged]
-        if not per_shard:
-            senders: Iterable["Machine"] = ()
-        elif len(per_shard) == 1:
-            senders = per_shard[0]
+        per_shard = [sorted(staged, key=by_registration) for staged in self._staged if staged]
+        if len(per_shard) == 1:
+            senders: Iterable["Machine"] = per_shard[0]
         else:
             # Deterministic merge barrier: each shard list is sorted by
             # registration index, so a K-way merge restores the exact global
             # registration order the reference backend delivers in.
-            senders = heap_merge(*per_shard, key=_by_index)
-        if self.cluster.ledger.record_policy is None:
-            # A hand-customised round_record_factory governs this ledger —
-            # take the factory-honouring delivery path instead of the fused
-            # one (which builds the aggregate record directly), keeping the
-            # shard_load() diagnostic accurate along the way.
-            loads = [(machine, sum(msg.words for msg in machine.outbox)) for machine in senders if machine.outbox]
-            record = self.deliver([machine for machine, _ in loads])
-            self._note_loads(loads)
-        else:
-            record = self._deliver_fused(senders)
+            senders = heap_merge(*per_shard, key=by_registration)
+        record = self.deliver(senders, self._note_loads)
         # A refused round raised above and left every staged set as it was.
         for staged in self._staged:
             staged.clear()
@@ -332,96 +314,16 @@ class ShardedTransport(Transport):
             shard_words[self.shard_of(machine)] += words
             machine_words[machine.machine_id] = machine_words.get(machine.machine_id, 0) + words
 
-    def _deliver_fused(self, senders: Iterable["Machine"]) -> "RoundRecord":
-        """One pass: validate, cap-check, deliver *and* condense the round.
-
-        Mirrors :meth:`Transport.deliver` decision for decision (collection
-        order, validation point, send-then-receive cap checks, all-or-nothing
-        refusal, delivery order) while accumulating the scalar aggregates the
-        accounting policy retains, so the delivered messages are iterated
-        once instead of once for delivery plus once for the record factory.
-        """
-        from repro.mpc.metrics import RoundRecord
-
-        cluster = self.cluster
-        machines = cluster.machines_by_id
-        ledger = cluster.ledger
-        round_index = ledger.next_round_index
-        sample_every = self._sample_every
-        sampled = sample_every > 0 and round_index % sample_every == 0
-        enforce = cluster.enforce_io_cap
-
-        outgoing: list["Message"] = []
-        loads: list[tuple["Machine", int]] = []
-        active: set[str] = set()
-        total = 0
-        count = 0
-        largest = 0
-        pair_words: dict[tuple[str, str], int] = {}
-
-        for machine in senders:
-            if not machine.outbox:
-                continue
-            machine_words = 0
-            for msg in machine.outbox:
-                if msg.receiver not in machines:
-                    raise UnknownMachineError(
-                        f"message from {msg.sender!r} addressed to unknown machine {msg.receiver!r}"
-                    )
-                outgoing.append(msg)
-                words = msg.words
-                machine_words += words
-                active.add(msg.sender)
-                active.add(msg.receiver)
-                total += words
-                count += 1
-                if words > largest:
-                    largest = words
-                if sampled:
-                    key = (msg.sender, msg.receiver)
-                    pair_words[key] = pair_words.get(key, 0) + words
-            loads.append((machine, machine_words))
-
-        if enforce:
-            cap = cluster.config.machine_memory
-            received_words: dict[str, int] = {}
-            for msg in outgoing:
-                received_words[msg.receiver] = received_words.get(msg.receiver, 0) + msg.words
-            for machine, words in loads:
-                if words > cap:
-                    raise MessageSizeExceeded(machine.machine_id, "send", words, cap)
-            for machine_id, words in received_words.items():
-                if words > cap:
-                    raise MessageSizeExceeded(machine_id, "receive", words, cap)
-
-        for machine, _ in loads:
-            machine.outbox = []
-        self._note_loads(loads)
-        for msg in outgoing:
-            machines[msg.receiver].inbox.append(msg)
-
-        record = RoundRecord(
-            round_index=round_index,
-            active_machines=len(active),
-            total_words=total,
-            message_count=count,
-            max_message_words=largest,
-            pair_words=pair_words,
-        )
-        return ledger.append_round(record)
-
-    def _deliver_deposit(self, deposit: dict) -> "RoundRecord":
+    def _deliver_deposit(self, deposit: dict) -> RoundRecord:
         """Record a slot-routed round from worker aggregates; deliver fallbacks.
 
-        The accounting twin of :meth:`_deliver_fused`: identical round
-        record (words were sized by the same ``fast_word_size`` at staging),
+        Not a delivery of staged messages — the bodies of worker-held pairs
+        never crossed into the driver — but the same round as
+        :meth:`Transport.deliver` would have made of them: identical record
+        (words were sized by the same ``fast_word_size`` at staging),
         identical shard/machine load bookkeeping, identical validation and
-        cap semantics — only the message *bodies* of worker-held pairs never
-        crossed into the driver.
+        cap semantics.
         """
-        from repro.mpc.message import Message
-        from repro.mpc.metrics import RoundRecord
-
         cluster = self.cluster
         machines = cluster.machines_by_id
         ledger = cluster.ledger
@@ -435,7 +337,7 @@ class ShardedTransport(Transport):
                 "a hand-customised round_record_factory must take the driver path"
             )
         round_index = ledger.next_round_index
-        sample_every = self._sample_every
+        sample_every = self.pair_detail_every
         sampled = sample_every > 0 and round_index % sample_every == 0
         enforce = cluster.enforce_io_cap
         shard_words = self._shard_words
@@ -484,15 +386,7 @@ class ShardedTransport(Transport):
                 Message(sender=frame[3], receiver=frame[4], tag=frame[5], payload=frame[6], words=frame[7])
             )
 
-        record = RoundRecord(
-            round_index=round_index,
-            active_machines=len(active),
-            total_words=total,
-            message_count=count,
-            max_message_words=largest,
-            pair_words=pair_words,
-        )
-        record = ledger.append_round(record)
+        record = ledger.append_round(RoundRecord(round_index, len(active), total, count, largest, pair_words))
         ledger.record_traffic(**deposit["traffic"])
         return record
 
@@ -505,7 +399,7 @@ class ShardedTransport(Transport):
 
 @register_backend
 class ShardedBackend(ExecutionBackend):
-    """Cached sizing + shard-partitioned fused transport + aggregate accounting."""
+    """Cached sizing + shard-partitioned transport + aggregate accounting."""
 
     name = "sharded"
 
@@ -526,7 +420,9 @@ class ShardedBackend(ExecutionBackend):
         return CachedStorage(machine_id, capacity, strict=strict)
 
     def create_transport(self, cluster: "Cluster") -> ShardedTransport:
-        return ShardedTransport(cluster, self.plan, sample_every=self._sampling)
+        transport = ShardedTransport(cluster, self.plan)
+        transport.pair_detail_every = self._sampling
+        return transport
 
     def replan(self, cluster: "Cluster", plan: ShardPlan) -> bool:
         """Adopt ``plan`` live: backend plan + the cluster's transport grouping.

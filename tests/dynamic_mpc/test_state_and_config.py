@@ -14,6 +14,7 @@ from repro.graph.generators import gnm_random_graph, star_graph
 from repro.graph.validation import greedy_maximal_matching
 from repro.mpc.cluster import Cluster
 from repro.mpc.coordinator import HistoryEntry
+from repro.mpc.layout import is_live_record
 
 
 class TestDMPCConfig:
@@ -65,10 +66,10 @@ def replay_reference(machine, entries) -> None:
                 machine.store(("status", a), b if entry.kind == "match" else None)
 
 
-def make_fabric(n: int = 16, m: int = 80) -> MatchingFabric:
+def make_fabric(n: int = 16, m: int = 80, layout: "str | None" = None) -> MatchingFabric:
     config = DMPCConfig.for_graph(n, m)
     cluster = Cluster(config)
-    return MatchingFabric(cluster, config)
+    return MatchingFabric(cluster, config, layout=layout)
 
 
 class TestMatchingFabric:
@@ -92,6 +93,58 @@ class TestMatchingFabric:
         record = fabric.cluster.ledger.updates[-1]
         assert record.num_rounds == 3  # query (2 rounds) + push (1 round)
         assert record.max_active_machines <= 1 + fabric.config.stats_machine_count
+
+    @staticmethod
+    def write_back_every_kind_of_record(store: str) -> int:
+        """Write to the ``csr`` stats table a view of the slot itself, a blank
+        ``VertexStats``, a view of *another* table's slot and a view of another
+        vertex of the same table, through ``push_stats`` or ``store_stats``;
+        assert what landed; return how many records were copied."""
+        fabric, other = make_fabric(layout="csr"), make_fabric(layout="csr")
+        copies = []
+        write_record = MatchingFabric._write_record
+        fabric._write_record = lambda record, stats: (copies.append(record.vertex), write_record(record, stats))
+
+        def write(updates):
+            if store == "push_stats":
+                fabric.push_stats(updates)
+            else:
+                for v, stats in updates.items():
+                    fabric.store_stats(v, stats)
+
+        write({2: VertexStats(degree=3, mate=7), 5: VertexStats(degree=1, suspended_machines=["edge4"])})
+        assert copies == [2, 5]
+        own = fabric.stats_of(2)  # a view: minted per read, never the same object twice
+        assert own is not fabric.stats_of(2) and own.vertex == 2
+        own.degree = 4
+        write({2: own})
+        assert copies == [2, 5], "a slot was copied onto itself"
+        assert fabric.stats_of(2).degree == 4
+        other.store_stats(2, VertexStats(degree=9, mate=1, free_neighbors=2))
+        write({2: other.stats_of(2), 3: fabric.stats_of(5)})
+        assert copies == [2, 5, 2, 3]
+        assert [(s.degree, s.mate, s.free_neighbors) for s in (fabric.stats_of(2), other.stats_of(2))] == [(9, 1, 2)] * 2
+        assert (fabric.stats_of(3).degree, fabric.stats_of(3).suspended_machines) == (1, ("edge4",))
+        fabric.stats_of(2).degree = 5  # ... and they stay two records
+        assert other.stats_of(2).degree == 9
+        return len(copies)
+
+    @pytest.mark.parametrize("store", ["push_stats", "store_stats"])
+    def test_a_record_is_copied_unless_it_is_the_slot_itself(self, store):
+        assert self.write_back_every_kind_of_record(store) == 4
+
+    @pytest.mark.parametrize("store", ["push_stats", "store_stats"])
+    @pytest.mark.parametrize("skipped", ["blank VertexStats", "views of any table"])
+    def test_skipping_any_other_copy_is_caught(self, monkeypatch, store, skipped):
+        """Seeded mutations of ``is_live_record``: one takes a blank ``VertexStats``
+        for the slot's own record, one every view whatever its table and slot."""
+        mutants = {
+            "blank VertexStats": lambda stats, table, v: isinstance(stats, VertexStats) or is_live_record(stats, table, v),
+            "views of any table": lambda stats, table, v: not isinstance(stats, VertexStats),
+        }
+        monkeypatch.setattr("repro.dynamic_mpc.state.is_live_record", mutants[skipped])
+        with pytest.raises(AssertionError):
+            self.write_back_every_kind_of_record(store)
 
     def test_load_initial_graph_places_all_edges(self):
         fabric = make_fabric(n=12, m=60)

@@ -14,7 +14,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mpc.layout import StatsTable, StatsTableHandle
+from repro.mpc.layout import StatsTable, StatsTableHandle, is_live_record
 
 BASE, SIZE = 8, 6
 #: two ids below the dense block, its six slots, three ids past it (overflow records)
@@ -84,3 +84,16 @@ class TestLiveWords:
         # the clone's overflow record moves the clone's counter, not the original's
         clone.view(BASE + SIZE + 2).suspended_machines = []
         assert (clone.live_words(), table.live_words()) == (9 * 3 + 2, 9 * 3 + 3)
+
+
+class TestLiveRecord:
+    @pytest.mark.parametrize("vertex", [BASE + 1, BASE - 2, BASE + SIZE + 1], ids=["dense", "below", "overflow"])
+    def test_every_record_kind_knows_its_vertex_and_its_table(self, vertex):
+        table, other = StatsTable(BASE, SIZE), StatsTable(BASE, SIZE)
+        record = table.ensure(vertex)
+        assert record.vertex == table.view(vertex).vertex == vertex
+        assert is_live_record(record, table, vertex) and is_live_record(table.view(vertex), table, vertex)
+        assert not is_live_record(record, other, vertex)  # same slot of another table
+        assert not is_live_record(record, table, vertex + 1)  # another slot of the same table
+        assert not is_live_record(other.ensure(vertex), table, vertex)
+        assert not is_live_record(object(), table, vertex)
