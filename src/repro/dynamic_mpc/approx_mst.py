@@ -131,7 +131,13 @@ class DMPCApproxMST(DMPCConnectivity):
         # Swap: the old heaviest path edge becomes a non-tree edge and the
         # new edge takes its place (cut + link through broadcasts).  After the
         # cut, x and y are guaranteed to lie in different components because
-        # the removed edge was on their tree path.
+        # the removed edge was on their tree path.  The two rewrites stay two
+        # plain sweeps, unlike a delete's cut and replacement link
+        # (``_commit_cut_link``): that one rewrite takes the link's first
+        # endpoint to lie outside the cut subtree, and here ``x`` may lie
+        # inside it.  Mirroring the link would root the merged tour elsewhere,
+        # which changes which side later cuts split off — their offers, and
+        # so the words they send.
         self._cut_tree_edge(a, b)
         self._link(x, y, weight=stored)
         self._store_edge_record(a, b, tree=False, weight=path_weight)
@@ -172,7 +178,7 @@ class DMPCApproxMST(DMPCConnectivity):
         scalars = {"op": "path-query", "x": x, "y": y, "f_x": fx, "f_y": fy, "comp": comp}
         self._broadcast(scalars)
 
-        for machine in self.cluster.machines(role="worker"):
+        for machine in self._workers:
             best: tuple[float, int, int] | None = None
             for v, span, edge_row in self._tours.path_scan_items(machine, comp):
                 for w, record in edge_row.items():

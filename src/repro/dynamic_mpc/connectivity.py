@@ -41,16 +41,28 @@ machines to all machines; every machine then rewrites the indexes of the
 vertices and edge records it stores locally, with no further communication.
 That is the index arithmetic of :mod:`repro.eulertour.indexed`, applied
 shard-by-shard.  Deleting a tree edge additionally runs a replacement
-search: every machine owning vertices of the new (split-off) component
+search: every machine owning vertices of the subtree being split off
 offers the non-tree edges incident to them to a designated machine, which
 identifies the crossing edges as exactly those offered by *one* endpoint
-(edges internal to the new component are offered twice) and reinserts one of
+(edges internal to the subtree are offered twice) and reinserts one of
 them as a tree edge.
+
+The machines hold the cut's scalars through that search but rewrite nothing
+until it has answered: a vertex's side of the cut shows in the tour as it
+stands (``f(y) <= index <= l(y)``), so the offers need no applied cut.  A
+cut without a replacement is then applied as such.  A **replaced cut is one
+rewrite**: the replacement link's scalars follow from the cut's by O(1)
+arithmetic (:meth:`DMPCConnectivity._replacement_link`), its broadcast goes
+out as before, and every machine applies cut ∘ link in a single pass
+(:meth:`TourShard.apply_cut_link`) — outside the subtree the two shifts
+cancel everywhere but between the hole and the attachment point, and no
+vertex changes component.  Rounds, messages and words are those of a cut
+followed by a link.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc.base import DynamicMPCAlgorithm
@@ -78,14 +90,17 @@ register_closed_form("endpoint-ack", lambda payload: 1)
 class _DictTourStore:
     """The seed per-vertex-key layout: ``("tour", v)`` / ``("edges", v)`` dicts.
 
-    Every method body is the seed implementation verbatim — the dict layout
-    is the bit-identity baseline the flat layout is property-tested against.
+    The rewrites are the seed implementation, run over every worker — the
+    dict layout is the bit-identity baseline the flat layout is
+    property-tested against, so a replaced cut stays its two passes here and
+    ``subtree_offers`` is the classification half of the cut pass.
     """
 
     layout = "dict"
 
     def __init__(self, algo: "DMPCConnectivity") -> None:
         self.algo = algo
+        self._workers = algo._workers
 
     def _machine(self, v: int) -> Machine:
         return self.algo.cluster.machine(self.algo.owner(v))
@@ -128,7 +143,7 @@ class _DictTourStore:
     # ------------------------------------------------------------- global reads
     def components(self) -> "list[set[int]]":
         groups: dict[int, set[int]] = {}
-        for machine in self.algo.cluster.machines(role="worker"):
+        for machine in self._workers:
             for key, value in machine.items():
                 if isinstance(key, tuple) and key[0] == "tour":
                     groups.setdefault(value["comp"], set()).add(key[1])
@@ -136,7 +151,7 @@ class _DictTourStore:
 
     def spanning_forest(self) -> "set[tuple[int, int]]":
         forest: set[tuple[int, int]] = set()
-        for machine in self.algo.cluster.machines(role="worker"):
+        for machine in self._workers:
             for key, value in machine.items():
                 if isinstance(key, tuple) and key[0] == "edges":
                     v = key[1]
@@ -147,14 +162,14 @@ class _DictTourStore:
 
     def tour_groups(self) -> "dict[int, list[set[int]]]":
         groups: dict[int, list[set[int]]] = {}
-        for machine in self.algo.cluster.machines(role="worker"):
+        for machine in self._workers:
             for key, state in machine.items():
                 if isinstance(key, tuple) and key[0] == "tour":
                     groups.setdefault(state["comp"], []).append(set(state["indexes"]))
         return groups
 
-    # ------------------------------------------------------- local application
-    def apply_link_locally(self, machine: Machine, scalars: dict) -> None:
+    # --------------------------------------------------------- broadcast sweeps
+    def apply_link(self, scalars: dict) -> None:
         comp_x, comp_y = scalars["comp_x"], scalars["comp_y"]
         f_x, l_y, len_y = scalars["f_x"], scalars["l_y"], scalars["len_y"]
         reroot = scalars.get("reroot", True)
@@ -168,28 +183,42 @@ class _DictTourStore:
         def shift_x(i: int) -> int:
             return i + len_y + 4 if i > f_x else i
 
-        for key, state in list(machine.items()):
-            if not (isinstance(key, tuple) and key[0] == "tour"):
-                continue
-            vertex = key[1]
-            indexes = state["indexes"]
-            if state["comp"] == comp_y:
-                new_indexes = {shift_y(i) for i in indexes}
-                if vertex == y:
-                    new_indexes.update({f_x + 2, f_x + len_y + 3})
-                machine.store(key, {"comp": comp_x, "indexes": new_indexes})
-                self._shift_edge_indexes(machine, vertex, shift_y)
-            elif state["comp"] == comp_x:
-                new_indexes = {shift_x(i) for i in indexes}
-                if vertex == x:
-                    new_indexes.update({f_x + 1, f_x + len_y + 4})
-                machine.store(key, {"comp": comp_x, "indexes": new_indexes})
-                self._shift_edge_indexes(machine, vertex, shift_x)
+        for machine in self._workers:
+            for key, state in list(machine.items()):
+                if not (isinstance(key, tuple) and key[0] == "tour"):
+                    continue
+                vertex = key[1]
+                indexes = state["indexes"]
+                if state["comp"] == comp_y:
+                    new_indexes = {shift_y(i) for i in indexes}
+                    if vertex == y:
+                        new_indexes.update({f_x + 2, f_x + len_y + 3})
+                    machine.store(key, {"comp": comp_x, "indexes": new_indexes})
+                    self._shift_edge_indexes(machine, vertex, shift_y)
+                elif state["comp"] == comp_x:
+                    new_indexes = {shift_x(i) for i in indexes}
+                    if vertex == x:
+                        new_indexes.update({f_x + 1, f_x + len_y + 4})
+                    machine.store(key, {"comp": comp_x, "indexes": new_indexes})
+                    self._shift_edge_indexes(machine, vertex, shift_x)
 
-    def apply_cut_locally(self, machine: Machine, scalars: dict) -> None:
+    @staticmethod
+    def _cut_side(vertex: int, state: dict, cut: dict) -> "tuple[bool, set[int]]":
+        """Whether ``vertex`` lies in the subtree ``cut`` splits off, and its indexes without the cut edge's."""
+        f_y, l_y = cut["f_y"], cut["l_y"]
+        indexes = set(state["indexes"])
+        if vertex == cut["x"]:
+            indexes -= {f_y - 1, l_y + 1}
+        if vertex == cut["y"]:
+            indexes -= {f_y, l_y}
+        first = min(indexes, default=0)
+        last = max(indexes, default=0)
+        in_subtree = vertex == cut["y"] or (bool(indexes) and f_y <= first and last <= l_y)
+        return in_subtree, indexes
+
+    def apply_cut(self, scalars: dict) -> None:
         comp, new_comp = scalars["comp"], scalars["new_comp"]
         f_y, l_y = scalars["f_y"], scalars["l_y"]
-        x, y = scalars["x"], scalars["y"]
         shift = (l_y - f_y + 1) + 2
 
         def shift_any(i: int) -> int:
@@ -199,23 +228,22 @@ class _DictTourStore:
                 return i - shift
             return i
 
-        for key, state in list(machine.items()):
-            if not (isinstance(key, tuple) and key[0] == "tour"):
-                continue
-            if state["comp"] != comp:
-                continue
-            vertex = key[1]
-            indexes = set(state["indexes"])
-            if vertex == x:
-                indexes -= {f_y - 1, l_y + 1}
-            if vertex == y:
-                indexes -= {f_y, l_y}
-            first = min(indexes, default=0)
-            last = max(indexes, default=0)
-            in_subtree = vertex == y or (bool(indexes) and f_y <= first and last <= l_y)
-            new_indexes = {shift_any(i) for i in indexes}
-            machine.store(key, {"comp": new_comp if in_subtree else comp, "indexes": new_indexes})
-            self._shift_edge_indexes(machine, vertex, shift_any)
+        for machine in self._workers:
+            for key, state in list(machine.items()):
+                if not (isinstance(key, tuple) and key[0] == "tour"):
+                    continue
+                if state["comp"] != comp:
+                    continue
+                vertex = key[1]
+                in_subtree, indexes = self._cut_side(vertex, state, scalars)
+                new_indexes = {shift_any(i) for i in indexes}
+                machine.store(key, {"comp": new_comp if in_subtree else comp, "indexes": new_indexes})
+                self._shift_edge_indexes(machine, vertex, shift_any)
+
+    def apply_cut_link(self, cut: dict, link: dict) -> None:
+        """The oracle applies a replaced cut as the two passes the flat layout composes."""
+        self.apply_cut(cut)
+        self.apply_link(link)
 
     @staticmethod
     def _shift_edge_indexes(machine: Machine, vertex: int, shift) -> None:
@@ -237,19 +265,20 @@ class _DictTourStore:
             machine.store(("edges", vertex), new_records)
 
     # ------------------------------------------------------------------ scans
-    def replacement_offers(self, machine: Machine, comps: "set[int]") -> "list[tuple[int, int, int, float]]":
-        offers: list[tuple[int, int, int, float]] = []
-        for key, state in machine.items():
-            if not (isinstance(key, tuple) and key[0] == "tour"):
-                continue
-            if state["comp"] not in comps:
-                continue
-            v = key[1]
-            for w, record in machine.load(("edges", v), {}).items():
-                if record.get("tree"):
+    def subtree_offers(self, cuts: "list[dict]") -> "Iterator[tuple[Machine, list[list[tuple[int, int, float]]]]]":
+        for machine in self._workers:
+            per_cut: "list[list[tuple[int, int, float]]]" = [[] for _ in cuts]
+            for key, state in machine.items():
+                if not (isinstance(key, tuple) and key[0] == "tour"):
                     continue
-                offers.append((state["comp"], v, w, float(record.get("weight", 1.0))))
-        return offers
+                v = key[1]
+                for cut, offers in zip(cuts, per_cut):
+                    if state["comp"] != cut["comp"] or not self._cut_side(v, state, cut)[0]:
+                        continue
+                    for w, record in machine.load(("edges", v), {}).items():
+                        if not record.get("tree"):
+                            offers.append((v, w, float(record.get("weight", 1.0))))
+            yield machine, per_cut
 
     def path_scan_items(self, machine: Machine, comp: int) -> "Iterator[tuple[int, tuple[int, int], dict]]":
         for key, state in machine.items():
@@ -274,6 +303,7 @@ class _ShardTourStore:
 
     def __init__(self, algo: "DMPCConnectivity") -> None:
         self.algo = algo
+        self._workers = algo._workers
 
     def _handle(self, machine: Machine) -> TourShardHandle:
         handle = machine.load(TOUR_SHARD_KEY)
@@ -346,7 +376,7 @@ class _ShardTourStore:
 
     # ------------------------------------------------------------- global reads
     def _shards(self) -> "Iterator[TourShard]":
-        for machine in self.algo.cluster.machines(role="worker"):
+        for machine in self._workers:
             shard = self._peek(machine)
             if shard is not None:
                 yield shard
@@ -368,34 +398,41 @@ class _ShardTourStore:
                 groups.setdefault(comp, []).extend(shard.index_set(v) for v in members)
         return groups
 
-    # ------------------------------------------------------- local application
-    def apply_link_locally(self, machine: Machine, scalars: dict) -> None:
-        handle = machine.load(TOUR_SHARD_KEY)
-        if handle is not None and handle.shard.apply_link(
-            scalars["comp_x"], scalars["comp_y"], scalars["f_x"], scalars["l_y"], scalars["len_y"], scalars["reroot"]
-        ):
-            self._commit(machine, handle)
+    # --------------------------------------------------------- broadcast sweeps
+    def _sweep(self, kernel: "Callable[..., bool]", *scalars: Any) -> None:
+        """Run one index-rewriting :class:`TourShard` kernel on every worker's shard.
 
-    def apply_cut_locally(self, machine: Machine, scalars: dict) -> None:
-        handle = machine.load(TOUR_SHARD_KEY)
-        if handle is not None and handle.shard.apply_cut(
-            scalars["comp"], scalars["new_comp"], scalars["y"], scalars["f_y"], scalars["l_y"]
-        ):
-            self._commit(machine, handle)
+        A shard that held the component re-stores the handle it holds: a
+        rewrite moves indexes, never the record set, so the frozen charge
+        stands (see :meth:`_commit`) and nothing is sized.
+        """
+        for machine in self._workers:
+            handle = machine.load(TOUR_SHARD_KEY)
+            if handle is not None and kernel(handle.shard, *scalars):
+                machine.store(TOUR_SHARD_KEY, handle)
+
+    def apply_link(self, scalars: dict) -> None:
+        self._sweep(
+            TourShard.apply_link,
+            scalars["comp_x"], scalars["comp_y"], scalars["f_x"], scalars["l_y"], scalars["len_y"], scalars["reroot"],
+        )
+
+    def apply_cut(self, scalars: dict) -> None:
+        self._sweep(TourShard.apply_cut, scalars["comp"], scalars["new_comp"], scalars["y"], scalars["f_y"], scalars["l_y"])
+
+    def apply_cut_link(self, cut: dict, link: dict) -> None:
+        self._sweep(
+            TourShard.apply_cut_link,
+            cut["comp"], cut["f_y"], cut["l_y"], link["f_x"], link["l_y"], link["len_y"], link["reroot"],
+        )
 
     # ------------------------------------------------------------------ scans
-    def replacement_offers(self, machine: Machine, comps: "set[int]") -> "list[tuple[int, int, int, float]]":
-        shard = self._peek(machine)
-        if shard is None:
-            return []
-        offers: list[tuple[int, int, int, float]] = []
-        for comp in comps:
-            for v in shard.by_comp.get(comp, ()):
-                for w, record in shard.edges[v].items():
-                    if record.get("tree"):
-                        continue
-                    offers.append((comp, v, w, float(record.get("weight", 1.0))))
-        return offers
+    def subtree_offers(self, cuts: "list[dict]") -> "Iterator[tuple[Machine, list[list[tuple[int, int, float]]]]]":
+        scalars = [(cut["comp"], cut["y"], cut["f_y"], cut["l_y"]) for cut in cuts]
+        for machine in self._workers:
+            shard = self._peek(machine)
+            if shard is not None:
+                yield machine, [shard.subtree_offers(*cut) for cut in scalars]
 
     def path_scan_items(self, machine: Machine, comp: int) -> "Iterator[tuple[int, tuple[int, int], dict]]":
         shard = self._peek(machine)
@@ -419,8 +456,8 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         coalesce: bool | None = None,
     ) -> None:
         super().__init__(config, check_invariants=check_invariants, layout=layout, coalesce=coalesce)
-        workers = self.cluster.add_machines("w", max(2, config.num_worker_machines), role="worker")
-        self.worker_ids = [m.machine_id for m in workers]
+        self._workers = self.cluster.add_machines("w", max(2, config.num_worker_machines), role="worker")
+        self.worker_ids = [m.machine_id for m in self._workers]
         self.aggregator_id = self.worker_ids[0]
         self._next_comp = 0
         self._comp_length: dict[int, int] = {}
@@ -609,10 +646,11 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
 
         1. one merged endpoint-scalar exchange for every update (2 rounds);
         2. one merged broadcast carrying every link/cut packet (1 round),
-           then the local index rewrites for each packet;
+           then the local index rewrites for each link packet;
         3. for tree-edge cuts, one merged replacement-offer round resolving
-           every split component at once, and one more merged broadcast for
-           the replacement links.
+           every split-off subtree at once, and one more merged broadcast for
+           the replacement links; a cut is rewritten once, with its
+           replacement link if it found one (see :meth:`_delete`).
         """
         self._endpoint_query_many([(u.u, u.v) for u in group])
 
@@ -634,34 +672,26 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
                 self._remove_edge_record(y, x)
 
         self._broadcast_many([scalars for (_op, scalars, _w) in packets])
-        pending_cuts: list[dict] = []
+        cuts: list[dict] = []
         for op, scalars, weight in packets:
             if op == "link":
                 self._commit_link(scalars, weight=weight)
             else:
-                self._commit_cut(scalars)
-                pending_cuts.append(scalars)
+                cuts.append(scalars)
 
-        if not pending_cuts:
+        if not cuts:
             return
-        replacements = self._find_replacements_many(
-            [(scalars["comp"], scalars["new_comp"]) for scalars in pending_cuts]
-        )
-        links: list[tuple[dict, float]] = []
-        for scalars in pending_cuts:
-            replacement = replacements.get(scalars["new_comp"])
+        replacements = self._find_replacements_many(cuts)
+        replaced: list[tuple[dict, dict, float]] = []
+        for cut in cuts:
+            replacement = replacements.get(cut["new_comp"])
             if replacement is None:
-                continue
-            a, b, weight = replacement
-            # Re-orient so the first endpoint lies in the surviving component.
-            if self._comp(a) == scalars["new_comp"]:
-                a, b = b, a
-            self._remove_edge_record(a, b)
-            self._remove_edge_record(b, a)
-            links.append((self._link_scalars(a, b), weight))
-        self._broadcast_many([scalars for (scalars, _w) in links])
-        for scalars, weight in links:
-            self._commit_link(scalars, weight=weight)
+                self._commit_cut(cut)
+            else:
+                replaced.append((cut, self._replacement_link(cut, replacement), replacement[2]))
+        self._broadcast_many([link for (_cut, link, _w) in replaced])
+        for cut, link, weight in replaced:
+            self._commit_cut_link(cut, link, weight=weight)
 
     # ------------------------------------------------------------------ insert
     def _insert(self, x: int, y: int, weight: float = 1.0) -> None:
@@ -719,14 +749,15 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
 
     def _commit_link(self, scalars: dict, *, weight: float) -> None:
         """Apply a broadcast link packet: local rewrites + edge records."""
-        for machine in self.cluster.machines(role="worker"):
-            self._tours.apply_link_locally(machine, scalars)
-        x, y = scalars["x"], scalars["y"]
+        self._tours.apply_link(scalars)
         comp_x, comp_y = scalars["comp_x"], scalars["comp_y"]
-        f_x, len_y = scalars["f_x"], scalars["len_y"]
-        self._comp_length[comp_x] = self._comp_length[comp_x] + len_y + 4
+        self._comp_length[comp_x] = self._comp_length[comp_x] + scalars["len_y"] + 4
         self._comp_length.pop(comp_y, None)
-        # The new tree edge's tour index pairs (x is the parent, y the child).
+        self._store_tree_edge(scalars, weight)
+
+    def _store_tree_edge(self, link: dict, weight: float) -> None:
+        """The linked edge's two records with their tour index pairs (x is the parent, y the child)."""
+        x, y, f_x, len_y = link["x"], link["y"], link["f_x"], link["len_y"]
         self._store_edge_record(x, y, tree=True, weight=weight, indexes=(f_x + 1, f_x + len_y + 4))
         self._store_edge_record(y, x, tree=True, weight=weight, indexes=(f_x + 2, f_x + len_y + 3))
 
@@ -741,18 +772,17 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         if scalars is None:
             return
 
+        # Every machine has the cut's scalars but rewrites nothing yet: the
+        # replacement search reads the tours as they stand, and a cut that is
+        # replaced is applied together with its link, as one rewrite.
         self._broadcast(scalars)
-        self._commit_cut(scalars)
-
-        replacement = self._find_replacement(scalars["comp"], scalars["new_comp"])
-        if replacement is not None:
-            a, b, weight = replacement
-            # Re-orient so the first endpoint lies in the surviving component.
-            if self._comp(a) == scalars["new_comp"]:
-                a, b = b, a
-            self._remove_edge_record(a, b)
-            self._remove_edge_record(b, a)
-            self._link(a, b, weight=weight)
+        replacement = self._find_replacement(scalars)
+        if replacement is None:
+            self._commit_cut(scalars)
+            return
+        link = self._replacement_link(scalars, replacement)
+        self._broadcast(link)
+        self._commit_cut_link(scalars, link, weight=replacement[2])
 
     def _cut_scalars(self, x: int, y: int) -> dict:
         """The constant-size scalar packet describing the cut of tree edge ``(x, y)``.
@@ -781,12 +811,56 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
 
     def _commit_cut(self, scalars: dict) -> None:
         """Apply a broadcast cut packet: local rewrites + component lengths."""
-        for machine in self.cluster.machines(role="worker"):
-            self._tours.apply_cut_locally(machine, scalars)
+        self._tours.apply_cut(scalars)
         comp, new_comp = scalars["comp"], scalars["new_comp"]
         span = scalars["l_y"] - scalars["f_y"] + 1
         self._comp_length[new_comp] = span - 2
         self._comp_length[comp] = self._comp_length[comp] - span - 2
+
+    def _replacement_link(self, cut: dict, replacement: tuple[int, int, float]) -> dict:
+        """The link packet of a cut's replacement edge, read before the cut is applied.
+
+        ``replacement`` is ``(b, a, weight)`` as its one offer named it: ``b``
+        inside the subtree being split off, ``a`` in the surviving tree.  The
+        scalars are what :meth:`_link_scalars` would read once the cut is
+        applied, by O(1) arithmetic on the spans as they stand: the subtree's
+        tour has ``l_y - f_y - 1`` entries and starts at ``f_y``; ``b`` needs
+        rerooting unless it is ``y``, the root the cut leaves; ``a``'s first
+        appearance drops by the closed gap when it lies past the hole.
+        """
+        b, a, _weight = replacement
+        f_y, l_y = cut["f_y"], cut["l_y"]
+        len_y = l_y - f_y - 1
+        f_x = self._tours.span(a)[0]
+        if f_x > l_y:
+            f_x -= len_y + 4
+        if f_x % 2 == 1:
+            f_x -= 1
+        return {
+            "op": "link",
+            "x": a,
+            "y": b,
+            "comp_x": cut["comp"],
+            "comp_y": cut["new_comp"],
+            "f_x": f_x,
+            "l_y": len_y if b == cut["y"] else self._tours.span(b)[1] - f_y,
+            "len_y": len_y,
+            "reroot": b != cut["y"],
+        }
+
+    def _commit_cut_link(self, cut: dict, link: dict, *, weight: float) -> None:
+        """Apply a broadcast cut and its broadcast replacement link as one local rewrite.
+
+        The split-off subtree returns to the component it left, so no vertex
+        changes component and the tour keeps its length; the identifier
+        :meth:`_cut_scalars` allocated for it is spent unused.  The
+        replacement's non-tree records give way to its tree records.
+        """
+        self._remove_edge_record(link["x"], link["y"])
+        self._remove_edge_record(link["y"], link["x"])
+        self._tours.apply_cut_link(cut, link)
+        self._comp_length.pop(cut["new_comp"])
+        self._store_tree_edge(link, weight)
 
     # --------------------------------------------------------------- messaging
     def _endpoint_query(self, x: int, y: int) -> None:
@@ -850,8 +924,8 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
             "tour-scalars", [(machine_id, None, words) for machine_id in self.worker_ids if machine_id != sender_id]
         )
         self.cluster.exchange()
-        for machine_id in self.worker_ids:
-            self.cluster.machine(machine_id).drain("tour-scalars")
+        for machine in self._workers:
+            machine.drain("tour-scalars")
 
     # --------------------------------------------------------- edge records
     def _store_edge_record(self, v: int, w: int, *, tree: bool, weight: float, indexes: tuple[int, int] | None = None) -> None:
@@ -861,18 +935,17 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         self._tours.remove_edge_record(v, w)
 
     # ------------------------------------------------------- replacement search
-    def _find_replacement(self, comp_old: int, comp_new: int) -> tuple[int, int, float] | None:
-        """Find a non-tree edge reconnecting the two components (2 rounds).
+    def _find_replacement(self, cut: dict) -> tuple[int, int, float] | None:
+        """Find a non-tree edge reconnecting the subtree ``cut`` splits off (2 rounds).
 
-        Every machine offers, for each owned vertex now in ``comp_new``, all
-        its incident non-tree edges.  An edge internal to ``comp_new`` is
+        Every machine offers, for each owned vertex inside the subtree, all
+        its incident non-tree edges.  An edge internal to the subtree is
         offered by both endpoints, a crossing edge by exactly one — so the
         aggregator keeps exactly the edges with an odd offer count and picks
-        one (the minimum-weight one, which is what the MST subclass needs).
+        one (the minimum-weight one, which is what the MST subclass needs),
+        returned as ``(inside endpoint, outside endpoint, weight)``.
         """
-        comps = {comp_new}
-        for machine in self.cluster.machines(role="worker"):
-            offers = [(v, w, weight) for (_comp, v, w, weight) in self._tours.replacement_offers(machine, comps)]
+        for machine, (offers,) in self._tours.subtree_offers([cut]):
             if offers:
                 machine.send(self.aggregator_id, "replacement-offer", offers, words=3 * len(offers) + 1)
         self.cluster.exchange()
@@ -894,20 +967,19 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         v, w = endpoints[best]
         return (v, w, weights[best])
 
-    def _find_replacements_many(self, cuts: list[tuple[int, int]]) -> dict[int, tuple[int, int, float]]:
-        """Merged replacement search for several split components (2 rounds).
+    def _find_replacements_many(self, cuts: list[dict]) -> dict[int, tuple[int, int, float]]:
+        """Merged replacement search for several split-off subtrees (2 rounds).
 
         Every machine offers, in one message, the non-tree edges of all its
-        vertices that landed in *any* of the split-off components, tagging
-        each offer with the component.  The aggregator then resolves every
-        cut with the sequential odd-offer-count rule (both endpoints of any
-        edge share a component, so offers for different cuts cannot mix).
-        Returns ``{new_comp: (v, w, weight)}`` for the cuts with a
-        reconnecting edge.
+        vertices inside *any* of the subtrees, tagging each offer with the
+        identifier allocated for the split-off component.  The aggregator
+        then resolves every cut with the sequential odd-offer-count rule
+        (both endpoints of any edge share a component, so offers for
+        different cuts cannot mix).  Returns ``{new_comp: (v, w, weight)}``,
+        ``v`` the inside endpoint, for the cuts with a reconnecting edge.
         """
-        new_comps = {new_comp for (_old, new_comp) in cuts}
-        for machine in self.cluster.machines(role="worker"):
-            offers = self._tours.replacement_offers(machine, new_comps)
+        for machine, per_cut in self._tours.subtree_offers(cuts):
+            offers = [(cut["new_comp"], *offer) for cut, found in zip(cuts, per_cut) for offer in found]
             if offers:
                 machine.send(self.aggregator_id, "replacement-offer", offers, words=4 * len(offers) + 1)
         self.cluster.exchange()
@@ -919,14 +991,14 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
                 entry = by_comp.setdefault(comp, {}).setdefault(normalize_edge(v, w), [0, weight, (v, w)])
                 entry[0] += 1
         results: dict[int, tuple[int, int, float]] = {}
-        for _old, new_comp in cuts:
-            offers = by_comp.get(new_comp, {})
+        for cut in cuts:
+            offers = by_comp.get(cut["new_comp"], {})
             crossing = [edge for edge, (count, _weight, _vw) in offers.items() if count == 1]
             if not crossing:
                 continue
             best = min(crossing, key=lambda e: (offers[e][1], e))
             _count, weight, (v, w) = offers[best]
-            results[new_comp] = (v, w, weight)
+            results[cut["new_comp"]] = (v, w, weight)
         return results
 
     # ------------------------------------------------------------ diagnostics

@@ -747,6 +747,13 @@ class TourShard:
         application, replacement-edge scans and the MST path-maximum scan
         iterate a component's members instead of every key on the machine.
 
+    Three kernels rewrite indexes, each one pass over the touched
+    component's tree pairs: ``apply_link``, ``apply_cut`` and
+    ``apply_cut_link`` — a cut and the link of its replacement edge composed,
+    so a replaced tree delete rewrites every index once and moves no vertex
+    between components.  ``subtree_offers`` is the read-only scan that lets
+    the replacement search run before the cut is applied.
+
     Word accounting is incremental (``live_words`` is O(1)) and in parity
     with the dict layout: 12 words per vertex plus one per tour index, 10 /
     8 per tree / non-tree record.  Only ``add_vertex`` / ``set_edge`` /
@@ -860,6 +867,79 @@ class TourShard:
             if not members:
                 del self.by_comp[comp]
             self.by_comp[new_comp] = set(moved)
+        return True
+
+    def subtree_offers(self, comp: int, y: int, f_y: int, l_y: int) -> "list[tuple[int, int, float]]":
+        """Non-tree edges ``(v, w, weight)`` of this shard's vertices inside ``y``'s subtree.
+
+        Read-only, and answered **before** the broadcast cut of ``y`` from its
+        parent is applied (the cut edge's own records are already gone): every
+        pair of a vertex lies on one side of the cut, so the first pair of
+        its tree row places it, and ``y`` — whose row may be empty — is named.
+        These are the records ``by_comp[new_comp]`` would hold after
+        :meth:`apply_cut`.
+        """
+        offers: "list[tuple[int, int, float]]" = []
+        tree = self.tree
+        for v in self.by_comp.get(comp, ()):
+            for pair in tree[v].values():
+                inside = f_y <= pair[0] <= l_y
+                break
+            else:
+                inside = v == y
+            if inside:
+                for w, record in self.edges[v].items():
+                    if not record.get("tree"):
+                        offers.append((v, w, float(record.get("weight", 1.0))))
+        return offers
+
+    def apply_cut_link(self, comp: int, f_y: int, l_y: int, f_x: int, l_b: int, len_y: int, reroot: bool) -> bool:
+        """:meth:`apply_cut` then :meth:`apply_link` of the replacement edge, as one rewrite.
+
+        ``[f_y, l_y]`` is the cut subtree in the tour as it stands; ``f_x``,
+        ``l_b``, ``len_y`` and ``reroot`` are the link's scalars as they read
+        once the cut is applied.  A pair inside the subtree drops by ``f_y``,
+        is rotated to the replacement's endpoint when ``reroot``, and lands at
+        ``f_x + 2``.  Outside it the cut's ``-(len_y + 4)`` and the link's
+        ``+(len_y + 4)`` cancel everywhere but between the hole and the
+        attachment point.  The subtree comes back to ``comp``, so no vertex
+        changes component.  False if the shard holds none of ``comp``.
+        """
+        members = self.by_comp.get(comp)
+        if not members:
+            return False
+        tree = self.tree
+        gap = len_y + 4
+        if f_x < f_y:  # attached before the hole: what lies between moves up past the subtree
+            lo, hi, delta = f_x, f_y - 1, gap
+            first, last = f_x + 1, l_y
+        else:  # attached after it (f_x has the gap closed already): what lies between moves down
+            lo, hi, delta = l_y + 1, f_x + gap, -gap
+            first, last = f_y, hi
+        offset = f_x + 2
+        slide = offset - f_y
+        turn = f_y + l_b
+        for v in members:
+            for pair in tree[v].values():
+                a, b = pair
+                if a > last or b < first:
+                    continue  # wholly before or past everything that moves
+                if f_y <= a <= l_y:
+                    if reroot:
+                        a = (a - turn) % len_y + 1
+                        b = (b - turn) % len_y + 1
+                        if a > b:
+                            a, b = b, a
+                        pair[0] = a + offset
+                        pair[1] = b + offset
+                    else:
+                        pair[0] = a + slide
+                        pair[1] = b + slide
+                else:
+                    if lo < a <= hi:
+                        pair[0] = a + delta
+                    if lo < b <= hi:
+                        pair[1] = b + delta
         return True
 
     # ------------------------------------------------------------------ edges

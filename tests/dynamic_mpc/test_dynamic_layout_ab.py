@@ -8,6 +8,12 @@ Three guarantees from the recut are locked down here:
   per-update round records and word totals under both, and the Euler-tour
   state — index sets, record pairs, per-machine charges — agrees with the
   ``dict`` oracle at every update boundary, not only at the end.
+* **Replaced cuts** — a tree delete that finds a replacement is one composed
+  rewrite under ``csr`` and two passes under ``dict``; on plain mixed streams
+  (connectivity and MST, ``apply`` and ``apply_batch``) the two agree at
+  every boundary on tours, forest, component ids and per-update cost, the
+  tours are genuine Euler tours, and two seeded mutations of the composed
+  path are caught.
 * **Coalesced batches** — with coalescing on, ``apply_batch`` reaches the
   same solution as sequentially replaying the *normalized* stream
   (:meth:`normalize_batch`), never spends more rounds, and this holds on
@@ -23,7 +29,9 @@ Three guarantees from the recut are locked down here:
 
 from __future__ import annotations
 
+import inspect
 import random
+import textwrap
 
 import pytest
 
@@ -38,10 +46,11 @@ from repro.dynamic_mpc import (
 from repro.dynamic_mpc.connectivity import TOUR_SHARD_KEY
 from repro.dynamic_mpc.state import STATS_KEY, VertexStats
 from repro.graph import DynamicGraph, GraphUpdate, UpdateSequence, batched
+from repro.graph.graph import normalize_edge
 from repro.graph.generators import gnm_random_graph, random_forest, random_weighted_graph
 from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
 from repro.graph.validation import is_matching, is_maximal_matching
-from repro.mpc.layout import DYNAMIC_LAYOUTS
+from repro.mpc.layout import DYNAMIC_LAYOUTS, TourShard
 from repro.mpc.sizing import closed_form_words, registered_closed_forms, word_size
 
 BACKENDS = ("reference", "fast", "sharded", "parallel", "process", "resident", "resident-shm")
@@ -280,6 +289,162 @@ class TestTourStateAtEveryBoundary:
                 assert (machine.load(TOUR_SHARD_KEY) is handle) == (machine.machine_id not in owners)
                 if machine.machine_id not in owners:
                     assert machine.used_words == words
+
+
+# ------------------------------ a replaced cut is one rewrite, at every boundary
+def assert_euler_tours(algorithm):
+    """An oracle neither layout shares: each component's index sets spell one closed walk —
+    arcs at positions ``(2k + 1, 2k + 2)``, each ending where the next starts — that crosses
+    every tree edge of the component once in each direction."""
+    vertices, _records, _words = tour_snapshot(algorithm)
+    forest = algorithm.spanning_forest()
+    walks: dict[int, dict[int, int]] = {}
+    for v, (comp, indexes) in vertices.items():
+        for i in indexes:
+            assert walks.setdefault(comp, {}).setdefault(i, v) == v, f"component {comp}: index {i} is held twice"
+    arcs = set()
+    for comp, walk in walks.items():
+        assert sorted(walk) == list(range(1, len(walk) + 1)) and len(walk) % 4 == 0
+        for k in range(1, len(walk), 2):
+            tail, head = walk[k], walk[k + 1]
+            assert normalize_edge(tail, head) in forest and (tail, head) not in arcs
+            assert walk[k + 2 if k + 2 <= len(walk) else 1] == head, f"component {comp}: the walk breaks after {k + 1}"
+            arcs.add((tail, head))
+    assert len(arcs) == 2 * len(forest)
+
+
+def mutated(function, old: str, new: str):
+    """``function`` recompiled with ``old`` replaced by ``new`` in its source (which must contain it)."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert old in source, f"{function.__qualname__} no longer contains {old!r}: re-seed the mutation"
+    namespace: dict = {}
+    exec(compile(source.replace(old, new), f"<mutated {function.__qualname__}>", "exec"), function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
+class TestReplacedCutDifferential:
+    """``gnm(n, 2n)`` keeps non-tree edges around, so most tree deletes find a replacement."""
+
+    N = 24
+    SEEDS = range(60, 66)
+    ALGORITHMS = {
+        "connectivity": (DMPCConnectivity, gnm_random_graph, {}),
+        "approx-mst": (DMPCApproxMST, random_weighted_graph, {"weighted": True}),
+    }
+
+    def make_runs(self, make, graph) -> dict:
+        runs = {layout: make(make_config(self.N, 4 * self.N, None), layout=layout) for layout in DYNAMIC_LAYOUTS}
+        for algorithm in runs.values():
+            algorithm.preprocess(graph.copy())
+        return runs
+
+    def lockstep(self, runs: dict, steps, *, batch: bool) -> dict:
+        """Both layouts through ``steps`` (lists of updates, drawn lazily); returns how many replaced
+        cuts ran, alone and inside a merged group."""
+        csr, oracle = runs["csr"], runs["dict"]
+        n = self.N
+
+        replaced = {"alone": 0, "grouped": 0}
+        commit, apply_group = csr._commit_cut_link, csr._apply_group
+        where = ["alone"]
+
+        def counting_commit(cut, link, *, weight):
+            replaced[where[0]] += 1
+            commit(cut, link, weight=weight)
+
+        def grouped(group):
+            where[0] = "grouped"
+            apply_group(group)
+            where[0] = "alone"
+
+        csr._commit_cut_link, csr._apply_group = counting_commit, grouped
+
+        seen = len(csr.ledger.updates)
+        for step in steps:
+            for algorithm in runs.values():
+                if batch:
+                    algorithm.apply_batch(list(step))
+                else:
+                    algorithm.apply(step[0])
+            assert tour_snapshot(csr) == tour_snapshot(oracle), f"layouts diverged after {step}"
+            groups = [
+                {comp: sorted(map(sorted, index_sets)) for comp, index_sets in algorithm._tours.tour_groups().items()}
+                for algorithm in (csr, oracle)
+            ]
+            assert groups[0] == groups[1]
+            assert csr.spanning_forest() == oracle.spanning_forest()
+            assert [csr._comp(v) for v in range(n)] == [oracle._comp(v) for v in range(n)]
+            costs = [
+                [
+                    (u.label, u.num_rounds, u.total_words, u.max_words_per_round, u.max_active_machines)
+                    for u in algorithm.ledger.updates[seen:]
+                ]
+                for algorithm in (csr, oracle)
+            ]
+            assert costs[0] == costs[1] and costs[0]
+            seen = len(csr.ledger.updates)
+            for algorithm in (csr, oracle):
+                algorithm.verify_invariants()
+            assert_euler_tours(csr)
+            assert set(csr._comp_length) == set(groups[0])  # a spent split-off id leaves nothing behind
+        return replaced
+
+    @pytest.mark.parametrize("chunk", [None, 8], ids=["apply", "apply_batch-8"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("kind", sorted(ALGORITHMS))
+    def test_layouts_agree_at_every_boundary(self, kind, seed, chunk):
+        replaced = self.run_stream(kind, seed, chunk)
+        assert replaced["alone"] >= 3  # non-vacuous: the composed rewrite ran
+
+    def run_stream(self, kind: str, seed: int, chunk: "int | None") -> dict:
+        n = self.N
+        make, make_graph, stream_options = self.ALGORITHMS[kind]
+        graph = make_graph(n, 2 * n, seed=seed)
+        stream = list(mixed_stream(n, 70, seed=seed + 100, insert_probability=0.5, initial=graph, **stream_options))
+        steps = [[update] for update in stream] if chunk is None else batched(stream, chunk)
+        return self.lockstep(self.make_runs(make, graph), steps, batch=chunk is not None)
+
+    def test_merged_group_composes_every_cut(self):
+        """``_apply_group``'s cut half is its own code, and a cut only shares a group with updates of
+        other components: four disjoint cliques lose one tree edge each per batch (any of them has a
+        replacement), and get the edges back — as non-tree edges — in the next."""
+        blocks, size = 4, self.N // 4
+        graph = DynamicGraph(self.N)
+        for block in range(blocks):
+            members = range(block * size, (block + 1) * size)
+            for u in members:
+                for v in members:
+                    if u < v:
+                        graph.insert_edge(u, v)
+        runs = self.make_runs(DMPCConnectivity, graph)
+        rng = random.Random(7)
+
+        def steps():
+            for _ in range(10):
+                forest = sorted(runs["csr"].spanning_forest())
+                lost = [rng.choice([e for e in forest if e[0] // size == block]) for block in range(blocks)]
+                yield [GraphUpdate.delete(u, v) for u, v in lost]
+                yield [GraphUpdate.insert(u, v) for u, v in lost]
+
+        assert self.lockstep(runs, steps(), batch=True) == {"alone": 0, "grouped": 40}
+
+    def test_open_interval_bound_is_caught(self, monkeypatch):
+        """Seeded mutation: the index at the attachment point (``hi`` itself) stays behind."""
+        monkeypatch.setattr(TourShard, "apply_cut_link", mutated(TourShard.apply_cut_link, "<= hi:", "< hi:"))
+        with pytest.raises(AssertionError, match="layouts diverged"):
+            self.run_stream("connectivity", self.SEEDS[0], None)
+
+    def test_unshifted_rotation_point_is_caught(self, monkeypatch):
+        """Seeded mutation: ``l(b)`` read in the old tour's coordinates, not the subtree's.  Both
+        layouts take the same wrong scalars and still tile ``1..L``, so it is the Euler-tour
+        oracle that has to notice."""
+        monkeypatch.setattr(
+            DMPCConnectivity,
+            "_replacement_link",
+            mutated(DMPCConnectivity._replacement_link, "self._tours.span(b)[1] - f_y", "self._tours.span(b)[1]"),
+        )
+        with pytest.raises(AssertionError, match="the walk breaks"):
+            self.run_stream("connectivity", self.SEEDS[0], None)
 
 
 # ------------------------------- heavy-vertex fabric state at every boundary
