@@ -34,7 +34,6 @@ from repro.dynamic_mpc import DMPCConnectivity, DMPCMaximalMatching
 from repro.graph import batched
 from repro.graph.generators import gnm_random_graph
 from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
-from repro.mpc.layout import DYNAMIC_LAYOUTS, resolve_dynamic_layout
 
 #: Wall clock of this bench before the dynamic hot-path recut (recursive
 #: payload sizing on every send, dict-of-objects tour state), measured at
@@ -119,7 +118,6 @@ def run_comparisons(
     batch_size: int,
     seed: int = 2019,
     backend: str | None = None,
-    layout: str | None = None,
     coalesce: bool = False,
 ) -> dict[str, dict]:
     m = 2 * n
@@ -127,10 +125,10 @@ def run_comparisons(
     stream = mixed_stream(n, num_updates, seed=seed + 1, insert_probability=0.5, initial=graph)
 
     def connectivity():
-        return DMPCConnectivity(DMPCConfig.for_graph(n, 2 * m, backend=backend), layout=layout)
+        return DMPCConnectivity(DMPCConfig.for_graph(n, 2 * m, backend=backend))
 
     def matching():
-        return DMPCMaximalMatching(DMPCConfig.for_graph(n, 2 * m, backend=backend), layout=layout)
+        return DMPCMaximalMatching(DMPCConfig.for_graph(n, 2 * m, backend=backend))
 
     results = {
         "connectivity/mixed": compare(
@@ -203,12 +201,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--min-speedup", type=float, default=None, help="fail unless fast reaches this speedup")
     parser.add_argument(
-        "--layout",
-        choices=DYNAMIC_LAYOUTS,
-        default=None,
-        help="dynamic state layout (default: REPRO_DYNAMIC_LAYOUT or csr)",
-    )
-    parser.add_argument(
         "--coalesce",
         action="store_true",
         help="coalesce each batch; the sequential baseline replays the same normalized stream",
@@ -220,7 +212,6 @@ def main(argv: list[str] | None = None) -> int:
         sizes = [args.n]
     else:
         sizes = args.sizes or [96, 128]
-    layout = resolve_dynamic_layout(args.layout)
 
     status = 0
     rows: dict[str, dict] = {}
@@ -234,14 +225,13 @@ def main(argv: list[str] | None = None) -> int:
                 num_updates=args.updates,
                 batch_size=args.batch_size,
                 backend=backend,
-                layout=args.layout,
                 coalesce=args.coalesce,
             )
             wall_clock[backend] = round(time.perf_counter() - start, 6)
 
         baseline = args.backends[0]
         results = results_by_backend[baseline]
-        print(f"n={n} backend={baseline} layout={layout} coalesce={args.coalesce}")
+        print(f"n={n} backend={baseline} coalesce={args.coalesce}")
         print(format_results(results))
         for name, result in results.items():
             if result["batched_rounds"] >= result["sequential_rounds"]:
@@ -279,7 +269,6 @@ def main(argv: list[str] | None = None) -> int:
         "sizes": sizes,
         "updates": args.updates,
         "batch_size": args.batch_size,
-        "dynamic_layout": layout,
         "coalesce": bool(args.coalesce),
         # Primary-row view, kept flat for older consumers of this record.
         "round_savings": rows[primary]["round_savings"],

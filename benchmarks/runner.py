@@ -27,7 +27,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import median
 from typing import Any, Callable
 
@@ -38,7 +38,7 @@ if __package__ in (None, ""):  # script mode: make `repro` importable
         sys.path.insert(0, _src)
 
 from repro.analysis import classify_growth, format_table
-from repro.config import DMPCConfig
+from repro.config import DMPCConfig, resolve_fuse_rounds
 from repro.graph import DynamicGraph
 from repro.graph.generators import gnm_random_graph, random_weighted_graph
 from repro.graph.streams import mixed_stream
@@ -159,36 +159,13 @@ def active_backend_name() -> str:
     return os.environ.get("REPRO_BACKEND") or "reference"
 
 
-def active_layout_name() -> str:
-    """The static state layout benchmark runs resolve (for the JSON record)."""
-    from repro.mpc.layout import resolve_static_layout
-
-    return resolve_static_layout()
-
-
-def active_dynamic_layout_name() -> str:
-    """The dynamic state layout benchmark runs resolve (for the JSON record)."""
-    from repro.mpc.layout import resolve_dynamic_layout
-
-    return resolve_dynamic_layout()
-
-
-def active_coalesce_flag() -> bool:
-    """Whether update-stream coalescing is on for benchmark runs (for the JSON record)."""
-    from repro.graph.updates import resolve_coalesce
-
-    return resolve_coalesce()
-
-
-def active_fuse_setting() -> str:
-    """The fused-round-block setting benchmark runs resolve (for the JSON record).
+def fuse_label(fuse: "str | int") -> str:
+    """A ``DMPCConfig.fuse_rounds`` value as the JSON record states it.
 
     ``"auto"`` (fuse maximal spans, the default), ``"off"``, or the decimal
     cap ``K`` — mirrors :func:`repro.config.resolve_fuse_rounds`.
     """
-    from repro.config import resolve_fuse_rounds
-
-    resolved = resolve_fuse_rounds(None)
+    resolved = resolve_fuse_rounds(fuse)
     if resolved is None:
         return "auto"
     if resolved == 0:
@@ -208,16 +185,14 @@ def numpy_provenance() -> str | None:
 def emit_bench_json(name: str, payload: dict, directory: str | None = None) -> str:
     """Write a machine-readable ``BENCH_<name>.json`` record; return its path.
 
-    Every record carries layout/numpy provenance: a perf number measured
-    under the dict layout (or without numpy) is not comparable to a CSR
-    one, and the JSON must say which it was.  Records that sweep layouts
-    themselves set ``layout`` explicitly and are left alone.
+    Every record carries numpy / coalescing / fusion provenance: a perf
+    number measured without numpy, or with another setting, is not
+    comparable, and the JSON must say which it was.  A record that does not
+    state ``coalesce`` / ``fuse`` ran the library defaults (off / ``"auto"``).
     """
     payload = dict(payload)
-    payload.setdefault("layout", active_layout_name())
-    payload.setdefault("dynamic_layout", active_dynamic_layout_name())
-    payload.setdefault("coalesce", active_coalesce_flag())
-    payload.setdefault("fuse", active_fuse_setting())
+    payload.setdefault("coalesce", False)
+    payload.setdefault("fuse", "auto")
     payload.setdefault("numpy", numpy_provenance())
     path = os.path.join(directory or REPO_ROOT, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
@@ -258,7 +233,7 @@ def _dynamic_runner(algorithm_cls, graph, stream, solution, **algorithm_kwargs):
 
     def run(
         backend, shard_count, max_workers, process_chunk_machines=None, replan_every=None,
-        resident_slots=None, layout=None, coalesce=None,
+        resident_slots=None, coalesce=False, fuse="auto",
     ) -> RunResult:
         config = DMPCConfig.for_graph(
             n,
@@ -269,8 +244,9 @@ def _dynamic_runner(algorithm_cls, graph, stream, solution, **algorithm_kwargs):
             process_chunk_machines=process_chunk_machines,
             replan_every=replan_every,
             resident_slots=resident_slots,
+            fuse_rounds=fuse,
         )
-        algorithm = algorithm_cls(config, layout=layout, coalesce=coalesce, **algorithm_kwargs)
+        algorithm = algorithm_cls(config, coalesce=coalesce, **algorithm_kwargs)
         algorithm.preprocess(graph.copy())
         start = time.perf_counter()
         if coalesce:
@@ -351,10 +327,10 @@ def _static_runner(make_algorithm, solution, label: str):
 
     def run(
         backend, shard_count, max_workers, process_chunk_machines=None, replan_every=None,
-        resident_slots=None, layout=None, coalesce=None,
+        resident_slots=None, coalesce=False, fuse="auto",
     ) -> RunResult:
-        # layout / coalesce are dynamic-stack knobs; static recomputation
-        # accepts and ignores them so compare_backends has one run signature.
+        # coalesce is a dynamic-stack knob; static recomputation accepts and
+        # ignores it so compare_backends has one run signature.
         algorithm = make_algorithm(
             backend=backend,
             shard_count=shard_count,
@@ -363,6 +339,10 @@ def _static_runner(make_algorithm, solution, label: str):
             replan_every=replan_every,
             resident_slots=resident_slots,
         )
+        # the baselines build their own config; fuse_rounds is read when a
+        # session runs a span, so it is set on the built cluster's config
+        cluster = algorithm.cluster
+        cluster.config = replace(cluster.config, fuse_rounds=fuse)
         start = time.perf_counter()
         algorithm.run(label)
         elapsed = time.perf_counter() - start
@@ -477,8 +457,8 @@ def compare_backends(
     process_chunk_machines: int | None = None,
     replan_every: int | None = None,
     resident_slots: int | None = None,
-    layout: str | None = None,
-    coalesce: bool | None = None,
+    coalesce: bool = False,
+    fuse: "str | int" = "auto",
     profile: bool = False,
 ) -> dict:
     """Run one workload under each backend; verify equivalence, measure speedup.
@@ -503,7 +483,9 @@ def compare_backends(
     slot-routing transport only has cross-slot traffic with >= 2 slots);
     backends whose rounds took a measured wire path report the per-path
     message totals (``local_messages`` / ``cross_slot_messages`` /
-    ``shm_bytes`` / ``pipe_fallbacks``) under ``"traffic"``.
+    ``shm_bytes`` / ``pipe_fallbacks``) under ``"traffic"``.  ``coalesce``
+    runs the dynamic workloads in coalesced batches; ``fuse`` is the
+    ``DMPCConfig.fuse_rounds`` every run is configured with.
     """
     run = WORKLOADS[workload](n, updates, seed)
     results: dict[str, dict] = {}
@@ -520,7 +502,7 @@ def compare_backends(
         for backend in backends:
             result = run(
                 backend, shard_count, max_workers, process_chunk_machines, replan_every,
-                resident_slots, layout, coalesce,
+                resident_slots, coalesce, fuse,
             )
             last = lasts.get(backend)
             if last is not None and (
@@ -561,7 +543,7 @@ def compare_backends(
             results[backend]["profile_top"] = profile_top_entries(
                 lambda: run(
                     backend, shard_count, max_workers, process_chunk_machines, replan_every,
-                    resident_slots, layout, coalesce,
+                    resident_slots, coalesce, fuse,
                 )
             )
     baseline = backends[0]
@@ -598,9 +580,8 @@ def compare_backends(
         # provenance: perf records are only comparable on like-for-like runs
         "warmup": warmup,
         "profiled": profile,
-        "fuse": active_fuse_setting(),
-        "dynamic_layout": layout or active_dynamic_layout_name(),
-        "coalesce": active_coalesce_flag() if coalesce is None else coalesce,
+        "fuse": fuse_label(fuse),
+        "coalesce": coalesce,
         "cpu_count": os.cpu_count(),
         "python_version": platform.python_version(),
     }
@@ -677,23 +658,17 @@ def main(argv: list[str] | None = None) -> int:
         "cross-slot shm rings and the traffic counters land in the BENCH json",
     )
     parser.add_argument(
-        "--layout",
-        choices=("dict", "csr"),
-        default=None,
-        help="dynamic state layout for the dynamic workloads (default: REPRO_DYNAMIC_LAYOUT or csr)",
-    )
-    parser.add_argument(
         "--coalesce",
         action="store_true",
         help="coalesce each update batch before application (dynamic workloads; default off)",
     )
     parser.add_argument(
         "--fuse",
-        default=None,
+        default="auto",
         metavar="{auto,off,K}",
         help="fused round blocks on the resident backend: 'auto' fuses maximal "
         "spans (default), 'off' disables fusion, an integer K caps blocks at K "
-        "rounds; sets REPRO_FUSE_ROUNDS for the run and lands in the BENCH json",
+        "rounds; sets DMPCConfig.fuse_rounds for the run and lands in the BENCH json",
     )
     parser.add_argument(
         "--profile",
@@ -713,15 +688,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--min-speedup needs at least two --backends (a baseline and a contender)")
     if args.quick:
         args.n, args.updates, args.repeat = 48, 60, 1
-    if args.fuse is not None:
+    try:
         # validate eagerly so a typo fails before minutes of timing runs
-        from repro.config import resolve_fuse_rounds
-
-        try:
-            resolve_fuse_rounds(args.fuse)
-        except ValueError as exc:
-            parser.error(str(exc))
-        os.environ["REPRO_FUSE_ROUNDS"] = args.fuse
+        resolve_fuse_rounds(args.fuse)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     report = compare_backends(
         args.workload,
@@ -735,8 +706,8 @@ def main(argv: list[str] | None = None) -> int:
         process_chunk_machines=args.chunk,
         replan_every=args.replan_every,
         resident_slots=args.resident_slots,
-        layout=args.layout,
-        coalesce=args.coalesce or None,
+        coalesce=args.coalesce,
+        fuse=args.fuse,
         profile=args.profile,
     )
     print(format_comparison(report))

@@ -11,25 +11,16 @@ budget from a single declaration.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
-#: environment variable consulted when ``DMPCConfig.fuse_rounds`` is unset —
-#: lets CI and benchmarks flip fused round blocks without touching configs.
-FUSE_ENV_VAR = "REPRO_FUSE_ROUNDS"
 
-
-def resolve_fuse_rounds(value: "str | int | None") -> int | None:
+def resolve_fuse_rounds(value: "str | int") -> int | None:
     """Normalize a fuse-rounds setting to ``None`` (unlimited) / ``0`` (off) / cap.
 
-    Accepts the ``DMPCConfig.fuse_rounds`` field verbatim: ``None`` defers
-    to the ``REPRO_FUSE_ROUNDS`` environment variable and finally to
-    ``"auto"``; ``"auto"`` means fuse with no block-length cap; ``"off"``
-    (or ``0``) disables fusion; a positive integer caps each fused block at
-    that many rounds.
+    Accepts the ``DMPCConfig.fuse_rounds`` field verbatim: ``"auto"`` means
+    fuse with no block-length cap; ``"off"`` (or ``0``) disables fusion; a
+    positive integer caps each fused block at that many rounds.
     """
-    if value is None:
-        value = os.environ.get(FUSE_ENV_VAR) or "auto"
     if isinstance(value, str):
         text = value.strip().lower()
         if text in ("auto", ""):
@@ -142,11 +133,10 @@ class DMPCConfig:
         blocks that skip the per-round driver pipe barrier.  ``"auto"``
         fuses every statically fusable span with no length cap, ``"off"``
         disables fusion, and a positive integer caps each fused block at
-        that many rounds.  ``None`` (the default) defers to the
-        ``REPRO_FUSE_ROUNDS`` environment variable and finally to
-        ``"auto"``.  Like every execution knob the simulation is
-        bit-for-bit identical under any value — the driver rebuilds the
-        exact per-round records from per-round worker aggregates.
+        that many rounds.  Defaults to ``"auto"``.  Like every execution
+        knob the simulation is bit-for-bit identical under any value — the
+        driver rebuilds the exact per-round records from per-round worker
+        aggregates.
     """
 
     capacity_n: int
@@ -162,7 +152,7 @@ class DMPCConfig:
     replan_every: int | None = None
     resident_slots: int | None = None
     resident_shm_ring_bytes: int | None = None
-    fuse_rounds: str | int | None = None
+    fuse_rounds: str | int = "auto"
 
     def __post_init__(self) -> None:
         if self.capacity_n < 1:
@@ -187,8 +177,7 @@ class DMPCConfig:
             raise ValueError("resident_slots must be positive when given")
         if self.resident_shm_ring_bytes is not None and self.resident_shm_ring_bytes < 1024:
             raise ValueError("resident_shm_ring_bytes must be at least 1024 when given")
-        if self.fuse_rounds is not None:
-            resolve_fuse_rounds(self.fuse_rounds)  # raises on malformed values
+        resolve_fuse_rounds(self.fuse_rounds)  # raises on malformed values
 
     @property
     def capacity_N(self) -> int:
@@ -254,7 +243,7 @@ class DMPCConfig:
         replan_every: int | None = None,
         resident_slots: int | None = None,
         resident_shm_ring_bytes: int | None = None,
-        fuse_rounds: str | int | None = None,
+        fuse_rounds: str | int = "auto",
     ) -> "DMPCConfig":
         """Convenience constructor sizing a deployment for an ``(n, m)`` graph."""
         return DMPCConfig(

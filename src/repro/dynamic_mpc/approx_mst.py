@@ -51,12 +51,11 @@ class DMPCApproxMST(DMPCConnectivity):
         *,
         epsilon: float = 0.1,
         check_invariants: bool = False,
-        layout: str | None = None,
-        coalesce: bool | None = None,
+        coalesce: bool = False,
     ) -> None:
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        super().__init__(config, check_invariants=check_invariants, layout=layout, coalesce=coalesce)
+        super().__init__(config, check_invariants=check_invariants, coalesce=coalesce)
         self.epsilon = epsilon
 
     # ----------------------------------------------------------------- weights

@@ -11,10 +11,8 @@ from repro.graph.updates import (
     UpdateSequence,
     coalesce_updates,
     group_updates_by_owner,
-    resolve_coalesce,
 )
 from repro.mpc.cluster import Cluster
-from repro.mpc.layout import resolve_dynamic_layout
 from repro.mpc.metrics import MetricsLedger, UpdateSummary
 
 __all__ = ["DynamicMPCAlgorithm"]
@@ -52,14 +50,13 @@ class DynamicMPCAlgorithm(abc.ABC):
         config: DMPCConfig,
         *,
         check_invariants: bool = False,
-        layout: str | None = None,
-        coalesce: bool | None = None,
+        coalesce: bool = False,
     ) -> None:
         self.config = config
         self.cluster = Cluster(config)
         self.check_invariants = check_invariants
-        self.layout = resolve_dynamic_layout(layout)
-        self.coalesce = resolve_coalesce(coalesce)
+        #: whether :meth:`apply_batch` coalesces a batch when the call does not say
+        self.coalesce = coalesce
         self._preprocessed = False
         #: stats of the most recent coalescing pass (None until one runs)
         self.last_coalesce_stats: dict[str, int] | None = None
@@ -119,14 +116,17 @@ class DynamicMPCAlgorithm(abc.ABC):
         compatible updates so a batch of ``k`` updates can cost far fewer
         rounds than ``k`` separate applications.
 
-        With ``coalesce`` on (per-call argument > constructor/env toggle,
+        With ``coalesce`` on (the per-call argument, else the constructor's,
         default off) the batch is first normalized by
         :func:`~repro.graph.updates.coalesce_updates` — insert/delete pairs on
         the same edge cancel, structural no-ops dedupe — and the survivors are
         grouped by owning machine when the algorithm exposes ``owner()``.  The
         final graph is unchanged; round records may only shrink (asserted
         against sequential replay of the same normalized stream in
-        ``tests/dynamic_mpc``).
+        ``tests/dynamic_mpc``).  Coalescing is off unless asked for because
+        cancelling a pair changes which intermediate solutions the algorithm
+        sees: a matching or spanning forest may legitimately differ from the
+        one the raw stream reaches.
         """
         updates = list(updates)
         if not updates:

@@ -15,23 +15,17 @@ vertex ``v`` a machine stores
 * its incident edges, each tagged as tree / non-tree, with the tour index
   pair associated with the edge (for tree edges) and the edge weight.
 
-Two storage layouts implement that contract behind the ``_TourStore`` seam
-(selected by ``layout=`` / ``REPRO_DYNAMIC_LAYOUT``, default ``csr``):
-
-``dict``
-    the seed layout — one ``("tour", v)`` dict and one ``("edges", v)`` dict
-    per vertex.  Every index rewrite re-stores (and therefore re-sizes)
-    per-vertex dicts, which is what profiles showed dominating the update
-    hot path.
-``csr``
-    one :class:`~repro.mpc.layout.TourShard` pair table per machine, mutated
-    in place behind a frozen-charge handle.  ``index_v`` is not stored: it is
-    the union of the index pairs of ``v``'s tree-edge records, so every tour
-    index lives once and a link / cut is one pass over the touched
-    component's tree pairs (found through ``by_comp``), never visiting a
-    non-tree record.  A shift cannot move a machine's word charge, so it
-    re-stores the handle the machine holds (version bump, no sizing); only
-    the endpoint owners, whose record sets changed, get a fresh one.
+All of it lives in one :class:`~repro.mpc.layout.TourShard` pair table per
+machine, mutated in place behind a frozen-charge handle (``_ShardTourStore``
+is the driver's seam onto them).  ``index_v`` is not stored: it is the union
+of the index pairs of ``v``'s tree-edge records, so every tour index lives
+once and a link / cut is one pass over the touched component's tree pairs
+(found through ``by_comp``), never visiting a non-tree record.  A shift
+cannot move a machine's word charge, so it re-stores the handle the machine
+holds (version bump, no sizing); only the endpoint owners, whose record sets
+changed, get a fresh one.  The seed's one ``("tour", v)`` and one
+``("edges", v)`` dict per vertex survive as the test suite's oracle
+(``tests/dynamic_mpc/tour_oracle.py``), run in lockstep with the shards.
 
 Update mechanism
 ----------------
@@ -70,14 +64,14 @@ from repro.exceptions import InvariantViolation
 from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.graph.updates import GraphUpdate
 from repro.graph.validation import connected_components, same_partition
-from repro.mpc.layout import TourShard, TourShardHandle
+from repro.mpc.layout import TourShard, TourShardHandle, check_layout
 from repro.mpc.machine import Machine
 from repro.mpc.partition import hash_partition
 from repro.mpc.sizing import closed_form_words, register_closed_form
 
 __all__ = ["DMPCConnectivity"]
 
-#: storage key of a machine's flat tour shard under the ``csr`` layout
+#: storage key of a machine's flat tour shard
 TOUR_SHARD_KEY = "tours"
 
 # Closed forms for this protocol's constant-shape sends (see
@@ -87,219 +81,14 @@ register_closed_form("endpoint-info", lambda payload: 1 + len(payload))
 register_closed_form("endpoint-ack", lambda payload: 1)
 
 
-class _DictTourStore:
-    """The seed per-vertex-key layout: ``("tour", v)`` / ``("edges", v)`` dicts.
-
-    The rewrites are the seed implementation, run over every worker — the
-    dict layout is the bit-identity baseline the flat layout is
-    property-tested against, so a replaced cut stays its two passes here and
-    ``subtree_offers`` is the classification half of the cut pass.
-    """
-
-    layout = "dict"
-
-    def __init__(self, algo: "DMPCConnectivity") -> None:
-        self.algo = algo
-        self._workers = algo._workers
-
-    def _machine(self, v: int) -> Machine:
-        return self.algo.cluster.machine(self.algo.owner(v))
-
-    # ------------------------------------------------------------------ tours
-    def comp_of(self, v: int) -> "int | None":
-        state = self._machine(v).load(("tour", v))
-        return None if state is None else state["comp"]
-
-    def span(self, v: int) -> "tuple[int, int]":
-        indexes = self._machine(v).load(("tour", v))["indexes"]
-        return min(indexes, default=0), max(indexes, default=0)
-
-    def create_vertex(self, v: int, comp: int) -> None:
-        machine = self._machine(v)
-        machine.store(("tour", v), {"comp": comp, "indexes": set()})
-        machine.store(("edges", v), {})
-
-    def place_vertex(self, v: int, comp: int, indexes: "set[int]", records: "dict[int, dict]") -> None:
-        machine = self._machine(v)
-        machine.store(("tour", v), {"comp": comp, "indexes": indexes})
-        machine.store(("edges", v), records)
-
-    # ------------------------------------------------------------------ edges
-    def edges_of(self, v: int) -> dict:
-        return self._machine(v).load(("edges", v), {})
-
-    def store_edge_record(self, v: int, w: int, record: "dict[str, Any]") -> None:
-        machine = self._machine(v)
-        records = dict(machine.load(("edges", v), {}))
-        records[w] = record
-        machine.store(("edges", v), records)
-
-    def remove_edge_record(self, v: int, w: int) -> None:
-        machine = self._machine(v)
-        records = dict(machine.load(("edges", v), {}))
-        records.pop(w, None)
-        machine.store(("edges", v), records)
-
-    # ------------------------------------------------------------- global reads
-    def components(self) -> "list[set[int]]":
-        groups: dict[int, set[int]] = {}
-        for machine in self._workers:
-            for key, value in machine.items():
-                if isinstance(key, tuple) and key[0] == "tour":
-                    groups.setdefault(value["comp"], set()).add(key[1])
-        return list(groups.values())
-
-    def spanning_forest(self) -> "set[tuple[int, int]]":
-        forest: set[tuple[int, int]] = set()
-        for machine in self._workers:
-            for key, value in machine.items():
-                if isinstance(key, tuple) and key[0] == "edges":
-                    v = key[1]
-                    for w, record in value.items():
-                        if record.get("tree"):
-                            forest.add(normalize_edge(v, w))
-        return forest
-
-    def tour_groups(self) -> "dict[int, list[set[int]]]":
-        groups: dict[int, list[set[int]]] = {}
-        for machine in self._workers:
-            for key, state in machine.items():
-                if isinstance(key, tuple) and key[0] == "tour":
-                    groups.setdefault(state["comp"], []).append(set(state["indexes"]))
-        return groups
-
-    # --------------------------------------------------------- broadcast sweeps
-    def apply_link(self, scalars: dict) -> None:
-        comp_x, comp_y = scalars["comp_x"], scalars["comp_y"]
-        f_x, l_y, len_y = scalars["f_x"], scalars["l_y"], scalars["len_y"]
-        reroot = scalars.get("reroot", True)
-        x, y = scalars["x"], scalars["y"]
-
-        def shift_y(i: int) -> int:
-            if reroot and len_y > 0:
-                i = ((i - l_y) % len_y) + 1
-            return i + f_x + 2
-
-        def shift_x(i: int) -> int:
-            return i + len_y + 4 if i > f_x else i
-
-        for machine in self._workers:
-            for key, state in list(machine.items()):
-                if not (isinstance(key, tuple) and key[0] == "tour"):
-                    continue
-                vertex = key[1]
-                indexes = state["indexes"]
-                if state["comp"] == comp_y:
-                    new_indexes = {shift_y(i) for i in indexes}
-                    if vertex == y:
-                        new_indexes.update({f_x + 2, f_x + len_y + 3})
-                    machine.store(key, {"comp": comp_x, "indexes": new_indexes})
-                    self._shift_edge_indexes(machine, vertex, shift_y)
-                elif state["comp"] == comp_x:
-                    new_indexes = {shift_x(i) for i in indexes}
-                    if vertex == x:
-                        new_indexes.update({f_x + 1, f_x + len_y + 4})
-                    machine.store(key, {"comp": comp_x, "indexes": new_indexes})
-                    self._shift_edge_indexes(machine, vertex, shift_x)
-
-    @staticmethod
-    def _cut_side(vertex: int, state: dict, cut: dict) -> "tuple[bool, set[int]]":
-        """Whether ``vertex`` lies in the subtree ``cut`` splits off, and its indexes without the cut edge's."""
-        f_y, l_y = cut["f_y"], cut["l_y"]
-        indexes = set(state["indexes"])
-        if vertex == cut["x"]:
-            indexes -= {f_y - 1, l_y + 1}
-        if vertex == cut["y"]:
-            indexes -= {f_y, l_y}
-        first = min(indexes, default=0)
-        last = max(indexes, default=0)
-        in_subtree = vertex == cut["y"] or (bool(indexes) and f_y <= first and last <= l_y)
-        return in_subtree, indexes
-
-    def apply_cut(self, scalars: dict) -> None:
-        comp, new_comp = scalars["comp"], scalars["new_comp"]
-        f_y, l_y = scalars["f_y"], scalars["l_y"]
-        shift = (l_y - f_y + 1) + 2
-
-        def shift_any(i: int) -> int:
-            if f_y <= i <= l_y:
-                return i - f_y
-            if i > l_y + 1:
-                return i - shift
-            return i
-
-        for machine in self._workers:
-            for key, state in list(machine.items()):
-                if not (isinstance(key, tuple) and key[0] == "tour"):
-                    continue
-                if state["comp"] != comp:
-                    continue
-                vertex = key[1]
-                in_subtree, indexes = self._cut_side(vertex, state, scalars)
-                new_indexes = {shift_any(i) for i in indexes}
-                machine.store(key, {"comp": new_comp if in_subtree else comp, "indexes": new_indexes})
-                self._shift_edge_indexes(machine, vertex, shift_any)
-
-    def apply_cut_link(self, cut: dict, link: dict) -> None:
-        """The oracle applies a replaced cut as the two passes the flat layout composes."""
-        self.apply_cut(cut)
-        self.apply_link(link)
-
-    @staticmethod
-    def _shift_edge_indexes(machine: Machine, vertex: int, shift) -> None:
-        """Apply an index transformation to the tour pairs cached on ``vertex``'s edge records."""
-        records = machine.load(("edges", vertex))
-        if not records:
-            return
-        changed = False
-        new_records = {}
-        for w, record in records.items():
-            indexes = record.get("indexes")
-            if record.get("tree") and indexes is not None:
-                record = dict(record)
-                a, b = shift(indexes[0]), shift(indexes[1])
-                record["indexes"] = (a, b) if a <= b else (b, a)
-                changed = True
-            new_records[w] = record
-        if changed:
-            machine.store(("edges", vertex), new_records)
-
-    # ------------------------------------------------------------------ scans
-    def subtree_offers(self, cuts: "list[dict]") -> "Iterator[tuple[Machine, list[list[tuple[int, int, float]]]]]":
-        for machine in self._workers:
-            per_cut: "list[list[tuple[int, int, float]]]" = [[] for _ in cuts]
-            for key, state in machine.items():
-                if not (isinstance(key, tuple) and key[0] == "tour"):
-                    continue
-                v = key[1]
-                for cut, offers in zip(cuts, per_cut):
-                    if state["comp"] != cut["comp"] or not self._cut_side(v, state, cut)[0]:
-                        continue
-                    for w, record in machine.load(("edges", v), {}).items():
-                        if not record.get("tree"):
-                            offers.append((v, w, float(record.get("weight", 1.0))))
-            yield machine, per_cut
-
-    def path_scan_items(self, machine: Machine, comp: int) -> "Iterator[tuple[int, tuple[int, int], dict]]":
-        for key, state in machine.items():
-            if not (isinstance(key, tuple) and key[0] == "tour"):
-                continue
-            if state["comp"] != comp:
-                continue
-            v = key[1]
-            yield v, self.span(v), machine.load(("edges", v), {})
-
-
 class _ShardTourStore:
-    """The pair-table layout: one in-place :class:`TourShard` per worker machine.
+    """The pair-table store: one in-place :class:`TourShard` per worker machine.
 
     Mutations edit the shard directly and commit through the machine's
     frozen-charge :class:`TourShardHandle` (the :class:`StatsTableHandle`
     discipline), so index rewrites cost no sizing on any backend and the
-    word totals stay in dict-layout parity.
+    word totals are the seed's per-vertex charges.
     """
-
-    layout = "csr"
 
     def __init__(self, algo: "DMPCConnectivity") -> None:
         self.algo = algo
@@ -443,7 +232,10 @@ class _ShardTourStore:
 
 
 class DMPCConnectivity(DynamicMPCAlgorithm):
-    """Fully-dynamic connected components via sharded Euler tours (Section 5)."""
+    """Fully-dynamic connected components via sharded Euler tours (Section 5).
+
+    ``layout`` accepts only ``"csr"`` (:func:`~repro.mpc.layout.check_layout`).
+    """
 
     kind = "connectivity"
 
@@ -452,16 +244,17 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         config: DMPCConfig,
         *,
         check_invariants: bool = False,
-        layout: str | None = None,
-        coalesce: bool | None = None,
+        layout: str = "csr",
+        coalesce: bool = False,
     ) -> None:
-        super().__init__(config, check_invariants=check_invariants, layout=layout, coalesce=coalesce)
+        check_layout(layout)
+        super().__init__(config, check_invariants=check_invariants, coalesce=coalesce)
         self._workers = self.cluster.add_machines("w", max(2, config.num_worker_machines), role="worker")
         self.worker_ids = [m.machine_id for m in self._workers]
         self.aggregator_id = self.worker_ids[0]
         self._next_comp = 0
         self._comp_length: dict[int, int] = {}
-        self._tours = _ShardTourStore(self) if self.layout == "csr" else _DictTourStore(self)
+        self._tours = _ShardTourStore(self)
         #: driver-side mirror of the input graph, used only for invariant checks
         self.shadow = DynamicGraph()
 

@@ -29,12 +29,16 @@ from repro.exceptions import InvariantViolation
 from repro.graph.graph import DynamicGraph
 from repro.graph.updates import GraphUpdate
 from repro.graph.validation import greedy_maximal_matching, is_matching, is_maximal_matching
+from repro.mpc.layout import check_layout
 
 __all__ = ["DMPCMaximalMatching"]
 
 
 class DMPCMaximalMatching(DynamicMPCAlgorithm):
-    """Fully-dynamic maximal matching in the DMPC model (Section 3)."""
+    """Fully-dynamic maximal matching in the DMPC model (Section 3).
+
+    ``layout`` accepts only ``"csr"`` (:func:`~repro.mpc.layout.check_layout`).
+    """
 
     kind = "maximal-matching"
 
@@ -43,11 +47,12 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
         config: DMPCConfig,
         *,
         check_invariants: bool = False,
-        layout: str | None = None,
-        coalesce: bool | None = None,
+        layout: str = "csr",
+        coalesce: bool = False,
     ) -> None:
-        super().__init__(config, check_invariants=check_invariants, layout=layout, coalesce=coalesce)
-        self.fabric = MatchingFabric(self.cluster, config, layout=self.layout)
+        check_layout(layout)
+        super().__init__(config, check_invariants=check_invariants, coalesce=coalesce)
+        self.fabric = MatchingFabric(self.cluster, config)
         #: driver-side mirror of the input graph, used only for invariant checks
         self.shadow = DynamicGraph()
 

@@ -56,16 +56,14 @@ from repro.exceptions import ProtocolError
 from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.mpc.cluster import Cluster
 from repro.mpc.coordinator import Coordinator, HistoryEntry, UpdateHistory
-from repro.mpc.layout import StatsTable, StatsTableHandle, is_live_record, resolve_dynamic_layout
+from repro.mpc.layout import StatsTable, StatsTableHandle, is_live_record
 from repro.mpc.partition import RangePartition
 from repro.mpc.sizing import closed_form_words, register_closed_form, string_words
 
 __all__ = ["VertexStats", "MatchingFabric"]
 
 #: the single machine-store key each statistics machine keeps its flat
-#: struct-of-arrays vertex table under in the ``csr`` layout (the ``dict``
-#: layout keeps one ``("st", v)`` key and one ``VertexStats`` object per
-#: vertex, exactly as before the flat recut).
+#: struct-of-arrays vertex table under
 STATS_KEY = "stats"
 
 #: ``load`` default that no stored value can be (a status record may hold ``None``)
@@ -104,7 +102,12 @@ register_closed_form("fetch-suspended", lambda payload: 3)
 
 @dataclass
 class VertexStats:
-    """Statistics stored for one vertex on its statistics machine."""
+    """Statistics of one vertex: the blank record of an unstored vertex, and a record to copy in.
+
+    A stored vertex lives in its statistics machine's
+    :class:`~repro.mpc.layout.StatsTable`; its views have these attributes,
+    this payload and this word charge.
+    """
 
     degree: int = 0
     mate: int | None = None
@@ -130,16 +133,10 @@ class VertexStats:
 class MatchingFabric:
     """Storage fabric + message protocol shared by the matching algorithms."""
 
-    def __init__(self, cluster: Cluster, config: DMPCConfig, *, layout: str | None = None) -> None:
+    def __init__(self, cluster: Cluster, config: DMPCConfig) -> None:
         self.cluster = cluster
         self.config = config
         self.threshold = config.heavy_threshold
-        #: vertex-statistics storage layout: ``"csr"`` keeps one flat
-        #: struct-of-arrays table per statistics machine (the hot-path
-        #: default), ``"dict"`` keeps one ``("st", v)`` key per vertex (the
-        #: pre-recut layout, retained as the A/B baseline).  Messages and
-        #: round records are identical under both.
-        self.layout = resolve_dynamic_layout(layout)
 
         # Statistics machines and the consecutive-ID partition over them.
         stats_ids = [m.machine_id for m in cluster.add_machines("stats", config.stats_machine_count, role="stats")]
@@ -253,35 +250,18 @@ class MatchingFabric:
         so mutating the returned object does not write through — the change
         is silently lost unless the caller follows up with
         :meth:`store_stats`.  (For a *stored* vertex the returned record is
-        a live write-through view — the flat table's slot view under the
-        ``csr`` layout, the stored ``VertexStats`` object itself under the
-        ``dict`` layout.)  Callers that need read-modify-write semantics
-        should use :meth:`mutate_stats`, which persists on exit for stored
-        and unseen vertices alike.
+        a live write-through view of its slot in the flat table.)  Callers
+        that need read-modify-write semantics should use
+        :meth:`mutate_stats`, which persists on exit for stored and unseen
+        vertices alike.
         """
-        machine_id = self.partition.machine_for(v)
-        if self.layout == "dict":
-            stats = self.cluster.machine(machine_id).load(("st", v))
-            return stats if stats is not None else VertexStats()
-        record = self._stats_table(machine_id).view(v)
+        record = self._stats_table(self.partition.machine_for(v)).view(v)
         return record if record is not None else VertexStats()
 
     def store_stats(self, v: int, stats) -> None:
+        """Copy ``stats`` into ``v``'s slot and commit the table (a plain
+        ``VertexStats`` held by the caller does not write through afterwards)."""
         machine_id = self.partition.machine_for(v)
-        if self.layout == "dict":
-            # Mirror the flat table's semantics exactly: the stored record is
-            # the machine's own object — fields are *copied* from ``stats``,
-            # so later mutations of a caller-held plain ``VertexStats`` do
-            # not write through (a stored record obtained from
-            # :meth:`stats_of`/:meth:`query_stats` still does, like a view).
-            machine = self.cluster.machine(machine_id)
-            record = machine.load(("st", v))
-            if record is None:
-                record = VertexStats()
-            if record is not stats:
-                self._write_record(record, stats)
-            machine.store(("st", v), record)
-            return
         table = self._stats_table(machine_id)
         if not is_live_record(stats, table, v):
             self._write_record(table.ensure(v), stats)
@@ -296,16 +276,6 @@ class MatchingFabric:
         mutations to an unseen vertex's statistics cannot be lost.
         """
         machine_id = self.partition.machine_for(v)
-        if self.layout == "dict":
-            machine = self.cluster.machine(machine_id)
-            stats = machine.load(("st", v))
-            if stats is None:
-                stats = VertexStats()
-            try:
-                yield stats
-            finally:
-                machine.store(("st", v), stats)
-            return
         table = self._stats_table(machine_id)
         try:
             yield table.ensure(v)
@@ -321,13 +291,6 @@ class MatchingFabric:
     def matching(self) -> set[tuple[int, int]]:
         """The maintained matching (assembled from the statistics machines)."""
         edges: set[tuple[int, int]] = set()
-        if self.layout == "dict":
-            for machine in self.cluster.machines(role="stats"):
-                for key, value in machine.items():
-                    if isinstance(key, tuple) and key[0] == "st" and isinstance(value, VertexStats):
-                        if value.mate is not None:
-                            edges.add(normalize_edge(key[1], value.mate))
-            return edges
         for machine in self.cluster.machines(role="stats"):
             handle: StatsTableHandle | None = machine.load(STATS_KEY)
             if handle is None:
@@ -469,14 +432,13 @@ class MatchingFabric:
             coordinator.send(machine_id, "stats-query", query, words=closed_form_words("stats-query", query))
         self.cluster.exchange()
         replies: dict[int, VertexStats] = {}
-        use_dict = self.layout == "dict"
         for machine_id in targets:
             machine = self.cluster.machine(machine_id)
-            table = None if use_dict else self._stats_table(machine_id)
+            table = self._stats_table(machine_id)
             for msg in machine.drain("stats-query"):
                 payload = []
                 for v in msg.payload:
-                    stats = machine.load(("st", v)) if use_dict else table.view(v)
+                    stats = table.view(v)
                     if stats is None:
                         stats = VertexStats()
                     payload.append((v, stats))
@@ -503,17 +465,7 @@ class MatchingFabric:
             coordinator.send(machine_id, "stats-write", writes, words=closed_form_words("stats-write", writes))
         self.cluster.exchange()
         for machine_id, items in targets.items():
-            machine = self.cluster.machine(machine_id)
-            machine.drain("stats-write")
-            if self.layout == "dict":
-                for v, stats in items:
-                    record = machine.load(("st", v))
-                    if record is None:
-                        record = VertexStats()
-                    if record is not stats:
-                        self._write_record(record, stats)
-                    machine.store(("st", v), record)
-                continue
+            self.cluster.machine(machine_id).drain("stats-write")
             table = self._stats_table(machine_id)
             for v, stats in items:
                 if not is_live_record(stats, table, v):

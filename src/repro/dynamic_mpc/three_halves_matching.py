@@ -40,10 +40,9 @@ class DMPCThreeHalvesMatching(DMPCMaximalMatching):
         config: DMPCConfig,
         *,
         check_invariants: bool = False,
-        layout: str | None = None,
-        coalesce: bool | None = None,
+        coalesce: bool = False,
     ) -> None:
-        super().__init__(config, check_invariants=check_invariants, layout=layout, coalesce=coalesce)
+        super().__init__(config, check_invariants=check_invariants, coalesce=coalesce)
         # Matching-status changes observed during the current update:
         # vertex -> (was_matched, is_matched).  Used for counter maintenance.
         self._status_events: dict[int, tuple[bool, bool]] = {}

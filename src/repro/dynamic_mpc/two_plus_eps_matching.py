@@ -69,12 +69,11 @@ class DMPCTwoPlusEpsMatching(DynamicMPCAlgorithm):
         gamma: float = 4.0,
         seed: int = 2019,
         check_invariants: bool = False,
-        layout: str | None = None,
-        coalesce: bool | None = None,
+        coalesce: bool = False,
     ) -> None:
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        super().__init__(config, check_invariants=check_invariants, layout=layout, coalesce=coalesce)
+        super().__init__(config, check_invariants=check_invariants, coalesce=coalesce)
         self.epsilon = epsilon
         self.gamma = max(2.0, gamma)
         self.rng = random.Random(seed)

@@ -9,7 +9,6 @@ well-formedness (no duplicate insertions, no deletions of absent edges).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -21,12 +20,7 @@ __all__ = [
     "batched",
     "coalesce_updates",
     "group_updates_by_owner",
-    "resolve_coalesce",
-    "COALESCE_ENV_VAR",
 ]
-
-#: environment variable toggling update-stream coalescing (default: off)
-COALESCE_ENV_VAR = "REPRO_COALESCE_UPDATES"
 
 INSERT = "insert"
 DELETE = "delete"
@@ -91,21 +85,6 @@ def batched(seq: Iterable[GraphUpdate], size: int) -> Iterator[list[GraphUpdate]
             chunk = []
     if chunk:
         yield chunk
-
-
-def resolve_coalesce(flag: bool | None = None) -> bool:
-    """Resolve the coalescing toggle: argument > ``REPRO_COALESCE_UPDATES`` > off.
-
-    Coalescing defaults *off* because cancelling an insert/delete pair changes
-    which intermediate solutions an algorithm ever sees: the final graph is
-    identical, but a matching or spanning forest may legitimately differ from
-    the one reached by replaying the raw stream.  Callers that only care about
-    final-graph semantics opt in explicitly.
-    """
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(COALESCE_ENV_VAR, "")
-    return raw.strip().lower() in ("1", "true", "on", "yes")
 
 
 def coalesce_updates(updates: Iterable[GraphUpdate]) -> tuple[list[GraphUpdate], dict[str, int]]:

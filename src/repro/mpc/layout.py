@@ -1,11 +1,16 @@
-"""Per-machine state layouts: CSR adjacency, interning, struct-of-arrays stats, tour pairs.
+"""The one state layout of every hot path: CSR adjacency, interning, struct-of-arrays stats, tour pairs.
 
-The machine stores of the static baselines were dict-of-objects — an
-``("adj", v)`` list and a ``("weights", v)`` dict per vertex — and the
-dynamic matching fabric kept one :class:`VertexStats` object per ``("st",
-v)`` key.  Every superstep paid python-dict overhead twice: once walking the
-per-vertex entries, once re-serializing the same keys for the
-process/resident wire.  This module owns the flat replacements:
+Every static baseline stores its machine's adjacency as one flat CSR
+value, the dynamic matching fabric one vertex table per statistics
+machine, dynamic connectivity one tour-pair table per worker.  The seed
+stored one dict object per vertex key (adjacency, weights, statistics,
+tour, edge records) and paid python-dict overhead twice per superstep,
+walking the entries and re-serializing them for the process/resident
+wire.  The flat tables charge the words those per-key stores did (the
+per-vertex constants below), so every message, round and word is
+unchanged.  ``layout="csr"`` is accepted, as a literal, by the
+constructors the benchmark calls (:func:`check_layout`).  This module
+owns:
 
 :class:`VertexInterner`
     the dense vertex-ID map built once per static cluster — vertex ids in
@@ -56,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import importlib.util
-import os
 from array import array
 from typing import Any, Callable, Iterable
 
@@ -66,10 +70,7 @@ from repro.runtime.wire import register_wire_type
 __all__ = [
     "HAVE_NUMPY",
     "numpy_or_none",
-    "resolve_static_layout",
-    "STATIC_LAYOUTS",
-    "resolve_dynamic_layout",
-    "DYNAMIC_LAYOUTS",
+    "check_layout",
     "VertexInterner",
     "MachineCSR",
     "build_machine_csr",
@@ -87,18 +88,6 @@ __all__ = [
 #: (numpy is installed; nothing is imported until a kernel asks for it).
 HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
-#: layouts :func:`resolve_static_layout` accepts.
-STATIC_LAYOUTS = ("dict", "csr")
-
-#: environment override for the default static layout.
-LAYOUT_ENV_VAR = "REPRO_STATIC_LAYOUT"
-
-#: layouts :func:`resolve_dynamic_layout` accepts.
-DYNAMIC_LAYOUTS = ("dict", "csr")
-
-#: environment override for the default dynamic layout.
-DYNAMIC_LAYOUT_ENV_VAR = "REPRO_DYNAMIC_LAYOUT"
-
 
 @functools.cache
 def numpy_or_none():
@@ -110,44 +99,23 @@ def numpy_or_none():
     return numpy
 
 
-def resolve_static_layout(layout: "str | None" = None) -> str:
-    """Resolve the static state layout: argument, env var, default ``csr``.
+def check_layout(layout: str) -> None:
+    """Refuse any state layout but ``"csr"``, the one every hot path has.
 
-    Mirrors the backend resolution chain: an explicit argument wins, then
-    ``REPRO_STATIC_LAYOUT``, then the CSR default.  Unknown names fail
-    loudly — a typo silently running the slow layout would invalidate every
-    benchmark comparison downstream.
+    The ``layout=`` argument survives on the constructors the benchmark
+    calls, as a literal: it selects nothing.
     """
-    if layout is None:
-        layout = os.environ.get(LAYOUT_ENV_VAR, "").strip() or "csr"
-    if layout not in STATIC_LAYOUTS:
-        raise ValueError(f"unknown static layout {layout!r}; expected one of {STATIC_LAYOUTS}")
-    return layout
-
-
-def resolve_dynamic_layout(layout: "str | None" = None) -> str:
-    """Resolve the dynamic state layout: argument, env var, default ``csr``.
-
-    The dynamic mirror of :func:`resolve_static_layout` — an explicit
-    argument wins, then ``REPRO_DYNAMIC_LAYOUT``, then the flat default.
-    ``dict`` selects the seed per-key layouts (one ``("st", v)`` /
-    ``("tour", v)`` store entry per vertex); ``csr`` selects the flat
-    per-machine tables (:class:`StatsTable`, :class:`TourShard`).
-    """
-    if layout is None:
-        layout = os.environ.get(DYNAMIC_LAYOUT_ENV_VAR, "").strip() or "csr"
-    if layout not in DYNAMIC_LAYOUTS:
-        raise ValueError(f"unknown dynamic layout {layout!r}; expected one of {DYNAMIC_LAYOUTS}")
-    return layout
+    if layout != "csr":
+        raise ValueError(f"unknown state layout {layout!r}; the only layout is 'csr'")
 
 
 # ---------------------------------------------------------------- interning
 class VertexInterner:
     """Dense position per vertex id, fixed at cluster build time.
 
-    Message payloads stay in raw vertex-id space (bit-identity with the
-    dict layout); the dense side indexes driver-side kernel state like the
-    matched bitmap of the matching driver.
+    Message payloads stay in raw vertex-id space (the messages the seed's
+    per-vertex stores sent); the dense side indexes driver-side kernel state
+    like the matched bitmap of the matching driver.
     """
 
     __slots__ = ("vertices", "index")
@@ -178,22 +146,20 @@ def _array_words(buf: "array | None") -> int:
 class MachineCSR:
     """One machine's owned adjacency in CSR form.
 
-    ``verts[i]`` is the ``i``-th owned vertex (owned order — the order the
-    dict layout iterated), its neighbors are ``indices[indptr[i]:
-    indptr[i+1]]`` in ascending order (the dict layout stored sorted
-    adjacency, so per-row order is identical), with parallel ``weights``
-    when the graph is weighted.  ``owner_pos[e]`` is the
+    ``verts[i]`` is the ``i``-th owned vertex (owned order), its neighbors
+    are ``indices[indptr[i]:indptr[i+1]]`` in ascending order, with parallel
+    ``weights`` when the graph is weighted.  ``owner_pos[e]`` is the
     :func:`~repro.mpc.partition.hash_partition` owner of ``indices[e]`` as
     an index into the cluster's worker-id list, hoisted out of the per-round
     loops.  The *send plan* is the same entries regrouped by that owner, in
     first-appearance target order and ascending entry order within a target
-    (the order the dict layout's per-vertex loops appended proposals in):
+    (the order a per-vertex loop over sorted adjacency appends proposals in):
     ``plan_indices`` / ``plan_sources`` hold each entry's neighbour and
     source vertex, ``plan_spans`` the flattened ``(target_pos, start, stop)``
     triples delimiting each target's slice.  Both are pure functions of
     ``(indices, worker ids)`` — materialized ownership, not extra state —
     so ``dmpc_words`` charges only the four data buffers (plus a framing
-    word), mirroring what the dict layout's per-vertex values represented.
+    word), the words the seed's per-vertex adjacency values were charged.
     """
 
     __slots__ = (
@@ -362,10 +328,9 @@ def build_machine_csr(
 ) -> MachineCSR:
     """Build one machine's CSR from its owned vertices.
 
-    ``neighbors(v)`` must return the neighbor list in the exact order the
-    dict layout stored it (sorted — bit-identity of every kernel depends on
-    per-row order); ``weight`` is ``None`` for unweighted workloads, which
-    drops the weights buffer entirely.
+    ``neighbors(v)`` must return the neighbor list sorted (every kernel's
+    message order depends on per-row order); ``weight`` is ``None`` for
+    unweighted workloads, which drops the weights buffer entirely.
     """
     verts = array("q", owned)
     indptr = array("q", [0])
@@ -374,8 +339,7 @@ def build_machine_csr(
     position = {machine_id: pos for pos, machine_id in enumerate(worker_ids)}
     owner_pos = array("q")
     # target position -> (neighbours, sources) of its entries; dict order is
-    # first appearance over the row-major entry scan — exactly the order the
-    # dict layout's per-vertex loops appended proposals in.
+    # first appearance over the row-major entry scan.
     by_target: "dict[int, tuple[array, array]]" = {}
     for v in owned:
         row = neighbors(v)
@@ -407,8 +371,8 @@ class AliveTable:
     """Per-machine edge-liveness bitmaps for the CSR matching kernels.
 
     ``rows[machine_id][e]`` is 1 while CSR entry ``e`` of that machine is
-    still a live (free) edge slot — the flat equivalent of membership in the
-    dict layout's ``free_adj[v]`` sets.  Lives in superstep shared state;
+    still a live (free) edge slot: neither endpoint has announced itself
+    matched yet.  Lives in superstep shared state;
     the class wrapper (rather than naked bytearrays) is what routes
     resident ``shared_init`` frames onto the wire codec's buffer-lifted
     path instead of marshal's silent bytearray→bytes corruption.
@@ -436,10 +400,10 @@ class AliveTable:
 
 
 # -------------------------------------------------------------- stats table
-#: per-vertex word parity with the dict layout: a stored ``("st", v)`` key
-#: cost 3 words (tuple framing + tag + id) and a ``VertexStats`` value
-#: ``6 + len(suspended)`` — the flat table charges the same 9 words per
-#: occupied slot plus one per suspended entry.
+#: per-vertex word charge of the seed's per-key stats store: a stored
+#: ``(tag, v)`` key cost 3 words (tuple framing + tag + id) and a
+#: ``VertexStats`` value ``6 + len(suspended)`` — the flat table charges the
+#: same 9 words per occupied slot plus one per suspended entry.
 _STATS_WORDS_PER_VERTEX = 9
 
 
@@ -534,7 +498,7 @@ class StatsTable:
         return pairs
 
     def live_words(self) -> int:
-        """Current word footprint, same charging as the dict layout's keys."""
+        """Current word footprint, charged as the seed's per-vertex keys were."""
         return _STATS_WORDS_PER_VERTEX * (self.occupied + len(self.overflow)) + self.suspended_words
 
 
@@ -581,8 +545,8 @@ class StatsView(_StackRecord):
 
     Duck-typed to :class:`repro.dynamic_mpc.state.VertexStats`: same
     attribute names, same payload dict, same word charge — callers mutate
-    it exactly like the live per-vertex objects the dict layout's
-    ``stats_of`` returned, and every mutation lands in the flat columns.
+    it like a ``VertexStats`` object, and every mutation lands in the flat
+    columns.
     """
 
     __slots__ = ()
@@ -708,7 +672,7 @@ class StatsTableHandle:
 
 
 # --------------------------------------------------------------- tour shard
-#: dict-layout parity for one tour vertex: the ("tour", v) key cost 3 words
+#: the seed's per-key charge for one tour vertex: the ("tour", v) key cost 3 words
 #: and its {"comp", "indexes"} value 5 + len(indexes); the ("edges", v) key
 #: another 3 and the empty record dict 1.  12 words per vertex plus one per
 #: tour index, before edge records.
@@ -716,10 +680,10 @@ _TOUR_WORDS_PER_VERTEX = 12
 
 
 def _edge_record_words(record: "dict[str, Any]") -> int:
-    # dict-layout parity for one record entry inside the ("edges", v) value:
+    # the seed's per-key charge for one record entry inside the ("edges", v) value:
     # neighbor key (1) + {"tree": bool, "weight": float, "indexes": pair|None}
     # = 8 words for a non-tree record, 10 when the index pair is present, plus
-    # the pair's two tour indexes (charged on ("tour", v) by the dict layout).
+    # the pair's two tour indexes (charged on ("tour", v) by the seed).
     return 10 + 2 if record.get("indexes") is not None else 8
 
 
@@ -736,9 +700,8 @@ class TourShard:
     ``comp``
         vertex → component id,
     ``edges``
-        vertex → {neighbor → record dict} (records share the dict layout's
-        ``{"tree", "weight", "indexes"}`` shape; a tree record's
-        ``"indexes"`` *is* its tree-row pair, kept sorted),
+        vertex → {neighbor → ``{"tree", "weight", "indexes"}`` record}
+        (a tree record's ``"indexes"`` *is* its tree-row pair, kept sorted),
     ``tree``
         vertex → {tree neighbor → pair}: the rows the link/cut kernels walk,
         so an index shift never visits a non-tree record,
@@ -754,10 +717,10 @@ class TourShard:
     between components.  ``subtree_offers`` is the read-only scan that lets
     the replacement search run before the cut is applied.
 
-    Word accounting is incremental (``live_words`` is O(1)) and in parity
-    with the dict layout: 12 words per vertex plus one per tour index, 10 /
-    8 per tree / non-tree record.  Only ``add_vertex`` / ``set_edge`` /
-    ``pop_edge`` move it; an index shift never does.
+    Word accounting is incremental (``live_words`` is O(1)) and charges
+    what the seed's per-vertex keys did: 12 words per vertex plus one per
+    tour index, 10 / 8 per tree / non-tree record.  Only ``add_vertex`` /
+    ``set_edge`` / ``pop_edge`` move it; an index shift never does.
     """
 
     __slots__ = ("comp", "edges", "tree", "by_comp", "_words")

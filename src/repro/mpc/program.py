@@ -144,8 +144,8 @@ class MachineContext(abc.ABC):
         transport's sizing policy.  Programs whose payloads have a closed-form
         size (the CSR kernels: ``k`` proposal tuples cost ``3 + 4k`` words)
         pass it to skip the per-element sizing walk — the value must equal
-        what the sizer would have charged, which the layout A/B equivalence
-        tests pin down.
+        what the sizer would have charged, which the closed-form tests in
+        ``tests/static_mpc/test_layout_ab.py`` pin down.
         """
 
     def send_many(self, tag: str, sends: "Iterable[tuple[str, Any, int]]") -> None:

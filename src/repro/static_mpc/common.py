@@ -1,24 +1,16 @@
 """Shared scaffolding for the static MPC baselines.
 
 All three baselines operate on *vertex-partitioned* data: every worker
-machine owns a set of vertices and stores its state and adjacency in one of
-two interchangeable layouts:
-
-``"csr"`` (the default)
-    one :class:`~repro.mpc.layout.MachineCSR` per machine under the single
-    ``"csr"`` key — contiguous ``array('q')``/``array('d')`` buffers the
-    vectorized kernels walk directly, with per-entry partition owners
-    hoisted out of the round loops.  A :class:`~repro.mpc.layout.VertexInterner`
-    built once here gives the drivers a dense vertex-ID map for their own
-    kernel caches; message payloads stay in raw vertex-id space.
-``"dict"``
-    the historical per-vertex ``("adj", v)`` list / ``("weights", v)`` dict
-    stores.
-
-Both layouts produce bit-identical rounds, messages and solutions on every
-backend (property-tested in ``tests/static_mpc/test_layout_ab.py``); the
-partition is the stateless hash partition either way, so drivers and
-machines agree on ownership without any directory traffic.
+machine owns a set of vertices and stores their adjacency as one
+:class:`~repro.mpc.layout.MachineCSR` under the single ``"csr"`` key —
+contiguous ``array('q')``/``array('d')`` buffers the kernels walk directly,
+with per-entry partition owners hoisted out of the round loops.  A
+:class:`~repro.mpc.layout.VertexInterner` built once here gives the drivers
+a dense vertex-ID map for their own kernel caches; message payloads stay in
+raw vertex-id space.  The partition is the stateless hash partition, so
+drivers and machines agree on ownership without any directory traffic.
+Every backend produces the same rounds, words and solutions (pinned by
+digest in ``tests/static_mpc/test_layout_ab.py``).
 
 The baselines are *superstep-style* algorithms: each round every machine
 runs the same local code over its owned vertices.  That code is expressed
@@ -38,7 +30,7 @@ from dataclasses import dataclass, field
 from repro.config import DMPCConfig
 from repro.graph.graph import DynamicGraph
 from repro.mpc.cluster import Cluster
-from repro.mpc.layout import MachineCSR, VertexInterner, build_machine_csr, resolve_static_layout
+from repro.mpc.layout import MachineCSR, VertexInterner, build_machine_csr
 from repro.mpc.partition import hash_partition
 from repro.mpc.program import SuperstepProgram
 
@@ -73,15 +65,13 @@ class StaticMPCSetup:
     cluster: Cluster
     worker_ids: list[str]
     graph: DynamicGraph
+    #: dense vertex-ID map, built once at cluster build time (drivers index
+    #: their kernel caches with it)
+    interner: VertexInterner
     #: machine id -> owned vertices, authoritative: populated in full by
     #: :func:`build_static_cluster` (every worker gets an entry, possibly
     #: empty), so lookups never fall back to rescanning the vertex set.
     owned: dict[str, list[int]] = field(default_factory=dict)
-    #: which state layout the machine stores use ("csr" or "dict").
-    layout: str = "csr"
-    #: dense vertex-ID map, built once at cluster build time (CSR layout
-    #: drivers index their kernel caches with it; ``None`` under "dict").
-    interner: VertexInterner | None = None
 
     def owner(self, vertex: int) -> str:
         """The machine owning ``vertex``'s state and adjacency list."""
@@ -102,10 +92,10 @@ class StaticMPCSetup:
             ) from None
 
     def machine_csr(self, machine_id: str) -> MachineCSR:
-        """Driver-side view of ``machine_id``'s CSR store (CSR layout only)."""
+        """Driver-side view of ``machine_id``'s CSR store."""
         csr = self.cluster.machine(machine_id).load("csr")
         if csr is None:
-            raise KeyError(f"{machine_id!r} has no CSR store (layout={self.layout!r})")
+            raise KeyError(f"{machine_id!r} has no CSR store")
         return csr
 
 
@@ -120,7 +110,6 @@ def build_static_cluster(
     replan_every: int | None = None,
     resident_slots: int | None = None,
     resident_shm_ring_bytes: int | None = None,
-    layout: str | None = None,
     weighted: bool = True,
 ) -> StaticMPCSetup:
     """Create a cluster for a static baseline and load ``graph`` onto it.
@@ -137,13 +126,9 @@ def build_static_cluster(
     (:mod:`repro.runtime`) the baseline runs on; ``None`` defers to the
     usual resolution chain (``REPRO_BACKEND``, then ``reference``).
 
-    ``layout`` selects the machine-store layout (``None`` defers to
-    ``REPRO_STATIC_LAYOUT``, then ``"csr"``).  ``weighted=False`` declares
-    that the workload never reads edge weights (connectivity, matching), so
-    neither layout materializes them: the dict layout skips the
-    ``("weights", v)`` stores and the CSR layout drops its weights buffer.
+    ``weighted=False`` declares that the workload never reads edge weights
+    (connectivity, matching), so the CSR stores drop their weights buffer.
     """
-    layout = resolve_static_layout(layout)
     n = max(1, graph.num_vertices)
     m = graph.num_edges
     config = DMPCConfig(
@@ -163,27 +148,20 @@ def build_static_cluster(
     worker_machines = cluster.add_machines("w", max(2, workers), role="worker")
     worker_ids = [m_.machine_id for m_ in worker_machines]
 
-    setup = StaticMPCSetup(cluster=cluster, worker_ids=worker_ids, graph=graph, layout=layout)
+    setup = StaticMPCSetup(
+        cluster=cluster, worker_ids=worker_ids, graph=graph, interner=VertexInterner(graph.vertices)
+    )
     owned: dict[str, list[int]] = {mid: [] for mid in worker_ids}
     for v in graph.vertices:
         owned[setup.owner(v)].append(v)
     setup.owned = owned
-    if layout == "csr":
-        setup.interner = VertexInterner(graph.vertices)
-        weight = (lambda v, w: float(graph.weight(v, w))) if weighted else None
-        for machine_id, vertices in owned.items():
-            csr = build_machine_csr(
-                vertices,
-                lambda v: sorted(graph.neighbors(v)),
-                weight,
-                worker_ids,
-            )
-            cluster.machine(machine_id).store("csr", csr)
-    else:
-        for machine_id, vertices in owned.items():
-            machine = cluster.machine(machine_id)
-            for v in vertices:
-                machine.store(("adj", v), sorted(graph.neighbors(v)))
-                if weighted:
-                    machine.store(("weights", v), {w: graph.weight(v, w) for w in graph.neighbors(v)})
+    weight = (lambda v, w: float(graph.weight(v, w))) if weighted else None
+    for machine_id, vertices in owned.items():
+        csr = build_machine_csr(
+            vertices,
+            lambda v: sorted(graph.neighbors(v)),
+            weight,
+            worker_ids,
+        )
+        cluster.machine(machine_id).store("csr", csr)
     return setup

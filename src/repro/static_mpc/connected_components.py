@@ -15,7 +15,7 @@ a vertex that held the smaller label strictly earlier, so no cycles can
 form), which is what the Section 5 preprocessing needs.
 
 Each iteration is two supersteps expressed as module-level picklable
-programs (:class:`LabelProposeProgram`, :class:`LabelApplyProgram`) routed
+programs (:class:`CSRLabelProposeProgram`, :class:`LabelApplyProgram`) routed
 through :meth:`Cluster.superstep`, so the per-machine work runs under
 whatever execution strategy the cluster's backend provides — including the
 ``process`` backend's serialized shard jobs.  The programs follow the
@@ -31,57 +31,31 @@ from __future__ import annotations
 from typing import Any, Mapping, MutableMapping
 
 from repro.graph.graph import DynamicGraph, normalize_edge
+from repro.mpc.layout import check_layout
 from repro.mpc.program import MachineContext
 from repro.static_mpc.common import StaticMPCSetup, VertexProgram, build_static_cluster
 
 __all__ = [
     "StaticConnectedComponents",
-    "LabelProposeProgram",
     "CSRLabelProposeProgram",
     "LabelApplyProgram",
 ]
 
 
-class LabelProposeProgram(VertexProgram):
-    """Ship every owned vertex's current label along each incident edge."""
-
-    shared_reads = ("labels",)
-    store_reads = ("adj",)
-    #: the inbox only ever holds the previous round's stale termination
-    #: flags (on the leader) — never read, so never shipped to workers
-    reads_inbox = False
-    #: the proposals are consumed by the next superstep's machines, never
-    #: by the driver — worker-drivable inside a fused round block
-    driver_reads_sends = False
-
-    def run(self, ctx: MachineContext, inbox: list, shared: Mapping[str, Any]) -> None:
-        # inbox: only stale termination flags (on the leader) — ignored.
-        labels = shared["labels"]
-        proposals: dict[str, list[tuple[int, int, int]]] = {}
-        for v in self.owned[ctx.machine_id]:
-            adj = ctx.load(("adj", v), [])
-            label_v = labels[v]
-            for w in adj:
-                proposals.setdefault(self.owner(w), []).append((w, label_v, v))
-        for target, items in proposals.items():
-            ctx.send(target, "label-proposal", items)
-
-
 class CSRLabelProposeProgram(VertexProgram):
-    """The CSR recut of :class:`LabelProposeProgram`: one slice per target.
+    """Ship every owned vertex's current label along each incident edge: one slice per target.
 
-    Walks the machine's precomputed send plan (:meth:`MachineCSR.send_plan`)
-    instead of per-vertex adjacency lists: one label gather over the plan's
-    source column, one ``zip`` into ``(neighbour, label, source)`` triples,
-    one slice per target — the same triples, in the same first-appearance
-    target order and ascending entry order the dict layout produced, so the
-    staged messages are byte-identical.  The slices are staged in one
-    :meth:`MachineContext.send_many` call (a machine talks to nearly every
-    other machine with a triple or two each, so the cost is per message,
-    not per word).  Message words use the closed form ``3 + 4k`` (tag 2 +
-    list framing 1 + 3 words per triple), which equals the self-sized
-    charge exactly (pinned in the layout A/B tests) and skips the O(k)
-    sizing walk.
+    Walks the machine's precomputed send plan (:meth:`MachineCSR.send_plan`):
+    one label gather over the plan's source column, one ``zip`` into
+    ``(neighbour, label, source)`` triples, one slice per target — in
+    first-appearance target order and ascending entry order, the order a
+    per-vertex loop over sorted adjacency lists produces.  The slices are
+    staged in one :meth:`MachineContext.send_many` call (a machine talks to
+    nearly every other machine with a triple or two each, so the cost is per
+    message, not per word).  Message words use the closed form ``3 + 4k``
+    (tag 2 + list framing 1 + 3 words per triple), which equals the
+    self-sized charge exactly (pinned in
+    ``tests/static_mpc/test_layout_ab.py``) and skips the O(k) sizing walk.
     """
 
     shared_reads = ("labels",)
@@ -173,7 +147,10 @@ class LabelApplyProgram(VertexProgram):
 
 
 class StaticConnectedComponents:
-    """Min-label propagation over vertex-partitioned adjacency lists."""
+    """Min-label propagation over vertex-partitioned adjacency lists.
+
+    ``layout`` accepts only ``"csr"`` (:func:`~repro.mpc.layout.check_layout`).
+    """
 
     def __init__(
         self,
@@ -188,8 +165,9 @@ class StaticConnectedComponents:
         replan_every: int | None = None,
         resident_slots: int | None = None,
         resident_shm_ring_bytes: int | None = None,
-        layout: str | None = None,
+        layout: str = "csr",
     ) -> None:
+        check_layout(layout)
         self.graph = graph
         self.setup: StaticMPCSetup = build_static_cluster(
             graph,
@@ -201,7 +179,6 @@ class StaticConnectedComponents:
             replan_every=replan_every,
             resident_slots=resident_slots,
             resident_shm_ring_bytes=resident_shm_ring_bytes,
-            layout=layout,
             weighted=False,
         )
         self.cluster = self.setup.cluster
@@ -225,10 +202,7 @@ class StaticConnectedComponents:
             "via": {},
             "changed_flags": {},
         }
-        if setup.layout == "csr":
-            propose: VertexProgram = CSRLabelProposeProgram(setup.owned, worker_ids)
-        else:
-            propose = LabelProposeProgram(setup.owned, worker_ids)
+        propose = CSRLabelProposeProgram(setup.owned, worker_ids)
         apply_min = LabelApplyProgram(setup.owned, worker_ids, leader_id)
 
         # The session scope lets resident backends ship the label map and

@@ -25,13 +25,14 @@ machine's choices a pure function of driver state — which, together with
 the explicit program contract, lets the ``parallel`` and ``process``
 backends run the per-machine phases concurrently (or in other processes)
 and still produce the identical matching.  The proposal and announcement
-phases are module-level picklable programs (:class:`MatchingProposeProgram`,
-:class:`MatchingAnnounceProgram`) routed through :meth:`Cluster.superstep`;
-the acceptance phase is a global driver decision (it resolves cross-shard
-proposal conflicts), exactly as a coordinator round would.  Edge pruning —
-historically an in-place ``free_adj`` mutation at the top of the proposal
-handler — is computed against a read-your-own-writes local view and merged
-back as a delta at the round barrier.
+phases are module-level picklable programs
+(:class:`CSRMatchingProposeProgram`, :class:`CSRMatchingAnnounceProgram`)
+routed through :meth:`Cluster.superstep`; the acceptance phase is a global
+driver decision (it resolves cross-shard proposal conflicts), exactly as a
+coordinator round would.  Edge liveness is one shared bitmap over each
+machine's CSR entries (:class:`~repro.mpc.layout.AliveTable`); pruning is
+computed against a read-your-own-writes local copy and merged back as a
+delta at the round barrier.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from repro.static_mpc.common import StaticMPCSetup, VertexProgram, build_static_
 
 __all__ = [
     "StaticMaximalMatching",
-    "MatchingProposeProgram",
-    "MatchingAnnounceProgram",
     "CSRMatchingProposeProgram",
     "CSRMatchingAnnounceProgram",
 ]
@@ -68,120 +67,19 @@ def _mix(seed: int, round_index: int, vertex: int) -> int:
     return x ^ (x >> 31)
 
 
-class MatchingProposeProgram(VertexProgram):
+class CSRMatchingProposeProgram(VertexProgram):
     """Apply last round's status announcements, then propose along one edge.
 
-    The delta maps each owned vertex whose free-neighbour set shrank to its
-    pruned set; proposals are computed against the pruned view in the same
-    run (read-your-own-writes), so the staged messages are identical to the
-    historical prune-in-place handler.
-    """
-
-    shared_reads = ("free_adj", "matched", "round_no")
-    #: the driver drains every "propose" message right after the round (the
-    #: acceptance phase is a global driver decision) — this phase can only
-    #: *end* a fused block, as its funneled terminal round
-    driver_reads_sends = True
-    #: owner scope: machine m's delta prunes free-neighbour sets of vertices
-    #: m owns, and only m's own later runs (propose/announce over owned
-    #: vertices) read them; the driver's has_free_edge check reads its own
-    #: always-current copy.
-    delta_scope = "owner"
-
-    def __init__(self, owned: dict[str, list[int]], worker_ids: list[str], seed: int) -> None:
-        super().__init__(owned, worker_ids)
-        self.seed = seed
-
-    def run(self, ctx: MachineContext, inbox: list, shared: Mapping[str, Any]) -> dict[int, set[int]]:
-        free_adj = shared["free_adj"]
-        matched = shared["matched"]
-        round_no = shared["round_no"]
-        owned = self.owned[ctx.machine_id]
-        announced = {v for msg in inbox if msg.tag == "matched-status" for v in msg.payload}
-        pruned: dict[int, set[int]] = {}
-        if announced:
-            for w in owned:
-                if not announced.isdisjoint(free_adj[w]):
-                    pruned[w] = free_adj[w] - announced
-        outgoing: dict[str, list[tuple[int, int]]] = {}
-        for v in owned:
-            neighbours = pruned.get(v, free_adj[v])
-            if v in matched or not neighbours:
-                continue
-            candidates = sorted(neighbours)
-            choice = candidates[_mix(self.seed, round_no, v) % len(candidates)]
-            outgoing.setdefault(self.owner(choice), []).append((v, choice))
-        for target, pairs in outgoing.items():
-            # The "propose" closed form belongs to the dynamic Section 6
-            # protocol (a fixed 3-tuple); this static send ships a pair list,
-            # so it sizes its own shape explicitly: 1 tag word + 1 framing
-            # word + 3 words per (v, choice) pair.
-            ctx.send(target, "propose", pairs, words=2 + 3 * len(pairs))
-        return pruned
-
-    def apply(self, shared: MutableMapping[str, Any], machine_id: str, delta: dict[int, set[int]]) -> None:
-        if delta:
-            shared["free_adj"].update(delta)
-
-
-class MatchingAnnounceProgram(VertexProgram):
-    """Newly matched vertices announce their status to their neighbours' owners.
-
-    The delta lists the announcing vertices: once a vertex has told its
-    neighbourhood it is matched, its own free-neighbour set is dead weight,
-    so ``apply`` clears it — historically a driver-side epilogue scan over
-    every vertex after the superstep, now an owner-scoped delta merged at
-    the round barrier (driver and owning worker alike), which keeps the
-    whole round driver-free on slot-routing backends.
-    """
-
-    shared_reads = ("free_adj", "matched")
-    #: announcements are derived from shared state alone; the inbox (stale
-    #: proposals already drained by the driver) is never read
-    reads_inbox = False
-    #: the "matched-status" messages feed the *next* propose round's
-    #: machines only — worker-drivable inside a fused round block
-    driver_reads_sends = False
-    #: owner scope: machine m's delta clears free-neighbour sets of vertices
-    #: m owns, and only m's own later runs (propose/announce over owned
-    #: vertices) read them — same locality argument as the propose pruning.
-    delta_scope = "owner"
-
-    def run(self, ctx: MachineContext, inbox: list, shared: Mapping[str, Any]) -> list[int]:
-        free_adj = shared["free_adj"]
-        matched = shared["matched"]
-        announcements: dict[str, list[int]] = {}
-        announced: list[int] = []
-        for v in self.owned[ctx.machine_id]:
-            if v in matched and free_adj[v]:
-                announced.append(v)
-                for w in sorted(free_adj[v]):
-                    announcements.setdefault(self.owner(w), []).append(v)
-        for target, vertices in announcements.items():
-            ctx.send(target, "matched-status", vertices)
-        return announced
-
-    def apply(self, shared: MutableMapping[str, Any], machine_id: str, delta: list[int]) -> None:
-        if delta:
-            free_adj = shared["free_adj"]
-            for v in delta:
-                free_adj[v] = set()
-
-
-class CSRMatchingProposeProgram(VertexProgram):
-    """The CSR recut of :class:`MatchingProposeProgram`.
-
     Edge liveness lives in the shared :class:`~repro.mpc.layout.AliveTable`
-    — one bitmap over the machine's CSR entries — instead of per-vertex
-    ``free_adj`` sets.  Pruning masks announced neighbours out of a *copy*
-    of the bitmap (the shared row itself is only written by ``apply``, per
-    the delta contract) and ships each shrunk row as a ``(start, end,
-    bytes)`` slice; proposal choices index the alive entries of a row,
-    which are exactly the dict layout's ``sorted(neighbours)`` because CSR
-    rows are stored in ascending neighbour order — so choices, targets and
-    message order are all bit-identical.  Message words use the closed form
-    ``2 + 3k`` (tag 1 + list framing 1 + 2 words per pair), equal to the
-    self-sized charge (pinned in the layout A/B tests).
+    — one bitmap over the machine's CSR entries.  Pruning masks announced
+    neighbours out of a *copy* of the bitmap (the shared row itself is only
+    written by ``apply``, per the delta contract) and ships each shrunk row
+    as a ``(start, end, bytes)`` slice; a proposal picks the
+    ``_mix(seed, round, v)``-th alive entry of ``v``'s row, i.e. of its
+    free neighbours in ascending order (CSR rows are sorted).  Message words
+    use the closed form ``2 + 3k`` (tag 1 + list framing 1 + 2 words per
+    pair), equal to the self-sized charge (pinned in
+    ``tests/static_mpc/test_layout_ab.py``).
     """
 
     shared_reads = ("edge_alive", "matched", "round_no")
@@ -233,8 +131,7 @@ class CSRMatchingProposeProgram(VertexProgram):
                         pruned[csr.verts[row]] = (start, end, effective[start:end].tobytes())
             # One pass over the bitmap: the sorted alive-entry positions,
             # cut into rows by searching the row bounds — the rank-th alive
-            # entry of row ``i`` is ``alive_pos[bounds[i] + rank]``, exactly
-            # the dict layout's ``sorted(neighbours)[rank]``.
+            # entry of row ``i`` is ``alive_pos[bounds[i] + rank]``.
             alive_pos = np.flatnonzero(effective)
             bounds = np.searchsorted(alive_pos, views["indptr"])
             counts = bounds[1:] - bounds[:-1]
@@ -292,12 +189,15 @@ class CSRMatchingProposeProgram(VertexProgram):
 
 
 class CSRMatchingAnnounceProgram(VertexProgram):
-    """The CSR recut of :class:`MatchingAnnounceProgram`.
+    """Newly matched vertices announce their status to their neighbours' owners.
 
-    Newly matched vertices announce along their still-alive CSR entries
-    (ascending order == the dict layout's ``sorted(free_adj[v])``), and the
-    delta lists the announced rows as ``(vertex, start, end)`` slices that
-    ``apply`` zeroes — the flat equivalent of clearing ``free_adj[v]``.
+    A matched vertex announces along its still-alive CSR entries, in
+    ascending neighbour order, and the delta lists the announced rows as
+    ``(vertex, start, end)`` slices that ``apply`` zeroes: once a vertex has
+    told its neighbourhood it is matched, its own edges are dead weight.
+    The delta is owner-scoped and merged at the round barrier (driver and
+    owning worker alike), which keeps the whole round driver-free on
+    slot-routing backends.
     """
 
     shared_reads = ("edge_alive", "matched")
@@ -366,7 +266,6 @@ class StaticMaximalMatching:
         replan_every: int | None = None,
         resident_slots: int | None = None,
         resident_shm_ring_bytes: int | None = None,
-        layout: str | None = None,
     ) -> None:
         self.graph = graph
         self.setup: StaticMPCSetup = build_static_cluster(
@@ -379,7 +278,6 @@ class StaticMaximalMatching:
             replan_every=replan_every,
             resident_slots=resident_slots,
             resident_shm_ring_bytes=resident_shm_ring_bytes,
-            layout=layout,
             weighted=False,
         )
         self.cluster = self.setup.cluster
@@ -395,106 +293,83 @@ class StaticMaximalMatching:
         worker_ids = setup.worker_ids
         matched: set[int] = set()
         matching: set[tuple[int, int]] = set()
-        csr_layout = setup.layout == "csr"
-        if csr_layout:
-            # Shared driver state, flat layout: the per-machine edge-alive
-            # bitmaps over CSR entries, the matched vertex set, and the
-            # current round number (per-round scalars live here, not on the
-            # programs — programs stay frozen).
-            csrs = {mid: setup.machine_csr(mid) for mid in worker_ids}
-            state: dict[str, Any] = {
-                "edge_alive": AliveTable(
-                    {mid: bytearray(b"\x01" * csrs[mid].num_entries) for mid in worker_ids}
-                ),
-                "matched": matched,
-                "round_no": 0,
-            }
-            alive_rows: dict[str, bytearray] = state["edge_alive"].rows
-            propose: VertexProgram = CSRMatchingProposeProgram(setup.owned, worker_ids, self.seed)
-            announce: VertexProgram = CSRMatchingAnnounceProgram(setup.owned, worker_ids)
-            np = numpy_or_none()
-            interner = setup.interner
-            # Driver-side free-edge scan caches (numpy path): per machine the
-            # dense interner position of every entry's source row and
-            # neighbour, plus a dense matched bitmap grown by the acceptance
-            # phase — the scan is then three gathers and a reduction.
-            matched_mask = np.zeros(len(interner), dtype=np.uint8) if np is not None else None
-            dense_cache: dict[str, tuple[Any, Any]] = {}
+        # Shared driver state: the per-machine edge-alive bitmaps over CSR
+        # entries, the matched vertex set, and the current round number
+        # (per-round scalars live here, not on the programs — programs stay
+        # frozen).
+        csrs = {mid: setup.machine_csr(mid) for mid in worker_ids}
+        state: dict[str, Any] = {
+            "edge_alive": AliveTable(
+                {mid: bytearray(b"\x01" * csrs[mid].num_entries) for mid in worker_ids}
+            ),
+            "matched": matched,
+            "round_no": 0,
+        }
+        alive_rows: dict[str, bytearray] = state["edge_alive"].rows
+        propose = CSRMatchingProposeProgram(setup.owned, worker_ids, self.seed)
+        announce = CSRMatchingAnnounceProgram(setup.owned, worker_ids)
+        np = numpy_or_none()
+        interner = setup.interner
+        # Driver-side free-edge scan caches (numpy path): per machine the
+        # dense interner position of every entry's source row and
+        # neighbour, plus a dense matched bitmap grown by the acceptance
+        # phase — the scan is then three gathers and a reduction.
+        matched_mask = np.zeros(len(interner), dtype=np.uint8) if np is not None else None
+        dense_cache: dict[str, tuple[Any, Any]] = {}
 
-            def _dense_entries(mid: str) -> "tuple[Any, Any]":
-                cached = dense_cache.get(mid)
-                if cached is None:
-                    csr = csrs[mid]
-                    views = csr.np_views()
-                    position = interner.index
-                    row_dense = np.fromiter(
-                        (position[v] for v in csr.verts), dtype=np.int64, count=csr.num_rows
-                    )
-                    source = np.repeat(row_dense, views["degrees"])
-                    neighbor = np.fromiter(
-                        (position[w] for w in csr.indices), dtype=np.int64, count=csr.num_entries
-                    )
-                    cached = dense_cache[mid] = (source, neighbor)
-                return cached
-
-            def has_free_edge() -> bool:
-                # A free vertex with a *free* neighbour (pruning of last
-                # round's matches happens lazily in the next proposal
-                # program, so consult ``matched`` here to avoid a no-op
-                # trailing round).
-                if np is not None:
-                    for mid in worker_ids:
-                        alive = np.frombuffer(alive_rows[mid], dtype=np.uint8)
-                        if not len(alive):
-                            continue
-                        source, neighbor = _dense_entries(mid)
-                        free = (
-                            (alive != 0)
-                            & (matched_mask[source] == 0)
-                            & (matched_mask[neighbor] == 0)
-                        )
-                        if free.any():
-                            return True
-                    return False
-                for mid in worker_ids:
-                    csr = csrs[mid]
-                    alive = alive_rows[mid]
-                    indptr = csr.indptr
-                    indices = csr.indices
-                    for row, v in enumerate(csr.verts):
-                        if v in matched:
-                            continue
-                        for entry in range(indptr[row], indptr[row + 1]):
-                            if alive[entry] and indices[entry] not in matched:
-                                return True
-                return False
-
-        else:
-            # Shared driver state, dict layout: per-vertex free-neighbour
-            # sets instead of the alive bitmaps.
-            state = {
-                "free_adj": {v: set(self.graph.neighbors(v)) for v in self.graph.vertices},
-                "matched": matched,
-                "round_no": 0,
-            }
-            free_adj: dict[int, set[int]] = state["free_adj"]
-            propose = MatchingProposeProgram(setup.owned, worker_ids, self.seed)
-            announce = MatchingAnnounceProgram(setup.owned, worker_ids)
-            matched_mask = None
-
-            def has_free_edge() -> bool:
-                # A free vertex with a *free* neighbour (pruning of last round's
-                # matches happens lazily in the next proposal program, so
-                # consult ``matched`` here to avoid a no-op trailing round).
-                return any(
-                    v not in matched and any(w not in matched for w in free_adj[v]) for v in free_adj
+        def _dense_entries(mid: str) -> "tuple[Any, Any]":
+            cached = dense_cache.get(mid)
+            if cached is None:
+                csr = csrs[mid]
+                views = csr.np_views()
+                position = interner.index
+                row_dense = np.fromiter(
+                    (position[v] for v in csr.verts), dtype=np.int64, count=csr.num_rows
                 )
+                source = np.repeat(row_dense, views["degrees"])
+                neighbor = np.fromiter(
+                    (position[w] for w in csr.indices), dtype=np.int64, count=csr.num_entries
+                )
+                cached = dense_cache[mid] = (source, neighbor)
+            return cached
+
+        def has_free_edge() -> bool:
+            # A free vertex with a *free* neighbour (pruning of last
+            # round's matches happens lazily in the next proposal
+            # program, so consult ``matched`` here to avoid a no-op
+            # trailing round).
+            if np is not None:
+                for mid in worker_ids:
+                    alive = np.frombuffer(alive_rows[mid], dtype=np.uint8)
+                    if not len(alive):
+                        continue
+                    source, neighbor = _dense_entries(mid)
+                    free = (
+                        (alive != 0)
+                        & (matched_mask[source] == 0)
+                        & (matched_mask[neighbor] == 0)
+                    )
+                    if free.any():
+                        return True
+                return False
+            for mid in worker_ids:
+                csr = csrs[mid]
+                alive = alive_rows[mid]
+                indptr = csr.indptr
+                indices = csr.indices
+                for row, v in enumerate(csr.verts):
+                    if v in matched:
+                        continue
+                    for entry in range(indptr[row], indptr[row + 1]):
+                        if alive[entry] and indices[entry] not in matched:
+                            return True
+            return False
 
         # Session scope for resident backends.  This driver *does* mutate
         # shared state outside program.apply — the acceptance phase marks
         # vertices matched — so that mutation is reported with
         # session.touch before the next superstep reads the key (the
-        # delta-replay contract); every free_adj mutation travels via the
+        # delta-replay contract); every edge-alive mutation travels via the
         # programs' own deltas (propose prunes, announce clears), which
         # replay covers without any re-shipping.
         with cluster.update(label), cluster.session(state) as session:
@@ -503,10 +378,8 @@ class StaticMaximalMatching:
             while rounds < self.max_rounds and has_free_edge():
                 rounds += 1
                 state["round_no"] = rounds
-                # round_no was rebound out-of-band (free_adj mutations are
-                # reported where they happen: pruning travels via the
-                # propose program's own deltas, clearing via the guarded
-                # touch in the round epilogue).
+                # round_no was rebound out-of-band (edge-alive mutations
+                # travel via the programs' own deltas).
                 session.touch("round_no")
                 # Phase 1: announce the previous round's new statuses (so
                 # machines prune dead edges first), then prune and propose
@@ -543,8 +416,8 @@ class StaticMaximalMatching:
                     matched.add(target)
                     matched.add(chosen)
                     if matched_mask is not None:
-                        matched_mask[self.setup.interner.index[target]] = 1
-                        matched_mask[self.setup.interner.index[chosen]] = 1
+                        matched_mask[interner.index[target]] = 1
+                        matched_mask[interner.index[chosen]] = 1
                     newly_matched.append(normalize_edge(target, chosen))
                 matching.update(newly_matched)
                 # The acceptance decisions mutated the matched set

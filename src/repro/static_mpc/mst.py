@@ -13,7 +13,7 @@ candidate edges are aggregated at the owner machine of each component's
 label vertex.
 
 The per-machine candidate scan is a module-level picklable program
-(:class:`MSTCandidateProgram`) routed through :meth:`Cluster.superstep`.
+(:class:`CSRMSTCandidateProgram`) routed through :meth:`Cluster.superstep`.
 The program reads the shared union-find ``component`` map through ``find``
 with path compression — the sanctioned *semantically invisible* mutation of
 shared state: no merges happen during the scan, so every compressed pointer
@@ -33,78 +33,31 @@ from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.mpc.program import MachineContext
 from repro.static_mpc.common import StaticMPCSetup, VertexProgram, build_static_cluster
 
-__all__ = ["StaticBoruvkaMST", "MSTCandidateProgram", "CSRMSTCandidateProgram"]
+__all__ = ["StaticBoruvkaMST", "CSRMSTCandidateProgram"]
 
 
-class MSTCandidateProgram(VertexProgram):
+class CSRMSTCandidateProgram(VertexProgram):
     """Report, per owned component label, the cheapest outgoing owned edge.
+
+    Walks the machine's flat ``indices``/``weights`` buffers with a per-run
+    root memo in front of ``find``: no merges happen during a scan, so every
+    root is stable for the whole phase and each distinct vertex pays for at
+    most one union-find walk per machine (path compression is the
+    sanctioned semantically-invisible mutation: roots, and therefore every
+    candidate and message, do not depend on it).  The scan deliberately
+    stays in python over the cached ``entry_lists`` materialization:
+    per-machine rows are tens-to-hundreds of entries at Table-1 scale, where
+    per-call numpy dispatch costs more than it saves, while bulk ``tolist``
+    + list slicing beats per-index ``array`` access.  Candidates surface in
+    ``best_local`` insertion order — first appearance of each component over
+    the row-major scan.  Candidate messages are a constant 7 words (tag 2 +
+    4-tuple framing 5), equal to the self-sized charge (pinned in
+    ``tests/static_mpc/test_layout_ab.py``).
 
     The delta is the number of candidate edges reported — what the driver's
     termination check sums at the barrier; ``apply`` records it in the
     ``candidate_counts`` map, declared in ``shared_writes`` for the
     delta-replay contract.
-    """
-
-    shared_reads = ("component",)
-    shared_writes = ("candidate_counts",)
-    store_reads = ("weights",)
-    #: driver scope: candidate counts feed the driver's termination check
-    #: only — no run ever reads them, so worker replay is skipped entirely.
-    delta_scope = "driver"
-    #: the inbox holds the previous phase's merge broadcast, already
-    #: reflected in the shared component map — never read
-    reads_inbox = False
-
-    def run(self, ctx: MachineContext, inbox: list, shared: Mapping[str, Any]) -> int:
-        # inbox: the previous phase's merge broadcast — the shared
-        # ``component`` map models each machine's local view, so the
-        # payload itself needs no further processing here.
-        component = shared["component"]
-
-        def find(v: int) -> int:
-            while component[v] != v:
-                component[v] = component[component[v]]
-                v = component[v]
-            return v
-
-        best_local: dict[int, tuple[float, int, int]] = {}
-        for v in self.owned[ctx.machine_id]:
-            comp_v = find(v)
-            weights = ctx.load(("weights", v), {})
-            for w, weight in weights.items():
-                if find(w) == comp_v:
-                    continue
-                entry = (float(weight), v, w)
-                if comp_v not in best_local or entry < best_local[comp_v]:
-                    best_local[comp_v] = entry
-        for comp_label, (weight, v, w) in best_local.items():
-            ctx.send(self.owner(comp_label), "mst-candidate", (comp_label, weight, v, w))
-        return len(best_local)
-
-    def apply(self, shared: MutableMapping[str, Any], machine_id: str, delta: int) -> None:
-        shared["candidate_counts"][machine_id] = delta
-
-
-class CSRMSTCandidateProgram(VertexProgram):
-    """The CSR recut of :class:`MSTCandidateProgram`.
-
-    Walks the machine's flat ``indices``/``weights`` buffers instead of
-    per-vertex weight dicts, with a per-run root memo in front of ``find``:
-    no merges happen during a scan, so every root is stable for the whole
-    phase and each distinct vertex pays for at most one union-find walk per
-    machine (the memo also does less path compression than the dict
-    program's repeated walks — the sanctioned semantically-invisible
-    difference: roots, and therefore every candidate and message, are
-    identical).  The scan deliberately stays in python over the cached
-    ``entry_lists`` materialization: per-machine rows are tens-to-hundreds
-    of entries at Table-1 scale, where per-call numpy dispatch costs more
-    than it saves, while bulk ``tolist`` + list slicing beats both
-    per-index ``array`` access and the dict program's per-vertex
-    ``ctx.load``.  Candidates surface in ``best_local`` insertion order —
-    first appearance of each component over the row-major scan — exactly
-    the dict program's emission order.  Candidate messages are a constant
-    7 words (tag 2 + 4-tuple framing 5), equal to the self-sized charge
-    (pinned in the layout A/B tests).
     """
 
     shared_reads = ("component",)
@@ -196,7 +149,6 @@ class StaticBoruvkaMST:
         replan_every: int | None = None,
         resident_slots: int | None = None,
         resident_shm_ring_bytes: int | None = None,
-        layout: str | None = None,
     ) -> None:
         self.graph = graph
         self.setup: StaticMPCSetup = build_static_cluster(
@@ -209,7 +161,6 @@ class StaticBoruvkaMST:
             replan_every=replan_every,
             resident_slots=resident_slots,
             resident_shm_ring_bytes=resident_shm_ring_bytes,
-            layout=layout,
         )
         self.cluster = self.setup.cluster
         self.max_phases = max_phases if max_phases is not None else 2 * max(2, graph.num_vertices.bit_length() + 1)
@@ -230,10 +181,7 @@ class StaticBoruvkaMST:
         component: dict[int, int] = state["component"]
         candidate_counts: dict[str, int] = state["candidate_counts"]
         forest: set[tuple[int, int]] = set()
-        if setup.layout == "csr":
-            report_candidates: VertexProgram = CSRMSTCandidateProgram(setup.owned, worker_ids)
-        else:
-            report_candidates = MSTCandidateProgram(setup.owned, worker_ids)
+        report_candidates = CSRMSTCandidateProgram(setup.owned, worker_ids)
 
         def find(v: int) -> int:
             while component[v] != v:
@@ -282,7 +230,7 @@ class StaticBoruvkaMST:
                 # every machine can update its local component view.  The
                 # charge is pre-sized with the closed form for a list of k
                 # 2-tuples — tag 2 + list framing 1 + 3k — pinned equal to
-                # the sizer in the layout A/B tests; recursively sizing the
+                # the sizer in test_layout_ab.py; recursively sizing the
                 # same broadcast payload once per receiver dominated the
                 # whole phase before.
                 merge_words = 3 + 3 * len(merges)

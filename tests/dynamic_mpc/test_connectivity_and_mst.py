@@ -242,16 +242,15 @@ class TestPreprocessSeeding:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("batch", [False, True], ids=["apply", "apply_batch-coalesce"])
-    @pytest.mark.parametrize("layout", ["csr", "dict"])
     @pytest.mark.parametrize("algorithm", list(SEEDING_CASES))
-    def test_link_all_and_incremental_seeding_are_indistinguishable(self, monkeypatch, algorithm, layout, batch, seed):
+    def test_link_all_and_incremental_seeding_are_indistinguishable(self, monkeypatch, algorithm, batch, seed):
         generator, weighted, construct = SEEDING_CASES[algorithm]
         graph = generator(24, 36, seed=seed)
         stream = list(mixed_stream(24, 300, seed=seed + 40, insert_probability=0.5, initial=graph, weighted=weighted))
         assert len(stream) == 300
 
         def make():
-            return construct(layout=layout, coalesce=batch)
+            return construct(coalesce=batch)
 
         seeded = self.observed(self.drive(make, graph, stream, batch))
         monkeypatch.setattr(IndexedEulerTourForest, "link_all", incremental_link_all)

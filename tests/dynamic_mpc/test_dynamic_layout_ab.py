@@ -1,19 +1,23 @@
-"""Dynamic hot-path recut: layout A/B, coalesced-batch equivalence, sizing pins.
+"""Dynamic hot path: pinned ledgers, tours against the seed oracle, coalesced batches, sizing pins.
 
-Three guarantees from the recut are locked down here:
+Five guarantees are locked down here:
 
-* **Layout A/B** — the ``dict`` (one object per vertex / per tour entry)
-  and ``csr`` (flat struct-of-arrays / pair table) state layouts are pure
-  storage choices: every dynamic algorithm reaches bit-identical solutions,
-  per-update round records and word totals under both, and the Euler-tour
-  state — index sets, record pairs, per-machine charges — agrees with the
-  ``dict`` oracle at every update boundary, not only at the end.
-* **Replaced cuts** — a tree delete that finds a replacement is one composed
-  rewrite under ``csr`` and two passes under ``dict``; on plain mixed streams
-  (connectivity and MST, ``apply`` and ``apply_batch``) the two agree at
-  every boundary on tours, forest, component ids and per-update cost, the
-  tours are genuine Euler tours, and two seeded mutations of the composed
-  path are caught.
+* **Pinned ledgers** — until the flat tables were the only layout, every
+  dynamic algorithm also ran on per-vertex dict stores, and the two agreed
+  bit for bit.  What they agreed on is pinned as one SHA-256 digest per
+  stream over the per-update ``(label, rounds, words, max words per round,
+  max active machines)`` rows and the solution, recorded while both ran;
+  every execution backend must reproduce it.
+* **Tours against the oracle** — the Euler-tour state of the pair-table
+  shards (index sets, record pairs, per-machine charges) agrees at every
+  update boundary with the seed's per-vertex store
+  (``tour_oracle.DictTourStore``) run in lockstep, on adversarial streams
+  and on plain mixed streams where most tree deletes find a replacement
+  (one composed rewrite in the shards, two passes in the oracle); the tours
+  are genuine Euler tours, and two seeded mutations of the composed path
+  are caught.
+* **Heavy vertices** — through suspended-stack growth and refill, the
+  matching stays a maximal matching of the graph at every boundary.
 * **Coalesced batches** — with coalescing on, ``apply_batch`` reaches the
   same solution as sequentially replaying the *normalized* stream
   (:meth:`normalize_batch`), never spends more rounds, and this holds on
@@ -29,6 +33,8 @@ Three guarantees from the recut are locked down here:
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import inspect
 import random
 import textwrap
@@ -50,8 +56,9 @@ from repro.graph.graph import normalize_edge
 from repro.graph.generators import gnm_random_graph, random_forest, random_weighted_graph
 from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
 from repro.graph.validation import is_matching, is_maximal_matching
-from repro.mpc.layout import DYNAMIC_LAYOUTS, TourShard
+from repro.mpc.layout import TourShard
 from repro.mpc.sizing import closed_form_words, registered_closed_forms, word_size
+from tour_oracle import DictTourStore
 
 BACKENDS = ("reference", "fast", "sharded", "parallel", "process", "resident", "resident-shm")
 SHARD_COUNT = 3
@@ -79,6 +86,18 @@ def canonical(components):
     return sorted(sorted(c) for c in components)
 
 
+def ledger_digest(ledger, solution) -> str:
+    """SHA-256 over the per-update cost rows and the solution (``repr`` of both)."""
+    rows = [(u.label, u.num_rounds, u.total_words, u.max_words_per_round, u.max_active_machines) for u in ledger.updates]
+    return hashlib.sha256(repr((rows, solution)).encode()).hexdigest()
+
+
+def with_oracle(algorithm):
+    """``algorithm`` with its tour shards swapped for the seed's per-vertex store (before ``preprocess``)."""
+    algorithm._tours = DictTourStore(algorithm)
+    return algorithm
+
+
 def churn_stream(n: int, num_updates: int, seed: int) -> list:
     """A well-formed stream over few vertices, so batches cancel heavily."""
     return list(mixed_stream(n, num_updates, seed=seed, insert_probability=0.5))
@@ -99,110 +118,101 @@ def recorded_adversary(n: int, m: int, num_updates: int, seed: int, *, graph=Non
     return graph, list(adaptive.history)
 
 
-# --------------------------------------------------------------- layout A/B
-class TestLayoutAB:
-    """dict vs csr must be observationally identical on every algorithm."""
+# ------------------------------------------------------------ pinned ledgers
+def connectivity_solution(algorithm):
+    return canonical(algorithm.components()), sorted(algorithm.spanning_forest())
 
-    def run_layouts(self, make, graph, stream):
-        runs = {}
-        for layout in DYNAMIC_LAYOUTS:
-            algorithm = make(layout)
-            algorithm.preprocess(graph.copy() if graph is not None else DynamicGraph())
-            for update in stream:
-                algorithm.apply(update)
-            runs[layout] = algorithm
-        return runs
 
-    def assert_identical_costs(self, runs):
-        dict_run, csr_run = runs["dict"], runs["csr"]
-        assert per_update_rounds(dict_run) == per_update_rounds(csr_run)
-        assert dict_run.update_summary().as_dict() == csr_run.update_summary().as_dict()
+def matching_solution(algorithm):
+    return sorted(algorithm.matching())
 
-    def test_connectivity(self):
-        n, m = 32, 64
-        graph = gnm_random_graph(n, m, seed=11)
-        stream = list(mixed_stream(n, 90, seed=12, insert_probability=0.5, initial=graph))
-        runs = self.run_layouts(
-            lambda layout: DMPCConnectivity(
-                make_config(n, 2 * m, None), layout=layout, check_invariants=True
-            ),
-            graph,
-            stream,
-        )
-        assert canonical(runs["dict"].components()) == canonical(runs["csr"].components())
-        assert runs["dict"].spanning_forest() == runs["csr"].spanning_forest()
-        self.assert_identical_costs(runs)
 
-    def test_connectivity_adversarial(self):
-        n, m = 24, 36
-        graph, stream = recorded_adversary(n, m, 80, seed=13)
-        runs = self.run_layouts(
-            lambda layout: DMPCConnectivity(make_config(n, 4 * m, None), layout=layout),
-            graph,
-            stream,
-        )
-        assert canonical(runs["dict"].components()) == canonical(runs["csr"].components())
-        assert runs["dict"].spanning_forest() == runs["csr"].spanning_forest()
-        self.assert_identical_costs(runs)
+def mixed_inputs(make_graph, n: int, m: int, graph_seed: int, length: int, stream_seed: int, **options):
+    graph = make_graph(n, m, seed=graph_seed)
+    return graph, list(mixed_stream(n, length, seed=stream_seed, insert_probability=0.5, initial=graph, **options))
 
-    def test_approx_mst(self):
-        n, m = 24, 48
-        graph = random_weighted_graph(n, m, seed=14)
-        stream = list(mixed_stream(n, 80, seed=15, insert_probability=0.5, initial=graph, weighted=True))
-        runs = self.run_layouts(
-            lambda layout: DMPCApproxMST(make_config(n, 2 * m, None), epsilon=0.1, layout=layout),
-            graph,
-            stream,
-        )
-        assert runs["dict"].spanning_forest() == runs["csr"].spanning_forest()
-        self.assert_identical_costs(runs)
 
-    def test_maximal_matching(self):
-        n, m = 32, 64
-        graph = gnm_random_graph(n, m, seed=16)
-        stream = list(mixed_stream(n, 90, seed=17, insert_probability=0.5, initial=graph))
-        runs = self.run_layouts(
-            lambda layout: DMPCMaximalMatching(
-                make_config(n, 2 * m, None), layout=layout, check_invariants=True
-            ),
-            graph,
-            stream,
-        )
-        assert runs["dict"].matching() == runs["csr"].matching()
-        self.assert_identical_costs(runs)
+#: name -> (inputs() -> (initial graph or None, stream), make(backend), solution, digest)
+PINNED = {
+    "connectivity": (
+        lambda: mixed_inputs(gnm_random_graph, 32, 64, 11, 90, 12),
+        lambda backend: DMPCConnectivity(make_config(32, 128, backend), check_invariants=True),
+        connectivity_solution,
+        "d251a8e4e429d7be02a00269b4b22adf78c28c4238d75e5255264961994bb609",
+    ),
+    "connectivity_adversarial": (
+        lambda: recorded_adversary(24, 36, 80, seed=13),
+        lambda backend: DMPCConnectivity(make_config(24, 144, backend)),
+        connectivity_solution,
+        "9d1f1f0fef99e87d7b0cd2bcc24a5d58fa8d529d3deaacc015d573020a5b915b",
+    ),
+    "approx_mst": (
+        lambda: mixed_inputs(random_weighted_graph, 24, 48, 14, 80, 15, weighted=True),
+        lambda backend: DMPCApproxMST(make_config(24, 96, backend), epsilon=0.1),
+        lambda algorithm: sorted(algorithm.spanning_forest()),
+        "a051a0078a8f208f6bc4da44ccfdd348a63587ad5d18673cdbad16890af83019",
+    ),
+    "maximal_matching": (
+        lambda: mixed_inputs(gnm_random_graph, 32, 64, 16, 90, 17),
+        lambda backend: DMPCMaximalMatching(make_config(32, 128, backend), check_invariants=True),
+        matching_solution,
+        "9c4fa657c8d9cfacfe44e3b1e77fc96772510adf084bc0e17ed34f798c12165d",
+    ),
+    "three_halves_matching": (
+        lambda: (None, churn_stream(24, 100, seed=18)),
+        lambda backend: DMPCThreeHalvesMatching(make_config(24, 140, backend)),
+        matching_solution,
+        "6067928b44c5a87987e9bcdbe8048fdf2937ec7cddf15c2df1aa661f31940965",
+    ),
+    "two_plus_eps_matching": (
+        lambda: (None, churn_stream(24, 100, seed=19)),
+        lambda backend: DMPCTwoPlusEpsMatching(make_config(24, 120, backend), seed=7),
+        matching_solution,
+        "902e2756eac9aeb989ebd1391fb37edbdf52cf05ce1276661a9ae42b25feaa96",
+    ),
+}
 
-    def test_three_halves_matching(self):
-        n = 24
-        stream = churn_stream(n, 100, seed=18)
-        runs = self.run_layouts(
-            lambda layout: DMPCThreeHalvesMatching(make_config(n, 140, None), layout=layout),
-            None,
-            stream,
-        )
-        assert runs["dict"].matching() == runs["csr"].matching()
-        self.assert_identical_costs(runs)
 
-    def test_two_plus_eps_matching(self):
-        n = 24
-        stream = churn_stream(n, 100, seed=19)
-        runs = self.run_layouts(
-            lambda layout: DMPCTwoPlusEpsMatching(make_config(n, 120, None), seed=7, layout=layout),
-            None,
-            stream,
-        )
-        assert runs["dict"].matching() == runs["csr"].matching()
-        self.assert_identical_costs(runs)
+@functools.cache
+def pinned_inputs(name: str):
+    return PINNED[name][0]()
+
+
+class TestPinnedLedgers:
+    """Every backend reproduces the per-update costs and solution the dict and CSR layouts agreed on."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_ledger_matches_the_pinned_digest(self, name, backend):
+        _inputs, make, solution, pinned = PINNED[name]
+        graph, stream = pinned_inputs(name)
+        algorithm = make(backend)
+        algorithm.preprocess(graph.copy() if graph is not None else DynamicGraph())
+        for update in stream:
+            algorithm.apply(update)
+        assert ledger_digest(algorithm.ledger, solution(algorithm)) == pinned
+
+    def test_layout_is_a_csr_literal(self):
+        """``layout=`` survives only where the benchmark passes it, and selects nothing."""
+        config = make_config(8, 16, None)
+        for construct in (DMPCConnectivity, DMPCMaximalMatching):
+            construct(config, layout="csr")
+            with pytest.raises(ValueError, match="only layout is 'csr'"):
+                construct(config, layout="dict")
+        for construct in (DMPCApproxMST, DMPCThreeHalvesMatching, DMPCTwoPlusEpsMatching):
+            with pytest.raises(TypeError):
+                construct(config, layout="csr")
 
 
 # ------------------------------------- tour state at every update boundary
 def tour_snapshot(algorithm):
-    """Layout-neutral tour state: per-vertex (comp, index set), per-record (tree, weight, pair), per-machine words."""
+    """Store-neutral tour state: per-vertex (comp, index set), per-record (tree, weight, pair), per-machine words."""
     vertices, rows, words = {}, {}, {}
     for machine in algorithm.cluster.machines(role="worker"):
         words[machine.machine_id] = machine.used_words
         for key, value in machine.items():
             if key == TOUR_SHARD_KEY:
-                words[machine.machine_id] -= word_size(key)  # the one store key the dict layout does not have
+                words[machine.machine_id] -= word_size(key)  # the one store key the oracle does not have
                 for v, comp in value.shard.comp.items():
                     vertices[v] = (comp, value.shard.index_set(v))
                     rows[v] = value.shard.edge_row(v)
@@ -223,7 +233,7 @@ class TestTourStateAtEveryBoundary:
     """On adversarial streams the pair table never leaves the ``dict`` oracle, step by step."""
 
     def assert_lockstep(self, make, graph, stream, batch_size=None):
-        runs = {layout: make(layout) for layout in DYNAMIC_LAYOUTS}
+        runs = {"csr": make(), "dict": with_oracle(make())}
         for algorithm in runs.values():
             algorithm.preprocess(graph.copy())
         assert tour_snapshot(runs["csr"]) == tour_snapshot(runs["dict"])
@@ -243,7 +253,7 @@ class TestTourStateAtEveryBoundary:
         n, m = 24, 36
         graph, stream = recorded_adversary(n, m, 120, seed=41)
         self.assert_lockstep(
-            lambda layout: DMPCConnectivity(make_config(n, 4 * m, None), layout=layout, check_invariants=True),
+            lambda: DMPCConnectivity(make_config(n, 4 * m, None), check_invariants=True),
             graph,
             stream,
         )
@@ -252,7 +262,7 @@ class TestTourStateAtEveryBoundary:
         n, m = 24, 36
         graph, stream = recorded_adversary(n, m, 160, seed=42)
         self.assert_lockstep(
-            lambda layout: DMPCConnectivity(make_config(n, 4 * m, None), layout=layout, check_invariants=True),
+            lambda: DMPCConnectivity(make_config(n, 4 * m, None), check_invariants=True),
             graph,
             stream,
             batch_size=16,
@@ -264,7 +274,7 @@ class TestTourStateAtEveryBoundary:
             n, m, 100, seed=43, graph=random_weighted_graph(n, m, seed=43), make=DMPCApproxMST
         )
         self.assert_lockstep(
-            lambda layout: DMPCApproxMST(make_config(n, 4 * m, None), epsilon=0.1, layout=layout, check_invariants=True),
+            lambda: DMPCApproxMST(make_config(n, 4 * m, None), epsilon=0.1, check_invariants=True),
             graph,
             stream,
         )
@@ -274,7 +284,7 @@ class TestTourStateAtEveryBoundary:
         component re-stores the handle it holds — same object, same charge, a newer version."""
         n = 64
         graph = random_forest(n, num_trees=1, seed=44)  # a tree: no replacement edge, so a cut stays a cut
-        algorithm = DMPCConnectivity(make_config(n, 2 * n, None), layout="csr", check_invariants=True)
+        algorithm = DMPCConnectivity(make_config(n, 2 * n, None), check_invariants=True)
         algorithm.preprocess(graph.copy())
         workers = [m for m in algorithm.cluster.machines(role="worker") if m.load(TOUR_SHARD_KEY) is not None]
         x, y = sorted(algorithm.spanning_forest())[n // 2]
@@ -293,7 +303,7 @@ class TestTourStateAtEveryBoundary:
 
 # ------------------------------ a replaced cut is one rewrite, at every boundary
 def assert_euler_tours(algorithm):
-    """An oracle neither layout shares: each component's index sets spell one closed walk —
+    """An oracle neither tour store shares: each component's index sets spell one closed walk —
     arcs at positions ``(2k + 1, 2k + 2)``, each ending where the next starts — that crosses
     every tree edge of the component once in each direction."""
     vertices, _records, _words = tour_snapshot(algorithm)
@@ -333,14 +343,15 @@ class TestReplacedCutDifferential:
     }
 
     def make_runs(self, make, graph) -> dict:
-        runs = {layout: make(make_config(self.N, 4 * self.N, None), layout=layout) for layout in DYNAMIC_LAYOUTS}
+        config = make_config(self.N, 4 * self.N, None)
+        runs = {"csr": make(config), "dict": with_oracle(make(config))}
         for algorithm in runs.values():
             algorithm.preprocess(graph.copy())
         return runs
 
     def lockstep(self, runs: dict, steps, *, batch: bool) -> dict:
-        """Both layouts through ``steps`` (lists of updates, drawn lazily); returns how many replaced
-        cuts ran, alone and inside a merged group."""
+        """Shards and oracle through ``steps`` (lists of updates, drawn lazily); returns how many
+        replaced cuts ran, alone and inside a merged group."""
         csr, oracle = runs["csr"], runs["dict"]
         n = self.N
 
@@ -435,9 +446,9 @@ class TestReplacedCutDifferential:
             self.run_stream("connectivity", self.SEEDS[0], None)
 
     def test_unshifted_rotation_point_is_caught(self, monkeypatch):
-        """Seeded mutation: ``l(b)`` read in the old tour's coordinates, not the subtree's.  Both
-        layouts take the same wrong scalars and still tile ``1..L``, so it is the Euler-tour
-        oracle that has to notice."""
+        """Seeded mutation: ``l(b)`` read in the old tour's coordinates, not the subtree's.  Shards
+        and oracle take the same wrong scalars and still tile ``1..L``, so it is the Euler-tour
+        walk that has to notice."""
         monkeypatch.setattr(
             DMPCConnectivity,
             "_replacement_link",
@@ -475,87 +486,66 @@ def hub_stream(n: int, hubs: tuple[int, ...], seed: int, cycles: int = 2) -> lis
     return updates
 
 
-def fabric_snapshot(algorithm, n):
-    """Layout-neutral matching-fabric state: per-vertex suspended stack, per-stats-machine live
-    word footprint, matching.
-
-    The footprint is sized *live* on both sides — the table's O(1) ``live_words()`` against a
-    fresh walk of the dict layout's ``("st", v)`` records — not read from ``used_words``: the
-    dict layout mutates its stored ``VertexStats`` in place, which the storage accounting never
-    charges (see ``CachedStorage``), so its stored charge misses every stack push by design,
-    while the table's is picked up by the next frozen handle.
-    """
-    fabric = algorithm.fabric
-    stacks = {v: list(fabric.stats_of(v).suspended_machines) for v in range(n)}
-    words = {}
-    for machine in algorithm.cluster.machines(role="stats"):
-        handle = machine.load(STATS_KEY)
-        if handle is not None:
-            words[machine.machine_id] = handle.table.live_words()
-            assert machine.used_words == word_size(STATS_KEY) + handle.dmpc_words()
-        else:
-            words[machine.machine_id] = sum(word_size(key) + word_size(value) for key, value in machine.items())
-    return stacks, words, algorithm.matching()
-
-
 class TestHeavyFabricAtEveryBoundary:
     """Degrees past the heavy threshold (which ``mm-stream`` never reaches): suspended stacks grow
-    through ``add_edge_copy`` and shrink through ``fetch_suspended``, and the flat stats table
-    never leaves the ``dict`` oracle — stacks, word footprint, matching — step by step."""
+    through ``add_edge_copy`` and shrink through ``fetch_suspended``.  At every boundary the
+    matching is a maximal matching of a shadow graph, every stats machine is charged exactly its
+    frozen table handle, and the allocation list is the pool filter it replaced; the run's ledger
+    and matching are pinned by the digest the dict and CSR stats layouts agreed on."""
 
     N, HUBS, CAPACITY_M = 40, (0, 1), 128  # threshold 16 against hub degrees up to 38
 
-    def assert_lockstep(self, make, batch_size=None):
+    def assert_every_boundary(self, algorithm, pinned: str, batch_size=None):
         n = self.N
         stream = hub_stream(n, self.HUBS, seed=16)
-        runs = {layout: make(make_config(n, self.CAPACITY_M, None), layout) for layout in DYNAMIC_LAYOUTS}
-        for algorithm in runs.values():
-            algorithm.preprocess(DynamicGraph(n))
+        fabric = algorithm.fabric
+        algorithm.preprocess(DynamicGraph(n))
+        graph = DynamicGraph(n)
         steps = [[update] for update in stream] if batch_size is None else list(batched(stream, batch_size))
         depths = []
         for step in steps:
-            for algorithm in runs.values():
-                if batch_size is None:
-                    algorithm.apply(step[0])
-                else:
-                    algorithm.apply_batch(step)
-            stacks, words, matching = fabric_snapshot(runs["csr"], n)
-            assert (stacks, words, matching) == fabric_snapshot(runs["dict"], n), f"layouts diverged after {step}"
-            for algorithm in runs.values():
-                fabric = algorithm.fabric
-                # the maintained allocation list is the filter it replaced, in pool order
-                assert fabric._allocated == [mid for mid in fabric.edge_pool if mid not in fabric._unallocated]
-            depths.append(sum(len(stack) for stack in stacks.values()))
-        assert per_update_rounds(runs["csr"]) == per_update_rounds(runs["dict"])
+            if batch_size is None:
+                algorithm.apply(step[0])
+            else:
+                algorithm.apply_batch(step)
+            UpdateSequence(step).apply_to(graph)
+            matching = algorithm.matching()
+            assert is_matching(graph, matching), f"not a matching after {step}"
+            assert is_maximal_matching(graph, matching), f"not maximal after {step}"
+            # the maintained allocation list is the filter it replaced, in pool order
+            assert fabric._allocated == [mid for mid in fabric.edge_pool if mid not in fabric._unallocated]
+            for machine in algorithm.cluster.machines(role="stats"):
+                handle = machine.load(STATS_KEY)
+                if handle is not None:
+                    assert machine.used_words == word_size(STATS_KEY) + handle.dmpc_words()
+            depths.append(sum(len(fabric.stats_of(v).suspended_machines) for v in range(n)))
         # non-vacuous: stacks were pushed onto and popped (a pop releases the machine to the pool)
         assert any(after > before for before, after in zip([0, *depths], depths))
         assert any(after < before for before, after in zip(depths, depths[1:]))
+        assert ledger_digest(algorithm.ledger, sorted(algorithm.matching())) == pinned
 
     def test_maximal_matching(self):
-        self.assert_lockstep(lambda config, layout: DMPCMaximalMatching(config, layout=layout, check_invariants=True))
+        self.assert_every_boundary(
+            DMPCMaximalMatching(make_config(self.N, self.CAPACITY_M, None), check_invariants=True),
+            "0f07145773e28e2ead49108405390709815f67139e0c1f0c3f57f710faa9bbc3",
+        )
 
     def test_maximal_matching_batches(self):
-        self.assert_lockstep(lambda config, layout: DMPCMaximalMatching(config, layout=layout), batch_size=8)
+        self.assert_every_boundary(
+            DMPCMaximalMatching(make_config(self.N, self.CAPACITY_M, None)),
+            "25d9777adc1cd4e404d9b8e29a18ff4665d3df45474714ed6c05024bae064486",
+            batch_size=8,
+        )
 
     def test_three_halves_matching(self):
-        self.assert_lockstep(lambda config, layout: DMPCThreeHalvesMatching(config, layout=layout))
-
-    @pytest.mark.parametrize("layout", DYNAMIC_LAYOUTS)
-    def test_three_halves_matching_stays_maximal(self, layout):
         """Regression: a hub whose degree fell below the threshold with neighbours still on its
         suspended stack was settled as a light vertex — its free suspended neighbours were never
         looked at, and the matching was not maximal for 27 boundaries of this stream (it ended
         maximal only because later deletions removed the missed edges)."""
-        n = self.N
-        algorithm = DMPCThreeHalvesMatching(make_config(n, self.CAPACITY_M, None), layout=layout)
-        algorithm.preprocess(DynamicGraph(n))
-        graph = DynamicGraph(n)
-        for update in hub_stream(n, self.HUBS, seed=16):
-            algorithm.apply(update)
-            UpdateSequence([update]).apply_to(graph)
-            matching = algorithm.matching()
-            assert is_matching(graph, matching)
-            assert is_maximal_matching(graph, matching), f"not maximal after {update}"
+        self.assert_every_boundary(
+            DMPCThreeHalvesMatching(make_config(self.N, self.CAPACITY_M, None)),
+            "111f059ea0704eab3c60137e13ad8b15fc22d9d1aac055e6cf5a850bed6cd08c",
+        )
 
 
 # ------------------------------------------------- coalesced-batch replay
@@ -571,6 +561,16 @@ def coalesced_pair(make, graph, stream, batch_size):
         for update in sequential.normalize_batch(chunk)[0]:
             sequential.apply(update)
     return sequential, batch
+
+
+#: name -> make(config, **kwargs) for every dynamic algorithm
+COALESCE_MAKERS = {
+    "approx_mst": lambda config, **kw: DMPCApproxMST(config, epsilon=0.1, **kw),
+    "connectivity": DMPCConnectivity,
+    "maximal_matching": DMPCMaximalMatching,
+    "three_halves_matching": DMPCThreeHalvesMatching,
+    "two_plus_eps_matching": lambda config, **kw: DMPCTwoPlusEpsMatching(config, seed=7, **kw),
+}
 
 
 class TestCoalescedBatchReplay:
@@ -640,20 +640,43 @@ class TestCoalescedBatchReplay:
         assert sequential.spanning_forest() == batch.spanning_forest()
         assert canonical(sequential.components()) == canonical(batch.components())
 
-    def test_constructor_and_env_toggles(self, monkeypatch):
+    def test_constructor_toggle(self):
         n = 12
         stream = churn_stream(n, 40, seed=29)
-        explicit = DMPCConnectivity(make_config(n, 60, None), coalesce=True)
-        assert explicit.coalesce is True
-        monkeypatch.setenv("REPRO_COALESCE_UPDATES", "1")
-        from_env = DMPCConnectivity(make_config(n, 60, None))
-        assert from_env.coalesce is True
-        for chunk in batched(stream, 8):
-            from_env.apply_batch(chunk)  # no per-call flag: the env toggle drives it
-        assert from_env.last_coalesce_stats is not None
-        monkeypatch.delenv("REPRO_COALESCE_UPDATES")
         default = DMPCConnectivity(make_config(n, 60, None))
         assert default.coalesce is False
+        for chunk in batched(stream, 8):
+            default.apply_batch(chunk)
+        assert default.last_coalesce_stats is None
+        toggled = DMPCConnectivity(make_config(n, 60, None), coalesce=True)
+        assert toggled.coalesce is True
+        for chunk in batched(stream, 8):
+            toggled.apply_batch(chunk)  # no per-call flag: the constructor toggle drives it
+        assert toggled.coalesce_totals["input"] == len(stream)
+        overridden = DMPCConnectivity(make_config(n, 60, None), coalesce=True)
+        overridden.apply_batch(stream[:8], coalesce=False)  # the per-call flag wins
+        assert overridden.last_coalesce_stats is None
+
+    @pytest.mark.parametrize("name", sorted(COALESCE_MAKERS))
+    def test_defaults_off_on_every_algorithm(self, name):
+        """No algorithm coalesces unless its constructor or the call asks; the call wins both ways."""
+        n = 12
+        stream = list(mixed_stream(n, 32, seed=30, insert_probability=0.5, weighted=True))
+        make = COALESCE_MAKERS[name]
+        default = make(make_config(n, 60, None))
+        toggled = make(make_config(n, 60, None), coalesce=True)
+        assert default.coalesce is False and toggled.coalesce is True
+        for algorithm in (default, toggled):
+            algorithm.preprocess(DynamicGraph())
+        default.apply_batch(stream[:16])
+        assert default.last_coalesce_stats is None
+        toggled.apply_batch(stream[:16], coalesce=False)
+        assert toggled.last_coalesce_stats is None
+        default.apply_batch(stream[16:], coalesce=True)
+        toggled.apply_batch(stream[16:])
+        assert default.last_coalesce_stats == toggled.last_coalesce_stats
+        assert default.coalesce_totals == toggled.coalesce_totals
+        assert toggled.coalesce_totals["input"] == len(stream) - 16
 
 
 # ------------------------------------------------ all seven backends

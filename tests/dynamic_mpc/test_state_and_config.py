@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.config import DMPCConfig, ExperimentConfig
+from repro.config import DMPCConfig, ExperimentConfig, resolve_fuse_rounds
 from repro.dynamic_mpc.state import MatchingFabric, VertexStats
 from repro.exceptions import ProtocolError
 from repro.graph.generators import gnm_random_graph, star_graph
@@ -47,6 +47,26 @@ class TestDMPCConfig:
         assert config.capacity_m == 20
         assert not config.strict_memory
 
+    def test_fuse_rounds_defaults_to_auto(self):
+        assert DMPCConfig(capacity_n=4, capacity_m=4).fuse_rounds == "auto"
+        assert DMPCConfig.for_graph(4, 4).fuse_rounds == "auto"
+        assert resolve_fuse_rounds("auto") is None  # fuse with no block-length cap
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("auto", None), (" AUTO ", None), ("off", 0), ("Off", 0), (0, 0), (3, 3), ("5", 5)],
+    )
+    def test_fuse_rounds_normalizes(self, value, expected):
+        assert resolve_fuse_rounds(value) == expected
+        assert DMPCConfig(capacity_n=4, capacity_m=4, fuse_rounds=value).fuse_rounds == value
+
+    @pytest.mark.parametrize("value", [-1, "-2", "sometimes"])
+    def test_fuse_rounds_rejects_malformed(self, value):
+        with pytest.raises(ValueError):
+            resolve_fuse_rounds(value)
+        with pytest.raises(ValueError):
+            DMPCConfig(capacity_n=4, capacity_m=4, fuse_rounds=value)
+
     def test_experiment_config_defaults(self):
         exp = ExperimentConfig()
         assert exp.seed == 2019
@@ -66,10 +86,10 @@ def replay_reference(machine, entries) -> None:
                 machine.store(("status", a), b if entry.kind == "match" else None)
 
 
-def make_fabric(n: int = 16, m: int = 80, layout: "str | None" = None) -> MatchingFabric:
+def make_fabric(n: int = 16, m: int = 80) -> MatchingFabric:
     config = DMPCConfig.for_graph(n, m)
     cluster = Cluster(config)
-    return MatchingFabric(cluster, config, layout=layout)
+    return MatchingFabric(cluster, config)
 
 
 class TestMatchingFabric:
@@ -96,11 +116,11 @@ class TestMatchingFabric:
 
     @staticmethod
     def write_back_every_kind_of_record(store: str) -> int:
-        """Write to the ``csr`` stats table a view of the slot itself, a blank
+        """Write to the stats table a view of the slot itself, a blank
         ``VertexStats``, a view of *another* table's slot and a view of another
         vertex of the same table, through ``push_stats`` or ``store_stats``;
         assert what landed; return how many records were copied."""
-        fabric, other = make_fabric(layout="csr"), make_fabric(layout="csr")
+        fabric, other = make_fabric(), make_fabric()
         copies = []
         write_record = MatchingFabric._write_record
         fabric._write_record = lambda record, stats: (copies.append(record.vertex), write_record(record, stats))

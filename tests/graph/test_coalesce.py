@@ -5,7 +5,7 @@
 pre-state must reach exactly the edge set (and, on well-formed streams,
 the weights) that replaying the raw batch reaches.  These are the
 property tests the coalescer's docstring promises, plus golden unit
-tests for each cancellation rule and for the env/argument toggle.
+tests for each cancellation rule.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graph import DynamicGraph, GraphUpdate
 from repro.graph.generators import gnm_random_graph
 from repro.graph.streams import mixed_stream
-from repro.graph.updates import (
-    COALESCE_ENV_VAR,
-    coalesce_updates,
-    group_updates_by_owner,
-    resolve_coalesce,
-)
+from repro.graph.updates import coalesce_updates, group_updates_by_owner
 
 I = GraphUpdate.insert
 D = GraphUpdate.delete
@@ -196,26 +191,3 @@ class TestOwnerGrouping:
             if key in seen:
                 assert keys[i - 1] == key
             seen.add(key)
-
-
-class TestResolveCoalesce:
-    def test_defaults_off(self, monkeypatch):
-        monkeypatch.delenv(COALESCE_ENV_VAR, raising=False)
-        assert resolve_coalesce() is False
-        assert resolve_coalesce(None) is False
-
-    @pytest.mark.parametrize("raw", ["1", "true", "TRUE", " on ", "yes"])
-    def test_env_truthy_values(self, monkeypatch, raw):
-        monkeypatch.setenv(COALESCE_ENV_VAR, raw)
-        assert resolve_coalesce() is True
-
-    @pytest.mark.parametrize("raw", ["", "0", "false", "off", "no", "garbage"])
-    def test_env_falsy_values(self, monkeypatch, raw):
-        monkeypatch.setenv(COALESCE_ENV_VAR, raw)
-        assert resolve_coalesce() is False
-
-    def test_argument_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(COALESCE_ENV_VAR, "1")
-        assert resolve_coalesce(False) is False
-        monkeypatch.setenv(COALESCE_ENV_VAR, "0")
-        assert resolve_coalesce(True) is True

@@ -171,11 +171,11 @@ class TestCleanTree:
         # non-vacuous: the five concrete static_mpc programs were analyzed
         assert result.programs_checked >= 5
         assert {
-            "LabelProposeProgram",
+            "CSRLabelProposeProgram",
             "LabelApplyProgram",
-            "MatchingProposeProgram",
-            "MatchingAnnounceProgram",
-            "MSTCandidateProgram",
+            "CSRMatchingProposeProgram",
+            "CSRMatchingAnnounceProgram",
+            "CSRMSTCandidateProgram",
         } <= set(result.facts)
 
     def test_abstract_scaffolding_is_skipped(self):

@@ -122,7 +122,7 @@ def assert_matches(forest: ShardedForest, reference: IndexedEulerTourForest, n: 
         assert sum(len(members) for members in shard.by_comp.values()) == len(shard.comp)
         words = 0
         for v, row in shard.edges.items():
-            # the dict layout's closed form: ("tour", v) + ("edges", v) entries, then the records
+            # the seed's per-key closed form: ("tour", v) + ("edges", v) entries, then the records
             words += 12 + len(shard.index_set(v)) + sum(10 if rec["indexes"] is not None else 8 for rec in row.values())
             for w, rec in row.items():
                 if rec["tree"]:

@@ -216,38 +216,27 @@ class TestStaticDynamicAgreement:
     """The shadow oracle and ``repro.lint`` must agree on every shipped program."""
 
     PROGRAMS = {
-        "LabelProposeProgram": "StaticConnectedComponents",
         "CSRLabelProposeProgram": "StaticConnectedComponents",
         "LabelApplyProgram": "StaticConnectedComponents",
-        "MatchingProposeProgram": "StaticMaximalMatching",
-        "MatchingAnnounceProgram": "StaticMaximalMatching",
         "CSRMatchingProposeProgram": "StaticMaximalMatching",
         "CSRMatchingAnnounceProgram": "StaticMaximalMatching",
-        "MSTCandidateProgram": "StaticBoruvkaMST",
         "CSRMSTCandidateProgram": "StaticBoruvkaMST",
     }
 
     @pytest.fixture(scope="class")
     def observed(self):
-        """Run every static algorithm under the oracle, once per layout."""
+        """Run every static algorithm under the oracle."""
         import os
 
         old = os.environ.get(CHECK_ENV_VAR)
         os.environ[CHECK_ENV_VAR] = "1"
         reset_observations()
         try:
-            for layout in ("dict", "csr"):
-                StaticConnectedComponents(
-                    gnm_random_graph(40, 60, seed=7), backend="reference", layout=layout
-                ).run()
-                # dense enough that matching needs several proposal rounds, so
-                # the conditional prune path in the propose apply executes
-                StaticMaximalMatching(
-                    gnm_random_graph(60, 150, seed=3), backend="reference", layout=layout
-                ).run()
-                StaticBoruvkaMST(
-                    random_weighted_graph(30, 60, seed=7), backend="reference", layout=layout
-                ).run()
+            StaticConnectedComponents(gnm_random_graph(40, 60, seed=7), backend="reference").run()
+            # dense enough that matching needs several proposal rounds, so
+            # the conditional prune path in the propose apply executes
+            StaticMaximalMatching(gnm_random_graph(60, 150, seed=3), backend="reference").run()
+            StaticBoruvkaMST(random_weighted_graph(30, 60, seed=7), backend="reference").run()
             return observations()
         finally:
             if old is None:

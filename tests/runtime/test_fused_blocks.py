@@ -18,13 +18,11 @@ a mid-block stop and pipe fallback.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import FUSE_ENV_VAR
 from repro.exceptions import ProtocolError
 from repro.graph.generators import gnm_random_graph
 from repro.runtime.resident import ResidentSession
@@ -50,21 +48,10 @@ def backend_kwargs(backend: str) -> dict:
     return kwargs
 
 
-@contextmanager
-def fuse_setting(value: str | None):
-    """Pin ``REPRO_FUSE_ROUNDS`` for the scope (None restores the default)."""
-    old = os.environ.get(FUSE_ENV_VAR)
-    if value is None:
-        os.environ.pop(FUSE_ENV_VAR, None)
-    else:
-        os.environ[FUSE_ENV_VAR] = value
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(FUSE_ENV_VAR, None)
-        else:
-            os.environ[FUSE_ENV_VAR] = old
+def with_fuse(algorithm, fuse: str):
+    """``algorithm`` with ``fuse_rounds`` set on its cluster's config (read when a session runs a span)."""
+    algorithm.cluster.config = dataclasses.replace(algorithm.cluster.config, fuse_rounds=fuse)
+    return algorithm
 
 
 def round_records(ledger) -> list:
@@ -90,16 +77,14 @@ def round_records(ledger) -> list:
 
 
 def run_cc(graph, backend: str, fuse: str, **extra):
-    with fuse_setting(fuse):
-        algorithm = StaticConnectedComponents(graph, **backend_kwargs(backend), **extra)
-        algorithm.run()
+    algorithm = with_fuse(StaticConnectedComponents(graph, **backend_kwargs(backend), **extra), fuse)
+    algorithm.run()
     return algorithm
 
 
 def run_matching(graph, backend: str, fuse: str, **extra):
-    with fuse_setting(fuse):
-        algorithm = StaticMaximalMatching(graph, seed=13, **backend_kwargs(backend), **extra)
-        algorithm.run()
+    algorithm = with_fuse(StaticMaximalMatching(graph, seed=13, **backend_kwargs(backend), **extra), fuse)
+    algorithm.run()
     return algorithm
 
 

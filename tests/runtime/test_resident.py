@@ -39,7 +39,7 @@ from repro.runtime.resident import (
 from repro.runtime.sharding import ShardPlan
 from repro.static_mpc import StaticConnectedComponents
 from repro.static_mpc.common import build_static_cluster
-from repro.static_mpc.connected_components import LabelApplyProgram, LabelProposeProgram
+from repro.static_mpc.connected_components import CSRLabelProposeProgram, LabelApplyProgram
 
 SHARD_COUNT = 3
 MAX_WORKERS = 2
@@ -55,21 +55,19 @@ def run_label_propagation(graph, *, backend, plans=None, replan_every=None, on_r
     Returns everything a bit-identity comparison needs plus the session and
     the observed migrations.
     """
-    # The hand-built round loop below uses the dict-layout programs, so pin
-    # the layout regardless of the REPRO_STATIC_LAYOUT default.
     setup = build_static_cluster(
         graph,
         backend=backend,
         shard_count=SHARD_COUNT,
         max_workers=MAX_WORKERS,
         replan_every=replan_every,
-        layout="dict",
+        weighted=False,
     )
     cluster = setup.cluster
     worker_ids = setup.worker_ids
     leader = worker_ids[0]
     state = {"labels": {v: v for v in graph.vertices}, "via": {}, "changed_flags": {}}
-    propose = LabelProposeProgram(setup.owned, worker_ids)
+    propose = CSRLabelProposeProgram(setup.owned, worker_ids)
     apply_min = LabelApplyProgram(setup.owned, worker_ids, leader)
     migrations = []
     with cluster.update("replan-cc"), cluster.session(state) as session:
@@ -236,7 +234,7 @@ class TestWorkerSessionProtocol:
     """The four protocol ops as plain functions over a sessions dict."""
 
     def make_program_blob(self):
-        program = LabelProposeProgram({"m0": []}, ["m0"])
+        program = CSRLabelProposeProgram({"m0": []}, ["m0"])
         return pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
 
     def test_open_run_close_lifecycle(self):
@@ -310,11 +308,11 @@ class TestWorkerSessionProtocol:
         and a *fresh* session on the same workers still runs bit-identically."""
         graph = gnm_random_graph(30, 60, seed=29)
         setup = build_static_cluster(
-            graph, backend="resident", shard_count=SHARD_COUNT, max_workers=MAX_WORKERS, layout="dict"
+            graph, backend="resident", shard_count=SHARD_COUNT, max_workers=MAX_WORKERS, weighted=False
         )
         cluster = setup.cluster
         worker_ids = setup.worker_ids
-        propose = LabelProposeProgram(setup.owned, worker_ids)
+        propose = CSRLabelProposeProgram(setup.owned, worker_ids)
         bad_state = {"via": {}, "changed_flags": {}}  # missing "labels"
         with cluster.session(bad_state) as session:
             with pytest.raises(KeyError):

@@ -52,7 +52,7 @@ from repro.runtime.wire import (
 )
 from repro.static_mpc import StaticMaximalMatching
 from repro.static_mpc.common import build_static_cluster
-from repro.static_mpc.connected_components import LabelApplyProgram, LabelProposeProgram
+from repro.static_mpc.connected_components import CSRLabelProposeProgram, LabelApplyProgram
 
 # ------------------------------------------------------------------ fixtures
 #: scalars marshal handles natively (floats kept NaN-free so == works)
@@ -361,21 +361,19 @@ def run_matching(graph, seed=31, **kwargs):
 def run_label_propagation(graph, *, backend, plans=None, **cluster_kwargs):
     """The StaticConnectedComponents round loop with re-plan injection —
     self-contained (test modules are not importable from each other)."""
-    # The hand-built round loop below uses the dict-layout programs, so pin
-    # the layout regardless of the REPRO_STATIC_LAYOUT default.
     setup = build_static_cluster(
         graph,
         backend=backend,
         shard_count=SHARD_COUNT,
         max_workers=MAX_WORKERS,
-        layout="dict",
+        weighted=False,
         **cluster_kwargs,
     )
     cluster = setup.cluster
     worker_ids = setup.worker_ids
     leader = worker_ids[0]
     state = {"labels": {v: v for v in graph.vertices}, "via": {}, "changed_flags": {}}
-    propose = LabelProposeProgram(setup.owned, worker_ids)
+    propose = CSRLabelProposeProgram(setup.owned, worker_ids)
     apply_min = LabelApplyProgram(setup.owned, worker_ids, leader)
     migrations = []
     with cluster.update("slot-routing-cc"), cluster.session(state) as session:

@@ -47,7 +47,7 @@ STORE = Machine.store.__code__
 
 def test_a_replaced_tree_delete_rewrites_each_shard_once():
     graph = gnm_random_graph(N, 2 * N, seed=2019)
-    algorithm = DMPCConnectivity(DMPCConfig.for_graph(N, 4 * N, backend="fast"), layout="csr")
+    algorithm = DMPCConnectivity(DMPCConfig.for_graph(N, 4 * N, backend="fast"))
     algorithm.preprocess(graph.copy())
     non_empty = sum(machine.load(TOUR_SHARD_KEY) is not None for machine in algorithm.cluster.machines(role="worker"))
     assert non_empty > 64

@@ -18,8 +18,7 @@ from repro.static_mpc import StaticBoruvkaMST, StaticConnectedComponents, Static
 class TestSetup:
     def test_build_static_cluster_places_all_adjacency_csr(self):
         graph = gnm_random_graph(20, 40, seed=1)
-        setup = build_static_cluster(graph)  # default layout: csr
-        assert setup.layout == "csr"
+        setup = build_static_cluster(graph)
         placed = 0
         for machine_id in setup.worker_ids:
             csr = setup.machine_csr(machine_id)
@@ -29,27 +28,21 @@ class TestSetup:
         assert placed == 2 * graph.num_edges
         assert len(setup.interner) == graph.num_vertices
 
-    def test_build_static_cluster_places_all_adjacency_dict(self):
-        graph = gnm_random_graph(20, 40, seed=1)
-        setup = build_static_cluster(graph, layout="dict")
-        assert setup.layout == "dict"
-        placed = 0
-        for machine_id in setup.worker_ids:
-            machine = setup.cluster.machine(machine_id)
-            for v in setup.owned_vertices(machine_id):
-                placed += len(machine.load(("adj", v), []))
-        assert placed == 2 * graph.num_edges
-
     def test_unweighted_setup_skips_weight_stores(self):
         graph = gnm_random_graph(12, 20, seed=2)
-        dict_setup = build_static_cluster(graph, layout="dict", weighted=False)
-        for machine_id in dict_setup.worker_ids:
-            machine = dict_setup.cluster.machine(machine_id)
-            for v in dict_setup.owned_vertices(machine_id):
-                assert machine.load(("weights", v)) is None
-        csr_setup = build_static_cluster(graph, layout="csr", weighted=False)
-        for machine_id in csr_setup.worker_ids:
-            assert csr_setup.machine_csr(machine_id).weights is None
+        setup = build_static_cluster(graph, weighted=False)
+        for machine_id in setup.worker_ids:
+            assert setup.machine_csr(machine_id).weights is None
+
+    def test_layout_is_a_csr_literal(self):
+        """``layout=`` survives only where the benchmark passes it, and selects nothing."""
+        graph = gnm_random_graph(12, 20, seed=2)
+        StaticConnectedComponents(graph, layout="csr").run()
+        with pytest.raises(ValueError, match="only layout is 'csr'"):
+            StaticConnectedComponents(graph, layout="dict")
+        for construct in (StaticMaximalMatching, StaticBoruvkaMST, build_static_cluster):
+            with pytest.raises(TypeError):
+                construct(graph, layout="csr")
 
     def test_owned_vertices_is_authoritative(self):
         graph = gnm_random_graph(10, 15, seed=3)
