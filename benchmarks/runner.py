@@ -211,9 +211,6 @@ class RunResult:
     rounds_total: int
     words_total: int
     elapsed: float
-    #: shard plans the autotuning loop adopted mid-run (``--replan-every``),
-    #: in order — empty without re-planning
-    replans: list = field(default_factory=list)
     #: wire-path totals from :meth:`MetricsLedger.traffic_totals` — which
     #: physical path messages took on slot-routing backends (all zeros on
     #: driver-delivered backends)
@@ -227,22 +224,16 @@ class RunResult:
 
 
 def _dynamic_runner(algorithm_cls, graph, stream, solution, **algorithm_kwargs):
-    """Build a ``run(backend, shard_count, max_workers, chunk)`` closure for a dynamic workload."""
+    """Build a ``run(backend, shard_count, resident_slots, coalesce, fuse)`` closure for a dynamic workload."""
     n = max(1, graph.num_vertices)
     m = max(1, graph.num_edges, 2 * n)
 
-    def run(
-        backend, shard_count, max_workers, process_chunk_machines=None, replan_every=None,
-        resident_slots=None, coalesce=False, fuse="auto",
-    ) -> RunResult:
+    def run(backend, shard_count, resident_slots=None, coalesce=False, fuse="auto") -> RunResult:
         config = DMPCConfig.for_graph(
             n,
             2 * m,
             backend=backend,
             shard_count=shard_count,
-            max_workers=max_workers,
-            process_chunk_machines=process_chunk_machines,
-            replan_every=replan_every,
             resident_slots=resident_slots,
             fuse_rounds=fuse,
         )
@@ -266,7 +257,6 @@ def _dynamic_runner(algorithm_cls, graph, stream, solution, **algorithm_kwargs):
             rounds_total=algorithm.update_round_total(),
             words_total=algorithm.update_summary().total_words,
             elapsed=elapsed,
-            replans=list(algorithm.cluster.replan_history),
             traffic=algorithm.cluster.ledger.traffic_totals(),
             fused_rounds=algorithm.cluster.ledger.fused_rounds,
             driver_round_trips=algorithm.cluster.ledger.driver_round_trips,
@@ -320,25 +310,14 @@ def _three_halves_workload(n: int, updates: int, seed: int):
 def _static_runner(make_algorithm, solution, label: str):
     """Build a ``run(...)`` closure timing one full static recomputation.
 
-    Static baselines are superstep-style, so this is where the ``parallel``
-    and ``process`` backends' pooled execution shows up; the ``updates``
-    knob is unused.
+    Static baselines are superstep-style, so this is where the ``resident``
+    backend's worker sessions show up; the ``updates`` knob is unused.
     """
 
-    def run(
-        backend, shard_count, max_workers, process_chunk_machines=None, replan_every=None,
-        resident_slots=None, coalesce=False, fuse="auto",
-    ) -> RunResult:
+    def run(backend, shard_count, resident_slots=None, coalesce=False, fuse="auto") -> RunResult:
         # coalesce is a dynamic-stack knob; static recomputation accepts and
         # ignores it so compare_backends has one run signature.
-        algorithm = make_algorithm(
-            backend=backend,
-            shard_count=shard_count,
-            max_workers=max_workers,
-            process_chunk_machines=process_chunk_machines,
-            replan_every=replan_every,
-            resident_slots=resident_slots,
-        )
+        algorithm = make_algorithm(backend=backend, shard_count=shard_count, resident_slots=resident_slots)
         # the baselines build their own config; fuse_rounds is read when a
         # session runs a span, so it is set on the built cluster's config
         cluster = algorithm.cluster
@@ -353,7 +332,6 @@ def _static_runner(make_algorithm, solution, label: str):
             rounds_total=ledger.total_rounds(),
             words_total=ledger.summary().total_words,
             elapsed=elapsed,
-            replans=list(algorithm.cluster.replan_history),
             traffic=ledger.traffic_totals(),
             fused_rounds=ledger.fused_rounds,
             driver_round_trips=ledger.driver_round_trips,
@@ -431,7 +409,7 @@ def profile_top_entries(fn: Callable[[], Any], *, top: int = 20) -> list[dict]:
     return entries
 
 
-#: workload name -> builder(n, updates, seed) -> run(backend, shard_count, max_workers, chunk)
+#: workload name -> builder(n, updates, seed) -> run(backend, shard_count, resident_slots, coalesce, fuse)
 WORKLOADS: dict[str, Callable] = {
     "connectivity": _connectivity_workload,
     "maximal-matching": _matching_workload,
@@ -453,9 +431,6 @@ def compare_backends(
     repeats: int = 3,
     warmup: int = 0,
     shard_count: int | None = None,
-    max_workers: int | None = None,
-    process_chunk_machines: int | None = None,
-    replan_every: int | None = None,
     resident_slots: int | None = None,
     coalesce: bool = False,
     fuse: "str | int" = "auto",
@@ -469,18 +444,15 @@ def compare_backends(
     scheduler slice, while the median is what a backend comparison can
     actually stand on; the raw samples are kept in the record so outliers
     stay visible.  ``warmup`` extra iterations run first and are discarded
-    (per backend, still equivalence-checked): the pooled backends pay a
+    (per backend, still equivalence-checked): the resident backend pays a
     one-time worker spawn cost that used to pollute the first sample —
     0.45s cold against a 0.08s steady state on static-connectivity — and a
     warm-up makes the medians compare steady states.  Equivalence —
     identical solutions and identical per-update round counts — is
     asserted, not just reported: a backend that changes the simulation is a
-    bug, not a trade-off.  ``shard_count`` / ``max_workers`` configure the
-    sharded-family backends (other backends ignore them);
-    ``replan_every`` turns on the live shard-replan autotuning loop, and
-    the plans it adopts are recorded per backend under ``"replans"``.
-    ``resident_slots`` pins the resident backend's worker-slot count (the
-    slot-routing transport only has cross-slot traffic with >= 2 slots);
+    bug, not a trade-off.  ``shard_count`` caps and ``resident_slots`` pins
+    the resident backend's worker-slot count (other backends ignore both;
+    the slot-routing transport only has cross-slot traffic with >= 2 slots);
     backends whose rounds took a measured wire path report the per-path
     message totals (``local_messages`` / ``cross_slot_messages`` /
     ``shm_bytes`` / ``pipe_fallbacks``) under ``"traffic"``.  ``coalesce``
@@ -500,10 +472,7 @@ def compare_backends(
     # measured during the slow minute.
     for iteration in range(-max(0, warmup), max(1, repeats)):
         for backend in backends:
-            result = run(
-                backend, shard_count, max_workers, process_chunk_machines, replan_every,
-                resident_slots, coalesce, fuse,
-            )
+            result = run(backend, shard_count, resident_slots, coalesce, fuse)
             last = lasts.get(backend)
             if last is not None and (
                 result.solution != last.solution or result.round_counts != last.round_counts
@@ -530,8 +499,6 @@ def compare_backends(
             "fused_rounds": last.fused_rounds,
             "driver_round_trips": last.driver_round_trips,
         }
-        if last.replans:
-            results[backend]["replans"] = last.replans
         if any(last.traffic.values()):
             # Wire-path provenance for slot-routing backends: how many
             # messages stayed worker-local vs crossed a shm ring vs fell
@@ -541,10 +508,7 @@ def compare_backends(
             # One extra (untimed) run per backend under cProfile; the top
             # cumulative entries become part of the perf record's provenance.
             results[backend]["profile_top"] = profile_top_entries(
-                lambda: run(
-                    backend, shard_count, max_workers, process_chunk_machines, replan_every,
-                    resident_slots, coalesce, fuse,
-                )
+                lambda: run(backend, shard_count, resident_slots, coalesce, fuse)
             )
     baseline = backends[0]
     for backend in backends[1:]:
@@ -557,7 +521,7 @@ def compare_backends(
         )
     if "fast" in results:
         # Speedups relative to fast — the single-process optimised baseline
-        # every pooled backend is really racing — even when another backend
+        # the resident backend is really racing — even when another backend
         # (usually reference) anchors the comparison.
         for backend in results:
             if backend not in ("fast", baseline):
@@ -570,9 +534,6 @@ def compare_backends(
         "n": n,
         "updates": updates,
         "shard_count": shard_count,
-        "max_workers": max_workers,
-        "process_chunk_machines": process_chunk_machines,
-        "replan_every": replan_every,
         "resident_slots": resident_slots,
         "backends": results,
         "solutions_identical": True,
@@ -624,30 +585,14 @@ def main(argv: list[str] | None = None) -> int:
         default=["reference", "fast"],
         help="backends to compare; the first is the baseline speedups are relative to",
     )
-    parser.add_argument("--shards", type=int, default=None, help="shard_count for sharded/parallel/process backends")
-    parser.add_argument("--workers", type=int, default=None, help="max_workers for the parallel/process backends")
+    parser.add_argument("--shards", type=int, default=None, help="shard_count: the resident backend's slot cap (default 4)")
     parser.add_argument(
         "--warmup",
         type=int,
         default=0,
         metavar="K",
         help="discard K warm-up iterations per backend before the --repeat samples "
-        "(hides pooled-backend worker spawn cost from the medians)",
-    )
-    parser.add_argument(
-        "--chunk",
-        type=int,
-        default=None,
-        metavar="C",
-        help="process_chunk_machines: chunk process-backend shard jobs into runs of at most C machines",
-    )
-    parser.add_argument(
-        "--replan-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="autotune the shard plan every N delivered rounds (machine_load -> rebalance -> replan); "
-        "adopted plans are recorded in the BENCH json",
+        "(hides the resident backend's worker spawn cost from the medians)",
     )
     parser.add_argument(
         "--resident-slots",
@@ -702,9 +647,6 @@ def main(argv: list[str] | None = None) -> int:
         warmup=args.warmup,
         backends=tuple(args.backends),
         shard_count=args.shards,
-        max_workers=args.workers,
-        process_chunk_machines=args.chunk,
-        replan_every=args.replan_every,
         resident_slots=args.resident_slots,
         coalesce=args.coalesce,
         fuse=args.fuse,

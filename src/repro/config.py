@@ -63,58 +63,28 @@ class DMPCConfig:
         Which execution backend (:mod:`repro.runtime`) clusters built from
         this config use: ``"reference"`` (strict, fully-eager, full metrics
         detail), ``"fast"`` (memoised sizing, staged-sender transport,
-        aggregate metrics), ``"sharded"`` (shard-partitioned fused
-        transport), ``"parallel"`` (sharded + thread-pooled supersteps) or
-        ``"process"`` (sharded + picklable superstep programs serialized to
-        a spawn-safe process pool).  ``None`` (the default) defers to the
-        ``REPRO_BACKEND`` environment variable and finally to
-        ``"reference"``.  Every backend produces identical solutions, round
-        counts and word accounting; only wall-clock cost and retained
-        metrics detail differ.
+        aggregate metrics) or ``"resident"`` (``fast`` plus superstep
+        programs run by long-lived worker processes during a session).
+        ``None`` (the default) defers to the ``REPRO_BACKEND`` environment
+        variable and finally to ``"reference"``.  Every backend produces
+        identical solutions, round counts and word accounting; only
+        wall-clock cost and retained metrics detail differ.
     metrics_sampling:
         Fast-backend knob: retain the full per-(sender, receiver)
         communication breakdown on every ``k``-th round (``0`` = never), so
         the Section 8 entropy metric can still be estimated cheaply.  The
         reference backend always retains full detail and ignores this.
     shard_count:
-        Sharded/parallel-backend knob: how many shards the machine map is
-        partitioned into (see :mod:`repro.runtime.sharding`).  ``None``
-        defers to the backend's default.  The shard count never changes the
-        simulation — delivery is merged back into global registration order
-        — only how execution work is grouped.
-    shard_strategy:
-        How machines are assigned to shards: ``"index"`` (round-robin by
-        registration index, the default) or ``"rendezvous"`` (highest-
-        random-weight hash of the machine id — stable under machine-set
-        growth, for id-keyed workloads).  Like ``shard_count``, never
-        observable in the simulation.
-    max_workers:
-        Parallel/process-backend knob: size of the worker pool (threads for
-        ``"parallel"``, spawned processes for ``"process"``) that
-        :meth:`Cluster.superstep` fans shard-local execution across.
-        ``None`` defers to ``min(shard_count, os.cpu_count())``; fewer than
-        2 effective workers falls back to sequential superstep execution.
-    process_chunk_machines:
-        Process-backend knob: instead of one serialized job per shard,
-        chunk the superstep targets into contiguous runs of at most this
-        many machines per job — the lever for trading per-job IPC overhead
-        against parallelism.  ``None`` (the default) follows the shard
-        plan.  Job grouping never changes the simulation; the merge
-        barrier restores target order.
-    replan_every:
-        Sharded-family autotuning knob: every this-many delivered rounds
-        the cluster closes the loop ``machine_load() → rebalance() →
-        replan()`` — observed per-machine word loads feed a greedy-LPT
-        proposal that is adopted as the live shard plan
-        (:meth:`~repro.mpc.cluster.Cluster.autotune_replan`), with resident
-        backends migrating worker-held shard state to match.  ``None`` (the
-        default) keeps the plan fixed for the whole run.  Like every shard
-        choice, re-planning never changes the simulation.
+        Resident-backend knob, and nothing else: the cap on the number of
+        worker slots a resident session uses.  ``None`` (the default) caps
+        at 4.  The name outlived the shard plans it once sized; it survives
+        because the benchmark passes ``shard_count=4``.  Like every
+        execution knob it never changes the simulation.
     resident_slots:
         Resident-backend knob: how many long-lived worker-slot processes a
-        resident session fans shard execution across (still clamped to the
-        shard count — a slot with no shards would idle).  ``None`` (the
-        default) defers to ``min(max_workers, shard_count, os.cpu_count())``.
+        resident session fans execution across (clamped to the
+        ``shard_count`` cap); machine ``i`` runs on slot ``i % slots``.
+        ``None`` (the default) defers to ``min(cap, os.cpu_count())``.
         Slot count also governs slot-local message routing: same-slot
         traffic never leaves its worker process and cross-slot traffic
         rides shared-memory rings, but like every execution knob the
@@ -146,10 +116,6 @@ class DMPCConfig:
     backend: str | None = None
     metrics_sampling: int = 0
     shard_count: int | None = None
-    shard_strategy: str = "index"
-    max_workers: int | None = None
-    process_chunk_machines: int | None = None
-    replan_every: int | None = None
     resident_slots: int | None = None
     resident_shm_ring_bytes: int | None = None
     fuse_rounds: str | int = "auto"
@@ -165,14 +131,6 @@ class DMPCConfig:
             raise ValueError("metrics_sampling must be non-negative")
         if self.shard_count is not None and self.shard_count < 1:
             raise ValueError("shard_count must be positive when given")
-        if self.shard_strategy not in ("index", "rendezvous"):
-            raise ValueError(f"unknown shard_strategy {self.shard_strategy!r}")
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be positive when given")
-        if self.process_chunk_machines is not None and self.process_chunk_machines < 1:
-            raise ValueError("process_chunk_machines must be positive when given")
-        if self.replan_every is not None and self.replan_every < 1:
-            raise ValueError("replan_every must be positive when given")
         if self.resident_slots is not None and self.resident_slots < 1:
             raise ValueError("resident_slots must be positive when given")
         if self.resident_shm_ring_bytes is not None and self.resident_shm_ring_bytes < 1024:
@@ -237,10 +195,6 @@ class DMPCConfig:
         backend: str | None = None,
         metrics_sampling: int = 0,
         shard_count: int | None = None,
-        shard_strategy: str = "index",
-        max_workers: int | None = None,
-        process_chunk_machines: int | None = None,
-        replan_every: int | None = None,
         resident_slots: int | None = None,
         resident_shm_ring_bytes: int | None = None,
         fuse_rounds: str | int = "auto",
@@ -254,10 +208,6 @@ class DMPCConfig:
             backend=backend,
             metrics_sampling=metrics_sampling,
             shard_count=shard_count,
-            shard_strategy=shard_strategy,
-            max_workers=max_workers,
-            process_chunk_machines=process_chunk_machines,
-            replan_every=replan_every,
             resident_slots=resident_slots,
             resident_shm_ring_bytes=resident_shm_ring_bytes,
             fuse_rounds=fuse_rounds,

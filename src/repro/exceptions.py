@@ -65,8 +65,8 @@ class ContractViolationError(DMPCError):
     """A :class:`~repro.mpc.program.SuperstepProgram` broke its declared contract.
 
     Raised only under contract checking (``REPRO_CHECK_CONTRACTS=1``, see
-    :mod:`repro.mpc.contract`): the in-process execution strategies then
-    wrap the program's inputs in recording views that fail loudly where a
+    :mod:`repro.mpc.contract`): the in-process execution strategy then
+    wraps the program's inputs in recording views that fail loudly where a
     worker process would silently diverge — an ``apply`` writing a shared
     key outside ``shared_reads + shared_writes``, or a ``run`` reading the
     inbox it declared ``reads_inbox = False`` for.  (Undeclared ``shared``

@@ -3,8 +3,8 @@
 The multi-backend story rests on the program contract declared in
 :mod:`repro.mpc.program`: ``shared_reads`` / ``store_reads`` /
 ``shared_writes`` / ``delta_scope`` / ``reads_inbox`` must match what
-``run`` and ``apply`` actually touch, or the ``process`` / ``resident``
-workers silently diverge from the in-process strategies.  This module
+``run`` and ``apply`` actually touch, or ``resident`` workers silently
+diverge from the in-process strategy.  This module
 checks the declarations against the code **without importing it**: every
 ``*.py`` file is parsed, every class transitively deriving from
 ``SuperstepProgram`` (by base-name fixpoint over the analyzed file set,

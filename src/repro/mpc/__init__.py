@@ -34,7 +34,7 @@ from repro.mpc.message import Message
 from repro.mpc.machine import Machine
 from repro.mpc.metrics import MetricsLedger, RoundRecord, UpdateRecord, UpdateSummary
 from repro.mpc.cluster import Cluster
-from repro.mpc.partition import RangePartition, hash_partition, rendezvous_shard
+from repro.mpc.partition import RangePartition, hash_partition
 from repro.mpc.program import MachineContext, SuperstepProgram
 from repro.mpc.primitives import broadcast, gather, aggregate_sum, sample_sort
 from repro.mpc.coordinator import Coordinator, UpdateHistory, HistoryEntry
@@ -50,7 +50,6 @@ __all__ = [
     "Cluster",
     "RangePartition",
     "hash_partition",
-    "rendezvous_shard",
     "MachineContext",
     "SuperstepProgram",
     "broadcast",

@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.config import DMPCConfig
 from repro.exceptions import ProtocolError, UnknownMachineError
 from repro.mpc.machine import Machine
-from repro.mpc.message import Message
 from repro.mpc.metrics import MetricsLedger, RoundRecord
+from repro.mpc.program import SuperstepProgram
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.mpc.program import SuperstepProgram
     from repro.runtime.base import ExecutionBackend, ExecutionSession
-    from repro.runtime.sharding import ShardPlan
 
 __all__ = ["Cluster"]
 
@@ -28,10 +26,10 @@ class Cluster:
       with :meth:`Machine.send` and calls :meth:`exchange` to run one
       synchronous round;
     * **superstep style** — the driver calls :meth:`superstep` with a
-      declarative :class:`~repro.mpc.program.SuperstepProgram` (or a legacy
-      per-machine closure) which reads the inbox, stages outgoing messages
-      and returns shared-state deltas; the cluster merges the deltas at the
-      barrier and delivers the staged messages as one round.
+      declarative :class:`~repro.mpc.program.SuperstepProgram` which reads
+      the inbox, stages outgoing messages and returns shared-state deltas;
+      the cluster merges the deltas at the barrier and delivers the staged
+      messages as one round.
 
     Every delivered round is recorded in the :class:`MetricsLedger`.  The
     per-round I/O cap of the model (each machine sends and receives at most
@@ -74,13 +72,6 @@ class Cluster:
         #: the execution session an active :meth:`session` scope opened;
         #: resident backends route supersteps through it.
         self._active_session: "ExecutionSession | None" = None
-        #: rounds delivered so far, and every how many of them the autotuner
-        #: re-plans (``0``: never; the config is frozen, so it is read once).
-        self._rounds_delivered = 0
-        self._replan_every = getattr(config, "replan_every", None) or 0
-        #: plans adopted by :meth:`replan`, in order, with the round index
-        #: each one took effect at — the autotuning loop's audit trail.
-        self.replan_history: list[dict] = []
 
     # --------------------------------------------------------------- machines
     def add_machine(self, machine_id: str, *, role: str = "worker", capacity: int | None = None) -> Machine:
@@ -142,55 +133,40 @@ class Cluster:
         collection/delivery mechanics live in the backend's
         :class:`~repro.runtime.base.Transport`.
         """
-        record = self._transport.exchange()
-        self._rounds_delivered += 1
-        every = self._replan_every
-        if every and self._rounds_delivered % every == 0:
-            session = self._active_session
-            if session is not None and session.in_fused_block:
-                # Mid fused block the workers are looping on the old
-                # locality — the tick is deferred to the block boundary.
-                session.pending_autotune = True
-            else:
-                self.autotune_replan()
-        return record
+        return self._transport.exchange()
 
     def superstep(
         self,
-        program: "SuperstepProgram | Callable[[Machine, list[Message]], None]",
+        program: "SuperstepProgram",
         *,
         machines: Iterable[str] | None = None,
         shared: dict | None = None,
     ) -> RoundRecord:
         """Run one superstep of ``program`` on each (selected) machine.
 
-        ``program`` is normally a declarative, picklable
+        ``program`` is a declarative, picklable
         :class:`~repro.mpc.program.SuperstepProgram`: its ``run`` receives a
         restricted machine view, the machine's *fully drained* inbox (all
         tags) and the read-only ``shared`` driver state, and returns a delta
         that is merged back (``program.apply``) at the round barrier.  This
         is the BSP-style entry point used by the static MPC algorithms,
         where every machine executes the same local code each round.
-
-        The legacy ad-hoc form — a closure ``handler(machine, inbox) ->
-        None`` mutating driver state in place — is still accepted, but such
-        closures cannot cross a process boundary, so only in-process
-        execution strategies apply to them.
+        Anything else raises :class:`TypeError`.
 
         *How* the per-machine code executes is an execution-backend strategy
         (:meth:`~repro.runtime.base.ExecutionBackend.run_superstep`):
-        sequentially in registration order by default, fanned across a
-        thread pool by the ``parallel`` backend, or serialized to a process
-        pool by the ``process`` backend.  Programs and handlers must
-        therefore be order-independent — mutate only state owned by the
-        machine they run on; move everything else through messages.
+        sequentially in registration order by default, or inside the
+        ``resident`` backend's worker processes during a :meth:`session`.
+        Programs must therefore be order-independent — change shared state
+        only through their deltas; move everything else through messages.
         """
+        _check_program(program)
         targets = self.machines() if machines is None else [self.machine(mid) for mid in machines]
         return self.backend.run_superstep(self, program, targets, shared if shared is not None else {})
 
     def superstep_block(
         self,
-        programs: "Iterable[SuperstepProgram | Callable[[Machine, list[Message]], None]]",
+        programs: "Iterable[SuperstepProgram]",
         *,
         machines: Iterable[str] | None = None,
         shared: dict | None = None,
@@ -207,10 +183,11 @@ class Cluster:
         trip; every other backend just loops.  Returns the per-round
         records in execution order.
         """
+        programs = list(programs)
+        for program in programs:
+            _check_program(program)
         targets = self.machines() if machines is None else [self.machine(mid) for mid in machines]
-        return self.backend.run_superstep_block(
-            self, list(programs), targets, shared if shared is not None else {}
-        )
+        return self.backend.run_superstep_block(self, programs, targets, shared if shared is not None else {})
 
     def discard_undelivered(self) -> None:
         """Drop any staged (outbox) and pending (inbox) messages on all machines."""
@@ -248,56 +225,6 @@ class Cluster:
             self._active_session = None
             session.close()
 
-    # ------------------------------------------------------------- re-planning
-    def replan(self, plan: "ShardPlan") -> bool:
-        """Adopt ``plan`` as the live shard plan; return whether it applied.
-
-        Only meaningful behind the merge barrier (no staged messages — the
-        transport enforces this) and only for sharded-family backends;
-        other backends return ``False`` and change nothing.  Resident
-        sessions migrate their worker-held shard state to match.  Applied
-        plans are recorded in :attr:`replan_history` so autotuning
-        decisions stay inspectable.
-        """
-        applied = self.backend.replan(self, plan)
-        if applied:
-            self.replan_history.append(
-                {
-                    "round": self._rounds_delivered,
-                    "shard_count": plan.shard_count,
-                    "strategy": plan.strategy,
-                    "pinned": dict(plan.assignment) if plan.assignment else {},
-                }
-            )
-        return applied
-
-    def autotune_replan(self) -> "ShardPlan | None":
-        """One turn of the closed autotuning loop: load → rebalance → replan.
-
-        Reads the sharded transport's per-machine word loads, asks the
-        current plan for a greedy-LPT rebalance proposal and adopts it.
-        Returns the adopted plan, or ``None`` when the backend has no plan
-        or no load diagnostic (non-sharded backends).  Driven automatically
-        every ``config.replan_every`` delivered rounds.
-        """
-        machine_load = getattr(self._transport, "machine_load", None)
-        plan = getattr(self.backend, "plan", None)
-        if machine_load is None or plan is None:
-            return None
-        loads = machine_load()
-        if not loads:
-            return None
-        proposal = plan.rebalance(loads)
-        if (
-            proposal.shard_count == plan.shard_count
-            and proposal.strategy == plan.strategy
-            and (proposal.assignment or {}) == (plan.assignment or {})
-        ):
-            # Stable loads propose the plan already live: adopting it would
-            # only churn caches, reset diagnostics and bloat the history.
-            return None
-        return proposal if self.replan(proposal) else None
-
     # ---------------------------------------------------------------- updates
     @contextmanager
     def update(self, label: str) -> Iterator[None]:
@@ -326,4 +253,13 @@ class Cluster:
         return (
             f"Cluster(machines={len(self.machines_by_id)}, S={self.config.machine_memory}, "
             f"backend={self.backend.name!r})"
+        )
+
+
+def _check_program(program: object) -> None:
+    """Refuse anything but a :class:`~repro.mpc.program.SuperstepProgram` (closures included)."""
+    if not isinstance(program, SuperstepProgram):
+        raise TypeError(
+            f"a superstep runs a SuperstepProgram, not {type(program).__name__}; "
+            "write the per-machine code as a module-level SuperstepProgram subclass"
         )

@@ -5,12 +5,11 @@ value, the dynamic matching fabric one vertex table per statistics
 machine, dynamic connectivity one tour-pair table per worker.  The seed
 stored one dict object per vertex key (adjacency, weights, statistics,
 tour, edge records) and paid python-dict overhead twice per superstep,
-walking the entries and re-serializing them for the process/resident
-wire.  The flat tables charge the words those per-key stores did (the
-per-vertex constants below), so every message, round and word is
-unchanged.  ``layout="csr"`` is accepted, as a literal, by the
-constructors the benchmark calls (:func:`check_layout`).  This module
-owns:
+walking the entries and re-serializing them for the resident wire.  The
+flat tables charge the words those per-key stores did (the per-vertex
+constants below), so every message, round and word is unchanged.
+``layout="csr"`` is accepted, as a literal, by the constructors the
+benchmark calls (:func:`check_layout`).  This module owns:
 
 :class:`VertexInterner`
     the dense vertex-ID map built once per static cluster — vertex ids in

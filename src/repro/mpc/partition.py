@@ -6,49 +6,14 @@ that the coordinator only needs to remember one ID range per machine.
 :class:`RangePartition` implements exactly this scheme; :func:`hash_partition`
 is the simpler stateless placement used by the connectivity and static
 algorithms, which only need an arbitrary but fixed vertex → machine map.
-:func:`rendezvous_shard` is the stable highest-random-weight assignment the
-sharded execution layer (:mod:`repro.runtime.sharding`) offers for id-keyed
-workloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from hashlib import blake2b
 from typing import Sequence
 
-__all__ = ["RangePartition", "hash_partition", "rendezvous_shard"]
-
-
-def rendezvous_shard(key: str, shard_count: int) -> int:
-    """Assign ``key`` to one of ``shard_count`` shards by rendezvous hashing.
-
-    Highest-random-weight hashing: every ``(key, shard)`` pair gets a weight
-    and the key lands on the shard with the largest weight.  Two properties
-    make it the right choice for id-keyed shard plans:
-
-    * **stability across processes** — weights come from ``blake2b``, not
-      the interpreter's ``hash`` (which is randomised per process by
-      ``PYTHONHASHSEED``), so a machine id maps to the same shard in every
-      run and on every worker;
-    * **minimal disruption** — growing ``shard_count`` by one reassigns only
-      ``~1/(K+1)`` of the keys, the property future distributed-shard
-      deployments need when resizing.
-    """
-    if shard_count < 1:
-        raise ValueError("shard_count must be positive")
-    if shard_count == 1:
-        return 0
-    key_bytes = key.encode("utf-8")
-    best_weight = -1
-    best_shard = 0
-    for shard in range(shard_count):
-        digest = blake2b(key_bytes + shard.to_bytes(4, "big"), digest_size=8).digest()
-        weight = int.from_bytes(digest, "big")
-        if weight > best_weight:
-            best_weight = weight
-            best_shard = shard
-    return best_shard
+__all__ = ["RangePartition", "hash_partition"]
 
 
 def hash_partition(vertex: int, machine_ids: Sequence[str]) -> str:

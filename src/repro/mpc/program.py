@@ -1,18 +1,12 @@
 """Declarative, picklable superstep programs.
 
-The historical way to express a BSP superstep was an ad-hoc closure
-``handler(machine, inbox) -> None`` capturing the driver's shared state.
-Closures are perfect for the sequential and thread-pooled execution
-strategies — the handler reads and mutates live driver objects — but they
-are a dead end for *process*-level parallelism: a closure over a cluster
-cannot be pickled, so shard jobs can never leave the interpreter and the
-GIL caps the real speedup.
-
-:class:`SuperstepProgram` replaces the closure with a declarative object
-that makes every data dependency explicit, so one program definition runs
-bit-for-bit identically under every execution strategy — sequential,
-thread-pooled, or shipped to a :class:`~concurrent.futures.ProcessPoolExecutor`
-worker by the ``process`` backend:
+A BSP superstep is a :class:`SuperstepProgram`: a declarative object that
+makes every data dependency explicit, so one program definition runs
+bit-for-bit identically under every execution strategy — sequentially in
+the driver, or shipped to a long-lived worker process by the ``resident``
+backend.  (Ad-hoc closures over driver state cannot be pickled, so
+:meth:`Cluster.superstep <repro.mpc.cluster.Cluster.superstep>` refuses
+them.)
 
 * **program state** — whatever the per-machine code needs that is constant
   over the run (owner maps, worker ids, seeds) lives on the program
@@ -21,8 +15,8 @@ worker by the ``process`` backend:
 * **shared driver state in** — mutable driver-side state the code *reads*
   (label maps, matched sets, ...) is passed to :meth:`run` as a mapping;
   :attr:`shared_reads` declares which keys must be shipped to a worker
-  process.  ``run`` must treat the mapping as read-only — in-process
-  strategies hand it the live driver dicts.
+  process.  ``run`` must treat the mapping as read-only — the in-process
+  strategy hands it the live driver dicts.
 * **machine-local state in** — the machine's key/value store is reachable
   only through :meth:`MachineContext.load`; :attr:`store_reads` declares
   which key prefixes a worker needs.  Loaded values must not be mutated.
@@ -48,10 +42,10 @@ touch the live mapping in-process; in a worker it merely touches the
 shipped copy and is discarded.  Anything observable must travel through
 the delta.
 
-Programs must also be **frozen once the first superstep runs**: the
-``process`` backend serializes the program per superstep, and in-process
-strategies use the live object, so post-construction mutation would make
-the strategies diverge.  Per-round scalars (round numbers, phase flags)
+Programs must also be **frozen once the first superstep runs**: a
+resident session pickles the program once, and the in-process strategy
+uses the live object, so post-construction mutation would make the
+strategies diverge.  Per-round scalars (round numbers, phase flags)
 belong in the shared state, not on the program.
 
 The delta-replay contract
@@ -83,15 +77,15 @@ Checking the contract
 ---------------------
 
 The declarations above are *load-bearing*: a program that reads an
-undeclared key works under the in-process strategies and silently
-diverges three backends deep.  Two tools keep them honest:
+undeclared key works in-process and silently diverges in a resident
+worker.  Two tools keep them honest:
 
 * ``python -m repro.lint`` (:mod:`repro.lint`) statically checks every
   program class in the tree against its declarations — rule codes RP101
   (undeclared shared read) through RP108, run in CI next to ruff;
 * ``REPRO_CHECK_CONTRACTS=1`` (:mod:`repro.mpc.contract`) makes the
-  sequential and thread strategies execute programs against recording
-  views with worker-parity semantics, so the same undeclared read raises
+  sequential strategy execute programs against recording views with
+  worker-parity semantics, so the same undeclared read raises
   in-process exactly where a worker would raise, and tests can assert
   the static findings match the runtime-observed reads and writes.
 """
@@ -256,9 +250,9 @@ class SuperstepProgram(abc.ABC):
     #: per-machine work as cheap aggregation (scan the inbox, fold into a
     #: delta) that is not worth a worker round trip — the session runs it
     #: driver-side instead of shipping the drained inboxes to the workers.
-    #: Purely an execution-strategy choice, like shard counts and pool
-    #: sizes: the barrier, the deltas, the worker-side replay and the
-    #: delivered round are identical either way.
+    #: Purely an execution-strategy choice, like slot counts: the
+    #: barrier, the deltas, the worker-side replay and the delivered round
+    #: are identical either way.
     driver_local: bool = False
 
     #: how far one machine's merged delta must travel for replay — the

@@ -13,35 +13,21 @@ Select a backend through the config::
     algorithm = DMPCConnectivity(config)   # no other change needed
 
 or per cluster (``Cluster(config, backend="fast")``), or fleet-wide via the
-``REPRO_BACKEND`` environment variable (used by the CI matrix).  Four
+``REPRO_BACKEND`` environment variable (used by the CI matrix).  Three
 backends are registered:
 
 ``reference``
     strict, fully-eager, full per-pair metrics — the correctness baseline;
 ``fast``
     memoised sizing, staged-sender transport, sampled aggregate metrics;
-``sharded``
-    :mod:`repro.runtime.sharding` — the machine map partitioned into shards
-    (:class:`ShardPlan`), per-shard staging and word aggregates, fused
-    single-pass delivery, merged back into reference order each round;
-``parallel``
-    :mod:`repro.runtime.parallel` — the sharded transport plus superstep
-    execution fanned across a thread pool with a deterministic merge
-    barrier at the exchange;
-``process``
-    :mod:`repro.runtime.process` — the sharded transport plus
-    :class:`~repro.mpc.program.SuperstepProgram` shard jobs serialized to a
-    spawn-safe process pool: declared state in, staged messages and deltas
-    out, merged at the same barrier;
 ``resident``
-    :mod:`repro.runtime.resident` — the process backend plus session-scoped
-    *resident* worker state: long-lived worker slots keep shard stores and
+    :mod:`repro.runtime.resident` — ``fast`` plus session-scoped *resident*
+    worker state: long-lived worker slots keep machine-store snapshots and
     the shared slice in memory for a whole run
     (:meth:`~repro.mpc.cluster.Cluster.session`), the driver ships only
-    per-round deltas, and live re-plans migrate shard state between
-    workers.
+    per-round deltas, and messages route between the workers.
 
-Further backends (distributed shards) plug in by registering a new
+Further backends plug in by registering a new
 :class:`~repro.runtime.base.ExecutionBackend` subclass — algorithm code
 never changes.
 """
@@ -59,11 +45,8 @@ from repro.runtime.base import (
     resolve_backend,
 )
 from repro.runtime.fast import CachedStorage, FastBackend, FastTransport
-from repro.runtime.parallel import ParallelBackend
-from repro.runtime.process import ProcessBackend
 from repro.runtime.reference import ReferenceBackend, ReferenceStorage, ReferenceTransport
-from repro.runtime.resident import ResidentBackend, ResidentSession
-from repro.runtime.sharding import DEFAULT_SHARD_COUNT, ShardedBackend, ShardedTransport, ShardPlan
+from repro.runtime.resident import ResidentBackend, ResidentSession, ResidentTransport
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -80,12 +63,7 @@ __all__ = [
     "FastBackend",
     "FastTransport",
     "CachedStorage",
-    "ShardPlan",
-    "ShardedBackend",
-    "ShardedTransport",
-    "DEFAULT_SHARD_COUNT",
-    "ParallelBackend",
-    "ProcessBackend",
     "ResidentBackend",
     "ResidentSession",
+    "ResidentTransport",
 ]

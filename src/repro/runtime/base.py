@@ -50,17 +50,11 @@ from repro.exceptions import MessageSizeExceeded, UnknownMachineError
 from repro.mpc.metrics import RoundRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from typing import Union
-
     from repro.config import DMPCConfig
     from repro.mpc.cluster import Cluster
     from repro.mpc.machine import Machine
     from repro.mpc.message import Message
     from repro.mpc.program import SuperstepProgram
-
-    #: what :meth:`Cluster.superstep` accepts: a declarative program, or the
-    #: legacy ad-hoc closure form (in-process execution strategies only).
-    SuperstepHandler = Union[SuperstepProgram, Callable[["Machine", "list[Message]"], None]]
 
 __all__ = [
     "MachineStorage",
@@ -89,7 +83,7 @@ class MachineStorage(abc.ABC):
 
     :attr:`version` is a monotone mutation counter: concrete
     implementations bump it on every ``store``/``delete``/``clear``.  It is
-    never part of the simulation — the process backend uses it to know when
+    never part of the simulation — the resident backend uses it to know when
     a serialized store snapshot shipped to worker processes has gone stale.
     """
 
@@ -148,7 +142,7 @@ class Transport(abc.ABC):
     #: construction).  A transport installing a sizer must charge the *exact
     #: same* number of words for every payload — message sizes are simulation
     #: semantics (the I/O cap and every Table 1 column read them), so the
-    #: sharded transport uses ``fast_word_size``, which is property-tested
+    #: resident transport uses ``fast_word_size``, which is property-tested
     #: equal to ``word_size`` on every input.
     message_sizer: "Callable[[Any], int] | None" = None
 
@@ -194,11 +188,7 @@ class Transport(abc.ABC):
         :meth:`deliver` — the one place staged messages move.
         """
 
-    def deliver(
-        self,
-        senders: Iterable["Machine"],
-        note_loads: "Callable[[list[tuple[Machine, int]]], None] | None" = None,
-    ) -> "RoundRecord":
+    def deliver(self, senders: Iterable["Machine"]) -> "RoundRecord":
         """The round engine: validate, cap-check, condense and deliver ``senders``' outboxes.
 
         ``senders`` must be in machine registration order — the delivery
@@ -208,12 +198,11 @@ class Transport(abc.ABC):
         record; only when the whole round has passed — unknown receiver,
         then send cap, then receive cap — do the outboxes move into the
         inboxes, so a refused round leaves every outbox as staged and
-        nothing recorded.  ``note_loads``, when given, is called with the
-        ``(machine, words sent)`` list of a round that passed.  The record
-        goes to ``ledger.append_round``, with pair detail on every
-        :attr:`pair_detail_every`-th round; a ledger whose factory was
-        assigned by hand (``ledger.record_policy is None``) gets the message
-        list through ``ledger.record_round`` instead.
+        nothing recorded.  The record goes to ``ledger.append_round``, with
+        pair detail on every :attr:`pair_detail_every`-th round; a ledger
+        whose factory was assigned by hand (``ledger.record_policy is
+        None``) gets the message list through ``ledger.record_round``
+        instead.
         """
         cluster = self.cluster
         machines = cluster.machines_by_id
@@ -267,8 +256,6 @@ class Transport(abc.ABC):
                 if words > cap:
                     raise MessageSizeExceeded(machine_id, "receive", words, cap)
 
-        if note_loads is not None:
-            note_loads(loads)
         custom = ledger.record_policy is None
         delivered: list["Message"] = []
         for machine, _ in loads:
@@ -322,21 +309,9 @@ class ExecutionSession:
         #: supersteps executed through the resident path of this session —
         #: an observability/testing aid (proves the session was exercised).
         self.rounds_run = 0
-        #: machine ids moved between workers by the most recent
-        #: :meth:`migrate`; ``None`` until a live re-plan happens.
-        self.last_migration: "list[str] | None" = None
-        #: True while a fused round block is executing (including its
-        #: driver-side finish loop): live re-plans are rejected and
-        #: ``replan_every`` autotune ticks are deferred to the boundary.
-        self.in_fused_block = False
-        #: a deferred ``replan_every`` tick waiting for the block boundary
-        self.pending_autotune = False
 
     def touch(self, *keys: str) -> None:
         """Mark shared keys as mutated out-of-band; resident copies re-ship."""
-
-    def migrate(self, plan: Any) -> None:
-        """Move resident shard state to match a new plan (no-op by default)."""
 
     def close(self) -> None:
         """Release any resident worker state held for this session."""
@@ -385,19 +360,17 @@ class ExecutionBackend(abc.ABC):
     def run_superstep(
         self,
         cluster: "Cluster",
-        program: "SuperstepHandler",
+        program: "SuperstepProgram",
         targets: "list[Machine]",
         shared: "dict[str, Any]",
     ) -> "RoundRecord":
         """Execute one BSP superstep: per-machine code, barrier, one exchange.
 
         This is the execution-strategy hook behind
-        :meth:`~repro.mpc.cluster.Cluster.superstep`.  ``program`` is either
-        a declarative :class:`~repro.mpc.program.SuperstepProgram` — whose
-        per-machine ``run`` may execute sequentially, on a thread pool, or
-        in another process — or the legacy ad-hoc closure form
-        ``handler(machine, inbox) -> None``, which is confined to in-process
-        strategies (closures cannot cross a process boundary).
+        :meth:`~repro.mpc.cluster.Cluster.superstep`; ``program`` is a
+        declarative :class:`~repro.mpc.program.SuperstepProgram`, whose
+        per-machine ``run`` may execute in the driver or in a worker
+        process.
 
         The default strategy runs the per-machine code sequentially in the
         given (registration) order; program deltas are merged at the
@@ -406,49 +379,38 @@ class ExecutionBackend(abc.ABC):
         overriding strategy reproduces, so the delivered round is
         bit-for-bit identical everywhere.
 
-        Handler contract (what makes overriding legal): per-machine code may
-        read shared driver state freely but must only *mutate* state owned
-        by the machine it runs on — via deltas for programs, directly for
-        closures; any information flowing to another machine's code must be
+        Program contract (what makes overriding legal): per-machine code may
+        read shared driver state freely but must only change it through its
+        delta; any information flowing to another machine's code must be
         sent as a message.  Code honouring this is order-independent, so
         every strategy yields the bit-for-bit identical round.
         """
-        from repro.mpc.program import LiveMachineContext, SuperstepProgram
+        from repro.mpc.contract import checked_apply_view, checked_run_inputs, contract_checking_enabled
+        from repro.mpc.program import LiveMachineContext
 
-        if isinstance(program, SuperstepProgram):
-            # Shadow oracle (REPRO_CHECK_CONTRACTS=1): wrap the program's
-            # inputs in recording views with worker-parity semantics, so an
-            # undeclared shared read raises in-process exactly like it
-            # would against a worker's shipped slice.  Off by default —
-            # the wrappers cost a lookup per access on the hottest path.
-            from repro.mpc.contract import (
-                checked_apply_view,
-                checked_run_inputs,
-                contract_checking_enabled,
-            )
-
-            checking = contract_checking_enabled()
-            deltas = []
-            for machine in targets:
-                inbox = machine.drain()
-                ctx: "Any" = LiveMachineContext(machine)
-                run_shared: "Any" = shared
-                if checking:
-                    ctx, inbox, run_shared = checked_run_inputs(program, ctx, inbox, shared)
-                deltas.append(program.run(ctx, inbox, run_shared))
-            apply_shared = checked_apply_view(program, shared) if checking else shared
-            for machine, delta in zip(targets, deltas):
-                program.apply(apply_shared, machine.machine_id, delta)
-            return cluster.exchange()
+        # Shadow oracle (REPRO_CHECK_CONTRACTS=1): wrap the program's inputs
+        # in recording views with worker-parity semantics, so an undeclared
+        # shared read raises in-process exactly like it would against a
+        # worker's shipped slice.  Off by default — the wrappers cost a
+        # lookup per access on the hottest path.
+        checking = contract_checking_enabled()
+        deltas = []
         for machine in targets:
             inbox = machine.drain()
-            program(machine, inbox)
+            ctx: "Any" = LiveMachineContext(machine)
+            run_shared: "Any" = shared
+            if checking:
+                ctx, inbox, run_shared = checked_run_inputs(program, ctx, inbox, shared)
+            deltas.append(program.run(ctx, inbox, run_shared))
+        apply_shared = checked_apply_view(program, shared) if checking else shared
+        for machine, delta in zip(targets, deltas):
+            program.apply(apply_shared, machine.machine_id, delta)
         return cluster.exchange()
 
     def run_superstep_block(
         self,
         cluster: "Cluster",
-        programs: "list[SuperstepHandler]",
+        programs: "list[SuperstepProgram]",
         targets: "list[Machine]",
         shared: "dict[str, Any]",
     ) -> "list[RoundRecord]":
@@ -475,17 +437,6 @@ class ExecutionBackend(abc.ABC):
         :meth:`~repro.mpc.cluster.Cluster.session`.
         """
         return ExecutionSession(cluster, shared)
-
-    def replan(self, cluster: "Cluster", plan: Any) -> bool:
-        """Adopt a new shard plan mid-run; return whether anything changed.
-
-        Only sharded-family backends group execution by a plan; for every
-        other backend a re-plan is meaningless and this default returns
-        ``False`` so autotuning drivers can call it unconditionally.  Must
-        only be called behind the merge barrier (no staged messages) —
-        sharded implementations enforce that.
-        """
-        return False
 
     @property
     @abc.abstractmethod

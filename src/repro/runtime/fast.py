@@ -228,8 +228,8 @@ class FastBackend(ExecutionBackend):
 
     @property
     def accounting_policy_name(self) -> str:
-        # Same policy as the sharded/parallel backends at the same sampling
-        # stride, so clusters on any aggregate backend may share a ledger.
+        # Inherited by the resident backend: at the same sampling stride,
+        # clusters on either aggregate backend may share a ledger.
         return f"scalar-aggregate/k={self._sampling}"
 
     @property

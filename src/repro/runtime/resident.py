@@ -1,18 +1,15 @@
 """The resident execution backend — persistent workers, delta shipping.
 
-The ``process`` backend made superstep programs cross the process boundary,
-but it ships the world every round: each superstep re-pickles the declared
-``shared_reads`` slice and sends every machine's store snapshot bytes down
-the pipe, even when neither changed.  That is exactly backwards from the
-paper's DMPC economics — machines *hold* their local state across rounds;
-only messages move.  This backend restores that economics for the
-simulator's own execution substrate:
+The paper's DMPC economics are that machines *hold* their local state
+across rounds; only messages move.  This backend restores that economics
+for the simulator's own execution substrate, on top of the ``fast``
+backend's storage, accounting and delivery pass:
 
-* **long-lived workers own shard state** — each worker slot is a dedicated
-  spawned process driven over a :func:`multiprocessing.Pipe` (an order of
-  magnitude cheaper per round trip than executor submits, which matters
-  when every superstep is one round trip per slot).  Every job for a slot
-  lands in the same process, which keeps the shard's machine-store
+* **long-lived workers own machine state** — each worker slot is a
+  dedicated spawned process driven over a :func:`multiprocessing.Pipe` (an
+  order of magnitude cheaper per round trip than executor submits, which
+  matters when every superstep is one round trip per slot).  Every job for
+  a slot lands in the same process, which keeps its machines' store
   snapshots and a copy of the session's shared state resident for the
   lifetime of a run;
 * **the driver ships deltas** — per round a worker receives the drained
@@ -22,29 +19,25 @@ simulator's own execution substrate:
   shared keys the driver explicitly invalidated
   (:meth:`~repro.runtime.base.ExecutionSession.touch`) and store snapshots
   whose :attr:`~repro.runtime.base.MachineStorage.version` epoch moved;
-* **everything else is the process backend** — sends are recorded in the
-  worker, replayed driver-side in target order, deltas merged at the same
-  deterministic barrier, then one exchange: bit-for-bit the round every
-  other backend delivers.
+* **the barrier is the driver's** — deltas come back to the driver and
+  are merged there in target order, then one exchange: bit-for-bit the
+  round every other backend delivers.
 
-* **messages route slot-locally** — the historical resident path still
-  funnelled every message through the driver: worker-recorded sends were
-  replayed into driver outboxes, exchanged centrally, then shipped back
-  down as next round's inboxes — two pipe crossings per message.  With a
-  backend accounting policy governing the ledger, workers now *keep* each
-  message frame: a frame whose receiver lives on the sending slot is
-  staged worker-locally (it never crosses the pipe and is never
-  re-encoded), a cross-slot frame rides a pre-sized
+* **messages route slot-locally** — with a backend accounting policy
+  governing the ledger, workers *keep* each message frame instead of
+  funnelling it through the driver: a frame whose receiver lives on the
+  sending slot is staged worker-locally (it never crosses the pipe and is
+  never re-encoded), a cross-slot frame rides a pre-sized
   :class:`~repro.runtime.wire.ShmRing` (one SPSC ring per ordered slot
   pair; overflow falls back to driver-forwarded pipe delivery), and only
   per-(sender, receiver) word aggregates return to the driver, where
-  :meth:`~repro.runtime.sharding.ShardedTransport.deposit_worker_round`
-  rebuilds the identical :class:`~repro.mpc.metrics.RoundRecord`.  The
-  frame key ``(epoch, sender index, staging seq)`` totally orders frames,
-  so any time the driver genuinely needs a message body (a
-  ``driver_local`` program, :meth:`Machine.receive`/``drain`` outside a
-  worker round, session close, a live re-plan), the session's inbox-router
-  hooks (:attr:`~repro.runtime.base.Transport.inbox_router`) flush every
+  :meth:`ResidentTransport.deposit_worker_round` rebuilds the identical
+  :class:`~repro.mpc.metrics.RoundRecord`.  The frame key ``(epoch, sender
+  index, staging seq)`` totally orders frames, so any time the driver
+  genuinely needs a message body (a ``driver_local`` program,
+  :meth:`Machine.receive`/``drain`` outside a worker round, session
+  close), the session's inbox-router hooks
+  (:attr:`~repro.runtime.base.Transport.inbox_router`) flush every
   worker-held frame back into driver inboxes in exactly the reference
   delivery order.
 
@@ -65,30 +58,21 @@ simulator's own execution substrate:
   boundary (the barrier's stop bit); the overflowed frames take the pipe
   forward path and the remaining supersteps run unfused.
 
-The worker-session protocol has seven operations, all executed inside the
+The worker-session protocol has six operations, all executed inside the
 slot's worker process: :func:`_session_open` (create the resident state),
 :func:`_session_attach_shm` (map the cross-slot rings and the round
 barrier), :func:`_session_run_round` (replay deltas, refresh invalidated
 keys and stale stores, run the machines, route their frames),
 :func:`_session_run_block` (the fused multi-round worker loop),
-:func:`_session_flush` (surrender every held frame to the driver),
-:func:`_session_migrate` (drop shard state that a live re-plan moved to
-another worker) and :func:`_session_close` (release everything).
-Sessions are driven from :class:`ResidentSession`, which
-:meth:`Cluster.session` opens around a superstep round loop; without an
-active session (or with a legacy closure handler) the backend behaves
-exactly like ``process``.  The slot count is bounded by the host's real
-CPU parallelism unless ``DMPCConfig.resident_slots`` pins it — a single
-resident slot is still the full residency + locality win (every message
-is then slot-local), just without fan-out.
-
-Live re-planning composes with residency: :meth:`Cluster.replan` adopts a
-:meth:`~repro.runtime.sharding.ShardPlan.rebalance` proposal behind the
-merge barrier, and the session migrates only the machines whose worker
-slot actually changed — their snapshots are dropped at the old worker and
-re-shipped (from the driver's authoritative stores) to the new one on next
-use.  With ``DMPCConfig.replan_every`` set, ``machine_load() →
-rebalance() → replan()`` closes into an autotuning loop.
+:func:`_session_flush` (surrender every held frame to the driver) and
+:func:`_session_close` (release everything).  Sessions are driven from
+:class:`ResidentSession`, which :meth:`Cluster.session` opens around a
+superstep round loop; without an active session the backend is ``fast``
+(supersteps run sequentially in the driver).  Machine ``i`` lives on slot
+``i % slots``.  The slot count is bounded by ``DMPCConfig.shard_count``
+and the host's real CPU parallelism unless ``DMPCConfig.resident_slots``
+pins it — a single resident slot is still the full residency + locality
+win (every message is then slot-local), just without fan-out.
 
 Sound replay leans on the delta-replay contract of
 :mod:`repro.mpc.program`: ``apply`` deterministic in its arguments, every
@@ -105,22 +89,25 @@ import itertools
 import os
 import pickle
 import threading
+from collections import deque
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.config import resolve_fuse_rounds
-from repro.exceptions import ProtocolError
+from repro.exceptions import MessageSizeExceeded, ProtocolError, UnknownMachineError
 from repro.mpc.contract import checked_apply_view, contract_checking_enabled
 from repro.mpc.message import Message
+from repro.mpc.metrics import RoundRecord
 from repro.mpc.program import (
     LiveMachineContext,
     SuperstepProgram,
     WorkerMachineContext,
     fusable_interior,
     fusable_terminal,
+    store_subset,
 )
 from repro.mpc.sizing import fast_word_size
 from repro.runtime.base import ExecutionSession, register_backend
-from repro.runtime.process import ProcessBackend
+from repro.runtime.fast import FastBackend, FastTransport, by_registration
 from repro.runtime.wire import (
     FRAME_HEADER,
     ShmRing,
@@ -136,18 +123,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.mpc.cluster import Cluster
     from repro.mpc.machine import Machine
-    from repro.mpc.message import Message
-    from repro.mpc.metrics import RoundRecord
-    from repro.runtime.base import SuperstepHandler
-    from repro.runtime.sharding import ShardPlan
 
-__all__ = ["ResidentBackend", "ResidentSession", "ResidentWorkerError"]
+__all__ = ["ResidentBackend", "ResidentSession", "ResidentTransport", "ResidentWorkerError"]
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
-# The pipe codec and inbox flattening live in repro.runtime.wire now (the
-# process backend shares them); the historical private names remain the
-# idiom inside this module.
+#: slot cap when ``DMPCConfig.shard_count`` is unset
+DEFAULT_SLOT_CAP = 4
+
+# The pipe codec and inbox flattening live in repro.runtime.wire; the
+# historical private names remain the idiom inside this module.
 _encode = encode_obj
 _decode = decode_obj
 _pack_inbox = pack_inbox
@@ -231,11 +216,103 @@ def _ingest_rings(state: _SessionState) -> None:
             state.pending.setdefault(frame[4], []).append(frame)
 
 
+def _due_inbox(
+    pending: "dict[str, list[tuple]]", machine_id: str, epoch: int, drop_inbox: bool, packed_inbox: Any
+) -> "list[Message]":
+    """``machine_id``'s inbox for round ``epoch`` of a slot-routed run.
+
+    The driver-shipped messages come first (they are from strictly earlier
+    arrivals — the driver flushes worker-held frames before any driver-side
+    delivery), then the held frames that are due, sorted by their global
+    ``(epoch, sender_index, seq)`` key.  Only frames with ``epoch <`` the
+    current round are due: a faster peer slot may already have written
+    *this* round's frames into our ring, and those wait one round like
+    every other message sent in round ``epoch``.  A ``drop_inbox`` program
+    consumes its due frames unseen.
+    """
+    held = pending.get(machine_id)
+    ready: "list[tuple]" = []
+    if held:
+        ready = [f for f in held if f[0] < epoch]
+        if ready:
+            later = [f for f in held if f[0] >= epoch]
+            if later:
+                pending[machine_id] = later
+            else:
+                del pending[machine_id]
+    if drop_inbox:
+        return []
+    inbox = _unpack_inbox(packed_inbox)
+    if ready:
+        ready.sort(key=_frame_sort_key)
+        inbox.extend(_frame_message(f) for f in ready)
+    return inbox
+
+
+def _commit_frames(state: _SessionState, staged: "list[list[tuple]]", my_slot: int) -> tuple:
+    """Route one round's staged frames and aggregate the round's accounting.
+
+    Same-slot frames go to the pending map, cross-slot frames to the shm
+    rings; a frame that does not fit its ring is returned as overflow for
+    the driver's pipe forward path, and a frame for a receiver outside the
+    routing map as fallback.  Returns ``(pairs, traffic, overflow,
+    fallback)``: per-(sender, receiver) ``(words, count, max)`` aggregates
+    and ``(local, ring frames, ring bytes, overflow count)`` — what the
+    driver's exchange needs to rebuild the round's record.
+    """
+    machine_slots = state.machine_slots
+    pending = state.pending
+    rings_out = state.rings_out
+    pairs: "dict[tuple[str, str], list[int]]" = {}
+    local_count = 0
+    ring_frames = 0
+    ring_bytes = 0
+    overflow: "list[tuple[int, tuple]]" = []
+    fallback: "list[tuple]" = []
+    for frames in staged:
+        for frame in frames:
+            receiver = frame[4]
+            words = frame[7]
+            key = (frame[3], receiver)
+            stats = pairs.get(key)
+            if stats is None:
+                pairs[key] = [words, 1, words]
+            else:
+                stats[0] += words
+                stats[1] += 1
+                if words > stats[2]:
+                    stats[2] = words
+            info = machine_slots.get(receiver)
+            if info is None:
+                fallback.append(frame)
+            elif info[1] == my_slot:
+                pending.setdefault(receiver, []).append(frame)
+                local_count += 1
+            else:
+                ring = rings_out.get(info[1])
+                # Sizer-derived quick reject: words bound the marshalled
+                # bytes to within a small constant, so a frame that cannot
+                # possibly fit skips the encode entirely.
+                if ring is not None and words * 8 + FRAME_HEADER <= ring.capacity + 64:
+                    blob = encode_obj(frame)
+                    if ring.write(blob):
+                        ring_frames += 1
+                        ring_bytes += len(blob) + FRAME_HEADER
+                        continue
+                overflow.append((info[1], frame))
+    return (
+        [(s, r, v[0], v[1], v[2]) for (s, r), v in pairs.items()],
+        (local_count, ring_frames, ring_bytes, len(overflow)),
+        overflow,
+        fallback,
+    )
+
+
 class _SizingMachineContext(WorkerMachineContext):
     """Worker view that also sizes staged sends with the transport's sizer.
 
     Records ``(receiver, tag, payload, words)`` with ``words`` computed by
-    :func:`~repro.mpc.sizing.fast_word_size` — the exact sizer the sharded
+    :func:`~repro.mpc.sizing.fast_word_size` — the exact sizer the resident
     transport charges with — so the driver's replay can construct the
     staged :class:`Message` objects directly instead of re-sizing every
     payload a second time.  ``send_many`` triples arrive sized, so the
@@ -255,7 +332,7 @@ class _RoutingMachineContext(WorkerMachineContext):
 
     Every send becomes one keyed frame ``(epoch, sender_index, seq, sender,
     receiver, tag, payload, words)``.  ``words`` is computed exactly once,
-    here, by the same :func:`fast_word_size` the sharded transport charges
+    here, by the same :func:`fast_word_size` the resident transport charges
     with; local delivery, ring-capacity fit checks and the driver's round
     accounting all reuse that one number — the send path never re-sizes a
     payload.  The key triple ``(epoch, sender_index, seq)`` totally orders
@@ -299,7 +376,7 @@ class _RoutingMachineContext(WorkerMachineContext):
 
 
 def _session_open(sessions: "dict[str, _SessionState]", session_id: str) -> bool:
-    """Protocol op 1: create the resident state for a session (idempotent)."""
+    """Protocol op: create the resident state for a session (idempotent)."""
     if session_id not in sessions:
         sessions[session_id] = _SessionState()
     return True
@@ -414,16 +491,7 @@ def _session_run_round(
     batch: "list[tuple[str, list[Message]]]",
     routing: "dict[str, Any] | None" = None,
 ) -> Any:
-    """Protocol op 2: sync resident state, then run this slot's machines.
-
-    Ordering is the heart of the sync: (1) replay the previous barriers'
-    merged deltas — the same ``(machine_id, delta)`` sequence, in the same
-    target order, through the same ``program.apply`` the driver ran — then
-    (2) overwrite with ``shared_init``, the fresh values of keys the driver
-    invalidated (whose snapshots already contain every merged delta), then
-    (3) refresh store snapshots whose version epoch moved.  Step 2 after
-    step 1 makes refreshes idempotent with replay; a key is never left
-    reflecting a delta the driver's copy has superseded.
+    """Protocol op: sync resident state (:func:`_sync_session_state`), then run this slot's machines.
 
     Without ``routing`` (the legacy shape) every send is recorded and
     returned for driver-side replay.  With ``routing`` the *worker* routes:
@@ -447,14 +515,8 @@ def _session_run_round(
                   the staged sends return on the reply in the legacy shape
                   for driver-side replay instead of being routed.
 
-    Serving order restores the reference semantics exactly: the shipped
-    driver-side inbox first (those messages are from strictly earlier
-    arrivals — the driver flushes worker-held frames before any driver-side
-    delivery), then this worker's due pending frames sorted by their global
-    ``(epoch, sender_index, seq)`` key.  Only frames with ``epoch <`` the
-    current round are due: a faster peer slot may already have written
-    *this* round's frames into our ring, and those must wait one round,
-    exactly like every other message sent in round ``epoch``.
+    Serving order restores the reference semantics exactly (see
+    :func:`_due_inbox`).
     """
     state = _sync_session_state(
         sessions, session_id, new_programs, replay, shared_init, store_updates
@@ -498,23 +560,7 @@ def _run_routed(
     staged: "list[list[tuple]]" = []
     funneled: "list[tuple[str, list[tuple[str, str, Any, int]], Any]]" = []
     for machine_id, packed_inbox in batch:
-        held = pending.get(machine_id)
-        ready: "list[tuple]" = []
-        if held:
-            ready = [f for f in held if f[0] < epoch]
-            if ready:
-                later = [f for f in held if f[0] >= epoch]
-                if later:
-                    pending[machine_id] = later
-                else:
-                    del pending[machine_id]
-        if drop_inbox:
-            inbox: "list[Message]" = []
-        else:
-            inbox = _unpack_inbox(packed_inbox)
-            if ready:
-                ready.sort(key=_frame_sort_key)
-                inbox.extend(_frame_message(f) for f in ready)
+        inbox = _due_inbox(pending, machine_id, epoch, drop_inbox, packed_inbox)
         store = state.stores.get((machine_id, prefixes), _EMPTY_STORE)
         if funnel:
             # Hybrid: the held frames above were served locally, but this
@@ -528,56 +574,8 @@ def _run_routed(
         staged.append(ctx.sent)
     if funnel:
         return ("funneled", funneled)
-
-    # Phase 2 — commit: route every staged frame and aggregate the round
-    # accounting the driver's exchange needs (per-pair words/count/max).
-    my_slot = routing["slot"]
-    rings_out = state.rings_out
-    pairs: "dict[tuple[str, str], list[int]]" = {}
-    local_count = 0
-    ring_frames = 0
-    ring_bytes = 0
-    overflow: "list[tuple[int, tuple]]" = []
-    fallback: "list[tuple]" = []
-    for frames in staged:
-        for frame in frames:
-            receiver = frame[4]
-            words = frame[7]
-            key = (frame[3], receiver)
-            stats = pairs.get(key)
-            if stats is None:
-                pairs[key] = [words, 1, words]
-            else:
-                stats[0] += words
-                stats[1] += 1
-                if words > stats[2]:
-                    stats[2] = words
-            info = machine_slots.get(receiver)
-            if info is None:
-                fallback.append(frame)
-            elif info[1] == my_slot:
-                pending.setdefault(receiver, []).append(frame)
-                local_count += 1
-            else:
-                ring = rings_out.get(info[1])
-                # Sizer-derived quick reject: words bound the marshalled
-                # bytes to within a small constant, so a frame that cannot
-                # possibly fit skips the encode entirely.
-                if ring is not None and words * 8 + FRAME_HEADER <= ring.capacity + 64:
-                    blob = encode_obj(frame)
-                    if ring.write(blob):
-                        ring_frames += 1
-                        ring_bytes += len(blob) + FRAME_HEADER
-                        continue
-                overflow.append((info[1], frame))
-    return (
-        "routed",
-        deltas,
-        [(s, r, v[0], v[1], v[2]) for (s, r), v in pairs.items()],
-        (local_count, ring_frames, ring_bytes, len(overflow)),
-        overflow,
-        fallback,
-    )
+    # Phase 2 — commit: route every staged frame, return the accounting.
+    return ("routed", deltas, *_commit_frames(state, staged, routing["slot"]))
 
 
 def _session_run_block(
@@ -651,7 +649,6 @@ def _session_run_block(
         peers = [slot for slot in participants if slot != my_slot]
     checking = contract_checking_enabled()
     shared = state.shared
-    rings_out = state.rings_out
     last_round = len(rounds) - 1
     per_round: "list[tuple]" = []
     completed = 0
@@ -665,25 +662,9 @@ def _session_run_block(
         staged: "list[list[tuple]]" = []
         funneled: "list[tuple[str, list[tuple[str, str, Any, int]], Any]]" = []
         for machine_id, packed_inbox in batch:
-            held = pending.get(machine_id)
-            ready: "list[tuple]" = []
-            if held:
-                ready = [f for f in held if f[0] < epoch]
-                if ready:
-                    later = [f for f in held if f[0] >= epoch]
-                    if later:
-                        pending[machine_id] = later
-                    else:
-                        del pending[machine_id]
-            if drop_inbox:
-                inbox: "list[Message]" = []
-            else:
-                # Driver-shipped inboxes exist only for round 0; every
-                # later round's messages are worker frames by construction.
-                inbox = _unpack_inbox(packed_inbox) if r == 0 else []
-                if ready:
-                    ready.sort(key=_frame_sort_key)
-                    inbox.extend(_frame_message(f) for f in ready)
+            # Driver-shipped inboxes exist only for round 0; every later
+            # round's messages are worker frames by construction.
+            inbox = _due_inbox(pending, machine_id, epoch, drop_inbox, packed_inbox if r == 0 else ())
             store = state.stores.get((machine_id, prefixes), _EMPTY_STORE)
             if funnel:
                 sctx = _SizingMachineContext(machine_id, store)
@@ -700,51 +681,8 @@ def _session_run_block(
             if barrier is not None:
                 barrier.announce(my_slot, base + r + 1)
             break
-        # Commit — identical accounting to _run_routed's phase 2.
-        pairs: "dict[tuple[str, str], list[int]]" = {}
-        local_count = 0
-        ring_frames = 0
-        ring_bytes = 0
-        overflow: "list[tuple[int, tuple]]" = []
-        fallback: "list[tuple]" = []
-        for frames in staged:
-            for frame in frames:
-                receiver = frame[4]
-                words = frame[7]
-                key = (frame[3], receiver)
-                stats = pairs.get(key)
-                if stats is None:
-                    pairs[key] = [words, 1, words]
-                else:
-                    stats[0] += words
-                    stats[1] += 1
-                    if words > stats[2]:
-                        stats[2] = words
-                info = machine_slots.get(receiver)
-                if info is None:
-                    fallback.append(frame)
-                elif info[1] == my_slot:
-                    pending.setdefault(receiver, []).append(frame)
-                    local_count += 1
-                else:
-                    ring = rings_out.get(info[1])
-                    if ring is not None and words * 8 + FRAME_HEADER <= ring.capacity + 64:
-                        blob = encode_obj(frame)
-                        if ring.write(blob):
-                            ring_frames += 1
-                            ring_bytes += len(blob) + FRAME_HEADER
-                            continue
-                    overflow.append((info[1], frame))
-        per_round.append(
-            (
-                "routed",
-                deltas,
-                [(s, rcv, v[0], v[1], v[2]) for (s, rcv), v in pairs.items()],
-                (local_count, ring_frames, ring_bytes, len(overflow)),
-                overflow,
-                fallback,
-            )
-        )
+        pairs, traffic, overflow, fallback = _commit_frames(state, staged, my_slot)
+        per_round.append(("routed", deltas, pairs, traffic, overflow, fallback))
         completed = r + 1
         if overflow:
             # Overflowed frames need the driver's pipe forward path before
@@ -769,25 +707,8 @@ def _session_run_block(
     return ("block", completed, per_round, stopped)
 
 
-def _session_migrate(
-    sessions: "dict[str, _SessionState]", session_id: str, machine_ids: "list[str]"
-) -> int:
-    """Protocol op 3: drop resident state of machines re-planned elsewhere."""
-    state = sessions.get(session_id)
-    if state is None:
-        return 0
-    dropped = 0
-    wanted = set(machine_ids)
-    for key in [k for k in state.stores if k[0] in wanted]:
-        del state.stores[key]
-        dropped += 1
-    for machine_id in wanted:
-        state.store_versions.pop(machine_id, None)
-    return dropped
-
-
 def _session_close(sessions: "dict[str, _SessionState]", session_id: str) -> bool:
-    """Protocol op 4: release everything the session held in this worker."""
+    """Protocol op: release everything the session held in this worker."""
     state = sessions.pop(session_id, None)
     if state is None:
         return False
@@ -812,7 +733,6 @@ def _worker_main(conn: "Connection") -> None:
         "round": _session_run_round,
         "run_block": _session_run_block,
         "flush": _session_flush,
-        "migrate": _session_migrate,
         "close": _session_close,
         "sessions": lambda sess: sorted(sess),
     }
@@ -946,7 +866,7 @@ def _slot_worker(index: int) -> _SlotWorker:
 def _peek_slot_worker(index: int) -> "_SlotWorker | None":
     """The live worker for a slot, or ``None`` — never spawns.
 
-    For teardown paths (close, migrate-away): a dead slot holds no session
+    For teardown paths (close, discard): a dead slot holds no session
     state, so spawning a fresh process just to tell it to forget nothing
     would be pure startup waste.
     """
@@ -1103,11 +1023,8 @@ class ResidentSession(ExecutionSession):
         self.shm_bytes = 0
         self.pipe_fallbacks = 0
         self.shm_frames = 0
-        try:
-            if self.transport.inbox_router is None:
-                self.transport.inbox_router = self
-        except AttributeError:  # pragma: no cover - transport without routing
-            pass
+        if self.transport.inbox_router is None:
+            self.transport.inbox_router = self
 
     # ------------------------------------------------------------- invalidation
     def touch(self, *keys: str) -> None:
@@ -1126,28 +1043,36 @@ class ResidentSession(ExecutionSession):
 
     # -------------------------------------------------------------------- round
     def _slot_of(self, machine: "Machine") -> int:
-        return self.transport.shard_of(machine) % self.slot_count
+        return machine.index % self.slot_count
 
-    def _round_request(
+    def _sync_payload(
         self,
         slot: _SlotState,
-        program: SuperstepProgram,
-        program_key: int,
+        programs: "list[SuperstepProgram]",
+        program_keys: "list[int]",
         machines: "list[Machine]",
         shared: "dict[str, Any]",
     ) -> tuple:
-        """Assemble one slot's ``round`` request: only what is new or stale."""
+        """What one slot needs before it runs ``programs``: only what is new or stale.
+
+        Returns ``(new_programs, replay, shared_init, store_updates,
+        batch)`` — the sync arguments of the ``round`` and ``run_block``
+        ops.  Programs, shared keys and store snapshots are the union over
+        ``programs``; the inbox batch belongs to the first of them.
+        """
         backend = self.backend
-        # Programs this round needs at the slot: the one running, plus any
-        # whose backlog deltas will be replayed.
-        needed_programs = {program_key}
+        # Programs the slot needs: the ones running, plus any whose backlog
+        # deltas will be replayed.
+        needed_programs = set(program_keys)
         needed_programs.update(pkey for pkey, _ in slot.pending)
         new_programs = {
             key: self._programs[key][1] for key in sorted(needed_programs - slot.shipped_programs)
         }
 
         # Shared keys those programs read or merge into.
-        needed = set(program.session_keys())
+        needed: "set[str]" = set()
+        for program in programs:
+            needed.update(program.session_keys())
         for pkey, _ in slot.pending:
             needed.update(self._programs[pkey][0].session_keys())
         new_keys = needed - slot.resident_keys
@@ -1167,26 +1092,29 @@ class ResidentSession(ExecutionSession):
             shared_init = {key: shared[key] for key in sorted(init_keys)}
         except KeyError as exc:
             raise KeyError(
-                f"{type(program).__name__} session needs shared key {exc.args[0]!r} "
+                f"{type(programs[0]).__name__} session needs shared key {exc.args[0]!r} "
                 f"but the session's shared state only has {sorted(shared)!r}"
             ) from None
         slot.resident_keys |= init_keys
         slot.dirty -= init_keys
 
         # Store snapshots whose version epoch moved (or never shipped).
-        prefixes = program.store_reads
         store_updates = []
-        if prefixes is None or prefixes:
-            for machine in machines:
-                version = machine.storage.version
-                store_key = (machine.machine_id, prefixes)
-                if slot.store_versions.get(store_key) != version:
-                    store_updates.append(
-                        (machine.machine_id, prefixes, version, backend._store_blob(machine, prefixes))
-                    )
-                    slot.store_versions[store_key] = version
+        seen_prefixes: "set[tuple[str, ...] | None]" = set()
+        for program in programs:
+            prefixes = program.store_reads
+            if (prefixes is None or prefixes) and prefixes not in seen_prefixes:
+                seen_prefixes.add(prefixes)
+                for machine in machines:
+                    version = machine.storage.version
+                    store_key = (machine.machine_id, prefixes)
+                    if slot.store_versions.get(store_key) != version:
+                        store_updates.append(
+                            (machine.machine_id, prefixes, version, backend._store_blob(machine, prefixes))
+                        )
+                        slot.store_versions[store_key] = version
 
-        if program.reads_inbox:
+        if programs[0].reads_inbox:
             batch = [(machine.machine_id, _pack_inbox(machine.drain())) for machine in machines]
         else:
             # The program never looks at its inbox: drain driver-side (the
@@ -1196,16 +1124,21 @@ class ResidentSession(ExecutionSession):
                 machine.drain()
                 batch.append((machine.machine_id, ()))
         slot.shipped_programs.update(new_programs)
-        return (
-            "round",
-            self.session_id,
-            new_programs,
-            program_key,
-            replay,
-            shared_init,
-            store_updates,
-            batch,
+        return new_programs, replay, shared_init, store_updates, batch
+
+    def _round_request(
+        self,
+        slot: _SlotState,
+        program: SuperstepProgram,
+        program_key: int,
+        machines: "list[Machine]",
+        shared: "dict[str, Any]",
+    ) -> tuple:
+        """Assemble one slot's ``round`` request."""
+        new_programs, replay, shared_init, store_updates, batch = self._sync_payload(
+            slot, [program], [program_key], machines, shared
         )
+        return ("round", self.session_id, new_programs, program_key, replay, shared_init, store_updates, batch)
 
     def _queue_replay(
         self, program: SuperstepProgram, program_key: int, pairs: "list[tuple[Machine, Any]]"
@@ -1512,7 +1445,7 @@ class ResidentSession(ExecutionSession):
                     continue
             # Not fusable here (or fusion unavailable): one unfused round.
             # Going through the backend re-checks the session gate, so a
-            # mid-block breakage falls back to the process path cleanly.
+            # mid-block breakage falls back to the sequential path cleanly.
             records.append(self.backend.run_superstep(cluster, programs[i], targets, shared))
             i += 1
         return records
@@ -1534,8 +1467,6 @@ class ResidentSession(ExecutionSession):
         span = 0
         while span < cap:
             program = programs[start + span]
-            if not isinstance(program, SuperstepProgram):
-                break
             routed = self._route_programs.get(
                 self._program_key(program), program.driver_reads_sends is not True
             )
@@ -1561,75 +1492,13 @@ class ResidentSession(ExecutionSession):
     ) -> tuple:
         """Assemble one slot's ``run_block`` request (cf. :meth:`_round_request`).
 
-        The sync payload covers the whole span: programs, shared keys and
-        store snapshots are the union over every round's declarations, the
-        inbox batch belongs to round 0 (later rounds have worker frames
-        only — the driver does no work in between), and the block payload
-        carries the per-round specs plus the barrier base.
+        The sync payload covers the whole span (:meth:`_sync_payload`): the
+        inbox batch belongs to round 0 because later rounds have worker
+        frames only — the driver does no work in between — and the block
+        payload carries the per-round specs plus the barrier base.
         """
-        backend = self.backend
-        needed_programs = set(program_keys)
-        needed_programs.update(pkey for pkey, _ in slot.pending)
-        new_programs = {
-            key: self._programs[key][1] for key in sorted(needed_programs - slot.shipped_programs)
-        }
-        needed: "set[str]" = set()
-        for program in programs:
-            needed.update(program.session_keys())
-        for pkey, _ in slot.pending:
-            needed.update(self._programs[pkey][0].session_keys())
-        new_keys = needed - slot.resident_keys
-        if slot.pending and new_keys:
-            replay: "list[tuple[int, list[tuple[str, Any]]]]" = []
-            init_keys = set(needed)
-        else:
-            replay = slot.pending
-            init_keys = new_keys | (slot.dirty & needed)
-        slot.pending = []
-        try:
-            shared_init = {key: shared[key] for key in sorted(init_keys)}
-        except KeyError as exc:
-            raise KeyError(
-                f"{type(programs[0]).__name__} session needs shared key {exc.args[0]!r} "
-                f"but the session's shared state only has {sorted(shared)!r}"
-            ) from None
-        slot.resident_keys |= init_keys
-        slot.dirty -= init_keys
-
-        store_updates = []
-        seen_prefixes: "set[tuple[str, ...] | None]" = set()
-        for program in programs:
-            prefixes = program.store_reads
-            if (prefixes is None or prefixes) and prefixes not in seen_prefixes:
-                seen_prefixes.add(prefixes)
-                for machine in machines:
-                    version = machine.storage.version
-                    store_key = (machine.machine_id, prefixes)
-                    if slot.store_versions.get(store_key) != version:
-                        store_updates.append(
-                            (machine.machine_id, prefixes, version, backend._store_blob(machine, prefixes))
-                        )
-                        slot.store_versions[store_key] = version
-
-        if programs[0].reads_inbox:
-            batch = [(machine.machine_id, _pack_inbox(machine.drain())) for machine in machines]
-        else:
-            batch = []
-            for machine in machines:
-                machine.drain()
-                batch.append((machine.machine_id, ()))
-        slot.shipped_programs.update(new_programs)
-
-        map_update = None
-        if slot.map_version != self._map_version:
-            map_update = self._machine_info
-            slot.map_version = self._map_version
-        forward = self._forward[slot_index]
-        if forward:
-            self._forward[slot_index] = []
-            rp = self._remote_pending[slot_index]
-            for frame in forward:
-                rp.add(frame[4])
+        sync = self._sync_payload(slot, programs, program_keys, machines, shared)
+        map_update, forward = self._routing_update(slot_index, slot)
         block = {
             "epoch0": epoch0,
             "slot": slot_index,
@@ -1638,16 +1507,7 @@ class ResidentSession(ExecutionSession):
             "rounds": specs,
             "barrier": barrier_spec,
         }
-        return (
-            "run_block",
-            self.session_id,
-            new_programs,
-            replay,
-            shared_init,
-            store_updates,
-            batch,
-            block,
-        )
+        return ("run_block", self.session_id, *sync, block)
 
     def _run_fused(
         self,
@@ -1703,174 +1563,164 @@ class ResidentSession(ExecutionSession):
         for _, worker in slot_workers:
             worker.lock.acquire()
         self._suppress_sync = True
-        self.in_fused_block = True
         block_replies: "dict[int, tuple]" = {}
         try:
+            active: "list[list]" = []
+            slot_index, worker = -1, None
             try:
-                active: "list[list]" = []
-                slot_index, worker = -1, None
-                try:
-                    for slot_index, worker in slot_workers:
-                        slot = self._slots[slot_index]
-                        if slot.worker_generation != worker.generation:
-                            if self._remote_pending[slot_index]:
-                                raise ResidentWorkerError(
-                                    f"resident worker slot {slot_index} was respawned "
-                                    f"while holding undelivered slot-routed messages"
-                                )
-                            slot.reset_for(worker.generation)
-                        request = self._block_request(
-                            slot,
-                            slot_index,
-                            programs,
-                            program_keys,
-                            specs,
-                            by_slot[slot_index],
-                            shared,
-                            epoch0,
-                            (base, participating) if multi else None,
-                        )
-                        entry = [slot_index, worker, 0]
-                        active.append(entry)
-                        if not slot.opened:
-                            worker.request(("open", self.session_id))
-                            entry[2] += 1
-                            slot.opened = True
-                        if multi and (
-                            (self._rings and not slot.rings_attached) or not slot.barrier_attached
-                        ):
-                            worker.request(
-                                (
-                                    "attach_shm",
-                                    self.session_id,
-                                    self._ring_specs(slot_index, "in"),
-                                    self._ring_specs(slot_index, "out"),
-                                    (self._barrier.name, self.slot_count),
-                                )
-                            )
-                            entry[2] += 1
-                            slot.rings_attached = True
-                            slot.barrier_attached = True
-                        worker.request(request)
-                        entry[2] += 1
-                except BaseException as exc:
-                    if isinstance(exc, ResidentWorkerError) and worker is not None:
-                        _evict_slot_worker(slot_index, worker)
-                    self._abort_round(active)
-                    raise
-
-                error: "BaseException | None" = None
-                for slot_index, worker, expected in active:
-                    value: Any = None
-                    failed = False
-                    for _ in range(expected):
-                        try:
-                            value = worker.reply()
-                        except ResidentWorkerError as exc:
-                            self._mark_broken(slot_index, worker)
-                            if error is None:
-                                error = exc
-                            failed = True
-                            break
-                        except BaseException as exc:  # noqa: BLE001 - worker raised
-                            if error is None:
-                                error = exc
-                            failed = True
-                    if not failed:
-                        block_replies[slot_index] = value
-                if error is not None:
-                    # slots that did run already committed fused rounds;
-                    # driver and worker views have diverged
-                    self._broken = True
-                    raise error
-            finally:
-                self._suppress_sync = False
-                for _, worker in slot_workers:
-                    worker.lock.release()
-
-            # Validate: every slot speaks the block protocol and committed
-            # the same number of rounds (the barrier's stop-bit guarantee).
-            completed: "int | None" = None
-            for slot_index, value in sorted(block_replies.items()):
-                if not (isinstance(value, tuple) and len(value) == 4 and value[0] == "block"):
-                    self._broken = True
-                    raise ResidentWorkerError(
-                        f"resident worker slot {slot_index} replied out of protocol "
-                        f"to a fused block request"
-                    )
-                if completed is None:
-                    completed = value[1]
-                elif value[1] != completed:
-                    self._broken = True
-                    raise ResidentWorkerError(
-                        f"resident worker slots disagree on fused rounds completed "
-                        f"({completed} vs {value[1]} at slot {slot_index})"
-                    )
-            assert completed is not None and completed >= 1
-            if multi:
-                self._barrier_base = base + completed
-
-            # Finish loop: replay each completed round through the exact
-            # unfused merge paths, in order — deposit-then-exchange per
-            # round rebuilds every RoundRecord bit-identically.
-            per_slot_rounds = {si: value[2] for si, value in block_replies.items()}
-            records: "list[RoundRecord]" = []
-            for r in range(completed):
-                program = programs[r]
-                program_key = program_keys[r]
-                funnel = specs[r][2]
-                # This round's batch consumed the due frames each slot held
-                # for its participating machines (same bookkeeping run_round
-                # does at request-build time, replayed here per round).
-                for si in participating:
-                    rp = self._remote_pending[si]
-                    if rp:
-                        for machine in by_slot[si]:
-                            rp.discard(machine.machine_id)
-                entries = [(si, per_slot_rounds[si][r]) for si in participating]
-                if funnel:
-                    results: "dict[str, tuple[list, Any]]" = {}
-                    for si, entry in entries:
-                        if not (isinstance(entry, tuple) and len(entry) == 2 and entry[0] == "funneled"):
-                            self._broken = True
+                for slot_index, worker in slot_workers:
+                    slot = self._slots[slot_index]
+                    if slot.worker_generation != worker.generation:
+                        if self._remote_pending[slot_index]:
                             raise ResidentWorkerError(
-                                "resident worker returned a malformed funneled round "
-                                "inside a fused block"
+                                f"resident worker slot {slot_index} was respawned "
+                                f"while holding undelivered slot-routed messages"
                             )
-                        for machine_id, sent, delta in entry[1]:
-                            results[machine_id] = (sent, delta)
-                    self._recompute_pending_ids()
-                    if not self._pending_ids:
-                        self._pending_keys = set()
-                    records.append(
-                        self._finish_replayed_round(cluster, program, program_key, targets, shared, results)
+                        slot.reset_for(worker.generation)
+                    request = self._block_request(
+                        slot,
+                        slot_index,
+                        programs,
+                        program_keys,
+                        specs,
+                        by_slot[slot_index],
+                        shared,
+                        epoch0,
+                        (base, participating) if multi else None,
                     )
-                else:
-                    # Workers self-applied every round but the span's final
-                    # one (same deterministic formula both sides) — queueing
-                    # those for replay would double-apply at the owner slot.
-                    records.append(
-                        self._finish_routed_round(
-                            cluster,
-                            program,
-                            program_key,
-                            targets,
-                            shared,
-                            entries,
-                            queue_replay=(r == len(specs) - 1),
+                    entry = [slot_index, worker, 0]
+                    active.append(entry)
+                    if not slot.opened:
+                        worker.request(("open", self.session_id))
+                        entry[2] += 1
+                        slot.opened = True
+                    if multi and (
+                        (self._rings and not slot.rings_attached) or not slot.barrier_attached
+                    ):
+                        worker.request(
+                            (
+                                "attach_shm",
+                                self.session_id,
+                                self._ring_specs(slot_index, "in"),
+                                self._ring_specs(slot_index, "out"),
+                                (self._barrier.name, self.slot_count),
+                            )
                         )
-                    )
-            ledger.fused_rounds += completed
-            ledger.driver_round_trips += 1
-            self.backend.last_superstep_mode = "resident-fused"
+                        entry[2] += 1
+                        slot.rings_attached = True
+                        slot.barrier_attached = True
+                    worker.request(request)
+                    entry[2] += 1
+            except BaseException as exc:
+                if isinstance(exc, ResidentWorkerError) and worker is not None:
+                    _evict_slot_worker(slot_index, worker)
+                self._abort_round(active)
+                raise
+
+            error: "BaseException | None" = None
+            for slot_index, worker, expected in active:
+                value: Any = None
+                failed = False
+                for _ in range(expected):
+                    try:
+                        value = worker.reply()
+                    except ResidentWorkerError as exc:
+                        self._mark_broken(slot_index, worker)
+                        if error is None:
+                            error = exc
+                        failed = True
+                        break
+                    except BaseException as exc:  # noqa: BLE001 - worker raised
+                        if error is None:
+                            error = exc
+                        failed = True
+                if not failed:
+                    block_replies[slot_index] = value
+            if error is not None:
+                # slots that did run already committed fused rounds;
+                # driver and worker views have diverged
+                self._broken = True
+                raise error
         finally:
-            self.in_fused_block = False
-        if self.pending_autotune:
-            # replan_every fired during the finish loop's exchanges — the
-            # deferred tick lands here, on the block boundary.
-            self.pending_autotune = False
-            if not self._broken:
-                cluster.autotune_replan()
+            self._suppress_sync = False
+            for _, worker in slot_workers:
+                worker.lock.release()
+
+        # Validate: every slot speaks the block protocol and committed
+        # the same number of rounds (the barrier's stop-bit guarantee).
+        completed: "int | None" = None
+        for slot_index, value in sorted(block_replies.items()):
+            if not (isinstance(value, tuple) and len(value) == 4 and value[0] == "block"):
+                self._broken = True
+                raise ResidentWorkerError(
+                    f"resident worker slot {slot_index} replied out of protocol "
+                    f"to a fused block request"
+                )
+            if completed is None:
+                completed = value[1]
+            elif value[1] != completed:
+                self._broken = True
+                raise ResidentWorkerError(
+                    f"resident worker slots disagree on fused rounds completed "
+                    f"({completed} vs {value[1]} at slot {slot_index})"
+                )
+        assert completed is not None and completed >= 1
+        if multi:
+            self._barrier_base = base + completed
+
+        # Finish loop: replay each completed round through the exact
+        # unfused merge paths, in order — deposit-then-exchange per
+        # round rebuilds every RoundRecord bit-identically.
+        per_slot_rounds = {si: value[2] for si, value in block_replies.items()}
+        records: "list[RoundRecord]" = []
+        for r in range(completed):
+            program = programs[r]
+            program_key = program_keys[r]
+            funnel = specs[r][2]
+            # This round's batch consumed the due frames each slot held
+            # for its participating machines (same bookkeeping run_round
+            # does at request-build time, replayed here per round).
+            for si in participating:
+                rp = self._remote_pending[si]
+                if rp:
+                    for machine in by_slot[si]:
+                        rp.discard(machine.machine_id)
+            entries = [(si, per_slot_rounds[si][r]) for si in participating]
+            if funnel:
+                results: "dict[str, tuple[list, Any]]" = {}
+                for si, entry in entries:
+                    if not (isinstance(entry, tuple) and len(entry) == 2 and entry[0] == "funneled"):
+                        self._broken = True
+                        raise ResidentWorkerError(
+                            "resident worker returned a malformed funneled round "
+                            "inside a fused block"
+                        )
+                    for machine_id, sent, delta in entry[1]:
+                        results[machine_id] = (sent, delta)
+                self._recompute_pending_ids()
+                if not self._pending_ids:
+                    self._pending_keys = set()
+                records.append(
+                    self._finish_replayed_round(cluster, program, program_key, targets, shared, results)
+                )
+            else:
+                # Workers self-applied every round but the span's final
+                # one (same deterministic formula both sides) — queueing
+                # those for replay would double-apply at the owner slot.
+                records.append(
+                    self._finish_routed_round(
+                        cluster,
+                        program,
+                        program_key,
+                        targets,
+                        shared,
+                        entries,
+                        queue_replay=(r == len(specs) - 1),
+                    )
+                )
+        ledger.fused_rounds += completed
+        ledger.driver_round_trips += 1
+        self.backend.last_superstep_mode = "resident-fused"
         return records
 
     # ------------------------------------------------------------ slot routing
@@ -1895,6 +1745,18 @@ class ResidentSession(ExecutionSession):
         funnel: bool = False,
     ) -> "dict[str, Any]":
         """The ``routing`` element of one slot's round request."""
+        map_update, forward = self._routing_update(slot_index, slot)
+        return {
+            "epoch": epoch,
+            "slot": slot_index,
+            "map": map_update,
+            "forward": forward,
+            "drop_inbox": not program.reads_inbox,
+            "funnel": funnel,
+        }
+
+    def _routing_update(self, slot_index: int, slot: _SlotState) -> "tuple[dict | None, list[tuple]]":
+        """The routing map if the slot's copy is stale (else ``None``), and the frames to forward to it."""
         map_update = None
         if slot.map_version != self._map_version:
             map_update = self._machine_info
@@ -1905,14 +1767,7 @@ class ResidentSession(ExecutionSession):
             rp = self._remote_pending[slot_index]
             for frame in forward:
                 rp.add(frame[4])
-        return {
-            "epoch": epoch,
-            "slot": slot_index,
-            "map": map_update,
-            "forward": forward,
-            "drop_inbox": not program.reads_inbox,
-            "funnel": funnel,
-        }
+        return map_update, forward
 
     def _ring_capacity(self) -> int:
         """Bytes per cross-slot ring: explicit override or sized from ``S``.
@@ -2183,7 +2038,7 @@ class ResidentSession(ExecutionSession):
 
     def _mark_broken(self, slot_index: int, worker: "_SlotWorker | None" = None) -> None:
         """A worker died: its resident state is gone.  Stop claiming residency
-        (later supersteps fall back to the stateless process path) and evict
+        (later supersteps fall back to the sequential path) and evict
         the dead worker so the next session gets a fresh one."""
         self._broken = True
         _evict_slot_worker(slot_index, worker)
@@ -2202,61 +2057,6 @@ class ResidentSession(ExecutionSession):
         for slot_index, worker, outstanding in active:
             if not worker.drain(outstanding):
                 _evict_slot_worker(slot_index, worker)
-
-    # ---------------------------------------------------------------- migration
-    def migrate(self, plan: "ShardPlan") -> None:
-        """Drop resident snapshots of machines whose worker slot changed.
-
-        Called behind the merge barrier after the transport adopted the new
-        plan (its memoised shard map is already rebuilt).  Only machines
-        the re-plan actually moved are touched: their snapshots are dropped
-        at the old slot and re-shipped from the driver's authoritative
-        stores on next use at the new slot.  The shared slice is symmetric
-        at every slot and needs no migration.
-        """
-        # Worker-held routed frames are addressed by the *old* locality:
-        # pull them all back into driver inboxes before the map changes
-        # (they re-ship with the next round's batches).  Physical slot
-        # indices identify the workers, so flushing after the transport
-        # switched plans is safe.
-        self._flush_all()
-        self._map_count = -1  # force a routing-map rebuild + re-ship
-        cluster = self.cluster
-        moved: set[str] = set()
-        drops: "dict[int, set[str]]" = {}
-        for slot_index, slot in enumerate(self._slots):
-            stale: set[str] = set()
-            for store_key in list(slot.store_versions):
-                machine_id = store_key[0]
-                if self._slot_of(cluster.machine(machine_id)) != slot_index:
-                    del slot.store_versions[store_key]
-                    stale.add(machine_id)
-            if stale:
-                moved.update(stale)
-                if slot.opened:
-                    drops[slot_index] = stale
-        for slot_index, stale in sorted(drops.items()):
-            worker = _peek_slot_worker(slot_index)
-            if worker is None or self._slots[slot_index].worker_generation != worker.generation:
-                # Dead or respawned: the old worker's state is already gone
-                # and the next round's generation check re-ships wholesale —
-                # nothing to drop, and nothing worth spawning a process for.
-                continue
-            # Sequential request/reply (re-plans are rare): a failure can
-            # never leave unread replies behind on the shared workers.
-            try:
-                worker.call(("migrate", self.session_id, sorted(stale)))
-            except ResidentWorkerError:
-                self._mark_broken(slot_index, worker)
-        # Owner-scoped deltas only ever replayed at a machine's old slot
-        # make the *new* slot's resident shared copy stale for that
-        # machine's slice — and machine→slot moves are invisible here when
-        # the program ships no stores (store_versions empty).  A re-plan is
-        # rare, so invalidate every resident key unconditionally: one fresh
-        # ship per slot on next use buys unconditional correctness.
-        for slot in self._slots:
-            slot.dirty |= slot.resident_keys
-        self.last_migration = sorted(moved)
 
     # ------------------------------------------------------------------ closing
     def close(self) -> None:
@@ -2277,7 +2077,7 @@ class ResidentSession(ExecutionSession):
             except ResidentWorkerError:  # pragma: no cover - worker died
                 pass
         transport = self.transport
-        if getattr(transport, "inbox_router", None) is self:
+        if transport.inbox_router is self:
             transport.inbox_router = None
         for slot_index, slot in enumerate(self._slots):
             # A slot that holds *any* per-session worker state — opened, or
@@ -2309,19 +2109,173 @@ class ResidentSession(ExecutionSession):
             self._barrier = None
 
 
-@register_backend
-class ResidentBackend(ProcessBackend):
-    """Process backend + session-scoped resident worker state.
+class ResidentTransport(FastTransport):
+    """The ``fast`` transport plus the two seams a resident session needs.
 
-    Inherits the sharded transport, the version-memoised store pickling and
-    the process-pool program path from :class:`ProcessBackend`; adds the
-    session seam.  Outside an active session (driver-style dynamic
-    workloads, closure handlers, fewer than two worker slots) it *is* the
-    process backend.
+    Staged senders and the delivery pass are ``fast``'s; messages are
+    charged with :func:`~repro.mpc.sizing.fast_word_size` (the sizer the
+    workers charge with, property-tested equal to the reference one).  On
+    top of that, a live session installs itself as :attr:`inbox_router`,
+    and rounds whose messages stayed at the workers arrive as deposits
+    (:meth:`deposit_worker_round`) instead of staged outboxes.
+    """
+
+    __slots__ = ("inbox_router", "_worker_rounds")
+
+    message_sizer = staticmethod(fast_word_size)
+
+    def __init__(self, cluster: "Cluster") -> None:
+        super().__init__(cluster)
+        #: slot-routing hook (see :attr:`Transport.inbox_router`); shadowed
+        #: into a slot because resident sessions flip it per session.
+        self.inbox_router = None
+        #: pre-aggregated rounds deposited by slot-routed worker supersteps,
+        #: consumed FIFO by subsequent :meth:`exchange` calls (see
+        #: :meth:`deposit_worker_round`).  A plain routed round deposits
+        #: one entry and exchanges immediately; a fused round block
+        #: deposits one entry per worker-driven round, then the driver
+        #: replays one exchange per round to rebuild the identical records.
+        self._worker_rounds: "deque[dict]" = deque()
+
+    def has_staged(self) -> bool:
+        """Whether any machine staged a driver-side message since the last round."""
+        return bool(self._staged)
+
+    def deposit_worker_round(self, stats: dict) -> None:
+        """Hand the next :meth:`exchange` a slot-routed round's aggregates.
+
+        A resident session that routed all of a superstep's messages at the
+        workers cannot funnel them through the driver's staged-sender path —
+        the whole point is that most never reached the driver.  Instead the
+        workers return, per send, the same quantities the delivery pass
+        would have accumulated: per-(sender, receiver) word totals /
+        counts / maxima (sized once by the reference-equal ``fast_word_size``
+        at staging time), plus the few frames that must be driver-delivered
+        (receivers outside the worker map).  ``stats`` keys:
+
+        ``"pairs"``
+            ``{(sender, receiver): (words, count, max_words)}`` over every
+            message of the round, whichever physical path it took;
+        ``"fallback"``
+            frames to deliver into driver inboxes, already in reference
+            delivery order;
+        ``"traffic"``
+            the wire-path counters for :meth:`MetricsLedger.record_traffic`.
+
+        Deposits queue FIFO: a fused round block deposits every
+        worker-driven round at once and the driver then calls
+        :meth:`exchange` once per round, oldest first, so the record
+        stream is indistinguishable from per-round deposits.
+        """
+        self._worker_rounds.append(stats)
+
+    def exchange(self) -> RoundRecord:
+        if self._worker_rounds:
+            return self._deliver_deposit(self._worker_rounds.popleft())
+        staged = self._staged
+        router = self.inbox_router
+        if router is not None and staged:
+            # Driver code staged real messages while workers may still hold
+            # routed ones for the same receivers: pull every worker-held
+            # message into the driver inboxes first, so this exchange
+            # appends behind them in arrival order (worker-held messages
+            # are always from strictly earlier rounds).
+            router.flush_for_exchange()
+        # FastTransport.exchange inlined: calling it would make every round
+        # two exchange calls to anything that wraps the method
+        record = self.deliver(sorted(staged, key=by_registration))
+        staged.clear()
+        return record
+
+    def _deliver_deposit(self, deposit: dict) -> RoundRecord:
+        """Record a slot-routed round from worker aggregates; deliver fallbacks.
+
+        Not a delivery of staged messages — the bodies of worker-held pairs
+        never crossed into the driver — but the same round as
+        :meth:`Transport.deliver` would have made of them: identical record
+        (words were sized by the same ``fast_word_size`` at staging),
+        identical validation and cap semantics.
+        """
+        cluster = self.cluster
+        machines = cluster.machines_by_id
+        ledger = cluster.ledger
+        if self._staged:
+            raise ProtocolError(
+                "slot-routed round deposited while driver-side messages are staged"
+            )
+        if ledger.record_policy is None:
+            raise ProtocolError(
+                "slot-routed rounds require the backend accounting policy; "
+                "a hand-customised round_record_factory must take the driver path"
+            )
+        round_index = ledger.next_round_index
+        sample_every = self.pair_detail_every
+        sampled = sample_every > 0 and round_index % sample_every == 0
+
+        active: set[str] = set()
+        total = 0
+        count = 0
+        largest = 0
+        pair_words: dict[tuple[str, str], int] = {}
+        sent_words: dict[str, int] = {}
+        received_words: dict[str, int] = {}
+        for (sender, receiver), (words, messages, max_words) in deposit["pairs"].items():
+            if receiver not in machines:
+                raise UnknownMachineError(
+                    f"message from {sender!r} addressed to unknown machine {receiver!r}"
+                )
+            active.add(sender)
+            active.add(receiver)
+            total += words
+            count += messages
+            if max_words > largest:
+                largest = max_words
+            if sampled:
+                pair_words[(sender, receiver)] = pair_words.get((sender, receiver), 0) + words
+            sent_words[sender] = sent_words.get(sender, 0) + words
+            received_words[receiver] = received_words.get(receiver, 0) + words
+
+        if cluster.enforce_io_cap:
+            cap = cluster.config.machine_memory
+            for machine_id in sorted(sent_words, key=lambda m: machines[m].index):
+                words = sent_words[machine_id]
+                if words > cap:
+                    raise MessageSizeExceeded(machine_id, "send", words, cap)
+            for machine_id in sorted(received_words, key=lambda m: machines[m].index):
+                words = received_words[machine_id]
+                if words > cap:
+                    raise MessageSizeExceeded(machine_id, "receive", words, cap)
+
+        for frame in deposit["fallback"]:
+            machines[frame[4]].inbox.append(_frame_message(frame))
+
+        record = ledger.append_round(RoundRecord(round_index, len(active), total, count, largest, pair_words))
+        ledger.record_traffic(**deposit["traffic"])
+        return record
+
+    def discard_undelivered(self) -> None:
+        super().discard_undelivered()
+        self._worker_rounds.clear()
+
+
+@register_backend
+class ResidentBackend(FastBackend):
+    """``fast`` + session-scoped resident worker state.
+
+    Inherits ``fast``'s cached storage, aggregate accounting policy and
+    guarantees; its transport is :class:`ResidentTransport`, and it adds
+    the session seam.  Outside an active session (driver-style dynamic
+    workloads) supersteps run sequentially in the driver, exactly as on
+    ``fast``.
     """
 
     name = "resident"
 
+    #: how the most recent superstep executed under a session
+    #: (``"resident"``, ``"resident-routed"``, ``"resident-inline"`` or
+    #: ``"resident-fused"``) — an observability/testing aid, never
+    #: consulted by the simulation.
+    last_superstep_mode: str | None = None
     #: worker-crossing round count of the most recently closed session — an
     #: observability/testing aid (proves residency was exercised), never
     #: consulted by the simulation.
@@ -2334,73 +2288,82 @@ class ResidentBackend(ProcessBackend):
     #: ``pipe_fallbacks``) — observability only, never simulation input.
     last_session_traffic: "dict[str, int] | None" = None
 
+    def __init__(self, config) -> None:
+        super().__init__(config)
+        #: driver-side store-slice pickle cache:
+        #: machine -> {store_reads: (storage version, blob)}
+        self._store_blobs: dict["Machine", dict[tuple[str, ...] | None, tuple[int, bytes]]] = {}
+
+    def create_transport(self, cluster: "Cluster") -> ResidentTransport:
+        transport = ResidentTransport(cluster)
+        transport.pair_detail_every = self._sampling
+        return transport
+
     @property
     def worker_slots(self) -> int:
         """How many resident worker slots a session on this backend uses.
 
-        ``config.resident_slots`` pins the count explicitly (still clamped
-        to the shard count — a slot with no shards would idle).  The
-        default is bounded by ``max_workers``, the shard count *and the
-        real CPU parallelism of the host*: unlike a pool size (where
-        oversubscribed processes merely timeshare), every extra resident
-        slot costs two context switches per superstep, so slots beyond the
-        hardware's parallelism are pure overhead.  One slot is perfectly
-        meaningful — residency is about state locality (stores shipped
-        once, deltas replayed), not about the width of the fan-out.
+        ``config.resident_slots`` pins the count explicitly, clamped to the
+        slot cap ``config.shard_count`` (default 4).  The default is bounded
+        by that cap *and the real CPU parallelism of the host*: every
+        resident slot costs two context switches per superstep, so slots
+        beyond the hardware's parallelism are pure overhead.  One slot is
+        perfectly meaningful — residency is about state locality (stores
+        shipped once, deltas replayed), not about the width of the fan-out.
         """
+        cap = self.config.shard_count or DEFAULT_SLOT_CAP
         override = self.config.resident_slots
         if override is not None:
-            return max(1, min(override, self.plan.shard_count))
-        return max(1, min(self.max_workers, self.plan.shard_count, os.cpu_count() or 1))
+            return max(1, min(override, cap))
+        return max(1, min(cap, os.cpu_count() or 1))
+
+    def _store_blob(self, machine: "Machine", prefixes: "tuple[str, ...] | None") -> bytes:
+        """``machine``'s declared store slice, pickled once per store version."""
+        versions = self._store_blobs.setdefault(machine, {})
+        version = machine.storage.version
+        cached = versions.get(prefixes)
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        subset = store_subset(machine.storage.items(), prefixes)
+        blob = pickle.dumps(subset, protocol=_PICKLE)
+        versions[prefixes] = (version, blob)
+        return blob
 
     def open_session(self, cluster: "Cluster", shared: "dict[str, Any]") -> ExecutionSession:
         return ResidentSession(self, cluster, shared, self.worker_slots)
 
-    def run_superstep(
-        self,
-        cluster: "Cluster",
-        program: "SuperstepHandler",
-        targets: "list[Machine]",
-        shared: "dict[str, Any]",
-    ) -> "RoundRecord":
+    def _live_session(self, cluster: "Cluster", shared: "dict[str, Any]") -> "ResidentSession | None":
+        """The cluster's session when it is this backend's, healthy, and over ``shared``."""
         session = cluster._active_session
         if (
             isinstance(session, ResidentSession)
             and not session._broken
             and session.backend is self
             and shared is session.shared
-            and isinstance(program, SuperstepProgram)
         ):
+            return session
+        return None
+
+    def run_superstep(
+        self,
+        cluster: "Cluster",
+        program: SuperstepProgram,
+        targets: "list[Machine]",
+        shared: "dict[str, Any]",
+    ) -> RoundRecord:
+        session = self._live_session(cluster, shared)
+        if session is not None:
             return session.run_round(cluster, program, targets, shared)
         return super().run_superstep(cluster, program, targets, shared)
 
     def run_superstep_block(
         self,
         cluster: "Cluster",
-        programs: "list[SuperstepHandler]",
+        programs: "list[SuperstepProgram]",
         targets: "list[Machine]",
         shared: "dict[str, Any]",
     ) -> "list[RoundRecord]":
-        session = cluster._active_session
-        if (
-            isinstance(session, ResidentSession)
-            and not session._broken
-            and session.backend is self
-            and shared is session.shared
-            and all(isinstance(program, SuperstepProgram) for program in programs)
-        ):
+        session = self._live_session(cluster, shared)
+        if session is not None:
             return session.run_block(cluster, list(programs), targets, shared)
         return super().run_superstep_block(cluster, programs, targets, shared)
-
-    def replan(self, cluster: "Cluster", plan: "ShardPlan") -> bool:
-        session = cluster._active_session
-        if session is not None and session.in_fused_block:
-            raise ProtocolError(
-                "live re-plan inside a fused round block: workers are mid-loop "
-                "and hold the old locality; replans must land on block boundaries "
-                "(replan_every ticks are deferred there automatically)"
-            )
-        applied = super().replan(cluster, plan)
-        if applied and isinstance(session, ResidentSession) and not session._broken:
-            session.migrate(plan)
-        return applied

@@ -1,10 +1,9 @@
 """Wire codec and shared-memory ring buffers for worker transports.
 
-Two process-crossing backends ship per-round data between the driver and
-long-lived helper processes: the ``process`` backend (shard jobs through a
-pool) and the ``resident`` backend (persistent slot workers over pipes and,
-since the slot-routing work, ``multiprocessing.shared_memory`` rings for
-cross-slot traffic).  This module is their common wire layer:
+The ``resident`` backend ships per-round data between the driver and
+long-lived slot worker processes: over pipes, and over
+``multiprocessing.shared_memory`` rings for cross-slot traffic.  This
+module is its wire layer:
 
 :func:`encode_obj` / :func:`decode_obj`
     the marshal-first codec: per-round traffic is dominated by large flat

@@ -18,9 +18,9 @@ as module-level :class:`~repro.mpc.program.SuperstepProgram` classes
 (:class:`VertexProgram` below is their common base, carrying the owner map
 and worker ids as picklable program state), routed through
 :meth:`Cluster.superstep` — so it picks up whatever execution strategy the
-cluster's backend provides: sequential, the ``parallel`` backend's thread
-pool, or the ``process`` backend's serialized shard jobs
-(``backend=``/``shard_count=``/``max_workers=`` below).
+cluster's backend provides: sequential in the driver, or the ``resident``
+backend's long-lived worker processes (``backend=`` / ``resident_slots=``
+below).
 """
 
 from __future__ import annotations
@@ -105,9 +105,6 @@ def build_static_cluster(
     num_workers: int | None = None,
     backend: str | None = None,
     shard_count: int | None = None,
-    max_workers: int | None = None,
-    process_chunk_machines: int | None = None,
-    replan_every: int | None = None,
     resident_slots: int | None = None,
     resident_shm_ring_bytes: int | None = None,
     weighted: bool = True,
@@ -120,8 +117,7 @@ def build_static_cluster(
     strict memory and per-round I/O enforcement.  The communication is still
     fully *accounted*, which is what the benchmarks compare.
 
-    ``backend`` / ``shard_count`` / ``max_workers`` /
-    ``process_chunk_machines`` / ``replan_every`` / ``resident_slots`` /
+    ``backend`` / ``shard_count`` / ``resident_slots`` /
     ``resident_shm_ring_bytes`` select and tune the execution backend
     (:mod:`repro.runtime`) the baseline runs on; ``None`` defers to the
     usual resolution chain (``REPRO_BACKEND``, then ``reference``).
@@ -137,9 +133,6 @@ def build_static_cluster(
         strict_memory=False,
         backend=backend,
         shard_count=shard_count,
-        max_workers=max_workers,
-        process_chunk_machines=process_chunk_machines,
-        replan_every=replan_every,
         resident_slots=resident_slots,
         resident_shm_ring_bytes=resident_shm_ring_bytes,
     )

@@ -18,9 +18,9 @@ The program reads the shared union-find ``component`` map through ``find``
 with path compression — the sanctioned *semantically invisible* mutation of
 shared state: no merges happen during the scan, so every compressed pointer
 is a valid ancestor and every ``find`` returns the phase's unique root
-whether the map is the live driver dict (sequential/thread execution) or a
-shipped copy (process execution, where the compression is simply
-discarded).  Merging (choosing global minima and uniting components) is a
+whether the map is the live driver dict (sequential execution) or a
+resident worker's copy (where the compression is simply discarded).
+Merging (choosing global minima and uniting components) is a
 driver-level decision between supersteps, mirroring the label-vertex
 owners' role.
 """
@@ -144,9 +144,6 @@ class StaticBoruvkaMST:
         max_phases: int | None = None,
         backend: str | None = None,
         shard_count: int | None = None,
-        max_workers: int | None = None,
-        process_chunk_machines: int | None = None,
-        replan_every: int | None = None,
         resident_slots: int | None = None,
         resident_shm_ring_bytes: int | None = None,
     ) -> None:
@@ -156,9 +153,6 @@ class StaticBoruvkaMST:
             num_workers=num_workers,
             backend=backend,
             shard_count=shard_count,
-            max_workers=max_workers,
-            process_chunk_machines=process_chunk_machines,
-            replan_every=replan_every,
             resident_slots=resident_slots,
             resident_shm_ring_bytes=resident_shm_ring_bytes,
         )
@@ -206,7 +200,7 @@ class StaticBoruvkaMST:
                     # exchange — the price of detecting termination inside the
                     # superstep rather than re-scanning all edges sequentially
                     # at the driver, which would serialise exactly the work
-                    # the pooled backends parallelise.
+                    # the resident workers share out.
                     break
 
                 # Phase part 2: component-label owners pick the global minimum

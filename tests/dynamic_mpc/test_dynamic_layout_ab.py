@@ -60,22 +60,14 @@ from repro.mpc.layout import TourShard
 from repro.mpc.sizing import closed_form_words, registered_closed_forms, word_size
 from tour_oracle import DictTourStore
 
-BACKENDS = ("reference", "fast", "sharded", "parallel", "process", "resident", "resident-shm")
-SHARD_COUNT = 3
-MAX_WORKERS = 2
+BACKENDS = ("reference", "fast", "resident", "resident-shm")
+RESIDENT_SLOTS = 2
 
 
 def make_config(n: int, m: int, backend: str | None) -> DMPCConfig:
-    extra: dict = {}
-    real = backend
-    if backend in ("sharded", "parallel", "process", "resident", "resident-shm"):
-        extra["shard_count"] = SHARD_COUNT
-    if backend in ("parallel", "process", "resident", "resident-shm"):
-        extra["max_workers"] = MAX_WORKERS
     if backend == "resident-shm":
-        real = "resident"
-        extra["resident_slots"] = 2
-    return DMPCConfig.for_graph(n, m, backend=real, **extra)
+        return DMPCConfig.for_graph(n, m, backend="resident", resident_slots=RESIDENT_SLOTS)
+    return DMPCConfig.for_graph(n, m, backend=backend)
 
 
 def per_update_rounds(algorithm) -> list[tuple[str, int]]:
@@ -679,7 +671,7 @@ class TestCoalescedBatchReplay:
         assert toggled.coalesce_totals["input"] == len(stream) - 16
 
 
-# ------------------------------------------------ all seven backends
+# ------------------------------------------------ all four backend configs
 class TestCoalescedAcrossBackends:
     """Coalesced batches are backend-invariant: solutions, rounds and words."""
 

@@ -6,12 +6,30 @@ import pytest
 
 from repro.config import DMPCConfig
 from repro.exceptions import MessageSizeExceeded, ProtocolError, UnknownMachineError
-from repro.mpc import Cluster, MetricsLedger, Message, RoundRecord
+from repro.mpc import Cluster, MetricsLedger, Message, RoundRecord, SuperstepProgram
 
 
 def make_cluster(**kwargs) -> Cluster:
     config = DMPCConfig(capacity_n=32, capacity_m=64)
     return Cluster(config, **kwargs)
+
+
+class ReportProgram(SuperstepProgram):
+    """Every worker but ``w0`` reports to ``w0``; each hands back its inbox size."""
+
+    shared_writes = ("seen",)
+
+    def run(self, ctx, inbox, shared):
+        if ctx.machine_id != "w0":
+            ctx.send("w0", "report", ctx.machine_id)
+        return len(inbox)
+
+    def apply(self, shared, machine_id, delta):
+        shared["seen"][machine_id] = delta
+
+
+def closure(machine, inbox):  # pragma: no cover - refused before it could run
+    machine.send("w0", "report", machine.machine_id)
 
 
 class TestCluster:
@@ -64,17 +82,25 @@ class TestCluster:
         record = cluster.exchange()
         assert record.total_words > cluster.config.machine_memory
 
-    def test_superstep_runs_handler_on_all_machines(self):
+    def test_superstep_runs_program_on_all_machines(self):
         cluster = make_cluster()
         cluster.add_machines("w", 3)
-
-        def handler(machine, inbox):
-            machine.store("seen", len(inbox))
-            if machine.machine_id != "w0":
-                machine.send("w0", "report", machine.machine_id)
-
-        cluster.superstep(handler)
+        shared = {"seen": {}}
+        cluster.superstep(ReportProgram(), shared=shared)
         assert len(cluster.machine("w0").inbox) == 2
+        assert shared["seen"] == {"w0": 0, "w1": 0, "w2": 0}
+
+    @pytest.mark.parametrize("backend", ["reference", "fast", "resident"])
+    @pytest.mark.parametrize("entry", ["superstep", "superstep_block"])
+    def test_closures_are_refused(self, backend, entry):
+        cluster = Cluster(DMPCConfig(capacity_n=32, capacity_m=64, backend=backend))
+        cluster.add_machines("w", 3)
+        run = cluster.superstep if entry == "superstep" else lambda program: cluster.superstep_block([ReportProgram(), program])
+        with pytest.raises(TypeError, match="SuperstepProgram"):
+            run(closure)
+        # refused before any program ran: nothing staged, nothing delivered
+        assert cluster.ledger.next_round_index == 1
+        assert all(machine.outbox == [] and machine.inbox == [] for machine in cluster.machines())
 
     def test_update_context_scopes_rounds(self):
         cluster = make_cluster()

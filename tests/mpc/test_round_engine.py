@@ -1,11 +1,14 @@
 """The round engine: one delivery pass, slotted records, O(1) storage and drain.
 
 ``Transport.deliver`` is the only place staged messages move, so the three
-single-process backends must agree on every inbox and every record field
-whatever a round carries, refuse a bad round without moving anything, and
-still honour a ledger whose factory was assigned by hand.  Around it:
-``RoundRecord`` as a value class, ``CachedStorage`` charging exactly what
-``ReferenceStorage`` charges, ``Machine.drain(tag)`` in one walk.
+backends must agree on every inbox and every record field whatever a round
+carries, refuse a bad round without moving anything, and still honour a
+ledger whose factory was assigned by hand.  A round the resident workers
+routed among themselves reaches the driver as a deposit of per-pair
+aggregates instead, and must become the very round ``deliver`` makes of
+the same messages.  Around it: ``RoundRecord`` as a value class,
+``CachedStorage`` charging exactly what ``ReferenceStorage`` charges,
+``Machine.drain(tag)`` in one walk.
 """
 
 from __future__ import annotations
@@ -21,13 +24,13 @@ from repro.mpc import Cluster, Machine, Message, MetricsLedger, RoundRecord, Upd
 from repro.mpc.layout import StatsTable, StatsTableHandle
 from repro.runtime import CachedStorage, ReferenceStorage
 
-BACKENDS = ("reference", "fast", "sharded")
+BACKENDS = ("reference", "fast", "resident")
 MACHINES = 41
 COSTS = ("round_index", "active_machines", "total_words", "message_count", "max_message_words")
 
 
 def make_cluster(backend: str, *, enforce: bool = False, sampling: int = 0, machines: int = MACHINES) -> Cluster:
-    config = DMPCConfig(capacity_n=64, capacity_m=128, backend=backend, metrics_sampling=sampling, shard_count=3)
+    config = DMPCConfig(capacity_n=64, capacity_m=128, backend=backend, metrics_sampling=sampling)
     cluster = Cluster(config, enforce_io_cap=enforce)
     cluster.add_machines("m", machines)
     return cluster
@@ -37,11 +40,9 @@ def mailboxes(cluster: Cluster, box: str) -> dict[str, list[tuple]]:
     return {m.machine_id: [msg.as_fields() for msg in getattr(m, box)] for m in cluster.machines()}
 
 
-def staged_sets(cluster: Cluster) -> list[set[str]]:
-    """Ids in the transport's staged-sender sets (the reference transport keeps none)."""
-    staged = getattr(cluster._transport, "_staged", [])
-    groups = staged if isinstance(staged, list) else [staged]
-    return [{machine.machine_id for machine in group} for group in groups]
+def staged_ids(cluster: Cluster) -> set[str]:
+    """Ids in the transport's staged-sender set (the reference transport keeps none)."""
+    return {machine.machine_id for machine in getattr(cluster._transport, "_staged", ())}
 
 
 # one send: (sender, receiver, words or None for "let the transport size the payload")
@@ -51,18 +52,23 @@ FAN_OUTS = st.tuples(st.integers(0, MACHINES - 1), st.lists(st.integers(0, MACHI
 ROUNDS = st.lists(st.lists(st.one_of(SENDS, FAN_OUTS), max_size=60), min_size=4, max_size=7)
 
 
+def stage(cluster: Cluster, sends) -> None:
+    """Stage one round of ``SENDS`` / ``FAN_OUTS`` on ``cluster``."""
+    ids = cluster.machine_ids()
+    for send in sends:
+        if len(send) == 3:
+            sender, receiver, words = send
+            cluster.machine(ids[sender]).send(ids[receiver], f"t{receiver % 3}", [sender, receiver], words=words)
+        else:
+            sender, receivers = send
+            cluster.machine(ids[sender]).send_many("fan", [(ids[r], (sender, r), 4) for r in receivers])
+
+
 def play(cluster: Cluster, rounds) -> tuple[list[RoundRecord], list[dict]]:
     """Stage and exchange ``rounds``; inboxes are snapshotted, then drained, every other round."""
-    ids = cluster.machine_ids()
     records, inboxes = [], []
     for number, sends in enumerate(rounds):
-        for send in sends:
-            if len(send) == 3:
-                sender, receiver, words = send
-                cluster.machine(ids[sender]).send(ids[receiver], f"t{receiver % 3}", [sender, receiver], words=words)
-            else:
-                sender, receivers = send
-                cluster.machine(ids[sender]).send_many("fan", [(ids[r], (sender, r), 4) for r in receivers])
+        stage(cluster, sends)
         records.append(cluster.exchange())
         inboxes.append(mailboxes(cluster, "inbox"))
         if number % 2:
@@ -79,7 +85,7 @@ class TestOnePassEverywhere:
     def test_same_inboxes_and_records_on_every_backend(self, enforce, sampling, rounds):
         expected_records, expected_inboxes = play(make_cluster("reference", enforce=enforce), rounds)
         assert len({r.round_index for r in expected_records}) == len(rounds)
-        for backend in ("fast", "sharded"):
+        for backend in ("fast", "resident"):
             records, inboxes = play(make_cluster(backend, enforce=enforce, sampling=sampling), rounds)
             assert inboxes == expected_inboxes  # arrival order included
             for record, expected in zip(records, expected_records):
@@ -151,14 +157,14 @@ class TestRefusedRounds:
     @pytest.mark.parametrize("fault", ["unknown-receiver", "over-cap-sender", "over-cap-receiver"])
     def test_nothing_moves_and_the_corrected_round_delivers(self, backend, fault):
         cluster, bad, (error, fields) = self.stage(backend, fault)
-        before = (mailboxes(cluster, "outbox"), mailboxes(cluster, "inbox"), staged_sets(cluster))
+        before = (mailboxes(cluster, "outbox"), mailboxes(cluster, "inbox"), staged_ids(cluster))
         index, rounds = cluster.ledger.next_round_index, cluster.ledger.total_rounds()
         with pytest.raises(error) as raised:
             cluster.exchange()
         if fields is not None:
             refusal = raised.value
             assert (refusal.machine_id, refusal.direction, refusal.words, refusal.capacity) == fields
-        assert (mailboxes(cluster, "outbox"), mailboxes(cluster, "inbox"), staged_sets(cluster)) == before
+        assert (mailboxes(cluster, "outbox"), mailboxes(cluster, "inbox"), staged_ids(cluster)) == before
         assert (cluster.ledger.next_round_index, cluster.ledger.total_rounds()) == (index, rounds)
 
         for message in bad:
@@ -169,8 +175,112 @@ class TestRefusedRounds:
             "left over from an earlier round", "m1", "m2", "m3", "m4"
         ]  # fmt: skip
         assert all(machine.outbox == [] for machine in cluster.machines())
-        assert not any(staged_sets(cluster))
+        assert not staged_ids(cluster)
         assert cluster.exchange().message_count == 0
+
+
+TRAFFIC = {"local_messages": 3, "cross_slot_messages": 2, "shm_bytes": 120, "pipe_fallbacks": 1}
+
+
+def deposit_staged(cluster: Cluster, *, fallback=(), traffic=None) -> None:
+    """Move the staged round off the outboxes into a deposit, as a resident session hands it over.
+
+    The deposit carries per-(sender, receiver) ``(words, count, max words)`` over every staged
+    message — what the workers report of a round whose bodies stayed with them.
+    """
+    pairs: dict[tuple[str, str], tuple[int, int, int]] = {}
+    for machine in cluster.machines():
+        for msg in machine.outbox:
+            words, count, largest = pairs.get((msg.sender, msg.receiver), (0, 0, 0))
+            pairs[(msg.sender, msg.receiver)] = (words + msg.words, count + 1, max(largest, msg.words))
+        machine.outbox = []
+    cluster._transport._staged.clear()
+    traffic = dict.fromkeys(TRAFFIC, 0) if traffic is None else traffic
+    cluster._transport.deposit_worker_round({"pairs": pairs, "fallback": list(fallback), "traffic": traffic})
+
+
+class TestDepositedRounds:
+    """``ResidentTransport`` turns a deposit into the round ``deliver`` makes of the same messages."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(rounds=ROUNDS)
+    @pytest.mark.parametrize("sampling", [0, 3])
+    def test_a_deposit_records_the_delivered_round(self, sampling, rounds):
+        delivered = make_cluster("resident", sampling=sampling)
+        deposited = make_cluster("resident", sampling=sampling)
+        for sends in rounds:
+            stage(delivered, sends)
+            expected = delivered.exchange()
+            stage(deposited, sends)
+            deposit_staged(deposited)
+            record = deposited.exchange()
+            assert [getattr(record, name) for name in COSTS] == [getattr(expected, name) for name in COSTS]
+            assert record.pair_words == expected.pair_words
+        assert all(machine.inbox == [] for machine in deposited.machines())  # the bodies stayed away
+
+    @pytest.mark.parametrize("fault", ["unknown-receiver", "over-cap-sender", "over-cap-receiver"])
+    def test_a_deposit_is_refused_like_the_round_it_stands_for(self, fault):
+        delivered, _, (error, _) = TestRefusedRounds().stage("resident", fault)
+        with pytest.raises(error) as expected:
+            delivered.exchange()
+        cluster, _, _ = TestRefusedRounds().stage("resident", fault)
+        index, inboxes = cluster.ledger.next_round_index, mailboxes(cluster, "inbox")
+        deposit_staged(cluster, fallback=[(index, 0, 0, "m1", "m0", "late", None, 2)])
+        with pytest.raises(error) as raised:
+            cluster.exchange()
+        assert str(raised.value) == str(expected.value)
+        if error is MessageSizeExceeded:
+            fields = ("machine_id", "direction", "words", "capacity")
+            assert [getattr(raised.value, f) for f in fields] == [getattr(expected.value, f) for f in fields]
+        # nothing recorded, not even the fallback frame delivered
+        assert (cluster.ledger.next_round_index, mailboxes(cluster, "inbox")) == (index, inboxes)
+
+    def test_fallback_frames_and_traffic_reach_the_driver(self):
+        """Frames no worker could hold (their receiver is outside the worker map) land in
+        driver inboxes in the order given; the wire counters land on the round."""
+        cluster = make_cluster("resident", machines=4)
+        cluster.machine("m1").send("m0", "t", "kept", words=2)
+        cluster.machine("m2").send("m0", "u", [7], words=3)
+        frames = [(1, 1, 0, "m1", "m0", "t", "kept", 2), (1, 2, 0, "m2", "m0", "u", [7], 3)]
+        deposit_staged(cluster, fallback=frames, traffic=dict(TRAFFIC))
+        record = cluster.exchange()
+        assert (record.message_count, record.total_words, record.active_machines) == (2, 5, 3)
+        assert [m.as_fields() for m in cluster.machine("m0").inbox] == [
+            ("m1", "m0", "t", "kept", 2),
+            ("m2", "m0", "u", [7], 3),
+        ]
+        assert cluster.ledger.traffic_totals() == TRAFFIC
+
+    def test_deposits_queue_first_in_first_out(self):
+        cluster = make_cluster("resident", machines=4)
+        for words in (2, 5):
+            cluster.machine("m1").send("m3", "t", None, words=words)
+            deposit_staged(cluster)
+        first, second = cluster.exchange(), cluster.exchange()
+        assert (first.round_index, first.total_words) == (1, 2)
+        assert (second.round_index, second.total_words) == (2, 5)
+        assert cluster.exchange().message_count == 0  # then back to the staged-sender path
+
+    def test_discard_undelivered_drops_pending_deposits(self):
+        cluster = make_cluster("resident", machines=4)
+        cluster.machine("m1").send("m3", "t", None, words=2)
+        deposit_staged(cluster)
+        cluster.discard_undelivered()
+        assert cluster.exchange().message_count == 0
+
+    def test_refused_while_driver_messages_are_staged(self):
+        cluster = make_cluster("resident", machines=4)
+        deposit_staged(cluster)
+        cluster.machine("m1").send("m3", "t", None, words=2)
+        with pytest.raises(ProtocolError, match="driver-side messages are staged"):
+            cluster.exchange()
+
+    def test_refused_under_a_hand_assigned_factory(self):
+        cluster = make_cluster("resident", machines=4)
+        cluster.ledger.round_record_factory = RoundRecord.from_messages
+        deposit_staged(cluster)
+        with pytest.raises(ProtocolError, match="accounting policy"):
+            cluster.exchange()
 
 
 class TestRecords:

@@ -37,7 +37,7 @@ triples = st.lists(st.tuples(st.sampled_from(RECEIVERS), payloads, st.integers(1
 
 
 def make_cluster(backend: str) -> Cluster:
-    cluster = Cluster(DMPCConfig(capacity_n=32, capacity_m=64, backend=backend, shard_count=2))
+    cluster = Cluster(DMPCConfig(capacity_n=32, capacity_m=64, backend=backend))
     for machine_id in ("a", *RECEIVERS):
         cluster.add_machine(machine_id)
     return cluster
@@ -98,7 +98,7 @@ def stage(stager, prefix, batch, *, batched: bool, lazy: bool = False) -> None:
 
 
 class TestSendManyEqualsSendLoop:
-    @pytest.mark.parametrize("backend", ["reference", "fast", "sharded"])
+    @pytest.mark.parametrize("backend", ["reference", "fast", "resident"])
     @pytest.mark.parametrize("kind", sorted(LIVE_STAGERS))
     @given(prefix=triples, batch=triples, lazy=st.booleans())
     @settings(max_examples=25, deadline=None)
@@ -119,7 +119,7 @@ class TestSendManyEqualsSendLoop:
     @pytest.mark.parametrize("kind", sorted(LIVE_STAGERS))
     def test_a_batch_alone_marks_the_sender_staged(self, kind):
         # no send() before or after: send_many must notify the transport itself
-        for backend in ("fast", "sharded"):
+        for backend in ("fast", "resident"):
             cluster = make_cluster(backend)
             LIVE_STAGERS[kind](cluster).send_many(TAG, [("b", None, 2), ("c", [(1, 2)], 5)])
             record = cluster.exchange()
@@ -128,14 +128,14 @@ class TestSendManyEqualsSendLoop:
 
     @pytest.mark.parametrize("kind", sorted(LIVE_STAGERS))
     def test_an_empty_batch_stages_nothing(self, kind):
-        cluster = make_cluster("sharded")
+        cluster = make_cluster("resident")
         LIVE_STAGERS[kind](cluster).send_many(TAG, [])
         assert cluster.machine("a").outbox == []
         assert not cluster.machine("a").transport.has_staged()
 
     @pytest.mark.parametrize("kind", sorted(LIVE_STAGERS))
     def test_words_below_one_is_refused_like_send(self, kind):
-        cluster = make_cluster("sharded")
+        cluster = make_cluster("resident")
         stager = LIVE_STAGERS[kind](cluster)
         with pytest.raises(ValueError, match="at least one word"):
             stager.send("b", TAG, None, words=0)

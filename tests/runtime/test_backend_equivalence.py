@@ -4,20 +4,14 @@ The execution-backend contract (:mod:`repro.runtime.base`) is that backends
 may change *how* a simulation executes but never *what* it computes: the
 maintained solutions, the per-update round counts and the word accounting
 must be identical under every backend.  These tests drive the same graphs
-and update streams through the reference, fast, sharded, parallel, process
-and resident backends — the latter twice: once with its default slot
-count and once pinned to two slots (``resident-shm``), where cross-slot
-messages ride the shared-memory rings — and compare everything the
-algorithms expose.
+and update streams through the reference, fast and resident backends — the
+latter twice: once with its default slot count and once pinned to two
+slots (``resident-shm``), where cross-slot messages ride the shared-memory
+rings — and compare everything the algorithms expose.
 
-The sharded/parallel/process/resident configurations deliberately use a
-``shard_count`` that does **not** divide the machine counts these workloads
-produce, so the uneven last shard and the K-way merge barrier are always
-exercised; the parallel backend runs with a real two-worker thread pool,
-the process backend with a real two-worker spawn pool and the resident
-backend with live persistent worker sessions (the static tests assert the
-superstep jobs genuinely crossed the process boundary and, for resident,
-that one session was reused across rounds).
+The resident backend runs with live persistent worker sessions: the
+static tests assert that one session was reused across rounds and that
+the two-slot configuration genuinely moved frames between slots.
 """
 
 from __future__ import annotations
@@ -38,14 +32,12 @@ from repro.graph.generators import gnm_random_graph, random_weighted_graph
 from repro.graph.streams import mixed_stream
 from repro.static_mpc import StaticBoruvkaMST, StaticConnectedComponents, StaticMaximalMatching
 
-#: the seventh way, ``resident-shm``, is the resident backend pinned to two
+#: the fourth way, ``resident-shm``, is the resident backend pinned to two
 #: worker slots — the configuration where cross-slot messages genuinely ride
 #: the shared-memory rings (one slot routes everything worker-locally).
-BACKENDS = ("reference", "fast", "sharded", "parallel", "process", "resident", "resident-shm")
+BACKENDS = ("reference", "fast", "resident", "resident-shm")
 
-#: deliberately odd so it does not divide typical machine counts
-SHARD_COUNT = 3
-MAX_WORKERS = 2
+RESIDENT_SLOTS = 2
 
 _RESIDENT_FAMILY = ("resident", "resident-shm")
 
@@ -56,15 +48,8 @@ def real_backend(backend: str) -> str:
 
 
 def backend_overrides(backend: str) -> dict:
-    """Per-backend config extras: odd shard count, real worker pools."""
-    extra: dict = {}
-    if backend in ("sharded", "parallel", "process", *_RESIDENT_FAMILY):
-        extra["shard_count"] = SHARD_COUNT
-    if backend in ("parallel", "process", *_RESIDENT_FAMILY):
-        extra["max_workers"] = MAX_WORKERS
-    if backend == "resident-shm":
-        extra["resident_slots"] = 2
-    return extra
+    """Per-backend config extras: ``resident-shm`` pins its slot count."""
+    return {"resident_slots": RESIDENT_SLOTS} if backend == "resident-shm" else {}
 
 
 def make_config(n: int, m: int, backend: str) -> DMPCConfig:
@@ -183,8 +168,8 @@ class TestAlgorithmEquivalence:
 class TestStaticAlgorithmEquivalence:
     """The superstep-routed static baselines under every execution strategy.
 
-    These are the workloads where the parallel backend actually fans
-    handler execution across the worker pool, so they pin the deterministic
+    These are the workloads where the resident backend actually runs the
+    per-machine code in its worker processes, so they pin the deterministic
     merge barrier: solutions, per-round ledger records, word totals and
     per-machine ``used_words`` must be identical to the reference.
     """
@@ -197,13 +182,11 @@ class TestStaticAlgorithmEquivalence:
             )
             algorithm.run()
             runs[backend] = algorithm
-        # The process rows must have genuinely crossed the process boundary —
-        # a silent fallback would make this whole class vacuous for it.
-        assert runs["process"].cluster.backend.last_superstep_mode == "pool"
-        # Likewise the resident rows: the run's supersteps must have been
-        # routed through one live worker session, with more than one round
-        # actually crossing into the persistent workers (state was kept
-        # resident and *reused*, not re-shipped per round).
+        # The resident rows' supersteps must have been routed through one
+        # live worker session — a silent fallback would make this whole
+        # class vacuous for them — with more than one round actually
+        # crossing into the persistent workers (state was kept resident and
+        # *reused*, not re-shipped per round).
         for backend in _RESIDENT_FAMILY:
             resident_backend = runs[backend].cluster.backend
             assert resident_backend.last_superstep_mode in (

@@ -100,10 +100,6 @@ def make_cluster(backend: str = "reference", *, machines: int = 3, **config_kwar
     return cluster
 
 
-def make_thread_cluster(*, machines: int = 6) -> Cluster:
-    return make_cluster("parallel", machines=machines, shard_count=3, max_workers=2)
-
-
 @pytest.fixture()
 def checking(monkeypatch):
     monkeypatch.setenv(CHECK_ENV_VAR, "1")
@@ -133,16 +129,16 @@ class TestSwitch:
 
 
 class TestWorkerParity:
-    """Satellite: in-process backends behave exactly like a worker under checking."""
+    """Satellite: the in-process strategy behaves exactly like a worker under checking."""
 
-    @pytest.mark.parametrize("make", [make_cluster, make_thread_cluster], ids=["sequential", "threads"])
+    @pytest.mark.parametrize("make", [make_cluster], ids=["sequential"])
     def test_undeclared_subscript_read_raises_like_a_worker(self, checking, make):
         cluster = make()
         shared = {"labels": {0: 0}}  # present in shared — a worker slice still would not ship it
         with pytest.raises(KeyError, match=r"shared\['labels'\].*worker"):
             cluster.superstep(broken.UndeclaredSharedReadProgram(), shared=shared)
 
-    @pytest.mark.parametrize("make", [make_cluster, make_thread_cluster], ids=["sequential", "threads"])
+    @pytest.mark.parametrize("make", [make_cluster], ids=["sequential"])
     def test_same_program_passes_without_checking(self, unchecked, make):
         cluster = make()
         record = cluster.superstep(broken.UndeclaredSharedReadProgram(), shared={"labels": {0: 0}})
@@ -171,7 +167,7 @@ class TestWorkerParity:
         assert obs.store_prefixes == {"token", "secret"}
         assert obs.undeclared_store_prefixes == {"secret"}
 
-    @pytest.mark.parametrize("make", [make_cluster, make_thread_cluster], ids=["sequential", "threads"])
+    @pytest.mark.parametrize("make", [make_cluster], ids=["sequential"])
     def test_undeclared_nested_apply_write_raises_like_a_worker(self, checking, make):
         # shared["totals"][mid] = delta *reads* the undeclared top-level key
         # first — a resident worker's replay copy raises exactly this KeyError
@@ -180,7 +176,7 @@ class TestWorkerParity:
         with pytest.raises(KeyError, match=r"shared\['totals'\].*resident worker"):
             cluster.superstep(broken.UndeclaredApplyWriteProgram(), shared=shared)
 
-    @pytest.mark.parametrize("make", [make_cluster, make_thread_cluster], ids=["sequential", "threads"])
+    @pytest.mark.parametrize("make", [make_cluster], ids=["sequential"])
     def test_undeclared_direct_apply_write_raises(self, checking, make):
         # a direct shared["totals"] = ... would be silently absorbed by a
         # worker's copy, so the oracle raises the loud contract error instead

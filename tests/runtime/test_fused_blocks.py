@@ -12,40 +12,30 @@ These tests drive the fusion-shaped static workloads (connected
 components' ``[propose, apply]`` pairs, maximal matching's
 ``[announce, propose]`` pairs) with fusion on and off under every backend
 configuration of the equivalence matrix, including the two-slot
-``resident-shm`` configuration with a deliberately tiny ring that forces
-a mid-block stop and pipe fallback.
+``resident-shm`` configuration, and with a deliberately tiny ring that
+forces a mid-block stop and pipe fallback.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import ProtocolError
 from repro.graph.generators import gnm_random_graph
-from repro.runtime.resident import ResidentSession
-from repro.runtime.sharding import ShardPlan
 from repro.static_mpc import StaticConnectedComponents, StaticMaximalMatching
 
 #: the equivalence matrix: every execution strategy, with ``resident-shm``
 #: the resident backend pinned to two slots (cross-slot frames ride shm).
-BACKENDS = ("reference", "fast", "sharded", "parallel", "process", "resident", "resident-shm")
+BACKENDS = ("reference", "fast", "resident", "resident-shm")
 
-SHARD_COUNT = 3
-MAX_WORKERS = 2
+RESIDENT_SLOTS = 2
 
 
 def backend_kwargs(backend: str) -> dict:
-    kwargs: dict = {"backend": "resident" if backend == "resident-shm" else backend}
-    if backend in ("sharded", "parallel", "process", "resident", "resident-shm"):
-        kwargs["shard_count"] = SHARD_COUNT
-    if backend in ("parallel", "process", "resident", "resident-shm"):
-        kwargs["max_workers"] = MAX_WORKERS
     if backend == "resident-shm":
-        kwargs["resident_slots"] = 2
-    return kwargs
+        return {"backend": "resident", "resident_slots": RESIDENT_SLOTS}
+    return {"backend": backend}
 
 
 def with_fuse(algorithm, fuse: str):
@@ -176,35 +166,3 @@ class TestTinyRingFallback:
         roomy_traffic = roomy.cluster.ledger.traffic_totals()
         assert roomy_traffic["pipe_fallbacks"] == 0, roomy_traffic
         assert roomy_traffic["shm_bytes"] > 0, roomy_traffic
-
-
-class TestFusedBlockBoundaries:
-    def test_replan_rejected_mid_block(self):
-        """A live re-plan cannot land inside a fused block: workers are
-        mid-loop and hold the old locality."""
-        graph = gnm_random_graph(24, 50, seed=5)
-        algorithm = StaticConnectedComponents(graph, **backend_kwargs("resident"))
-        cluster = algorithm.cluster
-        state = {"labels": {v: v for v in graph.vertices}, "via": {}, "changed_flags": {}}
-        with cluster.session(state) as session:
-            assert isinstance(session, ResidentSession)
-            session.in_fused_block = True
-            try:
-                with pytest.raises(ProtocolError, match="fused round block"):
-                    cluster.replan(ShardPlan(4, strategy="rendezvous"))
-            finally:
-                session.in_fused_block = False
-        # outside a block the same re-plan is accepted
-        assert cluster.replan(ShardPlan(4, strategy="rendezvous"))
-
-    def test_autotune_defers_to_block_boundary(self):
-        """``replan_every`` ticks that fire during a block's finish loop are
-        deferred to the block boundary — and still adopted, so the autotune
-        loop keeps closing under fusion (with the usual bit-identity)."""
-        graph = gnm_random_graph(40, 90, seed=11)
-        fixed = run_cc(graph, "fast", "off")
-        tuned = run_cc(graph, "resident", "auto", replan_every=4)
-        assert tuned.labels == fixed.labels
-        assert tuned.rounds_used == fixed.rounds_used
-        assert tuned.cluster.ledger.fused_rounds > 0
-        assert tuned.cluster.replan_history, "deferred autotune ticks must still adopt plans"

@@ -1,10 +1,10 @@
 """Unit tests for the runtime layer's individual policies.
 
 Storage accounting, cap enforcement, transport delivery order, metrics
-sampling and backend resolution — each policy tested in isolation, plus the
-pinned guarantee that the fast backend still *enforces* the model caps when
-they are explicitly enabled (it only relaxes metrics retention, never
-enforcement).
+sampling, resident slots and backend resolution — each policy tested in
+isolation, plus the pinned guarantee that the fast backend still *enforces*
+the model caps when they are explicitly enabled (it only relaxes metrics
+retention, never enforcement).
 """
 
 from __future__ import annotations
@@ -16,17 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import DMPCConfig
 from repro.exceptions import MachineMemoryExceeded, MessageSizeExceeded, ProtocolError, UnknownMachineError
-from repro.mpc import Cluster, Machine, MetricsLedger, RoundRecord, SuperstepProgram, rendezvous_shard
+from repro.mpc import Cluster, Machine, MetricsLedger, RoundRecord, SuperstepProgram
 from repro.runtime import (
     BACKENDS,
     CachedStorage,
     FastBackend,
-    ParallelBackend,
-    ProcessBackend,
     ReferenceBackend,
     ReferenceStorage,
-    ShardedBackend,
-    ShardPlan,
+    ResidentBackend,
     resolve_backend,
 )
 
@@ -59,6 +56,34 @@ class UndeclaredReadProgram(SuperstepProgram):
 
     def run(self, ctx, inbox, shared):  # pragma: no cover - never reached
         return None
+
+
+class ReportIndexProgram(SuperstepProgram):
+    """Every machine but ``m0`` reports its registration index to ``m0``."""
+
+    def run(self, ctx, inbox, shared):
+        if ctx.machine_id != "m0":
+            ctx.send("m0", "probe", int(ctx.machine_id[1:]))
+
+
+class CollectInboxProgram(SuperstepProgram):
+    """Every machine hands its inbox payloads, in arrival order, to the driver."""
+
+    shared_writes = ("seen",)
+
+    def run(self, ctx, inbox, shared):
+        return [msg.payload for msg in inbox]
+
+    def apply(self, shared, machine_id, delta):
+        shared["seen"][machine_id] = delta
+
+
+class ExplodingProgram(SuperstepProgram):
+    """``m1`` and ``m2`` raise: sequentially ``m1`` is first, on two slots ``m2``'s slot is."""
+
+    def run(self, ctx, inbox, shared):
+        if ctx.machine_id in ("m1", "m2"):
+            raise RuntimeError(f"boom-{ctx.machine_id}")
 
 
 def make_cluster(backend: str, **kwargs) -> Cluster:
@@ -231,12 +256,12 @@ class TestFastBackendEnforcesCaps:
 
 # ------------------------------------------------------------------- transport
 class TestTransportParity:
-    @pytest.mark.parametrize("backend", ["fast", "sharded", "parallel"])
+    @pytest.mark.parametrize("backend", ["fast", "resident"])
     def test_delivery_order_matches_reference(self, backend):
         """Staging order must not leak into delivery order: registration order rules."""
         inboxes = {}
         for name in ("reference", backend):
-            config = DMPCConfig(capacity_n=32, capacity_m=64, backend=name, shard_count=3)
+            config = DMPCConfig(capacity_n=32, capacity_m=64, backend=name)
             cluster = Cluster(config)
             machines = cluster.add_machines("m", 7)
             cluster.add_machine("sink")
@@ -247,7 +272,7 @@ class TestTransportParity:
             inboxes[name] = [msg.payload for msg in cluster.machine("sink").inbox]
         assert inboxes[backend] == inboxes["reference"] == [f"m{i}" for i in range(7)]
 
-    @pytest.mark.parametrize("backend", ["fast", "sharded", "parallel"])
+    @pytest.mark.parametrize("backend", ["fast", "resident"])
     def test_discard_undelivered_clears_staged_state(self, backend):
         cluster = make_cluster(backend)
         a = cluster.add_machine("a")
@@ -258,7 +283,7 @@ class TestTransportParity:
         assert record.message_count == 0
         assert cluster.machine("b").inbox == []
 
-    @pytest.mark.parametrize("backend", ["reference", "fast", "sharded"])
+    @pytest.mark.parametrize("backend", ["reference", "fast", "resident"])
     @pytest.mark.parametrize("fault", ["unknown-receiver", "over-cap"])
     def test_refused_round_keeps_every_staged_message(self, backend, fault):
         """A round the transport refuses is all-or-nothing: the *last* sender (in
@@ -267,7 +292,7 @@ class TestTransportParity:
         corrected retry must deliver exactly the round the reference delivers."""
 
         def stage(name):
-            config = DMPCConfig(capacity_n=32, capacity_m=64, backend=name, shard_count=3)
+            config = DMPCConfig(capacity_n=32, capacity_m=64, backend=name)
             cluster = Cluster(config, enforce_io_cap=True)
             machines = cluster.add_machines("m", 5)
             cluster.add_machine("sink")
@@ -292,21 +317,17 @@ class TestTransportParity:
         assert {machine.machine_id: machine.outbox for machine in cluster.machines()} == staged
         assert all(machine.inbox == [] for machine in cluster.machines())
         assert cluster.ledger.total_rounds() == rounds_before
-        transport = last.transport
-        if backend == "sharded":
-            assert sum(transport.shard_load()) == 0 and transport.machine_load() == {}
 
         last.outbox.remove(bad)
         record = cluster.exchange()
         assert record.message_count == 10
-        if backend == "sharded":
-            assert sum(transport.shard_load()) == sum(transport.machine_load().values()) == record.total_words
+        assert record.total_words == expected.ledger.updates[-1].rounds[-1].total_words
         for machine_id in ("sink", "m0"):
             assert cluster.machine(machine_id).inbox == expected.machine(machine_id).inbox
         assert all(machine.outbox == [] for machine in cluster.machines())
         assert cluster.exchange().message_count == 0
 
-    @pytest.mark.parametrize("backend", ["sharded", "parallel"])
+    @pytest.mark.parametrize("backend", ["fast", "resident"])
     def test_message_words_match_reference_sizer(self, backend):
         """The transport message sizer must charge exactly the reference words."""
         payloads = [None, 7, "tagged-payload", [1, 2, (3, 4)], {"k": [5, 6]}, {("a", 1): {2, 3}}]
@@ -319,16 +340,16 @@ class TestTransportParity:
             words[name] = [msg.words for msg in staged]
         assert words[backend] == words["reference"]
 
-    def test_sharded_io_caps_still_enforced(self):
-        cluster = make_cluster("sharded", enforce_io_cap=True)
+    def test_resident_io_caps_still_enforced(self):
+        cluster = make_cluster("resident", enforce_io_cap=True)
         a = cluster.add_machine("a")
         cluster.add_machine("b")
         a.send("b", "big", None, words=cluster.config.machine_memory + 1)
         with pytest.raises(MessageSizeExceeded):
             cluster.exchange()
 
-    def test_sharded_unknown_receiver_raises(self):
-        cluster = make_cluster("sharded")
+    def test_resident_unknown_receiver_raises(self):
+        cluster = make_cluster("resident")
         a = cluster.add_machine("a")
         a.send("ghost", "ping", 1)
         with pytest.raises(UnknownMachineError):
@@ -385,78 +406,48 @@ class TestAccountingPolicies:
         assert scratch.summary().total_words == sum(record.total_words for record in records)
 
 
-# -------------------------------------------------------------------- sharding
-class TestShardPlan:
-    def test_index_strategy_round_robins_registration_order(self):
-        cluster = make_cluster("reference")
-        machines = cluster.add_machines("m", 7)
-        plan = ShardPlan(3)
-        assert [plan.shard_of(m) for m in machines] == [0, 1, 2, 0, 1, 2, 0]
-        buckets = plan.partition(machines)
-        assert [len(b) for b in buckets] == [3, 2, 2]
-        # relative (registration) order preserved inside every bucket
-        for bucket in buckets:
-            assert [m.index for m in bucket] == sorted(m.index for m in bucket)
+# -------------------------------------------------------------- resident slots
+def resident_slot_map(machines: int, *, slots: int, shard_count: "int | None" = None) -> list[int]:
+    """Slot of every machine of a resident cluster, as the session's routing map has it."""
+    config = DMPCConfig(capacity_n=32, capacity_m=64, backend="resident", resident_slots=slots, shard_count=shard_count)
+    cluster = Cluster(config)
+    cluster.add_machines("m", machines)
+    with cluster.session({}) as session:
+        assert session.slot_count == slots
+        session._refresh_machine_info()
+        return [session._machine_info[machine.machine_id][1] for machine in cluster.machines()]
 
-    def test_rendezvous_strategy_uses_machine_ids(self):
-        cluster = make_cluster("reference")
-        machines = cluster.add_machines("m", 16)
-        plan = ShardPlan(4, strategy="rendezvous")
-        shards = [plan.shard_of(m) for m in machines]
-        assert shards == [rendezvous_shard(m.machine_id, 4) for m in machines]
-        assert len(set(shards)) > 1
 
-    def test_rendezvous_shard_is_stable_and_minimally_disruptive(self):
-        keys = [f"m{i}" for i in range(200)]
-        before = {k: rendezvous_shard(k, 4) for k in keys}
-        assert before == {k: rendezvous_shard(k, 4) for k in keys}  # deterministic
-        assert set(before.values()) == {0, 1, 2, 3}
-        after = {k: rendezvous_shard(k, 5) for k in keys}
-        moved = sum(1 for k in keys if before[k] != after[k])
-        # HRW property: growing K by one moves only ~1/(K+1) of the keys.
-        assert moved < len(keys) // 2
+class TestResidentSlots:
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4])
+    def test_machine_i_runs_on_slot_i_mod_slots(self, slots):
+        assert resident_slot_map(11, slots=slots) == [i % slots for i in range(11)]
 
-    def test_invalid_plans_rejected(self):
-        with pytest.raises(ValueError):
-            ShardPlan(0)
-        with pytest.raises(ValueError):
-            ShardPlan(2, strategy="mystery")
-        with pytest.raises(ValueError):
-            rendezvous_shard("m0", 0)
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_same_map_as_the_shard_plan_at_four_shards(self, slots):
+        """Until the shard plan left, machine ``i`` ran on slot ``(i % shard_count) % slots``;
+        at ``shard_count=4`` (the benchmark's) that is the same slot for one or two slots."""
+        shard_count = 4
+        assert resident_slot_map(13, slots=slots, shard_count=shard_count) == [
+            (i % shard_count) % slots for i in range(13)
+        ]
 
-    def test_config_shard_count_and_strategy_reach_the_plan(self):
-        config = DMPCConfig(capacity_n=32, capacity_m=64, backend="sharded", shard_count=5)
-        cluster = Cluster(config)
-        assert cluster.backend.plan.shard_count == 5
-        assert cluster.backend.plan.strategy == "index"
-        hrw = DMPCConfig(
-            capacity_n=32, capacity_m=64, backend="parallel", shard_count=4, shard_strategy="rendezvous"
-        )
-        assert Cluster(hrw).backend.plan.strategy == "rendezvous"
-        with pytest.raises(ValueError, match="shard_strategy"):
-            DMPCConfig(capacity_n=32, capacity_m=64, shard_strategy="mystery")
+    def test_slot_count_is_capped_by_shard_count(self):
+        def slots(**kwargs) -> int:
+            return ResidentBackend(DMPCConfig(capacity_n=32, capacity_m=64, **kwargs)).worker_slots
 
-    def test_shard_load_diagnostic_sums_round_words(self):
-        config = DMPCConfig(capacity_n=32, capacity_m=64, backend="sharded", shard_count=2)
-        cluster = Cluster(config)
-        machines = cluster.add_machines("m", 4)
-        cluster.add_machine("sink")
-        for machine in machines:
-            machine.send("sink", "t", [1, 2, 3])
-        record = cluster.exchange()
-        load = cluster._transport.shard_load()
-        assert len(load) == 2
-        assert sum(load) == record.total_words
-        assert all(words > 0 for words in load)  # m0/m2 -> shard 0, m1/m3 -> shard 1
+        assert slots(resident_slots=7) == 4  # the default cap
+        assert slots(resident_slots=7, shard_count=7) == 7
+        assert slots(resident_slots=2, shard_count=1) == 1
+        assert 1 <= slots() <= max(1, min(4, os.cpu_count() or 1))
+        assert 1 <= slots(shard_count=3) <= max(1, min(3, os.cpu_count() or 1))
 
 
 class TestFusedAccountingParity:
-    """The sharded fused-delivery records must equal the factory-built ones."""
+    """The resident transport's delivered records must equal the factory-built ones."""
 
     def run_rounds(self, backend: str, *, metrics_sampling: int = 0):
-        config = DMPCConfig(
-            capacity_n=32, capacity_m=64, backend=backend, metrics_sampling=metrics_sampling, shard_count=3
-        )
+        config = DMPCConfig(capacity_n=32, capacity_m=64, backend=backend, metrics_sampling=metrics_sampling)
         cluster = Cluster(config)
         machines = cluster.add_machines("m", 5)
         records = []
@@ -470,13 +461,13 @@ class TestFusedAccountingParity:
     @pytest.mark.parametrize("sampling", [0, 2])
     def test_records_identical_to_fast_factory(self, sampling):
         fast_records = self.run_rounds("fast", metrics_sampling=sampling)
-        sharded_records = self.run_rounds("sharded", metrics_sampling=sampling)
-        assert sharded_records == fast_records
-        for fast_record, sharded_record in zip(fast_records, sharded_records):
-            assert sharded_record.pair_words == fast_record.pair_words
+        resident_records = self.run_rounds("resident", metrics_sampling=sampling)
+        assert resident_records == fast_records
+        for fast_record, resident_record in zip(fast_records, resident_records):
+            assert resident_record.pair_words == fast_record.pair_words
 
     def test_sampling_retains_pair_detail_on_sampled_rounds(self):
-        records = self.run_rounds("sharded", metrics_sampling=2)
+        records = self.run_rounds("resident", metrics_sampling=2)
         sampled = [r for r in records if r.pair_words]
         assert sampled and len(sampled) < len(records)
         for record in sampled:
@@ -522,14 +513,13 @@ class TestSharedLedgerPolicy:
         assert ledger.next_round_index == 3  # one shared round stream
 
     def test_aggregate_backends_share_one_policy_name(self):
-        """fast/sharded/parallel/process condense rounds identically, so they may mix."""
+        """fast and resident condense rounds identically, so they may mix."""
         ledger = MetricsLedger()
         Cluster(self.make_config("fast"), ledger=ledger)
-        Cluster(self.make_config("sharded"), ledger=ledger)
-        Cluster(self.make_config("parallel"), ledger=ledger)
-        Cluster(self.make_config("process"), ledger=ledger)
+        Cluster(self.make_config("resident"), ledger=ledger)
+        assert ledger.record_policy == "scalar-aggregate/k=0"
 
-    @pytest.mark.parametrize("backend", ["fast", "sharded", "parallel", "process"])
+    @pytest.mark.parametrize("backend", ["fast", "resident"])
     def test_custom_factory_never_clobbered(self, backend):
         def custom_factory(round_index, messages):
             return RoundRecord(
@@ -540,8 +530,7 @@ class TestSharedLedgerPolicy:
         cluster = Cluster(self.make_config(backend), ledger=ledger)
         assert ledger.round_record_factory is custom_factory
         assert ledger.record_policy is None
-        # ... and every delivery path must actually invoke it, including the
-        # sharded fused path (which falls back to the factory path here).
+        # ... and every delivery path must actually invoke it.
         a = cluster.add_machine("a")
         cluster.add_machine("b")
         a.send("b", "t", [1, 2, 3])
@@ -557,7 +546,7 @@ class TestSharedLedgerPolicy:
                 round_index=round_index, active_machines=-7, total_words=0, message_count=0, max_message_words=0
             )
 
-        cluster = Cluster(self.make_config("sharded"))
+        cluster = Cluster(self.make_config("resident"))
         cluster.ledger.round_record_factory = custom_factory
         assert cluster.ledger.record_policy is None  # adoption no longer governs
         a = cluster.add_machine("a")
@@ -565,9 +554,7 @@ class TestSharedLedgerPolicy:
         a.send("b", "t", [4, 5])
         record = cluster.exchange()
         assert record.active_machines == -7
-        # ... and the shard-load diagnostic stays accurate on the fallback path.
-        load = cluster._transport.shard_load()
-        assert sum(load) == sum(msg.words for msg in cluster.machine("b").inbox)
+        assert [msg.payload for msg in cluster.machine("b").inbox] == [[4, 5]]
 
     def test_fresh_ledger_adopts_backend_policy(self):
         cluster = Cluster(self.make_config("fast"))
@@ -578,107 +565,24 @@ class TestSharedLedgerPolicy:
         assert record.pair_words == {}  # aggregate policy, not the stock full-detail one
 
 
-# -------------------------------------------------------------- superstep pool
-class TestParallelSuperstep:
-    def make_parallel_cluster(self, *, machines: int = 9, shard_count: int = 4, max_workers: int = 2) -> Cluster:
-        config = DMPCConfig(
-            capacity_n=64, capacity_m=128, backend="parallel", shard_count=shard_count, max_workers=max_workers
-        )
-        cluster = Cluster(config)
-        cluster.add_machines("m", machines)
-        return cluster
+# ---------------------------------------------------------- resident supersteps
+class TestResidentSuperstep:
+    """Programs in a resident session run in the slot workers; outside one, in the driver."""
 
-    def test_pooled_superstep_matches_sequential(self):
-        outcomes = {}
-        for backend in ("reference", "parallel"):
-            config = DMPCConfig(
-                capacity_n=64, capacity_m=128, backend=backend, shard_count=4, max_workers=2
-            )
-            cluster = Cluster(config)
-            cluster.add_machines("m", 9)
-
-            def handler(machine, inbox):
-                machine.store("round", len(inbox))
-                if machine.machine_id != "m0":
-                    machine.send("m0", "report", machine.index)
-
-            record = cluster.superstep(handler)
-            outcomes[backend] = (
-                record.message_count,
-                record.total_words,
-                [m.load("round") for m in cluster.machines()],
-            )
-        assert outcomes["parallel"] == outcomes["reference"]
-
-    def test_pooled_superstep_inbox_delivery_order(self):
-        cluster = self.make_parallel_cluster()
-        seen: dict[str, list[int]] = {}
-
-        def stage(machine, inbox):
-            if machine.machine_id != "m0":
-                machine.send("m0", "probe", machine.index)
-
-        cluster.superstep(stage)
-
-        def collect(machine, inbox):
-            seen[machine.machine_id] = [msg.payload for msg in inbox]
-
-        cluster.superstep(collect)
-        assert seen["m0"] == list(range(1, 9))  # registration order despite pooled staging
-
-    def test_handler_errors_propagate_deterministically(self):
-        cluster = self.make_parallel_cluster()
-
-        def exploding(machine, inbox):
-            if machine.index % 2 == 1:
-                raise RuntimeError(f"boom-{machine.machine_id}")
-
-        with pytest.raises(RuntimeError, match="boom-m1"):
-            cluster.superstep(exploding)
-
-    def test_single_worker_falls_back_to_sequential(self):
-        cluster = self.make_parallel_cluster(max_workers=1)
-        order: list[str] = []
-
-        def handler(machine, inbox):
-            order.append(machine.machine_id)
-
-        cluster.superstep(handler)
-        assert order == [f"m{i}" for i in range(9)]  # strictly sequential registration order
-
-    def test_default_workers_bounded_by_plan_and_cpu(self):
-        import os
-
-        config = DMPCConfig(capacity_n=32, capacity_m=64, shard_count=3)
-        backend = ParallelBackend(config)
-        assert 1 <= backend.max_workers <= max(1, min(3, os.cpu_count() or 1))
-        explicit = ParallelBackend(DMPCConfig(capacity_n=32, capacity_m=64, max_workers=7))
-        assert explicit.max_workers == 7
-
-
-# ------------------------------------------------------------ process backend
-class TestProcessSuperstep:
-    """The spawn-pool execution path: serialization round trip, fallbacks."""
-
-    def make_process_cluster(
-        self, *, machines: int = 9, shard_count: int = 4, max_workers: int = 2, **extra
-    ) -> Cluster:
-        config = DMPCConfig(
-            capacity_n=64,
-            capacity_m=128,
-            backend="process",
-            shard_count=shard_count,
-            max_workers=max_workers,
-            **extra,
-        )
+    def make_cluster(self, backend: str = "resident", *, machines: int = 9) -> Cluster:
+        config = DMPCConfig(capacity_n=64, capacity_m=128, backend=backend, resident_slots=2)
         cluster = Cluster(config)
         for i, machine in enumerate(cluster.add_machines("m", machines)):
             machine.store(("token", machine.machine_id), 10 * i)
         return cluster
 
-    def run_probe(self, cluster: Cluster) -> dict:
+    def run_probe(self, cluster: Cluster, *, session: bool = True) -> dict:
         shared = {"offset": 7, "results": {}}
-        cluster.superstep(TokenProbeProgram(), shared=shared)
+        if session:
+            with cluster.session(shared):
+                cluster.superstep(TokenProbeProgram(), shared=shared)
+        else:
+            cluster.superstep(TokenProbeProgram(), shared=shared)
         return shared["results"]
 
     def assert_probe_observable(self, cluster: Cluster, results: dict) -> None:
@@ -688,69 +592,97 @@ class TestProcessSuperstep:
         # registration delivery order, identical to every in-process backend
         assert [msg.payload for msg in inbox] == [10 * i + 7 for i in range(1, len(machines))]
 
-    def test_pool_round_trip_crosses_process_boundary(self):
-        cluster = self.make_process_cluster()
+    def test_session_round_trip_crosses_process_boundary(self):
+        cluster = self.make_cluster()
         results = self.run_probe(cluster)
-        assert cluster.backend.last_superstep_mode == "pool"
+        assert cluster.backend.last_superstep_mode.startswith("resident")
         self.assert_probe_observable(cluster, results)
-        worker_pids = {pid for pid, _ in results.values()}
-        assert os.getpid() not in worker_pids  # every run happened elsewhere
+        assert os.getpid() not in {pid for pid, _ in results.values()}  # every run happened elsewhere
 
-    def test_single_worker_falls_back_to_sequential(self):
-        cluster = self.make_process_cluster(max_workers=1)
-        results = self.run_probe(cluster)
-        assert cluster.backend.last_superstep_mode == "sequential"
-        self.assert_probe_observable(cluster, results)
-        assert {pid for pid, _ in results.values()} == {os.getpid()}  # never left the driver
+    def test_outside_a_session_runs_in_the_driver_like_fast(self):
+        """Without a session ``resident`` is ``fast``: same round, same deltas, same inboxes."""
+        rounds = {}
+        for backend in ("fast", "resident"):
+            cluster = self.make_cluster(backend)
+            results = self.run_probe(cluster, session=False)
+            assert {pid for pid, _ in results.values()} == {os.getpid()}  # never left the driver
+            record = cluster.ledger.updates[-1].rounds[-1]
+            rounds[backend] = (record, record.pair_words, results, [m.as_fields() for m in cluster.machine("m0").inbox])
+            self.assert_probe_observable(cluster, results)
+        assert rounds["resident"] == rounds["fast"]
+        assert cluster.backend.last_superstep_mode is None  # no session ever ran
 
-    def test_single_shard_falls_back_to_sequential(self):
-        cluster = self.make_process_cluster(shard_count=1)
-        results = self.run_probe(cluster)
-        assert cluster.backend.last_superstep_mode == "sequential"
-        assert {pid for pid, _ in results.values()} == {os.getpid()}
+    def test_outside_a_session_blocks_run_round_by_round(self):
+        records = {}
+        for backend in ("fast", "resident"):
+            cluster = self.make_cluster(backend)
+            shared = {"seen": {}}
+            records[backend] = (
+                cluster.superstep_block([ReportIndexProgram(), CollectInboxProgram()], shared=shared),
+                shared,
+            )
+        assert records["resident"] == records["fast"]
+        assert records["fast"][1]["seen"]["m0"] == list(range(1, 9))
+
+    def test_matches_reference_backend_observables(self):
+        outcomes = {}
+        for backend in ("reference", "resident"):
+            cluster = self.make_cluster(backend)
+            shared = {"offset": 3, "results": {}}
+            with cluster.session(shared):
+                record = cluster.superstep(TokenProbeProgram(), shared=shared)
+            outcomes[backend] = (
+                record.message_count,
+                record.total_words,
+                record.active_machines,
+                {mid: value for mid, (_, value) in shared["results"].items()},
+            )
+        assert outcomes["resident"] == outcomes["reference"]
+
+    def test_session_inbox_delivery_order(self):
+        """Messages routed between two slots arrive in registration order of their senders."""
+        cluster = self.make_cluster()
+        shared = {"seen": {}}
+        with cluster.session(shared) as session:
+            cluster.superstep(ReportIndexProgram(), shared=shared)
+            cluster.superstep(CollectInboxProgram(), shared=shared)
+            assert session.cross_slot_messages > 0
+        assert shared["seen"]["m0"] == list(range(1, 9))
+
+    def test_program_errors_propagate_from_the_lowest_slot(self):
+        with pytest.raises(RuntimeError, match="boom-m1"):
+            self.make_cluster("fast").superstep(ExplodingProgram())
+        cluster = self.make_cluster()
+        shared: dict = {}
+        with cluster.session(shared) as session:
+            with pytest.raises(RuntimeError, match="boom-m2"):  # slot 0 holds m2, slot 1 holds m1
+                cluster.superstep(ExplodingProgram(), shared=shared)
+            assert session._broken
+        # the workers' pipes stay aligned: a fresh session on the same workers still runs
+        self.assert_probe_observable(cluster, self.run_probe(cluster))
 
     def test_env_var_selection_round_trip(self, monkeypatch):
-        """REPRO_BACKEND=process: resolution, construction and a pooled run."""
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        config = DMPCConfig(capacity_n=64, capacity_m=128, shard_count=4, max_workers=2)
-        assert resolve_backend(None, config).name == "process"
+        """REPRO_BACKEND=resident: resolution, construction and a session run."""
+        monkeypatch.setenv("REPRO_BACKEND", "resident")
+        config = DMPCConfig(capacity_n=64, capacity_m=128, resident_slots=2)
+        assert resolve_backend(None, config).name == "resident"
         cluster = Cluster(config)
-        assert isinstance(cluster.backend, ProcessBackend)
+        assert isinstance(cluster.backend, ResidentBackend)
         for i, machine in enumerate(cluster.add_machines("m", 9)):
             machine.store(("token", machine.machine_id), 10 * i)
         results = self.run_probe(cluster)
-        assert cluster.backend.last_superstep_mode == "pool"
-        self.assert_probe_observable(cluster, results)
-
-    def test_closure_handlers_stay_in_process(self):
-        """Closures cannot be pickled; they take the inherited thread path."""
-        cluster = self.make_process_cluster()
-        seen: list[str] = []
-
-        def handler(machine, inbox):
-            seen.append(machine.machine_id)
-
-        cluster.superstep(handler)
-        assert cluster.backend.last_superstep_mode == "threads"
-        assert sorted(seen) == sorted(m.machine_id for m in cluster.machines())
-
-    def test_chunking_knob_regroups_jobs(self):
-        cluster = self.make_process_cluster(process_chunk_machines=4)
-        buckets = cluster.backend.job_buckets(cluster.machines())
-        assert [len(b) for b in buckets] == [4, 4, 1]
-        # contiguous registration-order chunks, not shard-plan buckets
-        assert [m.machine_id for m in buckets[0]] == ["m0", "m1", "m2", "m3"]
-        results = self.run_probe(cluster)
-        assert cluster.backend.last_superstep_mode == "pool"
+        assert os.getpid() not in {pid for pid, _ in results.values()}
         self.assert_probe_observable(cluster, results)
 
     def test_undeclared_shared_read_is_a_loud_error(self):
-        cluster = self.make_process_cluster()
-        with pytest.raises(KeyError, match="missing-key"):
-            cluster.superstep(UndeclaredReadProgram(), shared={"offset": 1})
+        cluster = self.make_cluster()
+        shared = {"offset": 1}
+        with cluster.session(shared):
+            with pytest.raises(KeyError, match="missing-key"):
+                cluster.superstep(UndeclaredReadProgram(), shared=shared)
 
     def test_store_blobs_memoised_until_version_bump(self):
-        cluster = self.make_process_cluster()
+        cluster = self.make_cluster()
         backend = cluster.backend
         machine = cluster.machine("m0")
         blob = backend._store_blob(machine, ("token",))
@@ -759,30 +691,21 @@ class TestProcessSuperstep:
         fresh = backend._store_blob(machine, ("token",))
         assert fresh is not blob
 
-    def test_matches_reference_backend_observables(self):
-        outcomes = {}
-        for backend in ("reference", "process"):
-            config = DMPCConfig(
-                capacity_n=64, capacity_m=128, backend=backend, shard_count=4, max_workers=2
-            )
-            cluster = Cluster(config)
-            for i, machine in enumerate(cluster.add_machines("m", 9)):
-                machine.store(("token", machine.machine_id), 10 * i)
-            shared = {"offset": 3, "results": {}}
-            record = cluster.superstep(TokenProbeProgram(), shared=shared)
-            outcomes[backend] = (
-                record.message_count,
-                record.total_words,
-                record.active_machines,
-                {mid: value for mid, (_, value) in shared["results"].items()},
-            )
-        assert outcomes["process"] == outcomes["reference"]
-
 
 # ------------------------------------------------------------------ resolution
 class TestBackendResolution:
-    def test_registry_names(self):
-        assert {"reference", "fast", "sharded", "parallel", "process"} <= set(BACKENDS)
+    def test_registry_is_exactly_three_backends(self):
+        assert set(BACKENDS) == {"reference", "fast", "resident"}
+
+    @pytest.mark.parametrize("name", ["sharded", "parallel", "process"])
+    @pytest.mark.parametrize("via", ["argument", "config", "env"])
+    def test_removed_backends_are_unknown(self, monkeypatch, name, via):
+        config = DMPCConfig(capacity_n=32, capacity_m=64, backend=name if via == "config" else None)
+        if via == "env":
+            monkeypatch.setenv("REPRO_BACKEND", name)
+        with pytest.raises(ValueError, match=rf"unknown execution backend '{name}'") as raised:
+            Cluster(config, backend=name if via == "argument" else None)
+        assert "(known backends: fast, reference, resident)" in str(raised.value)
 
     def test_config_selects_backend(self):
         assert make_cluster("fast").backend.name == "fast"
@@ -817,7 +740,88 @@ class TestBackendResolution:
     def test_guarantees_surface(self):
         config = DMPCConfig(capacity_n=32, capacity_m=64)
         assert ReferenceBackend(config).guarantees["full_metrics"]
-        for backend_cls in (FastBackend, ShardedBackend, ParallelBackend, ProcessBackend):
+        for backend_cls in (FastBackend, ResidentBackend):
             guarantees = backend_cls(config).guarantees
             assert guarantees["strict_memory"] and guarantees["io_cap"] and guarantees["exact_accounting"]
             assert not guarantees["full_metrics"]
+
+
+# ---------------------------------------------------------------- removed knobs
+#: the four ``DMPCConfig`` fields that existed only for the shard-plan backends
+REMOVED_FIELDS = ("shard_strategy", "max_workers", "process_chunk_machines", "replan_every")
+
+
+class TestRemovedKnobs:
+    def test_config_has_ten_fields(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(DMPCConfig)] == [
+            "capacity_n",
+            "capacity_m",
+            "memory_slack",
+            "strict_memory",
+            "backend",
+            "metrics_sampling",
+            "shard_count",
+            "resident_slots",
+            "resident_shm_ring_bytes",
+            "fuse_rounds",
+        ]
+
+    @pytest.mark.parametrize("field", REMOVED_FIELDS)
+    def test_config_refuses_a_removed_field(self, field):
+        with pytest.raises(TypeError, match=field):
+            DMPCConfig(capacity_n=32, capacity_m=64, **{field: 2})
+
+    @pytest.mark.parametrize("field", REMOVED_FIELDS)
+    def test_for_graph_refuses_a_removed_field(self, field):
+        with pytest.raises(TypeError, match=field):
+            DMPCConfig.for_graph(32, 64, **{field: 2})
+
+    @pytest.mark.parametrize("entry", ["build_static_cluster", "StaticConnectedComponents", "StaticMaximalMatching", "StaticBoruvkaMST"])
+    def test_static_entry_points_refuse_the_removed_fields(self, entry):
+        import repro.static_mpc as static_mpc
+        from repro.graph.generators import gnm_random_graph
+        from repro.static_mpc.common import build_static_cluster
+
+        make = build_static_cluster if entry == "build_static_cluster" else getattr(static_mpc, entry)
+        graph = gnm_random_graph(8, 12, seed=1)
+        for field in REMOVED_FIELDS:
+            with pytest.raises(TypeError, match=field):
+                make(graph, **{field: 2})
+
+
+class TestRemovedModules:
+    """The shard-plan backends, their placement hash and live re-planning are gone, not stubbed."""
+
+    @pytest.mark.parametrize("module", ["sharding", "parallel", "process"])
+    def test_backend_module_is_gone(self, module):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.runtime.{module}")
+
+    def test_rendezvous_placement_is_gone(self):
+        import repro.mpc
+        import repro.mpc.partition
+
+        assert not hasattr(repro.mpc, "rendezvous_shard")
+        assert not hasattr(repro.mpc.partition, "rendezvous_shard")
+
+    @pytest.mark.parametrize(
+        "owner,attribute",
+        [
+            ("cluster", "replan"),
+            ("cluster", "autotune_replan"),
+            ("cluster", "replan_history"),
+            ("backend", "replan"),
+            ("session", "migrate"),
+            ("session", "last_migration"),
+            ("session", "pending_autotune"),
+        ],
+    )
+    def test_live_replanning_is_gone(self, owner, attribute):
+        cluster = make_cluster("resident")
+        with cluster.session({}) as session:
+            assert not hasattr({"cluster": cluster, "backend": cluster.backend, "session": session}[owner], attribute)
+

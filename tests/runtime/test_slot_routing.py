@@ -1,9 +1,8 @@
 """Slot-local routing: the wire codec, the shm rings and the traffic books.
 
 ``test_backend_equivalence`` pins that the slot-routing resident backend is
-bit-identical to the other six configurations; ``test_resident`` pins the
-session protocol and live re-planning.  This module covers the routing
-machinery itself:
+bit-identical to the other configurations; ``test_resident`` pins the
+session protocol.  This module covers the routing machinery itself:
 
 * the marshal-first frame codec round-trips everything a routed frame can
   carry — including tuple-keyed ``("adj", v)`` store payloads — and falls
@@ -18,8 +17,10 @@ machinery itself:
   same totals as the reference sizer;
 * end to end: a single-slot session routes everything locally (zero
   cross-slot frames), deliberately tiny rings force pipe fallbacks without
-  changing a bit, and a mid-run re-plan that migrates machines across
-  slots stays bit-identical.
+  changing a bit, and every slot count delivers the same rounds;
+* the transport's inbox-router hooks: a driver-side read, a driver-side
+  round and a discard each see worker-held frames exactly as if they had
+  been delivered to the driver.
 """
 
 from __future__ import annotations
@@ -29,18 +30,18 @@ import pickle
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.graph.generators import gnm_random_graph
+from repro.config import DMPCConfig
+from repro.graph.generators import gnm_random_graph, random_weighted_graph
+from repro.mpc.cluster import Cluster
 from repro.mpc.message import Message
 from repro.mpc.program import SuperstepProgram
 from repro.mpc.sizing import word_size
 from repro.runtime import resident as resident_mod
 from repro.runtime.resident import (
-    ResidentSession,
     _session_flush,
     _session_open,
     _session_run_round,
 )
-from repro.runtime.sharding import ShardPlan
 from repro.runtime.wire import (
     FRAME_HEADER,
     ShmRing,
@@ -50,9 +51,7 @@ from repro.runtime.wire import (
     pack_inbox,
     unpack_inbox,
 )
-from repro.static_mpc import StaticMaximalMatching
-from repro.static_mpc.common import build_static_cluster
-from repro.static_mpc.connected_components import CSRLabelProposeProgram, LabelApplyProgram
+from repro.static_mpc import StaticBoruvkaMST, StaticConnectedComponents, StaticMaximalMatching
 
 # ------------------------------------------------------------------ fixtures
 #: scalars marshal handles natively (floats kept NaN-free so == works)
@@ -105,6 +104,26 @@ class FanoutProgram(SuperstepProgram):
 
     def apply(self, shared, machine_id, delta):
         shared.setdefault("got", {})[machine_id] = delta
+
+
+class ReportProgram(SuperstepProgram):
+    """Every machine but ``m0`` reports its registration index to ``m0``."""
+
+    def run(self, ctx, inbox, shared):
+        if ctx.machine_id != "m0":
+            ctx.send("m0", "report", int(ctx.machine_id[1:]))
+
+
+class CollectProgram(SuperstepProgram):
+    """Every machine hands its inbox payloads, in arrival order, to the driver."""
+
+    shared_writes = ("seen",)
+
+    def run(self, ctx, inbox, shared):
+        return [msg.payload for msg in inbox]
+
+    def apply(self, shared, machine_id, delta):
+        shared["seen"][machine_id] = delta
 
 
 def local_ring(capacity: int) -> ShmRing:
@@ -348,54 +367,10 @@ class TestSizerAccounting:
 
 
 # ------------------------------------------------------------------ end to end
-SHARD_COUNT = 3
-MAX_WORKERS = 2
-
-
 def run_matching(graph, seed=31, **kwargs):
-    algorithm = StaticMaximalMatching(graph, seed=seed, shard_count=SHARD_COUNT, **kwargs)
+    algorithm = StaticMaximalMatching(graph, seed=seed, **kwargs)
     algorithm.run()
     return algorithm
-
-
-def run_label_propagation(graph, *, backend, plans=None, **cluster_kwargs):
-    """The StaticConnectedComponents round loop with re-plan injection —
-    self-contained (test modules are not importable from each other)."""
-    setup = build_static_cluster(
-        graph,
-        backend=backend,
-        shard_count=SHARD_COUNT,
-        max_workers=MAX_WORKERS,
-        weighted=False,
-        **cluster_kwargs,
-    )
-    cluster = setup.cluster
-    worker_ids = setup.worker_ids
-    leader = worker_ids[0]
-    state = {"labels": {v: v for v in graph.vertices}, "via": {}, "changed_flags": {}}
-    propose = CSRLabelProposeProgram(setup.owned, worker_ids)
-    apply_min = LabelApplyProgram(setup.owned, worker_ids, leader)
-    migrations = []
-    with cluster.update("slot-routing-cc"), cluster.session(state) as session:
-        changed = True
-        rounds = 0
-        while changed and rounds < 4 * max(4, graph.num_vertices):
-            rounds += 1
-            if plans and rounds in plans:
-                cluster.replan(plans[rounds](cluster))
-                migrations.append((rounds, list(session.last_migration or [])))
-            cluster.superstep(propose, machines=worker_ids, shared=state)
-            cluster.superstep(apply_min, machines=worker_ids, shared=state)
-            changed = any(state["changed_flags"].values())
-        cluster.machine(leader).drain("changed")
-    return {
-        "labels": state["labels"],
-        "rounds": rounds,
-        "ledger": [(u.label, u.num_rounds, u.total_words) for u in cluster.ledger.updates],
-        "cluster": cluster,
-        "session": session,
-        "migrations": migrations,
-    }
 
 
 class TestEndToEndTraffic:
@@ -431,22 +406,83 @@ class TestEndToEndTraffic:
         assert traffic["pipe_fallbacks"] > 0, "1KiB rings must overflow on this workload"
         assert traffic["local_messages"] > 0
 
-    def test_replan_migrates_machines_across_slots_bit_identically(self):
-        """A mid-run shard-count change under two slots rewires machine→slot
-        locality; held frames are flushed first, so the run matches the
-        fast backend bit for bit and cross-slot traffic is non-vacuous."""
-        graph = gnm_random_graph(36, 80, seed=5)
-        reference = run_label_propagation(graph, backend="fast")
-        plans = {2: lambda cluster: ShardPlan(5, strategy="rendezvous")}
-        result = run_label_propagation(
-            graph, backend="resident", plans=plans, resident_slots=2
-        )
-        assert result["labels"] == reference["labels"]
-        assert result["rounds"] == reference["rounds"]
-        assert result["ledger"] == reference["ledger"]
-        session = result["session"]
-        assert isinstance(session, ResidentSession)
-        assert session.slot_count == 2
-        assert result["migrations"] and result["cluster"].replan_history
-        traffic = result["cluster"].backend.last_session_traffic
-        assert traffic["local_messages"] + traffic["cross_slot_messages"] > 0
+
+#: the three static baselines on inputs of the equivalence tests' size: make(**backend) -> solution
+BASELINES = {
+    "cc": (
+        lambda **kw: StaticConnectedComponents(gnm_random_graph(48, 110, seed=41), **kw),
+        lambda a: (sorted(a.labels.items()), sorted(a.spanning_forest())),
+    ),
+    "mm": (
+        lambda **kw: StaticMaximalMatching(gnm_random_graph(44, 120, seed=43), seed=43, **kw),
+        lambda a: sorted(a.matching),
+    ),
+    "mst": (
+        lambda **kw: StaticBoruvkaMST(random_weighted_graph(40, 90, seed=47), **kw),
+        lambda a: sorted(a.forest),
+    ),
+}
+
+
+class TestSlotCounts:
+    @pytest.mark.parametrize("slots", [1, 2, 3])
+    @pytest.mark.parametrize("baseline", sorted(BASELINES))
+    def test_every_slot_count_delivers_the_fast_rounds(self, baseline, slots):
+        """Machine ``i`` runs on slot ``i % slots`` for any slot count — three slots included,
+        which no shard plan ever produced on this workload — and the rounds, words and
+        solution are the ones ``fast`` delivers; frames cross slots exactly when there are
+        several slots and a phase sends to other machines at the workers."""
+        make, solution = BASELINES[baseline]
+        fixed = make(backend="fast")
+        fixed.run()
+        routed = make(backend="resident", resident_slots=slots)
+        routed.run()
+        def rows(algorithm):
+            return [(u.label, u.num_rounds, u.total_words, u.max_words_per_round) for u in algorithm.cluster.ledger.updates]
+
+        assert (rows(routed), solution(routed)) == (rows(fixed), solution(fixed))
+        traffic = routed.cluster.backend.last_session_traffic
+        assert traffic["local_messages"] > 0
+        # Borůvka's routed first phase reports each vertex's candidate to its own machine (every
+        # label is still its vertex), and the driver reads every later phase's reports itself
+        crossing = slots > 1 and baseline != "mst"
+        assert (traffic["cross_slot_messages"] > 0) == crossing
+
+
+def routed_cluster(slots: int) -> Cluster:
+    cluster = Cluster(DMPCConfig(capacity_n=32, capacity_m=64, backend="resident", resident_slots=slots))
+    cluster.add_machines("m", 6)
+    return cluster
+
+
+class TestInboxRouter:
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_a_driver_drain_pulls_held_frames_in_order(self, slots):
+        cluster = routed_cluster(slots)
+        shared: dict = {}
+        with cluster.session(shared) as session:
+            cluster.superstep(ReportProgram(), shared=shared)
+            assert session.local_messages + session.cross_slot_messages == 5
+            assert cluster.machine("m0").inbox == []  # held at the workers
+            assert [msg.payload for msg in cluster.machine("m0").drain()] == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_a_driver_round_lands_behind_held_frames(self, slots):
+        cluster = routed_cluster(slots)
+        shared: dict = {}
+        with cluster.session(shared):
+            cluster.superstep(ReportProgram(), shared=shared)
+            cluster.machine("m3").send("m0", "late", "from-the-driver")
+            record = cluster.exchange()
+            assert (record.message_count, record.active_machines) == (1, 2)
+            assert [msg.payload for msg in cluster.machine("m0").drain()] == [1, 2, 3, 4, 5, "from-the-driver"]
+
+    def test_discard_undelivered_drops_held_frames(self):
+        cluster = routed_cluster(2)
+        shared: dict = {"seen": {}}
+        with cluster.session(shared):
+            cluster.superstep(ReportProgram(), shared=shared)
+            cluster.discard_undelivered()
+            cluster.superstep(CollectProgram(), shared=shared)
+        assert shared["seen"] == {f"m{i}": [] for i in range(6)}
+

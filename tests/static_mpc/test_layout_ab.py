@@ -30,25 +30,15 @@ from repro.static_mpc import StaticBoruvkaMST, StaticConnectedComponents, Static
 from repro.static_mpc.common import build_static_cluster
 from repro.static_mpc.connected_components import CSRLabelProposeProgram
 
-BACKENDS = ("reference", "fast", "sharded", "parallel", "process", "resident", "resident-shm")
+BACKENDS = ("reference", "fast", "resident", "resident-shm")
 
-#: deliberately odd so it does not divide typical machine counts
-SHARD_COUNT = 3
-MAX_WORKERS = 2
+RESIDENT_SLOTS = 2
 
 
 def backend_kwargs(backend: str) -> dict:
-    extra: dict = {}
     if backend == "resident-shm":
-        extra["backend"] = "resident"
-        extra["resident_slots"] = 2
-    else:
-        extra["backend"] = backend
-    if backend in ("sharded", "parallel", "process", "resident", "resident-shm"):
-        extra["shard_count"] = SHARD_COUNT
-    if backend in ("parallel", "process", "resident", "resident-shm"):
-        extra["max_workers"] = MAX_WORKERS
-    return extra
+        return {"backend": "resident", "resident_slots": RESIDENT_SLOTS}
+    return {"backend": backend}
 
 
 def ledger_digest(ledger, solution) -> str:
