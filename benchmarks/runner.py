@@ -27,7 +27,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import median
 from typing import Any, Callable
 
@@ -38,7 +38,7 @@ if __package__ in (None, ""):  # script mode: make `repro` importable
         sys.path.insert(0, _src)
 
 from repro.analysis import classify_growth, format_table
-from repro.config import DMPCConfig, resolve_fuse_rounds
+from repro.config import DMPCConfig
 from repro.graph import DynamicGraph
 from repro.graph.generators import gnm_random_graph, random_weighted_graph
 from repro.graph.streams import mixed_stream
@@ -159,20 +159,6 @@ def active_backend_name() -> str:
     return os.environ.get("REPRO_BACKEND") or "reference"
 
 
-def fuse_label(fuse: "str | int") -> str:
-    """A ``DMPCConfig.fuse_rounds`` value as the JSON record states it.
-
-    ``"auto"`` (fuse maximal spans, the default), ``"off"``, or the decimal
-    cap ``K`` — mirrors :func:`repro.config.resolve_fuse_rounds`.
-    """
-    resolved = resolve_fuse_rounds(fuse)
-    if resolved is None:
-        return "auto"
-    if resolved == 0:
-        return "off"
-    return str(resolved)
-
-
 def numpy_provenance() -> str | None:
     """numpy version the vectorized kernels ran against, ``None`` on fallback."""
     from repro.mpc.layout import numpy_or_none
@@ -185,14 +171,13 @@ def numpy_provenance() -> str | None:
 def emit_bench_json(name: str, payload: dict, directory: str | None = None) -> str:
     """Write a machine-readable ``BENCH_<name>.json`` record; return its path.
 
-    Every record carries numpy / coalescing / fusion provenance: a perf
-    number measured without numpy, or with another setting, is not
-    comparable, and the JSON must say which it was.  A record that does not
-    state ``coalesce`` / ``fuse`` ran the library defaults (off / ``"auto"``).
+    Every record carries numpy / coalescing provenance: a perf number
+    measured without numpy, or with another setting, is not comparable, and
+    the JSON must say which it was.  A record that does not state
+    ``coalesce`` ran the library default (off).
     """
     payload = dict(payload)
     payload.setdefault("coalesce", False)
-    payload.setdefault("fuse", "auto")
     payload.setdefault("numpy", numpy_provenance())
     path = os.path.join(directory or REPO_ROOT, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
@@ -224,18 +209,13 @@ class RunResult:
 
 
 def _dynamic_runner(algorithm_cls, graph, stream, solution, **algorithm_kwargs):
-    """Build a ``run(backend, shard_count, resident_slots, coalesce, fuse)`` closure for a dynamic workload."""
+    """Build a ``run(backend, shard_count, resident_slots, coalesce)`` closure for a dynamic workload."""
     n = max(1, graph.num_vertices)
     m = max(1, graph.num_edges, 2 * n)
 
-    def run(backend, shard_count, resident_slots=None, coalesce=False, fuse="auto") -> RunResult:
+    def run(backend, shard_count, resident_slots=None, coalesce=False) -> RunResult:
         config = DMPCConfig.for_graph(
-            n,
-            2 * m,
-            backend=backend,
-            shard_count=shard_count,
-            resident_slots=resident_slots,
-            fuse_rounds=fuse,
+            n, 2 * m, backend=backend, shard_count=shard_count, resident_slots=resident_slots
         )
         algorithm = algorithm_cls(config, coalesce=coalesce, **algorithm_kwargs)
         algorithm.preprocess(graph.copy())
@@ -314,14 +294,10 @@ def _static_runner(make_algorithm, solution, label: str):
     backend's worker sessions show up; the ``updates`` knob is unused.
     """
 
-    def run(backend, shard_count, resident_slots=None, coalesce=False, fuse="auto") -> RunResult:
+    def run(backend, shard_count, resident_slots=None, coalesce=False) -> RunResult:
         # coalesce is a dynamic-stack knob; static recomputation accepts and
         # ignores it so compare_backends has one run signature.
         algorithm = make_algorithm(backend=backend, shard_count=shard_count, resident_slots=resident_slots)
-        # the baselines build their own config; fuse_rounds is read when a
-        # session runs a span, so it is set on the built cluster's config
-        cluster = algorithm.cluster
-        cluster.config = replace(cluster.config, fuse_rounds=fuse)
         start = time.perf_counter()
         algorithm.run(label)
         elapsed = time.perf_counter() - start
@@ -409,7 +385,7 @@ def profile_top_entries(fn: Callable[[], Any], *, top: int = 20) -> list[dict]:
     return entries
 
 
-#: workload name -> builder(n, updates, seed) -> run(backend, shard_count, resident_slots, coalesce, fuse)
+#: workload name -> builder(n, updates, seed) -> run(backend, shard_count, resident_slots, coalesce)
 WORKLOADS: dict[str, Callable] = {
     "connectivity": _connectivity_workload,
     "maximal-matching": _matching_workload,
@@ -433,7 +409,6 @@ def compare_backends(
     shard_count: int | None = None,
     resident_slots: int | None = None,
     coalesce: bool = False,
-    fuse: "str | int" = "auto",
     profile: bool = False,
 ) -> dict:
     """Run one workload under each backend; verify equivalence, measure speedup.
@@ -456,8 +431,7 @@ def compare_backends(
     backends whose rounds took a measured wire path report the per-path
     message totals (``local_messages`` / ``cross_slot_messages`` /
     ``shm_bytes`` / ``pipe_fallbacks``) under ``"traffic"``.  ``coalesce``
-    runs the dynamic workloads in coalesced batches; ``fuse`` is the
-    ``DMPCConfig.fuse_rounds`` every run is configured with.
+    runs the dynamic workloads in coalesced batches.
     """
     run = WORKLOADS[workload](n, updates, seed)
     results: dict[str, dict] = {}
@@ -472,7 +446,7 @@ def compare_backends(
     # measured during the slow minute.
     for iteration in range(-max(0, warmup), max(1, repeats)):
         for backend in backends:
-            result = run(backend, shard_count, resident_slots, coalesce, fuse)
+            result = run(backend, shard_count, resident_slots, coalesce)
             last = lasts.get(backend)
             if last is not None and (
                 result.solution != last.solution or result.round_counts != last.round_counts
@@ -508,7 +482,7 @@ def compare_backends(
             # One extra (untimed) run per backend under cProfile; the top
             # cumulative entries become part of the perf record's provenance.
             results[backend]["profile_top"] = profile_top_entries(
-                lambda: run(backend, shard_count, resident_slots, coalesce, fuse)
+                lambda: run(backend, shard_count, resident_slots, coalesce)
             )
     baseline = backends[0]
     for backend in backends[1:]:
@@ -541,7 +515,6 @@ def compare_backends(
         # provenance: perf records are only comparable on like-for-like runs
         "warmup": warmup,
         "profiled": profile,
-        "fuse": fuse_label(fuse),
         "coalesce": coalesce,
         "cpu_count": os.cpu_count(),
         "python_version": platform.python_version(),
@@ -608,14 +581,6 @@ def main(argv: list[str] | None = None) -> int:
         help="coalesce each update batch before application (dynamic workloads; default off)",
     )
     parser.add_argument(
-        "--fuse",
-        default="auto",
-        metavar="{auto,off,K}",
-        help="fused round blocks on the resident backend: 'auto' fuses maximal "
-        "spans (default), 'off' disables fusion, an integer K caps blocks at K "
-        "rounds; sets DMPCConfig.fuse_rounds for the run and lands in the BENCH json",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="run one extra pass per backend under cProfile and record the top-20 "
@@ -633,11 +598,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--min-speedup needs at least two --backends (a baseline and a contender)")
     if args.quick:
         args.n, args.updates, args.repeat = 48, 60, 1
-    try:
-        # validate eagerly so a typo fails before minutes of timing runs
-        resolve_fuse_rounds(args.fuse)
-    except ValueError as exc:
-        parser.error(str(exc))
 
     report = compare_backends(
         args.workload,
@@ -649,7 +609,6 @@ def main(argv: list[str] | None = None) -> int:
         shard_count=args.shards,
         resident_slots=args.resident_slots,
         coalesce=args.coalesce,
-        fuse=args.fuse,
         profile=args.profile,
     )
     print(format_comparison(report))

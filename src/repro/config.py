@@ -14,25 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 
-def resolve_fuse_rounds(value: "str | int") -> int | None:
-    """Normalize a fuse-rounds setting to ``None`` (unlimited) / ``0`` (off) / cap.
-
-    Accepts the ``DMPCConfig.fuse_rounds`` field verbatim: ``"auto"`` means
-    fuse with no block-length cap; ``"off"`` (or ``0``) disables fusion; a
-    positive integer caps each fused block at that many rounds.
-    """
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text in ("auto", ""):
-            return None
-        if text == "off":
-            return 0
-        value = int(text)
-    if value < 0:
-        raise ValueError(f"fuse_rounds must be 'auto', 'off' or a non-negative int, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class DMPCConfig:
     """Sizing parameters of a simulated DMPC deployment.
@@ -97,16 +78,6 @@ class DMPCConfig:
         traffic is capped by its machines' I/O budgets).  Rings that
         overflow fall back to the driver pipe, so undersizing is a
         performance choice, never a correctness one.
-    fuse_rounds:
-        Resident-backend knob: whether (and how far) consecutive
-        worker-drivable supersteps are fused into worker-driven round
-        blocks that skip the per-round driver pipe barrier.  ``"auto"``
-        fuses every statically fusable span with no length cap, ``"off"``
-        disables fusion, and a positive integer caps each fused block at
-        that many rounds.  Defaults to ``"auto"``.  Like every execution
-        knob the simulation is bit-for-bit identical under any value — the
-        driver rebuilds the exact per-round records from per-round worker
-        aggregates.
     """
 
     capacity_n: int
@@ -118,7 +89,6 @@ class DMPCConfig:
     shard_count: int | None = None
     resident_slots: int | None = None
     resident_shm_ring_bytes: int | None = None
-    fuse_rounds: str | int = "auto"
 
     def __post_init__(self) -> None:
         if self.capacity_n < 1:
@@ -135,7 +105,6 @@ class DMPCConfig:
             raise ValueError("resident_slots must be positive when given")
         if self.resident_shm_ring_bytes is not None and self.resident_shm_ring_bytes < 1024:
             raise ValueError("resident_shm_ring_bytes must be at least 1024 when given")
-        resolve_fuse_rounds(self.fuse_rounds)  # raises on malformed values
 
     @property
     def capacity_N(self) -> int:
@@ -197,7 +166,6 @@ class DMPCConfig:
         shard_count: int | None = None,
         resident_slots: int | None = None,
         resident_shm_ring_bytes: int | None = None,
-        fuse_rounds: str | int = "auto",
     ) -> "DMPCConfig":
         """Convenience constructor sizing a deployment for an ``(n, m)`` graph."""
         return DMPCConfig(
@@ -210,7 +178,6 @@ class DMPCConfig:
             shard_count=shard_count,
             resident_slots=resident_slots,
             resident_shm_ring_bytes=resident_shm_ring_bytes,
-            fuse_rounds=fuse_rounds,
         )
 
 

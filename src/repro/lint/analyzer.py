@@ -36,9 +36,8 @@ governs:
   so fall back to recursively sizing the payload (RP109 — the only
   whole-file scan; everything else is per-program); and
 * ``driver_reads_sends = False`` (the worker-drivable fusion promise)
-  declared alongside ``driver_local = True`` or ``delta_scope = "driver"``
-  — contradictory declarations that make the program unfusable by
-  construction (RP110).
+  declared alongside ``delta_scope = "driver"`` — contradictory
+  declarations that make the program unfusable by construction (RP110).
 
 Static analysis is necessarily approximate: only *constant* keys are
 checked, and a dynamic access (``shared[name]``) is reported as its own
@@ -77,8 +76,7 @@ CONTRACT_DEFAULTS: dict[str, Any] = {
     "shared_writes": (),
     "delta_scope": "global",
     "reads_inbox": True,
-    "driver_local": False,
-    "driver_reads_sends": None,
+    "driver_reads_sends": True,
 }
 
 VALID_DELTA_SCOPES = frozenset({"global", "owner", "driver"})
@@ -700,7 +698,6 @@ def _check_program(registry: _Registry, info: ProgramInfo) -> "tuple[ProgramFact
     for stmt in run_func.body:
         scanner.visit(stmt)
 
-    driver_local, _, _ = registry.resolve_decl(info, "driver_local")
     driver_reads_sends, drs_owner, drs_line = registry.resolve_decl(info, "driver_reads_sends")
 
     resolved_apply = registry.resolve_method(info, "apply")
@@ -919,47 +916,28 @@ def _check_program(registry: _Registry, info: ProgramInfo) -> "tuple[ProgramFact
                     )
                 )
 
-    # RP110 — worker-drivable sends declaration contradicting a driver-side
-    # execution declaration.  driver_reads_sends = False promises the driver
-    # never reads the program's sends (the fusion precondition), but a
-    # driver_local program runs *at* the driver — its sends are staged
-    # driver-side by construction — and a delta_scope = "driver" program's
-    # writes feed driver decisions only, so neither can join a worker-driven
-    # fused block; the contradiction means one of the declarations is wrong.
-    if driver_reads_sends is False and driver_local is not _UNKNOWN and delta_scope is not _UNKNOWN:
-        drs_path = drs_owner.path if drs_owner else info.path
-        if driver_local is True:
-            findings.append(
-                Finding(
-                    "RP110",
-                    drs_path,
-                    drs_line,
-                    info.col,
-                    info.name,
-                    f"{info.name} declares driver_reads_sends = False (worker-drivable, "
-                    "fusable into a worker-driven block) but also driver_local = True — "
-                    "a driver-local program runs inline at the driver, so its sends are "
-                    "read there every round and the fusion promise is unsatisfiable",
-                    hint="drop driver_local = True (let workers run the program) or declare "
-                    "driver_reads_sends = True / remove the declaration",
-                )
+    # RP110 — worker-drivable sends declaration contradicting the delta
+    # scope.  driver_reads_sends = False promises the driver never reads the
+    # program's sends (the fusion precondition), but a delta_scope = "driver"
+    # program's writes feed driver decisions only, so it cannot join a
+    # worker-driven fused block; the contradiction means one of the
+    # declarations is wrong.
+    if driver_reads_sends is False and delta_scope == "driver":
+        findings.append(
+            Finding(
+                "RP110",
+                drs_owner.path if drs_owner else info.path,
+                drs_line,
+                info.col,
+                info.name,
+                f"{info.name} declares driver_reads_sends = False (worker-drivable, "
+                "fusable into a worker-driven block) but delta_scope = 'driver' — "
+                "driver-scoped deltas feed driver decisions only, so the program "
+                "cannot self-apply at the workers inside a fused block",
+                hint='widen delta_scope to "owner" or "global", or declare '
+                "driver_reads_sends = True / remove the declaration",
             )
-        elif delta_scope == "driver":
-            findings.append(
-                Finding(
-                    "RP110",
-                    drs_path,
-                    drs_line,
-                    info.col,
-                    info.name,
-                    f"{info.name} declares driver_reads_sends = False (worker-drivable, "
-                    "fusable into a worker-driven block) but delta_scope = 'driver' — "
-                    "driver-scoped deltas feed driver decisions only, so the program "
-                    "cannot self-apply at the workers inside a fused block",
-                    hint='widen delta_scope to "owner" or "global", or declare '
-                    "driver_reads_sends = True / remove the declaration",
-                )
-            )
+        )
 
     # RP108 — inbox declared unread but referenced.
     if reads_inbox is not _UNKNOWN and reads_inbox is False and facts.inbox_sites:

@@ -84,9 +84,9 @@ RULES: dict[str, Rule] = {
         Rule(
             "RP110",
             "fusion-contract-contradiction",
-            "driver_reads_sends = False (worker-drivable sends) contradicts driver_local "
-            "= True or delta_scope = 'driver' — a program cannot both run at/feed the "
-            "driver every round and be fused into a worker-driven block",
+            "driver_reads_sends = False (worker-drivable sends) contradicts delta_scope "
+            "= 'driver' — a program cannot both feed the driver every round and be "
+            "fused into a worker-driven block",
         ),
     )
 }

@@ -222,9 +222,10 @@ class MetricsLedger:
         #: wire-path traffic above; zero under every other backend.
         self.fused_rounds = 0
         #: driver↔worker pipe round trips that executed supersteps: one per
-        #: unfused resident superstep, one per fused *block* however many
-        #: rounds it covered.  ``fused_rounds`` over ``driver_round_trips``
-        #: is the barrier-elision win the benchmarks report.
+        #: resident round *block*, however many rounds it covered (a lone
+        #: superstep is a block of one).  ``fused_rounds`` over
+        #: ``driver_round_trips`` is the barrier-elision win the benchmarks
+        #: report.
         self.driver_round_trips = 0
 
     @property

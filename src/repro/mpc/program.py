@@ -246,15 +246,6 @@ class SuperstepProgram(abc.ABC):
     #: ones instead of serializing messages nobody will look at.
     reads_inbox: bool = True
 
-    #: execution hint for resident sessions: ``True`` marks this program's
-    #: per-machine work as cheap aggregation (scan the inbox, fold into a
-    #: delta) that is not worth a worker round trip — the session runs it
-    #: driver-side instead of shipping the drained inboxes to the workers.
-    #: Purely an execution-strategy choice, like slot counts: the
-    #: barrier, the deltas, the worker-side replay and the delivered round
-    #: are identical either way.
-    driver_local: bool = False
-
     #: how far one machine's merged delta must travel for replay — the
     #: second half of the delta-replay contract:
     #:
@@ -281,18 +272,16 @@ class SuperstepProgram(abc.ABC):
     #: whether any machine's inbox is drained driver-side
     #: (:meth:`Machine.drain` / :meth:`Machine.receive`) between this
     #: program's round and the next superstep that would consume them.
-    #: The third fusability input (next to :attr:`driver_local` and
-    #: :attr:`delta_scope`): a phase whose sends only feed the *next
-    #: phase's* inboxes (``False``) can run entirely inside the resident
-    #: workers across several rounds without the driver ever seeing a
-    #: message body, so the resident backend may fuse it into a
-    #: worker-driven round block (see :func:`fusable_interior`).  ``True``
-    #: marks a phase whose sends the driver aggregates (proposal
-    #: accept/reject scans); such a phase can only ever *end* a fused
-    #: block, with its sends funneled back on the block reply.  ``None``
-    #: (the default) means unknown/dynamic — never fused, and resident
-    #: sessions keep the adaptive flush-then-demote behaviour.
-    driver_reads_sends: bool | None = None
+    #: ``True`` (the default, always safe) returns the sends to the driver
+    #: on the round reply, where they are staged and delivered like any
+    #: driver-side send; such a phase can only ever *end* a fused block.
+    #: ``False`` promises the sends only feed the *next phase's* inboxes:
+    #: resident sessions then keep the message bodies at the workers
+    #: (slot-local or over the shm rings) and may fuse the phase into a
+    #: worker-driven round block (see :func:`fusable_interior`).  A broken
+    #: promise costs time, never correctness — a driver-side read flushes
+    #: the worker-held frames back first.
+    driver_reads_sends: bool = True
 
     def session_keys(self) -> tuple[str, ...]:
         """All shared keys a resident session must keep in sync for this program.
@@ -350,10 +339,8 @@ def fusable_interior(program: "SuperstepProgram") -> bool:
     Worker-drivability, derived purely from the declared contract: the
     driver must have nothing to do between this round and the next —
 
-    * no :attr:`~SuperstepProgram.driver_local` aggregation (that is
-      driver-side work by definition);
-    * the driver provably never reads this round's sends
-      (``driver_reads_sends is False``) — the messages only feed the next
+    * the driver never reads this round's sends
+      (``driver_reads_sends = False``) — the messages only feed the next
       round's inboxes, which live at the workers during a block;
     * the barrier's delta merge is worker-reproducible: ``owner``-scoped
       deltas are applied by the owning slot itself (owned shared slices
@@ -362,7 +349,7 @@ def fusable_interior(program: "SuperstepProgram") -> bool:
       programs qualify only with the default no-op ``apply`` (a real
       global merge would have to reach *every* slot mid-block).
     """
-    if program.driver_local or program.driver_reads_sends is not False:
+    if program.driver_reads_sends:
         return False
     scope = program.delta_scope
     if scope == "owner":
@@ -376,14 +363,8 @@ def fusable_terminal(program: "SuperstepProgram") -> bool:
     The terminal round still executes inside the workers (its inbox is
     worker-held frames from the block's earlier rounds), but its sends may
     return to the driver on the block reply — so ``driver_reads_sends``
-    may be ``True`` (declared driver-read phases funnel their sends), it
-    just must not be ``None`` (unknown means the adaptive driver-side
-    machinery must stay in charge).  Deltas are merged driver-side after
-    the block, exactly like an unfused round, so any worker-replayable
-    ``delta_scope`` qualifies.
+    may be either value.  Deltas are merged driver-side after the block,
+    exactly like a single round, so any worker-replayable ``delta_scope``
+    qualifies.
     """
-    return (
-        not program.driver_local
-        and program.driver_reads_sends is not None
-        and program.delta_scope in ("owner", "global")
-    )
+    return program.delta_scope in ("owner", "global")

@@ -23,56 +23,62 @@ backend's storage, accounting and delivery pass:
   are merged there in target order, then one exchange: bit-for-bit the
   round every other backend delivers.
 
-* **messages route slot-locally** — with a backend accounting policy
-  governing the ledger, workers *keep* each message frame instead of
-  funnelling it through the driver: a frame whose receiver lives on the
-  sending slot is staged worker-locally (it never crosses the pipe and is
-  never re-encoded), a cross-slot frame rides a pre-sized
+* **messages route slot-locally** — workers *keep* each message frame
+  instead of funnelling it through the driver: a frame whose receiver
+  lives on the sending slot is staged worker-locally (it never crosses the
+  pipe and is never re-encoded), a cross-slot frame rides a pre-sized
   :class:`~repro.runtime.wire.ShmRing` (one SPSC ring per ordered slot
   pair; overflow falls back to driver-forwarded pipe delivery), and only
   per-(sender, receiver) word aggregates return to the driver, where
   :meth:`ResidentTransport.deposit_worker_round` rebuilds the identical
-  :class:`~repro.mpc.metrics.RoundRecord`.  The frame key ``(epoch, sender
-  index, staging seq)`` totally orders frames, so any time the driver
-  genuinely needs a message body (a ``driver_local`` program,
-  :meth:`Machine.receive`/``drain`` outside a worker round, session
+  :class:`~repro.mpc.metrics.RoundRecord`.  A program that declares
+  ``driver_reads_sends = True`` (the default) instead returns its sends on
+  the reply, where the driver stages them like any driver-side send.  The
+  frame key ``(epoch, sender index, staging seq)`` totally orders frames,
+  so any time the driver needs a message body (:meth:`Machine.receive` /
+  ``drain`` outside a worker round, a driver-side exchange, session
   close), the session's inbox-router hooks
   (:attr:`~repro.runtime.base.Transport.inbox_router`) flush every
   worker-held frame back into driver inboxes in exactly the reference
   delivery order.
 
-* **fused round blocks elide the per-round driver barrier** — a span of
-  consecutive supersteps whose contract declarations prove the driver has
-  no work between them (no ``driver_local`` aggregation, sends never read
-  driver-side before their consuming round, deltas ``owner``-scoped or
-  no-op — see :func:`~repro.mpc.program.fusable_interior`) ships as ONE
-  ``run_block`` request.  Workers then loop locally: each round they
-  ingest rings, serve due frames, run their machines, *self-apply* their
-  own machines' owner-scoped deltas, and synchronize on a lightweight
-  shared-memory cursor barrier
+* **every superstep is a round block** — a span of supersteps ships as
+  ``run_block`` requests of K ≥ 1 rounds each, one pipe round trip per
+  block.  Consecutive supersteps whose contract declarations prove the
+  driver has no work between them (sends never read driver-side, deltas
+  ``owner``-scoped or no-op — see
+  :func:`~repro.mpc.program.fusable_interior`) fuse into one block of
+  K ≥ 2; a position that cannot fuse, and every lone
+  :meth:`Cluster.superstep`, is a block of K = 1.  Inside a block workers
+  loop locally: each round they ingest rings, serve due frames, run their
+  machines and commit their frames; between the rounds of a K ≥ 2 block
+  they *self-apply* their own machines' owner-scoped deltas and
+  synchronize on a shared-memory cursor barrier
   (:class:`~repro.runtime.wire.ShmRoundBarrier`) instead of a driver
   round trip.  Per-round aggregates come back once per block, and the
-  driver replays them through the exact unfused finish path — every
-  :class:`~repro.mpc.metrics.RoundRecord` is rebuilt bit-identically, in
-  order.  A ring overflow mid-block stops every slot at the same round
-  boundary (the barrier's stop bit); the overflowed frames take the pipe
-  forward path and the remaining supersteps run unfused.
+  driver replays them round by round — every RoundRecord is rebuilt
+  bit-identically, in order.  A ring overflow mid-block stops every slot
+  at the same round boundary (the barrier's stop bit); the overflowed
+  frames take the pipe forward path with the next block.  Rounds that
+  cannot be routed at all — under a hand-assigned record factory, or
+  behind driver-staged sends — run in the driver, their deltas queued for
+  worker-side replay.
 
-The worker-session protocol has six operations, all executed inside the
+The worker-session protocol has five operations, all executed inside the
 slot's worker process: :func:`_session_open` (create the resident state),
 :func:`_session_attach_shm` (map the cross-slot rings and the round
-barrier), :func:`_session_run_round` (replay deltas, refresh invalidated
-keys and stale stores, run the machines, route their frames),
-:func:`_session_run_block` (the fused multi-round worker loop),
-:func:`_session_flush` (surrender every held frame to the driver) and
-:func:`_session_close` (release everything).  Sessions are driven from
-:class:`ResidentSession`, which :meth:`Cluster.session` opens around a
-superstep round loop; without an active session the backend is ``fast``
-(supersteps run sequentially in the driver).  Machine ``i`` lives on slot
-``i % slots``.  The slot count is bounded by ``DMPCConfig.shard_count``
-and the host's real CPU parallelism unless ``DMPCConfig.resident_slots``
-pins it — a single resident slot is still the full residency + locality
-win (every message is then slot-local), just without fan-out.
+barrier), :func:`_session_run_block` (replay deltas, refresh invalidated
+keys and stale stores, then run K rounds of this slot's machines, routing
+their frames), :func:`_session_flush` (surrender every held frame to the
+driver) and :func:`_session_close` (release everything).  Sessions are
+driven from :class:`ResidentSession`, which :meth:`Cluster.session` opens
+around a superstep round loop; without an active session the backend is
+``fast`` (supersteps run sequentially in the driver).  Machine ``i`` lives
+on slot ``i % slots``.  The slot count is bounded by
+``DMPCConfig.shard_count`` and the host's real CPU parallelism unless
+``DMPCConfig.resident_slots`` pins it — a single resident slot is still
+the full residency + locality win (every message is then slot-local), just
+without fan-out.
 
 Sound replay leans on the delta-replay contract of
 :mod:`repro.mpc.program`: ``apply`` deterministic in its arguments, every
@@ -92,7 +98,6 @@ import threading
 from collections import deque
 from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.config import resolve_fuse_rounds
 from repro.exceptions import MessageSizeExceeded, ProtocolError, UnknownMachineError
 from repro.mpc.contract import checked_apply_view, contract_checking_enabled
 from repro.mpc.message import Message
@@ -130,14 +135,6 @@ _PICKLE = pickle.HIGHEST_PROTOCOL
 
 #: slot cap when ``DMPCConfig.shard_count`` is unset
 DEFAULT_SLOT_CAP = 4
-
-# The pipe codec and inbox flattening live in repro.runtime.wire; the
-# historical private names remain the idiom inside this module.
-_encode = encode_obj
-_decode = decode_obj
-_pack_inbox = pack_inbox
-_unpack_inbox = unpack_inbox
-
 
 class ResidentWorkerError(RuntimeError):
     """A resident worker process died mid-session (its state is lost)."""
@@ -242,7 +239,7 @@ def _due_inbox(
                 del pending[machine_id]
     if drop_inbox:
         return []
-    inbox = _unpack_inbox(packed_inbox)
+    inbox = unpack_inbox(packed_inbox)
     if ready:
         ready.sort(key=_frame_sort_key)
         inbox.extend(_frame_message(f) for f in ready)
@@ -402,18 +399,13 @@ def _session_attach_shm(
     state = sessions.get(session_id)
     if state is None:
         state = sessions[session_id] = _SessionState()
-    for src_slot, name in rings_in:
-        if src_slot not in state.rings_in:
-            try:
-                state.rings_in[src_slot] = ShmRing.attach(name)
-            except Exception:  # pragma: no cover - environment dependent
-                pass
-    for dst_slot, name in rings_out:
-        if dst_slot not in state.rings_out:
-            try:
-                state.rings_out[dst_slot] = ShmRing.attach(name)
-            except Exception:  # pragma: no cover - environment dependent
-                pass
+    for rings, specs in ((state.rings_in, rings_in), (state.rings_out, rings_out)):
+        for peer_slot, name in specs:
+            if peer_slot not in rings:
+                try:
+                    rings[peer_slot] = ShmRing.attach(name)
+                except Exception:  # pragma: no cover - environment dependent
+                    pass
     if barrier is not None and state.barrier is None:
         try:
             state.barrier = ShmRoundBarrier.attach(barrier[0], barrier[1])
@@ -448,7 +440,7 @@ def _sync_session_state(
     shared_init: "dict[str, Any]",
     store_updates: "list[tuple[str, tuple[str, ...] | None, int, bytes]]",
 ) -> _SessionState:
-    """Bring one session's resident state up to date (round and block ops).
+    """Bring one session's resident state up to date (the block op's first step).
 
     Ordering is the heart of the sync: (1) replay the previous barriers'
     merged deltas — the same ``(machine_id, delta)`` sequence, in the same
@@ -480,104 +472,6 @@ def _sync_session_state(
     return state
 
 
-def _session_run_round(
-    sessions: "dict[str, _SessionState]",
-    session_id: str,
-    new_programs: "dict[int, bytes]",
-    program_key: int,
-    replay: "list[tuple[int, list[tuple[str, Any]]]]",
-    shared_init: "dict[str, Any]",
-    store_updates: "list[tuple[str, tuple[str, ...] | None, int, bytes]]",
-    batch: "list[tuple[str, list[Message]]]",
-    routing: "dict[str, Any] | None" = None,
-) -> Any:
-    """Protocol op: sync resident state (:func:`_sync_session_state`), then run this slot's machines.
-
-    Without ``routing`` (the legacy shape) every send is recorded and
-    returned for driver-side replay.  With ``routing`` the *worker* routes:
-    same-slot sends land straight in this worker's pending map, cross-slot
-    sends ride the shm ring to the destination slot (pipe fallback on
-    overflow), and only per-pair word aggregates — plus the few frames that
-    could not be routed — return to the driver.  ``routing`` keys:
-
-    ``"epoch"``   the round index being executed (frames are keyed by it);
-    ``"slot"``    this worker's slot index;
-    ``"map"``     full ``{machine id: (index, slot)}`` routing map when the
-                  driver's map version moved, else ``None`` (keep current);
-    ``"forward"`` frames the driver is forwarding to this slot (pipe
-                  fallbacks of earlier rounds) to merge into pending;
-    ``"drop_inbox"`` the program declared ``reads_inbox=False`` — pending
-                  frames due this round are consumed *and discarded*,
-                  mirroring the driver-side drain of the shipped inboxes;
-    ``"funnel"``  hybrid mode for programs whose *sends* the driver reads
-                  (see ``ResidentSession._route_programs``): held frames
-                  are still served worker-locally into the inboxes, but
-                  the staged sends return on the reply in the legacy shape
-                  for driver-side replay instead of being routed.
-
-    Serving order restores the reference semantics exactly (see
-    :func:`_due_inbox`).
-    """
-    state = _sync_session_state(
-        sessions, session_id, new_programs, replay, shared_init, store_updates
-    )
-    program = state.programs[program_key]
-    prefixes = program.store_reads
-    if routing is None:
-        results: "list[tuple[str, list[tuple[str, str, Any, int]], Any]]" = []
-        for machine_id, packed_inbox in batch:
-            store = state.stores.get((machine_id, prefixes), _EMPTY_STORE)
-            ctx = _SizingMachineContext(machine_id, store)
-            delta = program.run(ctx, _unpack_inbox(packed_inbox), state.shared)
-            results.append((machine_id, ctx.sent, delta))
-        return results
-    return _run_routed(state, program, prefixes, batch, routing)
-
-
-def _run_routed(
-    state: _SessionState,
-    program: SuperstepProgram,
-    prefixes: "tuple[str, ...] | None",
-    batch: "list[tuple[str, Any]]",
-    routing: "dict[str, Any]",
-) -> tuple:
-    """The slot-routed half of :func:`_session_run_round` (see its docstring)."""
-    epoch = routing["epoch"]
-    new_map = routing.get("map")
-    if new_map is not None:
-        state.machine_slots = new_map
-    machine_slots = state.machine_slots
-    _ingest_rings(state)
-    pending = state.pending
-    for frame in routing["forward"]:
-        pending.setdefault(frame[4], []).append(frame)
-    drop_inbox = routing["drop_inbox"]
-    funnel = routing.get("funnel", False)
-
-    # Phase 1 — run every machine; nothing is routed until all succeed, so
-    # a program exception leaves no half-routed round behind.
-    deltas: "list[tuple[str, Any]]" = []
-    staged: "list[list[tuple]]" = []
-    funneled: "list[tuple[str, list[tuple[str, str, Any, int]], Any]]" = []
-    for machine_id, packed_inbox in batch:
-        inbox = _due_inbox(pending, machine_id, epoch, drop_inbox, packed_inbox)
-        store = state.stores.get((machine_id, prefixes), _EMPTY_STORE)
-        if funnel:
-            # Hybrid: the held frames above were served locally, but this
-            # program's sends go back to the driver in the legacy shape —
-            # the driver reads them before the next worker round could.
-            sctx = _SizingMachineContext(machine_id, store)
-            funneled.append((machine_id, sctx.sent, program.run(sctx, inbox, state.shared)))
-            continue
-        ctx = _RoutingMachineContext(machine_id, store, epoch, machine_slots[machine_id][0])
-        deltas.append((machine_id, program.run(ctx, inbox, state.shared)))
-        staged.append(ctx.sent)
-    if funnel:
-        return ("funneled", funneled)
-    # Phase 2 — commit: route every staged frame, return the accounting.
-    return ("routed", deltas, *_commit_frames(state, staged, routing["slot"]))
-
-
 def _session_run_block(
     sessions: "dict[str, _SessionState]",
     session_id: str,
@@ -588,38 +482,48 @@ def _session_run_block(
     batch: "list[tuple[str, Any]]",
     block: "dict[str, Any]",
 ) -> tuple:
-    """Protocol op: run a fused span of rounds without driver round trips.
+    """Protocol op: sync resident state, then run ``len(block["rounds"])`` rounds.
 
-    One sync (exactly :func:`_sync_session_state`), then up to
-    ``len(block["rounds"])`` consecutive rounds executed entirely inside
-    the worker.  Each round ``r`` (global epoch ``epoch0 + r``):
+    One sync (exactly :func:`_sync_session_state`), then K ≥ 1
+    consecutive rounds executed entirely inside the worker; a K = 1 block
+    is a plain superstep.  ``block`` keys: ``"epoch0"`` (the first round's
+    index — frames are keyed by it), ``"slot"`` (this worker's slot),
+    ``"map"`` (the full ``{machine id: (index, slot)}`` routing map when
+    the driver's copy moved, else ``None``), ``"forward"`` (pipe-fallback
+    frames of earlier rounds to merge into pending), ``"rounds"`` (one
+    ``(program key, drop_inbox, funnel)`` spec per round) and
+    ``"barrier"`` (``(base, participating slots)`` for a multi-slot block
+    of K ≥ 2, else ``None``).  Each round ``r`` (global epoch
+    ``epoch0 + r``):
 
     1. ingest the inbound rings and serve this round's *due* frames
        (``epoch < epoch0 + r``) in global sort order — round 0 also serves
        the driver-shipped inboxes, later rounds have none by construction
-       (the driver does no work between fused rounds);
+       (the driver does no work between fused rounds).  A ``drop_inbox``
+       program consumes its due frames unseen;
     2. run the machines — :class:`_RoutingMachineContext` for routed
        rounds, :class:`_SizingMachineContext` for a terminal *funnel*
-       round whose sends the driver reads;
+       round, whose sends return on the reply for the driver to stage;
     3. commit: same-slot frames to pending, cross-slot frames to the shm
-       rings; a ring overflow sets the *stop* flag — those frames need the
-       driver's pipe forward path, so the block must end at this boundary;
+       rings; a frame without a ring (overflow, or no rings attached) sets
+       the *stop* flag — it needs the driver's pipe forward path, so the
+       block must end at this boundary;
     4. self-apply this slot's own machines' deltas (``owner`` scope makes
        that sufficient; ``global``-scoped interior programs have no-op
-       applies) — except on the span's final round, whose deltas the
+       applies) — except on the block's final round, whose deltas the
        driver replays through the normal barrier instead.  Under
        ``REPRO_CHECK_CONTRACTS`` the apply runs against the same
        :func:`~repro.mpc.contract.checked_apply_view` the driver uses;
     5. announce ``base + r + 1`` on the round barrier (stop bit included)
        and wait for every participating peer — a peer's stop at exactly
        this boundary ends our block too, so all slots commit the same
-       number of rounds.  Single-slot sessions skip the barrier entirely.
+       number of rounds.  Blocks without a barrier wait on nothing.
 
     Returns ``("block", completed, per_round, stopped)`` where
-    ``per_round[r]`` is the exact per-round reply shape of
-    :func:`_session_run_round` (``("routed", ...)`` or
-    ``("funneled", ...)``), letting the driver rebuild every
-    :class:`RoundRecord` through the unfused finish paths.
+    ``per_round[r]`` is ``("routed", deltas, pairs, traffic, overflow,
+    fallback)`` (see :func:`_commit_frames`) or ``("funneled", [(machine
+    id, sends, delta), ...])``, letting the driver rebuild every
+    :class:`RoundRecord` round by round.
     """
     state = _sync_session_state(
         sessions, session_id, new_programs, replay, shared_init, store_updates
@@ -651,7 +555,6 @@ def _session_run_block(
     shared = state.shared
     last_round = len(rounds) - 1
     per_round: "list[tuple]" = []
-    completed = 0
     stopped = False
     for r, (program_key, drop_inbox, funnel) in enumerate(rounds):
         epoch = epoch0 + r
@@ -677,17 +580,12 @@ def _session_run_block(
             # A funnel round is always the span's terminal round: it stages
             # nothing worker-side, so there is no commit and no stop risk.
             per_round.append(("funneled", funneled))
-            completed = r + 1
-            if barrier is not None:
-                barrier.announce(my_slot, base + r + 1)
-            break
-        pairs, traffic, overflow, fallback = _commit_frames(state, staged, my_slot)
-        per_round.append(("routed", deltas, pairs, traffic, overflow, fallback))
-        completed = r + 1
-        if overflow:
+        else:
+            pairs, traffic, overflow, fallback = _commit_frames(state, staged, my_slot)
+            per_round.append(("routed", deltas, pairs, traffic, overflow, fallback))
             # Overflowed frames need the driver's pipe forward path before
             # their consuming round — the block ends at this boundary.
-            stopped = True
+            stopped = bool(overflow)
         if r < last_round:
             # Interior rounds self-apply this slot's own deltas so the next
             # round's runs read current owned state; the final round leaves
@@ -704,7 +602,7 @@ def _session_run_block(
                     stopped = True  # a peer ended the block at this boundary
         if stopped:
             break
-    return ("block", completed, per_round, stopped)
+    return ("block", len(per_round), per_round, stopped)
 
 
 def _session_close(sessions: "dict[str, _SessionState]", session_id: str) -> bool:
@@ -730,7 +628,6 @@ def _worker_main(conn: "Connection") -> None:
     ops = {
         "open": _session_open,
         "attach_shm": _session_attach_shm,
-        "round": _session_run_round,
         "run_block": _session_run_block,
         "flush": _session_flush,
         "close": _session_close,
@@ -738,12 +635,12 @@ def _worker_main(conn: "Connection") -> None:
     }
     while True:
         try:
-            request = _decode(conn.recv_bytes())
+            request = decode_obj(conn.recv_bytes())
         except (EOFError, OSError):
             return
         if request[0] == "stop":
             try:
-                conn.send_bytes(_encode(("ok", True)))
+                conn.send_bytes(encode_obj(("ok", True)))
             except (BrokenPipeError, OSError):
                 pass  # driver already closed its end; exit cleanly anyway
             return
@@ -752,10 +649,10 @@ def _worker_main(conn: "Connection") -> None:
         except BaseException as exc:  # noqa: BLE001 - shipped to the driver
             result = ("err", exc)
         try:
-            blob = _encode(result)
+            blob = encode_obj(result)
         except Exception:  # unserializable result/exception: keep the
             # original diagnostic (its repr), not the encoder's complaint
-            blob = _encode(("err", RuntimeError(f"unserializable worker {result[0]}: {result[1]!r}")))
+            blob = encode_obj(("err", RuntimeError(f"unserializable worker {result[0]}: {result[1]!r}")))
         conn.send_bytes(blob)
 
 
@@ -796,13 +693,13 @@ class _SlotWorker:
     def request(self, op: tuple) -> None:
         """Pipeline one protocol request (reply collected by :meth:`reply`)."""
         try:
-            self.conn.send_bytes(_encode(op))
+            self.conn.send_bytes(encode_obj(op))
         except (BrokenPipeError, OSError) as exc:
             raise ResidentWorkerError(f"resident worker slot {self.index} died") from exc
 
     def reply(self) -> Any:
         try:
-            status, value = _decode(self.conn.recv_bytes())
+            status, value = decode_obj(self.conn.recv_bytes())
         except (EOFError, OSError) as exc:
             raise ResidentWorkerError(f"resident worker slot {self.index} died") from exc
         if status == "err":
@@ -835,7 +732,7 @@ class _SlotWorker:
 
     def stop(self) -> None:
         try:
-            self.conn.send_bytes(_encode(("stop",)))
+            self.conn.send_bytes(encode_obj(("stop",)))
             self.conn.close()
         except OSError:
             pass
@@ -941,16 +838,8 @@ class _SlotState:
         exactly like a first participation.  The replay backlog is dropped
         because the fresh snapshots already contain those merged deltas.
         """
-        self.opened = False
+        self.__init__()
         self.worker_generation = generation
-        self.resident_keys.clear()
-        self.dirty.clear()
-        self.pending.clear()
-        self.shipped_programs.clear()
-        self.store_versions.clear()
-        self.map_version = -1
-        self.rings_attached = False
-        self.barrier_attached = False
 
 
 class ResidentSession(ExecutionSession):
@@ -970,8 +859,8 @@ class ResidentSession(ExecutionSession):
         self._program_keys: dict[int, int] = {}
         #: program key -> (program, pickled blob)
         self._programs: dict[int, tuple[SuperstepProgram, bytes]] = {}
-        #: resident rounds that actually crossed the process boundary (the
-        #: ``driver_local`` aggregation steps run inline and do not count)
+        #: resident rounds that actually crossed the process boundary
+        #: (rounds the driver runs itself do not count)
         self.worker_rounds = 0
         self._broken = False
         # ---- slot-local routing state -------------------------------------
@@ -984,23 +873,11 @@ class ResidentSession(ExecutionSession):
         #: slot's worker — who to ask when the driver needs an inbox whole
         self._remote_pending: "list[set[str]]" = [set() for _ in range(slots)]
         #: per slot: pipe-fallback frames the driver forwards with that
-        #: slot's next round request (ring overflow takes this path)
+        #: slot's next block request (ring overflow takes this path)
         self._forward: "list[list[tuple]]" = [[] for _ in range(slots)]
         #: union of receivers with any worker- or driver-held routed frame
         self._pending_ids: set[str] = set()
-        #: program keys whose frames are currently held away from the driver
-        #: — the blame set when a driver-side read forces a flush
-        self._pending_keys: set[int] = set()
-        #: program key -> False once its routed frames were flushed back for
-        #: a driver-side read.  Routing such a program's sends away from the
-        #: driver is pure loss — the bodies cross the pipe *twice* (stage at
-        #: the worker, then the flush round trip) instead of riding the
-        #: round reply once — so the session adapts: the first wasted round
-        #: pays the lesson and every later round of that program takes the
-        #: legacy funnel.  Worker-consumed programs (the common superstep
-        #: shape) are never flushed and stay routed for the whole session.
-        self._route_programs: dict[int, bool] = {}
-        #: True while round requests are being built under the slot locks —
+        #: True while block requests are being built under the slot locks —
         #: the drain() hook must not re-enter the workers then
         self._suppress_sync = False
         #: cross-slot shm rings as a [src][dst] matrix; ``None`` = not
@@ -1008,9 +885,9 @@ class ResidentSession(ExecutionSession):
         self._rings: "list[list[ShmRing | None]] | None" = None
         # ---- fused round blocks -------------------------------------------
         #: the shm round barrier multi-slot fused blocks synchronize on;
-        #: created lazily on the first fused attempt
+        #: created lazily by the first one
         self._barrier: "ShmRoundBarrier | None" = None
-        #: barrier creation failed (shm unavailable) — stop trying to fuse
+        #: barrier creation failed (shm unavailable) — every block is K = 1
         self._barrier_failed = False
         #: monotone barrier count base across this session's fused blocks —
         #: a cell left stopped by one block then reads as *behind* every
@@ -1056,8 +933,7 @@ class ResidentSession(ExecutionSession):
         """What one slot needs before it runs ``programs``: only what is new or stale.
 
         Returns ``(new_programs, replay, shared_init, store_updates,
-        batch)`` — the sync arguments of the ``round`` and ``run_block``
-        ops.  Programs, shared keys and store snapshots are the union over
+        batch)`` — the sync arguments of the ``run_block`` op.  Programs, shared keys and store snapshots are the union over
         ``programs``; the inbox batch belongs to the first of them.
         """
         backend = self.backend
@@ -1115,7 +991,7 @@ class ResidentSession(ExecutionSession):
                         slot.store_versions[store_key] = version
 
         if programs[0].reads_inbox:
-            batch = [(machine.machine_id, _pack_inbox(machine.drain())) for machine in machines]
+            batch = [(machine.machine_id, pack_inbox(machine.drain())) for machine in machines]
         else:
             # The program never looks at its inbox: drain driver-side (the
             # consumed-inbox semantics stand) and ship empty ones.
@@ -1125,20 +1001,6 @@ class ResidentSession(ExecutionSession):
                 batch.append((machine.machine_id, ()))
         slot.shipped_programs.update(new_programs)
         return new_programs, replay, shared_init, store_updates, batch
-
-    def _round_request(
-        self,
-        slot: _SlotState,
-        program: SuperstepProgram,
-        program_key: int,
-        machines: "list[Machine]",
-        shared: "dict[str, Any]",
-    ) -> tuple:
-        """Assemble one slot's ``round`` request."""
-        new_programs, replay, shared_init, store_updates, batch = self._sync_payload(
-            slot, [program], [program_key], machines, shared
-        )
-        return ("round", self.session_id, new_programs, program_key, replay, shared_init, store_updates, batch)
 
     def _queue_replay(
         self, program: SuperstepProgram, program_key: int, pairs: "list[tuple[Machine, Any]]"
@@ -1169,6 +1031,7 @@ class ResidentSession(ExecutionSession):
         for slot in self._slots:
             slot.pending.append((program_key, entries))
 
+    # ------------------------------------------------------------------ blocks
     def run_round(
         self,
         cluster: "Cluster",
@@ -1176,80 +1039,186 @@ class ResidentSession(ExecutionSession):
         targets: "list[Machine]",
         shared: "dict[str, Any]",
     ) -> "RoundRecord":
-        """One resident superstep: deltas in, sends/deltas out, same barrier."""
-        program_key = self._program_key(program)
+        """One resident superstep: a block of K = 1."""
+        return self._run_span(cluster, [program], targets, shared)[0]
 
-        if program.driver_local:
-            # Declared-cheap aggregation step: run it where the inboxes
-            # already live instead of shipping them over the pipe.  Same
-            # sequential strategy, same barrier; the deltas still queue for
-            # worker-side replay so resident shared copies stay in sync.
-            deltas = []
-            for machine in targets:
-                deltas.append(program.run(LiveMachineContext(machine), machine.drain(), shared))
-            for machine, delta in zip(targets, deltas):
-                program.apply(shared, machine.machine_id, delta)
-            self._queue_replay(program, program_key, list(zip(targets, deltas)))
-            self.rounds_run += 1
-            self.backend.last_superstep_mode = "resident-inline"
-            return cluster.exchange()
+    def run_block(
+        self,
+        cluster: "Cluster",
+        programs: "list[SuperstepProgram]",
+        targets: "list[Machine]",
+        shared: "dict[str, Any]",
+    ) -> "list[RoundRecord]":
+        """Run a program span as consecutive round blocks (see :meth:`_run_span`)."""
+        return self._run_span(cluster, programs, targets, shared)
 
+    def _run_span(
+        self,
+        cluster: "Cluster",
+        programs: "list[SuperstepProgram]",
+        targets: "list[Machine]",
+        shared: "dict[str, Any]",
+    ) -> "list[RoundRecord]":
+        """Segment a span into blocks and run them, one driver round trip each.
+
+        Segmentation is static — from the programs' contract declarations
+        (:meth:`_fusable_span`) — and greedy: the longest fusable prefix at
+        each position ships as one block, a position that cannot fuse as a
+        block of K = 1, and a block stopped early by a ring overflow resumes
+        with the next block at the first round it did not run.  Rounds that
+        cannot be routed run in the driver (:meth:`_run_in_driver`); a
+        broken session falls back to ``fast``'s sequential superstep.
+        """
+        records: "list[RoundRecord]" = []
+        i = 0
+        while i < len(programs):
+            if self._broken:
+                records.append(FastBackend.run_superstep(self.backend, cluster, programs[i], targets, shared))
+                i += 1
+            elif cluster.ledger.record_policy is None or self.transport.has_staged():
+                records.append(self._run_in_driver(cluster, programs[i], targets, shared))
+                i += 1
+            else:
+                block = self._run_block(cluster, programs[i : i + self._fusable_span(programs, i)], targets, shared)
+                records.extend(block)
+                i += len(block)
+        return records
+
+    def _fusable_span(self, programs: "list[SuperstepProgram]", start: int) -> int:
+        """Length of the block starting at ``start``: ``interior* terminal?``, at least 1.
+
+        Interior rounds are worker-drivable by declaration
+        (:func:`fusable_interior`); one driver-read phase may end the block
+        as its terminal round (:func:`fusable_terminal`).
+        """
+        count = len(programs)
+        end = start
+        while end < count and fusable_interior(programs[end]):
+            end += 1
+        if end < count and fusable_terminal(programs[end]):
+            end += 1
+        return max(1, end - start)
+
+    def _run_in_driver(
+        self,
+        cluster: "Cluster",
+        program: SuperstepProgram,
+        targets: "list[Machine]",
+        shared: "dict[str, Any]",
+    ) -> "RoundRecord":
+        """One round the workers cannot route, run where the driver's inboxes live.
+
+        A hand-assigned record factory must see real :class:`Message`
+        streams, and driver-staged sends must not interleave with
+        worker-routed frames mid-round — so every worker-held frame comes
+        home first, then the round runs in the driver with the usual
+        barrier.  The deltas still queue for worker-side replay, so the
+        resident shared copies stay in sync for the next block.
+        """
+        self._flush_all()
+        deltas = [program.run(LiveMachineContext(machine), machine.drain(), shared) for machine in targets]
+        for machine, delta in zip(targets, deltas):
+            program.apply(shared, machine.machine_id, delta)
+        self._queue_replay(program, self._program_key(program), list(zip(targets, deltas)))
+        self.rounds_run += 1
+        return cluster.exchange()
+
+    def _block_request(
+        self,
+        slot_index: int,
+        programs: "list[SuperstepProgram]",
+        program_keys: "list[int]",
+        machines: "list[Machine]",
+        shared: "dict[str, Any]",
+        block: "dict[str, Any]",
+    ) -> tuple:
+        """Assemble one slot's ``run_block`` request.
+
+        The sync payload covers the whole block (:meth:`_sync_payload`):
+        the inbox batch belongs to round 0 because later rounds have worker
+        frames only — the driver does no work in between.  ``block`` holds
+        the slot-independent keys (first epoch, per-round specs, barrier);
+        this slot's routing update and forwarded frames join them.
+        """
+        slot = self._slots[slot_index]
+        sync = self._sync_payload(slot, programs, program_keys, machines, shared)
+        map_update = None
+        if slot.map_version != self._map_version:
+            map_update = self._machine_info
+            slot.map_version = self._map_version
+        forward = self._forward[slot_index]
+        if forward:
+            self._forward[slot_index] = []
+            rp = self._remote_pending[slot_index]
+            for frame in forward:
+                rp.add(frame[4])
+        return (
+            "run_block",
+            self.session_id,
+            *sync,
+            {**block, "slot": slot_index, "map": map_update, "forward": forward},
+        )
+
+    def _run_block(
+        self,
+        cluster: "Cluster",
+        programs: "list[SuperstepProgram]",
+        targets: "list[Machine]",
+        shared: "dict[str, Any]",
+    ) -> "list[RoundRecord]":
+        """One block: one pipe round trip for up to ``len(programs)`` rounds.
+
+        Returns the delivered records — fewer than requested when a ring
+        overflow stopped the block early, and only the first when a
+        multi-slot block has no shm rings or barrier to synchronize on.
+        The finish loop replays each completed round through the routed or
+        funneled merge path, in order, so records, deltas and traffic are
+        bit-identical to every other backend's rounds.
+        """
         ledger = cluster.ledger
-        # Slot-local routing needs the transport's fused (factory-bypassing)
-        # delivery path — a hand-customised record factory must see real
-        # Message streams, and driver-staged sends must not interleave with
-        # worker-routed frames mid-round.  Programs whose sends a driver-side
-        # read previously pulled back (see _route_programs) funnel their
-        # *sends*; frames other programs left at the workers are still served
-        # worker-locally (hybrid "funnel" rounds) when this batch covers
-        # every pending receiver — otherwise exchange delivery behind the
-        # round could slip younger messages into driver inboxes ahead of
-        # older worker-held frames, and we must flush first instead.
-        can_route = ledger.record_policy is not None and not self.transport.has_staged()
-        # The adaptive lesson (_route_programs) wins when learned; otherwise
-        # a declared ``driver_reads_sends=True`` skips the wasted
-        # route-then-flush first round and funnels immediately.
-        route_sends = can_route and self._route_programs.get(
-            program_key, program.driver_reads_sends is not True
-        )
-        funnel = (
-            can_route
-            and not route_sends
-            and bool(self._pending_ids)
-            and self._pending_ids <= {m.machine_id for m in targets}
-        )
-        routed = route_sends or funnel
-        if not routed and (self._pending_ids or any(self._forward)):
-            # Downgrading to the legacy path this round: every worker-held
-            # frame must reach its driver inbox before the batch drains it.
-            self._flush_all()
-
         by_slot: "dict[int, list[Machine]]" = {}
         for machine in targets:
             by_slot.setdefault(self._slot_of(machine), []).append(machine)
+        participating = sorted(by_slot)
+        self._refresh_machine_info()
+        if self.slot_count > 1 and not all(program.driver_reads_sends for program in programs):
+            self._ensure_rings()
+        barrier_spec: "tuple[int, list[int]] | None" = None
+        if len(programs) > 1 and len(participating) > 1:
+            if self._rings and self._barrier is None and not self._barrier_failed:
+                try:
+                    self._barrier = ShmRoundBarrier.create(self.slot_count)
+                except Exception:  # pragma: no cover - shm unavailable
+                    self._barrier_failed = True
+            if self._rings and self._barrier is not None:
+                barrier_spec = (self._barrier_base, participating)
+            else:
+                programs = programs[:1]  # nothing to synchronize on: K = 1
 
-        epoch = ledger.next_round_index
-        if routed:
-            self._refresh_machine_info()
-            if route_sends and self.slot_count > 1 and self._rings is None:
-                self._ensure_rings()
+        program_keys = [self._program_key(program) for program in programs]
+        # Per-round worker specs: (program key, drop_inbox, funnel).  Only a
+        # driver-read program funnels, and only as the block's last round.
+        specs = [
+            (key, not program.reads_inbox, program.driver_reads_sends)
+            for key, program in zip(program_keys, programs)
+        ]
+        block = {"epoch0": ledger.next_round_index, "rounds": specs, "barrier": barrier_spec}
 
         # Lock the participating slot workers (in slot order — globally
         # consistent, so concurrent drivers cannot deadlock) for the whole
         # request→reply group: workers are process-wide and their pipes are
         # strictly request/reply aligned, so another thread's traffic must
-        # not interleave with this round's.
-        slot_workers = [(slot_index, _slot_worker(slot_index)) for slot_index in sorted(by_slot)]
+        # not interleave with this block's.
+        slot_workers = [(slot_index, _slot_worker(slot_index)) for slot_index in participating]
         for _, worker in slot_workers:
             worker.lock.acquire()
         self._suppress_sync = True
+        block_replies: "dict[int, tuple]" = {}
         try:
-            # Pipeline phase: every slot gets its request before any reply
+            # Pipeline phase: every slot gets its requests before any reply
             # is awaited, so worker execution overlaps across slots.  Any
-            # failure in here aborts the round: every already-pipelined
-            # request is drained (its worker still replies once per
-            # request) and the session stops claiming residency — its
-            # bookkeeping may no longer match what the workers hold.
+            # failure in here aborts the block: every already-pipelined
+            # request is drained and the session stops claiming residency.
             # Entries join ``active`` before their first send, so the abort
             # path sees every request that could have reached a pipe.
             active: "list[list]" = []  # [slot_index, worker, sent count]
@@ -1261,13 +1230,13 @@ class ResidentSession(ExecutionSession):
                         rp = self._remote_pending[slot_index]
                         if rp:
                             # The old process held undelivered routed frames.
-                            # Recoverable only when this very round would
-                            # have *discarded* every one of them anyway:
+                            # Recoverable only when this block's first round
+                            # would have *discarded* every one of them anyway:
                             # the program drops its inbox and every pending
                             # receiver participates (held frames are always
                             # due by the receiver's next round).
                             participants = {m.machine_id for m in by_slot[slot_index]}
-                            if not program.reads_inbox and rp <= participants:
+                            if not programs[0].reads_inbox and rp <= participants:
                                 rp.clear()
                             else:
                                 raise ResidentWorkerError(
@@ -1277,346 +1246,22 @@ class ResidentSession(ExecutionSession):
                         # the slot's process was (re)spawned underneath
                         # this session: nothing previously shipped survives
                         slot.reset_for(worker.generation)
-                    request = self._round_request(slot, program, program_key, by_slot[slot_index], shared)
-                    if routed:
-                        request = request + (
-                            self._routing_payload(slot_index, slot, epoch, program, funnel),
-                        )
-                        rp = self._remote_pending[slot_index]
-                        if rp:
-                            # this round's batch consumes the due frames the
-                            # slot holds for its participating machines
-                            for machine in by_slot[slot_index]:
-                                rp.discard(machine.machine_id)
-                    entry = [slot_index, worker, 0]
-                    active.append(entry)
-                    if not slot.opened:
-                        worker.request(("open", self.session_id))
-                        entry[2] += 1
-                        slot.opened = True
-                    if routed and self._rings and not slot.rings_attached:
-                        worker.request(
-                            (
-                                "attach_shm",
-                                self.session_id,
-                                self._ring_specs(slot_index, "in"),
-                                self._ring_specs(slot_index, "out"),
-                            )
-                        )
-                        entry[2] += 1
-                        slot.rings_attached = True
-                    worker.request(request)
-                    entry[2] += 1
-            except BaseException as exc:
-                if isinstance(exc, ResidentWorkerError) and worker is not None:
-                    _evict_slot_worker(slot_index, worker)
-                self._abort_round(active)
-                raise
-
-            # Deterministic merge barrier: join every slot (lowest slot's
-            # error wins), then merge in target order — as every backend.
-            results: "dict[str, tuple[list[tuple[str, str, Any]], Any]]" = {}
-            slot_replies: "list[tuple[int, tuple]]" = []
-            error: BaseException | None = None
-            for slot_index, worker, expected in active:
-                value: Any = None
-                failed = False
-                for _ in range(expected):
-                    try:
-                        value = worker.reply()
-                    except ResidentWorkerError as exc:
-                        self._mark_broken(slot_index, worker)
-                        if error is None:
-                            error = exc
-                        failed = True
-                        break
-                    except BaseException as exc:  # noqa: BLE001 - worker raised
-                        if error is None:
-                            error = exc
-                        failed = True
-                        # keep draining the remaining replies so the pipe
-                        # stays request/reply aligned for the next superstep
-                if not failed:
-                    if routed:
-                        slot_replies.append((slot_index, value))
-                    else:
-                        for machine_id, sent, delta in value:
-                            results[machine_id] = (sent, delta)
-            if error is not None:
-                if routed:
-                    # slots that did run already committed their frames;
-                    # driver and worker pending views may now diverge
-                    self._broken = True
-                raise error
-        finally:
-            self._suppress_sync = False
-            for _, worker in slot_workers:
-                worker.lock.release()
-
-        # One pipe round trip happened for this superstep (fused blocks pay
-        # one per whole block instead — the counter the fusion win shows up in).
-        ledger.driver_round_trips += 1
-        if route_sends:
-            return self._finish_routed_round(
-                cluster, program, program_key, targets, shared, slot_replies
-            )
-        if funnel:
-            # Hybrid round: every worker-held frame was consumed in place
-            # (the gate required pending ⊆ targets), and the sends come
-            # back in the legacy shape for driver-side replay below.
-            for _slot_index, value in slot_replies:
-                if not (isinstance(value, tuple) and len(value) == 2 and value[0] == "funneled"):
-                    self._broken = True
-                    raise ResidentWorkerError(
-                        "resident worker returned a malformed funneled-round reply"
-                    )
-                for machine_id, sent, delta in value[1]:
-                    results[machine_id] = (sent, delta)
-            self._recompute_pending_ids()
-            if not self._pending_ids:
-                self._pending_keys = set()
-        return self._finish_replayed_round(cluster, program, program_key, targets, shared, results)
-
-    def _finish_replayed_round(
-        self,
-        cluster: "Cluster",
-        program: SuperstepProgram,
-        program_key: int,
-        targets: "list[Machine]",
-        shared: "dict[str, Any]",
-        results: "dict[str, tuple[list[tuple[str, str, Any, int]], Any]]",
-    ) -> "RoundRecord":
-        """Finish a legacy/funnel round: driver-side replay, apply, exchange.
-
-        Bulk replay: workers already sized every send with the exact sizer
-        the transport charges (fast_word_size), so the staged messages are
-        constructed directly — content, order and charged words identical
-        to Machine.send staging them one by one.
-        """
-        transport = self.transport
-        for machine in targets:
-            sent = results[machine.machine_id][0]
-            if sent:
-                sender = machine.machine_id
-                outbox = machine.outbox
-                for receiver, tag, payload, words in sent:
-                    outbox.append(
-                        Message(sender=sender, receiver=receiver, tag=tag, payload=payload, words=words)
-                    )
-                transport.note_staged(machine)
-        for machine in targets:
-            program.apply(shared, machine.machine_id, results[machine.machine_id][1])
-        self._queue_replay(
-            program, program_key, [(m, results[m.machine_id][1]) for m in targets]
-        )
-        self.rounds_run += 1
-        self.worker_rounds += 1
-        self.backend.last_superstep_mode = "resident"
-        return cluster.exchange()
-
-    # ------------------------------------------------------------ fused blocks
-    def run_block(
-        self,
-        cluster: "Cluster",
-        programs: "list[SuperstepProgram]",
-        targets: "list[Machine]",
-        shared: "dict[str, Any]",
-    ) -> "list[RoundRecord]":
-        """Run a program span, fusing maximal worker-drivable sub-spans.
-
-        Segmentation is static — from the programs' contract declarations
-        (:func:`fusable_interior` / :func:`fusable_terminal`) capped by
-        ``DMPCConfig.fuse_rounds`` — and greedy: the longest eligible
-        prefix at each position ships as one ``run_block``; everything
-        else (including a mid-block stop's remainder) runs unfused through
-        :meth:`run_round`, so the delivered rounds are bit-identical either
-        way.
-        """
-        records: "list[RoundRecord]" = []
-        i = 0
-        count = len(programs)
-        while i < count:
-            span = 0 if self._broken else self._fusable_span(programs, i)
-            if span >= 2:
-                fused = self._run_fused(cluster, programs[i : i + span], targets, shared)
-                if fused:
-                    records.extend(fused)
-                    i += len(fused)
-                    continue
-            # Not fusable here (or fusion unavailable): one unfused round.
-            # Going through the backend re-checks the session gate, so a
-            # mid-block breakage falls back to the sequential path cleanly.
-            records.append(self.backend.run_superstep(cluster, programs[i], targets, shared))
-            i += 1
-        return records
-
-    def _fusable_span(self, programs: "list[SuperstepProgram]", start: int) -> int:
-        """Length of the longest fusable span at ``start`` (0 = don't fuse).
-
-        A span is ``interior* terminal?``: interior rounds are worker-
-        drivable by declaration *and* not runtime-demoted to the funnel
-        path; one driver-read (or demoted) phase may end the span as its
-        terminal round.
-        """
-        limit = resolve_fuse_rounds(self.cluster.config.fuse_rounds)
-        if limit == 0:
-            return 0
-        cap = len(programs) - start
-        if limit is not None:
-            cap = min(cap, limit)
-        span = 0
-        while span < cap:
-            program = programs[start + span]
-            routed = self._route_programs.get(
-                self._program_key(program), program.driver_reads_sends is not True
-            )
-            if fusable_interior(program) and routed:
-                span += 1
-                continue
-            if fusable_terminal(program) and (program.driver_reads_sends is True or routed):
-                span += 1  # a driver-read phase can end the block
-            break
-        return span
-
-    def _block_request(
-        self,
-        slot: _SlotState,
-        slot_index: int,
-        programs: "list[SuperstepProgram]",
-        program_keys: "list[int]",
-        specs: "list[tuple[int, bool, bool]]",
-        machines: "list[Machine]",
-        shared: "dict[str, Any]",
-        epoch0: int,
-        barrier_spec: "tuple[int, list[int]] | None",
-    ) -> tuple:
-        """Assemble one slot's ``run_block`` request (cf. :meth:`_round_request`).
-
-        The sync payload covers the whole span (:meth:`_sync_payload`): the
-        inbox batch belongs to round 0 because later rounds have worker
-        frames only — the driver does no work in between — and the block
-        payload carries the per-round specs plus the barrier base.
-        """
-        sync = self._sync_payload(slot, programs, program_keys, machines, shared)
-        map_update, forward = self._routing_update(slot_index, slot)
-        block = {
-            "epoch0": epoch0,
-            "slot": slot_index,
-            "map": map_update,
-            "forward": forward,
-            "rounds": specs,
-            "barrier": barrier_spec,
-        }
-        return ("run_block", self.session_id, *sync, block)
-
-    def _run_fused(
-        self,
-        cluster: "Cluster",
-        programs: "list[SuperstepProgram]",
-        targets: "list[Machine]",
-        shared: "dict[str, Any]",
-    ) -> "list[RoundRecord] | None":
-        """One fused block: one pipe round trip for up to ``len(programs)`` rounds.
-
-        Returns the delivered records (possibly fewer than requested when a
-        ring overflow stopped the block early), or ``None`` when fusion is
-        unavailable right now (staged driver sends, no accounting policy,
-        shm rings/barrier unavailable) — the caller then runs the span
-        unfused.  The finish loop replays each completed round through the
-        exact unfused merge paths, so records, deltas and traffic are
-        bit-identical to per-round execution.
-        """
-        ledger = cluster.ledger
-        if ledger.record_policy is None or self.transport.has_staged():
-            return None
-        by_slot: "dict[int, list[Machine]]" = {}
-        for machine in targets:
-            by_slot.setdefault(self._slot_of(machine), []).append(machine)
-        participating = sorted(by_slot)
-        multi = len(participating) > 1
-        self._refresh_machine_info()
-        if multi:
-            if self._rings is None:
-                self._ensure_rings()
-            if not self._rings:
-                return None  # no shm: every round would need the pipe anyway
-            if self._barrier is None and not self._barrier_failed:
-                try:
-                    self._barrier = ShmRoundBarrier.create(self.slot_count)
-                except Exception:  # pragma: no cover - shm unavailable
-                    self._barrier_failed = True
-            if self._barrier is None:
-                return None
-
-        program_keys = [self._program_key(program) for program in programs]
-        # Per-round worker specs: (program key, drop_inbox, funnel).  Only a
-        # declared driver-read terminal funnels; demoted-but-declared-False
-        # programs never enter a span (see _fusable_span).
-        specs = [
-            (key, not program.reads_inbox, program.driver_reads_sends is True)
-            for key, program in zip(program_keys, programs)
-        ]
-        epoch0 = ledger.next_round_index
-        base = self._barrier_base
-
-        slot_workers = [(slot_index, _slot_worker(slot_index)) for slot_index in participating]
-        for _, worker in slot_workers:
-            worker.lock.acquire()
-        self._suppress_sync = True
-        block_replies: "dict[int, tuple]" = {}
-        try:
-            active: "list[list]" = []
-            slot_index, worker = -1, None
-            try:
-                for slot_index, worker in slot_workers:
-                    slot = self._slots[slot_index]
-                    if slot.worker_generation != worker.generation:
-                        if self._remote_pending[slot_index]:
-                            raise ResidentWorkerError(
-                                f"resident worker slot {slot_index} was respawned "
-                                f"while holding undelivered slot-routed messages"
-                            )
-                        slot.reset_for(worker.generation)
                     request = self._block_request(
-                        slot,
-                        slot_index,
-                        programs,
-                        program_keys,
-                        specs,
-                        by_slot[slot_index],
-                        shared,
-                        epoch0,
-                        (base, participating) if multi else None,
+                        slot_index, programs, program_keys, by_slot[slot_index], shared, block
                     )
                     entry = [slot_index, worker, 0]
                     active.append(entry)
-                    if not slot.opened:
-                        worker.request(("open", self.session_id))
+                    for op in (*self._setup_ops(slot, slot_index, barrier_spec is not None), request):
+                        worker.request(op)
                         entry[2] += 1
-                        slot.opened = True
-                    if multi and (
-                        (self._rings and not slot.rings_attached) or not slot.barrier_attached
-                    ):
-                        worker.request(
-                            (
-                                "attach_shm",
-                                self.session_id,
-                                self._ring_specs(slot_index, "in"),
-                                self._ring_specs(slot_index, "out"),
-                                (self._barrier.name, self.slot_count),
-                            )
-                        )
-                        entry[2] += 1
-                        slot.rings_attached = True
-                        slot.barrier_attached = True
-                    worker.request(request)
-                    entry[2] += 1
             except BaseException as exc:
                 if isinstance(exc, ResidentWorkerError) and worker is not None:
                     _evict_slot_worker(slot_index, worker)
                 self._abort_round(active)
                 raise
 
+            # Join every slot (lowest slot's error wins), draining every
+            # reply so the pipes stay request/reply aligned.
             error: "BaseException | None" = None
             for slot_index, worker, expected in active:
                 value: Any = None
@@ -1637,7 +1282,7 @@ class ResidentSession(ExecutionSession):
                 if not failed:
                     block_replies[slot_index] = value
             if error is not None:
-                # slots that did run already committed fused rounds;
+                # slots that did run already committed their rounds;
                 # driver and worker views have diverged
                 self._broken = True
                 raise error
@@ -1646,82 +1291,113 @@ class ResidentSession(ExecutionSession):
             for _, worker in slot_workers:
                 worker.lock.release()
 
-        # Validate: every slot speaks the block protocol and committed
-        # the same number of rounds (the barrier's stop-bit guarantee).
+        # Validate: every slot speaks the block protocol, round by round,
+        # and committed the same number of rounds (the barrier's stop-bit
+        # guarantee).
+        kinds = ["funneled" if spec[2] else "routed" for spec in specs]
         completed: "int | None" = None
         for slot_index, value in sorted(block_replies.items()):
-            if not (isinstance(value, tuple) and len(value) == 4 and value[0] == "block"):
+            if not (
+                isinstance(value, tuple)
+                and len(value) == 4
+                and value[0] == "block"
+                and [entry[0] for entry in value[2]] == kinds[: value[1]]
+            ):
                 self._broken = True
                 raise ResidentWorkerError(
-                    f"resident worker slot {slot_index} replied out of protocol "
-                    f"to a fused block request"
+                    f"resident worker slot {slot_index} replied out of protocol to a block request"
                 )
             if completed is None:
                 completed = value[1]
             elif value[1] != completed:
                 self._broken = True
                 raise ResidentWorkerError(
-                    f"resident worker slots disagree on fused rounds completed "
+                    f"resident worker slots disagree on block rounds completed "
                     f"({completed} vs {value[1]} at slot {slot_index})"
                 )
         assert completed is not None and completed >= 1
-        if multi:
-            self._barrier_base = base + completed
+        if barrier_spec is not None:
+            self._barrier_base += completed
 
-        # Finish loop: replay each completed round through the exact
-        # unfused merge paths, in order — deposit-then-exchange per
-        # round rebuilds every RoundRecord bit-identically.
+        # Finish loop: each completed round, in order — deposit-then-
+        # exchange per round rebuilds every RoundRecord bit-identically.
         per_slot_rounds = {si: value[2] for si, value in block_replies.items()}
         records: "list[RoundRecord]" = []
         for r in range(completed):
-            program = programs[r]
-            program_key = program_keys[r]
-            funnel = specs[r][2]
             # This round's batch consumed the due frames each slot held
-            # for its participating machines (same bookkeeping run_round
-            # does at request-build time, replayed here per round).
+            # for its participating machines.
             for si in participating:
                 rp = self._remote_pending[si]
                 if rp:
                     for machine in by_slot[si]:
                         rp.discard(machine.machine_id)
-            entries = [(si, per_slot_rounds[si][r]) for si in participating]
-            if funnel:
-                results: "dict[str, tuple[list, Any]]" = {}
-                for si, entry in entries:
-                    if not (isinstance(entry, tuple) and len(entry) == 2 and entry[0] == "funneled"):
-                        self._broken = True
-                        raise ResidentWorkerError(
-                            "resident worker returned a malformed funneled round "
-                            "inside a fused block"
-                        )
-                    for machine_id, sent, delta in entry[1]:
-                        results[machine_id] = (sent, delta)
-                self._recompute_pending_ids()
-                if not self._pending_ids:
-                    self._pending_keys = set()
+            entries = [per_slot_rounds[si][r] for si in participating]
+            if specs[r][2]:
                 records.append(
-                    self._finish_replayed_round(cluster, program, program_key, targets, shared, results)
+                    self._finish_funneled_round(cluster, programs[r], program_keys[r], targets, shared, entries)
                 )
             else:
-                # Workers self-applied every round but the span's final
+                # Workers self-applied every round but the block's final
                 # one (same deterministic formula both sides) — queueing
                 # those for replay would double-apply at the owner slot.
                 records.append(
                     self._finish_routed_round(
                         cluster,
-                        program,
-                        program_key,
+                        programs[r],
+                        program_keys[r],
                         targets,
                         shared,
                         entries,
                         queue_replay=(r == len(specs) - 1),
                     )
                 )
-        ledger.fused_rounds += completed
+        if len(specs) > 1:
+            ledger.fused_rounds += completed
         ledger.driver_round_trips += 1
-        self.backend.last_superstep_mode = "resident-fused"
         return records
+
+    def _finish_funneled_round(
+        self,
+        cluster: "Cluster",
+        program: SuperstepProgram,
+        program_key: int,
+        targets: "list[Machine]",
+        shared: "dict[str, Any]",
+        slot_replies: "list[tuple]",
+    ) -> "RoundRecord":
+        """Finish a funneled round: stage the returned sends, apply, exchange.
+
+        Bulk staging: workers already sized every send with the exact sizer
+        the transport charges (fast_word_size), so the staged messages are
+        constructed directly — content, order and charged words identical
+        to Machine.send staging them one by one.  The exchange flushes any
+        frame still held at a worker first, so delivery order is the
+        reference one.
+        """
+        results: "dict[str, tuple[list[tuple[str, str, Any, int]], Any]]" = {}
+        for reply in slot_replies:
+            for machine_id, sent, delta in reply[1]:
+                results[machine_id] = (sent, delta)
+        self._recompute_pending_ids()
+        transport = self.transport
+        for machine in targets:
+            sent = results[machine.machine_id][0]
+            if sent:
+                sender = machine.machine_id
+                outbox = machine.outbox
+                for receiver, tag, payload, words in sent:
+                    outbox.append(
+                        Message(sender=sender, receiver=receiver, tag=tag, payload=payload, words=words)
+                    )
+                transport.note_staged(machine)
+        for machine in targets:
+            program.apply(shared, machine.machine_id, results[machine.machine_id][1])
+        self._queue_replay(
+            program, program_key, [(m, results[m.machine_id][1]) for m in targets]
+        )
+        self.rounds_run += 1
+        self.worker_rounds += 1
+        return cluster.exchange()
 
     # ------------------------------------------------------------ slot routing
     def _refresh_machine_info(self) -> None:
@@ -1735,39 +1411,6 @@ class ResidentSession(ExecutionSession):
         }
         self._map_count = len(machines)
         self._map_version += 1
-
-    def _routing_payload(
-        self,
-        slot_index: int,
-        slot: _SlotState,
-        epoch: int,
-        program: SuperstepProgram,
-        funnel: bool = False,
-    ) -> "dict[str, Any]":
-        """The ``routing`` element of one slot's round request."""
-        map_update, forward = self._routing_update(slot_index, slot)
-        return {
-            "epoch": epoch,
-            "slot": slot_index,
-            "map": map_update,
-            "forward": forward,
-            "drop_inbox": not program.reads_inbox,
-            "funnel": funnel,
-        }
-
-    def _routing_update(self, slot_index: int, slot: _SlotState) -> "tuple[dict | None, list[tuple]]":
-        """The routing map if the slot's copy is stale (else ``None``), and the frames to forward to it."""
-        map_update = None
-        if slot.map_version != self._map_version:
-            map_update = self._machine_info
-            slot.map_version = self._map_version
-        forward = self._forward[slot_index]
-        if forward:
-            self._forward[slot_index] = []
-            rp = self._remote_pending[slot_index]
-            for frame in forward:
-                rp.add(frame[4])
-        return map_update, forward
 
     def _ring_capacity(self) -> int:
         """Bytes per cross-slot ring: explicit override or sized from ``S``.
@@ -1831,8 +1474,8 @@ class ResidentSession(ExecutionSession):
         program_key: int,
         targets: "list[Machine]",
         shared: "dict[str, Any]",
-        slot_replies: "list[tuple[int, tuple]]",
-        queue_replay: bool = True,
+        slot_replies: "list[tuple]",
+        queue_replay: bool,
     ) -> "RoundRecord":
         """Merge routed-round replies and deposit the round at the transport.
 
@@ -1848,14 +1491,7 @@ class ResidentSession(ExecutionSession):
         local_count = ring_frames = ring_bytes = overflow_count = 0
         fallback: "list[tuple]" = []
         deltas: "dict[str, Any]" = {}
-        for slot_index, reply in slot_replies:
-            if not (isinstance(reply, tuple) and reply and reply[0] == "routed"):
-                self._broken = True
-                raise ResidentWorkerError(
-                    f"resident worker slot {slot_index} replied out of protocol "
-                    f"to a routed round request"
-                )
-            _, slot_deltas, pair_list, traffic, overflow, slot_fallback = reply
+        for _, slot_deltas, pair_list, traffic, overflow, slot_fallback in slot_replies:
             for machine_id, delta in slot_deltas:
                 deltas[machine_id] = delta
             for sender, receiver, words, count, max_words in pair_list:
@@ -1880,10 +1516,6 @@ class ResidentSession(ExecutionSession):
             if slot_info is not None:
                 self._remote_pending[slot_info[1]].add(receiver)
         self._recompute_pending_ids()
-        if local_count or ring_frames or overflow_count:
-            # this round's frames are held away from the driver; if a
-            # driver-side read flushes them back, this key takes the blame
-            self._pending_keys.add(program_key)
 
         # The same barrier as every backend: all runs happened, now all
         # applies in target order, then one exchange.
@@ -1898,7 +1530,6 @@ class ResidentSession(ExecutionSession):
         self.shm_bytes += ring_bytes
         self.pipe_fallbacks += overflow_count
         self.shm_frames += ring_frames
-        self.backend.last_superstep_mode = "resident-routed"
         self.transport.deposit_worker_round(
             {
                 "pairs": pair_totals,
@@ -1945,26 +1576,39 @@ class ResidentSession(ExecutionSession):
             slot.reset_for(worker.generation)
         try:
             with worker.lock:
-                if not slot.opened:
-                    worker.request(("open", self.session_id))
+                for op in self._setup_ops(slot, slot_index, False):
+                    worker.request(op)
                     worker.reply()
-                    slot.opened = True
-                if self._rings and not slot.rings_attached:
-                    worker.request(
-                        (
-                            "attach_shm",
-                            self.session_id,
-                            self._ring_specs(slot_index, "in"),
-                            self._ring_specs(slot_index, "out"),
-                        )
-                    )
-                    worker.reply()
-                    slot.rings_attached = True
                 worker.request(("flush", self.session_id))
                 return worker.reply()
         except ResidentWorkerError:
             self._mark_broken(slot_index, worker)
             raise
+
+    def _setup_ops(self, slot: _SlotState, slot_index: int, barrier: bool) -> "list[tuple]":
+        """The ``open`` / ``attach_shm`` requests ``slot`` needs before its next op.
+
+        Marks them shipped: a request that never lands breaks the session
+        anyway.  ``barrier`` asks for the fused-block round barrier too.
+        """
+        ops: "list[tuple]" = []
+        if not slot.opened:
+            ops.append(("open", self.session_id))
+            slot.opened = True
+        barrier = barrier and not slot.barrier_attached
+        if (self._rings and not slot.rings_attached) or barrier:
+            ops.append(
+                (
+                    "attach_shm",
+                    self.session_id,
+                    self._ring_specs(slot_index, "in"),
+                    self._ring_specs(slot_index, "out"),
+                    (self._barrier.name, self.slot_count) if barrier else None,
+                )
+            )
+            slot.rings_attached = slot.rings_attached or bool(self._rings)
+            slot.barrier_attached = slot.barrier_attached or barrier
+        return ops
 
     def _flush_all(self) -> None:
         """Pull every routed frame back into the driver inboxes.
@@ -1985,7 +1629,6 @@ class ResidentSession(ExecutionSession):
                 frames.extend(self._flush_slot(slot_index))
                 self._remote_pending[slot_index] = set()
         self._pending_ids = set()
-        self._pending_keys = set()
         if not frames:
             return
         frames.sort(key=_frame_sort_key)
@@ -2000,10 +1643,6 @@ class ResidentSession(ExecutionSession):
         if self._suppress_sync or self._broken:
             return
         if machine.machine_id in self._pending_ids:
-            # the driver wants these bodies: routing their producers away
-            # from it was wasted motion — funnel them from now on
-            for key in self._pending_keys:
-                self._route_programs[key] = False
             self._flush_all()
 
     def flush_for_exchange(self) -> None:
@@ -2011,8 +1650,6 @@ class ResidentSession(ExecutionSession):
         if self._broken:
             return
         if self._pending_ids or any(self._forward):
-            for key in self._pending_keys:
-                self._route_programs[key] = False
             self._flush_all()
 
     def discard_pending(self) -> None:
@@ -2021,7 +1658,6 @@ class ResidentSession(ExecutionSession):
         self._remote_pending = [set() for _ in range(self.slot_count)]
         self._forward = [[] for _ in range(self.slot_count)]
         self._pending_ids = set()
-        self._pending_keys = set()
         if self._broken:
             return
         for slot_index in range(self.slot_count):
@@ -2271,11 +1907,6 @@ class ResidentBackend(FastBackend):
 
     name = "resident"
 
-    #: how the most recent superstep executed under a session
-    #: (``"resident"``, ``"resident-routed"``, ``"resident-inline"`` or
-    #: ``"resident-fused"``) — an observability/testing aid, never
-    #: consulted by the simulation.
-    last_superstep_mode: str | None = None
     #: worker-crossing round count of the most recently closed session — an
     #: observability/testing aid (proves residency was exercised), never
     #: consulted by the simulation.

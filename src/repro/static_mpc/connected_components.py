@@ -101,8 +101,7 @@ class LabelApplyProgram(VertexProgram):
     a drained audit trail).  Declaring ``driver_reads_sends=False`` lets
     resident sessions fuse ``[propose, apply]`` into one worker-driven
     block: the proposal traffic then never crosses the process boundary at
-    all, which is strictly better than the historical ``driver_local``
-    shortcut (one crossing as staged sends) this program used before.
+    all.
     """
 
     shared_reads = ("labels",)

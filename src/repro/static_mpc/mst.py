@@ -69,6 +69,9 @@ class CSRMSTCandidateProgram(VertexProgram):
     #: the inbox holds the previous phase's merge broadcast, already
     #: reflected in the shared component map — never read
     reads_inbox = False
+    #: the driver drains every phase's "mst-candidate" reports to pick the
+    #: merges, so the sends return on the round reply
+    driver_reads_sends = True
 
     def run(self, ctx: MachineContext, inbox: list, shared: Mapping[str, Any]) -> int:
         component = shared["component"]

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.config import DMPCConfig, ExperimentConfig, resolve_fuse_rounds
+from repro.config import DMPCConfig, ExperimentConfig
 from repro.dynamic_mpc.state import MatchingFabric, VertexStats
 from repro.exceptions import ProtocolError
 from repro.graph.generators import gnm_random_graph, star_graph
@@ -47,25 +47,13 @@ class TestDMPCConfig:
         assert config.capacity_m == 20
         assert not config.strict_memory
 
-    def test_fuse_rounds_defaults_to_auto(self):
-        assert DMPCConfig(capacity_n=4, capacity_m=4).fuse_rounds == "auto"
-        assert DMPCConfig.for_graph(4, 4).fuse_rounds == "auto"
-        assert resolve_fuse_rounds("auto") is None  # fuse with no block-length cap
-
-    @pytest.mark.parametrize(
-        "value, expected",
-        [("auto", None), (" AUTO ", None), ("off", 0), ("Off", 0), (0, 0), (3, 3), ("5", 5)],
-    )
-    def test_fuse_rounds_normalizes(self, value, expected):
-        assert resolve_fuse_rounds(value) == expected
-        assert DMPCConfig(capacity_n=4, capacity_m=4, fuse_rounds=value).fuse_rounds == value
-
-    @pytest.mark.parametrize("value", [-1, "-2", "sometimes"])
-    def test_fuse_rounds_rejects_malformed(self, value):
-        with pytest.raises(ValueError):
-            resolve_fuse_rounds(value)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("value", ["auto", "off", 2])
+    def test_fuse_rounds_is_not_a_field(self, value):
+        """Spans always fuse maximally; there is no block-length knob to set."""
+        with pytest.raises(TypeError, match="fuse_rounds"):
             DMPCConfig(capacity_n=4, capacity_m=4, fuse_rounds=value)
+        with pytest.raises(TypeError, match="fuse_rounds"):
+            DMPCConfig.for_graph(4, 4, fuse_rounds=value)
 
     def test_experiment_config_defaults(self):
         exp = ExperimentConfig()

@@ -174,11 +174,10 @@ class InboxLiarProgram(SuperstepProgram):
         return [msg.payload for msg in inbox]
 
 
-class FusionDriverLocalLiarProgram(SuperstepProgram):
-    """RP110: worker-drivable sends declaration on a driver-local program."""
+class FusionWorkerDrivableProgram(SuperstepProgram):
+    """Not RP110: worker-drivable sends with the default ``global`` scope and no-op apply."""
 
     shared_reads = ("totals",)
-    driver_local = True
     driver_reads_sends = False
 
     def run(self, ctx, inbox, shared):

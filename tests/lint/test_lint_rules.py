@@ -138,12 +138,10 @@ class TestRuleFirings:
         # the registration call itself; only the unsized registered send fires
         assert len(findings_for(broken, "RP109")) == 1
 
-    def test_rp110_driver_local_contradiction(self, broken):
-        (finding,) = findings_for(broken, "RP110", "FusionDriverLocalLiarProgram")
-        assert "driver_reads_sends = False" in finding.message
-        assert "driver_local = True" in finding.message
-        assert "drop driver_local = True" in finding.hint
-        assert finding.line in class_line_range("FusionDriverLocalLiarProgram")
+    def test_rp110_fires_only_on_the_scope_contradiction(self, broken):
+        assert findings_for(broken, "RP110", "FusionWorkerDrivableProgram") == []
+        (finding,) = findings_for(broken, "RP110")
+        assert finding.program == "FusionDriverScopeLiarProgram"
 
     def test_rp110_driver_scope_contradiction(self, broken):
         (finding,) = findings_for(broken, "RP110", "FusionDriverScopeLiarProgram")

@@ -174,7 +174,7 @@ class TestStaticAlgorithmEquivalence:
     per-machine ``used_words`` must be identical to the reference.
     """
 
-    def run_static(self, cls, graph, *, expect_shm=True, **kwargs):
+    def run_static(self, cls, graph, *, routed=True, **kwargs):
         runs = {}
         for backend in BACKENDS:
             algorithm = cls(
@@ -188,25 +188,21 @@ class TestStaticAlgorithmEquivalence:
         # crossing into the persistent workers (state was kept resident and
         # *reused*, not re-shipped per round).
         for backend in _RESIDENT_FAMILY:
-            resident_backend = runs[backend].cluster.backend
-            assert resident_backend.last_superstep_mode in (
-                "resident",
-                "resident-routed",
-                "resident-inline",
-                "resident-fused",
-            )
-            assert resident_backend.last_session_worker_rounds >= 2
+            assert runs[backend].cluster.ledger.driver_round_trips > 0
+            assert runs[backend].cluster.backend.last_session_worker_rounds >= 2
         # The shm row must be non-vacuous: with two slots on these
         # message-heavy workloads at least one cross-slot frame must have
         # ridden a shared-memory ring (otherwise the equivalence claim for
         # the shm wire path tests nothing).  Workloads whose only superstep
-        # program is driver-read get adaptively funneled after their first
-        # routed round (``expect_shm=False``); for those the weaker claim
-        # holds — slot routing ran at least once.
-        traffic = runs["resident-shm"].cluster.backend.last_session_traffic
-        if expect_shm:
-            assert runs["resident-shm"].cluster.backend.last_session_shm_frames >= 1
-        assert traffic["local_messages"] + traffic["cross_slot_messages"] >= 1
+        # program is driver-read (``routed=False``) return every send on
+        # the round reply instead, so no frame is ever slot-routed.
+        backend = runs["resident-shm"].cluster.backend
+        traffic = backend.last_session_traffic
+        if routed:
+            assert backend.last_session_shm_frames >= 1
+            assert traffic["cross_slot_messages"] >= 1
+        else:
+            assert traffic["local_messages"] + traffic["cross_slot_messages"] == 0
         return runs
 
     def assert_cluster_parity(self, runs):
@@ -237,10 +233,10 @@ class TestStaticAlgorithmEquivalence:
 
     def test_boruvka_mst_equivalent(self):
         graph = random_weighted_graph(45, 110, seed=19)
-        # Borůvka's single superstep program feeds the driver-local
-        # contraction step, so its sends funnel after round 1 — no shm
-        # frames expected, but routing itself must still have engaged.
-        runs = self.run_static(StaticBoruvkaMST, graph, expect_shm=False)
+        # Borůvka's single superstep program feeds the driver's contraction
+        # step (driver_reads_sends = True), so every send returns on the
+        # round reply — no frame is slot-routed.
+        runs = self.run_static(StaticBoruvkaMST, graph, routed=False)
         assert_all_equal(runs, lambda a: sorted(a.forest), "forest")
         assert_all_equal(runs, lambda a: a.phases_used, "phases used")
         reference = runs["reference"].forest_weight()

@@ -10,24 +10,25 @@ RoundRecords** — fusion elides the driver barrier, never the accounting.
 
 These tests drive the fusion-shaped static workloads (connected
 components' ``[propose, apply]`` pairs, maximal matching's
-``[announce, propose]`` pairs) with fusion on and off under every backend
-configuration of the equivalence matrix, including the two-slot
-``resident-shm`` configuration, and with a deliberately tiny ring that
-forces a mid-block stop and pipe fallback.
+``[announce, propose]`` pairs) on the resident backend — one slot per
+host core, and the two-slot ``resident-shm`` configuration — and with a
+deliberately tiny ring that forces a mid-block stop and pipe fallback.
+``fast`` runs every superstep in the driver under the same accounting
+policy, so it is the yardstick every resident row must match bit for bit.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.generators import gnm_random_graph
 from repro.static_mpc import StaticConnectedComponents, StaticMaximalMatching
+from repro.static_mpc.common import build_static_cluster
+from repro.static_mpc.connected_components import CSRLabelProposeProgram, LabelApplyProgram
 
-#: the equivalence matrix: every execution strategy, with ``resident-shm``
-#: the resident backend pinned to two slots (cross-slot frames ride shm).
-BACKENDS = ("reference", "fast", "resident", "resident-shm")
+#: the resident rows, with ``resident-shm`` pinned to two slots (cross-slot
+#: frames ride shm).
+BACKENDS = ("resident", "resident-shm")
 
 RESIDENT_SLOTS = 2
 
@@ -36,12 +37,6 @@ def backend_kwargs(backend: str) -> dict:
     if backend == "resident-shm":
         return {"backend": "resident", "resident_slots": RESIDENT_SLOTS}
     return {"backend": backend}
-
-
-def with_fuse(algorithm, fuse: str):
-    """``algorithm`` with ``fuse_rounds`` set on its cluster's config (read when a session runs a span)."""
-    algorithm.cluster.config = dataclasses.replace(algorithm.cluster.config, fuse_rounds=fuse)
-    return algorithm
 
 
 def round_records(ledger) -> list:
@@ -66,80 +61,74 @@ def round_records(ledger) -> list:
     ]
 
 
-def run_cc(graph, backend: str, fuse: str, **extra):
-    algorithm = with_fuse(StaticConnectedComponents(graph, **backend_kwargs(backend), **extra), fuse)
+def run_cc(graph, backend: str, **extra):
+    algorithm = StaticConnectedComponents(graph, **backend_kwargs(backend), **extra)
     algorithm.run()
     return algorithm
 
 
-def run_matching(graph, backend: str, fuse: str, **extra):
-    algorithm = with_fuse(StaticMaximalMatching(graph, seed=13, **backend_kwargs(backend), **extra), fuse)
+def run_matching(graph, backend: str, **extra):
+    algorithm = StaticMaximalMatching(graph, seed=13, **backend_kwargs(backend), **extra)
     algorithm.run()
     return algorithm
 
 
-def assert_bit_identical(fused, unfused) -> None:
-    assert round_records(fused.cluster.ledger) == round_records(unfused.cluster.ledger)
+def assert_bit_identical(run, fast) -> None:
+    assert round_records(run.cluster.ledger) == round_records(fast.cluster.ledger)
 
 
-class TestFusedVsUnfusedBitIdentity:
+class TestFusedVsFastBitIdentity:
     @settings(max_examples=3, deadline=None)
     @given(seed=st.integers(0, 1000))
     def test_connected_components_property(self, seed):
-        """Property: fusion changes neither the labels/forest nor a single
-        per-round record, under any backend configuration."""
+        """Property: fused blocks change neither the labels/forest nor a single
+        per-round record, under any slot count."""
         graph = gnm_random_graph(28, 64, seed=seed)
+        fast = run_cc(graph, "fast")
         for backend in BACKENDS:
-            fused = run_cc(graph, backend, "auto")
-            unfused = run_cc(graph, backend, "off")
-            assert fused.labels == unfused.labels, backend
-            assert fused.spanning_forest() == unfused.spanning_forest(), backend
-            assert fused.rounds_used == unfused.rounds_used, backend
-            assert_bit_identical(fused, unfused)
-            if backend in ("resident", "resident-shm"):
-                assert fused.cluster.ledger.fused_rounds > 0, backend
-                assert unfused.cluster.ledger.fused_rounds == 0, backend
+            run = run_cc(graph, backend)
+            assert run.labels == fast.labels, backend
+            assert run.spanning_forest() == fast.spanning_forest(), backend
+            assert run.rounds_used == fast.rounds_used, backend
+            assert_bit_identical(run, fast)
+            assert run.cluster.ledger.fused_rounds > 0, backend
 
     def test_maximal_matching_all_backends(self):
         graph = gnm_random_graph(32, 96, seed=17)
+        fast = run_matching(graph, "fast")
         for backend in BACKENDS:
-            fused = run_matching(graph, backend, "auto")
-            unfused = run_matching(graph, backend, "off")
-            assert fused.matching == unfused.matching, backend
-            assert fused.rounds_used == unfused.rounds_used, backend
-            assert_bit_identical(fused, unfused)
-
-    def test_fuse_cap_still_identical(self):
-        """An explicit block cap (K=2) segments differently but must still
-        deliver the same rounds."""
-        graph = gnm_random_graph(30, 70, seed=23)
-        capped = run_cc(graph, "resident", "2")
-        unfused = run_cc(graph, "resident", "off")
-        assert capped.labels == unfused.labels
-        assert_bit_identical(capped, unfused)
-        assert capped.cluster.ledger.fused_rounds > 0
+            run = run_matching(graph, backend)
+            assert run.matching == fast.matching, backend
+            assert run.rounds_used == fast.rounds_used, backend
+            assert_bit_identical(run, fast)
+            assert run.cluster.ledger.fused_rounds > 0, backend
 
 
 class TestDriverRoundTrips:
     def test_fusion_halves_driver_round_trips(self):
-        """Every CC iteration is a fusable [propose, apply] pair, so the
-        trip count must drop by at least 2x (the acceptance bound)."""
+        """Every CC iteration is a fusable [propose, apply] pair: one driver
+        round trip per two rounds, every round inside a fused block."""
         graph = gnm_random_graph(48, 120, seed=3)
-        fused = run_cc(graph, "resident", "auto")
-        unfused = run_cc(graph, "resident", "off")
-        fused_trips = fused.cluster.ledger.driver_round_trips
-        unfused_trips = unfused.cluster.ledger.driver_round_trips
-        assert fused_trips > 0 and unfused_trips > 0
-        assert fused_trips * 2 <= unfused_trips, (fused_trips, unfused_trips)
-        # every delivered round ran inside a fused block
-        assert fused.cluster.ledger.fused_rounds == unfused.cluster.ledger.total_rounds()
-        assert fused.cluster.backend.last_superstep_mode == "resident-fused"
+        ledger = run_cc(graph, "resident").cluster.ledger
+        assert ledger.driver_round_trips > 0
+        assert ledger.driver_round_trips * 2 <= ledger.total_rounds()
+        assert ledger.fused_rounds == ledger.total_rounds()
 
-    def test_unfused_counts_one_trip_per_round(self):
+    def test_lone_supersteps_count_one_trip_per_round(self):
+        """``Cluster.superstep`` is a block of one round: one trip each, none fused."""
         graph = gnm_random_graph(24, 50, seed=9)
-        unfused = run_cc(graph, "resident", "off")
-        ledger = unfused.cluster.ledger
-        assert ledger.driver_round_trips == ledger.total_rounds()
+        setup = build_static_cluster(graph, backend="resident", resident_slots=RESIDENT_SLOTS, weighted=False)
+        cluster, worker_ids = setup.cluster, setup.worker_ids
+        state = {"labels": {v: v for v in graph.vertices}, "via": {}, "changed_flags": {}}
+        propose = CSRLabelProposeProgram(setup.owned, worker_ids)
+        apply_min = LabelApplyProgram(setup.owned, worker_ids, worker_ids[0])
+        with cluster.update("lone"), cluster.session(state):
+            for _ in range(3):
+                cluster.superstep(propose, machines=worker_ids, shared=state)
+                cluster.superstep(apply_min, machines=worker_ids, shared=state)
+        ledger = cluster.ledger
+        assert ledger.driver_round_trips == ledger.total_rounds() == 6
+        assert ledger.fused_rounds == 0
 
 
 class TestTinyRingFallback:
@@ -147,19 +136,18 @@ class TestTinyRingFallback:
         """Two slots with a 1024-byte ring: cross-slot frames overflow, the
         worker loop stops at the boundary and hands the overflow to the
         driver's pipe forward path — the run must still match the roomy-ring
-        and unfused runs bit for bit."""
+        and fast runs bit for bit."""
         graph = gnm_random_graph(64, 220, seed=11)
-        tiny = dict(resident_slots=2, resident_shm_ring_bytes=1024)
-        fused = run_cc(graph, "resident", "auto", **tiny)
-        unfused = run_cc(graph, "resident", "off", **tiny)
-        roomy = run_cc(graph, "resident-shm", "auto")
-        assert fused.labels == unfused.labels == roomy.labels
-        assert_bit_identical(fused, unfused)
-        assert_bit_identical(fused, roomy)
+        tiny = run_cc(graph, "resident", resident_slots=2, resident_shm_ring_bytes=1024)
+        fast = run_cc(graph, "fast")
+        roomy = run_cc(graph, "resident-shm")
+        assert tiny.labels == fast.labels == roomy.labels
+        assert_bit_identical(tiny, fast)
+        assert_bit_identical(roomy, fast)
         # non-vacuous: blocks genuinely formed AND the tiny ring genuinely
         # forced overflow frames onto the pipe mid-block
-        assert fused.cluster.ledger.fused_rounds > 0
-        traffic = fused.cluster.ledger.traffic_totals()
+        assert tiny.cluster.ledger.fused_rounds > 0
+        traffic = tiny.cluster.ledger.traffic_totals()
         assert traffic["pipe_fallbacks"] > 0, traffic
         # the roomy ring kept everything on shm — proves the tiny ring (not
         # the workload) caused the fallbacks

@@ -27,7 +27,7 @@ from repro.runtime.resident import (
     ResidentSession,
     _session_close,
     _session_open,
-    _session_run_round,
+    _session_run_block,
     _slot_worker,
 )
 from repro.static_mpc.common import build_static_cluster
@@ -88,6 +88,16 @@ class TestSessions:
                     pass  # pragma: no cover
 
 
+def one_round(sessions, session_id, new_programs, shared_init, store_updates, batch):
+    """Run program 0 as a one-round block (funneled: its sends come back on the reply)."""
+    block = {"epoch0": 0, "slot": 0, "map": None, "forward": [], "rounds": [(0, False, True)], "barrier": None}
+    reply = _session_run_block(sessions, session_id, new_programs, [], shared_init, store_updates, batch, block)
+    assert reply[:2] == ("block", 1)
+    (funneled,) = reply[2]
+    assert funneled[0] == "funneled"
+    return funneled[1]
+
+
 class TestWorkerSessionProtocol:
     """The protocol ops as plain functions over a sessions dict, then against the real workers."""
 
@@ -100,9 +110,7 @@ class TestWorkerSessionProtocol:
         assert _session_open(sessions, "s1")
         assert _session_open(sessions, "s1")  # idempotent
         blob = self.make_program_blob()
-        results = _session_run_round(
-            sessions, "s1", {0: blob}, 0, [], {"labels": {}}, [], [("m0", ())]
-        )
+        results = one_round(sessions, "s1", {0: blob}, {"labels": {}}, [], [("m0", ())])
         assert results == [("m0", [], None)]
         assert _session_close(sessions, "s1")
         assert sessions == {}
@@ -113,19 +121,13 @@ class TestWorkerSessionProtocol:
         _session_open(sessions, "s")
         blob = self.make_program_blob()
         store_v1 = pickle.dumps({("adj", 1): [2]}, protocol=pickle.HIGHEST_PROTOCOL)
-        _session_run_round(
-            sessions, "s", {0: blob}, 0, [], {"labels": {}},
-            [("m0", ("adj",), 1, store_v1)], [("m0", ())],
-        )
+        one_round(sessions, "s", {0: blob}, {"labels": {}}, [("m0", ("adj",), 1, store_v1)], [("m0", ())])
         state = sessions["s"]
         assert state.stores[("m0", ("adj",))] == {("adj", 1): [2]}
         assert state.store_versions["m0"] == 1
         # a newer epoch evicts every prefix snapshot of the machine at once
         store_v2 = pickle.dumps({("weights", 1): {2: 1.0}}, protocol=pickle.HIGHEST_PROTOCOL)
-        _session_run_round(
-            sessions, "s", {}, 0, [], {},
-            [("m0", ("weights",), 2, store_v2)], [("m0", ())],
-        )
+        one_round(sessions, "s", {}, {}, [("m0", ("weights",), 2, store_v2)], [("m0", ())])
         assert ("m0", ("adj",)) not in state.stores
         assert state.stores[("m0", ("weights",))] == {("weights", 1): {2: 1.0}}
         assert state.store_versions["m0"] == 2

@@ -26,6 +26,9 @@ from repro.runtime import (
     ResidentBackend,
     resolve_backend,
 )
+from repro.runtime import resident as resident_mod
+from repro.runtime.resident import _worker_main
+from repro.runtime.wire import decode_obj, encode_obj
 
 
 class TokenProbeProgram(SuperstepProgram):
@@ -60,6 +63,9 @@ class UndeclaredReadProgram(SuperstepProgram):
 
 class ReportIndexProgram(SuperstepProgram):
     """Every machine but ``m0`` reports its registration index to ``m0``."""
+
+    #: the reports feed the next superstep's inboxes, so they stay slot-routed
+    driver_reads_sends = False
 
     def run(self, ctx, inbox, shared):
         if ctx.machine_id != "m0":
@@ -595,7 +601,7 @@ class TestResidentSuperstep:
     def test_session_round_trip_crosses_process_boundary(self):
         cluster = self.make_cluster()
         results = self.run_probe(cluster)
-        assert cluster.backend.last_superstep_mode.startswith("resident")
+        assert cluster.ledger.driver_round_trips > 0
         self.assert_probe_observable(cluster, results)
         assert os.getpid() not in {pid for pid, _ in results.values()}  # every run happened elsewhere
 
@@ -610,7 +616,7 @@ class TestResidentSuperstep:
             rounds[backend] = (record, record.pair_words, results, [m.as_fields() for m in cluster.machine("m0").inbox])
             self.assert_probe_observable(cluster, results)
         assert rounds["resident"] == rounds["fast"]
-        assert cluster.backend.last_superstep_mode is None  # no session ever ran
+        assert cluster.ledger.driver_round_trips == 0  # no session ever ran
 
     def test_outside_a_session_blocks_run_round_by_round(self):
         records = {}
@@ -692,6 +698,109 @@ class TestResidentSuperstep:
         assert fresh is not blob
 
 
+class RunningTotalProgram(SuperstepProgram):
+    """Each machine adds its index and inbox size to its running total and reports it to ``m0``."""
+
+    shared_reads = ("totals",)
+
+    def run(self, ctx, inbox, shared):
+        total = shared["totals"].get(ctx.machine_id, 0) + int(ctx.machine_id[1:]) + len(inbox)
+        ctx.send("m0", "total", total)
+        return total
+
+    def apply(self, shared, machine_id, delta):
+        shared["totals"][machine_id] = delta
+
+
+class _ScriptedPipe:
+    """A worker connection that serves scripted requests, then EOF."""
+
+    def __init__(self, requests) -> None:
+        self.requests = [encode_obj(request) for request in requests]
+        self.replies: list = []
+
+    def recv_bytes(self) -> bytes:
+        if not self.requests:
+            raise EOFError
+        return self.requests.pop(0)
+
+    def send_bytes(self, blob: bytes) -> None:
+        self.replies.append(decode_obj(blob))
+
+
+def _program_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _program_classes(sub)
+
+
+class TestOneRoundProtocol:
+    """Every resident superstep is a ``run_block`` of K >= 1 rounds; nothing else runs a round."""
+
+    def test_worker_has_no_round_op(self):
+        pipe = _ScriptedPipe([("round", "s"), ("sessions",)])
+        _worker_main(pipe)
+        (status, error), listed = pipe.replies
+        assert status == "err" and isinstance(error, KeyError) and error.args == ("round",)
+        assert listed == ("ok", [])
+
+    def test_a_superstep_is_one_single_round_block_per_slot(self, monkeypatch):
+        sent: list = []
+        request = resident_mod._SlotWorker.request
+
+        def spy(worker, op):
+            sent.append((worker.index, op))
+            return request(worker, op)
+
+        monkeypatch.setattr(resident_mod._SlotWorker, "request", spy)
+        cluster = TestResidentSuperstep().make_cluster()
+        shared = {"offset": 7, "results": {}}
+        with cluster.session(shared):
+            cluster.superstep(TokenProbeProgram(), shared=shared)
+        blocks = [(index, op[-1]) for index, op in sent if op[0] == "run_block"]
+        assert sorted(index for index, _ in blocks) == [0, 1]
+        assert [len(block["rounds"]) for _, block in blocks] == [1, 1]
+        assert {op[0] for _, op in sent} <= {"open", "attach_shm", "run_block", "flush", "close"}
+
+    def test_driver_local_is_gone_and_driver_reads_sends_is_a_bool(self):
+        import repro.static_mpc  # noqa: F401 - defines the library's programs
+
+        assert not hasattr(SuperstepProgram, "driver_local")
+        assert SuperstepProgram.driver_reads_sends is True
+        library = [c for c in _program_classes(SuperstepProgram) if c.__module__.startswith("repro.")]
+        assert len(library) >= 5
+        for program in library:
+            assert type(program.driver_reads_sends) is bool, program
+
+    def test_hand_assigned_factory_round_runs_in_the_driver_and_keeps_workers_in_sync(self):
+        """A round under a hand-assigned record factory equals ``fast``'s, and the
+        next (routed) round reads worker copies that replayed its deltas."""
+        outcomes = {}
+        for backend in ("fast", "resident"):
+            cluster = TestResidentSuperstep().make_cluster(backend)
+            ledger = cluster.ledger
+            installed = ledger.round_record_factory
+            program = RunningTotalProgram()
+            shared: dict = {"totals": {}}
+            with cluster.session(shared) as session:
+                ledger.round_record_factory = RoundRecord.from_messages
+                first = cluster.superstep(program, shared=shared)
+                ledger.round_record_factory = installed
+                second = cluster.superstep(program, shared=shared)
+            outcomes[backend] = (
+                first,
+                first.pair_words,
+                second,
+                dict(shared["totals"]),
+                [m.as_fields() for m in cluster.machine("m0").drain()],
+            )
+            if backend == "resident":
+                assert ledger.driver_round_trips == 1
+                assert session.worker_rounds == 1
+        assert outcomes["resident"] == outcomes["fast"]
+        assert outcomes["fast"][1]  # the hand-assigned factory kept the pair detail
+
+
 # ------------------------------------------------------------------ resolution
 class TestBackendResolution:
     def test_registry_is_exactly_three_backends(self):
@@ -752,7 +861,7 @@ REMOVED_FIELDS = ("shard_strategy", "max_workers", "process_chunk_machines", "re
 
 
 class TestRemovedKnobs:
-    def test_config_has_ten_fields(self):
+    def test_config_has_nine_fields(self):
         import dataclasses
 
         assert [f.name for f in dataclasses.fields(DMPCConfig)] == [
@@ -765,7 +874,6 @@ class TestRemovedKnobs:
             "shard_count",
             "resident_slots",
             "resident_shm_ring_bytes",
-            "fuse_rounds",
         ]
 
     @pytest.mark.parametrize("field", REMOVED_FIELDS)

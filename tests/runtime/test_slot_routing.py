@@ -40,7 +40,7 @@ from repro.runtime import resident as resident_mod
 from repro.runtime.resident import (
     _session_flush,
     _session_open,
-    _session_run_round,
+    _session_run_block,
 )
 from repro.runtime.wire import (
     FRAME_HEADER,
@@ -107,7 +107,14 @@ class FanoutProgram(SuperstepProgram):
 
 
 class ReportProgram(SuperstepProgram):
-    """Every machine but ``m0`` reports its registration index to ``m0``."""
+    """Every machine but ``m0`` reports its registration index to ``m0``.
+
+    Declares its sends worker-consumed, so they stay held at the workers —
+    the tests below then read them driver-side anyway, which is what the
+    inbox-router flush exists for.
+    """
+
+    driver_reads_sends = False
 
     def run(self, ctx, inbox, shared):
         if ctx.machine_id != "m0":
@@ -132,21 +139,24 @@ def local_ring(capacity: int) -> ShmRing:
 
 
 def routed_round(sessions, session_id, program, batch_ids, machine_slots, slot, epoch, *, forward=()):
-    """Drive one slot-routed round through the real protocol op, in-process."""
+    """Drive one slot-routed round through the real protocol op (a one-round block), in-process."""
     blob = pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
-    routing = {
-        "epoch": epoch,
+    block = {
+        "epoch0": epoch,
         "slot": slot,
         "map": dict(machine_slots),
         "forward": list(forward),
-        "drop_inbox": not program.reads_inbox,
+        "rounds": [(0, not program.reads_inbox, False)],
+        "barrier": None,
     }
-    reply = _session_run_round(
-        sessions, session_id, {0: blob}, 0, [], {}, [],
-        [(machine_id, []) for machine_id in batch_ids], routing,
+    reply = _session_run_block(
+        sessions, session_id, {0: blob}, [], {}, [],
+        [(machine_id, []) for machine_id in batch_ids], block,
     )
-    assert reply[0] == "routed"
-    return reply
+    assert reply[:2] == ("block", 1)
+    (routed,) = reply[2]
+    assert routed[0] == "routed"
+    return routed
 
 
 # ---------------------------------------------------------------- wire codec
@@ -442,11 +452,10 @@ class TestSlotCounts:
 
         assert (rows(routed), solution(routed)) == (rows(fixed), solution(fixed))
         traffic = routed.cluster.backend.last_session_traffic
-        assert traffic["local_messages"] > 0
-        # Borůvka's routed first phase reports each vertex's candidate to its own machine (every
-        # label is still its vertex), and the driver reads every later phase's reports itself
-        crossing = slots > 1 and baseline != "mst"
-        assert (traffic["cross_slot_messages"] > 0) == crossing
+        # the driver reads every Borůvka phase's reports itself, so they return on the reply
+        routes = baseline != "mst"
+        assert (traffic["local_messages"] > 0) == routes
+        assert (traffic["cross_slot_messages"] > 0) == (routes and slots > 1)
 
 
 def routed_cluster(slots: int) -> Cluster:
