@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.generators import gnm_random_graph
-from repro.static_mpc import StaticConnectedComponents, StaticMaximalMatching
+from repro.graph.generators import gnm_random_graph, random_weighted_graph
+from repro.mpc import SuperstepProgram
+from repro.runtime.resident import ResidentSession
+from repro.static_mpc import StaticBoruvkaMST, StaticConnectedComponents, StaticMaximalMatching
 from repro.static_mpc.common import build_static_cluster
 from repro.static_mpc.connected_components import CSRLabelProposeProgram, LabelApplyProgram
 
@@ -59,6 +61,32 @@ def round_records(ledger) -> list:
         )
         for update in ledger.updates
     ]
+
+
+class DriverFlagProgram(SuperstepProgram):
+    """A driver-scoped no-op round: it can neither continue nor end a fused block."""
+
+    delta_scope = "driver"
+
+    def run(self, ctx, inbox, shared):
+        return None
+
+
+class InteriorProgram(SuperstepProgram):
+    driver_reads_sends = False
+    delta_scope = "owner"
+
+    def run(self, ctx, inbox, shared):  # pragma: no cover - only segmented, never run
+        return None
+
+
+class TerminalProgram(InteriorProgram):
+    driver_reads_sends = True
+
+
+def fusable_span(programs, start: int = 0) -> int:
+    # segmentation reads only the programs' declarations, never the session
+    return ResidentSession._fusable_span(None, programs, start)
 
 
 def run_cc(graph, backend: str, **extra):
@@ -102,6 +130,59 @@ class TestFusedVsFastBitIdentity:
             assert run.rounds_used == fast.rounds_used, backend
             assert_bit_identical(run, fast)
             assert run.cluster.ledger.fused_rounds > 0, backend
+
+    def test_boruvka_mst_all_backends(self):
+        """The candidate scan declares that the driver reads its sends, so every
+        Borůvka round is a block of one — still bit-identical to ``fast``."""
+        graph = random_weighted_graph(30, 80, seed=23)
+        fast = StaticBoruvkaMST(graph, backend="fast")
+        fast.run()
+        for backend in BACKENDS:
+            run = StaticBoruvkaMST(graph, **backend_kwargs(backend))
+            run.run()
+            assert run.forest == fast.forest, backend
+            assert_bit_identical(run, fast)
+            ledger = run.cluster.ledger
+            assert ledger.driver_round_trips > 0, backend
+            assert ledger.fused_rounds == 0, backend
+
+
+class TestBlockSegmentation:
+    def test_interior_rounds_and_one_terminal_form_one_block(self):
+        assert fusable_span([InteriorProgram(), InteriorProgram(), TerminalProgram()]) == 3
+
+    def test_a_terminal_round_ends_the_block(self):
+        span = [InteriorProgram(), TerminalProgram(), InteriorProgram(), TerminalProgram()]
+        assert fusable_span(span) == 2
+        assert fusable_span(span, 2) == 2
+
+    def test_a_position_that_cannot_fuse_is_a_block_of_one(self):
+        span = [DriverFlagProgram(), InteriorProgram(), TerminalProgram()]
+        assert fusable_span(span) == 1
+        assert fusable_span(span, 1) == 2
+        assert fusable_span([TerminalProgram(), TerminalProgram()]) == 1
+
+    def test_mixed_span_runs_as_consecutive_blocks_bit_identically(self):
+        """``[propose, apply, flag, propose, apply]`` ships as blocks of 2, 1 and 2."""
+        graph = gnm_random_graph(24, 50, seed=9)
+        ledgers = {}
+        for backend in ("fast", "resident-shm"):
+            setup = build_static_cluster(graph, weighted=False, **backend_kwargs(backend))
+            cluster, worker_ids = setup.cluster, setup.worker_ids
+            state = {"labels": {v: v for v in graph.vertices}, "via": {}, "changed_flags": {}}
+            propose = CSRLabelProposeProgram(setup.owned, worker_ids)
+            apply_min = LabelApplyProgram(setup.owned, worker_ids, worker_ids[0])
+            with cluster.update("mixed"), cluster.session(state):
+                records = cluster.superstep_block(
+                    [propose, apply_min, DriverFlagProgram(), propose, apply_min], machines=worker_ids, shared=state
+                )
+            assert len(records) == 5, backend
+            ledgers[backend] = (cluster.ledger, dict(state["labels"]))
+        (fast, fast_labels), (resident, resident_labels) = ledgers["fast"], ledgers["resident-shm"]
+        assert resident_labels == fast_labels
+        assert round_records(resident) == round_records(fast)
+        assert resident.driver_round_trips == 3
+        assert resident.fused_rounds == 4
 
 
 class TestDriverRoundTrips:

@@ -800,6 +800,25 @@ class TestOneRoundProtocol:
         assert outcomes["resident"] == outcomes["fast"]
         assert outcomes["fast"][1]  # the hand-assigned factory kept the pair detail
 
+    def test_driver_staged_sends_run_the_round_in_the_driver(self):
+        """A driver-side send staged before a round keeps that round in the driver,
+        equal to ``fast``'s; the next round goes back to the workers."""
+        outcomes = {}
+        for backend in ("fast", "resident"):
+            cluster = TestResidentSuperstep().make_cluster(backend)
+            shared = {"offset": 7, "results": {}, "seen": {}}
+            with cluster.session(shared) as session:
+                cluster.machine("m3").send("m0", "probe", -1)
+                first = cluster.superstep(TokenProbeProgram(), shared=shared)
+                second = cluster.superstep(CollectInboxProgram(), shared=shared)
+            outcomes[backend] = (first, second, {m: value for m, (_, value) in shared["results"].items()}, shared["seen"])
+            if backend == "resident":
+                assert {pid for pid, _ in shared["results"].values()} == {os.getpid()}
+                assert cluster.ledger.driver_round_trips == 1
+                assert session.worker_rounds == 1
+        assert outcomes["resident"] == outcomes["fast"]
+        assert -1 in outcomes["fast"][3]["m0"]  # the staged send was delivered
+
 
 # ------------------------------------------------------------------ resolution
 class TestBackendResolution:
