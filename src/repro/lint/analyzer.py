@@ -488,7 +488,7 @@ class _MethodScanner(ast.NodeVisitor):
             and value.value.id == self.shared_name
             and is_write
         ):
-            # shared["changed_flags"][machine_id] = ... — the inner
+            # shared["frontier"][machine_id] = ... — the inner
             # subscript is a Load; the write lands on the outer one.
             constant, key = _const_key(value.slice)
             if constant:

@@ -17,10 +17,9 @@ benchmark calls (:func:`check_layout`).  This module owns:
     driver-side kernel caches.
 :class:`MachineCSR`
     one machine's owned adjacency as contiguous ``array('q')``/``array('d')``
-    buffers (``verts``/``indptr``/``indices``/``weights``) plus two
-    materialized pure functions of them: per-entry partition owners
-    (``owner_pos``) and the *send plan* — the entries regrouped by target
-    machine, which the CC kernel slices its proposals from.  Stored under
+    buffers (``verts``/``indptr``/``indices``/``weights``) plus the per-entry
+    partition owners (``owner_pos``), a materialized pure function of them
+    that every kernel buckets its sends by.  Stored under
     the single ``"csr"`` key behind the ordinary
     :class:`~repro.runtime.base.MachineStorage` seam, so every backend ships
     it like any other store value (one pickle buffer, no per-key framing).
@@ -61,9 +60,8 @@ from __future__ import annotations
 import functools
 import importlib.util
 from array import array
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
-from repro.mpc.partition import hash_partition
 from repro.runtime.wire import register_wire_type
 
 __all__ = [
@@ -150,30 +148,13 @@ class MachineCSR:
     ``weights`` when the graph is weighted.  ``owner_pos[e]`` is the
     :func:`~repro.mpc.partition.hash_partition` owner of ``indices[e]`` as
     an index into the cluster's worker-id list, hoisted out of the per-round
-    loops.  The *send plan* is the same entries regrouped by that owner, in
-    first-appearance target order and ascending entry order within a target
-    (the order a per-vertex loop over sorted adjacency appends proposals in):
-    ``plan_indices`` / ``plan_sources`` hold each entry's neighbour and
-    source vertex, ``plan_spans`` the flattened ``(target_pos, start, stop)``
-    triples delimiting each target's slice.  Both are pure functions of
-    ``(indices, worker ids)`` — materialized ownership, not extra state —
-    so ``dmpc_words`` charges only the four data buffers (plus a framing
-    word), the words the seed's per-vertex adjacency values were charged.
+    loops: a pure function of ``(indices, worker ids)`` — materialized
+    ownership, not extra state — so ``dmpc_words`` charges only the four
+    data buffers (plus a framing word), the words the seed's per-vertex
+    adjacency values were charged.
     """
 
-    __slots__ = (
-        "verts",
-        "indptr",
-        "indices",
-        "weights",
-        "owner_pos",
-        "plan_indices",
-        "plan_sources",
-        "plan_spans",
-        "_np_cache",
-        "_list_cache",
-        "_plan_cache",
-    )
+    __slots__ = ("verts", "indptr", "indices", "weights", "owner_pos", "_np_cache", "_list_cache")
 
     def __init__(
         self,
@@ -182,21 +163,14 @@ class MachineCSR:
         indices: array,
         weights: "array | None",
         owner_pos: array,
-        plan_indices: array,
-        plan_sources: array,
-        plan_spans: array,
     ) -> None:
         self.verts = verts
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
         self.owner_pos = owner_pos
-        self.plan_indices = plan_indices
-        self.plan_sources = plan_sources
-        self.plan_spans = plan_spans
         self._np_cache: "dict[str, Any] | None" = None
         self._list_cache: "dict[str, Any] | None" = None
-        self._plan_cache: "tuple[list[int], list[int], list[tuple[int, int, int]]] | None" = None
 
     # ------------------------------------------------------------- accounting
     def dmpc_words(self) -> int:
@@ -248,55 +222,32 @@ class MachineCSR:
     def entry_lists(self) -> "dict[str, Any]":
         """Plain-list materializations of the buffers, lazily cached.
 
-        Keys: ``verts``/``indptr``/``indices`` as python lists and
-        ``weights`` (a list, or ``None`` for unweighted rows).  One bulk
+        Keys: ``verts``/``indptr``/``indices``/``owner_pos`` as python
+        lists, ``weights`` (a list, or ``None`` for unweighted rows) and
+        ``row_of``, the owned vertex → row map.  One bulk
         ``array.tolist()`` conversion per process buys C-speed list
         indexing/slicing for kernels whose inner loop stays in python
         (per-machine rows are tens-to-hundreds of entries here, too small
-        for per-call numpy dispatch to pay off — the MST root walk is the
-        canonical client).  Never pickled, and numpy-free by design so the
-        fallback path benefits equally.
+        for per-call numpy dispatch to pay off — the MST root walk and the
+        CC frontier walk are the clients).  Never pickled, and numpy-free by
+        design so the fallback path benefits equally.
         """
         cache = self._list_cache
         if cache is None:
+            verts = self.verts.tolist()
             cache = self._list_cache = {
-                "verts": self.verts.tolist(),
+                "verts": verts,
                 "indptr": self.indptr.tolist(),
                 "indices": self.indices.tolist(),
+                "owner_pos": self.owner_pos.tolist(),
                 "weights": self.weights.tolist() if self.weights is not None else None,
+                "row_of": {v: row for row, v in enumerate(verts)},
             }
-        return cache
-
-    def send_plan(self) -> "tuple[list[int], list[int], list[tuple[int, int, int]]]":
-        """The send plan as plain lists, lazily cached: ``(neighbours, sources, spans)``.
-
-        ``neighbours[i]`` / ``sources[i]`` are the endpoints of the ``i``-th
-        entry in target order and ``spans`` the ``(target_pos, start, stop)``
-        slices — a kernel zips per-entry values against the two lists once
-        and cuts one slice per target.  Never pickled, numpy-free.
-        """
-        cache = self._plan_cache
-        if cache is None:
-            flat = self.plan_spans.tolist()
-            cache = self._plan_cache = (
-                self.plan_indices.tolist(),
-                self.plan_sources.tolist(),
-                list(zip(flat[0::3], flat[1::3], flat[2::3])),
-            )
         return cache
 
     # ------------------------------------------------------------ serialization
     def _state(self) -> tuple:
-        return (
-            self.verts,
-            self.indptr,
-            self.indices,
-            self.weights,
-            self.owner_pos,
-            self.plan_indices,
-            self.plan_sources,
-            self.plan_spans,
-        )
+        return (self.verts, self.indptr, self.indices, self.weights, self.owner_pos)
 
     def __getstate__(self) -> tuple:
         return self._state()
@@ -323,46 +274,27 @@ def build_machine_csr(
     owned: "list[int]",
     neighbors: "Callable[[int], list[int]]",
     weight: "Callable[[int, int], float] | None",
-    worker_ids: "list[str]",
+    owner_pos: "Mapping[int, int]",
 ) -> MachineCSR:
     """Build one machine's CSR from its owned vertices.
 
     ``neighbors(v)`` must return the neighbor list sorted (every kernel's
     message order depends on per-row order); ``weight`` is ``None`` for
     unweighted workloads, which drops the weights buffer entirely.
+    ``owner_pos`` maps every vertex to its owner's position in the worker-id
+    list, computed once per cluster, not once per entry.
     """
     verts = array("q", owned)
     indptr = array("q", [0])
     indices = array("q")
     weights: "array | None" = array("d") if weight is not None else None
-    position = {machine_id: pos for pos, machine_id in enumerate(worker_ids)}
-    owner_pos = array("q")
-    # target position -> (neighbours, sources) of its entries; dict order is
-    # first appearance over the row-major entry scan.
-    by_target: "dict[int, tuple[array, array]]" = {}
     for v in owned:
         row = neighbors(v)
         indices.extend(row)
         if weights is not None:
             weights.extend(weight(v, w) for w in row)
         indptr.append(len(indices))
-        for w in row:
-            pos = position[hash_partition(w, worker_ids)]
-            owner_pos.append(pos)
-            bucket = by_target.get(pos)
-            if bucket is None:
-                bucket = by_target[pos] = (array("q"), array("q"))
-            bucket[0].append(w)
-            bucket[1].append(v)
-    plan_indices = array("q")
-    plan_sources = array("q")
-    plan_spans = array("q")
-    for pos, (nbrs, sources) in by_target.items():
-        start = len(plan_indices)
-        plan_indices.extend(nbrs)
-        plan_sources.extend(sources)
-        plan_spans.extend((pos, start, len(plan_indices)))
-    return MachineCSR(verts, indptr, indices, weights, owner_pos, plan_indices, plan_sources, plan_spans)
+    return MachineCSR(verts, indptr, indices, weights, array("q", map(owner_pos.__getitem__, indices)))
 
 
 # -------------------------------------------------------------- alive table

@@ -144,17 +144,16 @@ def build_static_cluster(
     setup = StaticMPCSetup(
         cluster=cluster, worker_ids=worker_ids, graph=graph, interner=VertexInterner(graph.vertices)
     )
+    # each vertex is hashed once: the owner position feeds both the owned
+    # lists and every CSR entry's owner_pos
+    position = {machine_id: pos for pos, machine_id in enumerate(worker_ids)}
+    owner_pos = {v: position[hash_partition(v, worker_ids)] for v in graph.vertices}
     owned: dict[str, list[int]] = {mid: [] for mid in worker_ids}
-    for v in graph.vertices:
-        owned[setup.owner(v)].append(v)
+    for v, pos in owner_pos.items():
+        owned[worker_ids[pos]].append(v)
     setup.owned = owned
     weight = (lambda v, w: float(graph.weight(v, w))) if weighted else None
     for machine_id, vertices in owned.items():
-        csr = build_machine_csr(
-            vertices,
-            lambda v: sorted(graph.neighbors(v)),
-            weight,
-            worker_ids,
-        )
+        csr = build_machine_csr(vertices, lambda v: sorted(graph.neighbors(v)), weight, owner_pos)
         cluster.machine(machine_id).store("csr", csr)
     return setup

@@ -169,7 +169,7 @@ class TestBlockSegmentation:
         for backend in ("fast", "resident-shm"):
             setup = build_static_cluster(graph, weighted=False, **backend_kwargs(backend))
             cluster, worker_ids = setup.cluster, setup.worker_ids
-            state = {"labels": {v: v for v in graph.vertices}, "via": {}, "changed_flags": {}}
+            state = {"labels": {v: v for v in graph.vertices}, "via": {}, "frontier": dict(setup.owned)}
             propose = CSRLabelProposeProgram(setup.owned, worker_ids)
             apply_min = LabelApplyProgram(setup.owned, worker_ids, worker_ids[0])
             with cluster.update("mixed"), cluster.session(state):
@@ -200,7 +200,7 @@ class TestDriverRoundTrips:
         graph = gnm_random_graph(24, 50, seed=9)
         setup = build_static_cluster(graph, backend="resident", resident_slots=RESIDENT_SLOTS, weighted=False)
         cluster, worker_ids = setup.cluster, setup.worker_ids
-        state = {"labels": {v: v for v in graph.vertices}, "via": {}, "changed_flags": {}}
+        state = {"labels": {v: v for v in graph.vertices}, "via": {}, "frontier": dict(setup.owned)}
         propose = CSRLabelProposeProgram(setup.owned, worker_ids)
         apply_min = LabelApplyProgram(setup.owned, worker_ids, worker_ids[0])
         with cluster.update("lone"), cluster.session(state):

@@ -47,19 +47,17 @@ def run_label_propagation(graph, *, backend, on_round=None):
     cluster = setup.cluster
     worker_ids = setup.worker_ids
     leader = worker_ids[0]
-    state = {"labels": {v: v for v in graph.vertices}, "via": {}, "changed_flags": {}}
+    state = {"labels": {v: v for v in graph.vertices}, "via": {}, "frontier": dict(setup.owned)}
     propose = CSRLabelProposeProgram(setup.owned, worker_ids)
     apply_min = LabelApplyProgram(setup.owned, worker_ids, leader)
     with cluster.update("resident-cc"), cluster.session(state) as session:
-        changed = True
         rounds = 0
-        while changed and rounds < 4 * max(4, graph.num_vertices):
+        while any(state["frontier"].values()):
             rounds += 1
             if on_round and rounds in on_round:
                 on_round[rounds](cluster, session)
             cluster.superstep(propose, machines=worker_ids, shared=state)
             cluster.superstep(apply_min, machines=worker_ids, shared=state)
-            changed = any(state["changed_flags"].values())
         cluster.machine(leader).drain("changed")
     return {
         "labels": state["labels"],
@@ -110,7 +108,7 @@ class TestWorkerSessionProtocol:
         assert _session_open(sessions, "s1")
         assert _session_open(sessions, "s1")  # idempotent
         blob = self.make_program_blob()
-        results = one_round(sessions, "s1", {0: blob}, {"labels": {}}, [], [("m0", ())])
+        results = one_round(sessions, "s1", {0: blob}, {"labels": {}, "frontier": {"m0": []}}, [], [("m0", ())])
         assert results == [("m0", [], None)]
         assert _session_close(sessions, "s1")
         assert sessions == {}
@@ -121,7 +119,7 @@ class TestWorkerSessionProtocol:
         _session_open(sessions, "s")
         blob = self.make_program_blob()
         store_v1 = pickle.dumps({("adj", 1): [2]}, protocol=pickle.HIGHEST_PROTOCOL)
-        one_round(sessions, "s", {0: blob}, {"labels": {}}, [("m0", ("adj",), 1, store_v1)], [("m0", ())])
+        one_round(sessions, "s", {0: blob}, {"labels": {}, "frontier": {"m0": []}}, [("m0", ("adj",), 1, store_v1)], [("m0", ())])
         state = sessions["s"]
         assert state.stores[("m0", ("adj",))] == {("adj", 1): [2]}
         assert state.store_versions["m0"] == 1
@@ -158,7 +156,7 @@ class TestWorkerSessionProtocol:
         cluster = setup.cluster
         worker_ids = setup.worker_ids
         propose = CSRLabelProposeProgram(setup.owned, worker_ids)
-        bad_state = {"via": {}, "changed_flags": {}}  # missing "labels"
+        bad_state = {"via": {}, "frontier": dict(setup.owned)}  # missing "labels"
         with cluster.session(bad_state) as session:
             with pytest.raises(KeyError):
                 cluster.superstep(propose, machines=worker_ids, shared=bad_state)

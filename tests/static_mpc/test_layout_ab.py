@@ -1,4 +1,4 @@
-"""The one static layout: pinned ledgers, the CSR send plan, closed-form message sizes.
+"""The one static layout: pinned ledgers and solutions, frontier proposals, closed-form message sizes.
 
 Until the CSR recut was the only layout, every static baseline also ran on
 per-vertex dict stores, and the two agreed bit for bit on every backend.
@@ -6,13 +6,18 @@ What they agreed on is pinned here as one SHA-256 digest per baseline over
 the per-update ``(label, rounds, words, max words per round, max active
 machines)`` rows and the solution, recorded while both layouts still ran:
 the CSR kernels on every execution backend must reproduce it, so the
-seed's word charges stay pinned without a second implementation.
+seed's word charges stay pinned without a second implementation.  The
+connected-components digest was re-pinned once since, when its proposals
+shrank to the frontier (fewer words, same solution); a second digest per
+baseline pins the solution alone, so re-pinning costs can never hide a
+changed solution.
 
-The send plan is checked against proposals built straight from the graph's
-adjacency, and the closed-form message sizes the CSR kernels pass as
-``words=`` (skipping the per-element sizing walk) must equal what
-:func:`~repro.mpc.sizing.word_size` would have charged for the same tag and
-payload — the invariant the kernel docstrings defer to this file for.
+The frontier propose kernel is checked against proposals built straight
+from the graph's adjacency, and the closed-form message sizes the CSR
+kernels pass as ``words=`` (skipping the per-element sizing walk) must
+equal what :func:`~repro.mpc.sizing.word_size` would have charged for the
+same tag and payload — the invariant the kernel docstrings defer to this
+file for.
 """
 
 from __future__ import annotations
@@ -47,89 +52,98 @@ def ledger_digest(ledger, solution) -> str:
     return hashlib.sha256(repr((rows, solution)).encode()).hexdigest()
 
 
-class TestPinnedLedgers:
-    """Every backend reproduces the ledger and solution the dict and CSR layouts agreed on."""
+def solution_digest(solution) -> str:
+    """SHA-256 over the solution alone (``repr``)."""
+    return hashlib.sha256(repr(solution).encode()).hexdigest()
 
+
+class TestPinnedLedgers:
+    """Every backend reproduces the pinned ledger and, separately, the pinned solution."""
+
+    #: name -> (constructor, solution, ledger + solution digest, solution-only digest)
     CASES = {
         "connected_components": (
             lambda **kw: StaticConnectedComponents(gnm_random_graph(48, 100, seed=11), **kw),
             lambda a: (sorted(a.labels.items()), sorted(a.spanning_forest()), a.rounds_used),
-            "0282c10e8f746a7d39098e6ecda6180e7adb40f6da26fa9d988e97a3d4b59b9c",
+            "5611402de5aa8afbfd9a5e841ada092a6247c34420e03cd794a55224e7705db6",
+            "1182ea9956e8aba93450b14f6e84a68f5958f94289bfc1706b1d9bb1849c1205",
         ),
         "maximal_matching": (
             lambda **kw: StaticMaximalMatching(gnm_random_graph(44, 110, seed=23), seed=23, **kw),
             lambda a: (sorted(a.matching), a.rounds_used),
             "99be7992c40ec0367f1e6706cf16ce144ce80674791a35ae1fb02a6ea6474d68",
+            "6696ad070a029b6bfe16f9dbe39aaeda50dbd870d563b03292983d2811a66ba3",
         ),
         "boruvka_mst": (
             lambda **kw: StaticBoruvkaMST(random_weighted_graph(40, 90, seed=31), **kw),
             lambda a: (sorted(a.forest), a.phases_used),
             "f4350b9c3fe114722ac511c1d2e9d67c2c3ab31fe5555e079c58895d15a12691",
+            "9bc1c3482e019ddac9aa7379f09bcf08792de3d75b1fbb0c87dc350f1fceb9e0",
         ),
     }
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_ledger_matches_the_pinned_digest(self, name, backend):
-        make, solution, pinned = self.CASES[name]
+        make, solution, pinned_ledger, pinned_solution = self.CASES[name]
         algorithm = make(**backend_kwargs(backend))
         algorithm.run()
-        assert ledger_digest(algorithm.cluster.ledger, solution(algorithm)) == pinned
+        assert solution_digest(solution(algorithm)) == pinned_solution
+        assert ledger_digest(algorithm.cluster.ledger, solution(algorithm)) == pinned_ledger
 
 
-class TestSendPlanEqualsDictLayoutProposals:
-    """The CSR send plan stages, message for message, what the dict layout's per-vertex loop staged.
+class TestFrontierProposals:
+    """The frontier walk stages, message for message, the graph-built proposals of its frontier.
 
     One propose round per machine, recorded through :class:`WorkerMachineContext`
     (so nothing else of the superstep machinery is in the way), against
     expectations built inline from ``graph.neighbors``: per owned vertex in
-    owned order, per neighbour ascending, a ``(neighbour, label, source)``
-    triple for the neighbour's owner — receivers in first-appearance order,
-    each message charged what the sizer charges.  Labels are scrambled so a
-    label gathered from the wrong row cannot pass.
+    owned order that is in the frontier, per neighbour ascending, a
+    ``(neighbour, label, source)`` triple for the neighbour's owner —
+    receivers in first-appearance order, each message charged what the
+    sizer charges.  With the full frontier that is the dict layout's
+    per-vertex loop.  Labels are scrambled so a label gathered from the
+    wrong row cannot pass, and the frontier is handed over shuffled so a
+    walk in frontier order instead of row order cannot pass either.
     """
 
+    @pytest.mark.parametrize("frontier_share", [1.0, 0.4, 0.0], ids=["full", "random", "empty"])
     @pytest.mark.parametrize("num_workers", [2, 3, 7])
     @pytest.mark.parametrize("seed", range(4))
-    def test_per_target_slices(self, num_workers, seed):
+    def test_per_target_messages(self, num_workers, seed, frontier_share):
         n = 24 + 5 * seed
         graph = gnm_random_graph(n, 2 * n + seed, seed=100 + seed)
         rng = random.Random(seed)
         labels = {v: rng.randrange(10 * n) for v in graph.vertices}
         setup = build_static_cluster(graph, num_workers=num_workers, backend="reference", weighted=False)
         program = CSRLabelProposeProgram(setup.owned, setup.worker_ids)
+        frontier = {
+            machine_id: rng.sample(owned, round(frontier_share * len(owned)))
+            for machine_id, owned in setup.owned.items()
+        }
         proposed = 0
         for machine_id in setup.worker_ids:
             expected: dict[str, list[tuple[int, int, int]]] = {}
             for v in setup.owned_vertices(machine_id):
+                if v not in frontier[machine_id]:
+                    continue
                 for w in sorted(graph.neighbors(v)):
                     expected.setdefault(setup.owner(w), []).append((w, labels[v], v))
             ctx = WorkerMachineContext(machine_id, dict(setup.cluster.machine(machine_id).items()))
-            assert program.run(ctx, [], {"labels": labels}) is None
+            assert program.run(ctx, [], {"labels": labels, "frontier": frontier}) is None
             assert [(receiver, tag, payload) for receiver, tag, payload, _words in ctx.sent] == [
                 (target, "label-proposal", items) for target, items in expected.items()
             ]
             for _receiver, tag, payload, words in ctx.sent:
                 assert words == word_size(tag) + word_size(payload)
             proposed += sum(len(items) for items in expected.values())
-        # non-vacuous: every edge was proposed along in both directions
-        assert proposed == 2 * graph.num_edges
-
-    def test_plan_is_a_regrouping_of_the_csr_entries(self):
-        graph = gnm_random_graph(40, 90, seed=5)
-        setup = build_static_cluster(graph, num_workers=5, backend="reference", weighted=False)
-        for machine_id in setup.worker_ids:
-            csr = setup.machine_csr(machine_id)
-            neighbours, sources, spans = csr.send_plan()
-            assert sorted(zip(sources, neighbours)) == sorted(
-                (v, w) for row, v in enumerate(csr.verts) for w in csr.indices[slice(*csr.row_bounds(row))]
-            )
-            # spans tile the plan, one per distinct target, each target's entries owned by it
-            assert [start for _, start, _ in spans] == [0, *(stop for _, _, stop in spans)][:-1]
-            assert (spans[-1][2] if spans else 0) == csr.num_entries
-            assert len({pos for pos, _, _ in spans}) == len(spans)
-            for pos, start, stop in spans:
-                assert {setup.owner(w) for w in neighbours[start:stop]} == {setup.worker_ids[pos]}
+        # non-vacuous: the full frontier proposes along every edge in both directions
+        if frontier_share == 1.0:
+            assert proposed == 2 * graph.num_edges
+        elif frontier_share == 0.0:
+            assert proposed == 0
+        else:
+            assert 0 < proposed < 2 * graph.num_edges
 
 
 class TestClosedFormWords:
