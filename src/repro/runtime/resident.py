@@ -28,8 +28,9 @@ backend's storage, accounting and delivery pass:
   lives on the sending slot is staged worker-locally (it never crosses the
   pipe and is never re-encoded), a cross-slot frame rides a pre-sized
   :class:`~repro.runtime.wire.ShmRing` (one SPSC ring per ordered slot
-  pair; overflow falls back to driver-forwarded pipe delivery), and only
-  per-(sender, receiver) word aggregates return to the driver, where
+  pair; overflow falls back to driver-forwarded pipe delivery), and only a
+  round summary — word and message totals, the largest message, the
+  sending and receiving machines — returns to the driver, where
   :meth:`ResidentTransport.deposit_worker_round` rebuilds the identical
   :class:`~repro.mpc.metrics.RoundRecord`.  A program that declares
   ``driver_reads_sends = True`` (the default) instead returns its sends on
@@ -51,11 +52,11 @@ backend's storage, accounting and delivery pass:
   K ≥ 2; a position that cannot fuse, and every lone
   :meth:`Cluster.superstep`, is a block of K = 1.  Inside a block workers
   loop locally: each round they ingest rings, serve due frames, run their
-  machines and commit their frames; between the rounds of a K ≥ 2 block
-  they *self-apply* their own machines' owner-scoped deltas and
-  synchronize on a shared-memory cursor barrier
-  (:class:`~repro.runtime.wire.ShmRoundBarrier`) instead of a driver
-  round trip.  Per-round aggregates come back once per block, and the
+  machines and commit their frames; after every routed round they
+  *self-apply* their own machines' owner-scoped deltas, and between the
+  rounds of a K ≥ 2 block they synchronize on a shared-memory cursor
+  barrier (:class:`~repro.runtime.wire.ShmRoundBarrier`) instead of a
+  driver round trip.  Per-round summaries come back once per block, and the
   driver replays them round by round — every RoundRecord is rebuilt
   bit-identically, in order.  A ring overflow mid-block stops every slot
   at the same round boundary (the barrier's stop bit); the overflowed
@@ -96,6 +97,7 @@ import os
 import pickle
 import threading
 from collections import deque
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.exceptions import MessageSizeExceeded, ProtocolError, UnknownMachineError
@@ -149,6 +151,7 @@ class _SessionState:
         "shared",
         "stores",
         "store_versions",
+        "local",
         "pending",
         "rings_in",
         "rings_out",
@@ -167,11 +170,14 @@ class _SessionState:
         #: machine id -> storage version epoch its snapshots were taken at;
         #: a newer epoch evicts every prefix snapshot of the machine at once
         self.store_versions: dict[str, int] = {}
-        #: receiver machine id -> slot-routed frames held for its next run,
-        #: each ``(epoch, sender_index, seq, sender, receiver, tag, payload,
-        #: words)`` — the first three fields are the global sort key that
-        #: restores the reference delivery order when frames from several
-        #: source slots merge into one inbox
+        #: receiver machine id -> same-slot messages held for its next run,
+        #: one ``(epoch, [Message, ...])`` chunk per round that sent any, in
+        #: arrival order — which within one slot is reference order
+        self.local: dict[str, list[tuple[int, list[Message]]]] = {}
+        #: receiver machine id -> cross-slot frames (ring or driver forward)
+        #: held for its next run, each ``(epoch, sender_index, seq, sender,
+        #: receiver, tag, payload, words)`` — the first three fields are the
+        #: global sort key that restores the reference delivery order
         self.pending: dict[str, list[tuple]] = {}
         #: source slot -> ring this worker reads cross-slot frames from
         self.rings_in: dict[int, ShmRing] = {}
@@ -196,13 +202,26 @@ class _SessionState:
 _EMPTY_STORE: dict = {}
 
 
-def _frame_sort_key(frame: tuple) -> tuple:
-    """Reference delivery order: round epoch, sender registration, staging seq."""
-    return (frame[0], frame[1], frame[2])
+#: a frame's reference delivery order: round epoch, sender registration, staging seq
+_frame_sort_key = itemgetter(0, 1, 2)
 
 
 def _frame_message(frame: tuple) -> Message:
     return Message(sender=frame[3], receiver=frame[4], tag=frame[5], payload=frame[6], words=frame[7])
+
+
+def _local_frames(chunks: "list[tuple[int, list[Message]]]", machine_slots: dict) -> "list[tuple]":
+    """Key held same-slot messages as frames, for a merge with cross-slot ones.
+
+    A sender's messages all take one path to a receiver, so ``(epoch,
+    sender_index)`` never ties across paths; the chunk position keeps a
+    sender's staging order.
+    """
+    return [
+        (epoch, machine_slots[m.sender][0], seq, m.sender, m.receiver, m.tag, m.payload, m.words)
+        for epoch, messages in chunks
+        for seq, m in enumerate(messages)
+    ]
 
 
 def _ingest_rings(state: _SessionState) -> None:
@@ -213,20 +232,20 @@ def _ingest_rings(state: _SessionState) -> None:
             state.pending.setdefault(frame[4], []).append(frame)
 
 
-def _due_inbox(
-    pending: "dict[str, list[tuple]]", machine_id: str, epoch: int, drop_inbox: bool, packed_inbox: Any
-) -> "list[Message]":
+def _due_inbox(state: _SessionState, machine_id: str, epoch: int, drop_inbox: bool, packed_inbox: Any) -> "list[Message]":
     """``machine_id``'s inbox for round ``epoch`` of a slot-routed run.
 
     The driver-shipped messages come first (they are from strictly earlier
     arrivals — the driver flushes worker-held frames before any driver-side
-    delivery), then the held frames that are due, sorted by their global
-    ``(epoch, sender_index, seq)`` key.  Only frames with ``epoch <`` the
-    current round are due: a faster peer slot may already have written
-    *this* round's frames into our ring, and those wait one round like
-    every other message sent in round ``epoch``.  A ``drop_inbox`` program
-    consumes its due frames unseen.
+    delivery), then the held messages that are due: every same-slot one, in
+    held (reference) order, and the cross-slot frames with ``epoch <`` the
+    current round — a faster peer may already have written *this* round's
+    frames into our ring, and those wait one round.  Only a receiver with
+    due messages of both kinds sorts, by the global key.  A ``drop_inbox``
+    program consumes its due messages unseen.
     """
+    chunks = state.local.pop(machine_id, None)
+    pending = state.pending
     held = pending.get(machine_id)
     ready: "list[tuple]" = []
     if held:
@@ -241,64 +260,95 @@ def _due_inbox(
         return []
     inbox = unpack_inbox(packed_inbox)
     if ready:
+        if chunks:
+            ready += _local_frames(chunks, state.machine_slots)
         ready.sort(key=_frame_sort_key)
         inbox.extend(_frame_message(f) for f in ready)
+    elif chunks:
+        for _, messages in chunks:
+            inbox += messages
     return inbox
 
 
-def _commit_frames(state: _SessionState, staged: "list[list[tuple]]", my_slot: int) -> tuple:
-    """Route one round's staged frames and aggregate the round's accounting.
+def _commit_frames(
+    state: _SessionState, staged: "list[tuple[int, list[Message]]]", epoch: int, my_slot: int, sampled: bool, io_cap: bool
+) -> tuple:
+    """Route one round's staged messages and summarize the round for its record.
 
-    Same-slot frames go to the pending map, cross-slot frames to the shm
-    rings; a frame that does not fit its ring is returned as overflow for
-    the driver's pipe forward path, and a frame for a receiver outside the
-    routing map as fallback.  Returns ``(pairs, traffic, overflow,
-    fallback)``: per-(sender, receiver) ``(words, count, max)`` aggregates
-    and ``(local, ring frames, ring bytes, overflow count)`` — what the
-    driver's exchange needs to rebuild the round's record.
+    ``staged`` holds ``(sender index, messages)`` per machine that ran.
+    Same-slot messages join the held ``local`` chunks as they are; a
+    cross-slot message becomes a keyed frame for its shm ring, or overflow
+    for the driver's pipe forward path when it does not fit, or fallback
+    when its receiver is outside the routing map.  Returns ``(summary,
+    traffic, overflow, fallback)``: ``summary`` is ``(total_words,
+    message_count, max_words, senders, receivers, pair_words, sent_words,
+    received_words)`` — O(machines): the pair words only on a ``sampled``
+    round, the per-machine words only under the I/O cap — and ``traffic``
+    is ``(local, ring frames, ring bytes, overflow count)``.
     """
     machine_slots = state.machine_slots
-    pending = state.pending
     rings_out = state.rings_out
-    pairs: "dict[tuple[str, str], list[int]]" = {}
-    local_count = 0
-    ring_frames = 0
-    ring_bytes = 0
+    local: "dict[str, list[Message]]" = {}
+    remote: "set[str]" = set()
+    senders: "list[str]" = []
+    total = count = largest = local_count = ring_frames = ring_bytes = 0
+    pair_words: "dict[tuple[str, str], int]" = {}
+    sent_words: "dict[str, int]" = {}
+    received_words: "dict[str, int]" = {}
     overflow: "list[tuple[int, tuple]]" = []
     fallback: "list[tuple]" = []
-    for frames in staged:
-        for frame in frames:
-            receiver = frame[4]
-            words = frame[7]
-            key = (frame[3], receiver)
-            stats = pairs.get(key)
-            if stats is None:
-                pairs[key] = [words, 1, words]
-            else:
-                stats[0] += words
-                stats[1] += 1
-                if words > stats[2]:
-                    stats[2] = words
+    # Senders in registration order: same-slot messages then arrive in
+    # reference order, whatever order the targets ran in.
+    staged.sort(key=itemgetter(0))
+    for index, sent in staged:
+        if not sent:
+            continue
+        sender = sent[0].sender
+        senders.append(sender)
+        count += len(sent)
+        sent_total = 0
+        for seq, msg in enumerate(sent):
+            receiver = msg.receiver
+            words = msg.words
+            sent_total += words
+            if words > largest:
+                largest = words
+            if sampled:
+                pair_words[(sender, receiver)] = pair_words.get((sender, receiver), 0) + words
+            if io_cap:
+                received_words[receiver] = received_words.get(receiver, 0) + words
             info = machine_slots.get(receiver)
+            if info is not None and info[1] == my_slot:
+                held = local.get(receiver)
+                if held is None:
+                    local[receiver] = [msg]
+                else:
+                    held.append(msg)
+                continue
+            remote.add(receiver)
+            frame = (epoch, index, seq, sender, receiver, msg.tag, msg.payload, words)
             if info is None:
                 fallback.append(frame)
-            elif info[1] == my_slot:
-                pending.setdefault(receiver, []).append(frame)
-                local_count += 1
-            else:
-                ring = rings_out.get(info[1])
-                # Sizer-derived quick reject: words bound the marshalled
-                # bytes to within a small constant, so a frame that cannot
-                # possibly fit skips the encode entirely.
-                if ring is not None and words * 8 + FRAME_HEADER <= ring.capacity + 64:
-                    blob = encode_obj(frame)
-                    if ring.write(blob):
-                        ring_frames += 1
-                        ring_bytes += len(blob) + FRAME_HEADER
-                        continue
-                overflow.append((info[1], frame))
+                continue
+            ring = rings_out.get(info[1])
+            # Sizer-derived quick reject: words bound the marshalled bytes
+            # to within a small constant, so a frame that cannot possibly
+            # fit skips the encode entirely.
+            if ring is not None and words * 8 + FRAME_HEADER <= ring.capacity + 64:
+                blob = encode_obj(frame)
+                if ring.write(blob):
+                    ring_frames += 1
+                    ring_bytes += len(blob) + FRAME_HEADER
+                    continue
+            overflow.append((info[1], frame))
+        total += sent_total
+        if io_cap:
+            sent_words[sender] = sent_total
+    for receiver, messages in local.items():
+        local_count += len(messages)
+        state.local.setdefault(receiver, []).append((epoch, messages))
     return (
-        [(s, r, v[0], v[1], v[2]) for (s, r), v in pairs.items()],
+        (total, count, largest, senders, [*local, *remote], pair_words, sent_words, received_words),
         (local_count, ring_frames, ring_bytes, len(overflow)),
         overflow,
         fallback,
@@ -325,51 +375,25 @@ class _SizingMachineContext(WorkerMachineContext):
 
 
 class _RoutingMachineContext(WorkerMachineContext):
-    """Worker view for slot-routed rounds: sizes *and* addresses each send.
+    """Worker view for slot-routed rounds: stages each send as a sized :class:`Message`.
 
-    Every send becomes one keyed frame ``(epoch, sender_index, seq, sender,
-    receiver, tag, payload, words)``.  ``words`` is computed exactly once,
-    here, by the same :func:`fast_word_size` the resident transport charges
-    with; local delivery, ring-capacity fit checks and the driver's round
-    accounting all reuse that one number — the send path never re-sizes a
-    payload.  The key triple ``(epoch, sender_index, seq)`` totally orders
-    all frames of a session, reproducing the reference delivery order
-    (senders by registration index, sends in staging order) no matter which
-    physical path — worker-local, shm ring or pipe — a frame takes.
+    ``words`` is computed exactly once, here, by the same
+    :func:`fast_word_size` the resident transport charges with, and reused
+    by local delivery, ring-capacity checks and the round summary.  A
+    same-slot message reaches its receiver's inbox as this very object;
+    only a message leaving the slot is keyed into a frame, at commit.
     """
 
-    __slots__ = ("_epoch", "_index")
-
-    def __init__(self, machine_id: str, store: Any, epoch: int, index: int) -> None:
-        super().__init__(machine_id, store)
-        self._epoch = epoch
-        self._index = index
+    __slots__ = ()
 
     def send(self, receiver: str, tag: str, payload: Any = None, *, words: int | None = None) -> None:
         if words is None:
             words = fast_word_size(tag) + fast_word_size(payload)
-        sent = self.sent
-        sent.append(
-            (
-                self._epoch,
-                self._index,
-                len(sent),
-                self._machine_id,
-                receiver,
-                tag,
-                payload,
-                words,
-            )
-        )
+        self.sent.append(Message(self._machine_id, receiver, tag, payload, words))
 
     def send_many(self, tag: str, sends: "Iterable[tuple[str, Any, int]]") -> None:
-        epoch, index, sender, sent = self._epoch, self._index, self._machine_id, self.sent
-        sent.extend(
-            [
-                (epoch, index, seq, sender, receiver, tag, payload, words)
-                for seq, (receiver, payload, words) in enumerate(sends, len(sent))
-            ]
-        )
+        sender = self._machine_id
+        self.sent.extend([Message(sender, receiver, tag, payload, words) for receiver, payload, words in sends])
 
 
 def _session_open(sessions: "dict[str, _SessionState]", session_id: str) -> bool:
@@ -418,17 +442,22 @@ def _session_flush(sessions: "dict[str, _SessionState]", session_id: str) -> "li
     """Protocol op: surrender every slot-routed frame held at this worker.
 
     Rings are ingested first, so frames a peer slot wrote that this worker
-    has not looked at yet are included.  Called behind the barrier (no
-    round in flight), hence every held frame is deliverable; the driver
-    merges the returned frames by their global sort key.
+    has not looked at yet are included, and held same-slot messages are
+    keyed into frames here.  Called behind the barrier (no round in
+    flight), hence every held frame is deliverable; the driver merges the
+    returned frames by their global sort key.
     """
     state = sessions.get(session_id)
     if state is None:
         return []
     _ingest_rings(state)
     frames: "list[tuple]" = []
-    for receiver in list(state.pending):
-        frames.extend(state.pending.pop(receiver))
+    for held in state.pending.values():
+        frames += held
+    for chunks in state.local.values():
+        frames += _local_frames(chunks, state.machine_slots)
+    state.pending.clear()
+    state.local.clear()
     return frames
 
 
@@ -493,25 +522,27 @@ def _session_run_block(
     frames of earlier rounds to merge into pending), ``"rounds"`` (one
     ``(program key, drop_inbox, funnel)`` spec per round) and
     ``"barrier"`` (``(base, participating slots)`` for a multi-slot block
-    of K ≥ 2, else ``None``).  Each round ``r`` (global epoch
-    ``epoch0 + r``):
+    of K ≥ 2, else ``None``), ``"sampling"`` and ``"io_cap"`` (the
+    transport's ``pair_detail_every`` and the cluster's
+    ``enforce_io_cap``: what a round summary carries).  Each round ``r``
+    (global epoch ``epoch0 + r``):
 
-    1. ingest the inbound rings and serve this round's *due* frames
-       (``epoch < epoch0 + r``) in global sort order — round 0 also serves
-       the driver-shipped inboxes, later rounds have none by construction
-       (the driver does no work between fused rounds).  A ``drop_inbox``
-       program consumes its due frames unseen;
+    1. ingest the inbound rings and serve this round's *due* messages
+       (:func:`_due_inbox`) — round 0 also serves the driver-shipped
+       inboxes, later rounds have none by construction (the driver does no
+       work between fused rounds).  A ``drop_inbox`` program consumes its
+       due messages unseen;
     2. run the machines — :class:`_RoutingMachineContext` for routed
        rounds, :class:`_SizingMachineContext` for a terminal *funnel*
        round, whose sends return on the reply for the driver to stage;
-    3. commit: same-slot frames to pending, cross-slot frames to the shm
-       rings; a frame without a ring (overflow, or no rings attached) sets
-       the *stop* flag — it needs the driver's pipe forward path, so the
-       block must end at this boundary;
-    4. self-apply this slot's own machines' deltas (``owner`` scope makes
-       that sufficient; ``global``-scoped interior programs have no-op
-       applies) — except on the block's final round, whose deltas the
-       driver replays through the normal barrier instead.  Under
+    3. commit: same-slot messages to the held chunks, cross-slot frames to
+       the shm rings; a frame without a ring (overflow, or no rings
+       attached) sets the *stop* flag — it needs the driver's pipe forward
+       path, so the block must end at this boundary;
+    4. self-apply this slot's own machines' ``owner``-scoped deltas of a
+       routed round — final round included, so the driver never echoes
+       them back (``global``-scoped interior programs have no-op applies;
+       other scopes take the driver's barrier replay).  Under
        ``REPRO_CHECK_CONTRACTS`` the apply runs against the same
        :func:`~repro.mpc.contract.checked_apply_view` the driver uses;
     5. announce ``base + r + 1`` on the round barrier (stop bit included)
@@ -520,7 +551,7 @@ def _session_run_block(
        number of rounds.  Blocks without a barrier wait on nothing.
 
     Returns ``("block", completed, per_round, stopped)`` where
-    ``per_round[r]`` is ``("routed", deltas, pairs, traffic, overflow,
+    ``per_round[r]`` is ``("routed", deltas, summary, traffic, overflow,
     fallback)`` (see :func:`_commit_frames`) or ``("funneled", [(machine
     id, sends, delta), ...])``, letting the driver rebuild every
     :class:`RoundRecord` round by round.
@@ -538,6 +569,8 @@ def _session_run_block(
     for frame in block["forward"]:
         pending.setdefault(frame[4], []).append(frame)
     rounds = block["rounds"]
+    sampling = block.get("sampling", 0)
+    io_cap = block.get("io_cap", False)
     barrier: "ShmRoundBarrier | None" = None
     base = 0
     peers: "list[int]" = []
@@ -562,36 +595,35 @@ def _session_run_block(
         prefixes = program.store_reads
         _ingest_rings(state)
         deltas: "list[tuple[str, Any]]" = []
-        staged: "list[list[tuple]]" = []
+        staged: "list[tuple[int, list[Message]]]" = []
         funneled: "list[tuple[str, list[tuple[str, str, Any, int]], Any]]" = []
         for machine_id, packed_inbox in batch:
             # Driver-shipped inboxes exist only for round 0; every later
             # round's messages are worker frames by construction.
-            inbox = _due_inbox(pending, machine_id, epoch, drop_inbox, packed_inbox if r == 0 else ())
+            inbox = _due_inbox(state, machine_id, epoch, drop_inbox, packed_inbox if r == 0 else ())
             store = state.stores.get((machine_id, prefixes), _EMPTY_STORE)
             if funnel:
                 sctx = _SizingMachineContext(machine_id, store)
                 funneled.append((machine_id, sctx.sent, program.run(sctx, inbox, shared)))
                 continue
-            ctx = _RoutingMachineContext(machine_id, store, epoch, machine_slots[machine_id][0])
+            ctx = _RoutingMachineContext(machine_id, store)
             deltas.append((machine_id, program.run(ctx, inbox, shared)))
-            staged.append(ctx.sent)
+            staged.append((machine_slots[machine_id][0], ctx.sent))
         if funnel:
             # A funnel round is always the span's terminal round: it stages
             # nothing worker-side, so there is no commit and no stop risk.
             per_round.append(("funneled", funneled))
         else:
-            pairs, traffic, overflow, fallback = _commit_frames(state, staged, my_slot)
-            per_round.append(("routed", deltas, pairs, traffic, overflow, fallback))
+            sampled = sampling > 0 and epoch % sampling == 0
+            summary, traffic, overflow, fallback = _commit_frames(state, staged, epoch, my_slot, sampled, io_cap)
+            per_round.append(("routed", deltas, summary, traffic, overflow, fallback))
             # Overflowed frames need the driver's pipe forward path before
             # their consuming round — the block ends at this boundary.
             stopped = bool(overflow)
-        if r < last_round:
-            # Interior rounds self-apply this slot's own deltas so the next
-            # round's runs read current owned state; the final round leaves
-            # its deltas to the driver's normal barrier replay (the formula
-            # is deterministic, so the driver knows which rounds to queue).
-            if type(program).apply is not SuperstepProgram.apply and program.delta_scope != "driver":
+            # Owner scope makes this slot's own application sufficient: the
+            # next round reads current owned state, and the driver queues no
+            # replay of these deltas (the rule is static, so both sides agree).
+            if program.delta_scope == "owner" and type(program).apply is not SuperstepProgram.apply:
                 view = checked_apply_view(program, shared) if checking else shared
                 for machine_id, delta in deltas:
                     program.apply(view, machine_id, delta)
@@ -1009,9 +1041,11 @@ class ResidentSession(ExecutionSession):
 
         Routing follows the program's declared ``delta_scope``: ``global``
         deltas go to every slot (including the originators — workers do not
-        apply their own deltas; the barrier is driver-owned), ``owner``
-        deltas only to the slot hosting the machine that produced them, and
-        ``driver`` deltas nowhere (no ``run`` ever reads their effects).
+        apply their own global deltas; the barrier is driver-owned),
+        ``owner`` deltas only to the slot hosting the machine that produced
+        them, and ``driver`` deltas nowhere (no ``run`` ever reads their
+        effects).  Rounds the workers routed never get here with ``owner``
+        deltas: the owning slot already self-applied them.
         """
         if type(program).apply is SuperstepProgram.apply:
             return
@@ -1203,6 +1237,7 @@ class ResidentSession(ExecutionSession):
             for key, program in zip(program_keys, programs)
         ]
         block = {"epoch0": ledger.next_round_index, "rounds": specs, "barrier": barrier_spec}
+        block.update(sampling=self.transport.pair_detail_every, io_cap=cluster.enforce_io_cap)
 
         # Lock the participating slot workers (in slot order — globally
         # consistent, so concurrent drivers cannot deadlock) for the whole
@@ -1332,25 +1367,8 @@ class ResidentSession(ExecutionSession):
                     for machine in by_slot[si]:
                         rp.discard(machine.machine_id)
             entries = [per_slot_rounds[si][r] for si in participating]
-            if specs[r][2]:
-                records.append(
-                    self._finish_funneled_round(cluster, programs[r], program_keys[r], targets, shared, entries)
-                )
-            else:
-                # Workers self-applied every round but the block's final
-                # one (same deterministic formula both sides) — queueing
-                # those for replay would double-apply at the owner slot.
-                records.append(
-                    self._finish_routed_round(
-                        cluster,
-                        programs[r],
-                        program_keys[r],
-                        targets,
-                        shared,
-                        entries,
-                        queue_replay=(r == len(specs) - 1),
-                    )
-                )
+            finish = self._finish_funneled_round if specs[r][2] else self._finish_routed_round
+            records.append(finish(cluster, programs[r], program_keys[r], targets, shared, entries))
         if len(specs) > 1:
             ledger.fused_rounds += completed
         ledger.driver_round_trips += 1
@@ -1475,53 +1493,42 @@ class ResidentSession(ExecutionSession):
         targets: "list[Machine]",
         shared: "dict[str, Any]",
         slot_replies: "list[tuple]",
-        queue_replay: bool,
     ) -> "RoundRecord":
         """Merge routed-round replies and deposit the round at the transport.
 
-        Message *bodies* stayed in the workers (or their rings); only the
-        per-(sender, receiver) word aggregates cross the pipe, and the
-        transport rebuilds the identical :class:`RoundRecord` from them.
-        ``queue_replay=False`` is the fused-block interior case: the owning
-        workers already self-applied these deltas, so queueing them for
-        replay would double-apply.
+        Message *bodies* stayed in the workers (or their rings); only each
+        slot's round summary crosses the pipe, and the transport rebuilds
+        the identical :class:`RoundRecord` from the summaries.  The owning
+        workers already self-applied ``owner``-scoped deltas, so only other
+        scopes queue for replay.
         """
         info = self._machine_info
-        pair_totals: "dict[tuple[str, str], list[int]]" = {}
         local_count = ring_frames = ring_bytes = overflow_count = 0
+        summaries: "list[tuple]" = []
         fallback: "list[tuple]" = []
         deltas: "dict[str, Any]" = {}
-        for _, slot_deltas, pair_list, traffic, overflow, slot_fallback in slot_replies:
-            for machine_id, delta in slot_deltas:
-                deltas[machine_id] = delta
-            for sender, receiver, words, count, max_words in pair_list:
-                stats = pair_totals.get((sender, receiver))
-                if stats is None:
-                    pair_totals[(sender, receiver)] = [words, count, max_words]
-                else:
-                    stats[0] += words
-                    stats[1] += count
-                    if max_words > stats[2]:
-                        stats[2] = max_words
+        for _, slot_deltas, summary, traffic, overflow, slot_fallback in slot_replies:
+            deltas.update(slot_deltas)
+            summaries.append(summary)
+            for receiver in summary[4]:  # the slot's receivers
+                slot_info = info.get(receiver)
+                if slot_info is not None:
+                    self._remote_pending[slot_info[1]].add(receiver)
             local_count += traffic[0]
             ring_frames += traffic[1]
             ring_bytes += traffic[2]
             overflow_count += traffic[3]
-            fallback.extend(slot_fallback)
+            fallback += slot_fallback
             for dst_slot, frame in overflow:
                 self._forward[dst_slot].append(frame)
         fallback.sort(key=_frame_sort_key)
-        for _, receiver in pair_totals:
-            slot_info = info.get(receiver)
-            if slot_info is not None:
-                self._remote_pending[slot_info[1]].add(receiver)
         self._recompute_pending_ids()
 
         # The same barrier as every backend: all runs happened, now all
         # applies in target order, then one exchange.
         for machine in targets:
             program.apply(shared, machine.machine_id, deltas[machine.machine_id])
-        if queue_replay:
+        if program.delta_scope != "owner":
             self._queue_replay(program, program_key, [(m, deltas[m.machine_id]) for m in targets])
         self.rounds_run += 1
         self.worker_rounds += 1
@@ -1532,7 +1539,7 @@ class ResidentSession(ExecutionSession):
         self.shm_frames += ring_frames
         self.transport.deposit_worker_round(
             {
-                "pairs": pair_totals,
+                "summaries": summaries,
                 "fallback": fallback,
                 "traffic": {
                     "local_messages": local_count,
@@ -1778,20 +1785,18 @@ class ResidentTransport(FastTransport):
         return bool(self._staged)
 
     def deposit_worker_round(self, stats: dict) -> None:
-        """Hand the next :meth:`exchange` a slot-routed round's aggregates.
+        """Hand the next :meth:`exchange` a slot-routed round's summaries.
 
         A resident session that routed all of a superstep's messages at the
         workers cannot funnel them through the driver's staged-sender path —
-        the whole point is that most never reached the driver.  Instead the
-        workers return, per send, the same quantities the delivery pass
-        would have accumulated: per-(sender, receiver) word totals /
-        counts / maxima (sized once by the reference-equal ``fast_word_size``
-        at staging time), plus the few frames that must be driver-delivered
-        (receivers outside the worker map).  ``stats`` keys:
+        the whole point is that most never reached the driver.  Instead each
+        worker slot returns what the round's record needs of its messages
+        (sized once by the reference-equal ``fast_word_size`` at staging),
+        plus the few frames that must be driver-delivered (receivers outside
+        the worker map).  ``stats`` keys:
 
-        ``"pairs"``
-            ``{(sender, receiver): (words, count, max_words)}`` over every
-            message of the round, whichever physical path it took;
+        ``"summaries"``
+            one :func:`_commit_frames` round summary per slot;
         ``"fallback"``
             frames to deliver into driver inboxes, already in reference
             delivery order;
@@ -1824,10 +1829,10 @@ class ResidentTransport(FastTransport):
         return record
 
     def _deliver_deposit(self, deposit: dict) -> RoundRecord:
-        """Record a slot-routed round from worker aggregates; deliver fallbacks.
+        """Record a slot-routed round from worker summaries; deliver fallbacks.
 
-        Not a delivery of staged messages — the bodies of worker-held pairs
-        never crossed into the driver — but the same round as
+        Not a delivery of staged messages — the bodies of worker-held
+        messages never crossed into the driver — but the same round as
         :meth:`Transport.deliver` would have made of them: identical record
         (words were sized by the same ``fast_word_size`` at staging),
         identical validation and cap semantics.
@@ -1836,56 +1841,49 @@ class ResidentTransport(FastTransport):
         machines = cluster.machines_by_id
         ledger = cluster.ledger
         if self._staged:
-            raise ProtocolError(
-                "slot-routed round deposited while driver-side messages are staged"
-            )
+            raise ProtocolError("slot-routed round deposited while driver-side messages are staged")
         if ledger.record_policy is None:
             raise ProtocolError(
                 "slot-routed rounds require the backend accounting policy; "
                 "a hand-customised round_record_factory must take the driver path"
             )
-        round_index = ledger.next_round_index
-        sample_every = self.pair_detail_every
-        sampled = sample_every > 0 and round_index % sample_every == 0
-
+        # Refusal order as Transport.deliver: unknown receiver (the first
+        # in reference order — fallback frames are sorted), send cap,
+        # receive cap.
+        fallback = deposit["fallback"]
+        for frame in fallback:
+            if frame[4] not in machines:
+                raise UnknownMachineError(f"message from {frame[3]!r} addressed to unknown machine {frame[4]!r}")
         active: set[str] = set()
-        total = 0
-        count = 0
-        largest = 0
+        total = count = largest = 0
         pair_words: dict[tuple[str, str], int] = {}
         sent_words: dict[str, int] = {}
         received_words: dict[str, int] = {}
-        for (sender, receiver), (words, messages, max_words) in deposit["pairs"].items():
-            if receiver not in machines:
-                raise UnknownMachineError(
-                    f"message from {sender!r} addressed to unknown machine {receiver!r}"
-                )
-            active.add(sender)
-            active.add(receiver)
+        for words, messages, max_words, senders, receivers, pairs, sent, received in deposit["summaries"]:
             total += words
             count += messages
             if max_words > largest:
                 largest = max_words
-            if sampled:
-                pair_words[(sender, receiver)] = pair_words.get((sender, receiver), 0) + words
-            sent_words[sender] = sent_words.get(sender, 0) + words
-            received_words[receiver] = received_words.get(receiver, 0) + words
+            active.update(senders)
+            active.update(receivers)
+            pair_words.update(pairs)
+            sent_words.update(sent)
+            for machine_id, received_by in received.items():
+                received_words[machine_id] = received_words.get(machine_id, 0) + received_by
 
         if cluster.enforce_io_cap:
             cap = cluster.config.machine_memory
-            for machine_id in sorted(sent_words, key=lambda m: machines[m].index):
-                words = sent_words[machine_id]
-                if words > cap:
-                    raise MessageSizeExceeded(machine_id, "send", words, cap)
-            for machine_id in sorted(received_words, key=lambda m: machines[m].index):
-                words = received_words[machine_id]
-                if words > cap:
-                    raise MessageSizeExceeded(machine_id, "receive", words, cap)
+            for direction, loads in (("send", sent_words), ("receive", received_words)):
+                for machine_id in sorted(loads, key=lambda m: machines[m].index):
+                    if loads[machine_id] > cap:
+                        raise MessageSizeExceeded(machine_id, direction, loads[machine_id], cap)
 
-        for frame in deposit["fallback"]:
+        for frame in fallback:
             machines[frame[4]].inbox.append(_frame_message(frame))
 
-        record = ledger.append_round(RoundRecord(round_index, len(active), total, count, largest, pair_words))
+        record = ledger.append_round(
+            RoundRecord(ledger.next_round_index, len(active), total, count, largest, pair_words)
+        )
         ledger.record_traffic(**deposit["traffic"])
         return record
 

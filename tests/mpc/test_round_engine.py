@@ -4,8 +4,8 @@
 backends must agree on every inbox and every record field whatever a round
 carries, refuse a bad round without moving anything, and still honour a
 ledger whose factory was assigned by hand.  A round the resident workers
-routed among themselves reaches the driver as a deposit of per-pair
-aggregates instead, and must become the very round ``deliver`` makes of
+routed among themselves reaches the driver as a deposit of per-slot round
+summaries instead, and must become the very round ``deliver`` makes of
 the same messages.  Around it: ``RoundRecord`` as a value class,
 ``CachedStorage`` charging exactly what ``ReferenceStorage`` charges,
 ``Machine.drain(tag)`` in one walk.
@@ -23,6 +23,7 @@ from repro.exceptions import MachineMemoryExceeded, MessageSizeExceeded, Protoco
 from repro.mpc import Cluster, Machine, Message, MetricsLedger, RoundRecord, UpdateRecord
 from repro.mpc.layout import StatsTable, StatsTableHandle
 from repro.runtime import CachedStorage, ReferenceStorage
+from repro.runtime.resident import _commit_frames, _SessionState
 
 BACKENDS = ("reference", "fast", "resident")
 MACHINES = 41
@@ -182,21 +183,34 @@ class TestRefusedRounds:
 TRAFFIC = {"local_messages": 3, "cross_slot_messages": 2, "shm_bytes": 120, "pipe_fallbacks": 1}
 
 
-def deposit_staged(cluster: Cluster, *, fallback=(), traffic=None) -> None:
+def deposit_staged(cluster: Cluster, *, fallback=(), traffic=None, slots: int = 2) -> None:
     """Move the staged round off the outboxes into a deposit, as a resident session hands it over.
 
-    The deposit carries per-(sender, receiver) ``(words, count, max words)`` over every staged
-    message — what the workers report of a round whose bodies stayed with them.
+    The outboxes go through the workers' own commit, machine ``i`` on slot ``i % slots``, so the
+    deposit carries one round summary per slot — totals, senders and receivers, pair detail on a
+    sampled round, per-machine loads under the I/O cap — and a message to a machine outside the
+    routing map comes along as a fallback frame.  No rings are attached: cross-slot bodies stay away.
     """
-    pairs: dict[tuple[str, str], tuple[int, int, int]] = {}
+    transport = cluster._transport
+    index = cluster.ledger.next_round_index
+    every = transport.pair_detail_every
+    routing = {m.machine_id: (m.index, m.index % slots) for m in cluster.machines()}
+    summaries, frames = [], list(fallback)
+    for slot in range(slots):
+        state = _SessionState()
+        state.machine_slots = routing
+        staged = [(m.index, m.outbox) for m in cluster.machines() if m.index % slots == slot]
+        summary, _, _, slot_frames = _commit_frames(
+            state, staged, index, slot, every > 0 and index % every == 0, cluster.enforce_io_cap
+        )
+        summaries.append(summary)
+        frames += slot_frames
     for machine in cluster.machines():
-        for msg in machine.outbox:
-            words, count, largest = pairs.get((msg.sender, msg.receiver), (0, 0, 0))
-            pairs[(msg.sender, msg.receiver)] = (words + msg.words, count + 1, max(largest, msg.words))
         machine.outbox = []
-    cluster._transport._staged.clear()
+    transport._staged.clear()
     traffic = dict.fromkeys(TRAFFIC, 0) if traffic is None else traffic
-    cluster._transport.deposit_worker_round({"pairs": pairs, "fallback": list(fallback), "traffic": traffic})
+    frames.sort(key=lambda frame: frame[:3])
+    transport.deposit_worker_round({"summaries": summaries, "fallback": frames, "traffic": traffic})
 
 
 class TestDepositedRounds:

@@ -27,7 +27,7 @@ from repro.mpc import Cluster, Message
 from repro.mpc.contract import ContractCheckContext, ContractObservation
 from repro.mpc.program import LiveMachineContext, MachineContext, WorkerMachineContext
 from repro.mpc.sizing import word_size
-from repro.runtime.resident import _RoutingMachineContext, _SizingMachineContext
+from repro.runtime.resident import _commit_frames, _RoutingMachineContext, _SessionState, _SizingMachineContext
 
 RECEIVERS = ("b", "c", "d")
 TAG = "fan-out"
@@ -81,7 +81,7 @@ RECORDING_CONTEXTS = {
     "MachineContext-base-loop": LoopOnlyContext,
     "WorkerMachineContext": lambda: WorkerMachineContext("a", {}),
     "resident-sizing": lambda: _SizingMachineContext("a", {}),
-    "resident-routing": lambda: _RoutingMachineContext("a", {}, 7, 3),
+    "resident-routing": lambda: _RoutingMachineContext("a", {}),
 }
 
 
@@ -156,15 +156,25 @@ class TestSendManyEqualsSendLoop:
         assert len(batched.sent) == len(prefix) + len(batch) + 1
 
     def test_routing_frames_number_through_a_batch(self):
-        # (epoch, sender_index, seq, sender, receiver, tag, payload, words):
-        # seq keeps counting across send / send_many / send
-        ctx = _RoutingMachineContext("a", {}, 7, 3)
+        # the routing context stages sized Messages; a message that leaves
+        # the slot is keyed (epoch, sender_index, seq, sender, receiver, tag,
+        # payload, words) at commit, and seq keeps counting across
+        # send / send_many / send
+        ctx = _RoutingMachineContext("a", {})
         ctx.send("b", "before", None, words=1)
         ctx.send_many(TAG, [("c", 1, 2), ("d", 2, 3)])
         ctx.send("b", "after", None, words=1)
-        assert [frame[:3] for frame in ctx.sent] == [(7, 3, 0), (7, 3, 1), (7, 3, 2), (7, 3, 3)]
-        assert ctx.sent[1][3:] == ("a", "c", TAG, 1, 2)
-        assert ctx.sent[2][3:] == ("a", "d", TAG, 2, 3)
+        assert all(type(message) is Message for message in ctx.sent)
+        assert [m.as_fields() for m in ctx.sent] == [
+            ("a", "b", "before", None, 1), ("a", "c", TAG, 1, 2), ("a", "d", TAG, 2, 3), ("a", "b", "after", None, 1)
+        ]  # fmt: skip
+        state = _SessionState()
+        state.machine_slots = {"a": (3, 0), "b": (4, 1), "c": (5, 1), "d": (6, 1)}
+        _, _, overflow, _ = _commit_frames(state, [(3, ctx.sent)], 7, 0, False, False)  # no rings: all overflow
+        frames = [frame for _, frame in overflow]
+        assert [frame[:3] for frame in frames] == [(7, 3, 0), (7, 3, 1), (7, 3, 2), (7, 3, 3)]
+        assert frames[1][3:] == ("a", "c", TAG, 1, 2)
+        assert frames[2][3:] == ("a", "d", TAG, 2, 3)
 
 
 class TestMessage:

@@ -2,8 +2,8 @@
 
 The resident backend's fused blocks (``ResidentSession.run_block``) run up
 to K consecutive worker-drivable supersteps on one driver round trip —
-workers loop locally, self-apply their own deltas, exchange frames over
-the same-slot pending maps and cross-slot shm rings, and synchronize on a
+workers loop locally, self-apply their own deltas, hand messages over
+as held same-slot ``Message`` objects and cross-slot shm-ring frames, and synchronize on a
 lightweight shared-memory round barrier.  The contract is the usual one,
 sharpened: not just identical solutions but **bit-identical per-round
 RoundRecords** — fusion elides the driver barrier, never the accounting.
@@ -19,6 +19,7 @@ policy, so it is the yardstick every resident row must match bit for bit.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph.generators import gnm_random_graph, random_weighted_graph
@@ -210,6 +211,27 @@ class TestDriverRoundTrips:
         ledger = cluster.ledger
         assert ledger.driver_round_trips == ledger.total_rounds() == 6
         assert ledger.fused_rounds == 0
+
+
+class TestOwnerDeltasStayHome:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_static_cc_blocks_leave_no_replay_backlog(self, backend, monkeypatch):
+        """Both CC programs' deltas are owner-scoped: the owning slot self-applies them, the
+        block's final round included, so no block queues a replay for the next request."""
+        backlogs = []
+        run_block = ResidentSession.run_block
+
+        def watched(session, *args):
+            records = run_block(session, *args)
+            backlogs.append([len(slot.pending) for slot in session._slots])
+            return records
+
+        monkeypatch.setattr(ResidentSession, "run_block", watched)
+        graph = gnm_random_graph(48, 120, seed=3)
+        routed, fast = run_cc(graph, backend), run_cc(graph, "fast")
+        assert (routed.labels, routed.parent_edges) == (fast.labels, fast.parent_edges)
+        assert_bit_identical(routed, fast)
+        assert backlogs and all(count == 0 for counts in backlogs for count in counts), backlogs
 
 
 class TestTinyRingFallback:

@@ -14,7 +14,9 @@ session protocol.  This module covers the routing machinery itself:
   cross-slot frames over the rings in reference order, defers same-epoch
   ring read-ahead, and spills to the driver pipe on overflow;
 * the word accounting sizes each message exactly once and lands on the
-  same totals as the reference sizer;
+  same totals as the reference sizer; a routed round's reply names
+  machines, not (sender, receiver) pairs, and sampled or capped routed
+  rounds still record and refuse exactly as ``fast`` does;
 * end to end: a single-slot session routes everything locally (zero
   cross-slot frames), deliberately tiny rings force pipe fallbacks without
   changing a bit, and every slot count delivers the same rounds;
@@ -31,6 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import DMPCConfig
+from repro.exceptions import MessageSizeExceeded, UnknownMachineError
 from repro.graph.generators import gnm_random_graph, random_weighted_graph
 from repro.mpc.cluster import Cluster
 from repro.mpc.message import Message
@@ -262,11 +265,24 @@ class TestRoutedRound:
         assert (local, ring_frames, ring_bytes, overflows) == (3, 0, 0, 0)
         assert reply[4] == [] and reply[5] == []
         assert ring.backlog == 0, "same-slot traffic must not touch the ring"
-        assert [f[2] for f in sessions["s"].pending["b"]] == [0, 1, 2]
+        # held as the staged Messages themselves: one chunk for round 0, in staging order
+        ((epoch, held),) = sessions["s"].local["b"]
+        assert epoch == 0 and all(type(m) is Message for m in held)
+        assert [m.payload for m in held] == [0, 1, 2]
+        assert sessions["s"].pending == {}, "no keyed frame for a same-slot message"
         # the held frames are due next round, in staging order
         reply2 = routed_round(sessions, "s", FanoutProgram({}), ["a", "b"], slots, 0, 1)
         delivered = dict(reply2[1])["b"]
         assert delivered == [("a", "t", i, word_size("t") + word_size(i)) for i in range(3)]
+
+    def test_same_slot_messages_arrive_in_registration_order_whatever_the_run_order(self):
+        sessions = {}
+        _session_open(sessions, "s")
+        slots = {"a": (0, 0), "b": (1, 0), "c": (2, 0)}
+        program = FanoutProgram({"b": [("c", "t", "from-b")], "a": [("c", "t", "from-a")]})
+        routed_round(sessions, "s", program, ["c", "b", "a"], slots, 0, 0)
+        reply = routed_round(sessions, "s", FanoutProgram({}), ["c"], slots, 0, 1)
+        assert [payload for _, _, payload, _ in dict(reply[1])["c"]] == ["from-a", "from-b"]
 
     def test_cross_slot_frames_ride_the_ring_in_reference_order(self):
         """Two in-process 'workers' sharing one ring buffer: the destination
@@ -324,6 +340,28 @@ class TestRoutedRound:
         reply2 = routed_round(sessions, "s", FanoutProgram({}), ["c"], slots, 1, 2)
         assert dict(reply2[1])["c"] == [("a", "t", "early", 2)]
 
+    @pytest.mark.parametrize("serve", ["due-inbox", "flush"])
+    def test_held_local_messages_merge_with_ring_frames_by_key(self, serve):
+        """``c`` sits out two rounds while ``a`` (same slot) and ``b`` (the other slot) write to it
+        in both: its inbox — or a flush — interleaves them by (epoch, sender index), not by path."""
+        ring = local_ring(1024)
+        sessions = {}
+        _session_open(sessions, "s")
+        sessions["s"].rings_in[1] = ring
+        slots = {"a": (0, 0), "b": (1, 1), "c": (2, 0)}
+        for epoch in (0, 1):
+            assert ring.write(encode_obj((epoch, 1, 0, "b", "c", "t", f"b{epoch}", 2)))
+            routed_round(sessions, "s", FanoutProgram({"a": [("c", "t", f"a{epoch}")]}), ["a"], slots, 0, epoch)
+        assert [epoch for epoch, _ in sessions["s"].local["c"]] == [0, 1]
+        if serve == "flush":
+            frames = sorted(_session_flush(sessions, "s"), key=lambda f: f[:3])
+            assert (sessions["s"].local, sessions["s"].pending) == ({}, {})
+            payloads = [frame[6] for frame in frames]
+        else:
+            reply = routed_round(sessions, "s", FanoutProgram({}), ["c"], slots, 0, 2)
+            payloads = [payload for _, _, payload, _ in dict(reply[1])["c"]]
+        assert payloads == ["a0", "b0", "a1", "b1"]
+
     def test_flush_surrenders_held_and_ring_frames(self):
         ring = local_ring(1024)
         sessions = {}
@@ -344,8 +382,8 @@ class TestSizerAccounting:
     @given(payloads=st.lists(_payloads, min_size=1, max_size=6))
     def test_each_message_is_sized_exactly_once_matching_reference(self, payloads):
         """Property: a routed round invokes the sizer exactly twice per
-        message (tag + payload, at staging) and the per-pair aggregates it
-        reports equal the reference sizer's totals — the accounting the
+        message (tag + payload, at staging) and the round summary it
+        reports equals the reference sizer's totals — the accounting the
         driver reconstructs is bit-for-bit the one every backend charges."""
         calls = []
         real = resident_mod.fast_word_size
@@ -365,15 +403,116 @@ class TestSizerAccounting:
             resident_mod.fast_word_size = real
         assert len(calls) == 2 * len(sends)
         expected_total = sum(word_size(tag) + word_size(payload) for _, tag, payload in sends)
-        ((sender, receiver, words, count, max_words),) = reply[2]
-        assert (sender, receiver, count) == ("a", "c", len(sends))
+        words, count, max_words, senders, receivers, pairs, sent, received = reply[2]
+        assert (senders, receivers, count) == (["a"], ["c"], len(sends))
         assert words == expected_total
         assert max_words == max(
             word_size(tag) + word_size(payload) for _, tag, payload in sends
         )
-        # and every individual frame carries its reference size
-        for frame, (_, tag, payload) in zip(sessions["s"].pending["c"], sends):
-            assert frame[7] == word_size(tag) + word_size(payload)
+        assert (pairs, sent, received) == ({}, {}, {})  # unsampled, no I/O cap
+        # and every individual held message carries its reference size
+        ((_, held),) = sessions["s"].local["c"]
+        for message, (_, tag, payload) in zip(held, sends, strict=True):
+            assert message.words == word_size(tag) + word_size(payload)
+
+
+class TestRoundSummary:
+    def test_an_all_to_all_round_returns_machines_not_pairs(self):
+        """Counts, not clocks: M machines each send one message to every other machine in
+        one unsampled routed round.  The reply names at most 2·M machines (the senders and
+        the receivers); a per-pair report would name M·(M − 1) pairs."""
+        count = 24
+        ids = [f"m{i}" for i in range(count)]
+        program = FanoutProgram({s: [(r, "t", None) for r in ids if r != s] for s in ids})
+        sessions = {}
+        _session_open(sessions, "s")
+        reply = routed_round(sessions, "s", program, ids, {m: (i, 0) for i, m in enumerate(ids)}, 0, 0)
+
+        def named(value) -> int:
+            if isinstance(value, str):
+                return int(value in ids)
+            if isinstance(value, dict):
+                return named(list(value.items()))
+            if isinstance(value, (tuple, list, set)):
+                return sum(named(item) for item in value)
+            return 0
+
+        assert reply[3][0] == count * (count - 1)  # every message stayed on the slot
+        assert named(reply[2:]) <= 2 * count
+
+
+class FloodProgram(SuperstepProgram):
+    """Worker-routed sends of explicit sizes: ``plan`` maps sender -> [(receiver, words)]."""
+
+    driver_reads_sends = False
+
+    def __init__(self, plan: dict[str, list[tuple[str, int]]]) -> None:
+        self.plan = dict(plan)
+
+    def run(self, ctx, inbox, shared):
+        for receiver, words in self.plan.get(ctx.machine_id, ()):
+            ctx.send(receiver, "flood", None, words=words)
+
+
+def refusal(backend: str, plan, slots: int = 1) -> BaseException:
+    """The exception one routed round of ``FloodProgram(plan)`` raises under the I/O cap."""
+    config = DMPCConfig(capacity_n=32, capacity_m=64, backend=backend, resident_slots=slots)
+    cluster = Cluster(config, enforce_io_cap=True)
+    cluster.add_machines("m", 6)
+    shared: dict = {}
+    with pytest.raises(Exception) as raised:
+        with cluster.session(shared):
+            cluster.superstep(FloodProgram(plan), shared=shared)
+    return raised.value
+
+
+CAP = DMPCConfig(capacity_n=32, capacity_m=64).machine_memory
+
+
+class TestRoutedRecordDetail:
+    """Sampled and capped rounds the workers routed stay exactly the rounds ``fast`` makes."""
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_sampled_connected_components_match_fast_pair_for_pair(self, slots):
+        graph = gnm_random_graph(48, 110, seed=41)
+
+        def records(**kwargs):
+            algorithm = StaticConnectedComponents(graph, **kwargs)
+            algorithm.cluster._transport.pair_detail_every = 3  # metrics_sampling = 3
+            algorithm.run()
+            rounds = [r for update in algorithm.cluster.ledger.updates for r in update.rounds]
+            fields = ("round_index", "active_machines", "total_words", "message_count", "max_message_words")
+            return [(*(getattr(r, f) for f in fields), r.pair_words) for r in rounds], algorithm
+
+        expected, _ = records(backend="fast")
+        routed, algorithm = records(backend="resident", resident_slots=slots)
+        assert routed == expected
+        assert any(row[-1] for row in expected) and not all(row[-1] for row in expected)
+        assert algorithm.cluster.ledger.traffic_totals()["local_messages"] > 0  # the workers routed
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            {"m2": [("m3", CAP // 2 + 1), ("m4", CAP // 2)], "m3": [("m1", CAP - 5)], "m4": [("m1", CAP - 5)]},
+            {f"m{i}": [("m5", CAP // 3)] for i in range(1, 5)},
+        ],
+        ids=["over-cap-sender", "over-cap-receiver"],
+    )
+    def test_an_over_sending_round_is_refused_like_fast(self, plan, slots):
+        expected = refusal("fast", plan)
+        raised = refusal("resident", plan, slots)
+        assert type(raised) is type(expected) is MessageSizeExceeded
+        fields = ("machine_id", "direction", "words", "capacity")
+        assert [getattr(raised, f) for f in fields] == [getattr(expected, f) for f in fields]
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_a_send_to_an_unknown_machine_is_refused_like_fast(self, slots):
+        plan = {"m1": [("m2", 2)], "m3": [("ghost", 2), ("nowhere", 2)], "m4": [("ghost", 3)]}
+        expected = refusal("fast", plan)
+        raised = refusal("resident", plan, slots)
+        assert type(raised) is type(expected) is UnknownMachineError
+        assert str(raised) == str(expected) == "message from 'm3' addressed to unknown machine 'ghost'"
 
 
 # ------------------------------------------------------------------ end to end
