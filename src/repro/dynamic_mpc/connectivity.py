@@ -20,10 +20,11 @@ machine, mutated in place behind a frozen-charge handle (``_ShardTourStore``
 is the driver's seam onto them).  ``index_v`` is not stored: it is the union
 of the index pairs of ``v``'s tree-edge records, so every tour index lives
 once and a link / cut is one pass over the touched component's tree pairs
-(found through ``by_comp``), never visiting a non-tree record.  A shift
-cannot move a machine's word charge, so it re-stores the handle the machine
-holds (version bump, no sizing); only the endpoint owners, whose record sets
-changed, get a fresh one.  The seed's one ``("tour", v)`` and one
+(each shard keeps them in one list per component), never visiting a
+non-tree record or a member's tree row.  A shift cannot move a machine's
+word charge, so it re-stores the handle the machine holds (version bump, no
+sizing); only the endpoint owners, whose record sets changed, get a fresh
+one.  The seed's one ``("tour", v)`` and one
 ``("edges", v)`` dict per vertex survive as the test suite's oracle
 (``tests/dynamic_mpc/tour_oracle.py``), run in lockstep with the shards.
 

@@ -634,15 +634,20 @@ class TourShard:
         vertex → {neighbor → ``{"tree", "weight", "indexes"}`` record}
         (a tree record's ``"indexes"`` *is* its tree-row pair, kept sorted),
     ``tree``
-        vertex → {tree neighbor → pair}: the rows the link/cut kernels walk,
-        so an index shift never visits a non-tree record,
+        vertex → {tree neighbor → pair}: the row ``span`` / ``index_set``
+        derive a vertex's occurrences from,
     ``by_comp``
-        component id → vertex set, maintained by the kernels: broadcast
-        application, replacement-edge scans and the MST path-maximum scan
-        iterate a component's members instead of every key on the machine.
+        component id → vertex set, maintained by the kernels: singletons,
+        ``components()`` and the MST path-maximum scan iterate a component's
+        members instead of every key on the machine,
+    ``pairs``
+        component id → ``[(pair, vertex), ...]``, the tree pairs its members
+        hold here (the very lists the tree rows share), in no order: the
+        list every kernel walks, so a sweep visits neither a non-tree record
+        nor a member's row.
 
     Three kernels rewrite indexes, each one pass over the touched
-    component's tree pairs: ``apply_link``, ``apply_cut`` and
+    component's pair list: ``apply_link``, ``apply_cut`` and
     ``apply_cut_link`` — a cut and the link of its replacement edge composed,
     so a replaced tree delete rewrites every index once and moves no vertex
     between components.  ``subtree_offers`` is the read-only scan that lets
@@ -654,13 +659,14 @@ class TourShard:
     ``set_edge`` / ``pop_edge`` move it; an index shift never does.
     """
 
-    __slots__ = ("comp", "edges", "tree", "by_comp", "_words")
+    __slots__ = ("comp", "edges", "tree", "by_comp", "pairs", "_words")
 
     def __init__(self) -> None:
         self.comp: "dict[int, int]" = {}
         self.edges: "dict[int, dict[int, dict[str, Any]]]" = {}
         self.tree: "dict[int, dict[int, list[int]]]" = {}
         self.by_comp: "dict[int, set[int]]" = {}
+        self.pairs: "dict[int, list[tuple[list[int], int]]]" = {}
         self._words = 0
 
     # ------------------------------------------------------------------ tours
@@ -696,21 +702,22 @@ class TourShard:
         members_y = self.by_comp.pop(comp_y, None)
         if not members_x and not members_y:
             return False
-        tree = self.tree
-        if members_x:
+        pairs_x = self.pairs.get(comp_x)
+        if pairs_x:
             grow = len_y + 4
-            for v in members_x:
-                for pair in tree[v].values():
-                    if pair[1] > f_x:
-                        pair[1] += grow
-                        if pair[0] > f_x:
-                            pair[0] += grow
+            for pair, _v in pairs_x:
+                if pair[1] > f_x:
+                    pair[1] += grow
+                    if pair[0] > f_x:
+                        pair[0] += grow
         if members_y:
-            offset = f_x + 2
             comp = self.comp
             for v in members_y:
                 comp[v] = comp_x
-                for pair in tree[v].values():
+            pairs_y = self.pairs.pop(comp_y, None)
+            if pairs_y:
+                offset = f_x + 2
+                for pair, _v in pairs_y:
                     a, b = pair
                     if reroot:
                         a = (a - l_y) % len_y + 1
@@ -719,6 +726,10 @@ class TourShard:
                             a, b = b, a
                     pair[0] = a + offset
                     pair[1] = b + offset
+                if pairs_x is None:
+                    self.pairs[comp_x] = pairs_y
+                else:
+                    pairs_x += pairs_y
             if members_x:
                 members_x |= members_y
             else:
@@ -730,37 +741,44 @@ class TourShard:
 
         The cut edge's own records are already gone.  A pair inside
         ``[f_y, l_y]`` belongs to ``y``'s subtree: it drops by ``f_y`` and
-        its vertex moves to ``new_comp`` (as does ``y`` itself, even when the
-        cut left it a singleton); entries past ``l_y`` close the gap.
+        moves, with its vertex, to ``new_comp`` (as does ``y`` itself, even
+        when the cut left it a singleton); entries past ``l_y`` close the gap.
         """
         members = self.by_comp.get(comp)
         if not members:
             return False
-        tree = self.tree
         gap = l_y - f_y + 3
-        moved = []
-        for v in members:
-            inside = v == y
-            for pair in tree[v].values():
-                a = pair[0]
-                if a > l_y:
-                    pair[0] = a - gap
+        kept, inner = [], []
+        for entry in self.pairs.get(comp, ()):
+            pair = entry[0]
+            a = pair[0]
+            if a > l_y:
+                pair[0] = a - gap
+                pair[1] -= gap
+                kept.append(entry)
+            elif a >= f_y:
+                pair[0] = a - f_y
+                pair[1] -= f_y
+                inner.append(entry)
+            else:
+                if pair[1] > l_y:
                     pair[1] -= gap
-                elif a >= f_y:
-                    pair[0] = a - f_y
-                    pair[1] -= f_y
-                    inside = True
-                elif pair[1] > l_y:
-                    pair[1] -= gap
-            if inside:
-                moved.append(v)
+                kept.append(entry)
+        moved = {v for _pair, v in inner}
+        if y in members:
+            moved.add(y)
         if moved:
             for v in moved:
                 self.comp[v] = new_comp
-            members.difference_update(moved)
-            if not members:
+            members -= moved
+            if members:
+                self.pairs[comp] = kept
+            else:
                 del self.by_comp[comp]
-            self.by_comp[new_comp] = set(moved)
+                self.pairs.pop(comp, None)
+            self.by_comp[new_comp] = moved
+            if inner:
+                self.pairs[new_comp] = inner
         return True
 
     def subtree_offers(self, comp: int, y: int, f_y: int, l_y: int) -> "list[tuple[int, int, float]]":
@@ -768,23 +786,25 @@ class TourShard:
 
         Read-only, and answered **before** the broadcast cut of ``y`` from its
         parent is applied (the cut edge's own records are already gone): every
-        pair of a vertex lies on one side of the cut, so the first pair of
-        its tree row places it, and ``y`` — whose row may be empty — is named.
-        These are the records ``by_comp[new_comp]`` would hold after
-        :meth:`apply_cut`.
+        pair of a vertex lies on one side of the cut, so a vertex is inside
+        iff one of its pairs lies in ``[f_y, l_y]``, and ``y`` — whose row
+        may be empty — is named.  These are the records ``by_comp[new_comp]``
+        would hold after :meth:`apply_cut`, in pair-list order.
         """
+        members = self.by_comp.get(comp)
+        if not members:
+            return []
+        inside = {}
+        for pair, v in self.pairs.get(comp, ()):
+            if f_y <= pair[0] <= l_y:
+                inside[v] = None
+        if y in members:
+            inside[y] = None
         offers: "list[tuple[int, int, float]]" = []
-        tree = self.tree
-        for v in self.by_comp.get(comp, ()):
-            for pair in tree[v].values():
-                inside = f_y <= pair[0] <= l_y
-                break
-            else:
-                inside = v == y
-            if inside:
-                for w, record in self.edges[v].items():
-                    if not record.get("tree"):
-                        offers.append((v, w, float(record.get("weight", 1.0))))
+        for v in inside:
+            for w, record in self.edges[v].items():
+                if not record.get("tree"):
+                    offers.append((v, w, float(record.get("weight", 1.0))))
         return offers
 
     def apply_cut_link(self, comp: int, f_y: int, l_y: int, f_x: int, l_b: int, len_y: int, reroot: bool) -> bool:
@@ -802,7 +822,6 @@ class TourShard:
         members = self.by_comp.get(comp)
         if not members:
             return False
-        tree = self.tree
         gap = len_y + 4
         if f_x < f_y:  # attached before the hole: what lies between moves up past the subtree
             lo, hi, delta = f_x, f_y - 1, gap
@@ -813,27 +832,26 @@ class TourShard:
         offset = f_x + 2
         slide = offset - f_y
         turn = f_y + l_b
-        for v in members:
-            for pair in tree[v].values():
-                a, b = pair
-                if a > last or b < first:
-                    continue  # wholly before or past everything that moves
-                if f_y <= a <= l_y:
-                    if reroot:
-                        a = (a - turn) % len_y + 1
-                        b = (b - turn) % len_y + 1
-                        if a > b:
-                            a, b = b, a
-                        pair[0] = a + offset
-                        pair[1] = b + offset
-                    else:
-                        pair[0] = a + slide
-                        pair[1] = b + slide
+        for pair, _v in self.pairs.get(comp, ()):
+            a, b = pair
+            if a > last or b < first:
+                continue  # wholly before or past everything that moves
+            if f_y <= a <= l_y:
+                if reroot:
+                    a = (a - turn) % len_y + 1
+                    b = (b - turn) % len_y + 1
+                    if a > b:
+                        a, b = b, a
+                    pair[0] = a + offset
+                    pair[1] = b + offset
                 else:
-                    if lo < a <= hi:
-                        pair[0] = a + delta
-                    if lo < b <= hi:
-                        pair[1] = b + delta
+                    pair[0] = a + slide
+                    pair[1] = b + slide
+            else:
+                if lo < a <= hi:
+                    pair[0] = a + delta
+                if lo < b <= hi:
+                    pair[1] = b + delta
         return True
 
     # ------------------------------------------------------------------ edges
@@ -847,7 +865,8 @@ class TourShard:
         pair = record.get("indexes")
         if pair is not None:
             lo, hi = pair
-            record["indexes"] = self.tree[vertex][neighbor] = [lo, hi] if lo <= hi else [hi, lo]
+            pair = record["indexes"] = self.tree[vertex][neighbor] = [lo, hi] if lo <= hi else [hi, lo]
+            self.pairs.setdefault(self.comp[vertex], []).append((pair, vertex))
         row[neighbor] = record
         self._words += _edge_record_words(record)
 
@@ -856,7 +875,13 @@ class TourShard:
         old = row.pop(neighbor, None) if row else None
         if old is not None:
             self._words -= _edge_record_words(old)
-            self.tree[vertex].pop(neighbor, None)
+            pair = self.tree[vertex].pop(neighbor, None)
+            if pair is not None:
+                entries = self.pairs[self.comp[vertex]]
+                for i, (held, _v) in enumerate(entries):
+                    if held is pair:
+                        del entries[i]
+                        break
 
     # ------------------------------------------------------------- accounting
     def live_words(self) -> int:
@@ -868,16 +893,16 @@ class TourShard:
         return (self.comp, self.edges, self._words)
 
     def __setstate__(self, state: tuple) -> None:
-        # tree rows and by_comp are rebuilt, so a restored record's "indexes"
-        # is again the very pair its tree row holds
+        # tree rows, by_comp and pairs are rebuilt, so a restored record's
+        # "indexes" is again the very pair its tree row and pair list hold
         self.comp, self.edges, self._words = state
-        self.tree = {
-            v: {w: rec["indexes"] for w, rec in row.items() if rec.get("indexes") is not None}
-            for v, row in self.edges.items()
-        }
-        self.by_comp = {}
-        for v, comp in self.comp.items():
+        self.tree, self.by_comp, self.pairs = {}, {}, {}
+        for v, row in self.edges.items():
+            comp = self.comp[v]
             self.by_comp.setdefault(comp, set()).add(v)
+            held = self.tree[v] = {w: rec["indexes"] for w, rec in row.items() if rec.get("indexes") is not None}
+            if held:
+                self.pairs.setdefault(comp, []).extend((pair, v) for pair in held.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

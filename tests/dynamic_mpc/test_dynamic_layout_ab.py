@@ -15,7 +15,7 @@ Five guarantees are locked down here:
   and on plain mixed streams where most tree deletes find a replacement
   (one composed rewrite in the shards, two passes in the oracle); the tours
   are genuine Euler tours, and two seeded mutations of the composed path
-  are caught.
+  and one of the shards' pair lists are caught.
 * **Heavy vertices** — through suspended-stack growth and refill, the
   matching stays a maximal matching of the graph at every boundary.
 * **Coalesced batches** — with coalescing on, ``apply_batch`` reaches the
@@ -35,9 +35,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
 import random
-import textwrap
 
 import pytest
 
@@ -58,6 +56,7 @@ from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
 from repro.graph.validation import is_matching, is_maximal_matching
 from repro.mpc.layout import TourShard
 from repro.mpc.sizing import closed_form_words, registered_closed_forms, word_size
+from seeded_mutation import mutated
 from tour_oracle import DictTourStore
 
 BACKENDS = ("reference", "fast", "resident", "resident-shm")
@@ -198,16 +197,23 @@ class TestPinnedLedgers:
 
 # ------------------------------------- tour state at every update boundary
 def tour_snapshot(algorithm):
-    """Store-neutral tour state: per-vertex (comp, index set), per-record (tree, weight, pair), per-machine words."""
+    """Store-neutral tour state: per-vertex (comp, index set), per-record (tree, weight, pair), per-machine words.
+
+    A shard's index sets are read from its component pair lists, the pairs its kernels walk, so a
+    pair left in a list after its record went shows as an index the oracle does not have."""
     vertices, rows, words = {}, {}, {}
     for machine in algorithm.cluster.machines(role="worker"):
         words[machine.machine_id] = machine.used_words
         for key, value in machine.items():
             if key == TOUR_SHARD_KEY:
                 words[machine.machine_id] -= word_size(key)  # the one store key the oracle does not have
-                for v, comp in value.shard.comp.items():
-                    vertices[v] = (comp, value.shard.index_set(v))
-                    rows[v] = value.shard.edge_row(v)
+                shard = value.shard
+                for v, comp in shard.comp.items():
+                    vertices[v] = (comp, set())
+                    rows[v] = shard.edge_row(v)
+                for entries in shard.pairs.values():
+                    for pair, v in entries:
+                        vertices[v][1].update(pair)
             elif key[0] == "tour":
                 vertices[key[1]] = (value["comp"], set(value["indexes"]))
             else:
@@ -313,15 +319,6 @@ def assert_euler_tours(algorithm):
             assert walk[k + 2 if k + 2 <= len(walk) else 1] == head, f"component {comp}: the walk breaks after {k + 1}"
             arcs.add((tail, head))
     assert len(arcs) == 2 * len(forest)
-
-
-def mutated(function, old: str, new: str):
-    """``function`` recompiled with ``old`` replaced by ``new`` in its source (which must contain it)."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert old in source, f"{function.__qualname__} no longer contains {old!r}: re-seed the mutation"
-    namespace: dict = {}
-    exec(compile(source.replace(old, new), f"<mutated {function.__qualname__}>", "exec"), function.__globals__, namespace)
-    return namespace[function.__name__]
 
 
 class TestReplacedCutDifferential:
@@ -447,6 +444,13 @@ class TestReplacedCutDifferential:
             mutated(DMPCConnectivity._replacement_link, "self._tours.span(b)[1] - f_y", "self._tours.span(b)[1]"),
         )
         with pytest.raises(AssertionError, match="the walk breaks"):
+            self.run_stream("connectivity", self.SEEDS[0], None)
+
+    def test_dropped_pair_left_in_its_list_is_caught(self, monkeypatch):
+        """Seeded mutation: ``pop_edge`` drops a tree record but leaves its pair in the component's
+        pair list, so every later sweep keeps shifting a pair that no record holds."""
+        monkeypatch.setattr(TourShard, "pop_edge", mutated(TourShard.pop_edge, "del entries[i]", "pass"))
+        with pytest.raises(AssertionError, match="layouts diverged"):
             self.run_stream("connectivity", self.SEEDS[0], None)
 
 

@@ -6,7 +6,10 @@ step the shards must say exactly what :class:`IndexedEulerTourForest` says —
 although no shard stores an index set, only the pairs of its tree records.
 A replaced cut (``replace``) runs twice: as the one composed rewrite
 ``apply_cut_link`` and as ``apply_cut`` then ``apply_link``, which must leave
-the same shards behind.
+the same shards behind.  Before every cut, each shard's ``subtree_offers`` (a
+scan of the component's pair list) must offer what the per-member rule does,
+and after every step each component's pair list must hold exactly the tree
+pairs of its members on that shard.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from __future__ import annotations
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.eulertour import IndexedEulerTourForest
 from repro.mpc.layout import TourShard
+from seeded_mutation import mutated
 
 SHARD_COUNTS = (1, 2, 7)
 N = 12
@@ -60,6 +64,8 @@ class ShardedForest:
         self.next_comp += 1
         self.shard(x).pop_edge(x, y)
         self.shard(y).pop_edge(y, x)
+        for shard in self.shards:  # the offers a cut's replacement search reads, before anything is rewritten
+            assert sorted(shard.subtree_offers(comp, y, *pair_y)) == members_rule_offers(shard, comp, y, *pair_y)
         return (y, comp, new_comp, *pair_y)
 
     def cut(self, x: int, y: int) -> None:
@@ -112,10 +118,30 @@ class ShardedForest:
                 self.shard(a).set_edge(a, b, {"tree": False, "weight": 2.0, "indexes": None})
 
 
+def members_rule_offers(shard: TourShard, comp: int, y: int, f_y: int, l_y: int) -> list:
+    """The per-member rule the pair-list scan replaced: a vertex is inside ``y``'s subtree iff the
+    first pair of its tree row lies in ``[f_y, l_y]``, or it is ``y`` with an empty row."""
+    inside = []
+    for v in shard.by_comp.get(comp, ()):
+        row = list(shard.tree[v].values())
+        if (f_y <= row[0][0] <= l_y) if row else v == y:
+            inside.append(v)
+    return sorted((v, w, rec["weight"]) for v in inside for w, rec in shard.edges[v].items() if not rec["tree"])
+
+
+def assert_pair_lists(shard: TourShard) -> None:
+    """``pairs[comp]`` holds exactly the tree pairs of ``comp``'s members on the shard, each once, as
+    the very list the member's tree row holds; no list outlives its component."""
+    listed = sorted((id(pair), v, comp) for comp, entries in shard.pairs.items() for pair, v in entries)
+    assert listed == sorted((id(pair), v, shard.comp[v]) for v, row in shard.tree.items() for pair in row.values())
+    assert set(shard.pairs) <= set(shard.by_comp)
+
+
 def assert_matches(forest: ShardedForest, reference: IndexedEulerTourForest, n: int) -> None:
     groups: dict[int, set[int]] = {}
     for shard in forest.shards:
         assert set(shard.comp) == set(shard.edges) == set(shard.tree)
+        assert_pair_lists(shard)
         for comp, members in shard.by_comp.items():
             assert members and all(shard.comp[v] == comp for v in members)
             groups.setdefault(comp, set()).update(members)
@@ -244,11 +270,15 @@ class TestReplacedCutCases:
         assert forest.shard(4).edge_row(4)[5]["tree"]  # the promoted record
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+#: ``(u, v, dice)`` triples and the draws that pick edges and endpoints
+RANDOM_SEQUENCES = (
     st.lists(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1), st.integers(0, 9)), min_size=1, max_size=40),
     st.randoms(use_true_random=False),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(*RANDOM_SEQUENCES)
 def test_property_random_link_cut_sequences_match_the_reference(triples, pyrandom):
     """Any valid link/cut sequence, on any shard count, keeps every shard equal to the reference."""
     runs = [(ShardedForest(N, k), IndexedEulerTourForest(range(N))) for k in SHARD_COUNTS]
@@ -289,6 +319,16 @@ def test_property_random_link_cut_sequences_match_the_reference(triples, pyrando
         assert runs[1][0].state() == runs[-1][0].state()  # composed ≡ two passes, on two shards each
 
 
+def test_property_catches_a_dropped_pair_left_in_its_list(monkeypatch):
+    """Seeded mutation: ``pop_edge`` drops a tree record but leaves its pair in the component's pair
+    list, where every later sweep would keep shifting it.  The property above must fail on it."""
+    monkeypatch.setattr(TourShard, "pop_edge", mutated(TourShard.pop_edge, "del entries[i]", "pass"))
+    prop = test_property_random_link_cut_sequences_match_the_reference.hypothesis.inner_test
+    check = settings(max_examples=60, deadline=None, database=None, phases=[Phase.generate], report_multiple_bugs=False)
+    with pytest.raises(AssertionError):
+        check(given(*RANDOM_SEQUENCES)(prop))()
+
+
 class TestShardSurface:
     def test_edge_for_an_unknown_vertex_is_refused(self):
         shard = TourShard()
@@ -313,3 +353,5 @@ class TestShardSurface:
         assert shard.by_comp == forest.shards[0].by_comp and shard.live_words() == forest.shards[0].live_words()
         assert shard.edges == forest.shards[0].edges and shard.tree == forest.shards[0].tree
         assert all(shard.edges[v][w]["indexes"] is pair for v, row in shard.tree.items() for w, pair in row.items())
+        assert_pair_lists(shard)
+        assert {comp: len(entries) for comp, entries in shard.pairs.items()} == {0: 4}  # the path 0-1-2: two edges, two copies each

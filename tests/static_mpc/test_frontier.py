@@ -15,9 +15,7 @@ is never cleared, and an empty first-iteration frontier.
 
 from __future__ import annotations
 
-import inspect
 import random
-import textwrap
 
 import pytest
 
@@ -26,6 +24,7 @@ from repro.graph.graph import DynamicGraph
 from repro.graph.validation import is_spanning_forest
 from repro.static_mpc import StaticConnectedComponents
 from repro.static_mpc import connected_components as cc
+from seeded_mutation import mutated
 
 BACKENDS = {
     "reference": {"backend": "reference"},
@@ -107,15 +106,6 @@ def run_checked(graph: DynamicGraph, **kwargs) -> None:
         pairs = {(owner(v), owner(w)) for v in frontier for w in graph.neighbors(v)}
         assert record.message_count == len(pairs)
         assert record.total_words == 3 * record.message_count + 4 * degree_sum
-
-
-def mutated(function, old: str, new: str):
-    """``function`` recompiled with ``old`` replaced by ``new`` in its source (which must contain it)."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert old in source, f"{function.__qualname__} no longer contains {old!r}: re-seed the mutation"
-    namespace: dict = {}
-    exec(compile(source.replace(old, new), f"<mutated {function.__qualname__}>", "exec"), function.__globals__, namespace)
-    return namespace[function.__name__]
 
 
 class TestOracle:
