@@ -36,11 +36,11 @@ Package layout
 ``repro.seq``
     Sequential dynamic algorithms used both as baselines and as the payload
     of the Section 7 reduction (Euler-tour trees, Holm–de Lichtenberg–Thorup
-    connectivity, Neiman–Solomon maximal matching, levelled matching).
+    connectivity, Neiman–Solomon maximal matching, dynamic MST).
 ``repro.static_mpc``
     Static MPC baselines executed on the same simulator (connected
-    components by contraction, Israeli–Itai maximal matching, Borůvka MST,
-    sample sort): these are the "recompute from scratch" comparators.
+    components by contraction, Israeli–Itai maximal matching, Borůvka MST):
+    these are the "recompute from scratch" comparators.
 ``repro.dynamic_mpc``
     The paper's contribution: fully-dynamic DMPC algorithms for maximal
     matching (Section 3), 3/2-approximate matching (Section 4), connected
@@ -63,12 +63,11 @@ from repro.exceptions import (
     ProtocolError,
     UnknownMachineError,
 )
-from repro.config import DMPCConfig, ExperimentConfig
+from repro.config import DMPCConfig
 
 __all__ = [
     "__version__",
     "DMPCConfig",
-    "ExperimentConfig",
     "DMPCError",
     "InvariantViolation",
     "MachineMemoryExceeded",

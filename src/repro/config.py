@@ -11,7 +11,7 @@ budget from a single declaration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -179,14 +179,3 @@ class DMPCConfig:
             resident_slots=resident_slots,
             resident_shm_ring_bytes=resident_shm_ring_bytes,
         )
-
-
-@dataclass
-class ExperimentConfig:
-    """Reproducibility knobs shared by benchmarks and examples."""
-
-    seed: int = 2019
-    sizes: tuple[int, ...] = (64, 128, 256, 512)
-    updates_per_size: int = 200
-    epsilon: float = 0.2
-    extra: dict = field(default_factory=dict)

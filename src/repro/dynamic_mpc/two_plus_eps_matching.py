@@ -360,9 +360,3 @@ class DMPCTwoPlusEpsMatching(DynamicMPCAlgorithm):
         matching = self.matching()
         if not is_matching(self.shadow, matching):
             raise InvariantViolation("maintained edge set is not a matching")
-
-    def approximation_gap(self) -> tuple[int, int]:
-        """Return ``(maintained size, greedy maximal size)`` for quality reporting."""
-        from repro.graph.validation import greedy_maximal_matching
-
-        return (self.matching_size(), len(greedy_maximal_matching(self.shadow)))

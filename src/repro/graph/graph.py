@@ -39,9 +39,6 @@ class DynamicGraph:
             raise ValueError("vertex identifiers must be non-negative")
         self._adj.setdefault(v, set())
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
-
     @property
     def vertices(self) -> list[int]:
         return sorted(self._adj)

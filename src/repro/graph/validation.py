@@ -10,7 +10,7 @@ benchmark sizes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.graph.graph import DynamicGraph, normalize_edge
 
@@ -238,14 +238,6 @@ def same_partition(components_a: Iterable[Iterable[int]], components_b: Iterable
     a = {frozenset(c) for c in components_a if c}
     b = {frozenset(c) for c in components_b if c}
     return a == b
-
-
-def partition_from_labels(labels: Mapping[int, int]) -> list[set[int]]:
-    """Group vertices by component label (helper for algorithms that output labels)."""
-    groups: dict[int, set[int]] = {}
-    for vertex, label in labels.items():
-        groups.setdefault(label, set()).add(vertex)
-    return list(groups.values())
 
 
 # ----------------------------------------------------------------------- forests

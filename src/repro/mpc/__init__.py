@@ -36,7 +36,6 @@ from repro.mpc.metrics import MetricsLedger, RoundRecord, UpdateRecord, UpdateSu
 from repro.mpc.cluster import Cluster
 from repro.mpc.partition import RangePartition, hash_partition
 from repro.mpc.program import MachineContext, SuperstepProgram
-from repro.mpc.primitives import broadcast, gather, aggregate_sum, sample_sort
 from repro.mpc.coordinator import Coordinator, UpdateHistory, HistoryEntry
 
 __all__ = [
@@ -52,10 +51,6 @@ __all__ = [
     "hash_partition",
     "MachineContext",
     "SuperstepProgram",
-    "broadcast",
-    "gather",
-    "aggregate_sum",
-    "sample_sort",
     "Coordinator",
     "UpdateHistory",
     "HistoryEntry",

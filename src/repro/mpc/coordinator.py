@@ -21,7 +21,7 @@ what keeps the number of active machines per round constant.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import ClassVar, Iterable
 
@@ -132,7 +132,6 @@ class Coordinator:
     machine: Machine
     history: UpdateHistory
     partition: RangePartition
-    machine_free_words: dict[str, int] = field(default_factory=dict)
 
     @staticmethod
     def create(cluster: Cluster, partition: RangePartition, *, machine_id: str = "coordinator") -> "Coordinator":
@@ -177,7 +176,3 @@ class Coordinator:
         words = self.history.dmpc_words()
         for receiver in sorted(targets, key=lambda r: self.cluster.machine(r).index):
             self.machine.send(receiver, tag, payload, words=words)
-
-    def note_free_words(self, machine_id: str, free_words: int) -> None:
-        """Update the coordinator's record of a machine's available memory."""
-        self.machine_free_words[machine_id] = free_words

@@ -191,9 +191,6 @@ class MachineCSR:
     def num_entries(self) -> int:
         return len(self.indices)
 
-    def row_bounds(self, row: int) -> "tuple[int, int]":
-        return self.indptr[row], self.indptr[row + 1]
-
     def np_views(self) -> "dict[str, Any]":
         """Zero-copy numpy views over the buffers (built lazily per process).
 

@@ -211,12 +211,12 @@ class MetricsLedger:
         #: then hand :meth:`record_round` the message list instead of
         #: condensing the round themselves, so the factory is honoured.
         self.record_policy: str | None = None
-        #: per-round wire-path traffic: ``(round_index, counters)`` entries
-        #: appended by slot-routing transports via :meth:`record_traffic`.
-        #: Orthogonal to the word accounting above — words measure the
-        #: *model's* communication, these measure which physical path each
-        #: message took (worker-local, shm ring, pipe fallback).
-        self._traffic: list[tuple[int, dict[str, int]]] = []
+        #: wire-path traffic totals, summed by slot-routing transports via
+        #: :meth:`record_traffic`.  Orthogonal to the word accounting above —
+        #: words measure the *model's* communication, these measure which
+        #: physical path each message took (worker-local, shm ring, pipe
+        #: fallback).
+        self._traffic = dict.fromkeys(("local_messages", "cross_slot_messages", "shm_bytes", "pipe_fallbacks"), 0)
         #: rounds executed inside worker-driven fused blocks (the resident
         #: backend's barrier-elision path) — observability only, like the
         #: wire-path traffic above; zero under every other backend.
@@ -283,10 +283,6 @@ class MetricsLedger:
         record, self._current = self._current, None
         self._updates.append(record)
         return record
-
-    @property
-    def in_update(self) -> bool:
-        return self._current is not None
 
     # ------------------------------------------------------------------ batch
     def begin_batch(self) -> int:
@@ -391,7 +387,7 @@ class MetricsLedger:
         shm_bytes: int = 0,
         pipe_fallbacks: int = 0,
     ) -> None:
-        """Attach wire-path counters to the most recently recorded round.
+        """Add the wire-path counters of the round just recorded to the totals.
 
         Called by slot-routing transports right after the round is filed:
         ``local_messages`` never left their worker process,
@@ -400,36 +396,17 @@ class MetricsLedger:
         volume, and ``pipe_fallbacks`` counts cross-slot messages that had
         to ride the driver pipe (ring full, frame too large, or shm
         unavailable).  Rounds delivered entirely driver-side record no
-        traffic entry at all — :meth:`traffic_totals` then reports zeros.
+        traffic at all — :meth:`traffic_totals` then reports zeros.
         """
-        self._traffic.append(
-            (
-                self.next_round_index - 1,
-                {
-                    "local_messages": local_messages,
-                    "cross_slot_messages": cross_slot_messages,
-                    "shm_bytes": shm_bytes,
-                    "pipe_fallbacks": pipe_fallbacks,
-                },
-            )
-        )
-
-    def traffic_rounds(self) -> list[tuple[int, dict[str, int]]]:
-        """Per-round wire-path counters, as ``(round_index, counters)`` pairs."""
-        return [(index, dict(counters)) for index, counters in self._traffic]
+        traffic = self._traffic
+        traffic["local_messages"] += local_messages
+        traffic["cross_slot_messages"] += cross_slot_messages
+        traffic["shm_bytes"] += shm_bytes
+        traffic["pipe_fallbacks"] += pipe_fallbacks
 
     def traffic_totals(self) -> dict[str, int]:
         """Wire-path counters summed over every round recorded so far."""
-        totals = {
-            "local_messages": 0,
-            "cross_slot_messages": 0,
-            "shm_bytes": 0,
-            "pipe_fallbacks": 0,
-        }
-        for _, counters in self._traffic:
-            for key, value in counters.items():
-                totals[key] += value
-        return totals
+        return dict(self._traffic)
 
     def replay_update(self, label: str, rounds: Iterable[RoundRecord]) -> UpdateRecord:
         """Append an already-recorded update (label + round records) verbatim.
@@ -489,7 +466,7 @@ class MetricsLedger:
         if self._current_batch is not None:
             raise ProtocolError("cannot reset the ledger while a batch is open")
         self._updates.clear()
-        self._traffic.clear()
+        self._traffic = dict.fromkeys(self._traffic, 0)
 
     # --------------------------------------------------------------- entropy
     def communication_entropy(self, prefix: str | None = None) -> float:

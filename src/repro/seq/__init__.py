@@ -6,9 +6,7 @@ These serve three purposes in the reproduction:
    dynamic algorithm with update time ``u`` becomes a DMPC algorithm with
    ``O(u)`` rounds, ``O(1)`` machines and ``O(1)`` communication per round);
 2. they are the origin of the techniques the DMPC algorithms adapt
-   (Neiman–Solomon for Section 3/4, the levelled matching framework of
-   Baswana–Gupta–Sen / Charikar–Solomon for Section 6, Euler tours for
-   Section 5);
+   (Neiman–Solomon for Section 3/4, Euler tours for Section 5);
 3. they provide fast centralised oracles for property tests.
 
 Every algorithm counts its primitive data-structure operations in
@@ -18,18 +16,14 @@ Every algorithm counts its primitive data-structure operations in
 
 from __future__ import annotations
 
-from repro.seq.union_find import UnionFind
 from repro.seq.ett import EulerTourTree
 from repro.seq.hdt import HDTConnectivity
 from repro.seq.neiman_solomon import NeimanSolomonMatching
-from repro.seq.levelled_matching import LevelledMatching
 from repro.seq.dynamic_mst import SequentialDynamicMST
 
 __all__ = [
-    "UnionFind",
     "EulerTourTree",
     "HDTConnectivity",
     "NeimanSolomonMatching",
-    "LevelledMatching",
     "SequentialDynamicMST",
 ]

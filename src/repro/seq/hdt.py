@@ -70,10 +70,6 @@ class HDTConnectivity:
         """The maintained spanning forest (canonical edge set)."""
         return set(self._tree_edges)
 
-    def edge_level(self, u: int, v: int) -> int:
-        """Current level of edge ``(u, v)``."""
-        return self._edge_level[normalize_edge(u, v)]
-
     # ------------------------------------------------------------------ query
     def connected(self, u: int, v: int) -> bool:
         """True iff ``u`` and ``v`` are connected in the current graph."""

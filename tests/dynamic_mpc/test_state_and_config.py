@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.config import DMPCConfig, ExperimentConfig
+from repro.config import DMPCConfig
 from repro.dynamic_mpc.state import MatchingFabric, VertexStats
 from repro.exceptions import ProtocolError
 from repro.graph.generators import gnm_random_graph, star_graph
@@ -54,11 +54,6 @@ class TestDMPCConfig:
             DMPCConfig(capacity_n=4, capacity_m=4, fuse_rounds=value)
         with pytest.raises(TypeError, match="fuse_rounds"):
             DMPCConfig.for_graph(4, 4, fuse_rounds=value)
-
-    def test_experiment_config_defaults(self):
-        exp = ExperimentConfig()
-        assert exp.seed == 2019
-        assert len(exp.sizes) >= 2
 
 
 def replay_reference(machine, entries) -> None:

@@ -1,4 +1,4 @@
-"""Unit tests for vertex partitioning, O(1)-round primitives and the coordinator."""
+"""Unit tests for vertex partitioning and the coordinator."""
 
 from __future__ import annotations
 
@@ -13,11 +13,7 @@ from repro.mpc import (
     HistoryEntry,
     RangePartition,
     UpdateHistory,
-    aggregate_sum,
-    broadcast,
-    gather,
     hash_partition,
-    sample_sort,
 )
 
 
@@ -44,52 +40,6 @@ class TestPartition:
     def test_range_partition_out_of_range_vertex_wraps(self):
         part = RangePartition(4, ["s0", "s1"])
         assert part.machine_for(100) in {"s0", "s1"}
-
-
-def build_cluster(num_machines: int = 4) -> Cluster:
-    cluster = Cluster(DMPCConfig(capacity_n=64, capacity_m=128))
-    cluster.add_machines("m", num_machines)
-    return cluster
-
-
-class TestPrimitives:
-    def test_broadcast_reaches_everyone_in_one_round(self):
-        cluster = build_cluster()
-        count = broadcast(cluster, "m0", "hello", 42)
-        assert count == 3
-        for mid in ("m1", "m2", "m3"):
-            assert cluster.machine(mid).drain("hello")[0].payload == 42
-        assert cluster.ledger.updates[-1].num_rounds == 1
-
-    def test_gather_collects_contributions(self):
-        cluster = build_cluster()
-        values = gather(cluster, "m0", "report", {"m1": 1, "m2": 2, "m3": None})
-        assert sorted(values) == [1, 2]
-
-    def test_aggregate_sum(self):
-        cluster = build_cluster()
-        assert aggregate_sum(cluster, "m0", "sum", {"m1": 1.5, "m2": 2.5, "m3": 0}) == 4.0
-
-    def test_sample_sort_produces_global_order(self):
-        cluster = build_cluster(4)
-        items = {
-            "m0": [9, 3, 11, 40],
-            "m1": [1, 25, 17],
-            "m2": [5, 30, 2, 8],
-            "m3": [12, 7],
-        }
-        result = sample_sort(cluster, items)
-        merged = []
-        for mid in sorted(result):
-            merged.extend(result[mid])
-        assert merged == sorted(x for values in items.values() for x in values)
-        # every bucket is locally sorted
-        for bucket in result.values():
-            assert bucket == sorted(bucket)
-
-    def test_sample_sort_empty(self):
-        cluster = build_cluster(2)
-        assert sample_sort(cluster, {}) == {}
 
 
 class TestCoordinator:

@@ -1,4 +1,4 @@
-"""Tests for union-find, Euler-tour trees and HDT dynamic connectivity."""
+"""Tests for Euler-tour trees and HDT dynamic connectivity."""
 
 from __future__ import annotations
 
@@ -10,30 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.graph import DynamicGraph
 from repro.graph.generators import gnm_random_graph
 from repro.graph.validation import connected_components, same_partition
-from repro.seq import EulerTourTree, HDTConnectivity, UnionFind
-
-
-class TestUnionFind:
-    def test_union_and_find(self):
-        uf = UnionFind(range(5))
-        assert uf.num_sets == 5
-        assert uf.union(0, 1)
-        assert not uf.union(1, 0)
-        assert uf.connected(0, 1)
-        assert not uf.connected(0, 2)
-        assert uf.num_sets == 4
-
-    def test_groups(self):
-        uf = UnionFind()
-        uf.union("a", "b")
-        uf.union("c", "d")
-        groups = {frozenset(g) for g in uf.groups()}
-        assert groups == {frozenset({"a", "b"}), frozenset({"c", "d"})}
-
-    def test_lazy_element_creation(self):
-        uf = UnionFind()
-        assert uf.find(99) == 99
-        assert 99 in uf
+from repro.seq import EulerTourTree, HDTConnectivity
 
 
 class TestEulerTourTree:

@@ -11,12 +11,11 @@ from repro.graph import DynamicGraph
 from repro.graph.generators import gnm_random_graph, random_weighted_graph
 from repro.graph.validation import (
     is_maximal_matching,
-    is_matching,
     is_spanning_forest,
     maximum_matching_size,
     minimum_spanning_forest_weight,
 )
-from repro.seq import LevelledMatching, NeimanSolomonMatching, SequentialDynamicMST
+from repro.seq import NeimanSolomonMatching, SequentialDynamicMST
 
 
 def random_toggle_sequence(n: int, steps: int, seed: int) -> list[tuple[str, int, int]]:
@@ -91,33 +90,6 @@ class TestNeimanSolomon:
         assert not alg.is_heavy(1)
 
 
-class TestLevelledMatching:
-    def test_random_sequence_stays_maximal(self):
-        alg = LevelledMatching(gamma=3.0, seed=11)
-        shadow = DynamicGraph(18)
-        for (op, u, v) in random_toggle_sequence(18, 400, seed=12):
-            if op == "insert":
-                alg.insert(u, v)
-                shadow.insert_edge(u, v)
-            else:
-                alg.delete(u, v)
-                shadow.delete_edge(u, v)
-            assert is_matching(shadow, alg.matching())
-            assert is_maximal_matching(shadow, alg.matching())
-
-    def test_levels_reflect_matching_status(self):
-        alg = LevelledMatching()
-        alg.insert(0, 1)
-        assert alg.level(0) >= 0
-        alg.delete(0, 1)
-        assert alg.level(0) == -1
-        assert alg.max_level() == -1
-
-    def test_invalid_gamma(self):
-        with pytest.raises(ValueError):
-            LevelledMatching(gamma=1.0)
-
-
 class TestSequentialDynamicMST:
     def test_matches_kruskal_under_insertions(self):
         g = random_weighted_graph(18, 50, seed=21)
@@ -161,20 +133,16 @@ class TestSequentialDynamicMST:
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=40))
 def test_property_sequential_matchings_stay_valid(pairs):
-    """Property: both sequential matchings stay maximal under arbitrary toggles."""
+    """Property: the Neiman–Solomon matching stays maximal under arbitrary toggles."""
     ns = NeimanSolomonMatching(max_edges=64)
-    lm = LevelledMatching(seed=5)
     shadow = DynamicGraph(8)
     for (u, v) in pairs:
         if u == v:
             continue
         if shadow.has_edge(u, v):
             ns.delete(u, v)
-            lm.delete(u, v)
             shadow.delete_edge(u, v)
         else:
             ns.insert(u, v)
-            lm.insert(u, v)
             shadow.insert_edge(u, v)
     assert is_maximal_matching(shadow, ns.matching())
-    assert is_maximal_matching(shadow, lm.matching())
