@@ -179,3 +179,36 @@ class TestMetricsLedger:
         ledger.end_update()
         ledger.reset()
         assert ledger.updates == []
+
+    def test_traffic_totals_sum_every_recorded_round(self):
+        ledger = MetricsLedger()
+        assert ledger.traffic_totals() == dict.fromkeys(
+            ("local_messages", "cross_slot_messages", "shm_bytes", "pipe_fallbacks"), 0
+        )
+        ledger.record_round([Message("a", "b", "t", 1)])
+        ledger.record_traffic(local_messages=3, shm_bytes=40)
+        ledger.record_round([Message("b", "a", "t", 1)])
+        ledger.record_traffic(local_messages=1, cross_slot_messages=2, pipe_fallbacks=1)
+        assert ledger.traffic_totals() == {
+            "local_messages": 4,
+            "cross_slot_messages": 2,
+            "shm_bytes": 40,
+            "pipe_fallbacks": 1,
+        }
+
+    def test_traffic_totals_are_a_copy(self):
+        ledger = MetricsLedger()
+        ledger.record_traffic(local_messages=2)
+        totals = ledger.traffic_totals()
+        totals["local_messages"] = 99
+        assert ledger.traffic_totals()["local_messages"] == 2
+
+    def test_reset_zeroes_traffic_and_keeps_the_round_counter(self):
+        ledger = MetricsLedger()
+        ledger.record_round([Message("a", "b", "t", 1)])
+        ledger.record_traffic(local_messages=5, cross_slot_messages=1, shm_bytes=8, pipe_fallbacks=1)
+        ledger.reset()
+        assert set(ledger.traffic_totals().values()) == {0}
+        assert ledger.next_round_index == 2
+        ledger.record_traffic(cross_slot_messages=3)
+        assert ledger.traffic_totals()["cross_slot_messages"] == 3

@@ -192,6 +192,11 @@ class TestAudit:
         failures = audit({"mpc/cluster.py": True}, {"mpc/gone.py": "deleted"})
         assert failures == ["mpc/gone.py: stale allow-list entry, no such module defines a function"]
 
+    def test_directory_entry_covers_only_modules_under_it(self):
+        report = {"lint/cli.py": False, "linter.py": False, "mpc/lint/rules.py": False}
+        failures = audit(report, {"lint/": "checker"})
+        assert [line.split(":")[0] for line in failures] == ["linter.py", "mpc/lint/rules.py"]
+
 
 class TestEnteredModules:
     SOURCE = (
@@ -224,3 +229,11 @@ class TestEnteredModules:
         monkeypatch.syspath_prepend(str(tmp_path))
         module = importlib.import_module("reach_called.body")
         assert entered_modules(root.resolve(), module.used) == {"body.py"}
+
+    def test_a_sibling_package_sharing_the_root_prefix_is_not_counted(self, tmp_path, monkeypatch):
+        root = self.write_package(tmp_path, "reach_root")
+        sibling = self.write_package(tmp_path, "reach_root_extra")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        module = importlib.import_module("reach_root_extra.body")
+        assert entered_modules(root.resolve(), module.used) == set()
+        assert entered_modules(sibling.resolve(), module.used) == {"body.py"}
