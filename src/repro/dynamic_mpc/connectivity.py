@@ -86,9 +86,10 @@ class _ShardTourStore:
     """The pair-table store: one in-place :class:`TourShard` per worker machine.
 
     Mutations edit the shard directly and commit through the machine's
-    frozen-charge :class:`TourShardHandle` (the :class:`StatsTableHandle`
-    discipline), so index rewrites cost no sizing on any backend and the
-    word totals are the seed's per-vertex charges.
+    frozen-charge :class:`TourShardHandle` (the rule every
+    :class:`~repro.mpc.layout.FrozenChargeHandle` shares), so index rewrites
+    cost no sizing on any backend and the word totals are the seed's
+    per-vertex charges.
     """
 
     def __init__(self, algo: "DMPCConnectivity") -> None:
@@ -106,19 +107,6 @@ class _ShardTourStore:
         handle = machine.load(TOUR_SHARD_KEY)
         return None if handle is None else handle.shard
 
-    @staticmethod
-    def _commit(machine: Machine, handle: TourShardHandle) -> None:
-        """Re-store ``handle`` while its frozen charge still holds, else mint a fresh one.
-
-        Re-storing the object a machine holds is the storage backends'
-        in-place path (version bump, nothing sized), exact only while the
-        charge did not move: an index shift takes it, a changed record set
-        does not.
-        """
-        if handle.dmpc_words() != max(1, handle.shard.live_words()):
-            handle = TourShardHandle(handle.shard)
-        machine.store(TOUR_SHARD_KEY, handle)
-
     def _machine(self, v: int) -> Machine:
         return self.algo.cluster.machine(self.algo.owner(v))
 
@@ -134,7 +122,7 @@ class _ShardTourStore:
         machine = self._machine(v)
         handle = self._handle(machine)
         handle.shard.add_vertex(v, comp)
-        self._commit(machine, handle)
+        handle.commit(machine, TOUR_SHARD_KEY)
 
     def place_vertex(self, v: int, comp: int, indexes: "set[int]", records: "dict[int, dict]") -> None:
         machine = self._machine(v)
@@ -145,7 +133,7 @@ class _ShardTourStore:
             shard.set_edge(v, w, record)
         if shard.index_set(v) != indexes:
             raise InvariantViolation(f"vertex {v}: tour indexes are not the union of its tree-record pairs")
-        self._commit(machine, handle)
+        handle.commit(machine, TOUR_SHARD_KEY)
 
     # ------------------------------------------------------------------ edges
     def edges_of(self, v: int) -> dict:
@@ -156,13 +144,13 @@ class _ShardTourStore:
         machine = self._machine(v)
         handle = self._handle(machine)
         handle.shard.set_edge(v, w, record)
-        self._commit(machine, handle)
+        handle.commit(machine, TOUR_SHARD_KEY)
 
     def remove_edge_record(self, v: int, w: int) -> None:
         machine = self._machine(v)
         handle = self._handle(machine)
         handle.shard.pop_edge(v, w)
-        self._commit(machine, handle)
+        handle.commit(machine, TOUR_SHARD_KEY)
 
     # ------------------------------------------------------------- global reads
     def _shards(self) -> "Iterator[TourShard]":
@@ -194,7 +182,8 @@ class _ShardTourStore:
 
         A shard that held the component re-stores the handle it holds: a
         rewrite moves indexes, never the record set, so the frozen charge
-        stands (see :meth:`_commit`) and nothing is sized.
+        stands (:meth:`~repro.mpc.layout.FrozenChargeHandle.commit`) and
+        nothing is sized.
         """
         for machine in self._workers:
             handle = machine.load(TOUR_SHARD_KEY)

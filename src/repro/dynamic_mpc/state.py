@@ -13,10 +13,15 @@ The *matching fabric* realises the storage scheme of Section 3:
 * a pool of **edge machines**: *light* machines each packing the full
   adjacency lists of many light vertices, and *heavy* machines each
   dedicated to one heavy vertex (one holding its ``sqrt(2m)`` alive edges
-  and the rest its suspended edges, managed as a stack).
+  and the rest its suspended edges, managed as a stack).  Each edge
+  machine keeps its records in one :class:`~repro.mpc.layout.EdgeTable`
+  indexed by vertex — adjacency rows ``v -> {w: True}`` and the status
+  (mate) of every vertex a row names — committed through a frozen-charge
+  handle and charged the words its per-key records were.
 
 Edge machines learn about updates lazily: whenever the coordinator contacts
-a machine it piggy-backs the history entries the machine has not yet seen,
+a machine it piggy-backs the history entries the machine has not yet seen
+(replayed over the machine's table in place),
 and after every update one additional machine is refreshed round-robin, so
 no machine is ever more than ``O(sqrt N)`` updates stale — which is what
 bounds the history size.  Every contact is the same two steps: the sender
@@ -56,7 +61,7 @@ from repro.exceptions import ProtocolError
 from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.mpc.cluster import Cluster
 from repro.mpc.coordinator import Coordinator, HistoryEntry, UpdateHistory
-from repro.mpc.layout import StatsTable, StatsTableHandle, is_live_record
+from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, EdgeTableHandle, StatsTable, StatsTableHandle, is_live_record
 from repro.mpc.partition import RangePartition
 from repro.mpc.sizing import closed_form_words, register_closed_form, string_words
 
@@ -65,9 +70,6 @@ __all__ = ["VertexStats", "MatchingFabric"]
 #: the single machine-store key each statistics machine keeps its flat
 #: struct-of-arrays vertex table under
 STATS_KEY = "stats"
-
-#: ``load`` default that no stored value can be (a status record may hold ``None``)
-_ABSENT = object()
 
 
 # Closed forms for every fabric message the protocol previously sized by
@@ -198,39 +200,52 @@ class MatchingFabric:
         """Return a machine that was exclusive to one vertex to the pool once
         that vertex's edges have all left it (:meth:`fetch_suspended` drained
         a suspended machine, :meth:`move_vertex_edges` moved an alive set
-        away).  The status records left on it go with the last ``("adj", v)``:
-        a re-allocated machine is as empty as a fresh one."""
+        away).  The status records left in its edge table go with the last
+        row: the machine is cleared, as empty as a fresh one."""
         self.cluster.machine(machine_id).clear()
         self._allocated.remove(machine_id)
         self._unallocated.append(machine_id)
 
     def _light_machine_with_room(self, words_needed: int) -> str:
-        """A light machine with at least ``words_needed`` free words (the paper's ``toFit``)."""
+        """A light machine with at least ``words_needed`` free words (the paper's ``toFit``).
+
+        The scan reads each machine's charge directly: it passes over every
+        full light machine ahead of the first with room, dozens per call.
+        """
+        need = words_needed + 8
+        machines = self.cluster.machines_by_id
         for machine_id in self._light_machines:
-            if self.cluster.machine(machine_id).free_words >= words_needed + 8:
+            machine = machines[machine_id]
+            if machine.capacity - machine.storage.used_words >= need:
                 return machine_id
         return self._allocate_machine(light=True)
 
     # ------------------------------------------------------------------ stats
-    def _stats_table(self, machine_id: str) -> StatsTable:
-        """The stats machine's flat vertex table (fresh and empty if never
-        committed — reads of blanks must not allocate storage)."""
-        handle: StatsTableHandle | None = self.cluster.machine(machine_id).load(STATS_KEY)
-        if handle is not None:
-            return handle.table
-        block = self.partition.vertices_on(machine_id)
-        return StatsTable(block.start, len(block))
+    def _stats_handle(self, machine) -> StatsTableHandle:
+        """The stats machine's committed table handle (a fresh, uncommitted
+        one over an empty table if never committed — reads of blanks must
+        not allocate storage)."""
+        handle: StatsTableHandle | None = machine.load(STATS_KEY)
+        if handle is None:
+            block = self.partition.vertices_on(machine.machine_id)
+            handle = StatsTableHandle(StatsTable(block.start, len(block)))
+        return handle
 
-    def _commit_stats(self, machine_id: str, table: StatsTable) -> None:
-        """Persist ``table`` under a *fresh* frozen-charge handle.
+    # ------------------------------------------------------------ edge tables
+    @staticmethod
+    def _edge_handle(machine) -> EdgeTableHandle:
+        """The edge machine's committed table handle (a fresh, uncommitted one
+        over an empty table if it holds no records)."""
+        handle: EdgeTableHandle | None = machine.load(EDGE_TABLE_KEY)
+        return handle if handle is not None else EdgeTableHandle(EdgeTable())
 
-        A new handle per commit is what keeps the storage accounting
-        identical across backends: both the live-sizing reference storage
-        and the charge-caching fast storage release the previous handle's
-        frozen words and charge the new one (see
-        :class:`repro.mpc.layout.StatsTableHandle`).
-        """
-        self.cluster.machine(machine_id).store(STATS_KEY, StatsTableHandle(table))
+    @staticmethod
+    def _commit_edges(machine, handle: EdgeTableHandle) -> None:
+        """Commit an edge table after it changed; an empty table holds no key."""
+        if handle.table.words:
+            handle.commit(machine, EDGE_TABLE_KEY)
+        else:
+            machine.delete(EDGE_TABLE_KEY)
 
     @staticmethod
     def _write_record(record, stats) -> None:
@@ -255,17 +270,17 @@ class MatchingFabric:
         :meth:`mutate_stats`, which persists on exit for stored and unseen
         vertices alike.
         """
-        record = self._stats_table(self.partition.machine_for(v)).view(v)
+        record = self._stats_handle(self.cluster.machine(self.partition.machine_for(v))).table.view(v)
         return record if record is not None else VertexStats()
 
     def store_stats(self, v: int, stats) -> None:
         """Copy ``stats`` into ``v``'s slot and commit the table (a plain
         ``VertexStats`` held by the caller does not write through afterwards)."""
-        machine_id = self.partition.machine_for(v)
-        table = self._stats_table(machine_id)
-        if not is_live_record(stats, table, v):
-            self._write_record(table.ensure(v), stats)
-        self._commit_stats(machine_id, table)
+        machine = self.cluster.machine(self.partition.machine_for(v))
+        handle = self._stats_handle(machine)
+        if not is_live_record(stats, handle.table, v):
+            self._write_record(handle.table.ensure(v), stats)
+        handle.commit(machine, STATS_KEY)
 
     @contextmanager
     def mutate_stats(self, v: int) -> Iterator[VertexStats]:
@@ -275,12 +290,12 @@ class MatchingFabric:
         freshly created) record back to the statistics machine, so
         mutations to an unseen vertex's statistics cannot be lost.
         """
-        machine_id = self.partition.machine_for(v)
-        table = self._stats_table(machine_id)
+        machine = self.cluster.machine(self.partition.machine_for(v))
+        handle = self._stats_handle(machine)
         try:
-            yield table.ensure(v)
+            yield handle.table.ensure(v)
         finally:
-            self._commit_stats(machine_id, table)
+            handle.commit(machine, STATS_KEY)
 
     def is_heavy(self, v: int) -> bool:
         return self.stats_of(v).degree >= self.threshold
@@ -331,74 +346,49 @@ class MatchingFabric:
         later message of the same operation), apply it, stamp ``machine_id``
         current.  ``entries`` must be the machine's whole
         :meth:`_pending_history` — the stamp says so.  The only other stamp
-        is :meth:`_allocate_machine`'s.  Returns the machine."""
+        is :meth:`_allocate_machine`'s.  Returns the machine and its edge
+        table's handle, current."""
         machine = self.cluster.machine(machine_id)
         if tag is not None:
             machine.drain(tag)
-        self._apply_history_locally(machine, entries)
+        handle = self._apply_history_locally(machine, entries)
         self._mark_seen(machine_id)
-        return machine
+        return machine, handle
 
-    @staticmethod
-    def _apply_history_locally(machine, entries: list[HistoryEntry]) -> None:
-        """Replay ``entries`` over the adjacency/status records ``machine`` holds.
+    @classmethod
+    def _apply_history_locally(cls, machine, entries: list[HistoryEntry]) -> EdgeTableHandle:
+        """Replay ``entries`` over ``machine``'s edge table in place (:meth:`EdgeTable.replay`), commit it, return its handle.
 
-        One pass, oldest first, storage methods bound once per slice.  Sound only for a suffix the machine has not
-        seen, applied to records that were current when that suffix began —
-        the two stamps (see :meth:`_catch_up`) are what guarantee it.  A
-        ``delete`` drops the edge copy if it is here, ``match`` / ``unmatch``
-        rewrite the status records that are here (a stored status may be
-        ``None``, hence the sentinel probe); ``insert`` entries are skipped
-        outright — edge copies are placed by ``add_edge_copy`` during their
-        own update, never by replay.
+        Sound only for a suffix the machine has not seen, applied to records
+        that were current when that suffix began — the two stamps (see
+        :meth:`_catch_up`) are what guarantee it.  A table the suffix left
+        unchanged (an empty one included) is not committed again.
         """
-        storage = machine.storage
-        load, store = storage.load, storage.store
-        for entry in entries:
-            kind = entry.kind
-            if kind == "insert":
-                continue
-            u, v = entry.u, entry.v
-            # both endpoints spelt out: the pair loop cost three tuples an entry
-            if kind == "delete":
-                adj = load(("adj", u))
-                if adj is not None and v in adj:
-                    adj = dict(adj)
-                    del adj[v]
-                    store(("adj", u), adj)
-                adj = load(("adj", v))
-                if adj is not None and u in adj:
-                    adj = dict(adj)
-                    del adj[u]
-                    store(("adj", v), adj)
-            elif kind == "match":
-                if load(("status", u), _ABSENT) is not _ABSENT:
-                    store(("status", u), v)
-                if load(("status", v), _ABSENT) is not _ABSENT:
-                    store(("status", v), u)
-            elif kind == "unmatch":
-                if load(("status", u), _ABSENT) is not _ABSENT:
-                    store(("status", u), None)
-                if load(("status", v), _ABSENT) is not _ABSENT:
-                    store(("status", v), None)
+        handle = cls._edge_handle(machine)
+        if entries and handle.table.replay(entries):
+            cls._commit_edges(machine, handle)
+        return handle
 
     # ------------------------------------------------------------ edge machines
     def _ensure_alive_machine(self, v: int, stats: VertexStats) -> str:
         """Make sure ``v`` has an alive machine; allocate/choose one if needed."""
-        if stats.alive_machine is not None:
-            return stats.alive_machine
+        machine_id = stats.alive_machine
+        if machine_id is not None:
+            return machine_id
         if stats.degree >= self.threshold:
             machine_id = self._allocate_machine(light=False)
         else:
             machine_id = self._light_machine_with_room(words_needed=8)
         stats.alive_machine = machine_id
         machine = self.cluster.machine(machine_id)
-        if machine.load(("adj", v)) is None:
-            machine.store(("adj", v), {})
+        handle = self._edge_handle(machine)
+        if v not in handle.table.adj:
+            handle.table.ensure_row(v)
+            self._commit_edges(machine, handle)
         return machine_id
 
     def local_adjacency(self, machine_id: str, v: int) -> dict[int, bool]:
-        return dict(self.cluster.machine(machine_id).load(("adj", v), {}))
+        return dict(self._edge_handle(self.cluster.machine(machine_id)).table.row(v))
 
     def alive_neighbors(self, v: int) -> list[int]:
         """Neighbours of ``v`` stored on its alive machine (driver-side view)."""
@@ -434,7 +424,7 @@ class MatchingFabric:
         replies: dict[int, VertexStats] = {}
         for machine_id in targets:
             machine = self.cluster.machine(machine_id)
-            table = self._stats_table(machine_id)
+            table = self._stats_handle(machine).table
             for msg in machine.drain("stats-query"):
                 payload = []
                 for v in msg.payload:
@@ -465,12 +455,13 @@ class MatchingFabric:
             coordinator.send(machine_id, "stats-write", writes, words=closed_form_words("stats-write", writes))
         self.cluster.exchange()
         for machine_id, items in targets.items():
-            self.cluster.machine(machine_id).drain("stats-write")
-            table = self._stats_table(machine_id)
+            machine = self.cluster.machine(machine_id)
+            machine.drain("stats-write")
+            handle = self._stats_handle(machine)
             for v, stats in items:
-                if not is_live_record(stats, table, v):
-                    self._write_record(table.ensure(v), stats)
-            self._commit_stats(machine_id, table)
+                if not is_live_record(stats, handle.table, v):
+                    self._write_record(handle.table.ensure(v), stats)
+            handle.commit(machine, STATS_KEY)
 
     def refresh_machine(self, machine_id: str) -> None:
         """Coordinator ships pending history to one edge machine (1 round)."""
@@ -566,15 +557,15 @@ class MatchingFabric:
         coordinator = self.coordinator.machine
         coordinator.send(machine_id, "vertex-update", {"vertex": v, "query": query or ""}, words=words + 4)
         self.cluster.exchange()
-        machine = self._catch_up(machine_id, entries, "vertex-update")
+        machine, handle = self._catch_up(machine_id, entries, "vertex-update")
 
         reply: dict = {"free": None, "matched": []}
-        adjacency = machine.load(("adj", v), {})
+        adjacency, status = handle.table.row(v), handle.table.status
         if query == "free-neighbor":
             for w in sorted(adjacency):
                 if w in exclude:
                     continue
-                if machine.load(("status", w)) is None:
+                if status.get(w) is None:
                     reply["free"] = w
                     break
         elif query == "matched-neighbors":
@@ -582,7 +573,7 @@ class MatchingFabric:
             for w in sorted(adjacency):
                 if w in exclude:
                     continue
-                mate = machine.load(("status", w))
+                mate = status.get(w)
                 if mate is not None:
                     pairs.append((w, mate))
                 if len(pairs) >= self.threshold:
@@ -605,10 +596,11 @@ class MatchingFabric:
         self.cluster.exchange()
         found: int | None = None
         for machine_id, entries in pending.items():
-            machine = self._catch_up(machine_id, entries, "suspended-scan")
+            machine, handle = self._catch_up(machine_id, entries, "suspended-scan")
+            table = handle.table
             candidate = None
-            for w in sorted(machine.load(("adj", v), {})):
-                if w not in exclude and machine.load(("status", w)) is None:
+            for w in sorted(table.row(v)):
+                if w not in exclude and table.status.get(w) is None:
                     candidate = w
                     break
             machine.send(
@@ -648,14 +640,15 @@ class MatchingFabric:
         self.cluster.exchange()
         results: dict[int, int | None] = {}
         for machine_id, items in by_machine.items():
-            machine = self._catch_up(machine_id, pending[machine_id], "batch-free-query")
+            machine, handle = self._catch_up(machine_id, pending[machine_id], "batch-free-query")
+            table = handle.table
             replies = []
             for vertex, exclude in items:
                 found: int | None = None
-                for w in sorted(machine.load(("adj", vertex), {})):
+                for w in sorted(table.row(vertex)):
                     if w in exclude:
                         continue
-                    if machine.load(("status", w)) is None:
+                    if table.status.get(w) is None:
                         found = w
                         break
                 replies.append((vertex, found))
@@ -682,8 +675,8 @@ class MatchingFabric:
         entries, words = self._pending_history(machine_id)
         coordinator.send(machine_id, "neighbor-list-query", v, words=words + 2)
         self.cluster.exchange()
-        machine = self._catch_up(machine_id, entries, "neighbor-list-query")
-        neighbors = sorted(machine.load(("adj", v), {}))
+        machine, handle = self._catch_up(machine_id, entries, "neighbor-list-query")
+        neighbors = sorted(handle.table.row(v))
         machine.send(
             self.coordinator.machine_id,
             "neighbor-list-reply",
@@ -733,8 +726,7 @@ class MatchingFabric:
         placement; the data travels as one message (1 round).
         """
         machine_id = self._ensure_alive_machine(v, stats)
-        machine = self.cluster.machine(machine_id)
-        alive_count = len(machine.load(("adj", v), {}))
+        alive_count = len(self._edge_handle(self.cluster.machine(machine_id)).table.row(v))
         heavy = stats.degree >= self.threshold
         if heavy and alive_count >= self.threshold:
             target_id = None
@@ -755,11 +747,10 @@ class MatchingFabric:
         self.coordinator.machine.send(target_id, "add-edge", (v, w), words=closed_form_words("add-edge", (v, w)))
         self.cluster.exchange()
         target.drain("add-edge")
-        adj = dict(target.load(("adj", v), {}))
-        adj[w] = True
-        target.store(("adj", v), adj)
-        if ("status", w) not in target:
-            target.store(("status", w), neighbor_mate)
+        handle = self._edge_handle(target)
+        handle.table.add_edge(v, w)
+        handle.table.place_status(w, neighbor_mate)
+        self._commit_edges(target, handle)
 
     def remove_edge_copy(self, v: int, w: int, stats: VertexStats) -> None:
         """Remove the copy of edge ``(v, w)`` from ``v``'s alive machine if present.
@@ -768,14 +759,13 @@ class MatchingFabric:
         refreshed (exactly as in the paper).  Piggy-backed on the
         ``vertex-update`` round, so no extra exchange is needed here.
         """
-        if stats.alive_machine is None:
+        machine_id = stats.alive_machine
+        if machine_id is None:
             return
-        machine = self.cluster.machine(stats.alive_machine)
-        adj = machine.load(("adj", v))
-        if adj is not None and w in adj:
-            adj = dict(adj)
-            del adj[w]
-            machine.store(("adj", v), adj)
+        machine = self.cluster.machine(machine_id)
+        handle = self._edge_handle(machine)
+        if handle.table.discard_edge(v, w):
+            self._commit_edges(machine, handle)
 
     def move_vertex_edges(self, v: int, stats: VertexStats, target_id: str) -> None:
         """The paper's ``moveEdges``: relocate ``v``'s alive edges to ``target_id`` (2 rounds).
@@ -790,10 +780,10 @@ class MatchingFabric:
         if source_id is None or source_id == target_id:
             stats.alive_machine = target_id
             return
-        source = self._catch_up(source_id, self._pending_history(source_id)[0])
+        source, source_handle = self._catch_up(source_id, self._pending_history(source_id)[0])
         target = self.cluster.machine(target_id)
-        adjacency = dict(source.load(("adj", v), {}))
-        statuses = {w: source.load(("status", w)) for w in adjacency}
+        adjacency = source_handle.table.row(v)
+        statuses = {w: source_handle.table.status.get(w) for w in adjacency}
         self.coordinator.machine.send(source_id, "move-request", v, words=closed_form_words("move-request", v))
         self.cluster.exchange()
         source.drain("move-request")
@@ -801,15 +791,17 @@ class MatchingFabric:
         self.cluster.exchange()
         target.drain("move-edges")
         if source_id in self._light_machines:
-            source.delete(("adj", v))
+            source_handle.table.pop_row(v)
+            self._commit_edges(source, source_handle)
         else:
             # ``v`` had the machine to itself (it was heavy before): without
             # the release every re-crossing of the threshold leaks a machine.
             self._release_machine(source_id)
-        target.store(("adj", v), adjacency)
+        target_handle = self._edge_handle(target)
+        target_handle.table.set_row(v, adjacency)
         for w, status in statuses.items():
-            if ("status", w) not in target:
-                target.store(("status", w), status)
+            target_handle.table.place_status(w, status)
+        self._commit_edges(target, target_handle)
         stats.alive_machine = target_id
         if target_id not in self._light_machines and stats.degree < self.threshold:
             self._light_machines.append(target_id)
@@ -819,18 +811,13 @@ class MatchingFabric:
         if not stats.suspended_machines or stats.alive_machine is None:
             return
         alive = self.cluster.machine(stats.alive_machine)
-        alive_adj = dict(alive.load(("adj", v), {}))
-        need = self.threshold - len(alive_adj)
+        alive_handle = self._edge_handle(alive)
+        need = self.threshold - len(alive_handle.table.row(v))
         if need <= 0:
             return
         top_id = stats.suspended_machines[-1]
-        top = self._catch_up(top_id, self._pending_history(top_id)[0])
-        suspended_adj = dict(top.load(("adj", v), {}))
-        moved = {}
-        for w in sorted(suspended_adj):
-            if len(moved) >= need:
-                break
-            moved[w] = True
+        top, top_handle = self._catch_up(top_id, self._pending_history(top_id)[0])
+        moved = sorted(top_handle.table.row(v))[:need]
         self.coordinator.machine.send(
             top_id, "fetch-suspended", (v, need), words=closed_form_words("fetch-suspended", (v, need))
         )
@@ -839,17 +826,18 @@ class MatchingFabric:
         top.send(stats.alive_machine, "suspended-edges", {"vertex": v, "count": len(moved)}, words=2 * len(moved) + 4)
         self.cluster.exchange()
         alive.drain("suspended-edges")
+        alive_table, top_table = alive_handle.table, top_handle.table
+        alive_table.ensure_row(v)  # the alive set is stored even when nothing moved
         for w in moved:
-            del suspended_adj[w]
-            alive_adj[w] = True
-            if ("status", w) not in alive:
-                alive.store(("status", w), top.load(("status", w)))
-        if suspended_adj:
-            top.store(("adj", v), suspended_adj)
+            top_table.discard_edge(v, w)
+            alive_table.add_edge(v, w)
+            alive_table.place_status(w, top_table.status.get(w))
+        if top_table.row(v):
+            self._commit_edges(top, top_handle)
         else:
             stats.suspended_machines = stats.suspended_machines[:-1]
             self._release_machine(top_id)
-        alive.store(("adj", v), alive_adj)
+        self._commit_edges(alive, alive_handle)
 
     # -------------------------------------------------------------- preprocessing
     def load_initial_graph(self, graph: DynamicGraph, initial_matching: set[tuple[int, int]]) -> None:
@@ -888,6 +876,8 @@ class MatchingFabric:
 
     def _store_adjacency(self, machine_id: str, v: int, neighbors: list[int], mate: dict[int, int]) -> None:
         machine = self.cluster.machine(machine_id)
-        machine.store(("adj", v), {w: True for w in neighbors})
-        for w in neighbors:
-            machine.store(("status", w), mate.get(w))
+        handle = self._edge_handle(machine)
+        handle.table.set_row(v, dict.fromkeys(neighbors, True))
+        for w in neighbors:  # a record already here came from the same initial matching
+            handle.table.place_status(w, mate.get(w))
+        self._commit_edges(machine, handle)

@@ -5,9 +5,7 @@ single (arbitrary but fixed) *coordinator* machine ``M_C``.  The coordinator
 stores:
 
 * the **update-history** ``H`` — the last ``O(sqrt(N))`` updates to the
-  input *and* to the maintained solution, plus, for inserted edges, flags
-  recording whether each endpoint's adjacency list has incorporated the
-  edge yet;
+  input *and* to the maintained solution;
 * a **directory** mapping vertex-ID ranges to the statistics machine storing
   those vertices' metadata;
 * the available memory of every machine (so ``toFit`` queries are local).
@@ -39,8 +37,6 @@ class HistoryEntry:
     ``kind`` is one of ``"insert"``, ``"delete"`` (changes to the input) or
     ``"match"``, ``"unmatch"`` (changes to the maintained matching), or
     ``"tree-link"`` / ``"tree-cut"`` for the connectivity algorithms.
-    ``applied`` records, per endpoint, whether the adjacency list stored on
-    the endpoint's machine already reflects the change.
     """
 
     #: words per entry — constant, so ``k`` entries are sized as ``WORDS * k``
@@ -51,7 +47,6 @@ class HistoryEntry:
     u: int
     v: int
     weight: float | None = None
-    applied: tuple[bool, bool] = (False, False)
 
     def dmpc_words(self) -> int:
         return self.WORDS
@@ -105,10 +100,6 @@ class UpdateHistory:
         up: :meth:`entries_since` would hand it a suffix with a gap.
         """
         return max(0, self._seq - seq - len(self._entries))
-
-    def entries_for_vertex(self, vertex: int) -> list[HistoryEntry]:
-        """Entries touching ``vertex`` (as either endpoint)."""
-        return [e for e in self._entries if e.u == vertex or e.v == vertex]
 
     @property
     def last_seq(self) -> int:

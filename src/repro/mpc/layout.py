@@ -1,8 +1,9 @@
-"""The one state layout of every hot path: CSR adjacency, interning, struct-of-arrays stats, tour pairs.
+"""The one state layout of every hot path: CSR adjacency, interning, struct-of-arrays stats, edge tables, tour pairs.
 
 Every static baseline stores its machine's adjacency as one flat CSR
 value, the dynamic matching fabric one vertex table per statistics
-machine, dynamic connectivity one tour-pair table per worker.  The seed
+machine and one edge table per edge machine, dynamic connectivity one
+tour-pair table per worker.  The seed
 stored one dict object per vertex key (adjacency, weights, statistics,
 tour, edge records) and paid python-dict overhead twice per superstep,
 walking the entries and re-serializing them for the resident wire.  The
@@ -29,19 +30,30 @@ benchmark calls (:func:`check_layout`).  This module owns:
     silently corrupts naked buffers (decodes ``bytearray`` as ``bytes``),
     and a class instance forces the wire codec onto its buffer-lifted path
     (see :func:`repro.runtime.wire.register_wire_type`).
-:class:`StatsTable` / :class:`StatsView` / :class:`StatsTableHandle`
+Frozen-charge handles (:class:`StatsTableHandle`, :class:`EdgeTableHandle`, :class:`TourShardHandle`)
+    each wrap one mutable per-machine table and are what the machine stores.
+    A handle freezes its word charge when it is minted (``dmpc_words``
+    returns a constant), because the two storage accounting disciplines
+    disagree about live mutation: the reference storage re-sizes the
+    *current* value on overwrite while the cached storage releases the
+    charge it recorded at store time.  All three commit by one rule
+    (:meth:`FrozenChargeHandle.commit`): re-store the handle the machine
+    holds while its frozen charge still equals the table's live charge
+    (both storages then leave the total alone — the cached one without
+    sizing anything), and mint a fresh handle when the charge moved (both
+    release the old frozen charge and add the new one).  Totals are
+    identical on every backend, and each table keeps its live charge in a
+    running counter, so a commit is O(1).
+:class:`StatsTable` / :class:`StatsView`
     the dynamic fabric's vertex statistics as struct-of-arrays per stats
-    machine, stored as one handle per machine instead of one object per
-    vertex.  The handle freezes its word charge at construction
-    (``dmpc_words`` returns a constant), because the two storage accounting
-    disciplines disagree about live mutation: the reference storage re-sizes
-    the *current* value on overwrite while the cached storage releases the
-    charge it recorded at store time.  A fresh frozen handle per seam commit
-    makes both release the previous frozen charge and add the new one —
-    identical totals on every backend, tracking the live table size in O(1):
+    machine, one table per machine instead of one object per vertex:
     ``live_words`` reads two counters, and a suspended stack changes only
     through its record's setter, which moves the second one.
-:class:`TourShard` / :class:`TourShardHandle`
+:class:`EdgeTable`
+    one Section-3 edge machine's records indexed by vertex: adjacency rows
+    ``v -> {w: True}`` and status records ``w -> mate``, with the word
+    counter the per-key records were charged.
+:class:`TourShard`
     dynamic connectivity's Euler-tour state as one pair table per machine
     (plain dicts, no arrays): every tour index lives once, in the index pair
     of its tree-edge record, shifted in place by the link / cut kernels.
@@ -62,6 +74,7 @@ import importlib.util
 from array import array
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.mpc.sizing import string_words
 from repro.runtime.wire import register_wire_type
 
 __all__ = [
@@ -75,8 +88,12 @@ __all__ = [
     "StatsTable",
     "StatsView",
     "OverflowStats",
+    "FrozenChargeHandle",
     "StatsTableHandle",
     "is_live_record",
+    "EDGE_TABLE_KEY",
+    "EdgeTable",
+    "EdgeTableHandle",
     "TourShard",
     "TourShardHandle",
 ]
@@ -570,27 +587,213 @@ class OverflowStats(_StackRecord):
         }
 
 
-class StatsTableHandle:
-    """The stored value committed at every stats seam mutation.
+class FrozenChargeHandle:
+    """What a machine stores for one mutable table: the table, and the word charge frozen when the handle was minted.
 
-    Freezes the table's word charge at construction so the reference
-    storage (which re-sizes the live value) and the cached storage (which
-    releases the charge recorded at store time) account every commit
-    identically — see the module docstring.  A fresh handle per commit is
-    mandatory: re-storing the *same* object would skip sizing entirely on
-    the cached backend while the reference backend re-measured it.
+    The table mutates in place; the handle is committed after every mutating
+    operation by :meth:`commit`, the one rule all three handle kinds share.
+    Subclasses hold their table in one more slot, mint from it, and define
+    :meth:`live_charge`.
     """
 
-    __slots__ = ("table", "_words")
-
-    def __init__(self, table: StatsTable) -> None:
-        self.table = table
-        # the stored key ("stats") costs its own word; keep the machine
-        # total at exactly live_words() + 1 word of key, minimum 2.
-        self._words = max(1, table.live_words())
+    __slots__ = ("_words",)
 
     def dmpc_words(self) -> int:
         return self._words
+
+    def live_charge(self) -> int:
+        """The charge a handle minted now would freeze (at least one word)."""
+        raise NotImplementedError
+
+    def _mint(self) -> "FrozenChargeHandle":
+        """A fresh handle over the same table."""
+        raise NotImplementedError
+
+    def commit(self, machine: Any, key: Any) -> None:
+        """Store this handle under ``key`` while its frozen charge holds, else a fresh one over the same table.
+
+        Re-storing the object a machine holds is both storages' in-place
+        path (version bump; the reference re-sizes the same frozen charge,
+        the cached storage sizes nothing), exact only while the charge did
+        not move.  A fresh handle makes both release the old frozen charge
+        and add the new one.
+        """
+        machine.store(key, self if self._words == self.live_charge() else self._mint())
+
+
+class StatsTableHandle(FrozenChargeHandle):
+    """The stored value of a stats machine: its :class:`StatsTable` under a frozen charge."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: StatsTable) -> None:
+        self.table = table
+        self._words = self.live_charge()
+
+    def live_charge(self) -> int:
+        # the stored key ("stats") costs its own word; keep the machine
+        # total at exactly live_words() + 1 word of key, minimum 2.
+        return max(1, self.table.live_words())
+
+    def _mint(self) -> "StatsTableHandle":
+        return StatsTableHandle(self.table)
+
+    def __getstate__(self) -> tuple:
+        return (self.table, self._words)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.table, self._words = state
+
+
+# --------------------------------------------------------------- edge table
+#: the key an edge machine stores its table under, and the words it costs
+EDGE_TABLE_KEY = "edges"
+_EDGE_KEY_WORDS = string_words(EDGE_TABLE_KEY)
+#: the per-key charges the table keeps: an ``("adj", v)`` key cost 3 words
+#: and its ``{w: True}`` value 1 + 2 per neighbour; a ``("status", w)`` key 3
+#: and its mate (or ``None``) 1
+_ROW_WORDS = 4
+_NEIGHBOR_WORDS = 2
+_STATUS_WORDS = 4
+
+
+class EdgeTable:
+    """One Section-3 edge machine's records, indexed by vertex.
+
+    ``adj``
+        vertex → ``{neighbour: True}``, the copies of the vertex's edges
+        this machine holds (a row may be empty: the vertex is placed here
+        and owns no copy at the moment);
+    ``status``
+        neighbour → its mate (``None`` when free), one record per vertex
+        some row here names, kept current by history replay.
+
+    ``words`` is the running charge of the per-key records the table
+    replaced: 4 + 2·|row| per row, 4 per status record.  Every method that
+    changes the record set moves it; the rows and statuses are not to be
+    edited from outside.  A status record stays until the machine is
+    cleared, as the per-key records did.
+    """
+
+    __slots__ = ("adj", "status", "words")
+
+    def __init__(self) -> None:
+        self.adj: "dict[int, dict[int, bool]]" = {}
+        self.status: "dict[int, int | None]" = {}
+        self.words = 0
+
+    def row(self, vertex: int) -> "dict[int, bool]":
+        """``vertex``'s row, read-only (an empty dict when absent)."""
+        return self.adj.get(vertex) or {}
+
+    def ensure_row(self, vertex: int) -> "dict[int, bool]":
+        """``vertex``'s row, placed here empty unless it has one."""
+        row = self.adj.get(vertex)
+        if row is None:
+            row = self.adj[vertex] = {}
+            self.words += _ROW_WORDS
+        return row
+
+    def set_row(self, vertex: int, row: "dict[int, bool]") -> None:
+        """Make ``row`` (the table takes ownership) ``vertex``'s row, replacing any."""
+        old = self.adj.get(vertex)
+        self.words += _NEIGHBOR_WORDS * len(row) - (_NEIGHBOR_WORDS * len(old) if old is not None else -_ROW_WORDS)
+        self.adj[vertex] = row
+
+    def pop_row(self, vertex: int) -> "dict[int, bool] | None":
+        """Remove and return ``vertex``'s row (``None`` when absent)."""
+        row = self.adj.pop(vertex, None)
+        if row is not None:
+            self.words -= _ROW_WORDS + _NEIGHBOR_WORDS * len(row)
+        return row
+
+    def add_edge(self, vertex: int, neighbor: int) -> None:
+        """Add the copy of ``(vertex, neighbor)`` to ``vertex``'s row, placing the row if needed."""
+        row = self.ensure_row(vertex)
+        if neighbor not in row:
+            row[neighbor] = True
+            self.words += _NEIGHBOR_WORDS
+
+    def discard_edge(self, vertex: int, neighbor: int) -> bool:
+        """Drop the copy of ``(vertex, neighbor)`` if it is here; whether it was."""
+        row = self.adj.get(vertex)
+        if row is None or neighbor not in row:
+            return False
+        del row[neighbor]
+        self.words -= _NEIGHBOR_WORDS
+        return True
+
+    def place_status(self, vertex: int, mate: "int | None") -> None:
+        """Record ``vertex``'s mate unless a record is here already (the one here is current)."""
+        if vertex not in self.status:
+            self.status[vertex] = mate
+            self.words += _STATUS_WORDS
+
+    def replay(self, entries: "Iterable[Any]") -> bool:
+        """Apply history entries (``kind``, ``u``, ``v``), oldest first, to the records held here; whether any changed.
+
+        A ``delete`` drops each endpoint's copy of the edge if it is here;
+        ``match`` / ``unmatch`` rewrite the status records that are here and
+        create none; ``insert`` is skipped — copies are placed during their
+        own update, never by replay.  Rows stay, even when emptied.
+        """
+        adj, status = self.adj, self.status
+        dropped = 0
+        rewritten = False
+        for entry in entries:
+            kind = entry.kind
+            if kind == "insert":
+                continue
+            u, v = entry.u, entry.v
+            if kind == "delete":
+                row = adj.get(u)
+                if row is not None and v in row:
+                    del row[v]
+                    dropped += 1
+                row = adj.get(v)
+                if row is not None and u in row:
+                    del row[u]
+                    dropped += 1
+            elif kind == "match":
+                if u in status:
+                    status[u] = v
+                    rewritten = True
+                if v in status:
+                    status[v] = u
+                    rewritten = True
+            elif kind == "unmatch":
+                if u in status:
+                    status[u] = None
+                    rewritten = True
+                if v in status:
+                    status[v] = None
+                    rewritten = True
+        self.words -= _NEIGHBOR_WORDS * dropped
+        return rewritten or dropped > 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"EdgeTable(rows={len(self.adj)}, statuses={len(self.status)}, words={self.words})"
+
+
+class EdgeTableHandle(FrozenChargeHandle):
+    """The stored value of an edge machine: its :class:`EdgeTable` under a frozen charge.
+
+    The charge is the table's words less the key's, so the machine total is
+    exactly what the per-key records cost.  An empty table is not stored at
+    all (the caller deletes the key), as a machine without records held no key.
+    """
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: EdgeTable) -> None:
+        self.table = table
+        self._words = self.live_charge()
+
+    def live_charge(self) -> int:
+        return max(1, self.table.words - _EDGE_KEY_WORDS)
+
+    def _mint(self) -> "EdgeTableHandle":
+        return EdgeTableHandle(self.table)
 
     def __getstate__(self) -> tuple:
         return (self.table, self._words)
@@ -908,23 +1111,24 @@ class TourShard:
         )
 
 
-class TourShardHandle:
-    """Frozen-charge commit handle for a :class:`TourShard`.
+class TourShardHandle(FrozenChargeHandle):
+    """The stored value of a connectivity worker: its :class:`TourShard` under a frozen charge.
 
-    Same discipline as :class:`StatsTableHandle`: the shard mutates in place,
-    drivers commit a *fresh* handle after each mutating operation, and the
-    frozen ``dmpc_words`` makes the reference and cached storage backends
-    release the previous charge and record the new one identically.
+    An index shift leaves the charge where it was, so a sweep's commit
+    re-stores the handle and sizes nothing.
     """
 
-    __slots__ = ("shard", "_words")
+    __slots__ = ("shard",)
 
     def __init__(self, shard: TourShard) -> None:
         self.shard = shard
-        self._words = max(1, shard.live_words())
+        self._words = self.live_charge()
 
-    def dmpc_words(self) -> int:
-        return self._words
+    def live_charge(self) -> int:
+        return max(1, self.shard.live_words())
+
+    def _mint(self) -> "TourShardHandle":
+        return TourShardHandle(self.shard)
 
     def __getstate__(self) -> tuple:
         return (self.shard, self._words)

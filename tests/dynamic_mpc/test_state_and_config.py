@@ -14,7 +14,8 @@ from repro.graph.generators import gnm_random_graph, star_graph
 from repro.graph.validation import greedy_maximal_matching
 from repro.mpc.cluster import Cluster
 from repro.mpc.coordinator import HistoryEntry
-from repro.mpc.layout import is_live_record
+from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, EdgeTableHandle, is_live_record
+from repro.mpc.machine import Machine
 
 
 class TestDMPCConfig:
@@ -57,8 +58,8 @@ class TestDMPCConfig:
 
 
 def replay_reference(machine, entries) -> None:
-    """The replay as one pair loop over public ``Machine`` calls — the oracle
-    for the unrolled pass of ``MatchingFabric._apply_history_locally``."""
+    """The replay as one pair loop over per-key records (``("adj", v)`` → ``{w: True}``, ``("status", w)`` →
+    mate) on a plain ``Machine`` — the oracle for ``EdgeTable.replay`` behind ``MatchingFabric._apply_history_locally``."""
     for entry in entries:
         for a, b in ((entry.u, entry.v), (entry.v, entry.u)):
             if entry.kind == "delete":
@@ -67,6 +68,31 @@ def replay_reference(machine, entries) -> None:
                     machine.store(("adj", a), {w: True for w in adj if w != b})
             elif entry.kind in ("match", "unmatch") and ("status", a) in machine:
                 machine.store(("status", a), b if entry.kind == "match" else None)
+
+
+def edge_table(machine) -> EdgeTable | None:
+    handle = machine.load(EDGE_TABLE_KEY)
+    return None if handle is None else handle.table
+
+
+def per_key_records(table: EdgeTable | None) -> dict:
+    """The per-key record set ``table`` stands for."""
+    if table is None:
+        return {}
+    records: dict = {("adj", v): dict(row) for v, row in table.adj.items()}
+    records.update({("status", w): mate for w, mate in table.status.items()})
+    return records
+
+
+def place_table(machine, records: dict) -> None:
+    """Commit an edge table holding the per-key ``records`` on ``machine``."""
+    table = EdgeTable()
+    for (kind, vertex), value in records.items():
+        if kind == "adj":
+            table.set_row(vertex, dict(value))
+        else:
+            table.place_status(vertex, value)
+    MatchingFabric._commit_edges(machine, EdgeTableHandle(table))
 
 
 def make_fabric(n: int = 16, m: int = 80) -> MatchingFabric:
@@ -229,11 +255,14 @@ class TestMatchingFabric:
         stats = fabric.stats_of(0)
         top_id = stats.suspended_machines[-1]
         top = fabric.cluster.machine(top_id)
-        assert ("adj", 0) in top and len(top.storage) > 1  # the suspended edges and their status records
+        table = edge_table(top)
+        assert table.row(0) and table.status  # the suspended edges and their status records
         # drain the alive set, then refill it from the stack until the top machine is released
         alive = fabric.cluster.machine(stats.alive_machine)
         while top_id in stats.suspended_machines:
-            alive.store(("adj", 0), {})
+            handle = alive.load(EDGE_TABLE_KEY)
+            handle.table.set_row(0, {})
+            MatchingFabric._commit_edges(alive, handle)
             fabric.record("delete", 0, 1)
             fabric.fetch_suspended(0, stats)
         assert len(top.storage) == 0 and top.used_words == 0
@@ -271,17 +300,17 @@ class TestMatchingFabric:
         shared_id = light_stats.alive_machine
         assert shared_id in light._light_machines
         light.move_vertex_edges(v, light_stats, light._allocate_machine(light=True))
-        assert shared_id in light._allocated and ("adj", v) not in light.cluster.machine(shared_id)
+        assert shared_id in light._allocated and v not in edge_table(light.cluster.machine(shared_id)).adj
 
     def test_allocating_a_non_empty_machine_is_refused(self):
         fabric = make_fabric()
         next_id = fabric._unallocated[-1]
-        fabric.cluster.machine(next_id).store(("status", 3), None)
+        place_table(fabric.cluster.machine(next_id), {("status", 3): None})
         with pytest.raises(ProtocolError, match="still holds records"):
             fabric._allocate_machine(light=True)
         # refused, not half-done: the machine is still the next one to hand out
         assert fabric._unallocated[-1] == next_id and next_id not in fabric._allocated
-        fabric.cluster.machine(next_id).delete(("status", 3))
+        fabric.cluster.machine(next_id).delete(EDGE_TABLE_KEY)
         assert fabric._allocate_machine(light=True) == next_id
 
     def test_reader_staler_than_the_buffer_is_refused(self):
@@ -305,17 +334,19 @@ class TestMatchingFabric:
         rng = random.Random(seed)
         records = {("adj", v): {w: True for w in rng.sample(range(12), 4) if w != v} for v in rng.sample(range(12), 5)}
         records.update({("status", w): rng.choice([None, rng.randrange(12)]) for w in rng.sample(range(12), 7)})
-        ours, reference = Cluster(DMPCConfig.for_graph(16, 80)).add_machines("edge", 2, role="edge")
-        for key, value in records.items():  # shared values are safe: both replays copy before they write
-            ours.store(key, value)
+        (ours,) = Cluster(DMPCConfig.for_graph(16, 80)).add_machines("edge", 1, role="edge")
+        reference = Machine("reference", ours.capacity)
+        place_table(ours, records)
+        for key, value in records.items():  # shared values are safe: the oracle copies before it writes
             reference.store(key, value)
+        assert ours.used_words == reference.used_words
         entries = [
             HistoryEntry(seq, rng.choice(["insert", "delete", "match", "unmatch"]), *rng.sample(range(12), 2))
             for seq in range(1, 301)
         ]
         MatchingFabric._apply_history_locally(ours, entries)
         replay_reference(reference, entries)
-        assert dict(ours.items()) == dict(reference.items())
+        assert per_key_records(edge_table(ours)) == dict(reference.items())
         assert ours.used_words == reference.used_words
 
     def test_counter_deltas_clamped_at_zero(self):

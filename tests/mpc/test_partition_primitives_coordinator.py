@@ -51,7 +51,6 @@ class TestCoordinator:
         assert history.last_seq == 5
         assert [e.seq for e in history.entries()] == [3, 4, 5]
         assert history.entries_since(4)[0].seq == 5
-        assert history.entries_for_vertex(4)  # edge (3,4) or (4,5) survived
 
     def test_coordinator_send_history(self):
         cluster = Cluster(DMPCConfig(capacity_n=16, capacity_m=32))
