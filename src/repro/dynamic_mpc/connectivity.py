@@ -65,7 +65,7 @@ from repro.exceptions import InvariantViolation
 from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.graph.updates import GraphUpdate
 from repro.graph.validation import connected_components, same_partition
-from repro.mpc.layout import TourShard, TourShardHandle, check_layout
+from repro.mpc.layout import FrozenChargeHandle, TourShard, check_layout
 from repro.mpc.machine import Machine
 from repro.mpc.partition import hash_partition
 from repro.mpc.sizing import closed_form_words, register_closed_form
@@ -86,8 +86,7 @@ class _ShardTourStore:
     """The pair-table store: one in-place :class:`TourShard` per worker machine.
 
     Mutations edit the shard directly and commit through the machine's
-    frozen-charge :class:`TourShardHandle` (the rule every
-    :class:`~repro.mpc.layout.FrozenChargeHandle` shares), so index rewrites
+    :class:`~repro.mpc.layout.FrozenChargeHandle`, so index rewrites
     cost no sizing on any backend and the word totals are the seed's
     per-vertex charges.
     """
@@ -96,16 +95,16 @@ class _ShardTourStore:
         self.algo = algo
         self._workers = algo._workers
 
-    def _handle(self, machine: Machine) -> TourShardHandle:
+    def _handle(self, machine: Machine) -> FrozenChargeHandle:
         handle = machine.load(TOUR_SHARD_KEY)
         if handle is None:
-            handle = TourShardHandle(TourShard())
+            handle = FrozenChargeHandle(TourShard())
             machine.store(TOUR_SHARD_KEY, handle)
         return handle
 
     def _peek(self, machine: Machine) -> "TourShard | None":
         handle = machine.load(TOUR_SHARD_KEY)
-        return None if handle is None else handle.shard
+        return None if handle is None else handle.table
 
     def _machine(self, v: int) -> Machine:
         return self.algo.cluster.machine(self.algo.owner(v))
@@ -121,13 +120,13 @@ class _ShardTourStore:
     def create_vertex(self, v: int, comp: int) -> None:
         machine = self._machine(v)
         handle = self._handle(machine)
-        handle.shard.add_vertex(v, comp)
+        handle.table.add_vertex(v, comp)
         handle.commit(machine, TOUR_SHARD_KEY)
 
     def place_vertex(self, v: int, comp: int, indexes: "set[int]", records: "dict[int, dict]") -> None:
         machine = self._machine(v)
         handle = self._handle(machine)
-        shard = handle.shard
+        shard = handle.table
         shard.add_vertex(v, comp)
         for w, record in records.items():
             shard.set_edge(v, w, record)
@@ -143,13 +142,13 @@ class _ShardTourStore:
     def store_edge_record(self, v: int, w: int, record: "dict[str, Any]") -> None:
         machine = self._machine(v)
         handle = self._handle(machine)
-        handle.shard.set_edge(v, w, record)
+        handle.table.set_edge(v, w, record)
         handle.commit(machine, TOUR_SHARD_KEY)
 
     def remove_edge_record(self, v: int, w: int) -> None:
         machine = self._machine(v)
         handle = self._handle(machine)
-        handle.shard.pop_edge(v, w)
+        handle.table.pop_edge(v, w)
         handle.commit(machine, TOUR_SHARD_KEY)
 
     # ------------------------------------------------------------- global reads
@@ -187,7 +186,7 @@ class _ShardTourStore:
         """
         for machine in self._workers:
             handle = machine.load(TOUR_SHARD_KEY)
-            if handle is not None and kernel(handle.shard, *scalars):
+            if handle is not None and kernel(handle.table, *scalars):
                 machine.store(TOUR_SHARD_KEY, handle)
 
     def apply_link(self, scalars: dict) -> None:

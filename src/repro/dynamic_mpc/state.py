@@ -61,7 +61,7 @@ from repro.exceptions import ProtocolError
 from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.mpc.cluster import Cluster
 from repro.mpc.coordinator import Coordinator, HistoryEntry, UpdateHistory
-from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, EdgeTableHandle, StatsTable, StatsTableHandle, is_live_record
+from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, FrozenChargeHandle, StatsTable, is_live_record
 from repro.mpc.partition import RangePartition
 from repro.mpc.sizing import closed_form_words, register_closed_form, string_words
 
@@ -207,40 +207,33 @@ class MatchingFabric:
         self._unallocated.append(machine_id)
 
     def _light_machine_with_room(self, words_needed: int) -> str:
-        """A light machine with at least ``words_needed`` free words (the paper's ``toFit``).
-
-        The scan reads each machine's charge directly: it passes over every
-        full light machine ahead of the first with room, dozens per call.
-        """
-        need = words_needed + 8
-        machines = self.cluster.machines_by_id
+        """A light machine with at least ``words_needed`` free words (the paper's ``toFit``)."""
         for machine_id in self._light_machines:
-            machine = machines[machine_id]
-            if machine.capacity - machine.storage.used_words >= need:
+            if self.cluster.machine(machine_id).free_words >= words_needed + 8:
                 return machine_id
         return self._allocate_machine(light=True)
 
     # ------------------------------------------------------------------ stats
-    def _stats_handle(self, machine) -> StatsTableHandle:
+    def _stats_handle(self, machine) -> FrozenChargeHandle:
         """The stats machine's committed table handle (a fresh, uncommitted
         one over an empty table if never committed — reads of blanks must
         not allocate storage)."""
-        handle: StatsTableHandle | None = machine.load(STATS_KEY)
+        handle: FrozenChargeHandle | None = machine.load(STATS_KEY)
         if handle is None:
             block = self.partition.vertices_on(machine.machine_id)
-            handle = StatsTableHandle(StatsTable(block.start, len(block)))
+            handle = FrozenChargeHandle(StatsTable(block.start, len(block)))
         return handle
 
     # ------------------------------------------------------------ edge tables
     @staticmethod
-    def _edge_handle(machine) -> EdgeTableHandle:
+    def _edge_handle(machine) -> FrozenChargeHandle:
         """The edge machine's committed table handle (a fresh, uncommitted one
         over an empty table if it holds no records)."""
-        handle: EdgeTableHandle | None = machine.load(EDGE_TABLE_KEY)
-        return handle if handle is not None else EdgeTableHandle(EdgeTable())
+        handle: FrozenChargeHandle | None = machine.load(EDGE_TABLE_KEY)
+        return handle if handle is not None else FrozenChargeHandle(EdgeTable())
 
     @staticmethod
-    def _commit_edges(machine, handle: EdgeTableHandle) -> None:
+    def _commit_edges(machine, handle: FrozenChargeHandle) -> None:
         """Commit an edge table after it changed; an empty table holds no key."""
         if handle.table.words:
             handle.commit(machine, EDGE_TABLE_KEY)
@@ -307,7 +300,7 @@ class MatchingFabric:
         """The maintained matching (assembled from the statistics machines)."""
         edges: set[tuple[int, int]] = set()
         for machine in self.cluster.machines(role="stats"):
-            handle: StatsTableHandle | None = machine.load(STATS_KEY)
+            handle: FrozenChargeHandle | None = machine.load(STATS_KEY)
             if handle is None:
                 continue
             for vertex, mate in handle.table.matched_pairs():
@@ -356,7 +349,7 @@ class MatchingFabric:
         return machine, handle
 
     @classmethod
-    def _apply_history_locally(cls, machine, entries: list[HistoryEntry]) -> EdgeTableHandle:
+    def _apply_history_locally(cls, machine, entries: list[HistoryEntry]) -> FrozenChargeHandle:
         """Replay ``entries`` over ``machine``'s edge table in place (:meth:`EdgeTable.replay`), commit it, return its handle.
 
         Sound only for a suffix the machine has not seen, applied to records

@@ -30,20 +30,20 @@ benchmark calls (:func:`check_layout`).  This module owns:
     silently corrupts naked buffers (decodes ``bytearray`` as ``bytes``),
     and a class instance forces the wire codec onto its buffer-lifted path
     (see :func:`repro.runtime.wire.register_wire_type`).
-Frozen-charge handles (:class:`StatsTableHandle`, :class:`EdgeTableHandle`, :class:`TourShardHandle`)
-    each wrap one mutable per-machine table and are what the machine stores.
-    A handle freezes its word charge when it is minted (``dmpc_words``
-    returns a constant), because the two storage accounting disciplines
-    disagree about live mutation: the reference storage re-sizes the
-    *current* value on overwrite while the cached storage releases the
-    charge it recorded at store time.  All three commit by one rule
-    (:meth:`FrozenChargeHandle.commit`): re-store the handle the machine
-    holds while its frozen charge still equals the table's live charge
-    (both storages then leave the total alone — the cached one without
-    sizing anything), and mint a fresh handle when the charge moved (both
-    release the old frozen charge and add the new one).  Totals are
-    identical on every backend, and each table keeps its live charge in a
-    running counter, so a commit is O(1).
+:class:`FrozenChargeHandle`
+    what a machine stores for each mutable per-machine table (stats, edge
+    and tour tables alike).  A handle freezes its word charge when it is
+    minted (``dmpc_words`` returns a constant), because the two storage
+    accounting disciplines disagree about live mutation: the reference
+    storage re-sizes the *current* value on overwrite while the cached
+    storage releases the charge it recorded at store time.  Every table
+    commits by one rule (:meth:`FrozenChargeHandle.commit`): re-store the
+    handle the machine holds while its frozen charge still equals the
+    table's ``live_words()`` (both storages then leave the total alone —
+    the cached one without sizing anything), and mint a fresh handle when
+    the charge moved (both release the old frozen charge and add the new
+    one).  Totals are identical on every backend, and each table keeps its
+    live charge in a running counter, so a commit is O(1).
 :class:`StatsTable` / :class:`StatsView`
     the dynamic fabric's vertex statistics as struct-of-arrays per stats
     machine, one table per machine instead of one object per vertex:
@@ -89,13 +89,10 @@ __all__ = [
     "StatsView",
     "OverflowStats",
     "FrozenChargeHandle",
-    "StatsTableHandle",
     "is_live_record",
     "EDGE_TABLE_KEY",
     "EdgeTable",
-    "EdgeTableHandle",
     "TourShard",
-    "TourShardHandle",
 ]
 
 #: whether the vectorized kernel paths are available in this interpreter
@@ -590,24 +587,20 @@ class OverflowStats(_StackRecord):
 class FrozenChargeHandle:
     """What a machine stores for one mutable table: the table, and the word charge frozen when the handle was minted.
 
-    The table mutates in place; the handle is committed after every mutating
-    operation by :meth:`commit`, the one rule all three handle kinds share.
-    Subclasses hold their table in one more slot, mint from it, and define
-    :meth:`live_charge`.
+    ``table`` is any per-machine table with a ``live_words()`` method
+    (:class:`StatsTable`, :class:`EdgeTable`, :class:`TourShard`), the
+    charge its stored value stands for.  The table mutates in place; the
+    handle is committed after every mutating operation by :meth:`commit`.
     """
 
-    __slots__ = ("_words",)
+    __slots__ = ("table", "_words")
+
+    def __init__(self, table: Any) -> None:
+        self.table = table
+        self._words = max(1, table.live_words())
 
     def dmpc_words(self) -> int:
         return self._words
-
-    def live_charge(self) -> int:
-        """The charge a handle minted now would freeze (at least one word)."""
-        raise NotImplementedError
-
-    def _mint(self) -> "FrozenChargeHandle":
-        """A fresh handle over the same table."""
-        raise NotImplementedError
 
     def commit(self, machine: Any, key: Any) -> None:
         """Store this handle under ``key`` while its frozen charge holds, else a fresh one over the same table.
@@ -616,27 +609,12 @@ class FrozenChargeHandle:
         path (version bump; the reference re-sizes the same frozen charge,
         the cached storage sizes nothing), exact only while the charge did
         not move.  A fresh handle makes both release the old frozen charge
-        and add the new one.
+        and add the new one.  Under ``strict_memory`` an overflowing commit
+        raises after the table changed: the machine's table is then
+        undefined, as the run is over.
         """
-        machine.store(key, self if self._words == self.live_charge() else self._mint())
-
-
-class StatsTableHandle(FrozenChargeHandle):
-    """The stored value of a stats machine: its :class:`StatsTable` under a frozen charge."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: StatsTable) -> None:
-        self.table = table
-        self._words = self.live_charge()
-
-    def live_charge(self) -> int:
-        # the stored key ("stats") costs its own word; keep the machine
-        # total at exactly live_words() + 1 word of key, minimum 2.
-        return max(1, self.table.live_words())
-
-    def _mint(self) -> "StatsTableHandle":
-        return StatsTableHandle(self.table)
+        holds = self._words == max(1, self.table.live_words())
+        machine.store(key, self if holds else FrozenChargeHandle(self.table))
 
     def __getstate__(self) -> tuple:
         return (self.table, self._words)
@@ -672,7 +650,9 @@ class EdgeTable:
     replaced: 4 + 2·|row| per row, 4 per status record.  Every method that
     changes the record set moves it; the rows and statuses are not to be
     edited from outside.  A status record stays until the machine is
-    cleared, as the per-key records did.
+    cleared, as the per-key records did.  An empty table is not stored at
+    all (the caller deletes the key), as a machine without records held no
+    key.
     """
 
     __slots__ = ("adj", "status", "words")
@@ -771,35 +751,13 @@ class EdgeTable:
         self.words -= _NEIGHBOR_WORDS * dropped
         return rewritten or dropped > 0
 
+    def live_words(self) -> int:
+        """The charge the table's handle freezes: ``words`` less the ``"edges"`` key's own, so the
+        machine total is exactly what the per-key records cost."""
+        return self.words - _EDGE_KEY_WORDS
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EdgeTable(rows={len(self.adj)}, statuses={len(self.status)}, words={self.words})"
-
-
-class EdgeTableHandle(FrozenChargeHandle):
-    """The stored value of an edge machine: its :class:`EdgeTable` under a frozen charge.
-
-    The charge is the table's words less the key's, so the machine total is
-    exactly what the per-key records cost.  An empty table is not stored at
-    all (the caller deletes the key), as a machine without records held no key.
-    """
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: EdgeTable) -> None:
-        self.table = table
-        self._words = self.live_charge()
-
-    def live_charge(self) -> int:
-        return max(1, self.table.words - _EDGE_KEY_WORDS)
-
-    def _mint(self) -> "EdgeTableHandle":
-        return EdgeTableHandle(self.table)
-
-    def __getstate__(self) -> tuple:
-        return (self.table, self._words)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.table, self._words = state
 
 
 # --------------------------------------------------------------- tour shard
@@ -1109,32 +1067,6 @@ class TourShard:
             f"TourShard(vertices={len(self.comp)}, comps={len(self.by_comp)}, "
             f"words={self._words})"
         )
-
-
-class TourShardHandle(FrozenChargeHandle):
-    """The stored value of a connectivity worker: its :class:`TourShard` under a frozen charge.
-
-    An index shift leaves the charge where it was, so a sweep's commit
-    re-stores the handle and sizes nothing.
-    """
-
-    __slots__ = ("shard",)
-
-    def __init__(self, shard: TourShard) -> None:
-        self.shard = shard
-        self._words = self.live_charge()
-
-    def live_charge(self) -> int:
-        return max(1, self.shard.live_words())
-
-    def _mint(self) -> "TourShardHandle":
-        return TourShardHandle(self.shard)
-
-    def __getstate__(self) -> tuple:
-        return (self.shard, self._words)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.shard, self._words = state
 
 
 # ------------------------------------------------------------ wire registry

@@ -207,7 +207,7 @@ def tour_snapshot(algorithm):
         for key, value in machine.items():
             if key == TOUR_SHARD_KEY:
                 words[machine.machine_id] -= word_size(key)  # the one store key the oracle does not have
-                shard = value.shard
+                shard = value.table
                 for v, comp in shard.comp.items():
                     vertices[v] = (comp, set())
                     rows[v] = shard.edge_row(v)

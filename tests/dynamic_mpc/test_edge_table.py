@@ -188,7 +188,9 @@ class TestStrictMemory:
     Each machine's records only grow within one operation, so the first
     overflowing store and the commit name the same machine on the same
     update.  Pinned from the per-key layout: ``(index of the update, or
-    "preprocess", machine)``.
+    "preprocess", machine)``.  The overflowing machine's table already holds
+    the operation's records when the raise comes, so it is undefined after
+    it; the run is over, and nothing here reads it.
     """
 
     CASES = {

@@ -14,7 +14,7 @@ from repro.graph.generators import gnm_random_graph, star_graph
 from repro.graph.validation import greedy_maximal_matching
 from repro.mpc.cluster import Cluster
 from repro.mpc.coordinator import HistoryEntry
-from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, EdgeTableHandle, is_live_record
+from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, FrozenChargeHandle, is_live_record
 from repro.mpc.machine import Machine
 
 
@@ -92,7 +92,7 @@ def place_table(machine, records: dict) -> None:
             table.set_row(vertex, dict(value))
         else:
             table.place_status(vertex, value)
-    MatchingFabric._commit_edges(machine, EdgeTableHandle(table))
+    MatchingFabric._commit_edges(machine, FrozenChargeHandle(table))
 
 
 def make_fabric(n: int = 16, m: int = 80) -> MatchingFabric:

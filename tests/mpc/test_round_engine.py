@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import DMPCConfig
 from repro.exceptions import MachineMemoryExceeded, MessageSizeExceeded, ProtocolError, UnknownMachineError
 from repro.mpc import Cluster, Machine, Message, MetricsLedger, RoundRecord, UpdateRecord
-from repro.mpc.layout import StatsTable, StatsTableHandle
+from repro.mpc.layout import FrozenChargeHandle, StatsTable
 from repro.runtime import CachedStorage, ReferenceStorage
 from repro.runtime.resident import _commit_frames, _SessionState
 
@@ -361,7 +361,7 @@ VALUES = st.one_of(
     st.text(max_size=20),
     st.dictionaries(st.integers(0, 9), st.booleans(), max_size=6),
     st.lists(st.tuples(st.integers(), st.text(max_size=9)), max_size=4),
-    st.builds(StatsTableHandle, st.just(_TABLE)),
+    st.builds(FrozenChargeHandle, st.just(_TABLE)),
 )
 OPS = st.one_of(
     st.tuples(st.just("store"), KEYS, VALUES),

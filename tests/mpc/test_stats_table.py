@@ -14,7 +14,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mpc.layout import StatsTable, StatsTableHandle, is_live_record
+from repro.mpc.layout import FrozenChargeHandle, StatsTable, is_live_record
 
 BASE, SIZE = 8, 6
 #: two ids below the dense block, its six slots, three ids past it (overflow records)
@@ -48,7 +48,7 @@ class TestLiveWords:
             assert table.suspended_words == sum(len(s) for s in stacks.values())
             # only non-empty stacks are stored (an overflow record's under its out-of-block offset)
             assert table.suspended == {v - BASE: tuple(s) for v, s in stacks.items() if s}
-            assert StatsTableHandle(table).dmpc_words() == max(1, table.live_words())
+            assert FrozenChargeHandle(table).dmpc_words() == max(1, table.live_words())
 
     def test_reading_a_stack_stores_nothing(self):
         table = StatsTable(BASE, SIZE)
@@ -76,7 +76,7 @@ class TestLiveWords:
         table.ensure(BASE).suspended_machines = ["edge3", "edge4"]
         table.ensure(BASE + 2).mate = 5
         table.ensure(BASE + SIZE + 2).suspended_machines = ["edge9"]
-        handle = pickle.loads(pickle.dumps(StatsTableHandle(table)))
+        handle = pickle.loads(pickle.dumps(FrozenChargeHandle(table)))
         clone = handle.table
         assert clone.suspended_words == 3
         assert clone.live_words() == table.live_words() == handle.dmpc_words() == 9 * 3 + 3
