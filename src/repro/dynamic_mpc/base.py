@@ -200,26 +200,15 @@ class DynamicMPCAlgorithm(abc.ABC):
         Batched groups (recorded under ``"{kind}:batch:..."`` labels) count
         as updates here; use :meth:`batch_summary` for per-batch aggregates.
         """
-        updates = [
-            record
-            for prefix in (f"{self.kind}:insert", f"{self.kind}:delete", f"{self.kind}:batch")
-            for record in self.ledger.updates_labelled(prefix)
-        ]
-        scratch = MetricsLedger()
-        for record in updates:
-            scratch.replay_update(record.label, record.rounds)
-        return scratch.summary()
+        return self.ledger.summary(self._update_prefixes())
 
     def update_round_total(self) -> int:
         """Total synchronous rounds spent on dynamic updates (preprocessing excluded)."""
-        return sum(
-            self.ledger.total_rounds(prefix)
-            for prefix in (f"{self.kind}:insert", f"{self.kind}:delete", f"{self.kind}:batch")
-        )
+        return self.ledger.total_rounds(self._update_prefixes())
+
+    def _update_prefixes(self) -> tuple[str, ...]:
+        return (f"{self.kind}:insert", f"{self.kind}:delete", f"{self.kind}:batch")
 
     def preprocessing_summary(self) -> UpdateSummary:
         """Cost summary of the preprocessing phase alone."""
-        scratch = MetricsLedger()
-        for record in self.ledger.updates_labelled(f"{self.kind}:preprocess"):
-            scratch.replay_update(record.label, record.rounds)
-        return scratch.summary()
+        return self.ledger.summary(f"{self.kind}:preprocess")

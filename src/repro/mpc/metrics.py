@@ -12,14 +12,24 @@ The DMPC model judges a dynamic algorithm by three quantities per update
 the Section 8 *entropy* of the communication distribution across machine
 pairs.  Summaries aggregate over updates so benchmarks can report the
 worst-case and mean behaviour that Table 1 bounds.
+
+The ledger stores columns, not objects: one ``array("q")`` per round cost
+(round index, active machines, total words, message count, largest
+message), a sparse ``row -> pair_words`` map for the rounds that kept their
+per-(sender, receiver) breakdown, and three parallel per-update columns
+(label, batch id, first row).  A recorded round costs five machine words.
+:class:`RoundRecord` and :class:`UpdateRecord` are the values it hands out;
+they are built when read and are snapshots — changing one leaves the ledger
+as it was.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from statistics import mean
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.exceptions import ProtocolError
 from repro.mpc.message import Message
@@ -31,7 +41,7 @@ class RoundRecord:
     """Costs of a single synchronous round.
 
     A plain ``__slots__`` value class like :class:`~repro.mpc.message.Message`
-    (a stream retains one per round).  Equality and hash cover the five
+    (every exchange returns one).  Equality and hash cover the five
     scalar costs; ``pair_words`` — the per-(sender, receiver) breakdown, empty
     where the accounting policy kept none — is detail, not identity.  Treat
     instances as immutable.
@@ -92,11 +102,14 @@ class RoundRecord:
 class UpdateRecord:
     """All rounds executed on behalf of one update (or one labelled phase).
 
-    ``batch_id`` tags records that were produced inside a
-    :meth:`MetricsLedger.begin_batch` / :meth:`MetricsLedger.end_batch`
-    scope; records of the same batch are aggregated into one pseudo-update
-    by :meth:`MetricsLedger.batch_summary`.  Mutable (rounds are appended as
-    they happen), so compared by value and not hashable.
+    The value :class:`MetricsLedger` hands out for a recorded update: built
+    from the ledger's columns when read, never kept by it, so changing one
+    changes nothing recorded.  A round filed while no update was open is an
+    update of its own, labelled ``"<unlabelled>"``.  ``batch_id`` tags
+    records that were produced inside a :meth:`MetricsLedger.begin_batch` /
+    :meth:`MetricsLedger.end_batch` scope; records of the same batch are
+    aggregated into one pseudo-update by :meth:`MetricsLedger.batch_summary`.
+    Mutable (a plain list of rounds), so compared by value and not hashable.
     """
 
     __slots__ = ("label", "rounds", "batch_id")
@@ -171,8 +184,31 @@ class UpdateSummary:
         }
 
 
+#: which updates a summary covers: every recorded one (``None``), or those
+#: whose label starts with the prefix, or with any prefix of a tuple
+LabelPrefix = str | tuple[str, ...] | None
+
+
 class MetricsLedger:
-    """Collects :class:`RoundRecord` objects grouped into labelled updates.
+    """Records every round's costs as columns, grouped into labelled updates.
+
+    Five ``array("q")`` columns hold one row per recorded round: its round
+    index, active machines, total words, message count and largest message.
+    Rounds that kept a per-(sender, receiver) breakdown also have an entry in
+    a sparse ``row -> pair_words`` map — every round on ``reference``, only
+    the sampled ones on ``fast`` / ``resident`` (``metrics_sampling``).  An
+    update is three parallel columns: its label, its batch id and the first
+    row it owns (it owns every row up to the next update's first); the open
+    update is a label plus a first row until :meth:`end_update` files it.  A
+    round filed while no update is open becomes an anonymous update of its
+    own, labelled ``"<unlabelled>"``.
+
+    :class:`RoundRecord` / :class:`UpdateRecord` are the values handed out —
+    by :meth:`append_round` (hence ``Cluster.exchange()``), :attr:`updates`,
+    :meth:`updates_labelled`, :meth:`batches` and :meth:`replay_update`.
+    They are built when read and are snapshots: the ledger keeps none of
+    them and copies a filed round's ``pair_words``, so changing a record
+    never changes what was recorded.  The summaries read the columns.
 
     How a delivered round is condensed into a :class:`RoundRecord` is an
     execution-backend accounting policy; all it decides is which rounds keep
@@ -186,8 +222,6 @@ class MetricsLedger:
     """
 
     def __init__(self, *, round_record_factory=None) -> None:
-        self._updates: list[UpdateRecord] = []
-        self._current: UpdateRecord | None = None
         #: index the next recorded round will carry — ``rounds so far + 1``,
         #: global across updates and :meth:`reset`; advanced only by
         #: :meth:`record_round` / :meth:`append_round`.  Whoever condenses a
@@ -196,6 +230,9 @@ class MetricsLedger:
         self.next_round_index = 1
         self._batch_counter = 0
         self._current_batch: int | None = None
+        #: label and first row of the open update (``None``: no update open)
+        self._open_label: str | None = None
+        self._open_start = 0
         self._factory = round_record_factory if round_record_factory is not None else RoundRecord.from_messages
         #: name of the backend accounting policy installed via
         #: :meth:`install_round_record_factory` (``None`` until a cluster
@@ -211,6 +248,21 @@ class MetricsLedger:
         #: then hand :meth:`record_round` the message list instead of
         #: condensing the round themselves, so the factory is honoured.
         self.record_policy: str | None = None
+        self._start_empty()
+
+    def _start_empty(self) -> None:
+        """Columns with no round and no update, and every counter at zero."""
+        # one row per recorded round
+        self._round_index = array("q")
+        self._active_machines = array("q")
+        self._total_words = array("q")
+        self._message_count = array("q")
+        self._max_message_words = array("q")
+        self._pair_words: dict[int, dict[tuple[str, str], int]] = {}
+        # one row per closed update; batch id 0: recorded outside any batch
+        self._labels: list[str] = []
+        self._batch_ids = array("q")
+        self._first_rows = array("q")
         #: wire-path traffic totals, summed by slot-routing transports via
         #: :meth:`record_traffic`.  Orthogonal to the word accounting above —
         #: words measure the *model's* communication, these measure which
@@ -267,22 +319,24 @@ class MetricsLedger:
         self.round_record_factory = factory
 
     # ----------------------------------------------------------------- update
-    def begin_update(self, label: str) -> UpdateRecord:
+    def begin_update(self, label: str) -> None:
         """Open a new labelled update; subsequent rounds are charged to it."""
-        if self._current is not None:
-            raise ProtocolError(
-                f"begin_update({label!r}) called while update {self._current.label!r} is open"
-            )
-        self._current = UpdateRecord(label=label, batch_id=self._current_batch)
-        return self._current
+        if self._open_label is not None:
+            raise ProtocolError(f"begin_update({label!r}) called while update {self._open_label!r} is open")
+        self._open_label = label
+        self._open_start = len(self._round_index)
 
-    def end_update(self) -> UpdateRecord:
-        """Close the currently open update and return its record."""
-        if self._current is None:
+    def end_update(self) -> None:
+        """Close the currently open update and file it after the recorded ones."""
+        if self._open_label is None:
             raise ProtocolError("end_update() called with no open update")
-        record, self._current = self._current, None
-        self._updates.append(record)
-        return record
+        self._file_update(self._open_label, self._open_start)
+        self._open_label = None
+
+    def _file_update(self, label: str, first_row: int) -> None:
+        self._labels.append(label)
+        self._batch_ids.append(self._current_batch or 0)
+        self._first_rows.append(first_row)
 
     # ------------------------------------------------------------------ batch
     def begin_batch(self) -> int:
@@ -294,7 +348,7 @@ class MetricsLedger:
         """
         if self._current_batch is not None:
             raise ProtocolError(f"begin_batch() called while batch {self._current_batch} is open")
-        if self._current is not None:
+        if self._open_label is not None:
             raise ProtocolError("begin_batch() called while an update is open")
         self._batch_counter += 1
         self._current_batch = self._batch_counter
@@ -304,7 +358,7 @@ class MetricsLedger:
         """Close the currently open batch scope and return its id."""
         if self._current_batch is None:
             raise ProtocolError("end_batch() called with no open batch")
-        if self._current is not None:
+        if self._open_label is not None:
             raise ProtocolError("end_batch() called while an update is open")
         batch_id, self._current_batch = self._current_batch, None
         return batch_id
@@ -313,47 +367,45 @@ class MetricsLedger:
     def in_batch(self) -> bool:
         return self._current_batch is not None
 
-    def batches(self, prefix: str | None = None) -> dict[int, list[UpdateRecord]]:
+    def batches(self, prefix: LabelPrefix = None) -> dict[int, list[UpdateRecord]]:
         """Recorded updates grouped by batch id (unbatched records excluded)."""
         groups: dict[int, list[UpdateRecord]] = {}
-        for record in self._updates:
-            if record.batch_id is None:
-                continue
-            if prefix is not None and not record.label.startswith(prefix):
-                continue
-            groups.setdefault(record.batch_id, []).append(record)
+        for update, first, end in self._spans(prefix):
+            batch_id = self._batch_ids[update]
+            if batch_id:
+                groups.setdefault(batch_id, []).append(self._update_record(update, first, end))
         return groups
 
-    def batch_summary(self, prefix: str | None = None) -> UpdateSummary:
+    def batch_summary(self, prefix: LabelPrefix = None) -> UpdateSummary:
         """Aggregate treating each batch as a single pseudo-update.
 
         Updates recorded outside any batch count individually, so mixing
         ``apply`` and ``apply_batch`` on the same algorithm still yields one
         meaningful summary.
         """
-        merged: list[UpdateRecord] = []
-        by_batch: dict[int, UpdateRecord] = {}
-        for record in self._updates:
-            if prefix is not None and not record.label.startswith(prefix):
+        merged: list[list[tuple[int, int]]] = []
+        by_batch: dict[int, list[tuple[int, int]]] = {}
+        for update, first, end in self._spans(prefix):
+            batch_id = self._batch_ids[update]
+            if not batch_id:
+                merged.append([(first, end)])
                 continue
-            if record.batch_id is None:
-                merged.append(record)
-                continue
-            target = by_batch.get(record.batch_id)
-            if target is None:
-                target = UpdateRecord(label=f"<batch:{record.batch_id}>", batch_id=record.batch_id)
-                by_batch[record.batch_id] = target
-                merged.append(target)
-            target.rounds.extend(record.rounds)
+            spans = by_batch.get(batch_id)
+            if spans is None:
+                spans = by_batch[batch_id] = []
+                merged.append(spans)
+            spans.append((first, end))
         return self._summarize(merged)
 
+    # ----------------------------------------------------------------- rounds
     def record_round(self, messages: Iterable[Message]) -> RoundRecord:
         """Record one synchronous round from its message list, condensed by
         :attr:`round_record_factory`.  Rounds outside an update are allowed
         (e.g. ad-hoc probes) but are tracked under an anonymous update."""
         record = self.round_record_factory(self.next_round_index, messages)
         self.next_round_index += 1
-        return self._file_round(record)
+        self._file_round(record)
+        return record
 
     def append_round(self, record: RoundRecord) -> RoundRecord:
         """Record an already-condensed round built for :attr:`next_round_index`.
@@ -361,22 +413,39 @@ class MetricsLedger:
         The per-round entry point of every transport: the delivery pass
         iterated the messages once and built the record itself.  The record
         must continue the global round counter so that sampling policies and
-        round totals stay exact.
+        round totals stay exact.  The ledger copies the record's costs into
+        its columns and hands the record back.
         """
         if record.round_index != self.next_round_index:
             raise ProtocolError(
                 f"append_round() expects round_index {self.next_round_index}, got {record.round_index}"
             )
         self.next_round_index += 1
-        return self._file_round(record)
-
-    def _file_round(self, record: RoundRecord) -> RoundRecord:
-        current = self._current
-        if current is None:
-            current = UpdateRecord("<unlabelled>", batch_id=self._current_batch)
-            self._updates.append(current)
-        current.rounds.append(record)
+        self._file_round(record)
         return record
+
+    def _file_round(self, record: RoundRecord) -> None:
+        row = len(self._round_index)
+        if self._open_label is None:
+            self._file_update("<unlabelled>", row)
+        self._round_index.append(record.round_index)
+        self._active_machines.append(record.active_machines)
+        self._total_words.append(record.total_words)
+        self._message_count.append(record.message_count)
+        self._max_message_words.append(record.max_message_words)
+        if record.pair_words:
+            self._pair_words[row] = dict(record.pair_words)
+
+    def _round_record(self, row: int) -> RoundRecord:
+        pair_words = self._pair_words.get(row)
+        return RoundRecord(
+            self._round_index[row],
+            self._active_machines[row],
+            self._total_words[row],
+            self._message_count[row],
+            self._max_message_words[row],
+            None if pair_words is None else dict(pair_words),
+        )
 
     # ---------------------------------------------------------- wire traffic
     def record_traffic(
@@ -411,65 +480,91 @@ class MetricsLedger:
     def replay_update(self, label: str, rounds: Iterable[RoundRecord]) -> UpdateRecord:
         """Append an already-recorded update (label + round records) verbatim.
 
-        This is the public API for re-aggregating recorded history into a
-        scratch ledger — e.g. building a summary over a filtered subset of
-        another ledger's updates — without poking the ledger's internals.
-        The global round counter is untouched: the rounds being replayed
-        were already counted when they originally happened.
+        Re-files another ledger's recorded history without poking the
+        ledger's internals; the update joins the open batch, if any.  The
+        global round counter is untouched: the rounds being replayed were
+        already counted when they originally happened.
         """
-        record = self.begin_update(label)
-        record.rounds.extend(rounds)
+        self.begin_update(label)
+        first = self._open_start
+        for record in rounds:
+            self._file_round(record)
         self.end_update()
-        return record
+        return self._update_record(len(self._labels) - 1, first, len(self._round_index))
 
     # -------------------------------------------------------------- summaries
+    def _spans(self, prefix: LabelPrefix) -> Iterator[tuple[int, int, int]]:
+        """``(update, first row, end row)`` of every closed update whose label
+        matches ``prefix`` (``str.startswith``; ``None`` matches every label)."""
+        labels = self._labels
+        ends = self._first_rows[1:]
+        ends.append(self._open_start if self._open_label is not None else len(self._round_index))
+        for update, (first, end) in enumerate(zip(self._first_rows, ends)):
+            if prefix is None or labels[update].startswith(prefix):
+                yield update, first, end
+
+    def _update_record(self, update: int, first: int, end: int) -> UpdateRecord:
+        rounds = [self._round_record(row) for row in range(first, end)]
+        return UpdateRecord(self._labels[update], rounds, self._batch_ids[update] or None)
+
     @property
     def updates(self) -> list[UpdateRecord]:
-        return list(self._updates)
+        return [self._update_record(*span) for span in self._spans(None)]
 
-    def updates_labelled(self, prefix: str) -> list[UpdateRecord]:
-        """Return updates whose label starts with ``prefix``."""
-        return [u for u in self._updates if u.label.startswith(prefix)]
+    def updates_labelled(self, prefix: "str | tuple[str, ...]") -> list[UpdateRecord]:
+        """Return updates whose label starts with ``prefix`` (or any prefix of a tuple)."""
+        return [self._update_record(*span) for span in self._spans(prefix)]
 
-    def summary(self, prefix: str | None = None) -> UpdateSummary:
+    def summary(self, prefix: LabelPrefix = None) -> UpdateSummary:
         """Aggregate the recorded updates (optionally filtered by label prefix)."""
-        updates = self._updates if prefix is None else self.updates_labelled(prefix)
-        return self._summarize(updates)
+        return self._summarize([[(first, end)] for _, first, end in self._spans(prefix)])
 
-    def total_rounds(self, prefix: str | None = None) -> int:
+    def total_rounds(self, prefix: LabelPrefix = None) -> int:
         """Total number of rounds across the recorded updates."""
-        updates = self._updates if prefix is None else self.updates_labelled(prefix)
-        return sum(u.num_rounds for u in updates)
+        return sum(end - first for _, first, end in self._spans(prefix))
 
-    @staticmethod
-    def _summarize(updates: list[UpdateRecord]) -> UpdateSummary:
-        if not updates:
+    def _summarize(self, groups: list[list[tuple[int, int]]]) -> UpdateSummary:
+        """Summary over pseudo-updates, each the concatenation of its row spans."""
+        if not groups:
             return UpdateSummary(0, 0, 0.0, 0, 0.0, 0, 0.0, 0)
-        rounds = [u.num_rounds for u in updates]
-        active = [u.max_active_machines for u in updates]
-        words = [u.max_words_per_round for u in updates]
+        rounds: list[int] = []
+        max_active: list[int] = []
+        mean_active: list[float] = []
+        max_words: list[int] = []
+        total_words = 0
+        for spans in groups:
+            active = array("q")
+            words = array("q")
+            for first, end in spans:
+                active += self._active_machines[first:end]
+                words += self._total_words[first:end]
+            rounds.append(len(words))
+            max_active.append(max(active, default=0))
+            mean_active.append(mean(active) if active else 0.0)
+            max_words.append(max(words, default=0))
+            total_words += sum(words)
         return UpdateSummary(
-            num_updates=len(updates),
+            num_updates=len(groups),
             max_rounds=max(rounds),
             mean_rounds=mean(rounds),
-            max_active_machines=max(active),
-            mean_active_machines=mean(u.mean_active_machines for u in updates),
-            max_words_per_round=max(words),
-            mean_words_per_round=mean(words),
-            total_words=sum(u.total_words for u in updates),
+            max_active_machines=max(max_active),
+            mean_active_machines=mean(mean_active),
+            max_words_per_round=max(max_words),
+            mean_words_per_round=mean(max_words),
+            total_words=total_words,
         )
 
     def reset(self) -> None:
-        """Discard all recorded updates (keeps the global round counter)."""
-        if self._current is not None:
+        """Discard all recorded updates and zero the wire-path and fusion
+        counters (keeps the global round counter)."""
+        if self._open_label is not None:
             raise ProtocolError("cannot reset the ledger while an update is open")
         if self._current_batch is not None:
             raise ProtocolError("cannot reset the ledger while a batch is open")
-        self._updates.clear()
-        self._traffic = dict.fromkeys(self._traffic, 0)
+        self._start_empty()
 
     # --------------------------------------------------------------- entropy
-    def communication_entropy(self, prefix: str | None = None) -> float:
+    def communication_entropy(self, prefix: LabelPrefix = None) -> float:
         """Shannon entropy (bits) of the communication distribution (Section 8).
 
         The paper proposes measuring how evenly communication is spread over
@@ -479,11 +574,14 @@ class MetricsLedger:
         of the normalised per-(sender, receiver) word counts aggregated over
         the selected updates.
         """
-        updates = self._updates if prefix is None else self.updates_labelled(prefix)
+        detail = self._pair_words
         totals: dict[tuple[str, str], int] = {}
-        for update in updates:
-            for pair, words in update.pair_words().items():
-                totals[pair] = totals.get(pair, 0) + words
+        for _, first, end in self._spans(prefix):
+            for row in range(first, end):
+                pair_words = detail.get(row)
+                if pair_words is not None:
+                    for pair, words in pair_words.items():
+                        totals[pair] = totals.get(pair, 0) + words
         grand = sum(totals.values())
         if grand <= 0:
             return 0.0

@@ -207,8 +207,11 @@ class TestMetricsLedger:
         ledger = MetricsLedger()
         ledger.record_round([Message("a", "b", "t", 1)])
         ledger.record_traffic(local_messages=5, cross_slot_messages=1, shm_bytes=8, pipe_fallbacks=1)
+        ledger.fused_rounds, ledger.driver_round_trips = 1, 1
         ledger.reset()
         assert set(ledger.traffic_totals().values()) == {0}
+        # the fusion counters describe the discarded rounds too: never more fused rounds than rounds
+        assert (ledger.fused_rounds, ledger.driver_round_trips, ledger.total_rounds()) == (0, 0, 0)
         assert ledger.next_round_index == 2
         ledger.record_traffic(cross_slot_messages=3)
         assert ledger.traffic_totals()["cross_slot_messages"] == 3

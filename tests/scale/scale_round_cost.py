@@ -1,7 +1,7 @@
-"""Cost guard: what a one-message round costs on ``fast``, counted, not clocked.
+"""Cost guard: what a recorded round and a recorded update cost on ``fast``, counted, not clocked.
 
 Outside tier-1 — the file is named like ``benchmarks/bench_*.py`` so the bare
-``pytest`` run does not collect it; run it by path (≈ 2 s):
+``pytest`` run does not collect it; run it by path (≈ 4 s):
 
     PYTHONPATH=src python -m pytest -q -s tests/scale/scale_round_cost.py
 
@@ -15,8 +15,20 @@ pre-sized message, staged, exchanged and drained inside one open update:
 * bytes the ledger retains per recorded round (``tracemalloc``, interpreter
   build dependent by a few bytes).
 
-Each bound is the value PR 23 measured + 20 %; the parent commit measured
-above both (``docs/perf/pr23/README.md``: 10 calls, 231 bytes).
+The call bound is the count of the one-pass round engine + 20 % (the engine
+before it made 10 calls).  The byte bound is the columnar ledger's
+measurement + 20 %: five ``array("q")`` entries per round, 40.3 bytes.  The
+ledger it replaced kept one ``RoundRecord`` per round and retained 183
+bytes.
+
+A third count follows the ledger through a real stream: bytes allocated in
+``repro/mpc/metrics.py`` and still held after 2 000 ``DMPCMaximalMatching``
+updates at n = 1 024 (the ``mm-stream`` inputs' first 2 000 updates),
+per update — about ten rounds' columns plus an update's label slot, batch id
+and first row.  Its bound is the measured 445.2 bytes + 20 %.  The
+record-keeping ledger held 547 bytes there, plus 1 479 bytes of
+``RoundRecord`` objects this filter cannot see: the transports allocated
+them in ``repro/runtime/base.py``.
 """
 
 from __future__ import annotations
@@ -25,14 +37,22 @@ import sys
 import tracemalloc
 
 from repro.config import DMPCConfig
+from repro.dynamic_mpc import DMPCMaximalMatching
+from repro.graph import gnm_random_graph
+from repro.graph.streams import mixed_stream
 from repro.mpc import Cluster
 
 ROUNDS = 10_000
 #: PR 23: Cluster.exchange, FastTransport.exchange, Transport.deliver, RoundRecord.__init__,
 #: MetricsLedger.append_round, MetricsLedger._file_round
 MEASURED_CALLS_PER_EXCHANGE = 6
-#: PR 23: one slotted RoundRecord, its (empty) pair_words dict, its round index and its list slot
-MEASURED_BYTES_PER_ROUND = 184
+#: one entry in each of the five array("q") cost columns
+MEASURED_BYTES_PER_ROUND = 40.3
+#: the matching stream's rounds per update (10.3) times a round's columns, plus one update's three column slots
+MEASURED_BYTES_PER_UPDATE = 445.2
+N = 1024
+UPDATES = 2000
+SEED = 2019
 SLACK = 1.2
 
 
@@ -92,3 +112,23 @@ def test_bytes_retained_per_recorded_round():
     per_round = (after - before - (baseline - after)) / ROUNDS  # less what a cluster costs with no round recorded
     print(f"\nbytes retained per recorded round: {per_round:.1f} (bound {MEASURED_BYTES_PER_ROUND * SLACK:.1f})")
     assert per_round <= MEASURED_BYTES_PER_ROUND * SLACK
+
+
+def test_ledger_bytes_per_matching_update():
+    graph = gnm_random_graph(N, 2 * N, seed=SEED)
+    stream = mixed_stream(N, UPDATES, seed=SEED + 1, insert_probability=0.5, initial=graph)
+    algorithm = DMPCMaximalMatching(DMPCConfig.for_graph(N, 4 * N, backend="fast"))
+    algorithm.preprocess(graph.copy())
+    ledger_only = [tracemalloc.Filter(True, "*repro/mpc/metrics.py")]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(ledger_only)
+        for update in stream:
+            algorithm.apply(update)
+        after = tracemalloc.take_snapshot().filter_traces(ledger_only)
+    finally:
+        tracemalloc.stop()
+    assert algorithm.ledger.summary(f"{algorithm.kind}:").num_updates == UPDATES + 1  # + preprocessing
+    per_update = sum(stat.size_diff for stat in after.compare_to(before, "filename")) / UPDATES
+    print(f"\nledger bytes allocated and held per matching update: {per_update:.1f} (bound {MEASURED_BYTES_PER_UPDATE * SLACK:.1f})")
+    assert per_update <= MEASURED_BYTES_PER_UPDATE * SLACK
