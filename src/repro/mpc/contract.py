@@ -1,17 +1,15 @@
 """Runtime shadow oracle for the :class:`SuperstepProgram` contract.
 
-:mod:`repro.lint` checks the declared contract *statically* — it reads the
-program's AST and compares ``shared_reads`` / ``store_reads`` /
-``shared_writes`` / ``delta_scope`` against what ``run`` and ``apply``
-appear to touch.  This module is the *dynamic* half of the same net: with
-``REPRO_CHECK_CONTRACTS=1`` in the environment, the in-process execution
-strategy (the sequential default every backend runs outside a resident
-session) wraps every program invocation in recording views that
+This is the one checker of the declarations (``shared_reads`` /
+``store_reads`` / ``shared_writes`` / ``delta_scope`` / ``reads_inbox``):
+with ``REPRO_CHECK_CONTRACTS=1`` in the environment, the in-process
+execution strategy (the sequential default every backend runs outside a
+resident session) wraps every program invocation in recording views that
 
 * **observe** — every shared key ``run`` reads, every store prefix it
   loads, every shared key ``apply`` touches is recorded per program class
-  (:func:`observation_for`), so tests can assert the static analyzer and
-  runtime reality agree on every shipped program;
+  (:func:`observation_for`), so tests can assert that every shipped
+  program's declarations equal what it touches at runtime;
 * **enforce worker parity** — an undeclared ``shared[key]`` read raises
   :class:`KeyError` and an undeclared ``shared.get`` / ``ctx.load``
   returns its default, *exactly* what the same code would see in a
@@ -27,7 +25,8 @@ session) wraps every program invocation in recording views that
 
 Checking is opt-in because the views cost a dict lookup per access on the
 hottest paths; correctness does not depend on it — it is a debugging and
-regression tool, wired into the test suite next to ``repro.lint``.
+regression tool, wired into the test suite
+(``tests/runtime/test_contract_checking.py``).
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class ContractObservation:
 
     Accumulated across every checked superstep of the class (all machines,
     all rounds, all clusters), so after a full algorithm run the sets are
-    the runtime ground truth the static analyzer's extraction is compared
+    the runtime ground truth the program's declarations are compared
     against.  ``set.add`` is atomic under the GIL, so clusters driven from
     several threads record into the same observation without extra locking.
     """
@@ -276,7 +275,7 @@ class ContractCheckContext(MachineContext):
     returns the default — worker parity again: ``store_subset`` would never
     have shipped the key, so :class:`WorkerMachineContext` silently falls
     back to the default and the backends diverge.  The miss is recorded so
-    the oracle (and the paired static rule RP102) can point at it.
+    the oracle can point at it.
     """
 
     __slots__ = ("_inner", "_prefixes", "_observation")

@@ -78,16 +78,12 @@ Checking the contract
 
 The declarations above are *load-bearing*: a program that reads an
 undeclared key works in-process and silently diverges in a resident
-worker.  Two tools keep them honest:
-
-* ``python -m repro.lint`` (:mod:`repro.lint`) statically checks every
-  program class in the tree against its declarations — rule codes RP101
-  (undeclared shared read) through RP108, run in CI next to ruff;
-* ``REPRO_CHECK_CONTRACTS=1`` (:mod:`repro.mpc.contract`) makes the
-  sequential strategy execute programs against recording views with
-  worker-parity semantics, so the same undeclared read raises
-  in-process exactly where a worker would raise, and tests can assert
-  the static findings match the runtime-observed reads and writes.
+worker.  ``REPRO_CHECK_CONTRACTS=1`` (:mod:`repro.mpc.contract`) keeps
+them honest: the in-process strategy then executes programs against
+recording views with worker-parity semantics, so an undeclared read
+raises in-process exactly where a worker would raise, and the test suite
+asserts that every shipped program's observed reads, loads and writes
+equal its declarations.
 """
 
 from __future__ import annotations

@@ -121,8 +121,8 @@ def string_words(text: str) -> int:
 # ``word_size(payload)`` without walking the payload.  Every registered form
 # is pinned equal to the recursive sizer on randomized payloads in
 # ``tests/mpc``/``tests/dynamic_mpc``, so round records are bit-identical
-# whichever path sized the send; ``repro.lint`` rule RP109 flags sends of a
-# registered tag that fall back to the recursive sizer.
+# whichever path sized the send; ``tests/mpc/test_program_hazards.py`` flags
+# sends of a registered tag that fall back to the recursive sizer.
 
 _CLOSED_FORMS: dict[str, tuple[int, Callable[[Any], int]]] = {}
 
@@ -143,7 +143,7 @@ def has_closed_form(tag: str) -> bool:
 
 
 def registered_closed_forms() -> tuple[str, ...]:
-    """All tags with a registered closed form (sorted, for lint and tests)."""
+    """All tags with a registered closed form (sorted, for the tests)."""
     return tuple(sorted(_CLOSED_FORMS))
 
 

@@ -2,32 +2,29 @@
 
 Three guarantees are pinned here:
 
-1. **Worker parity** — with checking on, the sequential *and* thread-pooled
-   in-process strategies raise on an undeclared ``shared[key]`` read exactly
-   like a ``process``/``resident`` worker holding only the declared slice
-   would, and silently hand back defaults for undeclared ``shared.get`` /
-   ``ctx.load`` exactly like a worker would.  Without the env var, the old
-   permissive behavior is untouched.
+1. **Worker parity** — with checking on, the in-process strategy raises on
+   an undeclared ``shared[key]`` read exactly like a ``resident`` worker
+   holding only the declared slice would, and silently hands back defaults
+   for undeclared ``shared.get`` / ``ctx.load`` exactly like a worker would.
+   Without the env var, the permissive behavior is untouched.
 2. **Loud divergence** — ``apply`` writing an undeclared shared key and a
    ``reads_inbox = False`` program reading its inbox raise
    :class:`ContractViolationError` (a worker would silently diverge there).
-3. **Static/dynamic agreement** — running every shipped static-MPC
-   algorithm under the oracle produces observations that match both the
-   programs' declarations and the facts :mod:`repro.lint` extracts from
-   their source, key for key and prefix for prefix.
+3. **Declarations match reality** — running every shipped static-MPC
+   algorithm under the oracle observes exactly the declared reads, loads
+   and writes; a ``delta_scope = "driver"`` program's ``apply`` touches
+   nothing any ``run`` reads; and no program declares worker-drivable sends
+   (``driver_reads_sends = False``) with driver-scoped deltas.  Each
+   declaration check fails on a seeded broken program below.
 """
 
 from __future__ import annotations
-
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 from repro.config import DMPCConfig
 from repro.exceptions import ContractViolationError
 from repro.graph.generators import gnm_random_graph, random_weighted_graph
-from repro.lint import analyze_paths
 from repro.mpc import Cluster, SuperstepProgram
 from repro.mpc.contract import (
     CHECK_ENV_VAR,
@@ -37,21 +34,83 @@ from repro.mpc.contract import (
     reset_observations,
 )
 from repro.static_mpc import StaticBoruvkaMST, StaticConnectedComponents, StaticMaximalMatching
+from repro.static_mpc.connected_components import CSRLabelProposeProgram, LabelApplyProgram
+from repro.static_mpc.maximal_matching import CSRMatchingAnnounceProgram, CSRMatchingProposeProgram
+from repro.static_mpc.mst import CSRMSTCandidateProgram
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+SHIPPED_PROGRAMS = (
+    CSRLabelProposeProgram,
+    LabelApplyProgram,
+    CSRMatchingProposeProgram,
+    CSRMatchingAnnounceProgram,
+    CSRMSTCandidateProgram,
+)
 
 
-def _load_broken_fixtures():
-    """The deliberately-broken lint fixtures, loaded by path (tests/lint is not a sibling package)."""
-    path = REPO_ROOT / "tests" / "lint" / "fixtures_broken.py"
-    spec = importlib.util.spec_from_file_location("lint_fixtures_broken", path)
-    module = importlib.util.module_from_spec(spec)
-    assert spec.loader is not None
-    spec.loader.exec_module(module)
-    return module
+def driver_scope_leaks(programs, observed) -> dict[str, set]:
+    """Keys a ``delta_scope = "driver"`` program's ``apply`` touched that some ``run`` reads.
+
+    Workers never replay driver-scoped deltas, so such a key goes stale there.  Accesses, not
+    ``apply_writes``: the oracle observes a nested ``shared[k][m] = v`` as a read of ``k``.
+    """
+    run_reads = set().union(*(observed[cls.__name__].run_shared_reads for cls in programs))
+    leaks = {cls.__name__: observed[cls.__name__].apply_accesses & run_reads for cls in programs if cls.delta_scope == "driver"}
+    return {name: keys for name, keys in leaks.items() if keys}
 
 
-broken = _load_broken_fixtures()
+def fusion_contradiction(program: type) -> bool:
+    """Worker-drivable sends cannot come with deltas only the driver sees."""
+    return not program.driver_reads_sends and program.delta_scope == "driver"
+
+
+class UndeclaredSharedReadProgram(SuperstepProgram):
+    """``run`` reads ``shared['labels']`` but declares nothing."""
+
+    shared_reads = ()
+
+    def run(self, ctx, inbox, shared):
+        return shared["labels"].get(0)
+
+
+class UndeclaredApplyWriteProgram(SuperstepProgram):
+    """``apply`` writes ``shared['totals']`` outside the declarations."""
+
+    shared_reads = ("counts",)
+
+    def run(self, ctx, inbox, shared):
+        return len(shared["counts"])
+
+    def apply(self, shared, machine_id, delta):
+        shared["totals"][machine_id] = delta
+
+
+class InboxLiarProgram(SuperstepProgram):
+    """Declares ``reads_inbox = False`` and reads the inbox anyway."""
+
+    shared_reads = ()
+    reads_inbox = False
+
+    def run(self, ctx, inbox, shared):
+        return [msg.payload for msg in inbox]
+
+
+class StaleDriverScopeProgram(SuperstepProgram):
+    """``delta_scope = "driver"`` while ``apply`` writes what ``run`` reads."""
+
+    shared_reads = ("labels",)
+    delta_scope = "driver"
+
+    def run(self, ctx, inbox, shared):
+        return dict(shared["labels"])
+
+    def apply(self, shared, machine_id, delta):
+        shared["labels"] = delta
+
+
+class FusionDriverScopeLiarProgram(CSRMSTCandidateProgram):
+    """The driver-scoped MST scan, declaring its sends worker-drivable."""
+
+    driver_reads_sends = False
 
 
 class GetProbeProgram(SuperstepProgram):
@@ -136,12 +195,12 @@ class TestWorkerParity:
         cluster = make()
         shared = {"labels": {0: 0}}  # present in shared — a worker slice still would not ship it
         with pytest.raises(KeyError, match=r"shared\['labels'\].*worker"):
-            cluster.superstep(broken.UndeclaredSharedReadProgram(), shared=shared)
+            cluster.superstep(UndeclaredSharedReadProgram(), shared=shared)
 
     @pytest.mark.parametrize("make", [make_cluster], ids=["sequential"])
     def test_same_program_passes_without_checking(self, unchecked, make):
         cluster = make()
-        record = cluster.superstep(broken.UndeclaredSharedReadProgram(), shared={"labels": {0: 0}})
+        record = cluster.superstep(UndeclaredSharedReadProgram(), shared={"labels": {0: 0}})
         assert record is not None  # the historical in-process permissiveness, unchanged
 
     def test_undeclared_get_returns_default_and_is_recorded(self, checking):
@@ -174,7 +233,7 @@ class TestWorkerParity:
         cluster = make()
         shared = {"counts": {0: 1}, "totals": {}}
         with pytest.raises(KeyError, match=r"shared\['totals'\].*resident worker"):
-            cluster.superstep(broken.UndeclaredApplyWriteProgram(), shared=shared)
+            cluster.superstep(UndeclaredApplyWriteProgram(), shared=shared)
 
     @pytest.mark.parametrize("make", [make_cluster], ids=["sequential"])
     def test_undeclared_direct_apply_write_raises(self, checking, make):
@@ -188,14 +247,14 @@ class TestWorkerParity:
     def test_inbox_liar_raises(self, checking):
         cluster = make_cluster()
         with pytest.raises(ContractViolationError, match="reads_inbox = False"):
-            cluster.superstep(broken.InboxLiarProgram(), shared={})
+            cluster.superstep(InboxLiarProgram(), shared={})
 
     def test_violations_pass_silently_without_checking(self, unchecked):
         cluster = make_cluster()
         shared = {"counts": {0: 1}, "totals": {}}
-        cluster.superstep(broken.UndeclaredApplyWriteProgram(), shared=shared)
+        cluster.superstep(UndeclaredApplyWriteProgram(), shared=shared)
         assert set(shared["totals"]) == {m.machine_id for m in cluster.machines()}
-        cluster.superstep(broken.InboxLiarProgram(), shared={})
+        cluster.superstep(InboxLiarProgram(), shared={})
 
 
 class TestObservationBookkeeping:
@@ -209,15 +268,9 @@ class TestObservationBookkeeping:
 
 
 class TestStaticDynamicAgreement:
-    """The shadow oracle and ``repro.lint`` must agree on every shipped program."""
+    """Every shipped program's static declarations agree with what the oracle observes."""
 
-    PROGRAMS = {
-        "CSRLabelProposeProgram": "StaticConnectedComponents",
-        "LabelApplyProgram": "StaticConnectedComponents",
-        "CSRMatchingProposeProgram": "StaticMaximalMatching",
-        "CSRMatchingAnnounceProgram": "StaticMaximalMatching",
-        "CSRMSTCandidateProgram": "StaticBoruvkaMST",
-    }
+    PROGRAMS = {cls.__name__: cls for cls in SHIPPED_PROGRAMS}
 
     @pytest.fixture(scope="class")
     def observed(self):
@@ -241,10 +294,6 @@ class TestStaticDynamicAgreement:
                 os.environ[CHECK_ENV_VAR] = old
             reset_observations()
 
-    @pytest.fixture(scope="class")
-    def static_facts(self):
-        return analyze_paths([REPO_ROOT / "src"]).facts
-
     def test_every_shipped_program_was_observed(self, observed):
         assert set(self.PROGRAMS) <= set(observed)
 
@@ -259,21 +308,28 @@ class TestStaticDynamicAgreement:
         )
 
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
-    def test_static_extraction_matches_runtime_reality(self, observed, static_facts, name):
-        obs, facts = observed[name], static_facts[name]
-        assert obs.run_shared_reads == facts.run_shared_reads
-        assert obs.store_prefixes == facts.store_prefixes
-        assert obs.apply_accesses == facts.apply_accesses
-
-    @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_declarations_are_fully_exercised(self, observed, name):
-        """Dynamic confirmation of RP107: everything declared is actually used."""
-        import repro.static_mpc.connected_components as cc
-        import repro.static_mpc.maximal_matching as mm
-        import repro.static_mpc.mst as mst
-
-        cls = getattr(cc, name, None) or getattr(mm, name, None) or getattr(mst, name)
-        obs = observed[name]
+        """Everything declared is actually used."""
+        cls, obs = self.PROGRAMS[name], observed[name]
         assert obs.run_shared_reads == set(cls.shared_reads)
         assert obs.store_prefixes == set(cls.store_reads or ())
         assert set(cls.shared_writes or ()) <= obs.apply_accesses
+
+    def test_driver_scoped_deltas_feed_no_run(self, observed):
+        scopes = {cls.delta_scope for cls in SHIPPED_PROGRAMS}
+        assert "driver" in scopes and scopes <= {"global", "owner", "driver"}
+        assert driver_scope_leaks(SHIPPED_PROGRAMS, observed) == {}
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_no_worker_drivable_sends_with_driver_scope(self, name):
+        assert not fusion_contradiction(self.PROGRAMS[name])
+
+
+class TestSeededDeclarationBugs:
+    def test_driver_scoped_apply_of_a_run_read_key_is_caught(self, checking):
+        make_cluster().superstep(StaleDriverScopeProgram(), shared={"labels": {0: 0}})
+        leaks = driver_scope_leaks([StaleDriverScopeProgram], observations())
+        assert leaks == {"StaleDriverScopeProgram": {"labels"}}
+
+    def test_worker_drivable_sends_with_driver_scope_are_caught(self):
+        assert fusion_contradiction(FusionDriverScopeLiarProgram)

@@ -48,7 +48,6 @@ PACKAGE = Path(repro.__file__).resolve().parent
 ALLOWED: dict[str, str] = {
     "analysis/": "Table-1 formatting and shape fitting, reached only from benchmarks/ and "
     "examples/quickstart.py; it leaves when benchmarks/ is retired",
-    "lint/": "the superstep-contract checker CLI (python -m repro.lint), run by the repro-lint CI job",
     "eulertour/reference.py": "the explicit-list oracle that tests/eulertour/test_indexed.py "
     "checks IndexedEulerTourForest against",
     "exceptions.py": "its constructors run only on failure paths",
