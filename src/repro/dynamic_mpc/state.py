@@ -24,13 +24,15 @@ a machine it piggy-backs the history entries the machine has not yet seen
 (replayed over the machine's table in place),
 and after every update one additional machine is refreshed round-robin, so
 no machine is ever more than ``O(sqrt N)`` updates stale — which is what
-bounds the history size.  Every contact is the same two steps: the sender
-takes ``_pending_history`` (the unseen suffix, sized by its length), the
-receiver runs ``_catch_up``; an update pays for the entries it ships, not
-for the buffer, and the round-robin cycles over a maintained list.
+bounds the history size.  Every contact is one primitive, ``_contact``: it
+ships each machine its unseen suffix, sized by its length, and replays it
+there; an update pays for the entries it ships, not for the buffer, and the
+round-robin cycles over a maintained list.  Without a message it is the
+sender-side catch-up of ``move_vertex_edges`` / ``fetch_suspended``, whose
+replayed suffix no message is charged for (ROADMAP item 1(a)).
 
 A machine is shipped, and replays, only what it can be missing.  Two
-events stamp a machine current (``seen = last_seq``): ``_catch_up``, after
+events stamp a machine current (``seen = last_seq``): ``_contact``, after
 it has applied the suffix it was sent, and ``_allocate_machine``, when the
 machine is handed out.  The second stamp is vacuously true: a machine is
 only handed out empty (``_release_machine`` clears an exclusive machine when
@@ -44,6 +46,9 @@ falls behind the bounded buffer cannot be caught up at all, so
 ``_pending_history`` raises rather than ship a suffix with a gap.  (Not
 covered: records moved onto an *existing* light machine that is a few
 entries behind are replayed over in the same way — ROADMAP item 1.)
+``_ensure_alive_machine`` also places onto an existing machine without a
+catch-up, but only an empty row: replay never inserts (it drops copies and
+rewrites statuses that are there), so no owed entry can act on it.
 
 All cross-machine data movement uses messages on the cluster, so the
 metrics ledger observes the true round / machine / communication costs.
@@ -54,7 +59,7 @@ from __future__ import annotations
 from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator
 
 from repro.config import DMPCConfig
 from repro.exceptions import ProtocolError
@@ -62,8 +67,9 @@ from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.mpc.cluster import Cluster
 from repro.mpc.coordinator import Coordinator, HistoryEntry, UpdateHistory
 from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, FrozenChargeHandle, StatsTable, is_live_record
+from repro.mpc.machine import Machine
 from repro.mpc.partition import RangePartition
-from repro.mpc.sizing import closed_form_words, register_closed_form, string_words
+from repro.mpc.sizing import closed_form_words, register_closed_form, string_words, word_size
 
 __all__ = ["VertexStats", "MatchingFabric"]
 
@@ -88,6 +94,11 @@ def _stats_entries_words(entries) -> int:
             total += string_words(name)
     return total
 
+
+#: the tags' own words, which ``query_stats`` / ``push_stats`` add to the payload
+#: words :meth:`StatsTable.payloads` sums in the pass that builds the payload
+_STATS_REPLY_TAG_WORDS = word_size("stats-reply")
+_STATS_WRITE_TAG_WORDS = word_size("stats-write")
 
 register_closed_form("stats-query", lambda payload: 1 + len(payload))
 register_closed_form("stats-reply", _stats_entries_words)
@@ -137,6 +148,8 @@ class MatchingFabric:
 
     def __init__(self, cluster: Cluster, config: DMPCConfig) -> None:
         self.cluster = cluster
+        #: the cluster's machines by id, read directly on the per-update paths
+        self._machines = cluster.machines_by_id
         self.config = config
         self.threshold = config.heavy_threshold
 
@@ -153,7 +166,8 @@ class MatchingFabric:
         # order; kept current where it changes (_allocate_machine, the
         # release in fetch_suspended) instead of rebuilt every update.
         self._allocated: list[str] = []
-        self._light_machines: list[str] = []
+        #: the light machines in the order they became light, keyed by id (toFit walks the machines)
+        self._light_machines: dict[str, Machine] = {}
         self._machine_seen_seq: dict[str, int] = {mid: 0 for mid in self.edge_pool}
         self._refresh_pointer = 0
 
@@ -186,14 +200,15 @@ class MatchingFabric:
         if not self._unallocated:
             raise ProtocolError("edge machine pool exhausted — size the DMPCConfig for the workload")
         machine_id = self._unallocated[-1]
-        if len(self.cluster.machine(machine_id).storage):
+        machine = self._machines[machine_id]
+        if len(machine.storage):
             raise ProtocolError(f"edge machine {machine_id!r} still holds records — it cannot be stamped current")
         self._unallocated.pop()
-        self._mark_seen(machine_id)
+        self._machine_seen_seq[machine_id] = self.coordinator.history.last_seq
         # A released machine is handed out again before higher pool slots.
-        insort(self._allocated, machine_id, key=lambda mid: self.cluster.machine(mid).index)
+        insort(self._allocated, machine_id, key=lambda mid: self._machines[mid].index)
         if light:
-            self._light_machines.append(machine_id)
+            self._light_machines[machine_id] = machine
         return machine_id
 
     def _release_machine(self, machine_id: str) -> None:
@@ -202,15 +217,16 @@ class MatchingFabric:
         a suspended machine, :meth:`move_vertex_edges` moved an alive set
         away).  The status records left in its edge table go with the last
         row: the machine is cleared, as empty as a fresh one."""
-        self.cluster.machine(machine_id).clear()
+        self._machines[machine_id].clear()
         self._allocated.remove(machine_id)
         self._unallocated.append(machine_id)
 
     def _light_machine_with_room(self, words_needed: int) -> str:
-        """A light machine with at least ``words_needed`` free words (the paper's ``toFit``)."""
-        for machine_id in self._light_machines:
-            if self.cluster.machine(machine_id).free_words >= words_needed + 8:
-                return machine_id
+        """The first light machine with at least ``words_needed`` free words (the paper's ``toFit``)."""
+        needed = words_needed + 8
+        for machine in self._light_machines.values():
+            if machine.free_words >= needed:
+                return machine.machine_id
         return self._allocate_machine(light=True)
 
     # ------------------------------------------------------------------ stats
@@ -263,13 +279,13 @@ class MatchingFabric:
         :meth:`mutate_stats`, which persists on exit for stored and unseen
         vertices alike.
         """
-        record = self._stats_handle(self.cluster.machine(self.partition.machine_for(v))).table.view(v)
+        record = self._stats_handle(self._machines[self.partition.machine_for(v)]).table.view(v)
         return record if record is not None else VertexStats()
 
     def store_stats(self, v: int, stats) -> None:
         """Copy ``stats`` into ``v``'s slot and commit the table (a plain
         ``VertexStats`` held by the caller does not write through afterwards)."""
-        machine = self.cluster.machine(self.partition.machine_for(v))
+        machine = self._machines[self.partition.machine_for(v)]
         handle = self._stats_handle(machine)
         if not is_live_record(stats, handle.table, v):
             self._write_record(handle.table.ensure(v), stats)
@@ -283,7 +299,7 @@ class MatchingFabric:
         freshly created) record back to the statistics machine, so
         mutations to an unseen vertex's statistics cannot be lost.
         """
-        machine = self.cluster.machine(self.partition.machine_for(v))
+        machine = self._machines[self.partition.machine_for(v)]
         handle = self._stats_handle(machine)
         try:
             yield handle.table.ensure(v)
@@ -321,46 +337,51 @@ class MatchingFabric:
         """
         history = self.coordinator.history
         seen = self._machine_seen_seq[machine_id]
-        evicted = history.evicted_since(seen)
-        if evicted:
-            raise ProtocolError(
-                f"edge machine {machine_id!r} (seen {seen}) missed {evicted} evicted history entries — "
-                f"the update-history (capacity {history.capacity}) is too small for its staleness"
-            )
         entries = history.entries_since(seen)
-        return entries, max(1, HistoryEntry.WORDS * len(entries))
+        if len(entries) < history.last_seq - seen:
+            raise ProtocolError(
+                f"edge machine {machine_id!r} (seen {seen}) missed {history.evicted_since(seen)} evicted history "
+                f"entries — the update-history (capacity {history.capacity}) is too small for its staleness"
+            )
+        return entries, HistoryEntry.WORDS * len(entries) or 1
 
-    def _mark_seen(self, machine_id: str) -> None:
-        self._machine_seen_seq[machine_id] = self.coordinator.history.last_seq
+    def _contact(self, tag: str | None, targets: list[tuple[str, Any, int]]) -> list[tuple[Machine, FrozenChargeHandle]]:
+        """Bring the distinct edge machines of ``targets`` current; ``(machine, edge table handle)`` per target.
 
-    def _catch_up(self, machine_id: str, entries: list[HistoryEntry], tag: str | None = None):
-        """The receiving end of every history piggy-back: drain the message
-        ``tag`` that carried the slice ``entries`` (``None``: it rides on a
-        later message of the same operation), apply it, stamp ``machine_id``
-        current.  ``entries`` must be the machine's whole
-        :meth:`_pending_history` — the stamp says so.  The only other stamp
-        is :meth:`_allocate_machine`'s.  Returns the machine and its edge
-        table's handle, current."""
-        machine = self.cluster.machine(machine_id)
-        if tag is not None:
-            machine.drain(tag)
-        handle = self._apply_history_locally(machine, entries)
-        self._mark_seen(machine_id)
-        return machine, handle
-
-    @classmethod
-    def _apply_history_locally(cls, machine, entries: list[HistoryEntry]) -> FrozenChargeHandle:
-        """Replay ``entries`` over ``machine``'s edge table in place (:meth:`EdgeTable.replay`), commit it, return its handle.
-
-        Sound only for a suffix the machine has not seen, applied to records
-        that were current when that suffix began — the two stamps (see
-        :meth:`_catch_up`) are what guarantee it.  A table the suffix left
-        unchanged (an empty one included) is not committed again.
+        With a ``tag``, one round: the coordinator sends each ``(machine_id,
+        payload, words)`` a ``tag`` message carrying ``payload``, charged
+        ``words`` plus the machine's unseen history suffix
+        (:meth:`_pending_history`), which the machine drains.  Without, no
+        message: the sender-side catch-up.  Each machine then replays its
+        suffix into the table it loaded (committed only if a record changed)
+        and is stamped current — the one stamp besides
+        :meth:`_allocate_machine`'s.  A current machine ships and replays nothing.
         """
-        handle = cls._edge_handle(machine)
-        if entries and handle.table.replay(entries):
-            cls._commit_edges(machine, handle)
-        return handle
+        last = self.coordinator.history.last_seq
+        seen = self._machine_seen_seq
+        coordinator = self.coordinator.machine
+        suffixes = []
+        for machine_id, payload, words in targets:
+            if seen[machine_id] == last:
+                entries, history_words = (), 1
+            else:
+                entries, history_words = self._pending_history(machine_id)
+            if tag is not None:
+                coordinator.send(machine_id, tag, payload, words=words + history_words)
+            suffixes.append((machine_id, entries))
+        if tag is not None:
+            self.cluster.exchange()
+        contacted = []
+        for machine_id, entries in suffixes:
+            machine = self._machines[machine_id]
+            if tag is not None:
+                machine.drain(tag)
+            handle = self._edge_handle(machine)
+            if entries and handle.table.replay(entries):
+                self._commit_edges(machine, handle)
+            seen[machine_id] = last
+            contacted.append((machine, handle))
+        return contacted
 
     # ------------------------------------------------------------ edge machines
     def _ensure_alive_machine(self, v: int, stats: VertexStats) -> str:
@@ -373,15 +394,16 @@ class MatchingFabric:
         else:
             machine_id = self._light_machine_with_room(words_needed=8)
         stats.alive_machine = machine_id
-        machine = self.cluster.machine(machine_id)
+        machine = self._machines[machine_id]
         handle = self._edge_handle(machine)
+        # placed without a catch-up, but an empty row: replay never inserts
         if v not in handle.table.adj:
             handle.table.ensure_row(v)
             self._commit_edges(machine, handle)
         return machine_id
 
     def local_adjacency(self, machine_id: str, v: int) -> dict[int, bool]:
-        return dict(self._edge_handle(self.cluster.machine(machine_id)).table.row(v))
+        return dict(self._edge_handle(self._machines[machine_id]).table.row(v))
 
     def alive_neighbors(self, v: int) -> list[int]:
         """Neighbours of ``v`` stored on its alive machine (driver-side view)."""
@@ -416,23 +438,16 @@ class MatchingFabric:
         self.cluster.exchange()
         replies: dict[int, VertexStats] = {}
         for machine_id in targets:
-            machine = self.cluster.machine(machine_id)
+            machine = self._machines[machine_id]
             table = self._stats_handle(machine).table
             for msg in machine.drain("stats-query"):
-                payload = []
+                records = []
                 for v in msg.payload:
-                    stats = table.view(v)
-                    if stats is None:
-                        stats = VertexStats()
-                    payload.append((v, stats))
-                    replies[v] = stats
-                reply = [(v, s.as_payload()) for v, s in payload]
-                machine.send(
-                    self.coordinator.machine_id,
-                    "stats-reply",
-                    reply,
-                    words=closed_form_words("stats-reply", reply),
-                )
+                    records.append((v, table.view(v)))
+                reply, words = table.payloads(records)
+                machine.send(coordinator.machine_id, "stats-reply", reply, words=_STATS_REPLY_TAG_WORDS + words)
+                for v, stats in records:
+                    replies[v] = stats if stats is not None else VertexStats()
         self.cluster.exchange()
         coordinator.drain("stats-reply")
         return replies
@@ -443,14 +458,16 @@ class MatchingFabric:
         targets: dict[str, list[tuple[int, VertexStats]]] = {}
         for v, stats in updates.items():
             targets.setdefault(self.partition.machine_for(v), []).append((v, stats))
+        handles = []
         for machine_id, items in targets.items():
-            writes = [(v, s.as_payload()) for v, s in items]
-            coordinator.send(machine_id, "stats-write", writes, words=closed_form_words("stats-write", writes))
-        self.cluster.exchange()
-        for machine_id, items in targets.items():
-            machine = self.cluster.machine(machine_id)
-            machine.drain("stats-write")
+            machine = self._machines[machine_id]
             handle = self._stats_handle(machine)
+            writes, words = handle.table.payloads(items)
+            coordinator.send(machine_id, "stats-write", writes, words=_STATS_WRITE_TAG_WORDS + words)
+            handles.append((machine, handle, items))
+        self.cluster.exchange()
+        for machine, handle, items in handles:
+            machine.drain("stats-write")
             for v, stats in items:
                 if not is_live_record(stats, handle.table, v):
                     self._write_record(handle.table.ensure(v), stats)
@@ -458,10 +475,7 @@ class MatchingFabric:
 
     def refresh_machine(self, machine_id: str) -> None:
         """Coordinator ships pending history to one edge machine (1 round)."""
-        entries, words = self._pending_history(machine_id)
-        self.coordinator.machine.send(machine_id, "refresh", None, words=words)
-        self.cluster.exchange()
-        self._catch_up(machine_id, entries, "refresh")
+        self._contact("refresh", [(machine_id, None, 0)])
 
     def round_robin_refresh(self) -> None:
         """Refresh the next edge machine in round-robin order (1 round).
@@ -517,17 +531,11 @@ class MatchingFabric:
         allocated = self._allocated
         if not allocated:
             return 0
-        pending: dict[str, list[HistoryEntry]] = {}
+        pending: dict[str, None] = {}
         for _ in range(count):
-            pending.setdefault(allocated[self._refresh_pointer % len(allocated)], [])
+            pending[allocated[self._refresh_pointer % len(allocated)]] = None
             self._refresh_pointer += 1
-        coordinator = self.coordinator.machine
-        for machine_id in pending:
-            pending[machine_id], words = self._pending_history(machine_id)
-            coordinator.send(machine_id, "refresh", None, words=words)
-        self.cluster.exchange()
-        for machine_id, entries in pending.items():
-            self._catch_up(machine_id, entries, "refresh")
+        self._contact("refresh", [(machine_id, None, 0) for machine_id in pending])
         return len(pending)
 
     def update_vertex(self, v: int, stats: VertexStats, query: str | None = None, *, exclude: tuple[int, ...] = ()) -> dict:
@@ -546,11 +554,7 @@ class MatchingFabric:
         Returns the reply payload dict.
         """
         machine_id = self._ensure_alive_machine(v, stats)
-        entries, words = self._pending_history(machine_id)
-        coordinator = self.coordinator.machine
-        coordinator.send(machine_id, "vertex-update", {"vertex": v, "query": query or ""}, words=words + 4)
-        self.cluster.exchange()
-        machine, handle = self._catch_up(machine_id, entries, "vertex-update")
+        [(machine, handle)] = self._contact("vertex-update", [(machine_id, {"vertex": v, "query": query or ""}, 4)])
 
         reply: dict = {"free": None, "matched": []}
         adjacency, status = handle.table.row(v), handle.table.status
@@ -572,7 +576,8 @@ class MatchingFabric:
                 if len(pairs) >= self.threshold:
                     break
             reply["matched"] = pairs
-        machine.send(self.coordinator.machine_id, "vertex-reply", reply, words=closed_form_words("vertex-reply", reply))
+        coordinator = self.coordinator.machine
+        machine.send(coordinator.machine_id, "vertex-reply", reply, words=closed_form_words("vertex-reply", reply))
         self.cluster.exchange()
         coordinator.drain("vertex-reply")
         return reply
@@ -582,26 +587,15 @@ class MatchingFabric:
         if not stats.suspended_machines:
             return None
         coordinator = self.coordinator.machine
-        pending: dict[str, list[HistoryEntry]] = {}
-        for machine_id in stats.suspended_machines:
-            pending[machine_id], words = self._pending_history(machine_id)
-            coordinator.send(machine_id, "suspended-scan", v, words=words + 2)
-        self.cluster.exchange()
         found: int | None = None
-        for machine_id, entries in pending.items():
-            machine, handle = self._catch_up(machine_id, entries, "suspended-scan")
+        for machine, handle in self._contact("suspended-scan", [(machine_id, v, 2) for machine_id in stats.suspended_machines]):
             table = handle.table
             candidate = None
             for w in sorted(table.row(v)):
                 if w not in exclude and table.status.get(w) is None:
                     candidate = w
                     break
-            machine.send(
-                self.coordinator.machine_id,
-                "suspended-reply",
-                candidate,
-                words=closed_form_words("suspended-reply", candidate),
-            )
+            machine.send(coordinator.machine_id, "suspended-reply", candidate, words=closed_form_words("suspended-reply", candidate))
         self.cluster.exchange()
         for msg in coordinator.drain("suspended-reply"):
             if msg.payload is not None and found is None:
@@ -626,14 +620,12 @@ class MatchingFabric:
         for vertex, stats, exclude in queries:
             machine_id = self._ensure_alive_machine(vertex, stats)
             by_machine.setdefault(machine_id, []).append((vertex, exclude))
-        pending: dict[str, list[HistoryEntry]] = {}
-        for machine_id, items in by_machine.items():
-            pending[machine_id], words = self._pending_history(machine_id)
-            coordinator.send(machine_id, "batch-free-query", [(v, list(ex)) for v, ex in items], words=words + 2 * len(items))
-        self.cluster.exchange()
+        contacted = self._contact(
+            "batch-free-query",
+            [(machine_id, [(v, list(ex)) for v, ex in items], 2 * len(items)) for machine_id, items in by_machine.items()],
+        )
         results: dict[int, int | None] = {}
-        for machine_id, items in by_machine.items():
-            machine, handle = self._catch_up(machine_id, pending[machine_id], "batch-free-query")
+        for (machine, handle), items in zip(contacted, by_machine.values()):
             table = handle.table
             replies = []
             for vertex, exclude in items:
@@ -646,12 +638,7 @@ class MatchingFabric:
                         break
                 replies.append((vertex, found))
                 results[vertex] = found
-            machine.send(
-                self.coordinator.machine_id,
-                "batch-free-reply",
-                replies,
-                words=closed_form_words("batch-free-reply", replies),
-            )
+            machine.send(coordinator.machine_id, "batch-free-reply", replies, words=closed_form_words("batch-free-reply", replies))
         self.cluster.exchange()
         coordinator.drain("batch-free-reply")
         return results
@@ -665,17 +652,9 @@ class MatchingFabric:
         """
         machine_id = self._ensure_alive_machine(v, stats)
         coordinator = self.coordinator.machine
-        entries, words = self._pending_history(machine_id)
-        coordinator.send(machine_id, "neighbor-list-query", v, words=words + 2)
-        self.cluster.exchange()
-        machine, handle = self._catch_up(machine_id, entries, "neighbor-list-query")
+        [(machine, handle)] = self._contact("neighbor-list-query", [(machine_id, v, 2)])
         neighbors = sorted(handle.table.row(v))
-        machine.send(
-            self.coordinator.machine_id,
-            "neighbor-list-reply",
-            neighbors,
-            words=closed_form_words("neighbor-list-reply", neighbors),
-        )
+        machine.send(coordinator.machine_id, "neighbor-list-reply", neighbors, words=closed_form_words("neighbor-list-reply", neighbors))
         self.cluster.exchange()
         coordinator.drain("neighbor-list-reply")
         return neighbors
@@ -696,7 +675,7 @@ class MatchingFabric:
             coordinator.send(machine_id, "counter-delta", items, words=closed_form_words("counter-delta", items))
         self.cluster.exchange()
         for machine_id, items in by_machine.items():
-            machine = self.cluster.machine(machine_id)
+            machine = self._machines[machine_id]
             machine.drain("counter-delta")
             for v, delta in items:
                 with self.mutate_stats(v) as stats:
@@ -719,12 +698,14 @@ class MatchingFabric:
         placement; the data travels as one message (1 round).
         """
         machine_id = self._ensure_alive_machine(v, stats)
-        alive_count = len(self._edge_handle(self.cluster.machine(machine_id)).table.row(v))
+        machines = self._machines
+        handle = self._edge_handle(machines[machine_id])
+        alive_count = len(handle.table.row(v))
         heavy = stats.degree >= self.threshold
         if heavy and alive_count >= self.threshold:
             target_id = None
             if stats.suspended_machines:
-                top = self.cluster.machine(stats.suspended_machines[-1])
+                top = machines[stats.suspended_machines[-1]]
                 if top.free_words >= 16:
                     target_id = top.machine_id
             if target_id is None:
@@ -732,15 +713,16 @@ class MatchingFabric:
                 stats.suspended_machines = [*stats.suspended_machines, target_id]
         else:
             target_id = machine_id
-            if self.cluster.machine(target_id).free_words < 16 and not heavy:
+            if machines[target_id].free_words < 16 and not heavy:
                 # Light vertex whose machine is full: move v's list to a roomier machine.
                 self.move_vertex_edges(v, stats, self._light_machine_with_room(alive_count * 4 + 16))
                 target_id = stats.alive_machine
-        target = self.cluster.machine(target_id)
+        target = machines[target_id]
         self.coordinator.machine.send(target_id, "add-edge", (v, w), words=closed_form_words("add-edge", (v, w)))
         self.cluster.exchange()
         target.drain("add-edge")
-        handle = self._edge_handle(target)
+        if target_id != machine_id:
+            handle = self._edge_handle(target)
         handle.table.add_edge(v, w)
         handle.table.place_status(w, neighbor_mate)
         self._commit_edges(target, handle)
@@ -755,7 +737,7 @@ class MatchingFabric:
         machine_id = stats.alive_machine
         if machine_id is None:
             return
-        machine = self.cluster.machine(machine_id)
+        machine = self._machines[machine_id]
         handle = self._edge_handle(machine)
         if handle.table.discard_edge(v, w):
             self._commit_edges(machine, handle)
@@ -773,10 +755,11 @@ class MatchingFabric:
         if source_id is None or source_id == target_id:
             stats.alive_machine = target_id
             return
-        source, source_handle = self._catch_up(source_id, self._pending_history(source_id)[0])
-        target = self.cluster.machine(target_id)
+        [(source, source_handle)] = self._contact(None, [(source_id, None, 0)])
+        target = self._machines[target_id]
         adjacency = source_handle.table.row(v)
         statuses = {w: source_handle.table.status.get(w) for w in adjacency}
+        # the suffix the catch-up replayed rides on no message: move-request is charged its closed form only
         self.coordinator.machine.send(source_id, "move-request", v, words=closed_form_words("move-request", v))
         self.cluster.exchange()
         source.drain("move-request")
@@ -797,23 +780,22 @@ class MatchingFabric:
         self._commit_edges(target, target_handle)
         stats.alive_machine = target_id
         if target_id not in self._light_machines and stats.degree < self.threshold:
-            self._light_machines.append(target_id)
+            self._light_machines[target_id] = target
 
     def fetch_suspended(self, v: int, stats: VertexStats) -> None:
         """The paper's ``fetchSuspended``: refill ``v``'s alive set from its suspended stack (2 rounds)."""
         if not stats.suspended_machines or stats.alive_machine is None:
             return
-        alive = self.cluster.machine(stats.alive_machine)
+        alive = self._machines[stats.alive_machine]
         alive_handle = self._edge_handle(alive)
         need = self.threshold - len(alive_handle.table.row(v))
         if need <= 0:
             return
         top_id = stats.suspended_machines[-1]
-        top, top_handle = self._catch_up(top_id, self._pending_history(top_id)[0])
+        [(top, top_handle)] = self._contact(None, [(top_id, None, 0)])
         moved = sorted(top_handle.table.row(v))[:need]
-        self.coordinator.machine.send(
-            top_id, "fetch-suspended", (v, need), words=closed_form_words("fetch-suspended", (v, need))
-        )
+        # like move-request, charged its closed form only: the catch-up above rides on no message
+        self.coordinator.machine.send(top_id, "fetch-suspended", (v, need), words=closed_form_words("fetch-suspended", (v, need)))
         self.cluster.exchange()
         top.drain("fetch-suspended")
         top.send(stats.alive_machine, "suspended-edges", {"vertex": v, "count": len(moved)}, words=2 * len(moved) + 4)
@@ -868,7 +850,7 @@ class MatchingFabric:
             self.store_stats(v, stats)
 
     def _store_adjacency(self, machine_id: str, v: int, neighbors: list[int], mate: dict[int, int]) -> None:
-        machine = self.cluster.machine(machine_id)
+        machine = self._machines[machine_id]
         handle = self._edge_handle(machine)
         handle.table.set_row(v, dict.fromkeys(neighbors, True))
         for w in neighbors:  # a record already here came from the same initial matching

@@ -226,14 +226,9 @@ class Cluster:
             session.close()
 
     # ---------------------------------------------------------------- updates
-    @contextmanager
-    def update(self, label: str) -> Iterator[None]:
+    def update(self, label: str) -> "_UpdateScope":
         """Context manager scoping the rounds of one update in the ledger."""
-        self.ledger.begin_update(label)
-        try:
-            yield
-        finally:
-            self.ledger.end_update()
+        return _UpdateScope(self.ledger, label)
 
     @contextmanager
     def batch(self) -> Iterator[int]:
@@ -254,6 +249,23 @@ class Cluster:
             f"Cluster(machines={len(self.machines_by_id)}, S={self.config.machine_memory}, "
             f"backend={self.backend.name!r})"
         )
+
+
+class _UpdateScope:
+    """What :meth:`Cluster.update` returns: the ledger's update open for the ``with`` body
+    (a plain class, not a generator: every update of every algorithm enters one)."""
+
+    __slots__ = ("ledger", "label")
+
+    def __init__(self, ledger: MetricsLedger, label: str) -> None:
+        self.ledger = ledger
+        self.label = label
+
+    def __enter__(self) -> None:
+        self.ledger.begin_update(self.label)
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.ledger.end_update()
 
 
 def _check_program(program: object) -> None:

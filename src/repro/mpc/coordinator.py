@@ -68,12 +68,14 @@ class UpdateHistory:
             raise ValueError("update-history capacity must be positive")
         self.capacity = capacity
         self._entries: deque[HistoryEntry] = deque(maxlen=capacity)
-        self._seq = 0
+        #: sequence number of the newest entry (0: none yet); advanced only by
+        #: :meth:`append`.  Read once per edge-machine contact: a plain attribute.
+        self.last_seq = 0
 
     def append(self, kind: str, u: int, v: int, weight: float | None = None) -> HistoryEntry:
         """Record a new change and return its entry."""
-        self._seq += 1
-        entry = HistoryEntry(seq=self._seq, kind=kind, u=u, v=v, weight=weight)
+        self.last_seq += 1
+        entry = HistoryEntry(seq=self.last_seq, kind=kind, u=u, v=v, weight=weight)
         self._entries.append(entry)  # at capacity the deque evicts its oldest
         return entry
 
@@ -89,7 +91,7 @@ class UpdateHistory:
         for a reader staler than the buffer), taken from the right end: O(k)
         in the size of the slice, not of the buffer.
         """
-        suffix = list(islice(reversed(self._entries), max(0, self._seq - seq)))
+        suffix = list(islice(reversed(self._entries), max(0, self.last_seq - seq)))
         suffix.reverse()
         return suffix
 
@@ -99,11 +101,7 @@ class UpdateHistory:
         Non-zero means a reader current to ``seq`` can no longer be caught
         up: :meth:`entries_since` would hand it a suffix with a gap.
         """
-        return max(0, self._seq - seq - len(self._entries))
-
-    @property
-    def last_seq(self) -> int:
-        return self._seq
+        return max(0, self.last_seq - seq - len(self._entries))
 
     def __len__(self) -> int:
         return len(self._entries)

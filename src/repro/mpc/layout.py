@@ -443,6 +443,43 @@ class StatsTable:
         """Current word footprint, charged as the seed's per-vertex keys were."""
         return _STATS_WORDS_PER_VERTEX * (self.occupied + len(self.overflow)) + self.suspended_words
 
+    def payloads(self, items: "Iterable[tuple[int, Any]]") -> "tuple[list[tuple[int, dict[str, Any]]], int]":
+        """The statistics protocol's ``[(vertex, payload)]`` for ``items``, built in one pass, and its ``word_size``.
+
+        ``items`` are ``(vertex, record)`` pairs.  A view of this table is
+        read off its slot's columns; ``None`` stands for the blank record of
+        an unstored vertex; any other record (a ``VertexStats``, an overflow
+        record, another table's view) gives its own ``as_payload()``.  The
+        words are what ``stats-reply`` and ``stats-write`` are charged beyond
+        their tag: the list's framing word, then per entry the tuple, the
+        vertex and the dict's six keys and four scalars (16 words) plus the
+        ``string_words`` of the alive machine and of each suspended one.
+        """
+        degree, mate, heavy, free = self.degree, self.mate, self.heavy, self.free_neighbors
+        alive, suspended = self.alive, self.suspended
+        entries = []
+        words = 1
+        for vertex, record in items:
+            if record is None:
+                payload = {"degree": 0, "mate": -1, "heavy": False, "alive": "", "suspended": [], "free_neighbors": 0}
+            elif record.__class__ is StatsView and record._table is self:
+                slot = record._slot
+                payload = {
+                    "degree": degree[slot],
+                    "mate": mate[slot],
+                    "heavy": bool(heavy[slot]),
+                    "alive": alive[slot] or "",
+                    "suspended": list(suspended.get(slot, ())),
+                    "free_neighbors": free[slot],
+                }
+            else:
+                payload = record.as_payload()
+            entries.append((vertex, payload))
+            words += 16 + ((len(payload["alive"]) + 7) // 8 or 1)
+            for name in payload["suspended"]:
+                words += (len(name) + 7) // 8 or 1
+        return entries, words
+
 
 class _StackRecord:
     """What both record kinds of a :class:`StatsTable` share: the suspended
@@ -479,7 +516,7 @@ class _StackRecord:
 def is_live_record(stats: Any, table: StatsTable, vertex: int) -> bool:
     """Whether ``stats`` is ``table``'s own live record of ``vertex`` (writing it back would copy a
     slot onto itself).  Views are minted per read: table and slot are compared, not object identity."""
-    return isinstance(stats, _StackRecord) and stats._table is table and stats.vertex == vertex
+    return isinstance(stats, _StackRecord) and stats._table is table and stats._slot == vertex - table.base
 
 
 class StatsView(_StackRecord):
@@ -597,7 +634,8 @@ class FrozenChargeHandle:
 
     def __init__(self, table: Any) -> None:
         self.table = table
-        self._words = max(1, table.live_words())
+        words = table.live_words()
+        self._words = words if words > 1 else 1
 
     def dmpc_words(self) -> int:
         return self._words
@@ -613,7 +651,8 @@ class FrozenChargeHandle:
         raises after the table changed: the machine's table is then
         undefined, as the run is over.
         """
-        holds = self._words == max(1, self.table.live_words())
+        words = self.table.live_words()
+        holds = self._words == (words if words > 1 else 1)
         machine.store(key, self if holds else FrozenChargeHandle(self.table))
 
     def __getstate__(self) -> tuple:
@@ -726,13 +765,12 @@ class EdgeTable:
                 continue
             u, v = entry.u, entry.v
             if kind == "delete":
-                row = adj.get(u)
-                if row is not None and v in row:
-                    del row[v]
+                # a machine holds few of the rows: test membership before fetching one
+                if u in adj and v in adj[u]:
+                    del adj[u][v]
                     dropped += 1
-                row = adj.get(v)
-                if row is not None and u in row:
-                    del row[u]
+                if v in adj and u in adj[v]:
+                    del adj[v][u]
                     dropped += 1
             elif kind == "match":
                 if u in status:

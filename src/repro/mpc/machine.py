@@ -100,7 +100,8 @@ class Machine:
     @property
     def free_words(self) -> int:
         """Remaining memory in words."""
-        return max(0, self.capacity - self.storage.used_words)
+        free = self.capacity - self.storage.used_words
+        return free if free > 0 else 0
 
     def clear(self) -> None:
         """Empty the local store and both mailboxes."""
@@ -111,6 +112,9 @@ class Machine:
     # -------------------------------------------------------------- messaging
     def send(self, receiver: str, tag: str, payload: Any = None, *, words: int | None = None) -> Message:
         """Stage a message for delivery in the next round and return it.
+
+        The transport is notified once per sender and round: when the
+        message is the first in the outbox.
 
         The charged size in words is, in precedence order: the explicit
         ``words`` argument, the owning transport's ``message_sizer`` (an
@@ -123,9 +127,11 @@ class Machine:
             sizer = None if transport is None else transport.message_sizer
             words = -1 if sizer is None else sizer(tag) + sizer(payload)
         message = Message(self.machine_id, receiver, tag, payload, words)
-        self.outbox.append(message)
-        if transport is not None:
+        outbox = self.outbox
+        if not outbox and transport is not None:
+            # a non-empty outbox was noted when its first message was staged
             transport.note_staged(self)
+        outbox.append(message)
         return message
 
     def send_many(self, tag: str, sends: "Iterable[tuple[str, Any, int]]") -> None:
@@ -141,9 +147,9 @@ class Machine:
         sender = self.machine_id
         messages = [Message(sender, receiver, tag, payload, words) for receiver, payload, words in sends]
         if messages:
-            self.outbox.extend(messages)
-            if self.transport is not None:
+            if not self.outbox and self.transport is not None:
                 self.transport.note_staged(self)
+            self.outbox.extend(messages)
 
     def receive(self, tag: str | None = None) -> list[Message]:
         """Return (without consuming) inbox messages, optionally filtered by tag."""
@@ -165,12 +171,21 @@ class Machine:
         transport = self.transport
         if transport is not None and transport.inbox_router is not None:
             transport.inbox_router.ensure_local(self)
+        inbox = self.inbox
+        if not inbox:
+            return []
+        if tag is not None:
+            for message in inbox:
+                if message.tag != tag:
+                    break
+            else:
+                tag = None  # every message carries the tag: hand the inbox over whole
         if tag is None:
-            drained, self.inbox = self.inbox, []
-            return drained
+            self.inbox = []
+            return inbox
         drained: list[Message] = []
         kept: list[Message] = []
-        for message in self.inbox:
+        for message in inbox:
             (drained if message.tag == tag else kept).append(message)
         if drained:
             self.inbox = kept

@@ -40,10 +40,11 @@ class Message:
     __slots__ = ("sender", "receiver", "tag", "payload", "words")
 
     def __init__(self, sender: str, receiver: str, tag: str, payload: Any = None, words: int = -1) -> None:
-        if words < 0:
-            words = word_size(tag) + word_size(payload)
         if words < 1:
-            raise ValueError("a message always costs at least one word")
+            if words < 0:
+                words = word_size(tag) + word_size(payload)
+            if words < 1:
+                raise ValueError("a message always costs at least one word")
         self.sender = sender
         self.receiver = receiver
         self.tag = tag

@@ -204,7 +204,7 @@ class MetricsLedger:
     own, labelled ``"<unlabelled>"``.
 
     :class:`RoundRecord` / :class:`UpdateRecord` are the values handed out —
-    by :meth:`append_round` (hence ``Cluster.exchange()``), :attr:`updates`,
+    by :meth:`file_round` (hence ``Cluster.exchange()``), :attr:`updates`,
     :meth:`updates_labelled`, :meth:`batches` and :meth:`replay_update`.
     They are built when read and are snapshots: the ledger keeps none of
     them and copies a filed round's ``pair_words``, so changing a record
@@ -213,7 +213,7 @@ class MetricsLedger:
     How a delivered round is condensed into a :class:`RoundRecord` is an
     execution-backend accounting policy; all it decides is which rounds keep
     their per-(sender, receiver) breakdown.  A transport condenses the round
-    while delivering it and files the record with :meth:`append_round`.
+    while delivering it and files its five costs with :meth:`file_round`.
     :attr:`round_record_factory` is the ``(round_index, messages) ->
     RoundRecord`` form of that policy (stock: :meth:`RoundRecord.from_messages`,
     full breakdown; clusters install their backend's at construction) for
@@ -224,7 +224,7 @@ class MetricsLedger:
     def __init__(self, *, round_record_factory=None) -> None:
         #: index the next recorded round will carry — ``rounds so far + 1``,
         #: global across updates and :meth:`reset`; advanced only by
-        #: :meth:`record_round` / :meth:`append_round`.  Whoever condenses a
+        #: :meth:`file_round`, :meth:`record_round` and :meth:`append_round`.  Whoever condenses a
         #: round itself reads it up front (to decide metrics sampling), once
         #: per round: hence a plain attribute.
         self.next_round_index = 1
@@ -404,37 +404,64 @@ class MetricsLedger:
         (e.g. ad-hoc probes) but are tracked under an anonymous update."""
         record = self.round_record_factory(self.next_round_index, messages)
         self.next_round_index += 1
-        self._file_round(record)
+        self._file_round(*record._costs(), record.pair_words)
         return record
+
+    def file_round(
+        self,
+        round_index: int | None,
+        active_machines: int,
+        total_words: int,
+        message_count: int,
+        max_message_words: int,
+        pair_words: "dict[tuple[str, str], int] | None" = None,
+    ) -> RoundRecord:
+        """File one round's five costs as the next row and hand out its record: the one column writer.
+
+        ``round_index=None`` is a new round, numbered :attr:`next_round_index`
+        (which advances): the per-round entry point of
+        :meth:`Transport.deliver`, which condensed the round while delivering
+        it.  The record paths — :meth:`record_round` and :meth:`append_round`,
+        which move the counter themselves, and :meth:`replay_update` — file a
+        record under the index it carries.  ``pair_words`` is the round's
+        per-(sender, receiver) breakdown, ``None`` or empty when it kept none;
+        the ledger keeps a copy.
+        """
+        if round_index is None:
+            round_index = self.next_round_index
+            self.next_round_index = round_index + 1
+        rows = self._round_index
+        if self._open_label is None:
+            self._file_update("<unlabelled>", len(rows))
+        if pair_words:
+            self._pair_words[len(rows)] = dict(pair_words)
+        rows.append(round_index)
+        self._active_machines.append(active_machines)
+        self._total_words.append(total_words)
+        self._message_count.append(message_count)
+        self._max_message_words.append(max_message_words)
+        return RoundRecord(round_index, active_machines, total_words, message_count, max_message_words, pair_words)
+
+    #: :meth:`file_round` under a private name, for the record paths: ``bench/trace.py`` times
+    #: them as leaf operations of the ledger, and a leaf calls no public method of its class
+    _file_round = file_round
 
     def append_round(self, record: RoundRecord) -> RoundRecord:
         """Record an already-condensed round built for :attr:`next_round_index`.
 
-        The per-round entry point of every transport: the delivery pass
-        iterated the messages once and built the record itself.  The record
-        must continue the global round counter so that sampling policies and
-        round totals stay exact.  The ledger copies the record's costs into
-        its columns and hands the record back.
+        For a round condensed into a record elsewhere (a resident session's
+        slot-routed round).  The record must continue the global round
+        counter so that sampling policies and round totals stay exact.  The
+        ledger copies the record's costs into its columns and hands the
+        record back.
         """
         if record.round_index != self.next_round_index:
             raise ProtocolError(
                 f"append_round() expects round_index {self.next_round_index}, got {record.round_index}"
             )
         self.next_round_index += 1
-        self._file_round(record)
+        self._file_round(*record._costs(), record.pair_words)
         return record
-
-    def _file_round(self, record: RoundRecord) -> None:
-        row = len(self._round_index)
-        if self._open_label is None:
-            self._file_update("<unlabelled>", row)
-        self._round_index.append(record.round_index)
-        self._active_machines.append(record.active_machines)
-        self._total_words.append(record.total_words)
-        self._message_count.append(record.message_count)
-        self._max_message_words.append(record.max_message_words)
-        if record.pair_words:
-            self._pair_words[row] = dict(record.pair_words)
 
     def _round_record(self, row: int) -> RoundRecord:
         pair_words = self._pair_words.get(row)
@@ -488,7 +515,7 @@ class MetricsLedger:
         self.begin_update(label)
         first = self._open_start
         for record in rounds:
-            self._file_round(record)
+            self._file_round(*record._costs(), record.pair_words)
         self.end_update()
         return self._update_record(len(self._labels) - 1, first, len(self._round_index))
 

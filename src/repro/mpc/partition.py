@@ -10,7 +10,7 @@ algorithms, which only need an arbitrary but fixed vertex → machine map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 __all__ = ["RangePartition", "hash_partition"]
@@ -29,7 +29,7 @@ def hash_partition(vertex: int, machine_ids: Sequence[str]) -> str:
     return machine_ids[h % len(machine_ids)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RangePartition:
     """Consecutive-ID placement of vertex statistics onto machines.
 
@@ -41,44 +41,53 @@ class RangePartition:
         The machines dedicated to statistics, in order.  Vertex ``v`` is
         placed on machine ``machine_ids[v // block]`` where
         ``block = ceil(num_vertices / len(machine_ids))``.
+
+    Frozen: the block size and each machine's position are fixed at
+    construction, so routing a vertex is two integer operations and a tuple
+    index, and no field can change under them.
     """
 
     num_vertices: int
     machine_ids: tuple[str, ...]
+    #: number of consecutive vertex IDs assigned to each machine
+    block_size: int = field(init=False, compare=False)
+    #: vertex IDs ``0 .. span-1`` route directly; every other ID wraps modulo ``span``
+    _span: int = field(init=False, repr=False, compare=False)
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_vertices: int, machine_ids: Sequence[str]) -> None:
         if num_vertices < 0:
             raise ValueError("num_vertices must be non-negative")
         if not machine_ids:
             raise ValueError("machine_ids must be non-empty")
-        self.num_vertices = num_vertices
-        self.machine_ids = tuple(machine_ids)
-
-    @property
-    def block_size(self) -> int:
-        """Number of consecutive vertex IDs assigned to each machine."""
-        if self.num_vertices == 0:
-            return 1
-        return -(-self.num_vertices // len(self.machine_ids))  # ceil division
+        machine_ids = tuple(machine_ids)
+        fields = {
+            "num_vertices": num_vertices,
+            "machine_ids": machine_ids,
+            "block_size": -(-num_vertices // len(machine_ids)) if num_vertices else 1,  # ceil division
+            "_span": max(num_vertices, 1),
+            "_positions": {machine_id: index for index, machine_id in enumerate(machine_ids)},
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def machine_for(self, vertex: int) -> str:
         """Return the machine storing statistics for ``vertex``."""
-        if vertex < 0 or vertex >= max(self.num_vertices, 1):
+        span = self._span
+        if not 0 <= vertex < span:
             # Out-of-range vertices (e.g. created after sizing) wrap around;
             # the coordinator only needs *a* fixed machine per vertex.
-            vertex = vertex % max(self.num_vertices, 1)
-        index = min(vertex // self.block_size, len(self.machine_ids) - 1)
-        return self.machine_ids[index]
+            vertex %= span
+        # vertex < num_vertices <= len(machine_ids) * block_size: the index is in range
+        return self.machine_ids[vertex // self.block_size]
 
     def vertices_on(self, machine_id: str) -> range:
         """Return the ID range assigned to ``machine_id`` (may be empty)."""
-        try:
-            index = self.machine_ids.index(machine_id)
-        except ValueError:
-            raise ValueError(f"{machine_id!r} is not part of this partition") from None
+        index = self._positions.get(machine_id)
+        if index is None:
+            raise ValueError(f"{machine_id!r} is not part of this partition")
         start = index * self.block_size
-        stop = min(self.num_vertices, (index + 1) * self.block_size)
-        return range(start, max(start, stop))
+        return range(start, max(start, min(self.num_vertices, start + self.block_size)))
 
     def directory(self) -> dict[str, tuple[int, int]]:
         """Return ``{machine_id: (first_id, last_id_exclusive)}`` — what the

@@ -198,27 +198,28 @@ class Transport(abc.ABC):
         record; only when the whole round has passed — unknown receiver,
         then send cap, then receive cap — do the outboxes move into the
         inboxes, so a refused round leaves every outbox as staged and
-        nothing recorded.  The record goes to ``ledger.append_round``, with
-        pair detail on every :attr:`pair_detail_every`-th round; a ledger
-        whose factory was assigned by hand (``ledger.record_policy is
-        None``) gets the message list through ``ledger.record_round``
-        instead.
+        nothing recorded.  The five costs go to ``ledger.file_round`` in one
+        call, with pair detail on every :attr:`pair_detail_every`-th round
+        (the per-pair map, like the per-receiver one the I/O cap reads, is
+        only built on a round that keeps it); a ledger whose factory was
+        assigned by hand (``ledger.record_policy is None``) gets the message
+        list through ``ledger.record_round`` instead.
         """
         cluster = self.cluster
         machines = cluster.machines_by_id
         ledger = cluster.ledger
-        round_index = ledger.next_round_index
         every = self.pair_detail_every
-        detail = every > 0 and round_index % every == 0
-        enforce = cluster.enforce_io_cap
+        # the per-pair and per-receiver maps exist only on a round that keeps them
+        pair_words: "dict[tuple[str, str], int] | None" = (
+            {} if every > 0 and ledger.next_round_index % every == 0 else None
+        )
+        received: "dict[str, int] | None" = {} if cluster.enforce_io_cap else None
 
         loads: list[tuple["Machine", int]] = []
         active: set[str] = set()
         total = 0
         count = 0
         largest = 0
-        pair_words: dict[tuple[str, str], int] = {}
-        received: dict[str, int] = {}
         for machine in senders:
             outbox = machine.outbox
             if not outbox:
@@ -237,17 +238,17 @@ class Transport(abc.ABC):
                 active.add(receiver)
                 if words > largest:
                     largest = words
-                if detail:
+                if pair_words is not None:
                     pair = (sender, receiver)
                     pair_words[pair] = pair_words.get(pair, 0) + words
-                if enforce:
+                if received is not None:
                     received[receiver] = received.get(receiver, 0) + words
             active.add(sender)
             total += sent
             count += len(outbox)
             loads.append((machine, sent))
 
-        if enforce:
+        if received is not None:
             cap = cluster.config.machine_memory
             for machine, words in loads:
                 if words > cap:
@@ -267,7 +268,7 @@ class Transport(abc.ABC):
                 delivered += outbox
         if custom:
             return ledger.record_round(delivered)
-        return ledger.append_round(RoundRecord(round_index, len(active), total, count, largest, pair_words))
+        return ledger.file_round(None, len(active), total, count, largest, pair_words)
 
     def discard_undelivered(self) -> None:
         """Drop all staged (outbox) and pending (inbox) messages."""

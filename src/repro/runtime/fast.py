@@ -167,24 +167,26 @@ by_registration = attrgetter("index")
 class FastTransport(Transport):
     """Visit only the machines that staged messages this round.
 
-    :meth:`Machine.send` notifies the transport, so the exchange hands
-    :meth:`Transport.deliver` the staged senders (sorted by registration
-    index — the reference delivery order) instead of the whole machine
+    :meth:`Machine.send` notifies the transport when a sender's outbox
+    gets its first message, so the exchange hands :meth:`Transport.deliver`
+    the staged senders (sorted by registration index — the reference
+    delivery order — when there are several) instead of the whole machine
     pool.  It has no delivery loop of its own.
     """
 
-    __slots__ = ("_staged",)
+    __slots__ = ("_staged", "note_staged")
 
     def __init__(self, cluster: "Cluster") -> None:
         super().__init__(cluster)
         self._staged: set["Machine"] = set()
-
-    def note_staged(self, machine: "Machine") -> None:
-        self._staged.add(machine)
+        #: the staging hook is the set's own ``add``: noting a sender runs no Python frame
+        self.note_staged = self._staged.add
 
     def exchange(self) -> RoundRecord:
-        record = self.deliver(sorted(self._staged, key=by_registration))
-        self._staged.clear()
+        staged = self._staged
+        # one sender (the light rounds of the matching protocol) needs no ordering
+        record = self.deliver(staged if len(staged) < 2 else sorted(staged, key=by_registration))
+        staged.clear()
         return record
 
     def discard_undelivered(self) -> None:

@@ -48,7 +48,7 @@ from repro.dynamic_mpc import (
     DMPCTwoPlusEpsMatching,
 )
 from repro.dynamic_mpc.connectivity import TOUR_SHARD_KEY
-from repro.dynamic_mpc.state import STATS_KEY, VertexStats
+from repro.dynamic_mpc.state import STATS_KEY, MatchingFabric, VertexStats
 from repro.graph import DynamicGraph, GraphUpdate, UpdateSequence, batched
 from repro.graph.graph import normalize_edge
 from repro.graph.generators import gnm_random_graph, random_forest, random_weighted_graph
@@ -532,6 +532,20 @@ class TestHeavyFabricAtEveryBoundary:
             "25d9777adc1cd4e404d9b8e29a18ff4665d3df45474714ed6c05024bae064486",
             batch_size=8,
         )
+
+    @pytest.mark.parametrize(
+        ("text", "replacement"),
+        [("if entries and handle.table.replay(entries):", "if False:"), ("seen[machine_id] = last", "pass")],
+        ids=["replay dropped", "seen-stamp dropped"],
+    )
+    def test_a_contact_that_skips_a_step_is_caught(self, monkeypatch, text, replacement):
+        """Seeded mutations of the one history-contact primitive every edge-machine contact goes
+        through: a machine shipped its suffix but not caught up, or caught up but not stamped
+        current (so its next contact ships and replays the suffix again, over records placed since),
+        answers from stale records, and the matching stops being maximal."""
+        monkeypatch.setattr(MatchingFabric, "_contact", mutated(MatchingFabric._contact, text, replacement))
+        with pytest.raises(AssertionError, match="not maximal"):
+            self.test_maximal_matching_batches()
 
     def test_three_halves_matching(self):
         """Regression: a hub whose degree fell below the threshold with neighbours still on its

@@ -14,8 +14,9 @@ from repro.graph.generators import gnm_random_graph, star_graph
 from repro.graph.validation import greedy_maximal_matching
 from repro.mpc.cluster import Cluster
 from repro.mpc.coordinator import HistoryEntry
-from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, FrozenChargeHandle, is_live_record
+from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, FrozenChargeHandle, StatsTable, is_live_record
 from repro.mpc.machine import Machine
+from repro.mpc.sizing import closed_form_words, word_size
 
 
 class TestDMPCConfig:
@@ -59,7 +60,7 @@ class TestDMPCConfig:
 
 def replay_reference(machine, entries) -> None:
     """The replay as one pair loop over per-key records (``("adj", v)`` → ``{w: True}``, ``("status", w)`` →
-    mate) on a plain ``Machine`` — the oracle for ``EdgeTable.replay`` behind ``MatchingFabric._apply_history_locally``."""
+    mate) on a plain ``Machine`` — the oracle for ``EdgeTable.replay`` behind ``MatchingFabric._contact``."""
     for entry in entries:
         for a, b in ((entry.u, entry.v), (entry.v, entry.u)):
             if entry.kind == "delete":
@@ -334,7 +335,9 @@ class TestMatchingFabric:
         rng = random.Random(seed)
         records = {("adj", v): {w: True for w in rng.sample(range(12), 4) if w != v} for v in rng.sample(range(12), 5)}
         records.update({("status", w): rng.choice([None, rng.randrange(12)]) for w in rng.sample(range(12), 7)})
-        (ours,) = Cluster(DMPCConfig.for_graph(16, 80)).add_machines("edge", 1, role="edge")
+        fabric = make_fabric()
+        machine_id = fabric._allocate_machine(light=True)
+        ours = fabric.cluster.machine(machine_id)
         reference = Machine("reference", ours.capacity)
         place_table(ours, records)
         for key, value in records.items():  # shared values are safe: the oracle copies before it writes
@@ -344,10 +347,47 @@ class TestMatchingFabric:
             HistoryEntry(seq, rng.choice(["insert", "delete", "match", "unmatch"]), *rng.sample(range(12), 2))
             for seq in range(1, 301)
         ]
-        MatchingFabric._apply_history_locally(ours, entries)
+        for entry in entries:
+            fabric.record(entry.kind, entry.u, entry.v)
+        fabric.refresh_machine(machine_id)  # the contact ships and replays all 300
+        assert fabric.cluster.ledger.updates[-1].rounds[-1].total_words == 6 * len(entries)
         replay_reference(reference, entries)
         assert per_key_records(edge_table(ours)) == dict(reference.items())
         assert ours.used_words == reference.used_words
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stats_payloads_are_the_records_payloads_and_their_closed_form(self, seed):
+        """``StatsTable.payloads`` reads a view of its own table off the columns and every other
+        record through ``as_payload``: the same dicts, and the words ``stats-reply`` /
+        ``stats-write`` are charged beyond their tag, which are ``word_size`` of the list."""
+        rng = random.Random(seed)
+        table, other = StatsTable(8, 6), StatsTable(8, 6)
+        machines = ["edge3", "edge-machine-17", "e", "edge-machine-with-a-long-name"]
+
+        def fill(record):
+            record.degree, record.mate = rng.randrange(9), rng.choice([None, rng.randrange(40)])
+            record.heavy, record.free_neighbors = rng.random() < 0.3, rng.randrange(4)
+            record.alive_machine = rng.choice([None, *machines])
+            record.suspended_machines = rng.sample(machines, rng.randrange(3))
+            return record
+
+        items = []
+        for _ in range(rng.randrange(1, 9)):
+            vertex = rng.randrange(4, 18)  # below, inside and past the dense block (overflow records)
+            kind = rng.choice(["own", "own", "blank", "other", "plain"])
+            if kind == "own":
+                items.append((vertex, fill(table.ensure(vertex))))
+            elif kind == "blank":
+                items.append((vertex, None))
+            elif kind == "other":
+                items.append((vertex, fill(other.ensure(vertex))))
+            else:
+                items.append((vertex, fill(VertexStats())))
+        entries, words = table.payloads(items)
+        assert entries == [(v, (record or VertexStats()).as_payload()) for v, record in items]
+        assert words == word_size(entries)
+        for tag in ("stats-reply", "stats-write"):
+            assert word_size(tag) + words == closed_form_words(tag, entries)
 
     def test_counter_deltas_clamped_at_zero(self):
         fabric = make_fabric()

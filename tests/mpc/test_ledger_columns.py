@@ -76,6 +76,10 @@ class OracleLedger:
         self.file(factory(self.next_round_index, messages))
         self.next_round_index += 1
 
+    def file_round(self, costs) -> None:
+        self.file(round_record(self.next_round_index, costs))
+        self.next_round_index += 1
+
     def append_round(self, record: RoundRecord) -> None:
         if record.round_index != self.next_round_index:
             raise ProtocolError("round index")
@@ -163,6 +167,7 @@ OPERATIONS = st.lists(
         st.just(("end_batch",)),
         # skew 1 files a round ahead of the counter: both ledgers must refuse it
         st.tuples(st.just("append_round"), COSTS, st.sampled_from((0, 0, 0, 1))),
+        st.tuples(st.just("file_round"), COSTS),
         st.tuples(st.just("record_round"), MESSAGES),
         st.tuples(st.just("replay_update"), st.sampled_from(LABELS), st.lists(st.tuples(st.integers(1, 99), COSTS), max_size=3)),
         st.just(("reset",)),
@@ -181,6 +186,11 @@ def apply(ledger, operation) -> None:
     if name == "append_round":
         costs, skew = args
         ledger.append_round(round_record(ledger.next_round_index + skew, costs))
+    elif name == "file_round":
+        if isinstance(ledger, MetricsLedger):
+            ledger.file_round(None, *args[0])
+        else:
+            ledger.file_round(args[0])
     elif name == "record_round":
         ledger.record_round([Message(sender, receiver, "t", None, words) for sender, receiver, words in args[0]])
     elif name == "replay_update":
@@ -239,23 +249,24 @@ def test_columns_answer_like_the_list_of_records():
 
 
 def snapshot_ledger() -> tuple[MetricsLedger, list[RoundRecord], UpdateRecord]:
-    """A ledger with one batched update of two detailed rounds and one replayed update,
-    the rounds ``append_round`` / ``record_round`` handed back, and the replayed record."""
+    """A ledger with one batched update of three detailed rounds and one replayed update,
+    the rounds ``append_round`` / ``record_round`` / ``file_round`` handed back, and the replayed record."""
     ledger = MetricsLedger()
     ledger.begin_batch()
     ledger.begin_update("u")
     filed = ledger.append_round(RoundRecord(1, 2, 5, 1, 5, {("a", "b"): 5}))
     recorded = ledger.record_round([Message("b", "a", "t", None, 3)])
+    delivered = ledger.file_round(None, 2, 7, 1, 7, {("e", "f"): 7})
     ledger.end_update()
     ledger.end_batch()
     replayed = ledger.replay_update("copy", [RoundRecord(9, 2, 4, 1, 4, {("c", "d"): 4})])
-    return ledger, [filed, recorded], replayed
+    return ledger, [filed, recorded, delivered], replayed
 
 
 def check_snapshots() -> None:
     ledger, filed, replayed = snapshot_ledger()
     before = ledger.updates
-    pair_words = [[{("a", "b"): 5}, {("b", "a"): 3}], [{("c", "d"): 4}]]
+    pair_words = [[{("a", "b"): 5}, {("b", "a"): 3}, {("e", "f"): 7}], [{("c", "d"): 4}]]
     assert detail(before) == pair_words
     handed_out = [replayed, *ledger.updates, *ledger.updates_labelled("u"), *ledger.batches()[1]]
     for record in [*filed, *(r for update in handed_out for r in update.rounds)]:
@@ -265,7 +276,7 @@ def check_snapshots() -> None:
         update.rounds.append(RoundRecord(0, 0, 0, 0, 0))
         update.label = "changed"
     assert ledger.updates == before and detail(ledger.updates) == pair_words
-    assert ledger.summary().total_words == 12
+    assert ledger.summary().total_words == 19
 
 
 def test_a_handed_out_record_is_a_snapshot():
@@ -277,17 +288,19 @@ def test_a_handed_out_record_is_a_snapshot():
 PROPERTY_MUTATIONS = [
     ("begin_update", "self._open_start = len(self._round_index)", "self._open_start = max(len(self._round_index) - 1, 0)", "update boundary one row early"),
     ("_spans", "ends.append(self._open_start if self._open_label is not None else len(self._round_index))", "ends.append(len(self._round_index))", "open update's rows charged to the last closed one"),
-    ("_file_round", "self._pair_words[row] = dict(record.pair_words)", "pass", "pair-detail row dropped"),
-    ("_file_round", 'self._file_update("<unlabelled>", row)', "pass", "round outside an update joins the previous update"),
+    ("_file_round", "self._pair_words[len(rows)] = dict(pair_words)", "pass", "pair-detail row dropped"),
+    ("_file_round", 'self._file_update("<unlabelled>", len(rows))', "pass", "round outside an update joins the previous update"),
     ("_file_update", "self._batch_ids.append(self._current_batch or 0)", "self._batch_ids.append(0)", "batch tag dropped"),
     ("batch_summary", "spans.append((first, end))", "merged.append([(first, end)])", "batch members summarised apart"),
     ("_summarize", "active += self._active_machines[first:end]", "active += self._active_machines[first:end - 1]", "last round of an update left out of its active machines"),
     ("reset", "self._start_empty()", "self._traffic = dict.fromkeys(self._traffic, 0)", "reset keeps the rounds"),
     ("record_round", "self.next_round_index += 1", "pass", "record_round leaves the counter"),
+    ("file_round", "self.next_round_index = round_index + 1", "pass", "a delivered round leaves the counter"),
 ]
 #: faults only the snapshot check sees: the ledger shares a dict with a record it handed out
 SNAPSHOT_MUTATIONS = [
-    ("_file_round", "self._pair_words[row] = dict(record.pair_words)", "self._pair_words[row] = record.pair_words", "filed round's pair words shared"),
+    ("_file_round", "self._pair_words[len(rows)] = dict(pair_words)", "self._pair_words[len(rows)] = pair_words", "filed round's pair words shared"),
+    ("file_round", "self._pair_words[len(rows)] = dict(pair_words)", "self._pair_words[len(rows)] = pair_words", "delivered round's pair words shared"),
     ("_round_record", "None if pair_words is None else dict(pair_words)", "pair_words", "read round's pair words shared"),
 ]
 

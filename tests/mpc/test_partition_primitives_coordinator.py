@@ -41,6 +41,36 @@ class TestPartition:
         part = RangePartition(4, ["s0", "s1"])
         assert part.machine_for(100) in {"s0", "s1"}
 
+    def test_range_partition_is_frozen(self):
+        part = RangePartition(10, ["s0", "s1", "s2"])
+        for name, value in (("num_vertices", 20), ("machine_ids", ("s9",)), ("block_size", 1)):
+            with pytest.raises(AttributeError):
+                setattr(part, name, value)
+        assert (part.num_vertices, part.machine_ids, part.block_size) == (10, ("s0", "s1", "s2"), 4)
+        assert part == RangePartition(10, ("s0", "s1", "s2")) and hash(part) == hash(RangePartition(10, ["s0", "s1", "s2"]))
+        with pytest.raises(ValueError, match="not part of this partition"):
+            part.vertices_on("s9")
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 300), k=st.integers(1, 40), probes=st.lists(st.integers(-1000, 1000), max_size=30))
+    def test_range_partition_routes_like_the_formulas(self, n, k, probes):
+        """Against the per-call formulas it caches: ``block = ceil(n / k)`` (1 for n = 0), vertex
+        ``v`` on machine ``min(v' // block, k - 1)`` with ``v' = v mod max(n, 1)`` when ``v`` is
+        outside ``0 .. n-1``, and machine ``i`` owning ``[i * block, min(n, (i + 1) * block))``."""
+        ids = [f"s{i}" for i in range(k)]
+        part = RangePartition(n, ids)
+        block = 1 if n == 0 else -(-n // k)
+        assert part.block_size == block
+        for v in [*range(-3, n + 3), *probes]:
+            wrapped = v % max(n, 1) if v < 0 or v >= max(n, 1) else v
+            assert part.machine_for(v) == ids[min(wrapped // block, k - 1)]
+        for index, machine_id in enumerate(ids):
+            start = index * block
+            expected = range(start, max(start, min(n, (index + 1) * block)))
+            assert part.vertices_on(machine_id) == expected
+            assert part.directory()[machine_id] == (expected.start, expected.stop)
+            assert all(part.machine_for(v) == machine_id for v in expected)
+
 
 class TestCoordinator:
     def test_update_history_bounded(self):

@@ -430,6 +430,107 @@ class TestCachedStorageParity:
         assert storage.used_words == 20
 
 
+# ----------------------------------------------------------- one-sender rounds
+def count_notes(monkeypatch, cluster: Cluster) -> list:
+    """Record every staging notification the cluster's transport receives (the sender each time)."""
+    transport = cluster._transport
+    notes: list = []
+    noted = transport.note_staged
+
+    def note(machine):
+        notes.append(machine.machine_id)
+        noted(machine)
+
+    if "note_staged" in getattr(type(transport), "__slots__", ()):
+        monkeypatch.setattr(transport, "note_staged", note)  # the fast transport's set.add
+    else:
+        monkeypatch.setattr(type(transport), "note_staged", lambda _self, machine: note(machine))
+    return notes
+
+
+class TestOneSenderRounds:
+    """The light rounds of the matching protocol: one sender, one or a few messages."""
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_drain_of_another_tag_keeps_a_lone_message(self, backend):
+        cluster = make_cluster(backend, machines=2)
+        cluster.machine("m0").send("m1", "a", 1, words=2)
+        cluster.exchange()
+        receiver = cluster.machine("m1")
+        inbox = receiver.inbox
+        assert receiver.drain("b") == []
+        assert receiver.inbox is inbox and [m.payload for m in inbox] == [1]
+        drained = receiver.drain("a")
+        assert drained is inbox and [m.payload for m in drained] == [1]  # the inbox itself, handed over
+        assert receiver.inbox == [] and receiver.inbox is not drained
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_a_mixed_inbox_keeps_its_order(self, backend):
+        cluster = make_cluster(backend, machines=2)
+        sender, receiver = cluster.machine("m0"), cluster.machine("m1")
+        for number, tag in enumerate("abaab"):
+            sender.send("m1", tag, number, words=1)
+        cluster.exchange()
+        assert [m.payload for m in receiver.drain("a")] == [0, 2, 3]
+        assert [(m.tag, m.payload) for m in receiver.inbox] == [("b", 1), ("b", 4)]
+        assert [m.payload for m in receiver.drain("b")] == [1, 4] and receiver.inbox == []
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_a_sender_is_noted_once_and_delivered_in_staging_order(self, backend, monkeypatch):
+        cluster = make_cluster(backend, machines=3)
+        notes = count_notes(monkeypatch, cluster)
+        sender = cluster.machine("m1")
+        sender.send("m0", "t", "first", words=2)
+        sender.send("m2", "t", "second", words=3)
+        sender.send_many("fan", [("m0", "third", 1), ("m2", "fourth", 1)])
+        sender.send("m0", "t", "fifth", words=4)
+        assert notes == ["m1"]
+        record = cluster.exchange()
+        assert [m.payload for m in cluster.machine("m0").inbox] == ["first", "third", "fifth"]
+        assert [m.payload for m in cluster.machine("m2").inbox] == ["second", "fourth"]
+        assert (record.active_machines, record.message_count, record.total_words, record.max_message_words) == (3, 5, 11, 4)
+        sender.send("m0", "t", "next round", words=1)
+        assert notes == ["m1", "m1"]  # noted again: its outbox was emptied by the delivery
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("sampling", [0, 1])
+    def test_a_one_sender_round_records_what_from_messages_makes_of_it(self, backend, sampling):
+        cluster = make_cluster(backend, sampling=sampling, machines=4)
+        sender = cluster.machine("m2")
+        for receiver, words in (("m0", 3), ("m3", 5), ("m0", 2), ("m2", 1)):
+            sender.send(receiver, "t", None, words=words)
+        staged = list(sender.outbox)
+        index = cluster.ledger.next_round_index
+        record = cluster.exchange()
+        detail = backend == "reference" or sampling == 1
+        expected = RoundRecord.from_messages(index, staged, pair_detail=detail)
+        assert record == expected and record.pair_words == expected.pair_words
+        assert (record.active_machines, record.total_words) == (3, 11)
+        assert cluster.ledger.updates[-1].rounds == [expected]
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("fault", ["unknown-receiver", "over-cap"])
+    def test_a_refused_one_sender_round_moves_nothing(self, backend, fault):
+        cluster = make_cluster(backend, enforce=True, machines=3)
+        cap = cluster.config.machine_memory
+        sender = cluster.machine("m1")
+        sender.send("m0", "t", "kept", words=2)
+        if fault == "unknown-receiver":
+            bad, error = sender.send("ghost", "t", None, words=1), UnknownMachineError
+        else:
+            bad, error = sender.send("m2", "t", None, words=cap), MessageSizeExceeded
+        before = (mailboxes(cluster, "outbox"), mailboxes(cluster, "inbox"), staged_ids(cluster))
+        index = cluster.ledger.next_round_index
+        with pytest.raises(error):
+            cluster.exchange()
+        assert (mailboxes(cluster, "outbox"), mailboxes(cluster, "inbox"), staged_ids(cluster)) == before
+        assert cluster.ledger.next_round_index == index and cluster.ledger.total_rounds() == 0
+        sender.outbox.remove(bad)
+        record = cluster.exchange()
+        assert (record.round_index, record.message_count, record.total_words) == (index, 1, 2)
+        assert [m.payload for m in cluster.machine("m0").inbox] == ["kept"] and not staged_ids(cluster)
+
+
 # --------------------------------------------------------------------- drain
 TAGS = st.sampled_from(["a", "b", "c"])
 

@@ -18,7 +18,9 @@ objects, preprocessing excluded:
 * ``fast_word_size`` calls, from every caller.
 
 Each bound is the value measured with one vertex-indexed ``EdgeTable`` per
-edge machine + 20 %: 13.13 loads, 7.15 stores and 2.98 sizer calls.  The
+edge machine and one history-contact primitive + 20 %: 12.23 loads, 7.15
+stores and 2.98 sizer calls (``add_edge_copy`` reuses the alive machine's
+handle it read for the row length: 10.94 loads before).  The
 guard fails on the layout it replaced, one storage key per record
 (``("adj", v)`` → ``{w: True}``, ``("status", w)`` → mate), which made
 79.6 loads, 10.7 stores and 6.4 sizer calls per update: replay probed two
@@ -41,7 +43,7 @@ UPDATES = 8000
 SEED = 2019
 #: per update, measured with the edge table: one table load per contact, one commit per changed
 #: table, a sizer walk only where a commit mints a fresh handle
-MEASURED_LOADS = 10.94
+MEASURED_LOADS = 10.19
 MEASURED_STORES = 5.96
 MEASURED_SIZER_CALLS = 2.48
 SLACK = 1.2

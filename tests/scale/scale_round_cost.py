@@ -15,8 +15,9 @@ pre-sized message, staged, exchanged and drained inside one open update:
 * bytes the ledger retains per recorded round (``tracemalloc``, interpreter
   build dependent by a few bytes).
 
-The call bound is the count of the one-pass round engine + 20 % (the engine
-before it made 10 calls).  The byte bound is the columnar ledger's
+The call bound is the count of the one-pass round engine filing its five
+costs in one ledger call + 20 % (6 calls when the ledger took a record and
+filed it in a second call; 10 before the one-pass engine).  The byte bound is the columnar ledger's
 measurement + 20 %: five ``array("q")`` entries per round, 40.3 bytes.  The
 ledger it replaced kept one ``RoundRecord`` per round and retained 183
 bytes.
@@ -43,9 +44,8 @@ from repro.graph.streams import mixed_stream
 from repro.mpc import Cluster
 
 ROUNDS = 10_000
-#: PR 23: Cluster.exchange, FastTransport.exchange, Transport.deliver, RoundRecord.__init__,
-#: MetricsLedger.append_round, MetricsLedger._file_round
-MEASURED_CALLS_PER_EXCHANGE = 6
+#: Cluster.exchange, FastTransport.exchange, Transport.deliver, MetricsLedger.file_round, RoundRecord.__init__
+MEASURED_CALLS_PER_EXCHANGE = 5
 #: one entry in each of the five array("q") cost columns
 MEASURED_BYTES_PER_ROUND = 40.3
 #: the matching stream's rounds per update (10.3) times a round's columns, plus one update's three column slots
