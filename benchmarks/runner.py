@@ -77,20 +77,19 @@ class Sweep:
     extras: list = field(default_factory=list)
 
 
-def run_sweep(run_one_size: Callable[[int], tuple], sizes=SIZES, *, rounds_stat: str = "max") -> Sweep:
+def run_sweep(run_one_size: Callable[[int], tuple], sizes=SIZES) -> Sweep:
     """Run ``run_one_size`` at every size and collect the Table 1 columns.
 
     ``run_one_size(n)`` returns ``(row, summary)`` or ``(row, summary,
-    extra)``; ``rounds_stat`` selects which per-update round statistic the
-    growth classification uses (``"max"``, or ``"mean"`` for the amortized
-    Section 7 claims).
+    extra)``; the growth classification uses each size's worst-case rounds
+    per update.
     """
     sweep = Sweep(sizes=list(sizes))
     for n in sizes:
         result = run_one_size(n)
         row, summary = result[0], result[1]
         sweep.rows.append(row)
-        sweep.rounds.append(summary.max_rounds if rounds_stat == "max" else summary.mean_rounds)
+        sweep.rounds.append(summary.max_rounds)
         sweep.machines.append(summary.max_active_machines)
         sweep.words.append(summary.max_words_per_round)
         sweep.extras.append(result[2] if len(result) > 2 else None)

@@ -33,10 +33,6 @@ Package layout
     The index-based Euler-tour machinery of Section 5 (reroot, link, cut via
     index arithmetic) together with an explicit-sequence reference
     implementation.
-``repro.seq``
-    Sequential dynamic algorithms used both as baselines and as the payload
-    of the Section 7 reduction (Euler-tour trees, Holm–de Lichtenberg–Thorup
-    connectivity, Neiman–Solomon maximal matching, dynamic MST).
 ``repro.static_mpc``
     Static MPC baselines executed on the same simulator (connected
     components by contraction, Israeli–Itai maximal matching, Borůvka MST):
@@ -44,9 +40,10 @@ Package layout
 ``repro.dynamic_mpc``
     The paper's contribution: fully-dynamic DMPC algorithms for maximal
     matching (Section 3), 3/2-approximate matching (Section 4), connected
-    components and (1+eps)-MST (Section 5), (2+eps)-approximate matching
-    (Section 6) and the black-box reduction from sequential dynamic
-    algorithms (Section 7).
+    components and (1+eps)-MST (Section 5) and (2+eps)-approximate matching
+    (Section 6).  Section 7's simulation of sequential dynamic algorithms
+    is not reproduced: its bounds count memory accesses, which the
+    simulator does not model.
 ``repro.analysis``
     Table-1 regeneration, complexity-shape fitting and the Section 8
     communication-entropy metric.

@@ -54,27 +54,6 @@ PAPER_TABLE1: dict[str, dict[str, str]] = {
         "communication": "O(sqrt N)",
         "comments": "Approximation factor comes from the preprocessing.",
     },
-    "seq-simulation-matching": {
-        "problem": "Maximal matching (reduction)",
-        "rounds": "O(1) amortized",
-        "machines": "O(1)",
-        "communication": "O(1)",
-        "comments": "Amortized, randomized (Solomon / Neiman-Solomon payload).",
-    },
-    "seq-simulation-connectivity": {
-        "problem": "Connected comps (reduction)",
-        "rounds": "O~(1) amortized",
-        "machines": "O(1)",
-        "communication": "O(1)",
-        "comments": "Amortized, deterministic (HDT payload).",
-    },
-    "seq-simulation-mst": {
-        "problem": "MST (reduction)",
-        "rounds": "O~(1) amortized",
-        "machines": "O(1)",
-        "communication": "O(1)",
-        "comments": "Amortized, deterministic.",
-    },
 }
 
 

@@ -155,27 +155,10 @@ class DMPCConfig:
         return max(1, math.ceil(self.capacity_n / per_machine))
 
     @staticmethod
-    def for_graph(
-        n: int,
-        m: int,
-        *,
-        memory_slack: float = 16.0,
-        strict_memory: bool = False,
-        backend: str | None = None,
-        metrics_sampling: int = 0,
-        shard_count: int | None = None,
-        resident_slots: int | None = None,
-        resident_shm_ring_bytes: int | None = None,
-    ) -> "DMPCConfig":
-        """Convenience constructor sizing a deployment for an ``(n, m)`` graph."""
-        return DMPCConfig(
-            capacity_n=max(1, n),
-            capacity_m=max(0, m),
-            memory_slack=memory_slack,
-            strict_memory=strict_memory,
-            backend=backend,
-            metrics_sampling=metrics_sampling,
-            shard_count=shard_count,
-            resident_slots=resident_slots,
-            resident_shm_ring_bytes=resident_shm_ring_bytes,
-        )
+    def for_graph(n: int, m: int, **options) -> "DMPCConfig":
+        """Convenience constructor sizing a deployment for an ``(n, m)`` graph.
+
+        ``options`` are the optional fields, passed through to the dataclass
+        so each default is declared once.
+        """
+        return DMPCConfig(capacity_n=max(1, n), capacity_m=max(0, m), **options)

@@ -14,9 +14,6 @@ Module                    Paper section / result
 ``approx_mst``            Section 5.1 — (1+eps)-approximate MST, same costs
 ``two_plus_eps_matching`` Section 6 — (2+eps)-approximate (almost-maximal)
                           matching, O(1) rounds, polylog machines and comm
-``reduction``             Section 7 — black-box simulation of sequential
-                          dynamic algorithms: O(u(N)) rounds, O(1) machines,
-                          O(1) communication per round
 ========================  =====================================================
 
 Every algorithm exposes the same driver interface
@@ -33,7 +30,6 @@ from repro.dynamic_mpc.three_halves_matching import DMPCThreeHalvesMatching
 from repro.dynamic_mpc.connectivity import DMPCConnectivity
 from repro.dynamic_mpc.approx_mst import DMPCApproxMST
 from repro.dynamic_mpc.two_plus_eps_matching import DMPCTwoPlusEpsMatching
-from repro.dynamic_mpc.reduction import SequentialSimulationDMPC
 
 __all__ = [
     "DynamicMPCAlgorithm",
@@ -42,5 +38,4 @@ __all__ = [
     "DMPCConnectivity",
     "DMPCApproxMST",
     "DMPCTwoPlusEpsMatching",
-    "SequentialSimulationDMPC",
 ]

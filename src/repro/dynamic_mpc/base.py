@@ -38,8 +38,9 @@ class DynamicMPCAlgorithm(abc.ABC):
     * :meth:`apply_sequence` — convenience loop over an update sequence,
       optionally chunked into batches.
 
-    Subclasses must implement ``_preprocess`` and ``_apply`` and may expose
-    solution accessors (``matching()``, ``components()`` ...).
+    Subclasses must implement ``_preprocess``, ``_apply`` and
+    ``verify_invariants`` and may expose solution accessors (``matching()``,
+    ``components()`` ...).
     """
 
     #: label prefix used in the metrics ledger for updates of this algorithm
@@ -191,14 +192,19 @@ class DynamicMPCAlgorithm(abc.ABC):
             self.apply(update)
 
     # ------------------------------------------------------------ diagnostics
-    def verify_invariants(self) -> None:  # pragma: no cover - overridden where meaningful
-        """Optional self-check hook; subclasses override to assert invariants."""
+    @abc.abstractmethod
+    def verify_invariants(self) -> None:
+        """Assert the maintained solution against a reference.
+
+        Runs after every update and batch when ``check_invariants`` is on.
+        """
 
     def update_summary(self) -> UpdateSummary:
         """Cost summary over all *dynamic updates* (preprocessing excluded).
 
         Batched groups (recorded under ``"{kind}:batch:..."`` labels) count
-        as updates here; use :meth:`batch_summary` for per-batch aggregates.
+        as updates here; per-batch aggregates come from the ledger's
+        :meth:`~repro.mpc.metrics.MetricsLedger.batch_summary`.
         """
         return self.ledger.summary(self._update_prefixes())
 

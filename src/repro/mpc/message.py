@@ -33,8 +33,9 @@ class Message:
     words:
         The charged size of the message in machine words.  Computed at
         construction from ``tag`` and ``payload`` unless given explicitly
-        (explicit sizes are used by the Section 7 reduction, which
-        aggregates many constant-size memory accesses into one record).
+        (every closed-form send passes its precomputed size, see
+        :func:`repro.mpc.sizing.closed_form_words`, so the payload is not
+        walked).
     """
 
     __slots__ = ("sender", "receiver", "tag", "payload", "words")

@@ -49,6 +49,21 @@ class TestDMPCConfig:
         assert config.capacity_m == 20
         assert not config.strict_memory
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("memory_slack", 4.0),
+            ("strict_memory", True),
+            ("backend", "fast"),
+            ("metrics_sampling", 3),
+            ("shard_count", 2),
+            ("resident_slots", 1),
+            ("resident_shm_ring_bytes", 4096),
+        ],
+    )
+    def test_for_graph_forwards_each_optional_field(self, field, value):
+        assert DMPCConfig.for_graph(10, 20, **{field: value}) == DMPCConfig(capacity_n=10, capacity_m=20, **{field: value})
+
     @pytest.mark.parametrize("value", ["auto", "off", 2])
     def test_fuse_rounds_is_not_a_field(self, value):
         """Spans always fuse maximally; there is no block-length knob to set."""

@@ -1,14 +1,13 @@
 """Reachability gate: every ``src/repro`` module is code the system runs.
 
 The system is the five dynamic algorithms (each through ``apply`` and a
-coalesced ``apply_batch`` on every registered backend), the Section 7
-reduction over its three sequential payloads, the three static baselines on
-``fast`` and ``reference``, and static connected components on
-``resident``.  :func:`run_system` drives all of
-it at small n under ``sys.setprofile``; a module counts as *entered* when
-one of its function bodies runs.  Module and class bodies run at import, so
-they do not count, and a module that defines no function (a re-export
-``__init__``) is not judged.
+coalesced ``apply_batch`` on every registered backend), the three static
+baselines on ``fast`` and ``reference``, and static connected components on
+``resident``.  :func:`run_system` drives all of it at small n under
+``sys.setprofile``; a module counts as *entered* when one of its function
+bodies runs.  Module and class bodies run at import, so they do not count,
+and a module that defines no function (a re-export ``__init__``) is not
+judged.
 
 A module nothing enters is deleted, not allow-listed.  :data:`ALLOWED`
 names the few that the system never enters on purpose, each with its
@@ -33,13 +32,11 @@ from repro.dynamic_mpc import (
     DMPCMaximalMatching,
     DMPCThreeHalvesMatching,
     DMPCTwoPlusEpsMatching,
-    SequentialSimulationDMPC,
 )
 from repro.graph import DynamicGraph, GraphUpdate, batched
 from repro.graph.generators import gnm_random_graph, random_weighted_graph
 from repro.graph.streams import mixed_stream
 from repro.runtime import BACKENDS
-from repro.seq import HDTConnectivity, NeimanSolomonMatching, SequentialDynamicMST
 from repro.static_mpc import StaticBoruvkaMST, StaticConnectedComponents, StaticMaximalMatching
 
 PACKAGE = Path(repro.__file__).resolve().parent
@@ -90,15 +87,6 @@ def run_system() -> None:
             for chunk in batched(stream[half:], BATCH):
                 algorithm.apply_batch(chunk, coalesce=True)
             algorithm.verify_invariants()
-    for payload, is_weighted in (
-        (HDTConnectivity(N), False),
-        (NeimanSolomonMatching(max_edges=2 * EDGES), False),
-        (SequentialDynamicMST(), True),
-    ):
-        reduction = SequentialSimulationDMPC(DMPCConfig.for_graph(N, 2 * EDGES, backend="fast"), payload, weighted=is_weighted)
-        reduction.preprocess(weighted if is_weighted else plain)
-        reduction.apply_sequence(streams[is_weighted])
-        assert reduction.solution() is not None
     for backend in ("fast", "reference"):
         for cls in STATIC:
             cls(weighted if cls is StaticBoruvkaMST else plain, backend=backend).run()
