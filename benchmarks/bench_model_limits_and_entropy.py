@@ -52,11 +52,14 @@ def test_communication_entropy_coordinator_vs_symmetric(benchmark):
     graph = gnm_random_graph(n, 2 * n, seed=3)
     stream = list(mixed_stream(n, 100, seed=4, insert_probability=0.5, initial=graph))
 
+    # entropy needs every round's per-pair breakdown: only the reference backend keeps it
+    config = DMPCConfig.for_graph(n, 4 * n, backend="reference")
+
     def run():
-        matching = DMPCMaximalMatching(DMPCConfig.for_graph(n, 4 * n))
+        matching = DMPCMaximalMatching(config)
         matching.preprocess(graph)
         matching.apply_sequence(stream)
-        connectivity = DMPCConnectivity(DMPCConfig.for_graph(n, 4 * n))
+        connectivity = DMPCConnectivity(config)
         connectivity.preprocess(graph)
         connectivity.apply_sequence(stream)
         return matching, connectivity

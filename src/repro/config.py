@@ -50,11 +50,6 @@ class DMPCConfig:
         variable and finally to ``"reference"``.  Every backend produces
         identical solutions, round counts and word accounting; only
         wall-clock cost and retained metrics detail differ.
-    metrics_sampling:
-        Fast-backend knob: retain the full per-(sender, receiver)
-        communication breakdown on every ``k``-th round (``0`` = never), so
-        the Section 8 entropy metric can still be estimated cheaply.  The
-        reference backend always retains full detail and ignores this.
     shard_count:
         Resident-backend knob, and nothing else: the cap on the number of
         worker slots a resident session uses.  ``None`` (the default) caps
@@ -85,7 +80,6 @@ class DMPCConfig:
     memory_slack: float = 16.0
     strict_memory: bool = False
     backend: str | None = None
-    metrics_sampling: int = 0
     shard_count: int | None = None
     resident_slots: int | None = None
     resident_shm_ring_bytes: int | None = None
@@ -97,8 +91,6 @@ class DMPCConfig:
             raise ValueError("capacity_m must be non-negative")
         if self.memory_slack <= 0:
             raise ValueError("memory_slack must be positive")
-        if self.metrics_sampling < 0:
-            raise ValueError("metrics_sampling must be non-negative")
         if self.shard_count is not None and self.shard_count < 1:
             raise ValueError("shard_count must be positive when given")
         if self.resident_slots is not None and self.resident_slots < 1:

@@ -59,8 +59,6 @@ class DynamicMPCAlgorithm(abc.ABC):
         #: whether :meth:`apply_batch` coalesces a batch when the call does not say
         self.coalesce = coalesce
         self._preprocessed = False
-        #: stats of the most recent coalescing pass (None until one runs)
-        self.last_coalesce_stats: dict[str, int] | None = None
         #: running totals across all coalesced batches, for bench provenance
         self.coalesce_totals: dict[str, int] = {
             "input": 0,
@@ -137,7 +135,6 @@ class DynamicMPCAlgorithm(abc.ABC):
         do_coalesce = self.coalesce if coalesce is None else coalesce
         if do_coalesce:
             updates, stats = self.normalize_batch(updates)
-            self.last_coalesce_stats = stats
             for key in self.coalesce_totals:
                 self.coalesce_totals[key] += stats[key]
             if not updates:

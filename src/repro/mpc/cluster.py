@@ -49,7 +49,6 @@ class Cluster:
         config: DMPCConfig,
         *,
         enforce_io_cap: bool = False,
-        ledger: MetricsLedger | None = None,
         backend: "str | ExecutionBackend | None" = None,
     ) -> None:
         from repro.runtime import resolve_backend
@@ -57,13 +56,7 @@ class Cluster:
         self.config = config
         self.enforce_io_cap = enforce_io_cap
         self.backend = resolve_backend(backend, config)
-        self.ledger = ledger if ledger is not None else MetricsLedger()
-        # Adopt (never clobber) the backend's accounting policy: a ledger
-        # shared across clusters keeps its first policy, and conflicting
-        # policies raise instead of silently mixing record schemes.
-        self.ledger.install_round_record_factory(
-            self.backend.round_record_factory(), policy=self.backend.accounting_policy_name
-        )
+        self.ledger = MetricsLedger()
         #: the registered machines keyed by id (registration order preserved).
         #: Transports iterate it directly, once per round; treat it as
         #: read-only — register machines through :meth:`add_machine`.

@@ -43,7 +43,7 @@ class RoundRecord:
     A plain ``__slots__`` value class like :class:`~repro.mpc.message.Message`
     (every exchange returns one).  Equality and hash cover the five
     scalar costs; ``pair_words`` — the per-(sender, receiver) breakdown, empty
-    where the accounting policy kept none — is detail, not identity.  Treat
+    where the transport kept none — is detail, not identity.  Treat
     instances as immutable.
     """
 
@@ -66,8 +66,8 @@ class RoundRecord:
         self.pair_words = {} if pair_words is None else pair_words
 
     @staticmethod
-    def from_messages(round_index: int, messages: Iterable[Message], *, pair_detail: bool = True) -> "RoundRecord":
-        """Build a record from the messages delivered in one round."""
+    def from_messages(round_index: int, messages: Iterable[Message]) -> "RoundRecord":
+        """Build a record, per-pair breakdown included, from the messages delivered in one round."""
         active: set[str] = set()
         total = 0
         count = 0
@@ -79,9 +79,8 @@ class RoundRecord:
             total += msg.words
             count += 1
             largest = max(largest, msg.words)
-            if pair_detail:
-                key = (msg.sender, msg.receiver)
-                pair_words[key] = pair_words.get(key, 0) + msg.words
+            key = (msg.sender, msg.receiver)
+            pair_words[key] = pair_words.get(key, 0) + msg.words
         return RoundRecord(round_index, len(active), total, count, largest, pair_words)
 
     def _costs(self) -> tuple[int, int, int, int, int]:
@@ -160,7 +159,13 @@ class UpdateRecord:
 
 @dataclass(frozen=True)
 class UpdateSummary:
-    """Aggregate of many updates — the quantities Table 1 bounds."""
+    """Aggregate of many updates — the quantities Table 1 bounds.
+
+    ``max_words_per_round`` is the largest round of any update, and
+    ``mean_words_per_round`` the mean over updates of each update's *largest*
+    round (not the mean over rounds) — what :mod:`repro.analysis.tables`
+    reports.
+    """
 
     num_updates: int
     max_rounds: int
@@ -195,59 +200,39 @@ class MetricsLedger:
     Five ``array("q")`` columns hold one row per recorded round: its round
     index, active machines, total words, message count and largest message.
     Rounds that kept a per-(sender, receiver) breakdown also have an entry in
-    a sparse ``row -> pair_words`` map — every round on ``reference``, only
-    the sampled ones on ``fast`` / ``resident`` (``metrics_sampling``).  An
-    update is three parallel columns: its label, its batch id and the first
-    row it owns (it owns every row up to the next update's first); the open
-    update is a label plus a first row until :meth:`end_update` files it.  A
-    round filed while no update is open becomes an anonymous update of its
-    own, labelled ``"<unlabelled>"``.
+    a sparse ``row -> pair_words`` map.  An update is three parallel columns:
+    its label, its batch id and the first row it owns (it owns every row up
+    to the next update's first); the open update is a label plus a first row
+    until :meth:`end_update` files it.  A round filed while no update is open
+    becomes an anonymous update of its own, labelled ``"<unlabelled>"``.
 
     :class:`RoundRecord` / :class:`UpdateRecord` are the values handed out —
-    by :meth:`file_round` (hence ``Cluster.exchange()``), :attr:`updates`,
-    :meth:`updates_labelled`, :meth:`batches` and :meth:`replay_update`.
+    by :meth:`file_round` (hence ``Cluster.exchange()``), :meth:`record_round`,
+    :attr:`updates`, :meth:`updates_labelled` and :meth:`batches`.
     They are built when read and are snapshots: the ledger keeps none of
     them and copies a filed round's ``pair_words``, so changing a record
     never changes what was recorded.  The summaries read the columns.
 
-    How a delivered round is condensed into a :class:`RoundRecord` is an
-    execution-backend accounting policy; all it decides is which rounds keep
-    their per-(sender, receiver) breakdown.  A transport condenses the round
-    while delivering it and files its five costs with :meth:`file_round`.
-    :attr:`round_record_factory` is the ``(round_index, messages) ->
-    RoundRecord`` form of that policy (stock: :meth:`RoundRecord.from_messages`,
-    full breakdown; clusters install their backend's at construction) for
-    :meth:`record_round` — rounds recorded from a message list, which
-    includes every round of a ledger whose factory was assigned by hand.
+    Which rounds keep their per-(sender, receiver) breakdown is a constant
+    of the transport that delivers them (``Transport.pair_detail``): every
+    round on ``reference``, none on ``fast`` / ``resident``.  A transport
+    condenses the round while delivering it and files its five costs with
+    :meth:`file_round`; :meth:`record_round` condenses a message list with
+    :meth:`RoundRecord.from_messages`, full breakdown included.
     """
 
-    def __init__(self, *, round_record_factory=None) -> None:
+    def __init__(self) -> None:
         #: index the next recorded round will carry — ``rounds so far + 1``,
         #: global across updates and :meth:`reset`; advanced only by
-        #: :meth:`file_round`, :meth:`record_round` and :meth:`append_round`.  Whoever condenses a
-        #: round itself reads it up front (to decide metrics sampling), once
-        #: per round: hence a plain attribute.
+        #: :meth:`file_round` and :meth:`record_round`.  A resident session
+        #: reads it up front to number the rounds of a fused block: hence a
+        #: plain attribute.
         self.next_round_index = 1
         self._batch_counter = 0
         self._current_batch: int | None = None
         #: label and first row of the open update (``None``: no update open)
         self._open_label: str | None = None
         self._open_start = 0
-        self._factory = round_record_factory if round_record_factory is not None else RoundRecord.from_messages
-        #: name of the backend accounting policy installed via
-        #: :meth:`install_round_record_factory` (``None`` until a cluster
-        #: adopts this ledger, or forever for hand-customised factories),
-        #: plus the factory object that policy installed — so a factory
-        #: re-assigned by hand *after* adoption is detectable.
-        self._record_policy: str | None = None
-        self._policy_factory = None
-        #: the accounting-policy name currently governing this ledger; read
-        #: by every delivered round, written only by this class.  ``None``:
-        #: no cluster adopted the ledger yet, or its factory was customised
-        #: by hand (at construction or by assignment afterwards) — transports
-        #: then hand :meth:`record_round` the message list instead of
-        #: condensing the round themselves, so the factory is honoured.
-        self.record_policy: str | None = None
         self._start_empty()
 
     def _start_empty(self) -> None:
@@ -279,44 +264,6 @@ class MetricsLedger:
         #: ``driver_round_trips`` is the barrier-elision win the benchmarks
         #: report.
         self.driver_round_trips = 0
-
-    @property
-    def round_record_factory(self):
-        """Accounting policy :meth:`record_round` builds its record with;
-        assigning any but the installed policy's own clears :attr:`record_policy`."""
-        return self._factory
-
-    @round_record_factory.setter
-    def round_record_factory(self, factory) -> None:
-        self._factory = factory
-        self.record_policy = self._record_policy if factory is self._policy_factory else None
-
-    def install_round_record_factory(self, factory, *, policy: str) -> None:
-        """Adopt a backend accounting policy without clobbering an existing one.
-
-        Clusters call this at construction.  On a fresh ledger (stock
-        factory, no policy recorded) the factory is installed and the policy
-        name remembered.  A ledger shared by several clusters keeps its
-        first policy: re-installing the *same* policy is a no-op, while a
-        *conflicting* policy raises :class:`ProtocolError` — two clusters
-        must not silently mix accounting schemes in one record stream.  A
-        factory customised by hand (passed to ``__init__``) is always left
-        untouched.
-        """
-        if self._record_policy is not None:
-            if self._record_policy != policy:
-                raise ProtocolError(
-                    f"ledger already records rounds under accounting policy "
-                    f"{self._record_policy!r}; refusing to switch to {policy!r} — "
-                    f"use separate ledgers for clusters with different backends"
-                )
-            return
-        if self._factory is not RoundRecord.from_messages:
-            # Externally customised factory: the user's choice wins.
-            return
-        self._record_policy = policy
-        self._policy_factory = factory
-        self.round_record_factory = factory
 
     # ----------------------------------------------------------------- update
     def begin_update(self, label: str) -> None:
@@ -400,9 +347,10 @@ class MetricsLedger:
     # ----------------------------------------------------------------- rounds
     def record_round(self, messages: Iterable[Message]) -> RoundRecord:
         """Record one synchronous round from its message list, condensed by
-        :attr:`round_record_factory`.  Rounds outside an update are allowed
-        (e.g. ad-hoc probes) but are tracked under an anonymous update."""
-        record = self.round_record_factory(self.next_round_index, messages)
+        :meth:`RoundRecord.from_messages` with its full pair breakdown.
+        Rounds outside an update are allowed (e.g. ad-hoc probes) but are
+        tracked under an anonymous update."""
+        record = RoundRecord.from_messages(self.next_round_index, messages)
         self.next_round_index += 1
         self._file_round(*record._costs(), record.pair_words)
         return record
@@ -421,8 +369,7 @@ class MetricsLedger:
         ``round_index=None`` is a new round, numbered :attr:`next_round_index`
         (which advances): the per-round entry point of
         :meth:`Transport.deliver`, which condensed the round while delivering
-        it.  The record paths — :meth:`record_round` and :meth:`append_round`,
-        which move the counter themselves, and :meth:`replay_update` — file a
+        it.  :meth:`record_round`, which moves the counter itself, files its
         record under the index it carries.  ``pair_words`` is the round's
         per-(sender, receiver) breakdown, ``None`` or empty when it kept none;
         the ledger keeps a copy.
@@ -442,26 +389,9 @@ class MetricsLedger:
         self._max_message_words.append(max_message_words)
         return RoundRecord(round_index, active_machines, total_words, message_count, max_message_words, pair_words)
 
-    #: :meth:`file_round` under a private name, for the record paths: ``bench/trace.py`` times
-    #: them as leaf operations of the ledger, and a leaf calls no public method of its class
+    #: :meth:`file_round` under a private name, for :meth:`record_round`: ``bench/trace.py`` times
+    #: it as a leaf operation of the ledger, and a leaf calls no public method of its class
     _file_round = file_round
-
-    def append_round(self, record: RoundRecord) -> RoundRecord:
-        """Record an already-condensed round built for :attr:`next_round_index`.
-
-        For a round condensed into a record elsewhere (a resident session's
-        slot-routed round).  The record must continue the global round
-        counter so that sampling policies and round totals stay exact.  The
-        ledger copies the record's costs into its columns and hands the
-        record back.
-        """
-        if record.round_index != self.next_round_index:
-            raise ProtocolError(
-                f"append_round() expects round_index {self.next_round_index}, got {record.round_index}"
-            )
-        self.next_round_index += 1
-        self._file_round(*record._costs(), record.pair_words)
-        return record
 
     def _round_record(self, row: int) -> RoundRecord:
         pair_words = self._pair_words.get(row)
@@ -503,21 +433,6 @@ class MetricsLedger:
     def traffic_totals(self) -> dict[str, int]:
         """Wire-path counters summed over every round recorded so far."""
         return dict(self._traffic)
-
-    def replay_update(self, label: str, rounds: Iterable[RoundRecord]) -> UpdateRecord:
-        """Append an already-recorded update (label + round records) verbatim.
-
-        Re-files another ledger's recorded history without poking the
-        ledger's internals; the update joins the open batch, if any.  The
-        global round counter is untouched: the rounds being replayed were
-        already counted when they originally happened.
-        """
-        self.begin_update(label)
-        first = self._open_start
-        for record in rounds:
-            self._file_round(*record._costs(), record.pair_words)
-        self.end_update()
-        return self._update_record(len(self._labels) - 1, first, len(self._round_index))
 
     # -------------------------------------------------------------- summaries
     def _spans(self, prefix: LabelPrefix) -> Iterator[tuple[int, int, int]]:
@@ -600,15 +515,27 @@ class MetricsLedger:
         algorithms spread it and have high entropy.  We compute the entropy
         of the normalised per-(sender, receiver) word counts aggregated over
         the selected updates.
+
+        Raises :class:`ProtocolError` when a selected round carried words but
+        kept no breakdown (every round a ``fast`` / ``resident`` transport
+        delivered): the entropy of the rounds that kept one would misreport
+        the selection, and read 0.0 when none did.  Measure entropy on
+        ``reference``.
         """
         detail = self._pair_words
         totals: dict[tuple[str, str], int] = {}
         for _, first, end in self._spans(prefix):
             for row in range(first, end):
                 pair_words = detail.get(row)
-                if pair_words is not None:
-                    for pair, words in pair_words.items():
-                        totals[pair] = totals.get(pair, 0) + words
+                if pair_words is None:
+                    if self._total_words[row]:
+                        raise ProtocolError(
+                            f"round {self._round_index[row]} carried words but kept no per-pair breakdown; "
+                            "communication entropy needs a backend with pair detail (reference)"
+                        )
+                    continue
+                for pair, words in pair_words.items():
+                    totals[pair] = totals.get(pair, 0) + words
         grand = sum(totals.values())
         if grand <= 0:
             return 0.0

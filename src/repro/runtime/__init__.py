@@ -2,8 +2,8 @@
 
 The runtime layer separates *simulation semantics* (messages, rounds,
 costs, solutions — fixed by the algorithms) from *execution strategy* (how
-storage is sized, how mailboxes are delivered, how much metrics detail is
-retained — chosen per deployment).  See :mod:`repro.runtime.base` for the
+storage is sized, how mailboxes are delivered, whether rounds keep their
+per-pair metrics detail — chosen per deployment by picking a backend).  See :mod:`repro.runtime.base` for the
 protocol and the contract, :mod:`repro.runtime.reference` for the strict
 baseline and :mod:`repro.runtime.fast` for the optimised strategy.
 
@@ -19,7 +19,8 @@ backends are registered:
 ``reference``
     strict, fully-eager, full per-pair metrics — the correctness baseline;
 ``fast``
-    memoised sizing, staged-sender transport, sampled aggregate metrics;
+    memoised sizing, staged-sender transport, aggregate metrics with no
+    per-pair detail;
 ``resident``
     :mod:`repro.runtime.resident` — ``fast`` plus session-scoped *resident*
     worker state: long-lived worker slots keep machine-store snapshots and

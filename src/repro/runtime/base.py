@@ -11,7 +11,7 @@ in :mod:`repro.mpc.cluster` / :mod:`repro.mpc.machine`:
   detail the metrics ledger retains.  These are pluggable.
 
 An :class:`ExecutionBackend` bundles one choice of execution strategy as
-three cooperating policies:
+two cooperating policies:
 
 ``MachineStorage``
     the key/value store backing one :class:`~repro.mpc.machine.Machine`,
@@ -23,12 +23,9 @@ three cooperating policies:
     :meth:`Transport.deliver` — validate receivers, enforce the per-round
     I/O cap, condense the round into its
     :class:`~repro.mpc.metrics.RoundRecord` and move the outboxes into the
-    inboxes;
-accounting policy
-    which rounds keep their per-(sender, receiver) breakdown —
-    ``Transport.pair_detail_every`` on the delivery pass,
-    ``round_record_factory`` for rounds the ledger records from a message
-    list.
+    inboxes.  Whether a round keeps its per-(sender, receiver) breakdown is
+    a class constant of the transport, :attr:`Transport.pair_detail`: every
+    round on ``reference``, none on ``fast`` / ``resident``.
 
 Backends are selected per :class:`~repro.mpc.cluster.Cluster`, normally via
 ``DMPCConfig(backend="reference" | "fast")`` so algorithm code never needs
@@ -53,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.config import DMPCConfig
     from repro.mpc.cluster import Cluster
     from repro.mpc.machine import Machine
-    from repro.mpc.message import Message
     from repro.mpc.program import SuperstepProgram
 
 __all__ = [
@@ -134,7 +130,12 @@ class MachineStorage(abc.ABC):
 class Transport(abc.ABC):
     """Mailbox fabric delivering one synchronous round for a cluster."""
 
-    __slots__ = ("cluster", "pair_detail_every")
+    __slots__ = ("cluster",)
+
+    #: whether every delivered round keeps its per-(sender, receiver) word
+    #: breakdown (the input of the Section 8 entropy) — a constant of the
+    #: concrete transport, never varied at run time
+    pair_detail: bool
 
     #: optional ``payload -> words`` sizer :meth:`Machine.send` uses to charge
     #: messages staged through this transport.  ``None`` keeps the historical
@@ -159,10 +160,6 @@ class Transport(abc.ABC):
 
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
-        #: the accounting policy: every ``k``-th round keeps its
-        #: per-(sender, receiver) word breakdown (1: all, the reference
-        #: policy; 0: none; aggregate backends: ``metrics_sampling``)
-        self.pair_detail_every = 1
 
     def note_staged(self, machine: "Machine") -> None:
         """Hook called by :meth:`Machine.send` after staging a message.
@@ -199,20 +196,14 @@ class Transport(abc.ABC):
         then send cap, then receive cap — do the outboxes move into the
         inboxes, so a refused round leaves every outbox as staged and
         nothing recorded.  The five costs go to ``ledger.file_round`` in one
-        call, with pair detail on every :attr:`pair_detail_every`-th round
-        (the per-pair map, like the per-receiver one the I/O cap reads, is
-        only built on a round that keeps it); a ledger whose factory was
-        assigned by hand (``ledger.record_policy is None``) gets the message
-        list through ``ledger.record_round`` instead.
+        call, with the pair breakdown when :attr:`pair_detail` is set (the
+        per-pair map, like the per-receiver one the I/O cap reads, is only
+        built by a transport that keeps it).
         """
         cluster = self.cluster
         machines = cluster.machines_by_id
-        ledger = cluster.ledger
-        every = self.pair_detail_every
-        # the per-pair and per-receiver maps exist only on a round that keeps them
-        pair_words: "dict[tuple[str, str], int] | None" = (
-            {} if every > 0 and ledger.next_round_index % every == 0 else None
-        )
+        # the per-pair map exists only on a transport that keeps it, the per-receiver one under the I/O cap
+        pair_words: "dict[tuple[str, str], int] | None" = {} if self.pair_detail else None
         received: "dict[str, int] | None" = {} if cluster.enforce_io_cap else None
 
         loads: list[tuple["Machine", int]] = []
@@ -257,18 +248,12 @@ class Transport(abc.ABC):
                 if words > cap:
                     raise MessageSizeExceeded(machine_id, "receive", words, cap)
 
-        custom = ledger.record_policy is None
-        delivered: list["Message"] = []
         for machine, _ in loads:
             outbox = machine.outbox
             machine.outbox = []
             for msg in outbox:
                 machines[msg.receiver].inbox.append(msg)
-            if custom:
-                delivered += outbox
-        if custom:
-            return ledger.record_round(delivered)
-        return ledger.file_round(None, len(active), total, count, largest, pair_words)
+        return cluster.ledger.file_round(None, len(active), total, count, largest, pair_words)
 
     def discard_undelivered(self) -> None:
         """Drop all staged (outbox) and pending (inbox) messages."""
@@ -325,7 +310,7 @@ class ExecutionSession:
 
 
 class ExecutionBackend(abc.ABC):
-    """One bundled choice of storage, transport and accounting policy."""
+    """One bundled choice of storage and transport policy."""
 
     #: registry key and the value accepted by ``DMPCConfig.backend``
     name: str = "abstract"
@@ -340,23 +325,6 @@ class ExecutionBackend(abc.ABC):
     @abc.abstractmethod
     def create_transport(self, cluster: "Cluster") -> Transport:
         """Transport for a newly constructed cluster."""
-
-    @abc.abstractmethod
-    def round_record_factory(self) -> Callable[[int, Iterable["Message"]], "RoundRecord"]:
-        """Accounting policy: ``(round_index, messages) -> RoundRecord``."""
-
-    @property
-    def accounting_policy_name(self) -> str:
-        """Stable name of the accounting policy :meth:`round_record_factory` builds.
-
-        Clusters hand this to
-        :meth:`~repro.mpc.metrics.MetricsLedger.install_round_record_factory`
-        so a ledger shared by several clusters can tell *compatible*
-        policies (same name — e.g. two aggregate backends with the same
-        sampling stride) from *conflicting* ones, which raise instead of
-        silently mixing accounting schemes in one record stream.
-        """
-        return self.name
 
     def run_superstep(
         self,
@@ -438,19 +406,6 @@ class ExecutionBackend(abc.ABC):
         :meth:`~repro.mpc.cluster.Cluster.session`.
         """
         return ExecutionSession(cluster, shared)
-
-    @property
-    @abc.abstractmethod
-    def guarantees(self) -> dict[str, bool]:
-        """Which model guarantees this backend enforces / retains.
-
-        Keys: ``strict_memory`` (raises ``MachineMemoryExceeded`` when the
-        config asks for it), ``io_cap`` (raises ``MessageSizeExceeded`` when
-        the cluster asks for it), ``exact_accounting`` (``used_words`` and
-        message words match the reference), ``full_metrics`` (per-pair
-        communication detail retained on every round, so
-        ``communication_entropy`` is exact rather than sampled).
-        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

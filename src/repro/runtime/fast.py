@@ -23,22 +23,22 @@ decision:
   order exactly; a round costs what it carries.
 * **aggregate accounting** — that pass condenses each round into the
   scalar aggregates (active machines, words, message count) without the
-  per-(sender, receiver) breakdown the reference retains.
-  ``DMPCConfig.metrics_sampling = k`` opt-in keeps the full breakdown on
-  every ``k``-th round so communication entropy can still be estimated.
+  per-(sender, receiver) breakdown the reference retains
+  (``FastTransport.pair_detail = False``), so
+  :meth:`~repro.mpc.metrics.MetricsLedger.communication_entropy` refuses a
+  ``fast`` ledger.
 
 Guarantees: memory and I/O caps are still *enforced* whenever they are
 explicitly enabled (``strict_memory=True`` / ``enforce_io_cap=True``) and
-all word accounting is exact; only the retained per-pair metrics detail is
-reduced (sampled).  Solutions and per-update round counts are equal to the
-reference backend by construction, and the cross-backend equivalence tests
-pin that.
+all word accounting is exact; only the per-pair metrics detail is dropped.
+Solutions and per-update round counts are equal to the reference backend
+by construction, and the cross-backend equivalence tests pin that.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.exceptions import MachineMemoryExceeded
 from repro.mpc.metrics import RoundRecord
@@ -48,7 +48,6 @@ from repro.runtime.base import ExecutionBackend, MachineStorage, Transport, regi
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpc.cluster import Cluster
     from repro.mpc.machine import Machine
-    from repro.mpc.message import Message
 
 __all__ = ["CachedStorage", "FastTransport", "FastBackend"]
 
@@ -171,10 +170,12 @@ class FastTransport(Transport):
     gets its first message, so the exchange hands :meth:`Transport.deliver`
     the staged senders (sorted by registration index — the reference
     delivery order — when there are several) instead of the whole machine
-    pool.  It has no delivery loop of its own.
+    pool.  It has no delivery loop of its own, and keeps no per-pair detail.
     """
 
     __slots__ = ("_staged", "note_staged")
+
+    pair_detail = False
 
     def __init__(self, cluster: "Cluster") -> None:
         super().__init__(cluster)
@@ -194,19 +195,6 @@ class FastTransport(Transport):
         self._staged.clear()
 
 
-def _aggregate_round_record(sample_every: int) -> Callable[[int, Iterable["Message"]], RoundRecord]:
-    """The aggregate accounting policy in its ``(round_index, messages)`` form:
-    scalar aggregates, pair detail every ``sample_every``-th round.  Off the
-    per-round path (:meth:`Transport.deliver` condenses delivered rounds
-    itself); the ledger keeps it for ``record_round``."""
-
-    def build(round_index: int, messages: Iterable["Message"]) -> RoundRecord:
-        sampled = sample_every > 0 and round_index % sample_every == 0
-        return RoundRecord.from_messages(round_index, messages, pair_detail=sampled)
-
-    return build
-
-
 @register_backend
 class FastBackend(ExecutionBackend):
     """Cached sizing + staged-sender transport + aggregate accounting."""
@@ -217,28 +205,4 @@ class FastBackend(ExecutionBackend):
         return CachedStorage(machine_id, capacity, strict=strict)
 
     def create_transport(self, cluster: "Cluster") -> FastTransport:
-        transport = FastTransport(cluster)
-        transport.pair_detail_every = self._sampling
-        return transport
-
-    @property
-    def _sampling(self) -> int:
-        return getattr(self.config, "metrics_sampling", 0)
-
-    def round_record_factory(self) -> Callable[[int, Iterable["Message"]], RoundRecord]:
-        return _aggregate_round_record(self._sampling)
-
-    @property
-    def accounting_policy_name(self) -> str:
-        # Inherited by the resident backend: at the same sampling stride,
-        # clusters on either aggregate backend may share a ledger.
-        return f"scalar-aggregate/k={self._sampling}"
-
-    @property
-    def guarantees(self) -> dict[str, bool]:
-        return {
-            "strict_memory": True,
-            "io_cap": True,
-            "exact_accounting": True,
-            "full_metrics": False,
-        }
+        return FastTransport(cluster)

@@ -10,9 +10,7 @@ This backend preserves the simulator's historical behaviour bit for bit:
   enforces the per-round send/receive I/O cap per machine;
 * every delivered round keeps the full per-(sender, receiver)
   communication breakdown that the Section 8 entropy metric consumes
-  (``pair_detail_every = 1``, the :class:`Transport` default; the
-  ``(round_index, messages)`` form of that policy is
-  :meth:`RoundRecord.from_messages`).
+  (``ReferenceTransport.pair_detail = True``).
 
 It is the correctness baseline the cross-backend equivalence tests compare
 against, and the right choice whenever the model-limit experiments (E8) or
@@ -21,7 +19,7 @@ exact communication-entropy measurements are being run.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.exceptions import MachineMemoryExceeded
 from repro.mpc.metrics import RoundRecord
@@ -30,7 +28,6 @@ from repro.runtime.base import ExecutionBackend, MachineStorage, Transport, regi
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpc.cluster import Cluster
-    from repro.mpc.message import Message
 
 __all__ = ["ReferenceStorage", "ReferenceTransport", "ReferenceBackend"]
 
@@ -95,6 +92,8 @@ class ReferenceTransport(Transport):
 
     __slots__ = ()
 
+    pair_detail = True
+
     def exchange(self) -> RoundRecord:
         return self.deliver(self.cluster.machines_by_id.values())
 
@@ -110,19 +109,3 @@ class ReferenceBackend(ExecutionBackend):
 
     def create_transport(self, cluster: "Cluster") -> ReferenceTransport:
         return ReferenceTransport(cluster)
-
-    def round_record_factory(self) -> Callable[[int, Iterable["Message"]], RoundRecord]:
-        return RoundRecord.from_messages
-
-    @property
-    def accounting_policy_name(self) -> str:
-        return "full-pair-detail"
-
-    @property
-    def guarantees(self) -> dict[str, bool]:
-        return {
-            "strict_memory": True,
-            "io_cap": True,
-            "exact_accounting": True,
-            "full_metrics": True,
-        }

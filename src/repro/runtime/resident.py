@@ -61,9 +61,8 @@ backend's storage, accounting and delivery pass:
   bit-identically, in order.  A ring overflow mid-block stops every slot
   at the same round boundary (the barrier's stop bit); the overflowed
   frames take the pipe forward path with the next block.  Rounds that
-  cannot be routed at all — under a hand-assigned record factory, or
-  behind driver-staged sends — run in the driver, their deltas queued for
-  worker-side replay.
+  cannot be routed at all — behind driver-staged sends — run in the
+  driver, their deltas queued for worker-side replay.
 
 The worker-session protocol has five operations, all executed inside the
 slot's worker process: :func:`_session_open` (create the resident state),
@@ -271,7 +270,7 @@ def _due_inbox(state: _SessionState, machine_id: str, epoch: int, drop_inbox: bo
 
 
 def _commit_frames(
-    state: _SessionState, staged: "list[tuple[int, list[Message]]]", epoch: int, my_slot: int, sampled: bool, io_cap: bool
+    state: _SessionState, staged: "list[tuple[int, list[Message]]]", epoch: int, my_slot: int, io_cap: bool
 ) -> tuple:
     """Route one round's staged messages and summarize the round for its record.
 
@@ -281,10 +280,10 @@ def _commit_frames(
     for the driver's pipe forward path when it does not fit, or fallback
     when its receiver is outside the routing map.  Returns ``(summary,
     traffic, overflow, fallback)``: ``summary`` is ``(total_words,
-    message_count, max_words, senders, receivers, pair_words, sent_words,
-    received_words)`` — O(machines): the pair words only on a ``sampled``
-    round, the per-machine words only under the I/O cap — and ``traffic``
-    is ``(local, ring frames, ring bytes, overflow count)``.
+    message_count, max_words, senders, receivers, sent_words,
+    received_words)`` — O(machines): the per-machine words only under the
+    I/O cap — and ``traffic`` is ``(local, ring frames, ring bytes,
+    overflow count)``.
     """
     machine_slots = state.machine_slots
     rings_out = state.rings_out
@@ -292,7 +291,6 @@ def _commit_frames(
     remote: "set[str]" = set()
     senders: "list[str]" = []
     total = count = largest = local_count = ring_frames = ring_bytes = 0
-    pair_words: "dict[tuple[str, str], int]" = {}
     sent_words: "dict[str, int]" = {}
     received_words: "dict[str, int]" = {}
     overflow: "list[tuple[int, tuple]]" = []
@@ -313,8 +311,6 @@ def _commit_frames(
             sent_total += words
             if words > largest:
                 largest = words
-            if sampled:
-                pair_words[(sender, receiver)] = pair_words.get((sender, receiver), 0) + words
             if io_cap:
                 received_words[receiver] = received_words.get(receiver, 0) + words
             info = machine_slots.get(receiver)
@@ -348,7 +344,7 @@ def _commit_frames(
         local_count += len(messages)
         state.local.setdefault(receiver, []).append((epoch, messages))
     return (
-        (total, count, largest, senders, [*local, *remote], pair_words, sent_words, received_words),
+        (total, count, largest, senders, [*local, *remote], sent_words, received_words),
         (local_count, ring_frames, ring_bytes, len(overflow)),
         overflow,
         fallback,
@@ -522,8 +518,7 @@ def _session_run_block(
     frames of earlier rounds to merge into pending), ``"rounds"`` (one
     ``(program key, drop_inbox, funnel)`` spec per round) and
     ``"barrier"`` (``(base, participating slots)`` for a multi-slot block
-    of K ≥ 2, else ``None``), ``"sampling"`` and ``"io_cap"`` (the
-    transport's ``pair_detail_every`` and the cluster's
+    of K ≥ 2, else ``None``) and ``"io_cap"`` (the cluster's
     ``enforce_io_cap``: what a round summary carries).  Each round ``r``
     (global epoch ``epoch0 + r``):
 
@@ -569,7 +564,6 @@ def _session_run_block(
     for frame in block["forward"]:
         pending.setdefault(frame[4], []).append(frame)
     rounds = block["rounds"]
-    sampling = block.get("sampling", 0)
     io_cap = block.get("io_cap", False)
     barrier: "ShmRoundBarrier | None" = None
     base = 0
@@ -614,8 +608,7 @@ def _session_run_block(
             # nothing worker-side, so there is no commit and no stop risk.
             per_round.append(("funneled", funneled))
         else:
-            sampled = sampling > 0 and epoch % sampling == 0
-            summary, traffic, overflow, fallback = _commit_frames(state, staged, epoch, my_slot, sampled, io_cap)
+            summary, traffic, overflow, fallback = _commit_frames(state, staged, epoch, my_slot, io_cap)
             per_round.append(("routed", deltas, summary, traffic, overflow, fallback))
             # Overflowed frames need the driver's pipe forward path before
             # their consuming round — the block ends at this boundary.
@@ -1109,7 +1102,7 @@ class ResidentSession(ExecutionSession):
             if self._broken:
                 records.append(FastBackend.run_superstep(self.backend, cluster, programs[i], targets, shared))
                 i += 1
-            elif cluster.ledger.record_policy is None or self.transport.has_staged():
+            elif self.transport.has_staged():
                 records.append(self._run_in_driver(cluster, programs[i], targets, shared))
                 i += 1
             else:
@@ -1142,12 +1135,11 @@ class ResidentSession(ExecutionSession):
     ) -> "RoundRecord":
         """One round the workers cannot route, run where the driver's inboxes live.
 
-        A hand-assigned record factory must see real :class:`Message`
-        streams, and driver-staged sends must not interleave with
-        worker-routed frames mid-round — so every worker-held frame comes
-        home first, then the round runs in the driver with the usual
-        barrier.  The deltas still queue for worker-side replay, so the
-        resident shared copies stay in sync for the next block.
+        Driver-staged sends must not interleave with worker-routed frames
+        mid-round — so every worker-held frame comes home first, then the
+        round runs in the driver with the usual barrier.  The deltas still
+        queue for worker-side replay, so the resident shared copies stay in
+        sync for the next block.
         """
         self._flush_all()
         deltas = [program.run(LiveMachineContext(machine), machine.drain(), shared) for machine in targets]
@@ -1237,7 +1229,7 @@ class ResidentSession(ExecutionSession):
             for key, program in zip(program_keys, programs)
         ]
         block = {"epoch0": ledger.next_round_index, "rounds": specs, "barrier": barrier_spec}
-        block.update(sampling=self.transport.pair_detail_every, io_cap=cluster.enforce_io_cap)
+        block.update(io_cap=cluster.enforce_io_cap)
 
         # Lock the participating slot workers (in slot order — globally
         # consistent, so concurrent drivers cannot deadlock) for the whole
@@ -1842,11 +1834,6 @@ class ResidentTransport(FastTransport):
         ledger = cluster.ledger
         if self._staged:
             raise ProtocolError("slot-routed round deposited while driver-side messages are staged")
-        if ledger.record_policy is None:
-            raise ProtocolError(
-                "slot-routed rounds require the backend accounting policy; "
-                "a hand-customised round_record_factory must take the driver path"
-            )
         # Refusal order as Transport.deliver: unknown receiver (the first
         # in reference order — fallback frames are sorted), send cap,
         # receive cap.
@@ -1856,17 +1843,15 @@ class ResidentTransport(FastTransport):
                 raise UnknownMachineError(f"message from {frame[3]!r} addressed to unknown machine {frame[4]!r}")
         active: set[str] = set()
         total = count = largest = 0
-        pair_words: dict[tuple[str, str], int] = {}
         sent_words: dict[str, int] = {}
         received_words: dict[str, int] = {}
-        for words, messages, max_words, senders, receivers, pairs, sent, received in deposit["summaries"]:
+        for words, messages, max_words, senders, receivers, sent, received in deposit["summaries"]:
             total += words
             count += messages
             if max_words > largest:
                 largest = max_words
             active.update(senders)
             active.update(receivers)
-            pair_words.update(pairs)
             sent_words.update(sent)
             for machine_id, received_by in received.items():
                 received_words[machine_id] = received_words.get(machine_id, 0) + received_by
@@ -1881,9 +1866,7 @@ class ResidentTransport(FastTransport):
         for frame in fallback:
             machines[frame[4]].inbox.append(_frame_message(frame))
 
-        record = ledger.append_round(
-            RoundRecord(ledger.next_round_index, len(active), total, count, largest, pair_words)
-        )
+        record = ledger.file_round(None, len(active), total, count, largest)
         ledger.record_traffic(**deposit["traffic"])
         return record
 
@@ -1896,8 +1879,8 @@ class ResidentTransport(FastTransport):
 class ResidentBackend(FastBackend):
     """``fast`` + session-scoped resident worker state.
 
-    Inherits ``fast``'s cached storage, aggregate accounting policy and
-    guarantees; its transport is :class:`ResidentTransport`, and it adds
+    Inherits ``fast``'s cached storage and aggregate accounting (no per-pair
+    detail); its transport is :class:`ResidentTransport`, and it adds
     the session seam.  Outside an active session (driver-style dynamic
     workloads) supersteps run sequentially in the driver, exactly as on
     ``fast``.
@@ -1924,9 +1907,7 @@ class ResidentBackend(FastBackend):
         self._store_blobs: dict["Machine", dict[tuple[str, ...] | None, tuple[int, bytes]]] = {}
 
     def create_transport(self, cluster: "Cluster") -> ResidentTransport:
-        transport = ResidentTransport(cluster)
-        transport.pair_detail_every = self._sampling
-        return transport
+        return ResidentTransport(cluster)
 
     @property
     def worker_slots(self) -> int:

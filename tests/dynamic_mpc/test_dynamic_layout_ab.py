@@ -573,6 +573,9 @@ def coalesced_pair(make, graph, stream, batch_size):
     return sequential, batch
 
 
+#: ``coalesce_totals`` of an algorithm that has coalesced no batch
+NO_COALESCING = {"input": 0, "output": 0, "cancelled_pairs": 0, "deduped": 0}
+
 #: name -> make(config, **kwargs) for every dynamic algorithm
 COALESCE_MAKERS = {
     "approx_mst": lambda config, **kw: DMPCApproxMST(config, epsilon=0.1, **kw),
@@ -657,7 +660,7 @@ class TestCoalescedBatchReplay:
         assert default.coalesce is False
         for chunk in batched(stream, 8):
             default.apply_batch(chunk)
-        assert default.last_coalesce_stats is None
+        assert default.coalesce_totals == NO_COALESCING
         toggled = DMPCConnectivity(make_config(n, 60, None), coalesce=True)
         assert toggled.coalesce is True
         for chunk in batched(stream, 8):
@@ -665,7 +668,7 @@ class TestCoalescedBatchReplay:
         assert toggled.coalesce_totals["input"] == len(stream)
         overridden = DMPCConnectivity(make_config(n, 60, None), coalesce=True)
         overridden.apply_batch(stream[:8], coalesce=False)  # the per-call flag wins
-        assert overridden.last_coalesce_stats is None
+        assert overridden.coalesce_totals == NO_COALESCING
 
     @pytest.mark.parametrize("name", sorted(COALESCE_MAKERS))
     def test_defaults_off_on_every_algorithm(self, name):
@@ -679,13 +682,13 @@ class TestCoalescedBatchReplay:
         for algorithm in (default, toggled):
             algorithm.preprocess(DynamicGraph())
         default.apply_batch(stream[:16])
-        assert default.last_coalesce_stats is None
+        assert default.coalesce_totals == NO_COALESCING
         toggled.apply_batch(stream[:16], coalesce=False)
-        assert toggled.last_coalesce_stats is None
+        assert toggled.coalesce_totals == NO_COALESCING
+        _, stats = toggled.normalize_batch(stream[16:])  # what the coalesced batch below reports
         default.apply_batch(stream[16:], coalesce=True)
         toggled.apply_batch(stream[16:])
-        assert default.last_coalesce_stats == toggled.last_coalesce_stats
-        assert default.coalesce_totals == toggled.coalesce_totals
+        assert default.coalesce_totals == toggled.coalesce_totals == {key: stats[key] for key in NO_COALESCING}
         assert toggled.coalesce_totals["input"] == len(stream) - 16
 
 

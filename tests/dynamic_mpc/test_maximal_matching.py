@@ -232,7 +232,7 @@ class TestCostModel:
     def test_coordinator_low_entropy(self):
         """The coordinator-centric design shows up as low communication entropy (Section 8)."""
         graph = gnm_random_graph(24, 48, seed=15)
-        alg = make_algorithm(n=24, m=150)
+        alg = DMPCMaximalMatching(DMPCConfig.for_graph(24, 150, backend="reference"))  # keeps per-pair detail
         alg.preprocess(graph)
         stream = mixed_stream(24, 60, seed=16, insert_probability=0.5, initial=graph)
         alg.apply_sequence(stream)

@@ -55,7 +55,6 @@ class TestDMPCConfig:
             ("memory_slack", 4.0),
             ("strict_memory", True),
             ("backend", "fast"),
-            ("metrics_sampling", 3),
             ("shard_count", 2),
             ("resident_slots", 1),
             ("resident_shm_ring_bytes", 4096),

@@ -172,6 +172,19 @@ class TestMetricsLedger:
 
         assert spread.communication_entropy() > concentrated.communication_entropy()
 
+    def test_entropy_needs_a_breakdown_of_the_selected_rounds_only(self):
+        ledger = MetricsLedger()
+        ledger.begin_update("aggregate:u")
+        ledger.file_round(None, 2, 5, 1, 5)  # costs without a per-pair breakdown
+        ledger.end_update()
+        ledger.begin_update("detailed:u")
+        ledger.record_round([Message("a", "b", "t", None, 3), Message("c", "b", "t", None, 3)])
+        ledger.end_update()
+        assert ledger.communication_entropy("detailed:") == pytest.approx(1.0)  # two pairs, equal words
+        for prefix in (None, "aggregate:"):
+            with pytest.raises(ProtocolError, match="round 1 carried words"):
+                ledger.communication_entropy(prefix)
+
     def test_reset(self):
         ledger = MetricsLedger()
         ledger.begin_update("u")

@@ -2,8 +2,9 @@
 
 ``Transport.deliver`` is the only place staged messages move, so the three
 backends must agree on every inbox and every record field whatever a round
-carries, refuse a bad round without moving anything, and still honour a
-ledger whose factory was assigned by hand.  A round the resident workers
+carries, and refuse a bad round without moving anything.  Per-pair detail
+is a constant of the transport: every round on ``reference``, none on
+``fast`` / ``resident``.  A round the resident workers
 routed among themselves reaches the driver as a deposit of per-slot round
 summaries instead, and must become the very round ``deliver`` makes of
 the same messages.  Around it: ``RoundRecord`` as a value class,
@@ -13,6 +14,7 @@ the same messages.  Around it: ``RoundRecord`` as a value class,
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import pytest
@@ -30,8 +32,8 @@ MACHINES = 41
 COSTS = ("round_index", "active_machines", "total_words", "message_count", "max_message_words")
 
 
-def make_cluster(backend: str, *, enforce: bool = False, sampling: int = 0, machines: int = MACHINES) -> Cluster:
-    config = DMPCConfig(capacity_n=64, capacity_m=128, backend=backend, metrics_sampling=sampling)
+def make_cluster(backend: str, *, enforce: bool = False, machines: int = MACHINES) -> Cluster:
+    config = DMPCConfig(capacity_n=64, capacity_m=128, backend=backend)
     cluster = Cluster(config, enforce_io_cap=enforce)
     cluster.add_machines("m", machines)
     return cluster
@@ -81,50 +83,64 @@ def play(cluster: Cluster, rounds) -> tuple[list[RoundRecord], list[dict]]:
 class TestOnePassEverywhere:
     @settings(max_examples=25, deadline=None)
     @given(rounds=ROUNDS)
-    @pytest.mark.parametrize("sampling", [0, 3])
     @pytest.mark.parametrize("enforce", [False, True])
-    def test_same_inboxes_and_records_on_every_backend(self, enforce, sampling, rounds):
+    def test_same_inboxes_and_records_on_every_backend(self, enforce, rounds):
         expected_records, expected_inboxes = play(make_cluster("reference", enforce=enforce), rounds)
         assert len({r.round_index for r in expected_records}) == len(rounds)
         for backend in ("fast", "resident"):
-            records, inboxes = play(make_cluster(backend, enforce=enforce, sampling=sampling), rounds)
+            records, inboxes = play(make_cluster(backend, enforce=enforce), rounds)
             assert inboxes == expected_inboxes  # arrival order included
             for record, expected in zip(records, expected_records):
                 assert [getattr(record, name) for name in COSTS] == [getattr(expected, name) for name in COSTS]
                 assert sum(expected.pair_words.values()) == expected.total_words  # the reference keeps every pair
-                sampled = sampling > 0 and record.round_index % sampling == 0
-                assert record.pair_words == (expected.pair_words if sampled else {})
+                assert record.pair_words == {}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_a_hand_assigned_factory_gets_the_message_list(self, backend):
-        seen = []
+    @pytest.mark.parametrize(("backend", "detail"), [("reference", True), ("fast", False), ("resident", False)])
+    def test_pair_detail_is_a_constant_of_the_transport(self, backend, detail):
+        transport = make_cluster(backend, machines=2)._transport
+        assert type(transport).pair_detail is detail
+        with pytest.raises(AttributeError):
+            transport.pair_detail = not detail  # no per-instance override
 
-        def factory(round_index, messages):
-            seen.append([message.as_fields() for message in messages])
-            return RoundRecord(round_index, -1, 0, len(seen[-1]), 0)
 
+class TestEntropyNeedsPairDetail:
+    """``communication_entropy`` measures the pairs of every selected round, or refuses to measure."""
+
+    SENDS = (("m0", "m1", 3), ("m2", "m1", 1), ("m0", "m3", 4))
+
+    def exchange_rounds(self, backend: str) -> Cluster:
         cluster = make_cluster(backend, machines=4)
-        cluster.ledger.round_record_factory = factory
-        assert cluster.ledger.record_policy is None
-        cluster.machine("m2").send("m0", "t", 1, words=2)
-        cluster.machine("m1").send("m3", "t", 2, words=3)
-        cluster.machine("m1").send("m0", "t", 3, words=4)
-        record = cluster.exchange()
-        assert (record.active_machines, record.message_count) == (-1, 3)
-        # registration order of the senders, staging order within one
-        assert seen == [[("m1", "m3", "t", 2, 3), ("m1", "m0", "t", 3, 4), ("m2", "m0", "t", 1, 2)]]
-        assert [m.payload for m in cluster.machine("m0").inbox] == [3, 1]
-        assert cluster.ledger.updates[-1].rounds == [record]
+        cluster.ledger.begin_update("u")
+        for sender, receiver, words in self.SENDS:
+            cluster.machine(sender).send(receiver, "t", None, words=words)
+            cluster.exchange()
+        cluster.ledger.end_update()
+        return cluster
+
+    @pytest.mark.parametrize("backend", ["fast", "resident"])
+    def test_refused_over_rounds_without_a_breakdown(self, backend):
+        ledger = self.exchange_rounds(backend).ledger
+        for prefix in (None, "u"):
+            with pytest.raises(ProtocolError, match="round 1 carried words but kept no per-pair breakdown"):
+                ledger.communication_entropy(prefix)
+        assert ledger.summary().total_words == 8  # the costs themselves are all there
+
+    def test_reference_measures_the_delivered_pairs(self):
+        ledger = self.exchange_rounds("reference").ledger
+        recorded = MetricsLedger()
+        recorded.begin_update("u")
+        for sender, receiver, words in self.SENDS:
+            recorded.record_round([Message(sender, receiver, "t", None, words)])
+        recorded.end_update()
+        expected = -sum(p * math.log2(p) for p in (3 / 8, 1 / 8, 4 / 8))
+        assert ledger.communication_entropy("u") == recorded.communication_entropy("u") == pytest.approx(expected)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_assigning_the_policy_factory_back_restores_the_policy(self, backend):
-        ledger = make_cluster(backend, machines=2).ledger
-        installed, policy = ledger.round_record_factory, ledger.record_policy
-        assert policy is not None
-        ledger.round_record_factory = RoundRecord.from_messages if backend != "reference" else (lambda i, m: None)
-        assert ledger.record_policy is None
-        ledger.round_record_factory = installed
-        assert ledger.record_policy == policy
+    def test_wordless_rounds_never_refuse(self, backend):
+        cluster = make_cluster(backend, machines=2)
+        records = [cluster.exchange(), cluster.exchange()]
+        assert [record.total_words for record in records] == [0, 0]
+        assert cluster.ledger.communication_entropy() == 0.0
 
 
 class TestRefusedRounds:
@@ -187,22 +203,19 @@ def deposit_staged(cluster: Cluster, *, fallback=(), traffic=None, slots: int = 
     """Move the staged round off the outboxes into a deposit, as a resident session hands it over.
 
     The outboxes go through the workers' own commit, machine ``i`` on slot ``i % slots``, so the
-    deposit carries one round summary per slot — totals, senders and receivers, pair detail on a
-    sampled round, per-machine loads under the I/O cap — and a message to a machine outside the
+    deposit carries one round summary per slot — totals, senders and receivers, per-machine loads
+    under the I/O cap — and a message to a machine outside the
     routing map comes along as a fallback frame.  No rings are attached: cross-slot bodies stay away.
     """
     transport = cluster._transport
     index = cluster.ledger.next_round_index
-    every = transport.pair_detail_every
     routing = {m.machine_id: (m.index, m.index % slots) for m in cluster.machines()}
     summaries, frames = [], list(fallback)
     for slot in range(slots):
         state = _SessionState()
         state.machine_slots = routing
         staged = [(m.index, m.outbox) for m in cluster.machines() if m.index % slots == slot]
-        summary, _, _, slot_frames = _commit_frames(
-            state, staged, index, slot, every > 0 and index % every == 0, cluster.enforce_io_cap
-        )
+        summary, _, _, slot_frames = _commit_frames(state, staged, index, slot, cluster.enforce_io_cap)
         summaries.append(summary)
         frames += slot_frames
     for machine in cluster.machines():
@@ -218,15 +231,16 @@ class TestDepositedRounds:
 
     @settings(max_examples=25, deadline=None)
     @given(rounds=ROUNDS)
-    @pytest.mark.parametrize("sampling", [0, 3])
-    def test_a_deposit_records_the_delivered_round(self, sampling, rounds):
-        delivered = make_cluster("resident", sampling=sampling)
-        deposited = make_cluster("resident", sampling=sampling)
+    @pytest.mark.parametrize("slots", [1, 2, 3])
+    def test_a_deposit_records_the_delivered_round(self, slots, rounds):
+        """Whatever the slot count, the per-slot summaries merge into the one delivered round."""
+        delivered = make_cluster("resident")
+        deposited = make_cluster("resident")
         for sends in rounds:
             stage(delivered, sends)
             expected = delivered.exchange()
             stage(deposited, sends)
-            deposit_staged(deposited)
+            deposit_staged(deposited, slots=slots)
             record = deposited.exchange()
             assert [getattr(record, name) for name in COSTS] == [getattr(expected, name) for name in COSTS]
             assert record.pair_words == expected.pair_words
@@ -289,13 +303,6 @@ class TestDepositedRounds:
         with pytest.raises(ProtocolError, match="driver-side messages are staged"):
             cluster.exchange()
 
-    def test_refused_under_a_hand_assigned_factory(self):
-        cluster = make_cluster("resident", machines=4)
-        cluster.ledger.round_record_factory = RoundRecord.from_messages
-        deposit_staged(cluster)
-        with pytest.raises(ProtocolError, match="accounting policy"):
-            cluster.exchange()
-
 
 class TestRecords:
     def record(self, **changes) -> RoundRecord:
@@ -327,26 +334,24 @@ class TestRecords:
         with pytest.raises(TypeError):
             hash(update)  # mutable, compared by value
 
-    def test_from_messages_without_pair_detail_equals_with(self):
+    def test_from_messages_keeps_the_pair_breakdown(self):
         messages = [Message("a", "b", "t", 1, 4), Message("a", "b", "t", 2, 5), Message("c", "a", "t", 3, 1)]
         full = RoundRecord.from_messages(7, messages)
-        assert full == RoundRecord.from_messages(7, messages, pair_detail=False) == RoundRecord(7, 3, 10, 3, 5)
+        assert full == RoundRecord(7, 3, 10, 3, 5)
         assert full.pair_words == {("a", "b"): 9, ("c", "a"): 1}
-        assert RoundRecord.from_messages(7, messages, pair_detail=False).pair_words == {}
 
-    def test_append_round_must_continue_the_counter(self):
+    def test_record_round_and_file_round_share_one_counter(self):
         ledger = MetricsLedger()
-        with pytest.raises(ProtocolError, match="expects round_index 1"):
-            ledger.append_round(self.record(round_index=2))
-        assert ledger.next_round_index == 1 and ledger.updates == []
-        ledger.append_round(self.record(round_index=1))
-        ledger.record_round([Message("a", "b", "t", None, 2)])
-        with pytest.raises(ProtocolError, match="expects round_index 3"):
-            ledger.append_round(self.record(round_index=2))
-        filed = ledger.append_round(self.record(round_index=3))
+        recorded = ledger.record_round([Message("a", "b", "t", None, 2)])
+        delivered = ledger.file_round(None, 1, 3, 1, 3)
+        again = ledger.record_round([])
+        assert [recorded.round_index, delivered.round_index, again.round_index] == [1, 2, 3]
         assert ledger.next_round_index == 4
-        assert [u.label for u in ledger.updates] == ["<unlabelled>"] * 3 and ledger.updates[-1].rounds == [filed]
-
+        ledger.file_round(9, 0, 0, 0, 0)  # a record filed under the index it carries leaves the counter
+        assert ledger.next_round_index == 4
+        # each round outside an update is an anonymous update of its own
+        assert [[r.round_index for r in u.rounds] for u in ledger.updates] == [[1], [2], [3], [9]]
+        assert [u.label for u in ledger.updates] == ["<unlabelled>"] * 4
 
 # ------------------------------------------------------------------- storage
 _TABLE = StatsTable(0, 4)
@@ -492,19 +497,18 @@ class TestOneSenderRounds:
         sender.send("m0", "t", "next round", words=1)
         assert notes == ["m1", "m1"]  # noted again: its outbox was emptied by the delivery
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    @pytest.mark.parametrize("sampling", [0, 1])
-    def test_a_one_sender_round_records_what_from_messages_makes_of_it(self, backend, sampling):
-        cluster = make_cluster(backend, sampling=sampling, machines=4)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_a_one_sender_round_records_what_from_messages_makes_of_it(self, backend):
+        cluster = make_cluster(backend, machines=4)
         sender = cluster.machine("m2")
         for receiver, words in (("m0", 3), ("m3", 5), ("m0", 2), ("m2", 1)):
             sender.send(receiver, "t", None, words=words)
         staged = list(sender.outbox)
         index = cluster.ledger.next_round_index
         record = cluster.exchange()
-        detail = backend == "reference" or sampling == 1
-        expected = RoundRecord.from_messages(index, staged, pair_detail=detail)
-        assert record == expected and record.pair_words == expected.pair_words
+        expected = RoundRecord.from_messages(index, staged)
+        assert record == expected
+        assert record.pair_words == (expected.pair_words if cluster._transport.pair_detail else {})
         assert (record.active_machines, record.total_words) == (3, 11)
         assert cluster.ledger.updates[-1].rounds == [expected]
 

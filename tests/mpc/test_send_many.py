@@ -170,7 +170,7 @@ class TestSendManyEqualsSendLoop:
         ]  # fmt: skip
         state = _SessionState()
         state.machine_slots = {"a": (3, 0), "b": (4, 1), "c": (5, 1), "d": (6, 1)}
-        _, _, overflow, _ = _commit_frames(state, [(3, ctx.sent)], 7, 0, False, False)  # no rings: all overflow
+        _, _, overflow, _ = _commit_frames(state, [(3, ctx.sent)], 7, 0, False)  # no rings: all overflow
         frames = [frame for _, frame in overflow]
         assert [frame[:3] for frame in frames] == [(7, 3, 0), (7, 3, 1), (7, 3, 2), (7, 3, 3)]
         assert frames[1][3:] == ("a", "c", TAG, 1, 2)

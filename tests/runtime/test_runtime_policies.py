@@ -1,8 +1,8 @@
 """Unit tests for the runtime layer's individual policies.
 
-Storage accounting, cap enforcement, transport delivery order, metrics
-sampling, resident slots and backend resolution — each policy tested in
-isolation, plus the pinned guarantee that the fast backend still *enforces*
+Storage accounting, cap enforcement, transport delivery order, per-pair
+metrics detail, resident slots and backend resolution — each policy tested
+in isolation, plus the pinned guarantee that the fast backend still *enforces*
 the model caps when they are explicitly enabled (it only relaxes metrics
 retention, never enforcement).
 """
@@ -364,8 +364,8 @@ class TestTransportParity:
 
 # ------------------------------------------------------------------ accounting
 class TestAccountingPolicies:
-    def run_rounds(self, backend: str, *, metrics_sampling: int = 0):
-        config = DMPCConfig(capacity_n=32, capacity_m=64, backend=backend, metrics_sampling=metrics_sampling)
+    def run_rounds(self, backend: str):
+        config = DMPCConfig(capacity_n=32, capacity_m=64, backend=backend)
         cluster = Cluster(config)
         a = cluster.add_machine("a")
         cluster.add_machine("b")
@@ -391,25 +391,13 @@ class TestAccountingPolicies:
     def test_fast_drops_pair_detail_by_default(self):
         cluster, records = self.run_rounds("fast")
         assert all(record.pair_words == {} for record in records)
-        assert cluster.ledger.communication_entropy() == 0.0
-
-    def test_fast_metrics_sampling_retains_pair_detail(self):
-        cluster, records = self.run_rounds("fast", metrics_sampling=2)
-        sampled = [record for record in records if record.pair_words]
-        assert sampled and len(sampled) < len(records)
-        assert all(record.pair_words == {("a", "b"): record.total_words} for record in sampled)
+        with pytest.raises(ProtocolError, match="per-pair breakdown"):
+            cluster.ledger.communication_entropy()
 
     def test_reference_always_retains_pair_detail(self):
-        _, records = self.run_rounds("reference")
+        cluster, records = self.run_rounds("reference")
         assert all(record.pair_words for record in records)
-
-    def test_replay_update_public_api(self):
-        _, records = self.run_rounds("reference")
-        scratch = MetricsLedger()
-        scratch.replay_update("copy", records)
-        assert scratch.updates[0].label == "copy"
-        assert scratch.updates[0].num_rounds == len(records)
-        assert scratch.summary().total_words == sum(record.total_words for record in records)
+        assert cluster.ledger.communication_entropy() == 0.0  # one pair carries every word
 
 
 # -------------------------------------------------------------- resident slots
@@ -450,11 +438,11 @@ class TestResidentSlots:
 
 
 class TestFusedAccountingParity:
-    """The resident transport's delivered records must equal the factory-built ones."""
+    """The resident transport's delivered records must equal ``fast``'s."""
 
-    def run_rounds(self, backend: str, *, metrics_sampling: int = 0):
-        config = DMPCConfig(capacity_n=32, capacity_m=64, backend=backend, metrics_sampling=metrics_sampling)
-        cluster = Cluster(config)
+    def run_rounds(self, backend: str, *, enforce: bool = False):
+        config = DMPCConfig(capacity_n=32, capacity_m=64, backend=backend)
+        cluster = Cluster(config, enforce_io_cap=enforce)
         machines = cluster.add_machines("m", 5)
         records = []
         for i in range(6):
@@ -464,111 +452,13 @@ class TestFusedAccountingParity:
             cluster.machine("m0").drain()
         return records
 
-    @pytest.mark.parametrize("sampling", [0, 2])
-    def test_records_identical_to_fast_factory(self, sampling):
-        fast_records = self.run_rounds("fast", metrics_sampling=sampling)
-        resident_records = self.run_rounds("resident", metrics_sampling=sampling)
+    @pytest.mark.parametrize("enforce", [False, True])
+    def test_records_identical_to_fast(self, enforce):
+        fast_records = self.run_rounds("fast", enforce=enforce)
+        resident_records = self.run_rounds("resident", enforce=enforce)
         assert resident_records == fast_records
         for fast_record, resident_record in zip(fast_records, resident_records):
-            assert resident_record.pair_words == fast_record.pair_words
-
-    def test_sampling_retains_pair_detail_on_sampled_rounds(self):
-        records = self.run_rounds("resident", metrics_sampling=2)
-        sampled = [r for r in records if r.pair_words]
-        assert sampled and len(sampled) < len(records)
-        for record in sampled:
-            assert sum(record.pair_words.values()) == record.total_words
-
-    def test_append_round_guards_the_counter(self):
-        ledger = MetricsLedger()
-        record = RoundRecord(round_index=5, active_machines=0, total_words=0, message_count=0, max_message_words=0)
-        with pytest.raises(ProtocolError):
-            ledger.append_round(record)
-        assert ledger.next_round_index == 1
-        ok = RoundRecord(round_index=1, active_machines=0, total_words=0, message_count=0, max_message_words=0)
-        ledger.append_round(ok)
-        assert ledger.next_round_index == 2
-
-
-# ------------------------------------------------------------- shared ledgers
-class TestSharedLedgerPolicy:
-    """Regression: Cluster must not clobber an externally supplied ledger's policy."""
-
-    def make_config(self, backend: str) -> DMPCConfig:
-        return DMPCConfig(capacity_n=32, capacity_m=64, backend=backend)
-
-    def test_conflicting_backend_policies_raise(self):
-        ledger = MetricsLedger()
-        Cluster(self.make_config("reference"), ledger=ledger)
-        with pytest.raises(ProtocolError, match="accounting policy"):
-            Cluster(self.make_config("fast"), ledger=ledger)
-
-    def test_same_policy_may_share_a_ledger(self):
-        ledger = MetricsLedger()
-        first = Cluster(self.make_config("fast"), ledger=ledger)
-        second = Cluster(self.make_config("fast"), ledger=ledger)
-        assert first.ledger is second.ledger
-        a = first.add_machine("a")
-        first.add_machine("b")
-        a.send("b", "t", 1)
-        first.exchange()
-        b = second.add_machine("b")
-        second.add_machine("c")
-        b.send("c", "t", 2)
-        second.exchange()
-        assert ledger.next_round_index == 3  # one shared round stream
-
-    def test_aggregate_backends_share_one_policy_name(self):
-        """fast and resident condense rounds identically, so they may mix."""
-        ledger = MetricsLedger()
-        Cluster(self.make_config("fast"), ledger=ledger)
-        Cluster(self.make_config("resident"), ledger=ledger)
-        assert ledger.record_policy == "scalar-aggregate/k=0"
-
-    @pytest.mark.parametrize("backend", ["fast", "resident"])
-    def test_custom_factory_never_clobbered(self, backend):
-        def custom_factory(round_index, messages):
-            return RoundRecord(
-                round_index=round_index, active_machines=-1, total_words=0, message_count=0, max_message_words=0
-            )
-
-        ledger = MetricsLedger(round_record_factory=custom_factory)
-        cluster = Cluster(self.make_config(backend), ledger=ledger)
-        assert ledger.round_record_factory is custom_factory
-        assert ledger.record_policy is None
-        # ... and every delivery path must actually invoke it.
-        a = cluster.add_machine("a")
-        cluster.add_machine("b")
-        a.send("b", "t", [1, 2, 3])
-        record = cluster.exchange()
-        assert record.active_machines == -1  # unmistakably the custom factory's record
-        assert cluster.machine("b").drain()[0].payload == [1, 2, 3]
-
-    def test_factory_reassigned_after_construction_is_honoured(self):
-        """The historical pattern: assign ledger.round_record_factory post-construction."""
-
-        def custom_factory(round_index, messages):
-            return RoundRecord(
-                round_index=round_index, active_machines=-7, total_words=0, message_count=0, max_message_words=0
-            )
-
-        cluster = Cluster(self.make_config("resident"))
-        cluster.ledger.round_record_factory = custom_factory
-        assert cluster.ledger.record_policy is None  # adoption no longer governs
-        a = cluster.add_machine("a")
-        cluster.add_machine("b")
-        a.send("b", "t", [4, 5])
-        record = cluster.exchange()
-        assert record.active_machines == -7
-        assert [msg.payload for msg in cluster.machine("b").inbox] == [[4, 5]]
-
-    def test_fresh_ledger_adopts_backend_policy(self):
-        cluster = Cluster(self.make_config("fast"))
-        a = cluster.add_machine("a")
-        cluster.add_machine("b")
-        a.send("b", "t", [1, 2])
-        record = cluster.exchange()
-        assert record.pair_words == {}  # aggregate policy, not the stock full-detail one
+            assert resident_record.pair_words == fast_record.pair_words == {}
 
 
 # ---------------------------------------------------------- resident supersteps
@@ -772,34 +662,6 @@ class TestOneRoundProtocol:
         for program in library:
             assert type(program.driver_reads_sends) is bool, program
 
-    def test_hand_assigned_factory_round_runs_in_the_driver_and_keeps_workers_in_sync(self):
-        """A round under a hand-assigned record factory equals ``fast``'s, and the
-        next (routed) round reads worker copies that replayed its deltas."""
-        outcomes = {}
-        for backend in ("fast", "resident"):
-            cluster = TestResidentSuperstep().make_cluster(backend)
-            ledger = cluster.ledger
-            installed = ledger.round_record_factory
-            program = RunningTotalProgram()
-            shared: dict = {"totals": {}}
-            with cluster.session(shared) as session:
-                ledger.round_record_factory = RoundRecord.from_messages
-                first = cluster.superstep(program, shared=shared)
-                ledger.round_record_factory = installed
-                second = cluster.superstep(program, shared=shared)
-            outcomes[backend] = (
-                first,
-                first.pair_words,
-                second,
-                dict(shared["totals"]),
-                [m.as_fields() for m in cluster.machine("m0").drain()],
-            )
-            if backend == "resident":
-                assert ledger.driver_round_trips == 1
-                assert session.worker_rounds == 1
-        assert outcomes["resident"] == outcomes["fast"]
-        assert outcomes["fast"][1]  # the hand-assigned factory kept the pair detail
-
     def test_driver_staged_sends_run_the_round_in_the_driver(self):
         """A driver-side send staged before a round keeps that round in the driver,
         equal to ``fast``'s; the next round goes back to the workers."""
@@ -818,6 +680,34 @@ class TestOneRoundProtocol:
                 assert session.worker_rounds == 1
         assert outcomes["resident"] == outcomes["fast"]
         assert -1 in outcomes["fast"][3]["m0"]  # the staged send was delivered
+
+    def test_a_driver_round_replays_its_deltas_on_the_workers(self):
+        """A round kept in the driver by a staged send writes shared state the
+        workers already hold; the next (worker-routed) round reads worker
+        copies that replayed those deltas, equal to ``fast``'s."""
+        outcomes = {}
+        for backend in ("fast", "resident"):
+            cluster = TestResidentSuperstep().make_cluster(backend)
+            program = RunningTotalProgram()
+            shared: dict = {"totals": {}}
+            with cluster.session(shared) as session:
+                records = [cluster.superstep(program, shared=shared)]
+                cluster.machine("m3").send("m0", "probe", -1)
+                records.append(cluster.superstep(program, shared=shared))
+                records.append(cluster.superstep(program, shared=shared))
+            outcomes[backend] = (
+                records,
+                dict(shared["totals"]),
+                [m.as_fields() for m in cluster.machine("m0").drain()],
+            )
+            if backend == "resident":
+                # rounds one and three are worker blocks; round two stays in the driver
+                assert cluster.ledger.driver_round_trips == 2
+                assert session.worker_rounds == 2
+        assert outcomes["resident"] == outcomes["fast"]
+        # three rounds of each index, plus m0's inboxes: nine reports, then
+        # nine reports and the staged probe
+        assert outcomes["fast"][1] == {f"m{i}": 3 * i for i in range(1, 9)} | {"m0": 9 + 10}
 
 
 # ------------------------------------------------------------------ resolution
@@ -865,22 +755,48 @@ class TestBackendResolution:
         with pytest.raises(ValueError, match="unknown execution backend"):
             Cluster(config)
 
-    def test_guarantees_surface(self):
-        config = DMPCConfig(capacity_n=32, capacity_m=64)
-        assert ReferenceBackend(config).guarantees["full_metrics"]
-        for backend_cls in (FastBackend, ResidentBackend):
-            guarantees = backend_cls(config).guarantees
-            assert guarantees["strict_memory"] and guarantees["io_cap"] and guarantees["exact_accounting"]
-            assert not guarantees["full_metrics"]
-
 
 # ---------------------------------------------------------------- removed knobs
-#: the four ``DMPCConfig`` fields that existed only for the shard-plan backends
-REMOVED_FIELDS = ("shard_strategy", "max_workers", "process_chunk_machines", "replan_every")
+#: the four ``DMPCConfig`` fields that existed only for the shard-plan backends, and the
+#: pair-detail stride that per-pair detail being a transport constant made meaningless
+REMOVED_FIELDS = ("shard_strategy", "max_workers", "process_chunk_machines", "replan_every", "metrics_sampling")
+
+
+def _ledgers():
+    return [MetricsLedger()]
+
+
+def _backends():
+    config = DMPCConfig(capacity_n=32, capacity_m=64)
+    return [ReferenceBackend(config), FastBackend(config), ResidentBackend(config)]
+
+
+def _transports():
+    return [Cluster(DMPCConfig(capacity_n=32, capacity_m=64, backend=backend))._transport for backend in BACKENDS]
+
+
+def _algorithms():
+    from repro.dynamic_mpc import DMPCConnectivity
+
+    return [DMPCConnectivity(DMPCConfig.for_graph(8, 16), coalesce=True)]
+
+
+#: the run-time choice of which rounds keep per-pair detail, now a transport constant, and the
+#: ``last_*`` attribute that ``normalize_batch`` and ``coalesce_totals`` replaced
+REMOVED_ACCOUNTING = [
+    pytest.param(owners, name, id=f"{owners.__name__[1:]}.{name}")
+    for owners, names in (
+        (_ledgers, ("round_record_factory", "install_round_record_factory", "record_policy", "append_round", "replay_update")),
+        (_backends, ("round_record_factory", "accounting_policy_name", "guarantees")),
+        (_transports, ("pair_detail_every",)),
+        (_algorithms, ("last_coalesce_stats",)),
+    )
+    for name in names
+]
 
 
 class TestRemovedKnobs:
-    def test_config_has_nine_fields(self):
+    def test_config_has_eight_fields(self):
         import dataclasses
 
         assert [f.name for f in dataclasses.fields(DMPCConfig)] == [
@@ -889,11 +805,39 @@ class TestRemovedKnobs:
             "memory_slack",
             "strict_memory",
             "backend",
-            "metrics_sampling",
             "shard_count",
             "resident_slots",
             "resident_shm_ring_bytes",
         ]
+
+    def test_shared_ledgers_and_record_factories_are_gone(self):
+        """A cluster builds its own ledger, and a ledger condenses message lists one way."""
+        config = DMPCConfig(capacity_n=32, capacity_m=64)
+        with pytest.raises(TypeError, match="ledger"):
+            Cluster(config, ledger=MetricsLedger())
+        with pytest.raises(TypeError, match="round_record_factory"):
+            MetricsLedger(round_record_factory=RoundRecord.from_messages)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_each_cluster_files_into_its_own_ledger(self, backend):
+        config = DMPCConfig(capacity_n=32, capacity_m=64, backend=backend)
+        first, second = Cluster(config), Cluster(config)
+        assert first.ledger is not second.ledger
+        for cluster, rounds in ((first, 2), (second, 1)):
+            a = cluster.add_machine("a")
+            cluster.add_machine("b")
+            for i in range(rounds):
+                a.send("b", "t", i)
+                cluster.exchange()
+        assert (first.ledger.next_round_index, second.ledger.next_round_index) == (3, 2)
+        (record,) = second.ledger.updates[-1].rounds
+        assert record.round_index == 1
+        assert bool(record.pair_words) is type(second._transport).pair_detail
+
+    @pytest.mark.parametrize(("owners", "name"), REMOVED_ACCOUNTING)
+    def test_a_removed_accounting_attribute_is_gone(self, owners, name):
+        for owner in owners():
+            assert not hasattr(owner, name), type(owner).__name__
 
     @pytest.mark.parametrize("field", REMOVED_FIELDS)
     def test_config_refuses_a_removed_field(self, field):

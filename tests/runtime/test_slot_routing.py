@@ -15,8 +15,8 @@ session protocol.  This module covers the routing machinery itself:
   ring read-ahead, and spills to the driver pipe on overflow;
 * the word accounting sizes each message exactly once and lands on the
   same totals as the reference sizer; a routed round's reply names
-  machines, not (sender, receiver) pairs, and sampled or capped routed
-  rounds still record and refuse exactly as ``fast`` does;
+  machines, not (sender, receiver) pairs, and routed rounds, capped ones
+  included, still record and refuse exactly as ``fast`` does;
 * end to end: a single-slot session routes everything locally (zero
   cross-slot frames), deliberately tiny rings force pipe fallbacks without
   changing a bit, and every slot count delivers the same rounds;
@@ -403,13 +403,13 @@ class TestSizerAccounting:
             resident_mod.fast_word_size = real
         assert len(calls) == 2 * len(sends)
         expected_total = sum(word_size(tag) + word_size(payload) for _, tag, payload in sends)
-        words, count, max_words, senders, receivers, pairs, sent, received = reply[2]
+        words, count, max_words, senders, receivers, sent, received = reply[2]
         assert (senders, receivers, count) == (["a"], ["c"], len(sends))
         assert words == expected_total
         assert max_words == max(
             word_size(tag) + word_size(payload) for _, tag, payload in sends
         )
-        assert (pairs, sent, received) == ({}, {}, {})  # unsampled, no I/O cap
+        assert (sent, received) == ({}, {})  # no I/O cap
         # and every individual held message carries its reference size
         ((_, held),) = sessions["s"].local["c"]
         for message, (_, tag, payload) in zip(held, sends, strict=True):
@@ -419,7 +419,7 @@ class TestSizerAccounting:
 class TestRoundSummary:
     def test_an_all_to_all_round_returns_machines_not_pairs(self):
         """Counts, not clocks: M machines each send one message to every other machine in
-        one unsampled routed round.  The reply names at most 2·M machines (the senders and
+        one routed round.  The reply names at most 2·M machines (the senders and
         the receivers); a per-pair report would name M·(M − 1) pairs."""
         count = 24
         ids = [f"m{i}" for i in range(count)]
@@ -470,24 +470,27 @@ CAP = DMPCConfig(capacity_n=32, capacity_m=64).machine_memory
 
 
 class TestRoutedRecordDetail:
-    """Sampled and capped rounds the workers routed stay exactly the rounds ``fast`` makes."""
+    """Rounds the workers routed, capped ones included, stay exactly the rounds ``fast`` makes."""
 
     @pytest.mark.parametrize("slots", [1, 2])
-    def test_sampled_connected_components_match_fast_pair_for_pair(self, slots):
+    def test_routed_connected_components_match_fast_round_for_round(self, slots):
         graph = gnm_random_graph(48, 110, seed=41)
 
         def records(**kwargs):
             algorithm = StaticConnectedComponents(graph, **kwargs)
-            algorithm.cluster._transport.pair_detail_every = 3  # metrics_sampling = 3
             algorithm.run()
             rounds = [r for update in algorithm.cluster.ledger.updates for r in update.rounds]
             fields = ("round_index", "active_machines", "total_words", "message_count", "max_message_words")
             return [(*(getattr(r, f) for f in fields), r.pair_words) for r in rounds], algorithm
 
+        detailed, _ = records(backend="reference")
         expected, _ = records(backend="fast")
         routed, algorithm = records(backend="resident", resident_slots=slots)
         assert routed == expected
-        assert any(row[-1] for row in expected) and not all(row[-1] for row in expected)
+        # the two regimes: the same costs, with every pair on reference and none without it
+        assert [row[:-1] for row in expected] == [row[:-1] for row in detailed]
+        assert all(sum(row[-1].values()) == row[2] for row in detailed)
+        assert not any(row[-1] for row in expected)
         assert algorithm.cluster.ledger.traffic_totals()["local_messages"] > 0  # the workers routed
 
     @pytest.mark.parametrize("slots", [1, 2])
