@@ -19,35 +19,32 @@ The *matching fabric* realises the storage scheme of Section 3:
   (mate) of every vertex a row names — committed through a frozen-charge
   handle and charged the words its per-key records were.
 
-Edge machines learn about updates lazily: whenever the coordinator contacts
-a machine it piggy-backs the history entries the machine has not yet seen
+Edge machines learn about updates lazily: whenever a message reaches a
+machine it piggy-backs the history entries the machine has not yet seen
 (replayed over the machine's table in place),
 and after every update one additional machine is refreshed round-robin, so
 no machine is ever more than ``O(sqrt N)`` updates stale — which is what
-bounds the history size.  Every contact is one primitive, ``_contact``: it
-ships each machine its unseen suffix, sized by its length, and replays it
-there; an update pays for the entries it ships, not for the buffer, and the
-round-robin cycles over a maintained list.  Without a message it is the
-sender-side catch-up of ``move_vertex_edges`` / ``fetch_suspended``, whose
-replayed suffix no message is charged for (ROADMAP item 1(a)).
+bounds the history size.  Every round that reaches an edge table is one
+primitive, ``_contact``: it ships each machine its unseen suffix, sized by
+its length, and replays it there; an update pays for the entries it ships,
+not for the buffer, and the round-robin cycles over a maintained list.
+Placement is a contact too (``add-edge``, ``move-edges``,
+``suspended-edges``), so every record is written onto a machine that has
+just been caught up, and a buffered ``delete`` can never be replayed over a
+copy placed after it.
 
 A machine is shipped, and replays, only what it can be missing.  Two
 events stamp a machine current (``seen = last_seq``): ``_contact``, after
 it has applied the suffix it was sent, and ``_allocate_machine``, when the
 machine is handed out.  The second stamp is vacuously true: a machine is
 only handed out empty (``_release_machine`` clears an exclusive machine when
-its vertex's last edges leave it), so no buffered entry can apply to it, and
-everything placed on it afterwards (``add_edge_copy``, ``move_vertex_edges``,
-``fetch_suspended``) is placed current.  Without it the first contact would
-carry the whole buffer in one message — ``O(capacity)`` words instead of
-``O(sqrt N)`` — and replay it *over* those current records, where an old
-``delete`` drops the live copy of an edge re-inserted since.  A reader that
-falls behind the bounded buffer cannot be caught up at all, so
-``_pending_history`` raises rather than ship a suffix with a gap.  (Not
-covered: records moved onto an *existing* light machine that is a few
-entries behind are replayed over in the same way — ROADMAP item 1.)
-``_ensure_alive_machine`` also places onto an existing machine without a
-catch-up, but only an empty row: replay never inserts (it drops copies and
+its vertex's last edges leave it), so no buffered entry can apply to it.
+It saves words: without it the first contact would carry the whole buffer
+in one message — ``O(capacity)`` words instead of ``O(sqrt N)``.  A reader
+that falls behind the bounded buffer cannot be caught up at all, so
+``_pending_history`` raises rather than ship a suffix with a gap.
+``_ensure_alive_machine`` places onto an existing machine without a
+contact, but only an empty row: replay never inserts (it drops copies and
 rewrites statuses that are there), so no owed entry can act on it.
 
 All cross-machine data movement uses messages on the cluster, so the
@@ -345,37 +342,40 @@ class MatchingFabric:
             )
         return entries, HistoryEntry.WORDS * len(entries) or 1
 
-    def _contact(self, tag: str | None, targets: list[tuple[str, Any, int]]) -> list[tuple[Machine, FrozenChargeHandle]]:
-        """Bring the distinct edge machines of ``targets`` current; ``(machine, edge table handle)`` per target.
+    def _contact(
+        self, tag: str, targets: list[tuple[str, Any, int]], sender: Machine | None = None
+    ) -> list[tuple[Machine, FrozenChargeHandle]]:
+        """Send the distinct edge machines of ``targets`` a ``tag`` message and bring them current;
+        ``(machine, edge table handle)`` per target.
 
-        With a ``tag``, one round: the coordinator sends each ``(machine_id,
-        payload, words)`` a ``tag`` message carrying ``payload``, charged
-        ``words`` plus the machine's unseen history suffix
-        (:meth:`_pending_history`), which the machine drains.  Without, no
-        message: the sender-side catch-up.  Each machine then replays its
-        suffix into the table it loaded (committed only if a record changed)
-        and is stamped current — the one stamp besides
-        :meth:`_allocate_machine`'s.  A current machine ships and replays nothing.
+        One round: ``sender`` — the coordinator, or a machine a contact has
+        just brought current (the source of a move) — sends each
+        ``(machine_id, payload, words)`` a ``tag`` message carrying
+        ``payload``, charged ``words`` plus the machine's unseen history
+        suffix (:meth:`_pending_history`), which the machine drains.  Each
+        machine then replays its suffix into the table it loaded (committed
+        only if a record changed) and is stamped current — the one stamp
+        besides :meth:`_allocate_machine`'s — so whatever the caller writes
+        into a returned table is placed over current records.  A current
+        machine ships and replays nothing.
         """
         last = self.coordinator.history.last_seq
         seen = self._machine_seen_seq
-        coordinator = self.coordinator.machine
+        if sender is None:
+            sender = self.coordinator.machine
         suffixes = []
         for machine_id, payload, words in targets:
             if seen[machine_id] == last:
                 entries, history_words = (), 1
             else:
                 entries, history_words = self._pending_history(machine_id)
-            if tag is not None:
-                coordinator.send(machine_id, tag, payload, words=words + history_words)
+            sender.send(machine_id, tag, payload, words=words + history_words)
             suffixes.append((machine_id, entries))
-        if tag is not None:
-            self.cluster.exchange()
+        self.cluster.exchange()
         contacted = []
         for machine_id, entries in suffixes:
             machine = self._machines[machine_id]
-            if tag is not None:
-                machine.drain(tag)
+            machine.drain(tag)
             handle = self._edge_handle(machine)
             if entries and handle.table.replay(entries):
                 self._commit_edges(machine, handle)
@@ -699,8 +699,7 @@ class MatchingFabric:
         """
         machine_id = self._ensure_alive_machine(v, stats)
         machines = self._machines
-        handle = self._edge_handle(machines[machine_id])
-        alive_count = len(handle.table.row(v))
+        alive_count = len(self._edge_handle(machines[machine_id]).table.row(v))
         heavy = stats.degree >= self.threshold
         if heavy and alive_count >= self.threshold:
             target_id = None
@@ -717,12 +716,7 @@ class MatchingFabric:
                 # Light vertex whose machine is full: move v's list to a roomier machine.
                 self.move_vertex_edges(v, stats, self._light_machine_with_room(alive_count * 4 + 16))
                 target_id = stats.alive_machine
-        target = machines[target_id]
-        self.coordinator.machine.send(target_id, "add-edge", (v, w), words=closed_form_words("add-edge", (v, w)))
-        self.cluster.exchange()
-        target.drain("add-edge")
-        if target_id != machine_id:
-            handle = self._edge_handle(target)
+        [(target, handle)] = self._contact("add-edge", [(target_id, (v, w), closed_form_words("add-edge", (v, w)))])
         handle.table.add_edge(v, w)
         handle.table.place_status(w, neighbor_mate)
         self._commit_edges(target, handle)
@@ -745,27 +739,21 @@ class MatchingFabric:
     def move_vertex_edges(self, v: int, stats: VertexStats, target_id: str) -> None:
         """The paper's ``moveEdges``: relocate ``v``'s alive edges to ``target_id`` (2 rounds).
 
-        The pending history is applied to the source machine before its
-        records are copied, so the relocated adjacency/status records are
-        current regardless of when the round-robin maintenance last visited
-        the source — which is what keeps batched application (deferred
-        maintenance) byte-identical to sequential application.
+        The ``move-request`` brings the source current before it reads the
+        rows, and the ``move-edges`` message that carries the ``(w, status)``
+        rows brings the target current before they are written — which is
+        also what keeps batched application (deferred maintenance)
+        byte-identical to sequential application.
         """
         source_id = stats.alive_machine
         if source_id is None or source_id == target_id:
             stats.alive_machine = target_id
             return
-        [(source, source_handle)] = self._contact(None, [(source_id, None, 0)])
-        target = self._machines[target_id]
-        adjacency = source_handle.table.row(v)
-        statuses = {w: source_handle.table.status.get(w) for w in adjacency}
-        # the suffix the catch-up replayed rides on no message: move-request is charged its closed form only
-        self.coordinator.machine.send(source_id, "move-request", v, words=closed_form_words("move-request", v))
-        self.cluster.exchange()
-        source.drain("move-request")
-        source.send(target_id, "move-edges", {"vertex": v, "count": len(adjacency)}, words=2 * len(adjacency) + 4)
-        self.cluster.exchange()
-        target.drain("move-edges")
+        [(source, source_handle)] = self._contact("move-request", [(source_id, v, closed_form_words("move-request", v))])
+        status = source_handle.table.status
+        rows = [(w, status.get(w)) for w in source_handle.table.row(v)]
+        moved = {"vertex": v, "rows": rows}
+        [(target, target_handle)] = self._contact("move-edges", [(target_id, moved, 2 * len(rows) + 4)], sender=source)
         if source_id in self._light_machines:
             source_handle.table.pop_row(v)
             self._commit_edges(source, source_handle)
@@ -773,10 +761,9 @@ class MatchingFabric:
             # ``v`` had the machine to itself (it was heavy before): without
             # the release every re-crossing of the threshold leaks a machine.
             self._release_machine(source_id)
-        target_handle = self._edge_handle(target)
-        target_handle.table.set_row(v, adjacency)
-        for w, status in statuses.items():
-            target_handle.table.place_status(w, status)
+        target_handle.table.set_row(v, {w: True for w, _mate in rows})
+        for w, mate in rows:
+            target_handle.table.place_status(w, mate)
         self._commit_edges(target, target_handle)
         stats.alive_machine = target_id
         if target_id not in self._light_machines and stats.degree < self.threshold:
@@ -784,29 +771,24 @@ class MatchingFabric:
 
     def fetch_suspended(self, v: int, stats: VertexStats) -> None:
         """The paper's ``fetchSuspended``: refill ``v``'s alive set from its suspended stack (2 rounds)."""
-        if not stats.suspended_machines or stats.alive_machine is None:
+        alive_id = stats.alive_machine
+        if not stats.suspended_machines or alive_id is None:
             return
-        alive = self._machines[stats.alive_machine]
-        alive_handle = self._edge_handle(alive)
-        need = self.threshold - len(alive_handle.table.row(v))
+        need = self.threshold - len(self._edge_handle(self._machines[alive_id]).table.row(v))
         if need <= 0:
             return
         top_id = stats.suspended_machines[-1]
-        [(top, top_handle)] = self._contact(None, [(top_id, None, 0)])
-        moved = sorted(top_handle.table.row(v))[:need]
-        # like move-request, charged its closed form only: the catch-up above rides on no message
-        self.coordinator.machine.send(top_id, "fetch-suspended", (v, need), words=closed_form_words("fetch-suspended", (v, need)))
-        self.cluster.exchange()
-        top.drain("fetch-suspended")
-        top.send(stats.alive_machine, "suspended-edges", {"vertex": v, "count": len(moved)}, words=2 * len(moved) + 4)
-        self.cluster.exchange()
-        alive.drain("suspended-edges")
-        alive_table, top_table = alive_handle.table, top_handle.table
+        [(top, top_handle)] = self._contact("fetch-suspended", [(top_id, (v, need), closed_form_words("fetch-suspended", (v, need)))])
+        top_table = top_handle.table
+        rows = [(w, top_table.status.get(w)) for w in sorted(top_table.row(v))[:need]]
+        moved = {"vertex": v, "rows": rows}
+        [(alive, alive_handle)] = self._contact("suspended-edges", [(alive_id, moved, 2 * len(rows) + 4)], sender=top)
+        alive_table = alive_handle.table
         alive_table.ensure_row(v)  # the alive set is stored even when nothing moved
-        for w in moved:
+        for w, mate in rows:
             top_table.discard_edge(v, w)
             alive_table.add_edge(v, w)
-            alive_table.place_status(w, top_table.status.get(w))
+            alive_table.place_status(w, mate)
         if top_table.row(v):
             self._commit_edges(top, top_handle)
         else:

@@ -147,13 +147,13 @@ PINNED = {
         lambda: mixed_inputs(gnm_random_graph, 32, 64, 16, 90, 17),
         lambda backend: DMPCMaximalMatching(make_config(32, 128, backend), check_invariants=True),
         matching_solution,
-        "9c4fa657c8d9cfacfe44e3b1e77fc96772510adf084bc0e17ed34f798c12165d",
+        "41c18f4383e5317037fa71b5c16059df96beef823bc565c6b97001cd1cd9debf",
     ),
     "three_halves_matching": (
         lambda: (None, churn_stream(24, 100, seed=18)),
         lambda backend: DMPCThreeHalvesMatching(make_config(24, 140, backend)),
         matching_solution,
-        "6067928b44c5a87987e9bcdbe8048fdf2937ec7cddf15c2df1aa661f31940965",
+        "b8e538682555e519b3dc611361c50f39b5cf3573e3bcf12e09fd99b510c4bfce",
     ),
     "two_plus_eps_matching": (
         lambda: (None, churn_stream(24, 100, seed=19)),
@@ -523,13 +523,13 @@ class TestHeavyFabricAtEveryBoundary:
     def test_maximal_matching(self):
         self.assert_every_boundary(
             DMPCMaximalMatching(make_config(self.N, self.CAPACITY_M, None), check_invariants=True),
-            "0f07145773e28e2ead49108405390709815f67139e0c1f0c3f57f710faa9bbc3",
+            "11afaf678eb52e46910f1fff37334e8bec413c454f46fa296f4fb856e5cb4fa0",
         )
 
     def test_maximal_matching_batches(self):
         self.assert_every_boundary(
             DMPCMaximalMatching(make_config(self.N, self.CAPACITY_M, None)),
-            "25d9777adc1cd4e404d9b8e29a18ff4665d3df45474714ed6c05024bae064486",
+            "dc9c5e3e9340904db15b60a376f20e6ecd8cddb3b71e06b9d283e62e610ba314",
             batch_size=8,
         )
 
@@ -554,7 +554,7 @@ class TestHeavyFabricAtEveryBoundary:
         maximal only because later deletions removed the missed edges)."""
         self.assert_every_boundary(
             DMPCThreeHalvesMatching(make_config(self.N, self.CAPACITY_M, None)),
-            "111f059ea0704eab3c60137e13ad8b15fc22d9d1aac055e6cf5a850bed6cd08c",
+            "11cd1519918314ae998322c68bca356dc59eaadc28fe2848030b63a11ba0d053",
         )
 
 

@@ -13,6 +13,7 @@ from repro.graph import DynamicGraph, GraphUpdate
 from repro.graph.generators import gnm_random_graph, preferential_attachment_graph, star_graph
 from repro.graph.streams import matched_edge_adversary_stream, mixed_stream
 from repro.graph.validation import is_maximal_matching, maximum_matching_size
+from seeded_mutation import mutated
 
 
 def make_algorithm(n: int = 32, m: int = 160, **kwargs) -> DMPCMaximalMatching:
@@ -159,12 +160,14 @@ class TestInvariantsUnderRandomStreams:
 CHURN_RECIPES = [(48, 4, 14), (96, 8, 18), (48, 3, 13)]
 
 
-def run_churn_recipe(n: int, graph_seed: int, stream_seed: int, *, chunk: int | None = None) -> DMPCMaximalMatching:
-    """600 ``mixed_stream`` updates on ``gnm(n, 2n)`` with maximality checked
-    at every boundary (every update through ``apply``, every chunk through
-    ``apply_batch``)."""
+def run_churn_recipe(
+    n: int, graph_seed: int, stream_seed: int, *, chunk: int | None = None, updates: int = 600
+) -> DMPCMaximalMatching:
+    """``updates`` ``mixed_stream`` updates on ``gnm(n, 2n)`` with maximality
+    checked at every boundary (every update through ``apply``, every chunk
+    through ``apply_batch``)."""
     graph = gnm_random_graph(n, 2 * n, seed=graph_seed)
-    stream = list(mixed_stream(n, 600, seed=stream_seed, insert_probability=0.5, initial=graph))
+    stream = list(mixed_stream(n, updates, seed=stream_seed, insert_probability=0.5, initial=graph))
     alg = DMPCMaximalMatching(DMPCConfig.for_graph(n, 4 * n, backend="fast"), check_invariants=True)
     alg.preprocess(graph.copy())
     if chunk is None:
@@ -190,9 +193,11 @@ class TestDenseChurn:
             # merged refresh round carries one suffix per machine it visits)
             assert alg.update_summary().max_words_per_round <= alg.config.machine_memory
 
-    def test_dropping_the_allocation_stamp_is_caught(self, monkeypatch):
-        """Seeded mutation: hand machines out at ``seen = 0`` again (the
-        parent's behaviour) and the first recipe must fail."""
+    def test_dropping_the_allocation_stamp_ships_the_buffer(self, monkeypatch):
+        """Seeded mutation: hand machines out at ``seen = 0`` again.  Placement
+        catches its target up, so the stamp no longer guards correctness — the
+        run stays maximal — but a fresh machine's first contact ships the whole
+        buffer, and a round carries more than a machine holds."""
         allocate = MatchingFabric._allocate_machine
 
         def allocate_unstamped(fabric, *, light):
@@ -201,8 +206,64 @@ class TestDenseChurn:
             return machine_id
 
         monkeypatch.setattr(MatchingFabric, "_allocate_machine", allocate_unstamped)
+        alg = run_churn_recipe(*CHURN_RECIPES[0])
+        assert alg.update_summary().max_words_per_round > alg.config.machine_memory
+
+
+#: 9 updates at ``for_graph(6, 6)`` (threshold 3): the re-inserted copy of (2, 5)
+#: was placed on vertex 2's top suspended machine, which still owed the buffered
+#: ``delete (2, 5)``, and its next replay dropped the live copy
+HEAVY_RECIPE = [
+    GraphUpdate.insert(2, 4),
+    GraphUpdate.insert(1, 2),
+    GraphUpdate.insert(2, 3),
+    GraphUpdate.insert(2, 5),
+    GraphUpdate.delete(2, 5),
+    GraphUpdate.insert(2, 5),
+    GraphUpdate.delete(2, 3),
+    GraphUpdate.insert(1, 3),
+    GraphUpdate.delete(2, 4),
+]
+#: (n, graph seed, stream seed) of the dense-churn run that lost maximality at
+#: update 3 766 of 4 000: ``move_vertex_edges`` moved a row onto an existing
+#: light machine a few entries behind, and the inserted copy went there too,
+#: with no catch-up of that machine before either
+STALE_MOVE_TARGET_RUN = (64, 2, 12)
+
+
+def run_heavy_recipe(backend: str) -> DMPCMaximalMatching:
+    alg = DMPCMaximalMatching(DMPCConfig.for_graph(6, 6, backend=backend), check_invariants=True)
+    alg.preprocess(DynamicGraph(6))
+    alg.apply_sequence(HEAVY_RECIPE)
+    return alg
+
+
+class TestPlacementIsCaughtUp:
+    """Every placement reaches its target through ``MatchingFabric._contact``, so records are
+    written onto a machine that has just replayed its unseen history suffix, and a buffered
+    ``delete`` is never replayed over a copy placed after it."""
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_heavy_recipe(self, backend):
+        alg = run_heavy_recipe(backend)
+        assert is_maximal_matching(alg.shadow, alg.matching())
+
+    def test_dense_churn_onto_a_stale_light_machine(self):
+        alg = run_churn_recipe(*STALE_MOVE_TARGET_RUN, updates=4000)
+        assert is_maximal_matching(alg.shadow, alg.matching())
+
+    def test_an_add_edge_that_skips_the_contact_is_caught(self, monkeypatch):
+        """Seeded mutation: an open-coded send, exchange and drain that places the copy without
+        catching the target up.  (The ``move-edges`` and ``suspended-edges`` mutations are caught
+        in ``test_state_and_config.py``: no matching run found tells them from the fix.)"""
+        text = '[(target, handle)] = self._contact("add-edge", [(target_id, (v, w), closed_form_words("add-edge", (v, w)))])'
+        replacement = (
+            'target = self._machines[target_id]; self.coordinator.machine.send(target_id, "add-edge", (v, w), words=3); '
+            'self.cluster.exchange(); target.drain("add-edge"); handle = self._edge_handle(target)'
+        )
+        monkeypatch.setattr(MatchingFabric, "add_edge_copy", mutated(MatchingFabric.add_edge_copy, text, replacement))
         with pytest.raises(InvariantViolation, match="not maximal"):
-            run_churn_recipe(*CHURN_RECIPES[0])
+            run_heavy_recipe("fast")
 
 
 class TestCostModel:

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from seeded_mutation import mutated
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc.state import MatchingFabric, VertexStats
@@ -316,6 +317,72 @@ class TestMatchingFabric:
         assert shared_id in light._light_machines
         light.move_vertex_edges(v, light_stats, light._allocate_machine(light=True))
         assert shared_id in light._allocated and v not in edge_table(light.cluster.machine(shared_id)).adj
+
+    def test_moved_rows_land_on_a_caught_up_target(self):
+        """``move_vertex_edges`` onto an existing light machine that owes the buffered ``delete``
+        of an edge re-inserted since: the ``move-edges`` contact replays it before the rows are
+        written, so it never reaches the live copy they carry."""
+        fabric = make_fabric(n=12, m=60)
+        fabric.load_initial_graph(gnm_random_graph(12, 30, seed=4), set())
+        v = 0
+        stats = fabric.stats_of(v)
+        w = min(fabric.alive_neighbors(v))
+        target_id = fabric._allocate_machine(light=True)
+        fabric.record("delete", v, w)  # the target owes this entry from here on
+        fabric.remove_edge_copy(v, w, stats)
+        fabric.record("insert", v, w)
+        fabric.add_edge_copy(v, w, stats)
+        fabric.move_vertex_edges(v, stats, target_id)
+        fabric.refresh_machine(target_id)
+        assert w in fabric.alive_neighbors(v), "a replayed delete dropped a moved copy"
+
+    def test_fetched_rows_land_on_a_caught_up_alive_machine(self):
+        """``fetch_suspended`` onto an alive machine that owes the buffered ``delete`` of an edge
+        re-inserted onto the stack since.  The matching algorithm contacts the alive machine in
+        the round before it fetches, so only a direct call reaches a stale one."""
+        n = 30
+        fabric = make_fabric(n=n, m=n)
+        fabric.load_initial_graph(star_graph(n), {(0, 1)})
+        stats = fabric.stats_of(0)
+        w = min(edge_table(fabric.cluster.machine(stats.suspended_machines[-1])).row(0))
+        fabric.record("delete", 0, w)  # the alive machine owes this entry from here on
+        fabric.refresh_machine(stats.suspended_machines[-1])
+        fabric.record("insert", 0, w)
+        fabric.add_edge_copy(0, w, stats)  # the alive set is full: onto the stack
+        u = min(fabric.alive_neighbors(0))
+        fabric.record("delete", 0, u)
+        fabric.remove_edge_copy(0, u, stats)
+        fabric.fetch_suspended(0, stats)  # one slot free: fetches w, the smallest on the stack
+        fabric.refresh_machine(stats.alive_machine)
+        assert w in fabric.alive_neighbors(0), "a replayed delete dropped a fetched copy"
+
+    @pytest.mark.parametrize(
+        ("method", "text", "replacement", "scenario"),
+        [
+            (
+                "move_vertex_edges",
+                '[(target, target_handle)] = self._contact("move-edges", [(target_id, moved, 2 * len(rows) + 4)], sender=source)',
+                'target = self._machines[target_id]; source.send(target_id, "move-edges", moved, words=2 * len(rows) + 4); '
+                'self.cluster.exchange(); target.drain("move-edges"); target_handle = self._edge_handle(target)',
+                "test_moved_rows_land_on_a_caught_up_target",
+            ),
+            (
+                "fetch_suspended",
+                '[(alive, alive_handle)] = self._contact("suspended-edges", [(alive_id, moved, 2 * len(rows) + 4)], sender=top)',
+                'alive = self._machines[alive_id]; top.send(alive_id, "suspended-edges", moved, words=2 * len(rows) + 4); '
+                'self.cluster.exchange(); alive.drain("suspended-edges"); alive_handle = self._edge_handle(alive)',
+                "test_fetched_rows_land_on_a_caught_up_alive_machine",
+            ),
+        ],
+        ids=["move-edges", "suspended-edges"],
+    )
+    def test_a_placement_that_skips_the_contact_is_caught(self, monkeypatch, method, text, replacement, scenario):
+        """Seeded mutations: an open-coded send, exchange and drain that writes the rows without
+        catching the target up (``add-edge``'s is caught by a matching recipe, in
+        ``test_maximal_matching.py``)."""
+        monkeypatch.setattr(MatchingFabric, method, mutated(getattr(MatchingFabric, method), text, replacement))
+        with pytest.raises(AssertionError, match="a replayed delete dropped"):
+            getattr(self, scenario)()
 
     def test_allocating_a_non_empty_machine_is_refused(self):
         fabric = make_fabric()

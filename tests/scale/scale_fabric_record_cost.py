@@ -19,8 +19,9 @@ objects, preprocessing excluded:
 
 Each bound is the value measured with one vertex-indexed ``EdgeTable`` per
 edge machine and one history-contact primitive + 20 %: 12.23 loads, 7.15
-stores and 2.98 sizer calls (``add_edge_copy`` reuses the alive machine's
-handle it read for the row length: 10.94 loads before).  The
+stores and 2.98 sizer calls.  ``add_edge_copy`` reads the alive table for the
+row length and its ``add-edge`` contact loads the target's table again: 10.94
+loads per update (10.19 when the placement reused the alive handle).  The
 guard fails on the layout it replaced, one storage key per record
 (``("adj", v)`` → ``{w: True}``, ``("status", w)`` → mate), which made
 79.6 loads, 10.7 stores and 6.4 sizer calls per update: replay probed two

@@ -8,17 +8,16 @@ does not collect it; run it by path (≈ 30 s):
 Two checks, both of which fail on the parent of PR 22:
 
 * **Dense churn.**  ``DMPCMaximalMatching`` on ``gnm(n, 2n, seed=s)`` + 4 000
-  ``mixed_stream(seed=s + 10)`` updates at n in {32, 48, 64} × 8 seeds
+  ``mixed_stream(seed=s + 10)`` updates at n in {32, 48, 64} × 10 seeds
   (updates ≫ n, so every edge is deleted and re-inserted many times), maximal
   at *every* update boundary.  Before an empty machine was stamped current at
   allocation its first contact replayed the whole history buffer over records
   that had been placed current, and an old ``delete`` dropped the live copy of
-  a re-inserted edge: 18 of these 24 runs lost maximality (46 of 72 over seeds
-  1–24).  One run in those 72 still does, ``(n, s) = (64, 2)`` at update
-  3 766, by the cause ROADMAP item 1 keeps: ``move_vertex_edges`` places
-  current records on an *existing* light machine that is a few entries
-  behind.  It is why the sweep starts at seed 3, and it is kept below as a
-  strict ``xfail`` so the PR that fixes it finds its recipe here.
+  a re-inserted edge: 18 of 24 runs over seeds 3–10 lost maximality (46 of 72
+  over seeds 1–24).  One more, ``(n, s) = (64, 2)`` at update 3 766, lost it
+  until every placement caught its target up first: ``move_vertex_edges``
+  moved a row onto an existing light machine a few entries behind, and the
+  inserted copy was placed there without a catch-up.
 * **Table 1, as an assertion.**  2 000 ``mixed_stream`` updates on
   ``gnm(n, 2n)`` at n in {256, 1 024, 4 096} (S = 576 / 1 152 / 2 304): the
   largest round of any update carries at most ``1.0 × S`` words for maximal
@@ -49,9 +48,7 @@ from repro.graph.streams import mixed_stream
 from repro.graph.validation import has_length3_augmenting_path, is_maximal_matching
 
 CHURN_SIZES = (32, 48, 64)
-CHURN_SEEDS = range(3, 11)
-#: the one run of seeds 1–24 that still loses maximality (stale existing target)
-STALE_TARGET_RUN = (64, 2)
+CHURN_SEEDS = range(1, 11)
 CHURN_UPDATES = 4000
 
 SIZES = (256, 1024, 4096)
@@ -81,11 +78,6 @@ def test_maximal_at_every_boundary_under_dense_churn():
     failed = {run: index for run, index in failures.items() if index is not None}
     print(f"\ndense churn: {len(failed)} of {len(failures)} runs lost maximality {failed or ''}")
     assert not failed
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: records moved onto a stale existing light machine")
-def test_known_leftover_stale_existing_target():
-    assert first_violation(*STALE_TARGET_RUN) is None
 
 
 def run_one(algorithm: str, n: int) -> dict:
