@@ -212,7 +212,8 @@ class DMPCApproxMST(DMPCConnectivity):
 
     # ------------------------------------------------------------ diagnostics
     def verify_invariants(self) -> None:
-        """The forest must span every component and be within (1+eps) of optimal."""
+        """The forest must span every component and be within (1+eps) of optimal, and the tour state whole."""
+        self._tours.check_pair_index()
         forest = self.spanning_forest()
         if not is_spanning_forest(self.shadow, forest):
             raise InvariantViolation("maintained edge set is not a spanning forest of the graph")

@@ -15,17 +15,15 @@ vertex ``v`` a machine stores
 * its incident edges, each tagged as tree / non-tree, with the tour index
   pair associated with the edge (for tree edges) and the edge weight.
 
-All of it lives in one :class:`~repro.mpc.layout.TourShard` pair table per
-machine, mutated in place behind a frozen-charge handle (``_ShardTourStore``
-is the driver's seam onto them).  ``index_v`` is not stored: it is the union
-of the index pairs of ``v``'s tree-edge records, so every tour index lives
-once and a link / cut is one pass over the touched component's tree pairs
-(each shard keeps them in one list per component), never visiting a
-non-tree record or a member's tree row.  A shift cannot move a machine's
-word charge, so it re-stores the handle the machine holds (version bump, no
-sizing); only the endpoint owners, whose record sets changed, get a fresh
-one.  The seed's one ``("tour", v)`` and one
-``("edges", v)`` dict per vertex survive as the test suite's oracle
+All of it lives in one :class:`~repro.mpc.layout.TourShard` record table per
+machine, behind a frozen-charge handle (``_ShardTourStore`` is the driver's
+seam onto them).  ``index_v`` is not stored: it is the union of the index
+pairs of ``v``'s tree-edge records, so every tour index lives once, and one
+:class:`~repro.mpc.layout.TourPairs` map per cluster indexes those pairs by
+component.  A link / cut is one pass over the component's pairs in the map;
+every shard holding the component then re-stores the handle it holds (a
+shift moves no charge: version bump, no sizing).  The seed's per-vertex
+``("tour", v)`` / ``("edges", v)`` dicts survive as the test suite's oracle
 (``tests/dynamic_mpc/tour_oracle.py``), run in lockstep with the shards.
 
 Update mechanism
@@ -34,13 +32,13 @@ Inserting or deleting an edge broadcasts a **constant number of scalars**
 (``f(x)``, ``l(y)``, tour lengths, component ids) from the endpoints'
 machines to all machines; every machine then rewrites the indexes of the
 vertices and edge records it stores locally, with no further communication.
-That is the index arithmetic of :mod:`repro.eulertour.indexed`, applied
-shard-by-shard.  Deleting a tree edge additionally runs a replacement
-search: every machine owning vertices of the subtree being split off
-offers the non-tree edges incident to them to a designated machine, which
-identifies the crossing edges as exactly those offered by *one* endpoint
-(edges internal to the subtree are offered twice) and reinserts one of
-them as a tree edge.
+That is the index arithmetic of :mod:`repro.eulertour.indexed`, every
+machine's share applied in one pass over the map.  Deleting a tree edge
+additionally runs a replacement search: every machine owning vertices of the
+subtree being split off offers the non-tree edges incident to them to a
+designated machine, which identifies the crossing edges as exactly those
+offered by *one* endpoint (edges internal to the subtree are offered twice)
+and reinserts one of them as a tree edge.
 
 The machines hold the cut's scalars through that search but rewrite nothing
 until it has answered: a vertex's side of the cut shows in the tour as it
@@ -49,7 +47,7 @@ cut without a replacement is then applied as such.  A **replaced cut is one
 rewrite**: the replacement link's scalars follow from the cut's by O(1)
 arithmetic (:meth:`DMPCConnectivity._replacement_link`), its broadcast goes
 out as before, and every machine applies cut ∘ link in a single pass
-(:meth:`TourShard.apply_cut_link`) — outside the subtree the two shifts
+(:meth:`~repro.mpc.layout.TourPairs.cut_link`) — outside the subtree the two shifts
 cancel everywhere but between the hole and the attachment point, and no
 vertex changes component.  Rounds, messages and words are those of a cut
 followed by a link.
@@ -57,7 +55,7 @@ followed by a link.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc.base import DynamicMPCAlgorithm
@@ -65,7 +63,7 @@ from repro.exceptions import InvariantViolation
 from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.graph.updates import GraphUpdate
 from repro.graph.validation import connected_components, same_partition
-from repro.mpc.layout import FrozenChargeHandle, TourShard, check_layout
+from repro.mpc.layout import FrozenChargeHandle, TourPairs, TourShard, check_layout
 from repro.mpc.machine import Machine
 from repro.mpc.partition import hash_partition
 from repro.mpc.sizing import closed_form_words, register_closed_form
@@ -82,18 +80,29 @@ register_closed_form("endpoint-info", lambda payload: 1 + len(payload))
 register_closed_form("endpoint-ack", lambda payload: 1)
 
 
-class _ShardTourStore:
-    """The pair-table store: one in-place :class:`TourShard` per worker machine.
+def _lightest_crossing(offers: "Iterable[tuple[int, int, float]]") -> "tuple[int, int, float] | None":
+    """The lightest edge offered exactly once, as its one offer ``(v, w, weight)`` named it; ties by edge."""
+    tally: dict[tuple[int, int], list] = {}
+    for v, w, weight in offers:
+        tally.setdefault(normalize_edge(v, w), [0, (v, w, weight)])[0] += 1
+    crossing = [edge for edge, (count, _offer) in tally.items() if count == 1]
+    if not crossing:
+        return None
+    return tally[min(crossing, key=lambda edge: (tally[edge][1][2], edge))][1]
 
-    Mutations edit the shard directly and commit through the machine's
-    :class:`~repro.mpc.layout.FrozenChargeHandle`, so index rewrites
-    cost no sizing on any backend and the word totals are the seed's
-    per-vertex charges.
+
+class _ShardTourStore:
+    """One in-place :class:`TourShard` per worker machine, and the one :class:`TourPairs` map over them.
+
+    Record edits go through the map and commit through the machine's
+    :class:`~repro.mpc.layout.FrozenChargeHandle`, so the word totals are
+    the seed's per-vertex charges and an index rewrite sizes nothing.
     """
 
     def __init__(self, algo: "DMPCConnectivity") -> None:
         self.algo = algo
         self._workers = algo._workers
+        self.pairs = TourPairs()
 
     def _handle(self, machine: Machine) -> FrozenChargeHandle:
         handle = machine.load(TOUR_SHARD_KEY)
@@ -106,8 +115,8 @@ class _ShardTourStore:
         handle = machine.load(TOUR_SHARD_KEY)
         return None if handle is None else handle.table
 
-    def _machine(self, v: int) -> Machine:
-        return self.algo.cluster.machine(self.algo.owner(v))
+    def _machine(self, v: int) -> Machine:  # algo.owner(v) inlined: every record access starts here
+        return self.algo.cluster.machines_by_id[hash_partition(v, self.algo.worker_ids)]
 
     # ------------------------------------------------------------------ tours
     def comp_of(self, v: int) -> "int | None":
@@ -129,7 +138,7 @@ class _ShardTourStore:
         shard = handle.table
         shard.add_vertex(v, comp)
         for w, record in records.items():
-            shard.set_edge(v, w, record)
+            self.pairs.set_edge(shard, v, w, record)
         if shard.index_set(v) != indexes:
             raise InvariantViolation(f"vertex {v}: tour indexes are not the union of its tree-record pairs")
         handle.commit(machine, TOUR_SHARD_KEY)
@@ -142,13 +151,13 @@ class _ShardTourStore:
     def store_edge_record(self, v: int, w: int, record: "dict[str, Any]") -> None:
         machine = self._machine(v)
         handle = self._handle(machine)
-        handle.table.set_edge(v, w, record)
+        self.pairs.set_edge(handle.table, v, w, record)
         handle.commit(machine, TOUR_SHARD_KEY)
 
     def remove_edge_record(self, v: int, w: int) -> None:
         machine = self._machine(v)
         handle = self._handle(machine)
-        handle.table.pop_edge(v, w)
+        self.pairs.pop_edge(handle.table, v, w)
         handle.commit(machine, TOUR_SHARD_KEY)
 
     # ------------------------------------------------------------- global reads
@@ -175,42 +184,70 @@ class _ShardTourStore:
                 groups.setdefault(comp, []).extend(shard.index_set(v) for v in members)
         return groups
 
-    # --------------------------------------------------------- broadcast sweeps
-    def _sweep(self, kernel: "Callable[..., bool]", *scalars: Any) -> None:
-        """Run one index-rewriting :class:`TourShard` kernel on every worker's shard.
+    def check_pair_index(self) -> None:
+        """The map and the shards' tree records match one-to-one (:meth:`TourPairs.mismatch`)."""
+        problem = self.pairs.mismatch(self._shards())
+        if problem is not None:
+            raise InvariantViolation(f"tour pair index: {problem}")
 
-        A shard that held the component re-stores the handle it holds: a
-        rewrite moves indexes, never the record set, so the frozen charge
-        stands (:meth:`~repro.mpc.layout.FrozenChargeHandle.commit`) and
-        nothing is sized.
-        """
+    # --------------------------------------------------------- broadcast sweeps
+    def _by_owner(self, vertices: "Iterable[int]") -> "dict[str, set[int]]":
+        """``vertices`` grouped by the id of the worker that owns them."""
+        worker_ids = self.algo.worker_ids
+        groups: dict[str, set[int]] = {}
+        for v in vertices:
+            groups.setdefault(hash_partition(v, worker_ids), set()).add(v)
+        return groups
+
+    def _restore(self, comp: int, into: int, moved: "dict[str, set[int]] | None") -> None:
+        """After a pass: every shard holding ``comp`` or ``into`` moves its vertices ``moved`` names
+        (all of ``comp``'s, for ``None``) from ``comp`` to ``into``, and re-stores the handle it holds."""
         for machine in self._workers:
             handle = machine.load(TOUR_SHARD_KEY)
-            if handle is not None and kernel(handle.table, *scalars):
-                machine.store(TOUR_SHARD_KEY, handle)
+            if handle is None:
+                continue
+            members = handle.table.by_comp.get(comp)
+            if members:
+                here = members if moved is None else moved.get(machine.machine_id)
+                if here:
+                    handle.table.move(here, comp, into)
+            elif into not in handle.table.by_comp:
+                continue
+            machine.store(TOUR_SHARD_KEY, handle)
 
     def apply_link(self, scalars: dict) -> None:
-        self._sweep(
-            TourShard.apply_link,
-            scalars["comp_x"], scalars["comp_y"], scalars["f_x"], scalars["l_y"], scalars["len_y"], scalars["reroot"],
-        )
+        comp_x, comp_y = scalars["comp_x"], scalars["comp_y"]
+        self.pairs.link(comp_x, comp_y, scalars["f_x"], scalars["l_y"], scalars["len_y"], scalars["reroot"])
+        self._restore(comp_y, comp_x, None)
 
     def apply_cut(self, scalars: dict) -> None:
-        self._sweep(TourShard.apply_cut, scalars["comp"], scalars["new_comp"], scalars["y"], scalars["f_y"], scalars["l_y"])
+        comp, new_comp = scalars["comp"], scalars["new_comp"]
+        self._restore(comp, new_comp, self._by_owner(self.pairs.cut(comp, new_comp, scalars["y"], scalars["f_y"], scalars["l_y"])))
 
     def apply_cut_link(self, cut: dict, link: dict) -> None:
-        self._sweep(
-            TourShard.apply_cut_link,
-            cut["comp"], cut["f_y"], cut["l_y"], link["f_x"], link["l_y"], link["len_y"], link["reroot"],
-        )
+        comp = cut["comp"]
+        self.pairs.cut_link(comp, cut["f_y"], cut["l_y"], link["f_x"], link["l_y"], link["len_y"], link["reroot"])
+        self._restore(comp, comp, {})
 
     # ------------------------------------------------------------------ scans
     def subtree_offers(self, cuts: "list[dict]") -> "Iterator[tuple[Machine, list[list[tuple[int, int, float]]]]]":
-        scalars = [(cut["comp"], cut["y"], cut["f_y"], cut["l_y"]) for cut in cuts]
+        """Per owner of a vertex inside any cut's subtree, in worker order: its non-tree edges, per cut."""
+        per_cut = [self._by_owner(self.pairs.inside(cut["comp"], cut["y"], cut["f_y"], cut["l_y"])) for cut in cuts]
+        owner_ids = set().union(*per_cut)
         for machine in self._workers:
-            shard = self._peek(machine)
-            if shard is not None:
-                yield machine, [shard.subtree_offers(*cut) for cut in scalars]
+            machine_id = machine.machine_id
+            if machine_id not in owner_ids:
+                continue
+            edges = self._peek(machine).edges
+            yield machine, [
+                [
+                    (v, w, float(record.get("weight", 1.0)))
+                    for v in owners.get(machine_id, ())
+                    for w, record in edges[v].items()
+                    if not record.get("tree")
+                ]
+                for owners in per_cut
+            ]
 
     def path_scan_items(self, machine: Machine, comp: int) -> "Iterator[tuple[int, tuple[int, int], dict]]":
         shard = self._peek(machine)
@@ -731,23 +768,8 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
             if offers:
                 machine.send(self.aggregator_id, "replacement-offer", offers, words=3 * len(offers) + 1)
         self.cluster.exchange()
-
-        agg = self.cluster.machine(self.aggregator_id)
-        counts: dict[tuple[int, int], int] = {}
-        weights: dict[tuple[int, int], float] = {}
-        endpoints: dict[tuple[int, int], tuple[int, int]] = {}
-        for msg in agg.drain("replacement-offer"):
-            for (v, w, weight) in msg.payload:
-                edge = normalize_edge(v, w)
-                counts[edge] = counts.get(edge, 0) + 1
-                weights[edge] = weight
-                endpoints[edge] = (v, w)
-        crossing = [edge for edge, count in counts.items() if count == 1]
-        if not crossing:
-            return None
-        best = min(crossing, key=lambda e: (weights[e], e))
-        v, w = endpoints[best]
-        return (v, w, weights[best])
+        messages = self.cluster.machine(self.aggregator_id).drain("replacement-offer")
+        return _lightest_crossing(offer for msg in messages for offer in msg.payload)
 
     def _find_replacements_many(self, cuts: list[dict]) -> dict[int, tuple[int, int, float]]:
         """Merged replacement search for several split-off subtrees (2 rounds).
@@ -766,26 +788,21 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
                 machine.send(self.aggregator_id, "replacement-offer", offers, words=4 * len(offers) + 1)
         self.cluster.exchange()
 
-        agg = self.cluster.machine(self.aggregator_id)
-        by_comp: dict[int, dict[tuple[int, int], list]] = {}
-        for msg in agg.drain("replacement-offer"):
+        by_comp: dict[int, list[tuple[int, int, float]]] = {}
+        for msg in self.cluster.machine(self.aggregator_id).drain("replacement-offer"):
             for comp, v, w, weight in msg.payload:
-                entry = by_comp.setdefault(comp, {}).setdefault(normalize_edge(v, w), [0, weight, (v, w)])
-                entry[0] += 1
+                by_comp.setdefault(comp, []).append((v, w, weight))
         results: dict[int, tuple[int, int, float]] = {}
         for cut in cuts:
-            offers = by_comp.get(cut["new_comp"], {})
-            crossing = [edge for edge, (count, _weight, _vw) in offers.items() if count == 1]
-            if not crossing:
-                continue
-            best = min(crossing, key=lambda e: (offers[e][1], e))
-            _count, weight, (v, w) = offers[best]
-            results[cut["new_comp"]] = (v, w, weight)
+            best = _lightest_crossing(by_comp.get(cut["new_comp"], ()))
+            if best is not None:
+                results[cut["new_comp"]] = best
         return results
 
     # ------------------------------------------------------------ diagnostics
     def verify_invariants(self) -> None:
-        """Assert the maintained components match a reference BFS of the graph."""
+        """Assert the maintained components match a reference BFS of the graph, and the tour state is whole."""
+        self._tours.check_pair_index()
         ours = self.components()
         reference = connected_components(self.shadow)
         # The algorithm may know isolated vertices the shadow graph also has;

@@ -3,7 +3,7 @@
 Every static baseline stores its machine's adjacency as one flat CSR
 value, the dynamic matching fabric one vertex table per statistics
 machine and one edge table per edge machine, dynamic connectivity one
-tour-pair table per worker.  The seed
+tour record table per worker.  The seed
 stored one dict object per vertex key (adjacency, weights, statistics,
 tour, edge records) and paid python-dict overhead twice per superstep,
 walking the entries and re-serializing them for the resident wire.  The
@@ -53,10 +53,11 @@ benchmark calls (:func:`check_layout`).  This module owns:
     one Section-3 edge machine's records indexed by vertex: adjacency rows
     ``v -> {w: True}`` and status records ``w -> mate``, with the word
     counter the per-key records were charged.
-:class:`TourShard`
-    dynamic connectivity's Euler-tour state as one pair table per machine
+:class:`TourShard` / :class:`TourPairs`
+    dynamic connectivity's Euler-tour state as one record table per machine
     (plain dicts, no arrays): every tour index lives once, in the index pair
-    of its tree-edge record, shifted in place by the link / cut kernels.
+    of its tree-edge record.  One cluster-wide map per component indexes
+    those pairs, and its link / cut passes shift them in place.
 
 NumPy acceleration is optional everywhere and imported on first use, not
 with this module: kernels ask :func:`numpy_or_none` and fall back to
@@ -93,6 +94,7 @@ __all__ = [
     "EDGE_TABLE_KEY",
     "EdgeTable",
     "TourShard",
+    "TourPairs",
 ]
 
 #: whether the vectorized kernel paths are available in this interpreter
@@ -815,7 +817,7 @@ def _edge_record_words(record: "dict[str, Any]") -> int:
 
 
 class TourShard:
-    """One worker machine's slice of every Euler-tour forest, as a pair table.
+    """One worker machine's slice of every Euler-tour forest: its vertices' tree and non-tree records.
 
     A vertex's tour occurrences are exactly the index pairs of its tree-edge
     records (``index_v = ⋃ pair(v, w)`` over tree neighbours ``w``: the
@@ -833,21 +835,12 @@ class TourShard:
         vertex → {tree neighbor → pair}: the row ``span`` / ``index_set``
         derive a vertex's occurrences from,
     ``by_comp``
-        component id → vertex set, maintained by the kernels: singletons,
-        ``components()`` and the MST path-maximum scan iterate a component's
-        members instead of every key on the machine,
-    ``pairs``
-        component id → ``[(pair, vertex), ...]``, the tree pairs its members
-        hold here (the very lists the tree rows share), in no order: the
-        list every kernel walks, so a sweep visits neither a non-tree record
-        nor a member's row.
+        component id → vertex set: singletons, ``components()`` and the MST
+        path-maximum scan iterate a component's members instead of every key
+        on the machine.
 
-    Three kernels rewrite indexes, each one pass over the touched
-    component's pair list: ``apply_link``, ``apply_cut`` and
-    ``apply_cut_link`` — a cut and the link of its replacement edge composed,
-    so a replaced tree delete rewrites every index once and moves no vertex
-    between components.  ``subtree_offers`` is the read-only scan that lets
-    the replacement search run before the cut is applied.
+    The shard rewrites no index: one :class:`TourPairs` map per cluster
+    indexes its pairs and shifts them in place.
 
     Word accounting is incremental (``live_words`` is O(1)) and charges
     what the seed's per-vertex keys did: 12 words per vertex plus one per
@@ -855,14 +848,13 @@ class TourShard:
     ``set_edge`` / ``pop_edge`` move it; an index shift never does.
     """
 
-    __slots__ = ("comp", "edges", "tree", "by_comp", "pairs", "_words")
+    __slots__ = ("comp", "edges", "tree", "by_comp", "_words")
 
     def __init__(self) -> None:
         self.comp: "dict[int, int]" = {}
         self.edges: "dict[int, dict[int, dict[str, Any]]]" = {}
         self.tree: "dict[int, dict[int, list[int]]]" = {}
         self.by_comp: "dict[int, set[int]]" = {}
-        self.pairs: "dict[int, list[tuple[list[int], int]]]" = {}
         self._words = 0
 
     # ------------------------------------------------------------------ tours
@@ -885,126 +877,209 @@ class TourShard:
         """The derived occurrence set ``index_v`` (two indexes per tree record)."""
         return {i for pair in self.tree[vertex].values() for i in pair}
 
-    # ---------------------------------------------------------------- kernels
-    def apply_link(self, comp_x: int, comp_y: int, f_x: int, l_y: int, len_y: int, reroot: bool) -> bool:
-        """Shift this shard's pairs for a broadcast link; False if it holds neither tree.
+    def move(self, vertices: "set[int]", comp: int, new_comp: int) -> None:
+        """Relabel ``vertices``, members of ``comp`` here, as members of ``new_comp`` (the shard keeps the set)."""
+        for v in vertices:
+            self.comp[v] = new_comp
+        members = self.by_comp.pop(comp)
+        if members is not vertices:
+            members -= vertices
+            if members:
+                self.by_comp[comp] = members
+        into = self.by_comp.setdefault(new_comp, vertices)
+        if into is not vertices:
+            into |= vertices
+
+    # ------------------------------------------------------------------ edges
+    def edge_row(self, vertex: int) -> "dict[int, dict[str, Any]]":
+        return self.edges.get(vertex, {})
+
+    def set_edge(self, vertex: int, neighbor: int, record: "dict[str, Any]") -> "list[int] | None":
+        """Store ``record`` (the shard takes ownership); ``KeyError`` for an unknown vertex.
+
+        Returns a tree record's pair, the one list its record and tree row now share.
+        """
+        row = self.edges[vertex]
+        self.pop_edge(vertex, neighbor)
+        pair = record.get("indexes")
+        if pair is not None:
+            lo, hi = pair
+            pair = record["indexes"] = self.tree[vertex][neighbor] = [lo, hi] if lo <= hi else [hi, lo]
+        row[neighbor] = record
+        self._words += _edge_record_words(record)
+        return pair
+
+    def pop_edge(self, vertex: int, neighbor: int) -> "list[int] | None":
+        """Drop the record of ``(vertex, neighbor)`` if there is one; returns its pair if it was a tree record."""
+        row = self.edges.get(vertex)
+        old = row.pop(neighbor, None) if row else None
+        if old is None:
+            return None
+        self._words -= _edge_record_words(old)
+        return self.tree[vertex].pop(neighbor, None)
+
+    # ------------------------------------------------------------- accounting
+    def live_words(self) -> int:
+        """Current word footprint (incrementally maintained, O(1))."""
+        return self._words
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"TourShard(vertices={len(self.comp)}, comps={len(self.by_comp)}, "
+            f"words={self._words})"
+        )
+
+
+class TourPairs:
+    """Every tree pair of a cluster's tour shards, one map per component: ``comp → {(v, w): pair}``.
+
+    ``pair`` is the ``[lo, hi]`` list of the tree record ``(v, w)`` on
+    ``v``'s shard, the very object that record and its tree row hold, so a
+    pass that shifts it shifts the record.  The shard still owns and is
+    charged for it; the map lets a broadcast rewrite be one loop over the
+    component's pairs, not one call per shard.  A singleton has no entry.
+    Records change through :meth:`set_edge` / :meth:`pop_edge`, which edit
+    shard and map together.  A pass relabels no vertex on its shard: the
+    caller moves all of ``comp_y`` after :meth:`link`, and what :meth:`cut`
+    returns (:meth:`TourShard.move`).
+    """
+
+    __slots__ = ("comps",)
+
+    def __init__(self) -> None:
+        self.comps: "dict[int, dict[tuple[int, int], list[int]]]" = {}
+
+    @classmethod
+    def from_shards(cls, shards: "Iterable[TourShard]") -> "TourPairs":
+        """The map of ``shards``' tree records, rebuilt from the records' own pairs."""
+        pairs = cls()
+        comps = pairs.comps
+        for shard in shards:
+            for v, row in shard.edges.items():
+                for w, record in row.items():
+                    pair = record.get("indexes")
+                    if pair is not None:
+                        comps.setdefault(shard.comp[v], {})[v, w] = pair
+        return pairs
+
+    def mismatch(self, shards: "Iterable[TourShard]") -> "str | None":
+        """What breaks the one-to-one match of the map with ``shards``' tree records, else ``None``.
+
+        Each tree record's pair must be the object the map holds under its
+        vertex's component, no two records may share one, and the map must
+        hold nothing else.  O(pairs).
+        """
+
+        def ids(comps: dict) -> dict:
+            return {comp: {key: id(pair) for key, pair in pairs.items()} for comp, pairs in comps.items()}
+
+        held, want = ids(self.comps), ids(TourPairs.from_shards(shards).comps)
+        for comp in held.keys() | want.keys():
+            if held.get(comp) != want.get(comp):
+                return f"component {comp}: the map does not hold exactly its tree records' pairs"
+        if len({i for keyed in want.values() for i in keyed.values()}) != sum(map(len, want.values())):
+            return "two tree records share one pair"
+        return None
+
+    # ------------------------------------------------------------------ edges
+    def set_edge(self, shard: TourShard, vertex: int, neighbor: int, record: "dict[str, Any]") -> None:
+        """:meth:`TourShard.set_edge`, indexing a tree record's pair under ``vertex``'s component."""
+        if neighbor in shard.tree[vertex]:  # a tree record it replaces leaves the map (KeyError: unknown vertex)
+            self.pop_edge(shard, vertex, neighbor)
+        pair = shard.set_edge(vertex, neighbor, record)
+        if pair is not None:
+            self.comps.setdefault(shard.comp[vertex], {})[vertex, neighbor] = pair
+
+    def pop_edge(self, shard: TourShard, vertex: int, neighbor: int) -> None:
+        """:meth:`TourShard.pop_edge`, dropping a tree record's pair from the map."""
+        if shard.pop_edge(vertex, neighbor) is not None:
+            comp = shard.comp[vertex]
+            held = self.comps[comp]
+            del held[vertex, neighbor]
+            if not held:
+                del self.comps[comp]
+
+    # ----------------------------------------------------------------- passes
+    def link(self, comp_x: int, comp_y: int, f_x: int, l_y: int, len_y: int, reroot: bool) -> None:
+        """Shift the pairs for a broadcast link and merge ``comp_y``'s into ``comp_x``'s.
 
         ``T_x`` entries past ``f_x`` make room (``+len_y+4``); ``T_y`` is
         rotated to ``y`` when ``reroot`` — a flipped edge comes out reversed
-        and is re-sorted — then offset by ``f_x+2`` and moved into ``comp_x``.
-        The new edge's own two pairs arrive with its records (``set_edge``).
+        and is re-sorted — then offset by ``f_x+2``.  The new edge's own two
+        pairs arrive with its records (:meth:`set_edge`).
         """
-        members_x = self.by_comp.get(comp_x)
-        members_y = self.by_comp.pop(comp_y, None)
-        if not members_x and not members_y:
-            return False
-        pairs_x = self.pairs.get(comp_x)
-        if pairs_x:
+        held_x = self.comps.get(comp_x)
+        if held_x is not None:
             grow = len_y + 4
-            for pair, _v in pairs_x:
+            for pair in held_x.values():
                 if pair[1] > f_x:
                     pair[1] += grow
                     if pair[0] > f_x:
                         pair[0] += grow
-        if members_y:
-            comp = self.comp
-            for v in members_y:
-                comp[v] = comp_x
-            pairs_y = self.pairs.pop(comp_y, None)
-            if pairs_y:
-                offset = f_x + 2
-                for pair, _v in pairs_y:
-                    a, b = pair
-                    if reroot:
-                        a = (a - l_y) % len_y + 1
-                        b = (b - l_y) % len_y + 1
-                        if a > b:
-                            a, b = b, a
-                    pair[0] = a + offset
-                    pair[1] = b + offset
-                if pairs_x is None:
-                    self.pairs[comp_x] = pairs_y
-                else:
-                    pairs_x += pairs_y
-            if members_x:
-                members_x |= members_y
+        held_y = self.comps.pop(comp_y, None)
+        if held_y is not None:
+            offset = f_x + 2
+            for pair in held_y.values():
+                a, b = pair
+                if reroot:
+                    a = (a - l_y) % len_y + 1
+                    b = (b - l_y) % len_y + 1
+                    if a > b:
+                        a, b = b, a
+                pair[0] = a + offset
+                pair[1] = b + offset
+            if held_x is None:
+                self.comps[comp_x] = held_y
             else:
-                self.by_comp[comp_x] = members_y
-        return True
+                held_x.update(held_y)
 
-    def apply_cut(self, comp: int, new_comp: int, y: int, f_y: int, l_y: int) -> bool:
-        """Shift this shard's pairs for a broadcast cut; False if it holds none of ``comp``.
+    def cut(self, comp: int, new_comp: int, y: int, f_y: int, l_y: int) -> "set[int]":
+        """Shift the pairs for a broadcast cut; returns the vertices that move to ``new_comp``.
 
         The cut edge's own records are already gone.  A pair inside
         ``[f_y, l_y]`` belongs to ``y``'s subtree: it drops by ``f_y`` and
         moves, with its vertex, to ``new_comp`` (as does ``y`` itself, even
         when the cut left it a singleton); entries past ``l_y`` close the gap.
         """
-        members = self.by_comp.get(comp)
-        if not members:
-            return False
+        moved = {y}
+        held = self.comps.get(comp)
+        if held is None:
+            return moved
         gap = l_y - f_y + 3
-        kept, inner = [], []
-        for entry in self.pairs.get(comp, ()):
-            pair = entry[0]
+        inner = {}
+        for key, pair in held.items():
             a = pair[0]
             if a > l_y:
                 pair[0] = a - gap
                 pair[1] -= gap
-                kept.append(entry)
             elif a >= f_y:
                 pair[0] = a - f_y
                 pair[1] -= f_y
-                inner.append(entry)
-            else:
-                if pair[1] > l_y:
-                    pair[1] -= gap
-                kept.append(entry)
-        moved = {v for _pair, v in inner}
-        if y in members:
-            moved.add(y)
-        if moved:
-            for v in moved:
-                self.comp[v] = new_comp
-            members -= moved
-            if members:
-                self.pairs[comp] = kept
-            else:
-                del self.by_comp[comp]
-                self.pairs.pop(comp, None)
-            self.by_comp[new_comp] = moved
-            if inner:
-                self.pairs[new_comp] = inner
-        return True
+                inner[key] = pair
+            elif pair[1] > l_y:
+                pair[1] -= gap
+        if inner:
+            for key in inner:
+                del held[key]
+                moved.add(key[0])
+            if not held:
+                del self.comps[comp]
+            self.comps[new_comp] = inner
+        return moved
 
-    def subtree_offers(self, comp: int, y: int, f_y: int, l_y: int) -> "list[tuple[int, int, float]]":
-        """Non-tree edges ``(v, w, weight)`` of this shard's vertices inside ``y``'s subtree.
+    def inside(self, comp: int, y: int, f_y: int, l_y: int) -> "set[int]":
+        """The vertices of ``y``'s subtree, read before the broadcast cut is applied.
 
-        Read-only, and answered **before** the broadcast cut of ``y`` from its
-        parent is applied (the cut edge's own records are already gone): every
-        pair of a vertex lies on one side of the cut, so a vertex is inside
-        iff one of its pairs lies in ``[f_y, l_y]``, and ``y`` — whose row
-        may be empty — is named.  These are the records ``by_comp[new_comp]``
-        would hold after :meth:`apply_cut`, in pair-list order.
+        The cut edge's own records are already gone.  Every pair of a vertex
+        lies on one side of the cut, so a vertex is inside iff one of its
+        pairs lies in ``[f_y, l_y]``; ``y``, whose row may be empty, is named.
         """
-        members = self.by_comp.get(comp)
-        if not members:
-            return []
-        inside = {}
-        for pair, v in self.pairs.get(comp, ()):
-            if f_y <= pair[0] <= l_y:
-                inside[v] = None
-        if y in members:
-            inside[y] = None
-        offers: "list[tuple[int, int, float]]" = []
-        for v in inside:
-            for w, record in self.edges[v].items():
-                if not record.get("tree"):
-                    offers.append((v, w, float(record.get("weight", 1.0))))
-        return offers
+        inside = {key[0] for key, pair in self.comps.get(comp, {}).items() if f_y <= pair[0] <= l_y}
+        inside.add(y)
+        return inside
 
-    def apply_cut_link(self, comp: int, f_y: int, l_y: int, f_x: int, l_b: int, len_y: int, reroot: bool) -> bool:
-        """:meth:`apply_cut` then :meth:`apply_link` of the replacement edge, as one rewrite.
+    def cut_link(self, comp: int, f_y: int, l_y: int, f_x: int, l_b: int, len_y: int, reroot: bool) -> None:
+        """:meth:`cut` then :meth:`link` of the replacement edge, as one rewrite.
 
         ``[f_y, l_y]`` is the cut subtree in the tour as it stands; ``f_x``,
         ``l_b``, ``len_y`` and ``reroot`` are the link's scalars as they read
@@ -1013,11 +1088,11 @@ class TourShard:
         ``f_x + 2``.  Outside it the cut's ``-(len_y + 4)`` and the link's
         ``+(len_y + 4)`` cancel everywhere but between the hole and the
         attachment point.  The subtree comes back to ``comp``, so no vertex
-        changes component.  False if the shard holds none of ``comp``.
+        changes component.
         """
-        members = self.by_comp.get(comp)
-        if not members:
-            return False
+        held = self.comps.get(comp)
+        if held is None:
+            return
         gap = len_y + 4
         if f_x < f_y:  # attached before the hole: what lies between moves up past the subtree
             lo, hi, delta = f_x, f_y - 1, gap
@@ -1028,7 +1103,7 @@ class TourShard:
         offset = f_x + 2
         slide = offset - f_y
         turn = f_y + l_b
-        for pair, _v in self.pairs.get(comp, ()):
+        for pair in held.values():
             a, b = pair
             if a > last or b < first:
                 continue  # wholly before or past everything that moves
@@ -1048,63 +1123,6 @@ class TourShard:
                     pair[0] = a + delta
                 if lo < b <= hi:
                     pair[1] = b + delta
-        return True
-
-    # ------------------------------------------------------------------ edges
-    def edge_row(self, vertex: int) -> "dict[int, dict[str, Any]]":
-        return self.edges.get(vertex, {})
-
-    def set_edge(self, vertex: int, neighbor: int, record: "dict[str, Any]") -> None:
-        """Store ``record`` (the shard takes ownership); ``KeyError`` for an unknown vertex."""
-        row = self.edges[vertex]
-        self.pop_edge(vertex, neighbor)
-        pair = record.get("indexes")
-        if pair is not None:
-            lo, hi = pair
-            pair = record["indexes"] = self.tree[vertex][neighbor] = [lo, hi] if lo <= hi else [hi, lo]
-            self.pairs.setdefault(self.comp[vertex], []).append((pair, vertex))
-        row[neighbor] = record
-        self._words += _edge_record_words(record)
-
-    def pop_edge(self, vertex: int, neighbor: int) -> None:
-        row = self.edges.get(vertex)
-        old = row.pop(neighbor, None) if row else None
-        if old is not None:
-            self._words -= _edge_record_words(old)
-            pair = self.tree[vertex].pop(neighbor, None)
-            if pair is not None:
-                entries = self.pairs[self.comp[vertex]]
-                for i, (held, _v) in enumerate(entries):
-                    if held is pair:
-                        del entries[i]
-                        break
-
-    # ------------------------------------------------------------- accounting
-    def live_words(self) -> int:
-        """Current word footprint (incrementally maintained, O(1))."""
-        return self._words
-
-    # ------------------------------------------------------------ serialization
-    def __getstate__(self) -> tuple:
-        return (self.comp, self.edges, self._words)
-
-    def __setstate__(self, state: tuple) -> None:
-        # tree rows, by_comp and pairs are rebuilt, so a restored record's
-        # "indexes" is again the very pair its tree row and pair list hold
-        self.comp, self.edges, self._words = state
-        self.tree, self.by_comp, self.pairs = {}, {}, {}
-        for v, row in self.edges.items():
-            comp = self.comp[v]
-            self.by_comp.setdefault(comp, set()).add(v)
-            held = self.tree[v] = {w: rec["indexes"] for w, rec in row.items() if rec.get("indexes") is not None}
-            if held:
-                self.pairs.setdefault(comp, []).extend((pair, v) for pair in held.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TourShard(vertices={len(self.comp)}, comps={len(self.by_comp)}, "
-            f"words={self._words})"
-        )
 
 
 # ------------------------------------------------------------ wire registry

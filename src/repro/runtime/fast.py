@@ -183,6 +183,13 @@ class FastTransport(Transport):
         #: the staging hook is the set's own ``add``: noting a sender runs no Python frame
         self.note_staged = self._staged.add
 
+    def __setstate__(self, state: tuple) -> None:
+        # copy and pickle keep a bound builtin as it is, still adding to the original's set:
+        # a deep-copied cluster's sends would be delivered by the original's next exchange
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.note_staged = self._staged.add
+
     def exchange(self) -> RoundRecord:
         staged = self._staged
         # one sender (the light rounds of the matching protocol) needs no ordering

@@ -8,14 +8,14 @@ Five guarantees are locked down here:
   stream over the per-update ``(label, rounds, words, max words per round,
   max active machines)`` rows and the solution, recorded while both ran;
   every execution backend must reproduce it.
-* **Tours against the oracle** — the Euler-tour state of the pair-table
-  shards (index sets, record pairs, per-machine charges) agrees at every
+* **Tours against the oracle** — the Euler-tour state of the tour shards
+  and their pair map (index sets, record pairs, per-machine charges) agrees at every
   update boundary with the seed's per-vertex store
   (``tour_oracle.DictTourStore``) run in lockstep, on adversarial streams
   and on plain mixed streams where most tree deletes find a replacement
   (one composed rewrite in the shards, two passes in the oracle); the tours
   are genuine Euler tours, and two seeded mutations of the composed path
-  and one of the shards' pair lists are caught.
+  and one of the pair map are caught.
 * **Heavy vertices** — through suspended-stack growth and refill, the
   matching stays a maximal matching of the graph at every boundary.
 * **Coalesced batches** — with coalescing on, ``apply_batch`` reaches the
@@ -54,7 +54,7 @@ from repro.graph.graph import normalize_edge
 from repro.graph.generators import gnm_random_graph, random_forest, random_weighted_graph
 from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
 from repro.graph.validation import is_matching, is_maximal_matching
-from repro.mpc.layout import TourShard
+from repro.mpc.layout import TourPairs
 from repro.mpc.sizing import closed_form_words, registered_closed_forms, word_size
 from seeded_mutation import mutated
 from tour_oracle import DictTourStore
@@ -199,8 +199,9 @@ class TestPinnedLedgers:
 def tour_snapshot(algorithm):
     """Store-neutral tour state: per-vertex (comp, index set), per-record (tree, weight, pair), per-machine words.
 
-    A shard's index sets are read from its component pair lists, the pairs its kernels walk, so a
-    pair left in a list after its record went shows as an index the oracle does not have."""
+    The shards' index sets are read from the pair map, the pairs its passes walk, under the component
+    the map files them in, so a pair left in the map after its record went shows as an index the
+    oracle does not have."""
     vertices, rows, words = {}, {}, {}
     for machine in algorithm.cluster.machines(role="worker"):
         words[machine.machine_id] = machine.used_words
@@ -211,13 +212,15 @@ def tour_snapshot(algorithm):
                 for v, comp in shard.comp.items():
                     vertices[v] = (comp, set())
                     rows[v] = shard.edge_row(v)
-                for entries in shard.pairs.values():
-                    for pair, v in entries:
-                        vertices[v][1].update(pair)
             elif key[0] == "tour":
                 vertices[key[1]] = (value["comp"], set(value["indexes"]))
             else:
                 rows[key[1]] = value
+    pairs = getattr(algorithm._tours, "pairs", None)  # the oracle keeps its indexes under its ("tour", v) keys
+    for comp, held in (pairs.comps if pairs is not None else {}).items():
+        for (v, _w), pair in held.items():
+            assert vertices[v][0] == comp, f"the map files vertex {v}'s pair under component {comp}"
+            vertices[v][1].update(pair)
     records = {
         (v, w): (rec["tree"], rec["weight"], None if rec["indexes"] is None else tuple(rec["indexes"]))
         for v, row in rows.items()
@@ -430,7 +433,7 @@ class TestReplacedCutDifferential:
 
     def test_open_interval_bound_is_caught(self, monkeypatch):
         """Seeded mutation: the index at the attachment point (``hi`` itself) stays behind."""
-        monkeypatch.setattr(TourShard, "apply_cut_link", mutated(TourShard.apply_cut_link, "<= hi:", "< hi:"))
+        monkeypatch.setattr(TourPairs, "cut_link", mutated(TourPairs.cut_link, "<= hi:", "< hi:"))
         with pytest.raises(AssertionError, match="layouts diverged"):
             self.run_stream("connectivity", self.SEEDS[0], None)
 
@@ -448,8 +451,8 @@ class TestReplacedCutDifferential:
 
     def test_dropped_pair_left_in_its_list_is_caught(self, monkeypatch):
         """Seeded mutation: ``pop_edge`` drops a tree record but leaves its pair in the component's
-        pair list, so every later sweep keeps shifting a pair that no record holds."""
-        monkeypatch.setattr(TourShard, "pop_edge", mutated(TourShard.pop_edge, "del entries[i]", "pass"))
+        map, so every later pass keeps shifting a pair that no record holds."""
+        monkeypatch.setattr(TourPairs, "pop_edge", mutated(TourPairs.pop_edge, "del held[vertex, neighbor]", "pass"))
         with pytest.raises(AssertionError, match="layouts diverged"):
             self.run_stream("connectivity", self.SEEDS[0], None)
 

@@ -105,6 +105,9 @@ class DictTourStore:
                     groups.setdefault(state["comp"], []).append(set(state["indexes"]))
         return groups
 
+    def check_pair_index(self) -> None:
+        """The per-vertex layout keeps no pair index: there is nothing to match."""
+
     # --------------------------------------------------------- broadcast sweeps
     def apply_link(self, scalars: dict) -> None:
         comp_x, comp_y = scalars["comp_x"], scalars["comp_y"]

@@ -1,15 +1,15 @@
-"""The pair-table ``TourShard``: link/cut kernels against the index-set reference.
+"""``TourShard`` records and the ``TourPairs`` map over them: link/cut passes against the index-set reference.
 
-A forest's vertices are split over 1, 2 and 7 shards and driven with the
-same constant-size scalars the connectivity driver broadcasts; after every
-step the shards must say exactly what :class:`IndexedEulerTourForest` says —
-although no shard stores an index set, only the pairs of its tree records.
-A replaced cut (``replace``) runs twice: as the one composed rewrite
-``apply_cut_link`` and as ``apply_cut`` then ``apply_link``, which must leave
-the same shards behind.  Before every cut, each shard's ``subtree_offers`` (a
-scan of the component's pair list) must offer what the per-member rule does,
-and after every step each component's pair list must hold exactly the tree
-pairs of its members on that shard.
+A forest's vertices are split over 1, 2 and 7 shards, and the map's passes
+are driven with the same constant-size scalars the connectivity driver
+broadcasts; after every step the shards must say exactly what
+:class:`IndexedEulerTourForest` says — although no shard stores an index set,
+only the pairs of its tree records.  A replaced cut (``replace``) runs twice:
+as the one composed rewrite ``cut_link`` and as ``cut`` then ``link``, which
+must leave the same shards behind.  Before every cut, the offers each shard
+builds for the vertices of the map's ``inside`` scan must be what the
+per-member rule offers, and after every step the map must hold exactly the
+shards' tree pairs, each under its vertex's component.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.eulertour import IndexedEulerTourForest
-from repro.mpc.layout import TourShard
+from repro.mpc.layout import TourPairs, TourShard
 from seeded_mutation import mutated
 
 SHARD_COUNTS = (1, 2, 7)
@@ -33,6 +33,7 @@ class ShardedForest:
     def __init__(self, n: int, num_shards: int, *, composed: bool = True) -> None:
         self.composed = composed
         self.shards = [TourShard() for _ in range(num_shards)]
+        self.pairs = TourPairs()
         self.length = {v: 0 for v in range(n)}
         self.next_comp = n
         for v in range(n):
@@ -48,11 +49,21 @@ class ShardedForest:
         f_y, l_y = self.shard(y).span(y)
         f_x = self.shard(x).span(x)[0]
         f_x -= f_x % 2
+        self.pairs.link(comp_x, comp_y, f_x, l_y, len_y, len_y > 0 and f_y != 1)
         for shard in self.shards:
-            shard.apply_link(comp_x, comp_y, f_x, l_y, len_y, len_y > 0 and f_y != 1)
+            if comp_y in shard.by_comp:
+                shard.move(shard.by_comp[comp_y], comp_y, comp_x)
         self.length[comp_x] += len_y + 4
-        self.shard(x).set_edge(x, y, {"tree": True, "weight": 1.0, "indexes": (f_x + 1, f_x + len_y + 4)})
-        self.shard(y).set_edge(y, x, {"tree": True, "weight": 1.0, "indexes": (f_x + 2, f_x + len_y + 3)})
+        self.set_tree_edge(x, y, f_x, len_y)
+
+    def set_tree_edge(self, x: int, y: int, f_x: int, len_y: int) -> None:
+        """``_store_tree_edge``: the linked edge's two records (x is the parent, y the child)."""
+        self.pairs.set_edge(self.shard(x), x, y, {"tree": True, "weight": 1.0, "indexes": (f_x + 1, f_x + len_y + 4)})
+        self.pairs.set_edge(self.shard(y), y, x, {"tree": True, "weight": 1.0, "indexes": (f_x + 2, f_x + len_y + 3)})
+
+    def offers(self, shard: TourShard, inside: "set[int]") -> list:
+        """What ``shard`` offers for the scanned vertices it owns: their non-tree records."""
+        return sorted((v, w, rec["weight"]) for v in inside if self.shard(v) is shard for w, rec in shard.edges[v].items() if not rec["tree"])
 
     def cut_scalars(self, x: int, y: int) -> "tuple[int, int, int, int, int]":
         """``_cut_scalars``: read from the two copies of the edge, which are then dropped."""
@@ -62,18 +73,24 @@ class ShardedForest:
             x, y, pair_y = y, x, pair_x
         comp, new_comp = self.shard(x).comp[x], self.next_comp
         self.next_comp += 1
-        self.shard(x).pop_edge(x, y)
-        self.shard(y).pop_edge(y, x)
-        for shard in self.shards:  # the offers a cut's replacement search reads, before anything is rewritten
-            assert sorted(shard.subtree_offers(comp, y, *pair_y)) == members_rule_offers(shard, comp, y, *pair_y)
+        self.pairs.pop_edge(self.shard(x), x, y)
+        self.pairs.pop_edge(self.shard(y), y, x)
+        inside = self.pairs.inside(comp, y, *pair_y)  # what a cut's replacement search reads, before anything is rewritten
+        for shard in self.shards:
+            assert self.offers(shard, inside) == members_rule_offers(shard, comp, y, *pair_y)
         return (y, comp, new_comp, *pair_y)
 
     def cut(self, x: int, y: int) -> None:
         """``_cut_scalars`` + ``_commit_cut``."""
         y, comp, new_comp, f_y, l_y = self.cut_scalars(x, y)
-        offers = [sorted(shard.subtree_offers(comp, y, f_y, l_y)) for shard in self.shards]
+        inside = self.pairs.inside(comp, y, f_y, l_y)
+        offers = [self.offers(shard, inside) for shard in self.shards]
+        moved = self.pairs.cut(comp, new_comp, y, f_y, l_y)
+        assert moved == inside  # the cut moves exactly the vertices the scan found inside
         for shard in self.shards:
-            shard.apply_cut(comp, new_comp, y, f_y, l_y)
+            here = {v for v in moved if self.shard(v) is shard}
+            if here:
+                shard.move(here, comp, new_comp)
         # what the un-cut shards offered is what the split-off component holds once the cut is applied
         assert offers == [
             sorted((v, w, rec["weight"]) for v in shard.by_comp.get(new_comp, ()) for w, rec in shard.edges[v].items() if not rec["tree"])
@@ -85,7 +102,7 @@ class ShardedForest:
     def replace(self, x: int, y: int, a: int, b: int) -> None:
         """A replaced tree delete: cut ``(x, y)``, then ``(a, b)`` — ``b`` inside the split-off subtree,
         ``a`` outside — becomes a tree edge.  Composed, it is the driver's ``_replacement_link`` (link
-        scalars by arithmetic on the spans as they stand before the cut) and one ``apply_cut_link``."""
+        scalars by arithmetic on the spans as they stand before the cut) and one ``cut_link`` pass."""
         if not self.composed:
             self.cut(x, y)
             self.link(a, b)
@@ -97,10 +114,8 @@ class ShardedForest:
         if f_x > l_y:
             f_x -= len_y + 4
         f_x -= f_x % 2
-        for shard in self.shards:
-            shard.apply_cut_link(comp, f_y, l_y, f_x, l_b, len_y, b != y)
-        self.shard(a).set_edge(a, b, {"tree": True, "weight": 1.0, "indexes": (f_x + 1, f_x + len_y + 4)})
-        self.shard(b).set_edge(b, a, {"tree": True, "weight": 1.0, "indexes": (f_x + 2, f_x + len_y + 3)})
+        self.pairs.cut_link(comp, f_y, l_y, f_x, l_b, len_y, b != y)
+        self.set_tree_edge(a, b, f_x, len_y)
 
     def state(self) -> list:
         """Everything the shards hold but the component *ids* (compared as a partition per shard)."""
@@ -110,16 +125,16 @@ class ShardedForest:
         ]
 
     def toggle_non_tree(self, u: int, v: int) -> None:
-        """Non-tree records are inert at this level: the kernels must never touch them."""
+        """Non-tree records are inert at this level: the passes must never touch them."""
         for a, b in ((u, v), (v, u)):
             if b in self.shard(a).edge_row(a):
-                self.shard(a).pop_edge(a, b)
+                self.pairs.pop_edge(self.shard(a), a, b)
             else:
-                self.shard(a).set_edge(a, b, {"tree": False, "weight": 2.0, "indexes": None})
+                self.pairs.set_edge(self.shard(a), a, b, {"tree": False, "weight": 2.0, "indexes": None})
 
 
 def members_rule_offers(shard: TourShard, comp: int, y: int, f_y: int, l_y: int) -> list:
-    """The per-member rule the pair-list scan replaced: a vertex is inside ``y``'s subtree iff the
+    """The per-member rule the map scan replaced: a vertex is inside ``y``'s subtree iff the
     first pair of its tree row lies in ``[f_y, l_y]``, or it is ``y`` with an empty row."""
     inside = []
     for v in shard.by_comp.get(comp, ()):
@@ -129,19 +144,21 @@ def members_rule_offers(shard: TourShard, comp: int, y: int, f_y: int, l_y: int)
     return sorted((v, w, rec["weight"]) for v in inside for w, rec in shard.edges[v].items() if not rec["tree"])
 
 
-def assert_pair_lists(shard: TourShard) -> None:
-    """``pairs[comp]`` holds exactly the tree pairs of ``comp``'s members on the shard, each once, as
-    the very list the member's tree row holds; no list outlives its component."""
-    listed = sorted((id(pair), v, comp) for comp, entries in shard.pairs.items() for pair, v in entries)
-    assert listed == sorted((id(pair), v, shard.comp[v]) for v, row in shard.tree.items() for pair in row.values())
-    assert set(shard.pairs) <= set(shard.by_comp)
+def assert_pair_map(pairs: TourPairs, shards: "list[TourShard]") -> None:
+    """``comps[comp]`` holds exactly the tree pairs of ``comp``'s members over all shards, each once,
+    keyed by its record, as the very list the member's tree row holds; no map outlives its pairs."""
+    listed = sorted((id(pair), v, w, comp) for comp, held in pairs.comps.items() for (v, w), pair in held.items())
+    rows = sorted((id(pair), v, w, shard.comp[v]) for shard in shards for v, row in shard.tree.items() for w, pair in row.items())
+    assert listed == rows
+    assert all(pairs.comps.values())
+    assert pairs.mismatch(shards) is None
 
 
 def assert_matches(forest: ShardedForest, reference: IndexedEulerTourForest, n: int) -> None:
     groups: dict[int, set[int]] = {}
+    assert_pair_map(forest.pairs, forest.shards)
     for shard in forest.shards:
         assert set(shard.comp) == set(shard.edges) == set(shard.tree)
-        assert_pair_lists(shard)
         for comp, members in shard.by_comp.items():
             assert members and all(shard.comp[v] == comp for v in members)
             groups.setdefault(comp, set()).update(members)
@@ -320,9 +337,9 @@ def test_property_random_link_cut_sequences_match_the_reference(triples, pyrando
 
 
 def test_property_catches_a_dropped_pair_left_in_its_list(monkeypatch):
-    """Seeded mutation: ``pop_edge`` drops a tree record but leaves its pair in the component's pair
-    list, where every later sweep would keep shifting it.  The property above must fail on it."""
-    monkeypatch.setattr(TourShard, "pop_edge", mutated(TourShard.pop_edge, "del entries[i]", "pass"))
+    """Seeded mutation: ``pop_edge`` drops a tree record but leaves its pair in the component's map,
+    where every later pass would keep shifting it.  The property above must fail on it."""
+    monkeypatch.setattr(TourPairs, "pop_edge", mutated(TourPairs.pop_edge, "del held[vertex, neighbor]", "pass"))
     prop = test_property_random_link_cut_sequences_match_the_reference.hypothesis.inner_test
     check = settings(max_examples=60, deadline=None, database=None, phases=[Phase.generate], report_multiple_bugs=False)
     with pytest.raises(AssertionError):
@@ -347,11 +364,27 @@ class TestShardSurface:
         shard.pop_edge(1, 2)  # absent: a no-op
         assert shard.live_words() == 12 and shard.span(1) == (0, 0)
 
-    def test_pickle_round_trip_keeps_each_pair_stored_once(self):
-        forest = replay([("link", 0, 1), ("link", 1, 2), ("flip", 0, 2)], 1, n=4)
-        shard = pickle.loads(pickle.dumps(forest.shards[0]))
-        assert shard.by_comp == forest.shards[0].by_comp and shard.live_words() == forest.shards[0].live_words()
-        assert shard.edges == forest.shards[0].edges and shard.tree == forest.shards[0].tree
-        assert all(shard.edges[v][w]["indexes"] is pair for v, row in shard.tree.items() for w, pair in row.items())
-        assert_pair_lists(shard)
-        assert {comp: len(entries) for comp, entries in shard.pairs.items()} == {0: 4}  # the path 0-1-2: two edges, two copies each
+    def test_pickle_round_trip_rebuilds_the_map_from_the_tree_records(self):
+        forest = replay([("link", 0, 1), ("link", 1, 2), ("flip", 0, 2), ("link", 3, 2)], 2, n=4)
+        shards = [pickle.loads(pickle.dumps(shard)) for shard in forest.shards]
+        pairs = TourPairs.from_shards(shards)
+        for shard, original in zip(shards, forest.shards):
+            assert shard.by_comp == original.by_comp and shard.live_words() == original.live_words()
+            assert shard.edges == original.edges and shard.tree == original.tree
+            # one object per pair: the record's, the tree row's and the map's
+            for v, row in shard.tree.items():
+                for w, pair in row.items():
+                    assert shard.edges[v][w]["indexes"] is pair and pairs.comps[shard.comp[v]][v, w] is pair
+        assert_pair_map(pairs, shards)
+        assert pairs.comps == forest.pairs.comps
+        assert {comp: len(held) for comp, held in pairs.comps.items()} == {3: 6}  # the tree 3-2-1-0: three edges, two copies each
+
+    def test_mismatch_names_the_component_whose_pairs_disagree(self):
+        forest = replay([("link", 0, 1), ("link", 1, 2)], 2, n=4)
+        assert forest.pairs.mismatch(forest.shards) is None
+        forest.shard(2).pop_edge(2, 1)  # the record goes, its pair stays in the map
+        assert "component 0" in forest.pairs.mismatch(forest.shards)
+        forest.pairs.comps[0].pop((2, 1))
+        assert forest.pairs.mismatch(forest.shards) is None
+        forest.pairs.comps[0][1, 0] = list(forest.pairs.comps[0][1, 0])  # an equal copy is not the record's pair
+        assert "component 0" in forest.pairs.mismatch(forest.shards)
