@@ -81,11 +81,11 @@ def compare(algorithm_factory, graph, stream, batch_size: int, *, solution, coal
         for update in stream:
             sequential.apply(update)
 
-    batch = algorithm_factory()
+    batch = algorithm_factory(coalesce=coalesce)
     if graph is not None:
         batch.preprocess(graph)
     for chunk in batched(stream, batch_size):
-        batch.apply_batch(chunk, coalesce=coalesce)
+        batch.apply_batch(chunk)
 
     if solution(sequential) != solution(batch):
         raise AssertionError("batched application diverged from sequential application")
@@ -124,11 +124,11 @@ def run_comparisons(
     graph = gnm_random_graph(n, m, seed=seed)
     stream = mixed_stream(n, num_updates, seed=seed + 1, insert_probability=0.5, initial=graph)
 
-    def connectivity():
-        return DMPCConnectivity(DMPCConfig.for_graph(n, 2 * m, backend=backend))
+    def connectivity(coalesce: bool = False):
+        return DMPCConnectivity(DMPCConfig.for_graph(n, 2 * m, backend=backend), coalesce=coalesce)
 
-    def matching():
-        return DMPCMaximalMatching(DMPCConfig.for_graph(n, 2 * m, backend=backend))
+    def matching(coalesce: bool = False):
+        return DMPCMaximalMatching(DMPCConfig.for_graph(n, 2 * m, backend=backend), coalesce=coalesce)
 
     results = {
         "connectivity/mixed": compare(

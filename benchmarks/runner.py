@@ -158,26 +158,16 @@ def active_backend_name() -> str:
     return os.environ.get("REPRO_BACKEND") or "reference"
 
 
-def numpy_provenance() -> str | None:
-    """numpy version the vectorized kernels ran against, ``None`` on fallback."""
-    from repro.mpc.layout import numpy_or_none
-
-    np = numpy_or_none()
-    return getattr(np, "__version__", None) if np is not None else None
-
-
 # ----------------------------------------------------------------- JSON output
 def emit_bench_json(name: str, payload: dict, directory: str | None = None) -> str:
     """Write a machine-readable ``BENCH_<name>.json`` record; return its path.
 
-    Every record carries numpy / coalescing provenance: a perf number
-    measured without numpy, or with another setting, is not comparable, and
-    the JSON must say which it was.  A record that does not state
-    ``coalesce`` ran the library default (off).
+    Every record carries coalescing provenance: a perf number measured with
+    another setting is not comparable, and the JSON must say which it was.
+    A record that does not state ``coalesce`` ran the library default (off).
     """
     payload = dict(payload)
     payload.setdefault("coalesce", False)
-    payload.setdefault("numpy", numpy_provenance())
     path = os.path.join(directory or REPO_ROOT, f"BENCH_{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)

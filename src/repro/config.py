@@ -65,14 +65,6 @@ class DMPCConfig:
         traffic never leaves its worker process and cross-slot traffic
         rides shared-memory rings, but like every execution knob the
         simulation is bit-for-bit identical under any value.
-    resident_shm_ring_bytes:
-        Resident-backend knob: capacity in bytes of each cross-slot
-        shared-memory ring.  ``None`` (the default) pre-sizes the rings
-        from the per-machine word budget ``S`` (the same quantity the
-        ``fast_word_size`` sizer charges messages against — a slot's round
-        traffic is capped by its machines' I/O budgets).  Rings that
-        overflow fall back to the driver pipe, so undersizing is a
-        performance choice, never a correctness one.
     """
 
     capacity_n: int
@@ -82,7 +74,6 @@ class DMPCConfig:
     backend: str | None = None
     shard_count: int | None = None
     resident_slots: int | None = None
-    resident_shm_ring_bytes: int | None = None
 
     def __post_init__(self) -> None:
         if self.capacity_n < 1:
@@ -95,8 +86,6 @@ class DMPCConfig:
             raise ValueError("shard_count must be positive when given")
         if self.resident_slots is not None and self.resident_slots < 1:
             raise ValueError("resident_slots must be positive when given")
-        if self.resident_shm_ring_bytes is not None and self.resident_shm_ring_bytes < 1024:
-            raise ValueError("resident_shm_ring_bytes must be at least 1024 when given")
 
     @property
     def capacity_N(self) -> int:

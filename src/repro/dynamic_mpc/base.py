@@ -5,6 +5,7 @@ from __future__ import annotations
 import abc
 
 from repro.config import DMPCConfig
+from repro.exceptions import CapacityExceeded
 from repro.graph.graph import DynamicGraph
 from repro.graph.updates import (
     GraphUpdate,
@@ -39,8 +40,9 @@ class DynamicMPCAlgorithm(abc.ABC):
       optionally chunked into batches.
 
     Subclasses must implement ``_preprocess``, ``_apply`` and
-    ``verify_invariants`` and may expose solution accessors (``matching()``,
-    ``components()`` ...).
+    ``verify_invariants``, keep the current graph in ``shadow``, and may
+    expose solution accessors (``matching()``, ``components()`` ...).  Every
+    entry point refuses an input past the config's capacity before any round.
     """
 
     #: label prefix used in the metrics ledger for updates of this algorithm
@@ -56,9 +58,10 @@ class DynamicMPCAlgorithm(abc.ABC):
         self.config = config
         self.cluster = Cluster(config)
         self.check_invariants = check_invariants
-        #: whether :meth:`apply_batch` coalesces a batch when the call does not say
+        #: whether :meth:`apply_batch` coalesces every batch
         self.coalesce = coalesce
         self._preprocessed = False
+        self._updates_seen = 0  # through apply / apply_batch: a refusal names its index
         #: running totals across all coalesced batches, for bench provenance
         self.coalesce_totals: dict[str, int] = {
             "input": 0,
@@ -86,12 +89,15 @@ class DynamicMPCAlgorithm(abc.ABC):
         """Initialise the maintained solution from ``graph``."""
         if self._preprocessed:
             raise RuntimeError("preprocess() may only be called once")
+        self._check_graph(graph)
         with self.cluster.update(f"{self.kind}:preprocess"):
             self._preprocess(graph)
         self._preprocessed = True
 
     def apply(self, update: GraphUpdate) -> None:
         """Process one dynamic update, recording its cost in the ledger."""
+        self._check_capacity([update], self._updates_seen, {id(update): 0})
+        self._updates_seen += 1
         if not self._preprocessed:
             # Algorithms that start from the empty graph are preprocessed lazily.
             self.preprocess(DynamicGraph())
@@ -101,12 +107,7 @@ class DynamicMPCAlgorithm(abc.ABC):
         if self.check_invariants:
             self.verify_invariants()
 
-    def apply_batch(
-        self,
-        updates: UpdateSequence | list[GraphUpdate],
-        *,
-        coalesce: bool | None = None,
-    ) -> None:
+    def apply_batch(self, updates: UpdateSequence | list[GraphUpdate]) -> None:
         """Process a batch of pending updates, recording it as one ledger batch.
 
         The batch is semantically equivalent to applying the updates in
@@ -115,26 +116,27 @@ class DynamicMPCAlgorithm(abc.ABC):
         compatible updates so a batch of ``k`` updates can cost far fewer
         rounds than ``k`` separate applications.
 
-        With ``coalesce`` on (the per-call argument, else the constructor's,
-        default off) the batch is first normalized by
-        :func:`~repro.graph.updates.coalesce_updates` — insert/delete pairs on
-        the same edge cancel, structural no-ops dedupe — and the survivors are
-        grouped by owning machine when the algorithm exposes ``owner()``.  The
-        final graph is unchanged; round records may only shrink (asserted
-        against sequential replay of the same normalized stream in
-        ``tests/dynamic_mpc``).  Coalescing is off unless asked for because
-        cancelling a pair changes which intermediate solutions the algorithm
-        sees: a matching or spanning forest may legitimately differ from the
-        one the raw stream reaches.
+        With the constructor's ``coalesce`` on (default off) the batch is
+        first normalized by :func:`~repro.graph.updates.coalesce_updates` —
+        insert/delete pairs on the same edge cancel, structural no-ops dedupe
+        — and the survivors are grouped by owning machine when the algorithm
+        exposes ``owner()``.  The final graph is unchanged; round records may
+        only shrink (asserted against sequential replay of the same
+        normalized stream in ``tests/dynamic_mpc``).  Coalescing is off
+        unless asked for because cancelling a pair changes which
+        intermediate solutions the algorithm sees: a matching or spanning
+        forest may legitimately differ from the one the raw stream reaches.
         """
-        updates = list(updates)
-        if not updates:
+        raw = list(updates)
+        if not raw:
             return
+        updates, stats = self.normalize_batch(raw) if self.coalesce else (raw, None)
+        # counted on what is applied, each update named by its raw position
+        self._check_capacity(updates, self._updates_seen, {id(update): i for i, update in enumerate(raw)})
+        self._updates_seen += len(raw)
         if not self._preprocessed:
             self.preprocess(DynamicGraph())
-        do_coalesce = self.coalesce if coalesce is None else coalesce
-        if do_coalesce:
-            updates, stats = self.normalize_batch(updates)
+        if stats is not None:
             for key in self.coalesce_totals:
                 self.coalesce_totals[key] += stats[key]
             if not updates:
@@ -143,6 +145,25 @@ class DynamicMPCAlgorithm(abc.ABC):
             self._apply_batch(updates)
         if self.check_invariants:
             self.verify_invariants()
+
+    def _check_graph(self, graph: DynamicGraph) -> None:
+        """Refuse an initial graph with a vertex id ``>= capacity_n`` or more than ``capacity_m`` edges."""
+        n, m = self.config.capacity_n, self.config.capacity_m
+        vertex = max(graph.vertices, default=-1)
+        if vertex >= n or graph.num_edges > m:
+            raise CapacityExceeded(vertex, graph.num_edges, n, m, None)
+
+    def _check_capacity(self, updates: list[GraphUpdate], first: int, position: dict[int, int]) -> None:
+        """Refuse ``updates``, replayed on ``shadow``, if one names a vertex or holds an edge past capacity."""
+        n, m = self.config.capacity_n, self.config.capacity_m
+        edges, present = self.shadow.num_edges, {}
+        for update in updates:
+            edge, vertex = update.edge, max(update.u, update.v)
+            was = present[edge] if edge in present else self.shadow.has_edge(*edge)
+            present[edge] = update.is_insert
+            edges += update.is_insert - was
+            if vertex >= n or edges > m:
+                raise CapacityExceeded(vertex, edges, n, m, first + position[id(update)])
 
     def normalize_batch(self, updates: UpdateSequence | list[GraphUpdate]) -> tuple[list[GraphUpdate], dict]:
         """The exact update list a ``coalesce=True`` batch applies, plus stats.

@@ -63,6 +63,7 @@ class DMPCThreeHalvesMatching(DMPCMaximalMatching):
 
     def bootstrap_from_graph(self, graph: DynamicGraph) -> None:
         """Convenience: preprocess empty, then insert every edge of ``graph``."""
+        self._check_graph(graph)
         self.preprocess(DynamicGraph(graph.num_vertices))
         for (u, v) in graph.edge_list():
             self.apply(GraphUpdate.insert(u, v))

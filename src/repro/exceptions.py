@@ -48,6 +48,15 @@ class MessageSizeExceeded(DMPCError):
         )
 
 
+class CapacityExceeded(DMPCError):
+    """An input outgrew the ``capacity_n`` vertex ids or ``capacity_m`` edges its config was sized for."""
+
+    def __init__(self, vertex: int, edges: int, n: int, m: int, index: int | None) -> None:
+        self.n, self.m, self.index = n, m, index
+        where = "the initial graph" if index is None else f"update {index}"
+        super().__init__(f"{where} reaches vertex {vertex}, edge count {edges}: past the configured capacity n = {n}, m = {m}")
+
+
 class UnknownMachineError(DMPCError):
     """A message was addressed to a machine that does not exist in the cluster."""
 

@@ -58,20 +58,10 @@ benchmark calls (:func:`check_layout`).  This module owns:
     (plain dicts, no arrays): every tour index lives once, in the index pair
     of its tree-edge record.  One cluster-wide map per component indexes
     those pairs, and its link / cut passes shift them in place.
-
-NumPy acceleration is optional everywhere and imported on first use, not
-with this module: kernels ask :func:`numpy_or_none` and fall back to
-pure-python loops with identical results, so a run that never vectorises
-never loads it; buffers are always ``array``/``bytearray`` (never numpy scalars —
-``np.int64`` is not an ``int`` subclass and would corrupt both the word
-sizer and the marshal wire), with zero-copy ``np.frombuffer`` views built
-lazily per process and ``.tolist()`` conversions at every payload boundary.
 """
 
 from __future__ import annotations
 
-import functools
-import importlib.util
 from array import array
 from typing import Any, Callable, Iterable, Mapping
 
@@ -79,8 +69,6 @@ from repro.mpc.sizing import string_words
 from repro.runtime.wire import register_wire_type
 
 __all__ = [
-    "HAVE_NUMPY",
-    "numpy_or_none",
     "check_layout",
     "VertexInterner",
     "MachineCSR",
@@ -97,21 +85,6 @@ __all__ = [
     "TourPairs",
 ]
 
-#: whether the vectorized kernel paths are available in this interpreter
-#: (numpy is installed; nothing is imported until a kernel asks for it).
-HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
-
-@functools.cache
-def numpy_or_none():
-    """The numpy module, imported on the first call, else ``None`` (kernel guard)."""
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
 def check_layout(layout: str) -> None:
     """Refuse any state layout but ``"csr"``, the one every hot path has.
 
@@ -127,8 +100,7 @@ class VertexInterner:
     """Dense position per vertex id, fixed at cluster build time.
 
     Message payloads stay in raw vertex-id space (the messages the seed's
-    per-vertex stores sent); the dense side indexes driver-side kernel state
-    like the matched bitmap of the matching driver.
+    per-vertex stores sent); the dense side is for driver-side kernel state.
     """
 
     __slots__ = ("vertices", "index")
@@ -170,7 +142,7 @@ class MachineCSR:
     adjacency values were charged.
     """
 
-    __slots__ = ("verts", "indptr", "indices", "weights", "owner_pos", "_np_cache", "_list_cache")
+    __slots__ = ("verts", "indptr", "indices", "weights", "owner_pos", "_list_cache")
 
     def __init__(
         self,
@@ -185,7 +157,6 @@ class MachineCSR:
         self.indices = indices
         self.weights = weights
         self.owner_pos = owner_pos
-        self._np_cache: "dict[str, Any] | None" = None
         self._list_cache: "dict[str, Any] | None" = None
 
     # ------------------------------------------------------------- accounting
@@ -207,31 +178,6 @@ class MachineCSR:
     def num_entries(self) -> int:
         return len(self.indices)
 
-    def np_views(self) -> "dict[str, Any]":
-        """Zero-copy numpy views over the buffers (built lazily per process).
-
-        Keys: ``verts``/``indptr``/``indices`` (+ ``weights`` when present)
-        as ``np.frombuffer`` views, ``degrees`` per row, and ``rows`` — the
-        row position of every entry.  Never pickled (see ``__getstate__``);
-        requires numpy (guard with :func:`numpy_or_none`).
-        """
-        cache = self._np_cache
-        if cache is None:
-            np = numpy_or_none()
-            indptr = np.frombuffer(self.indptr, dtype=np.int64)
-            degrees = np.diff(indptr)
-            cache = {
-                "verts": np.frombuffer(self.verts, dtype=np.int64) if self.verts else np.empty(0, np.int64),
-                "indptr": indptr,
-                "indices": np.frombuffer(self.indices, dtype=np.int64) if self.indices else np.empty(0, np.int64),
-                "degrees": degrees,
-                "rows": np.repeat(np.arange(len(self.verts), dtype=np.int64), degrees),
-            }
-            if self.weights is not None and len(self.weights):
-                cache["weights"] = np.frombuffer(self.weights, dtype=np.float64)
-            self._np_cache = cache
-        return cache
-
     def entry_lists(self) -> "dict[str, Any]":
         """Plain-list materializations of the buffers, lazily cached.
 
@@ -240,10 +186,8 @@ class MachineCSR:
         ``row_of``, the owned vertex → row map.  One bulk
         ``array.tolist()`` conversion per process buys C-speed list
         indexing/slicing for kernels whose inner loop stays in python
-        (per-machine rows are tens-to-hundreds of entries here, too small
-        for per-call numpy dispatch to pay off — the MST root walk and the
-        CC frontier walk are the clients).  Never pickled, and numpy-free by
-        design so the fallback path benefits equally.
+        (the MST root walk and the CC frontier walk are the clients).
+        Never pickled.
         """
         cache = self._list_cache
         if cache is None:

@@ -102,7 +102,6 @@ __all__ = [
     "WorkerMachineContext",
     "store_subset",
     "fusable_interior",
-    "fusable_terminal",
 ]
 
 
@@ -268,15 +267,15 @@ class SuperstepProgram(abc.ABC):
     #: whether any machine's inbox is drained driver-side
     #: (:meth:`Machine.drain` / :meth:`Machine.receive`) between this
     #: program's round and the next superstep that would consume them.
-    #: ``True`` (the default, always safe) returns the sends to the driver
-    #: on the round reply, where they are staged and delivered like any
-    #: driver-side send; such a phase can only ever *end* a fused block.
-    #: ``False`` promises the sends only feed the *next phase's* inboxes:
-    #: resident sessions then keep the message bodies at the workers
-    #: (slot-local or over the shm rings) and may fuse the phase into a
-    #: worker-driven round block (see :func:`fusable_interior`).  A broken
-    #: promise costs time, never correctness — a driver-side read flushes
-    #: the worker-held frames back first.
+    #: ``True`` (the default, always safe) runs the round in the driver on
+    #: every backend, so its sends are staged and delivered like any
+    #: driver-side send.  ``False`` promises the sends only feed the *next
+    #: phase's* inboxes: resident sessions then run the round at the
+    #: workers, keep the message bodies there (slot-local or over the shm
+    #: rings) and may fuse the phase into a worker-driven round block (see
+    #: :func:`fusable_interior`).  A broken promise costs time, never
+    #: correctness — a driver-side read flushes the worker-held frames
+    #: back first.
     driver_reads_sends: bool = True
 
     def session_keys(self) -> tuple[str, ...]:
@@ -332,8 +331,9 @@ def store_subset(items: "Iterator[tuple[Any, Any]]", prefixes: tuple[str, ...] |
 def fusable_interior(program: "SuperstepProgram") -> bool:
     """Whether a fused round block may run ``program`` *without* returning.
 
-    Worker-drivability, derived purely from the declared contract: the
-    driver must have nothing to do between this round and the next —
+    A fused block is made of such rounds only.  Worker-drivability, derived
+    purely from the declared contract: the driver must have nothing to do
+    between this round and the next —
 
     * the driver never reads this round's sends
       (``driver_reads_sends = False``) — the messages only feed the next
@@ -352,15 +352,3 @@ def fusable_interior(program: "SuperstepProgram") -> bool:
         return True
     return scope == "global" and type(program).apply is SuperstepProgram.apply
 
-
-def fusable_terminal(program: "SuperstepProgram") -> bool:
-    """Whether ``program`` may run as the *last* round of a fused block.
-
-    The terminal round still executes inside the workers (its inbox is
-    worker-held frames from the block's earlier rounds), but its sends may
-    return to the driver on the block reply — so ``driver_reads_sends``
-    may be either value.  Deltas are merged driver-side after the block,
-    exactly like a single round, so any worker-replayable ``delta_scope``
-    qualifies.
-    """
-    return program.delta_scope in ("owner", "global")

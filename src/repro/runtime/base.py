@@ -354,26 +354,7 @@ class ExecutionBackend(abc.ABC):
         sent as a message.  Code honouring this is order-independent, so
         every strategy yields the bit-for-bit identical round.
         """
-        from repro.mpc.contract import checked_apply_view, checked_run_inputs, contract_checking_enabled
-        from repro.mpc.program import LiveMachineContext
-
-        # Shadow oracle (REPRO_CHECK_CONTRACTS=1): wrap the program's inputs
-        # in recording views with worker-parity semantics, so an undeclared
-        # shared read raises in-process exactly like it would against a
-        # worker's shipped slice.  Off by default — the wrappers cost a
-        # lookup per access on the hottest path.
-        checking = contract_checking_enabled()
-        deltas = []
-        for machine in targets:
-            inbox = machine.drain()
-            ctx: "Any" = LiveMachineContext(machine)
-            run_shared: "Any" = shared
-            if checking:
-                ctx, inbox, run_shared = checked_run_inputs(program, ctx, inbox, shared)
-            deltas.append(program.run(ctx, inbox, run_shared))
-        apply_shared = checked_apply_view(program, shared) if checking else shared
-        for machine, delta in zip(targets, deltas):
-            program.apply(apply_shared, machine.machine_id, delta)
+        run_in_driver(program, targets, shared)
         return cluster.exchange()
 
     def run_superstep_block(
@@ -409,6 +390,36 @@ class ExecutionBackend(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def run_in_driver(program: "SuperstepProgram", targets: "list[Machine]", shared: "dict[str, Any]") -> list:
+    """Run ``program`` on every target in the driver, then apply the deltas.
+
+    The barrier of a driver-side superstep — all runs, then all
+    :meth:`SuperstepProgram.apply` calls in target order — without its
+    exchange.  Returns the deltas in target order.
+    """
+    from repro.mpc.contract import checked_apply_view, checked_run_inputs, contract_checking_enabled
+    from repro.mpc.program import LiveMachineContext
+
+    # Shadow oracle (REPRO_CHECK_CONTRACTS=1): wrap the program's inputs
+    # in recording views with worker-parity semantics, so an undeclared
+    # shared read raises in-process exactly like it would against a
+    # worker's shipped slice.  Off by default — the wrappers cost a
+    # lookup per access on the hottest path.
+    checking = contract_checking_enabled()
+    deltas = []
+    for machine in targets:
+        inbox = machine.drain()
+        ctx: "Any" = LiveMachineContext(machine)
+        run_shared: "Any" = shared
+        if checking:
+            ctx, inbox, run_shared = checked_run_inputs(program, ctx, inbox, shared)
+        deltas.append(program.run(ctx, inbox, run_shared))
+    apply_shared = checked_apply_view(program, shared) if checking else shared
+    for machine, delta in zip(targets, deltas):
+        program.apply(apply_shared, machine.machine_id, delta)
+    return deltas
 
 
 #: name -> backend class registry; populated by the concrete modules.

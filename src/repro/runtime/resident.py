@@ -24,7 +24,7 @@ backend's storage, accounting and delivery pass:
   round every other backend delivers.
 
 * **messages route slot-locally** — workers *keep* each message frame
-  instead of funnelling it through the driver: a frame whose receiver
+  instead of sending it through the driver: a frame whose receiver
   lives on the sending slot is staged worker-locally (it never crosses the
   pipe and is never re-encoded), a cross-slot frame rides a pre-sized
   :class:`~repro.runtime.wire.ShmRing` (one SPSC ring per ordered slot
@@ -32,26 +32,24 @@ backend's storage, accounting and delivery pass:
   round summary — word and message totals, the largest message, the
   sending and receiving machines — returns to the driver, where
   :meth:`ResidentTransport.deposit_worker_round` rebuilds the identical
-  :class:`~repro.mpc.metrics.RoundRecord`.  A program that declares
-  ``driver_reads_sends = True`` (the default) instead returns its sends on
-  the reply, where the driver stages them like any driver-side send.  The
-  frame key ``(epoch, sender index, staging seq)`` totally orders frames,
-  so any time the driver needs a message body (:meth:`Machine.receive` /
-  ``drain`` outside a worker round, a driver-side exchange, session
-  close), the session's inbox-router hooks
+  :class:`~repro.mpc.metrics.RoundRecord`.  The frame key ``(epoch,
+  sender index, staging seq)`` totally orders frames, so any time the
+  driver needs a message body (:meth:`Machine.receive` / ``drain``
+  outside a worker round, a driver-side exchange, session close), the
+  session's inbox-router hooks
   (:attr:`~repro.runtime.base.Transport.inbox_router`) flush every
   worker-held frame back into driver inboxes in exactly the reference
   delivery order.
 
-* **every superstep is a round block** — a span of supersteps ships as
-  ``run_block`` requests of K ≥ 1 rounds each, one pipe round trip per
-  block.  Consecutive supersteps whose contract declarations prove the
-  driver has no work between them (sends never read driver-side, deltas
-  ``owner``-scoped or no-op — see
+* **every worker round is in a round block** — a span of supersteps
+  ships as ``run_block`` requests of K ≥ 1 rounds each, one pipe round
+  trip per block.  Consecutive supersteps whose contract declarations
+  prove the driver has no work between them (sends never read
+  driver-side, deltas ``owner``-scoped or no-op — see
   :func:`~repro.mpc.program.fusable_interior`) fuse into one block of
-  K ≥ 2; a position that cannot fuse, and every lone
-  :meth:`Cluster.superstep`, is a block of K = 1.  Inside a block workers
-  loop locally: each round they ingest rings, serve due frames, run their
+  K ≥ 2; a worker round that cannot fuse, and every lone
+  :meth:`Cluster.superstep` the workers run, is a block of K = 1.
+  Inside a block workers loop locally: each round they ingest rings, serve due frames, run their
   machines and commit their frames; after every routed round they
   *self-apply* their own machines' owner-scoped deltas, and between the
   rounds of a K ≥ 2 block they synchronize on a shared-memory cursor
@@ -60,9 +58,10 @@ backend's storage, accounting and delivery pass:
   driver replays them round by round — every RoundRecord is rebuilt
   bit-identically, in order.  A ring overflow mid-block stops every slot
   at the same round boundary (the barrier's stop bit); the overflowed
-  frames take the pipe forward path with the next block.  Rounds that
-  cannot be routed at all — behind driver-staged sends — run in the
-  driver, their deltas queued for worker-side replay.
+  frames take the pipe forward path with the next block.  A round whose
+  sends the driver reads (``driver_reads_sends = True``, the default) and
+  a round behind driver-staged sends run in the driver, as on ``fast``,
+  their deltas queued for worker-side replay.
 
 The worker-session protocol has five operations, all executed inside the
 slot's worker process: :func:`_session_open` (create the resident state),
@@ -104,15 +103,13 @@ from repro.mpc.contract import checked_apply_view, contract_checking_enabled
 from repro.mpc.message import Message
 from repro.mpc.metrics import RoundRecord
 from repro.mpc.program import (
-    LiveMachineContext,
     SuperstepProgram,
     WorkerMachineContext,
     fusable_interior,
-    fusable_terminal,
     store_subset,
 )
 from repro.mpc.sizing import fast_word_size
-from repro.runtime.base import ExecutionSession, register_backend
+from repro.runtime.base import ExecutionSession, register_backend, run_in_driver
 from repro.runtime.fast import FastBackend, FastTransport, by_registration
 from repro.runtime.wire import (
     FRAME_HEADER,
@@ -351,25 +348,6 @@ def _commit_frames(
     )
 
 
-class _SizingMachineContext(WorkerMachineContext):
-    """Worker view that also sizes staged sends with the transport's sizer.
-
-    Records ``(receiver, tag, payload, words)`` with ``words`` computed by
-    :func:`~repro.mpc.sizing.fast_word_size` — the exact sizer the resident
-    transport charges with — so the driver's replay can construct the
-    staged :class:`Message` objects directly instead of re-sizing every
-    payload a second time.  ``send_many`` triples arrive sized, so the
-    inherited bulk record already has this shape.
-    """
-
-    __slots__ = ()
-
-    def send(self, receiver: str, tag: str, payload: Any = None, *, words: int | None = None) -> None:
-        if words is None:
-            words = fast_word_size(tag) + fast_word_size(payload)
-        self.sent.append((receiver, tag, payload, words))
-
-
 class _RoutingMachineContext(WorkerMachineContext):
     """Worker view for slot-routed rounds: stages each send as a sized :class:`Message`.
 
@@ -516,7 +494,7 @@ def _session_run_block(
     ``"map"`` (the full ``{machine id: (index, slot)}`` routing map when
     the driver's copy moved, else ``None``), ``"forward"`` (pipe-fallback
     frames of earlier rounds to merge into pending), ``"rounds"`` (one
-    ``(program key, drop_inbox, funnel)`` spec per round) and
+    ``(program key, drop_inbox)`` spec per round) and
     ``"barrier"`` (``(base, participating slots)`` for a multi-slot block
     of K ≥ 2, else ``None``) and ``"io_cap"`` (the cluster's
     ``enforce_io_cap``: what a round summary carries).  Each round ``r``
@@ -527,16 +505,13 @@ def _session_run_block(
        inboxes, later rounds have none by construction (the driver does no
        work between fused rounds).  A ``drop_inbox`` program consumes its
        due messages unseen;
-    2. run the machines — :class:`_RoutingMachineContext` for routed
-       rounds, :class:`_SizingMachineContext` for a terminal *funnel*
-       round, whose sends return on the reply for the driver to stage;
+    2. run the machines, each through a :class:`_RoutingMachineContext`;
     3. commit: same-slot messages to the held chunks, cross-slot frames to
        the shm rings; a frame without a ring (overflow, or no rings
        attached) sets the *stop* flag — it needs the driver's pipe forward
        path, so the block must end at this boundary;
-    4. self-apply this slot's own machines' ``owner``-scoped deltas of a
-       routed round — final round included, so the driver never echoes
-       them back (``global``-scoped interior programs have no-op applies;
+    4. self-apply this slot's own machines' ``owner``-scoped deltas —
+       final round included, so the driver never echoes them back (``global``-scoped interior programs have no-op applies;
        other scopes take the driver's barrier replay).  Under
        ``REPRO_CHECK_CONTRACTS`` the apply runs against the same
        :func:`~repro.mpc.contract.checked_apply_view` the driver uses;
@@ -547,9 +522,8 @@ def _session_run_block(
 
     Returns ``("block", completed, per_round, stopped)`` where
     ``per_round[r]`` is ``("routed", deltas, summary, traffic, overflow,
-    fallback)`` (see :func:`_commit_frames`) or ``("funneled", [(machine
-    id, sends, delta), ...])``, letting the driver rebuild every
-    :class:`RoundRecord` round by round.
+    fallback)`` (see :func:`_commit_frames`), letting the driver rebuild
+    every :class:`RoundRecord` round by round.
     """
     state = _sync_session_state(
         sessions, session_id, new_programs, replay, shared_init, store_updates
@@ -583,43 +557,32 @@ def _session_run_block(
     last_round = len(rounds) - 1
     per_round: "list[tuple]" = []
     stopped = False
-    for r, (program_key, drop_inbox, funnel) in enumerate(rounds):
+    for r, (program_key, drop_inbox) in enumerate(rounds):
         epoch = epoch0 + r
         program = state.programs[program_key]
         prefixes = program.store_reads
         _ingest_rings(state)
         deltas: "list[tuple[str, Any]]" = []
         staged: "list[tuple[int, list[Message]]]" = []
-        funneled: "list[tuple[str, list[tuple[str, str, Any, int]], Any]]" = []
         for machine_id, packed_inbox in batch:
             # Driver-shipped inboxes exist only for round 0; every later
             # round's messages are worker frames by construction.
             inbox = _due_inbox(state, machine_id, epoch, drop_inbox, packed_inbox if r == 0 else ())
-            store = state.stores.get((machine_id, prefixes), _EMPTY_STORE)
-            if funnel:
-                sctx = _SizingMachineContext(machine_id, store)
-                funneled.append((machine_id, sctx.sent, program.run(sctx, inbox, shared)))
-                continue
-            ctx = _RoutingMachineContext(machine_id, store)
+            ctx = _RoutingMachineContext(machine_id, state.stores.get((machine_id, prefixes), _EMPTY_STORE))
             deltas.append((machine_id, program.run(ctx, inbox, shared)))
             staged.append((machine_slots[machine_id][0], ctx.sent))
-        if funnel:
-            # A funnel round is always the span's terminal round: it stages
-            # nothing worker-side, so there is no commit and no stop risk.
-            per_round.append(("funneled", funneled))
-        else:
-            summary, traffic, overflow, fallback = _commit_frames(state, staged, epoch, my_slot, io_cap)
-            per_round.append(("routed", deltas, summary, traffic, overflow, fallback))
-            # Overflowed frames need the driver's pipe forward path before
-            # their consuming round — the block ends at this boundary.
-            stopped = bool(overflow)
-            # Owner scope makes this slot's own application sufficient: the
-            # next round reads current owned state, and the driver queues no
-            # replay of these deltas (the rule is static, so both sides agree).
-            if program.delta_scope == "owner" and type(program).apply is not SuperstepProgram.apply:
-                view = checked_apply_view(program, shared) if checking else shared
-                for machine_id, delta in deltas:
-                    program.apply(view, machine_id, delta)
+        summary, traffic, overflow, fallback = _commit_frames(state, staged, epoch, my_slot, io_cap)
+        per_round.append(("routed", deltas, summary, traffic, overflow, fallback))
+        # Overflowed frames need the driver's pipe forward path before
+        # their consuming round — the block ends at this boundary.
+        stopped = bool(overflow)
+        # Owner scope makes this slot's own application sufficient: the
+        # next round reads current owned state, and the driver queues no
+        # replay of these deltas (the rule is static, so both sides agree).
+        if program.delta_scope == "owner" and type(program).apply is not SuperstepProgram.apply:
+            view = checked_apply_view(program, shared) if checking else shared
+            for machine_id, delta in deltas:
+                program.apply(view, machine_id, delta)
         if barrier is not None:
             barrier.announce(my_slot, base + r + 1, stop=stopped)
             if not stopped and r < last_round:
@@ -1092,8 +1055,9 @@ class ResidentSession(ExecutionSession):
         (:meth:`_fusable_span`) — and greedy: the longest fusable prefix at
         each position ships as one block, a position that cannot fuse as a
         block of K = 1, and a block stopped early by a ring overflow resumes
-        with the next block at the first round it did not run.  Rounds that
-        cannot be routed run in the driver (:meth:`_run_in_driver`); a
+        with the next block at the first round it did not run.  A round
+        whose sends the driver reads (``driver_reads_sends``), or one behind
+        driver-staged sends, runs in the driver (:meth:`_run_in_driver`); a
         broken session falls back to ``fast``'s sequential superstep.
         """
         records: "list[RoundRecord]" = []
@@ -1102,7 +1066,7 @@ class ResidentSession(ExecutionSession):
             if self._broken:
                 records.append(FastBackend.run_superstep(self.backend, cluster, programs[i], targets, shared))
                 i += 1
-            elif self.transport.has_staged():
+            elif programs[i].driver_reads_sends or self.transport.has_staged():
                 records.append(self._run_in_driver(cluster, programs[i], targets, shared))
                 i += 1
             else:
@@ -1112,17 +1076,13 @@ class ResidentSession(ExecutionSession):
         return records
 
     def _fusable_span(self, programs: "list[SuperstepProgram]", start: int) -> int:
-        """Length of the block starting at ``start``: ``interior* terminal?``, at least 1.
+        """Length of the block starting at ``start``: its worker-drivable rounds, at least 1.
 
-        Interior rounds are worker-drivable by declaration
-        (:func:`fusable_interior`); one driver-read phase may end the block
-        as its terminal round (:func:`fusable_terminal`).
+        A round is worker-drivable by declaration (:func:`fusable_interior`).
         """
         count = len(programs)
         end = start
         while end < count and fusable_interior(programs[end]):
-            end += 1
-        if end < count and fusable_terminal(programs[end]):
             end += 1
         return max(1, end - start)
 
@@ -1133,18 +1093,17 @@ class ResidentSession(ExecutionSession):
         targets: "list[Machine]",
         shared: "dict[str, Any]",
     ) -> "RoundRecord":
-        """One round the workers cannot route, run where the driver's inboxes live.
+        """One round the workers do not route, run where the driver's inboxes live.
 
-        Driver-staged sends must not interleave with worker-routed frames
-        mid-round — so every worker-held frame comes home first, then the
-        round runs in the driver with the usual barrier.  The deltas still
-        queue for worker-side replay, so the resident shared copies stay in
-        sync for the next block.
+        The driver reads the round's sends, or driver-staged sends must not
+        interleave with worker-routed frames mid-round — so every
+        worker-held frame comes home first, then the round runs in the
+        driver with the usual barrier.  The deltas still queue for
+        worker-side replay, so the resident shared copies stay in sync for
+        the next block.
         """
         self._flush_all()
-        deltas = [program.run(LiveMachineContext(machine), machine.drain(), shared) for machine in targets]
-        for machine, delta in zip(targets, deltas):
-            program.apply(shared, machine.machine_id, delta)
+        deltas = run_in_driver(program, targets, shared)
         self._queue_replay(program, self._program_key(program), list(zip(targets, deltas)))
         self.rounds_run += 1
         return cluster.exchange()
@@ -1197,9 +1156,9 @@ class ResidentSession(ExecutionSession):
         Returns the delivered records — fewer than requested when a ring
         overflow stopped the block early, and only the first when a
         multi-slot block has no shm rings or barrier to synchronize on.
-        The finish loop replays each completed round through the routed or
-        funneled merge path, in order, so records, deltas and traffic are
-        bit-identical to every other backend's rounds.
+        The finish loop replays each completed round, in order, so records,
+        deltas and traffic are bit-identical to every other backend's
+        rounds.
         """
         ledger = cluster.ledger
         by_slot: "dict[int, list[Machine]]" = {}
@@ -1207,7 +1166,7 @@ class ResidentSession(ExecutionSession):
             by_slot.setdefault(self._slot_of(machine), []).append(machine)
         participating = sorted(by_slot)
         self._refresh_machine_info()
-        if self.slot_count > 1 and not all(program.driver_reads_sends for program in programs):
+        if self.slot_count > 1:
             self._ensure_rings()
         barrier_spec: "tuple[int, list[int]] | None" = None
         if len(programs) > 1 and len(participating) > 1:
@@ -1222,12 +1181,8 @@ class ResidentSession(ExecutionSession):
                 programs = programs[:1]  # nothing to synchronize on: K = 1
 
         program_keys = [self._program_key(program) for program in programs]
-        # Per-round worker specs: (program key, drop_inbox, funnel).  Only a
-        # driver-read program funnels, and only as the block's last round.
-        specs = [
-            (key, not program.reads_inbox, program.driver_reads_sends)
-            for key, program in zip(program_keys, programs)
-        ]
+        # Per-round worker specs: (program key, drop_inbox).
+        specs = [(key, not program.reads_inbox) for key, program in zip(program_keys, programs)]
         block = {"epoch0": ledger.next_round_index, "rounds": specs, "barrier": barrier_spec}
         block.update(io_cap=cluster.enforce_io_cap)
 
@@ -1321,14 +1276,14 @@ class ResidentSession(ExecutionSession):
         # Validate: every slot speaks the block protocol, round by round,
         # and committed the same number of rounds (the barrier's stop-bit
         # guarantee).
-        kinds = ["funneled" if spec[2] else "routed" for spec in specs]
         completed: "int | None" = None
         for slot_index, value in sorted(block_replies.items()):
             if not (
                 isinstance(value, tuple)
                 and len(value) == 4
                 and value[0] == "block"
-                and [entry[0] for entry in value[2]] == kinds[: value[1]]
+                and value[1] == len(value[2]) <= len(specs)
+                and all(entry[0] == "routed" for entry in value[2])
             ):
                 self._broken = True
                 raise ResidentWorkerError(
@@ -1359,55 +1314,13 @@ class ResidentSession(ExecutionSession):
                     for machine in by_slot[si]:
                         rp.discard(machine.machine_id)
             entries = [per_slot_rounds[si][r] for si in participating]
-            finish = self._finish_funneled_round if specs[r][2] else self._finish_routed_round
-            records.append(finish(cluster, programs[r], program_keys[r], targets, shared, entries))
+            records.append(
+                self._finish_routed_round(cluster, programs[r], program_keys[r], targets, shared, entries)
+            )
         if len(specs) > 1:
             ledger.fused_rounds += completed
         ledger.driver_round_trips += 1
         return records
-
-    def _finish_funneled_round(
-        self,
-        cluster: "Cluster",
-        program: SuperstepProgram,
-        program_key: int,
-        targets: "list[Machine]",
-        shared: "dict[str, Any]",
-        slot_replies: "list[tuple]",
-    ) -> "RoundRecord":
-        """Finish a funneled round: stage the returned sends, apply, exchange.
-
-        Bulk staging: workers already sized every send with the exact sizer
-        the transport charges (fast_word_size), so the staged messages are
-        constructed directly — content, order and charged words identical
-        to Machine.send staging them one by one.  The exchange flushes any
-        frame still held at a worker first, so delivery order is the
-        reference one.
-        """
-        results: "dict[str, tuple[list[tuple[str, str, Any, int]], Any]]" = {}
-        for reply in slot_replies:
-            for machine_id, sent, delta in reply[1]:
-                results[machine_id] = (sent, delta)
-        self._recompute_pending_ids()
-        transport = self.transport
-        for machine in targets:
-            sent = results[machine.machine_id][0]
-            if sent:
-                sender = machine.machine_id
-                outbox = machine.outbox
-                for receiver, tag, payload, words in sent:
-                    outbox.append(
-                        Message(sender=sender, receiver=receiver, tag=tag, payload=payload, words=words)
-                    )
-                transport.note_staged(machine)
-        for machine in targets:
-            program.apply(shared, machine.machine_id, results[machine.machine_id][1])
-        self._queue_replay(
-            program, program_key, [(m, results[m.machine_id][1]) for m in targets]
-        )
-        self.rounds_run += 1
-        self.worker_rounds += 1
-        return cluster.exchange()
 
     # ------------------------------------------------------------ slot routing
     def _refresh_machine_info(self) -> None:
@@ -1423,7 +1336,7 @@ class ResidentSession(ExecutionSession):
         self._map_version += 1
 
     def _ring_capacity(self) -> int:
-        """Bytes per cross-slot ring: explicit override or sized from ``S``.
+        """Bytes per cross-slot ring, sized from ``S``.
 
         A slot's per-round egress is bounded by its machines' I/O budgets —
         ``S`` words per sender — so rings are pre-sized from the same
@@ -1433,9 +1346,6 @@ class ResidentSession(ExecutionSession):
         this is purely a performance choice.
         """
         config = self.cluster.config
-        override = config.resident_shm_ring_bytes
-        if override is not None:
-            return override
         machines = max(1, len(self.cluster.machines_by_id))
         per_slot = (machines + self.slot_count - 1) // self.slot_count
         sized = 16 * config.machine_memory * per_slot
@@ -1780,7 +1690,7 @@ class ResidentTransport(FastTransport):
         """Hand the next :meth:`exchange` a slot-routed round's summaries.
 
         A resident session that routed all of a superstep's messages at the
-        workers cannot funnel them through the driver's staged-sender path —
+        workers cannot pass them through the driver's staged-sender path —
         the whole point is that most never reached the driver.  Instead each
         worker slot returns what the round's record needs of its messages
         (sized once by the reference-equal ``fast_word_size`` at staging),

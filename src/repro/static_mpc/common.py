@@ -106,7 +106,6 @@ def build_static_cluster(
     backend: str | None = None,
     shard_count: int | None = None,
     resident_slots: int | None = None,
-    resident_shm_ring_bytes: int | None = None,
     weighted: bool = True,
 ) -> StaticMPCSetup:
     """Create a cluster for a static baseline and load ``graph`` onto it.
@@ -117,9 +116,8 @@ def build_static_cluster(
     strict memory and per-round I/O enforcement.  The communication is still
     fully *accounted*, which is what the benchmarks compare.
 
-    ``backend`` / ``shard_count`` / ``resident_slots`` /
-    ``resident_shm_ring_bytes`` select and tune the execution backend
-    (:mod:`repro.runtime`) the baseline runs on; ``None`` defers to the
+    ``backend`` / ``shard_count`` / ``resident_slots`` select and tune the
+    execution backend (:mod:`repro.runtime`) the baseline runs on; ``None`` defers to the
     usual resolution chain (``REPRO_BACKEND``, then ``reference``).
 
     ``weighted=False`` declares that the workload never reads edge weights
@@ -134,7 +132,6 @@ def build_static_cluster(
         backend=backend,
         shard_count=shard_count,
         resident_slots=resident_slots,
-        resident_shm_ring_bytes=resident_shm_ring_bytes,
     )
     cluster = Cluster(config, enforce_io_cap=False)
     workers = num_workers if num_workers is not None else config.num_worker_machines

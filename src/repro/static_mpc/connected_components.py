@@ -173,7 +173,6 @@ class StaticConnectedComponents:
         backend: str | None = None,
         shard_count: int | None = None,
         resident_slots: int | None = None,
-        resident_shm_ring_bytes: int | None = None,
         layout: str = "csr",
     ) -> None:
         check_layout(layout)
@@ -184,7 +183,6 @@ class StaticConnectedComponents:
             backend=backend,
             shard_count=shard_count,
             resident_slots=resident_slots,
-            resident_shm_ring_bytes=resident_shm_ring_bytes,
             weighted=False,
         )
         self.cluster = self.setup.cluster

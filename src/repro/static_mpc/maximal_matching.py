@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Any, Mapping, MutableMapping
 
 from repro.graph.graph import DynamicGraph, normalize_edge
-from repro.mpc.layout import AliveTable, numpy_or_none
+from repro.mpc.layout import AliveTable
 from repro.mpc.program import MachineContext
 from repro.static_mpc.common import StaticMPCSetup, VertexProgram, build_static_cluster
 
@@ -85,8 +85,8 @@ class CSRMatchingProposeProgram(VertexProgram):
     shared_reads = ("edge_alive", "matched", "round_no")
     store_reads = ("csr",)
     #: the driver drains every "propose" message right after the round (the
-    #: acceptance phase is a global driver decision) — this phase can only
-    #: *end* a fused block, as its funneled terminal round
+    #: acceptance phase is a global driver decision), so a slot-routing
+    #: backend runs this round in the driver, never inside a fused block
     driver_reads_sends = True
     #: owner scope: machine m's delta masks entries of m's own alive row,
     #: and only m's own later runs (propose/announce over owned rows) read
@@ -114,67 +114,39 @@ class CSRMatchingProposeProgram(VertexProgram):
         owner_pos = csr.owner_pos
         pruned: dict[int, tuple[int, int, bytes]] = {}
         outgoing: dict[int, list[tuple[int, int]]] = {}
-        np = numpy_or_none()
-        if np is not None:
-            views = csr.np_views()
-            effective = np.frombuffer(alive, dtype=np.uint8)
-            if announced and csr.num_entries:
-                hits = np.isin(
-                    views["indices"],
-                    np.fromiter(sorted(announced), dtype=np.int64, count=len(announced)),
-                ) & (effective != 0)
-                if hits.any():
-                    effective = effective.copy()
-                    effective[hits] = 0
-                    for row in np.unique(views["rows"][hits]).tolist():
-                        start, end = indptr[row], indptr[row + 1]
-                        pruned[csr.verts[row]] = (start, end, effective[start:end].tobytes())
-            # One pass over the bitmap: the sorted alive-entry positions,
-            # cut into rows by searching the row bounds — the rank-th alive
-            # entry of row ``i`` is ``alive_pos[bounds[i] + rank]``.
-            alive_pos = np.flatnonzero(effective)
-            bounds = np.searchsorted(alive_pos, views["indptr"])
-            counts = bounds[1:] - bounds[:-1]
-            for row, v in enumerate(csr.verts):
-                count = counts[row]
-                if not count or v in matched:
-                    continue
-                entry = int(alive_pos[bounds[row] + _mix(seed, round_no, v) % int(count)])
-                outgoing.setdefault(owner_pos[entry], []).append((v, int(indices[entry])))
-        else:
-            effective = alive
-            if announced:
-                masked = None
-                for row in range(csr.num_rows):
-                    start, end = indptr[row], indptr[row + 1]
-                    row_hit = False
-                    for entry in range(start, end):
-                        if effective[entry] and indices[entry] in announced:
-                            if masked is None:
-                                masked = bytearray(alive)
-                            masked[entry] = 0
-                            row_hit = True
-                    if row_hit and masked is not None:
-                        pruned[csr.verts[row]] = (start, end, bytes(masked[start:end]))
-                if masked is not None:
-                    effective = masked
-            for row, v in enumerate(csr.verts):
-                if v in matched:
-                    continue
+        effective = alive
+        if announced:
+            masked = None
+            for row in range(csr.num_rows):
                 start, end = indptr[row], indptr[row + 1]
-                count = 0
+                row_hit = False
                 for entry in range(start, end):
-                    if effective[entry]:
-                        count += 1
-                if not count:
-                    continue
-                rank = _mix(seed, round_no, v) % count
-                for entry in range(start, end):
-                    if effective[entry]:
-                        if rank == 0:
-                            outgoing.setdefault(owner_pos[entry], []).append((v, indices[entry]))
-                            break
-                        rank -= 1
+                    if effective[entry] and indices[entry] in announced:
+                        if masked is None:
+                            masked = bytearray(alive)
+                        masked[entry] = 0
+                        row_hit = True
+                if row_hit:
+                    pruned[csr.verts[row]] = (start, end, bytes(masked[start:end]))
+            if masked is not None:
+                effective = masked
+        for row, v in enumerate(csr.verts):
+            if v in matched:
+                continue
+            start, end = indptr[row], indptr[row + 1]
+            count = 0
+            for entry in range(start, end):
+                if effective[entry]:
+                    count += 1
+            if not count:
+                continue
+            rank = _mix(seed, round_no, v) % count
+            for entry in range(start, end):
+                if effective[entry]:
+                    if rank == 0:
+                        outgoing.setdefault(owner_pos[entry], []).append((v, indices[entry]))
+                        break
+                    rank -= 1
         for pos, pairs in outgoing.items():
             ctx.send(worker_ids[pos], "propose", pairs, words=2 + 3 * len(pairs))
         return pruned
@@ -262,7 +234,6 @@ class StaticMaximalMatching:
         backend: str | None = None,
         shard_count: int | None = None,
         resident_slots: int | None = None,
-        resident_shm_ring_bytes: int | None = None,
     ) -> None:
         self.graph = graph
         self.setup: StaticMPCSetup = build_static_cluster(
@@ -271,7 +242,6 @@ class StaticMaximalMatching:
             backend=backend,
             shard_count=shard_count,
             resident_slots=resident_slots,
-            resident_shm_ring_bytes=resident_shm_ring_bytes,
             weighted=False,
         )
         self.cluster = self.setup.cluster
@@ -302,50 +272,12 @@ class StaticMaximalMatching:
         alive_rows: dict[str, bytearray] = state["edge_alive"].rows
         propose = CSRMatchingProposeProgram(setup.owned, worker_ids, self.seed)
         announce = CSRMatchingAnnounceProgram(setup.owned, worker_ids)
-        np = numpy_or_none()
-        interner = setup.interner
-        # Driver-side free-edge scan caches (numpy path): per machine the
-        # dense interner position of every entry's source row and
-        # neighbour, plus a dense matched bitmap grown by the acceptance
-        # phase — the scan is then three gathers and a reduction.
-        matched_mask = np.zeros(len(interner), dtype=np.uint8) if np is not None else None
-        dense_cache: dict[str, tuple[Any, Any]] = {}
-
-        def _dense_entries(mid: str) -> "tuple[Any, Any]":
-            cached = dense_cache.get(mid)
-            if cached is None:
-                csr = csrs[mid]
-                views = csr.np_views()
-                position = interner.index
-                row_dense = np.fromiter(
-                    (position[v] for v in csr.verts), dtype=np.int64, count=csr.num_rows
-                )
-                source = np.repeat(row_dense, views["degrees"])
-                neighbor = np.fromiter(
-                    (position[w] for w in csr.indices), dtype=np.int64, count=csr.num_entries
-                )
-                cached = dense_cache[mid] = (source, neighbor)
-            return cached
 
         def has_free_edge() -> bool:
             # A free vertex with a *free* neighbour (pruning of last
             # round's matches happens lazily in the next proposal
             # program, so consult ``matched`` here to avoid a no-op
             # trailing round).
-            if np is not None:
-                for mid in worker_ids:
-                    alive = np.frombuffer(alive_rows[mid], dtype=np.uint8)
-                    if not len(alive):
-                        continue
-                    source, neighbor = _dense_entries(mid)
-                    free = (
-                        (alive != 0)
-                        & (matched_mask[source] == 0)
-                        & (matched_mask[neighbor] == 0)
-                    )
-                    if free.any():
-                        return True
-                return False
             for mid in worker_ids:
                 csr = csrs[mid]
                 alive = alive_rows[mid]
@@ -378,12 +310,12 @@ class StaticMaximalMatching:
                 # Phase 1: announce the previous round's new statuses (so
                 # machines prune dead edges first), then prune and propose
                 # along chosen edges.  The announce phase is deferred from
-                # the previous iteration so resident backends can fuse
-                # ``[announce, propose]`` into one worker-driven block —
-                # safe because has_free_edge masks matched endpoints
-                # itself, so its answer is invariant to announce's
-                # clears/prunes.  Propose ends the block: the driver must
-                # drain the proposals for the global acceptance phase.
+                # the previous iteration and submitted with its propose as
+                # one ``[announce, propose]`` block — safe because
+                # has_free_edge masks matched endpoints itself, so its
+                # answer is invariant to announce's clears/prunes.  The
+                # driver drains the proposals for the global acceptance
+                # phase, so propose runs in the driver on every backend.
                 if pending_announce:
                     cluster.superstep_block([announce, propose], machines=worker_ids, shared=state)
                 else:
@@ -409,9 +341,6 @@ class StaticMaximalMatching:
                         continue
                     matched.add(target)
                     matched.add(chosen)
-                    if matched_mask is not None:
-                        matched_mask[interner.index[target]] = 1
-                        matched_mask[interner.index[chosen]] = 1
                     newly_matched.append(normalize_edge(target, chosen))
                 matching.update(newly_matched)
                 # The acceptance decisions mutated the matched set

@@ -44,11 +44,9 @@ class CSRMSTCandidateProgram(VertexProgram):
     root is stable for the whole phase and each distinct vertex pays for at
     most one union-find walk per machine (path compression is the
     sanctioned semantically-invisible mutation: roots, and therefore every
-    candidate and message, do not depend on it).  The scan deliberately
-    stays in python over the cached ``entry_lists`` materialization:
-    per-machine rows are tens-to-hundreds of entries at Table-1 scale, where
-    per-call numpy dispatch costs more than it saves, while bulk ``tolist``
-    + list slicing beats per-index ``array`` access.  Candidates surface in
+    candidate and message, do not depend on it).  The scan walks the
+    cached ``entry_lists`` materialization: bulk ``tolist`` + list slicing
+    beats per-index ``array`` access.  Candidates surface in
     ``best_local`` insertion order — first appearance of each component over
     the row-major scan.  Candidate messages are a constant 7 words (tag 2 +
     4-tuple framing 5), equal to the self-sized charge (pinned in
@@ -70,7 +68,7 @@ class CSRMSTCandidateProgram(VertexProgram):
     #: reflected in the shared component map — never read
     reads_inbox = False
     #: the driver drains every phase's "mst-candidate" reports to pick the
-    #: merges, so the sends return on the round reply
+    #: merges, so a slot-routing backend runs this round in the driver
     driver_reads_sends = True
 
     def run(self, ctx: MachineContext, inbox: list, shared: Mapping[str, Any]) -> int:
@@ -148,7 +146,6 @@ class StaticBoruvkaMST:
         backend: str | None = None,
         shard_count: int | None = None,
         resident_slots: int | None = None,
-        resident_shm_ring_bytes: int | None = None,
     ) -> None:
         self.graph = graph
         self.setup: StaticMPCSetup = build_static_cluster(
@@ -157,7 +154,6 @@ class StaticBoruvkaMST:
             backend=backend,
             shard_count=shard_count,
             resident_slots=resident_slots,
-            resident_shm_ring_bytes=resident_shm_ring_bytes,
         )
         self.cluster = self.setup.cluster
         self.max_phases = max_phases if max_phases is not None else 2 * max(2, graph.num_vertices.bit_length() + 1)

@@ -244,7 +244,7 @@ class TestTourStateAtEveryBoundary:
                 if batch_size is None:
                     algorithm.apply(step[0])
                 else:
-                    algorithm.apply_batch(step, coalesce=True)
+                    algorithm.apply_batch(step)
             assert tour_snapshot(runs["csr"]) == tour_snapshot(runs["dict"]), f"layouts diverged after {step}"
         assert per_update_rounds(runs["csr"]) == per_update_rounds(runs["dict"])
         # non-vacuous: tree edges were cut (a non-tree update costs two rounds)
@@ -263,7 +263,7 @@ class TestTourStateAtEveryBoundary:
         n, m = 24, 36
         graph, stream = recorded_adversary(n, m, 160, seed=42)
         self.assert_lockstep(
-            lambda: DMPCConnectivity(make_config(n, 4 * m, None), check_invariants=True),
+            lambda: DMPCConnectivity(make_config(n, 4 * m, None), check_invariants=True, coalesce=True),
             graph,
             stream,
             batch_size=16,
@@ -492,7 +492,7 @@ class TestHeavyFabricAtEveryBoundary:
     frozen table handle, and the allocation list is the pool filter it replaced; the run's ledger
     and matching are pinned by the digest the dict and CSR stats layouts agreed on."""
 
-    N, HUBS, CAPACITY_M = 40, (0, 1), 128  # threshold 16 against hub degrees up to 38
+    N, HUBS, CAPACITY_M = 40, (0, 1), 156  # the stream's peak; threshold 17 against hub degrees up to 38
 
     def assert_every_boundary(self, algorithm, pinned: str, batch_size=None):
         n = self.N
@@ -526,13 +526,13 @@ class TestHeavyFabricAtEveryBoundary:
     def test_maximal_matching(self):
         self.assert_every_boundary(
             DMPCMaximalMatching(make_config(self.N, self.CAPACITY_M, None), check_invariants=True),
-            "11afaf678eb52e46910f1fff37334e8bec413c454f46fa296f4fb856e5cb4fa0",
+            "a78bc5b68d48878e9da94c234f493a9c9f93915234a5a274409edd2e71a54aee",
         )
 
     def test_maximal_matching_batches(self):
         self.assert_every_boundary(
             DMPCMaximalMatching(make_config(self.N, self.CAPACITY_M, None)),
-            "dc9c5e3e9340904db15b60a376f20e6ecd8cddb3b71e06b9d283e62e610ba314",
+            "dcef05ada86009c2004e73ad16a59f62e65754f438ee78b760ed1415d25cb478",
             batch_size=8,
         )
 
@@ -557,20 +557,20 @@ class TestHeavyFabricAtEveryBoundary:
         maximal only because later deletions removed the missed edges)."""
         self.assert_every_boundary(
             DMPCThreeHalvesMatching(make_config(self.N, self.CAPACITY_M, None)),
-            "11cd1519918314ae998322c68bca356dc59eaadc28fe2848030b63a11ba0d053",
+            "f31483e44012bac026bab56058f8f047e79c6c81af9fab4108c2aba97bb5712f",
         )
 
 
 # ------------------------------------------------- coalesced-batch replay
 def coalesced_pair(make, graph, stream, batch_size):
     """Batched-with-coalescing vs sequential replay of the normalized stream."""
-    batch = make()
+    batch = make(coalesce=True)
     sequential = make()
     for algorithm in (batch, sequential):
         algorithm.preprocess(graph.copy() if graph is not None else DynamicGraph())
     for chunk in batched(stream, batch_size):
         chunk = list(chunk)
-        batch.apply_batch(chunk, coalesce=True)
+        batch.apply_batch(chunk)
         for update in sequential.normalize_batch(chunk)[0]:
             sequential.apply(update)
     return sequential, batch
@@ -594,7 +594,7 @@ class TestCoalescedBatchReplay:
         n = 16  # few vertices → heavy churn → real cancellations
         stream = churn_stream(n, 160, seed=21)
         sequential, batch = coalesced_pair(
-            lambda: DMPCConnectivity(make_config(n, 120, None), check_invariants=True),
+            lambda **kw: DMPCConnectivity(make_config(n, 120, None), check_invariants=True, **kw),
             None,
             stream,
             16,
@@ -610,7 +610,7 @@ class TestCoalescedBatchReplay:
         n, m = 24, 36
         graph, stream = recorded_adversary(n, m, 100, seed=22)
         sequential, batch = coalesced_pair(
-            lambda: DMPCConnectivity(make_config(n, 4 * m, None)), graph, stream, 16
+            lambda **kw: DMPCConnectivity(make_config(n, 4 * m, None), **kw), graph, stream, 16
         )
         assert canonical(sequential.components()) == canonical(batch.components())
         assert sequential.spanning_forest() == batch.spanning_forest()
@@ -621,7 +621,7 @@ class TestCoalescedBatchReplay:
         graph = gnm_random_graph(n, 24, seed=23)
         stream = list(mixed_stream(n, 140, seed=24, insert_probability=0.5, initial=graph))
         sequential, batch = coalesced_pair(
-            lambda: DMPCMaximalMatching(make_config(n, 120, None), check_invariants=True),
+            lambda **kw: DMPCMaximalMatching(make_config(n, 120, None), check_invariants=True, **kw),
             graph,
             stream,
             16,
@@ -633,7 +633,7 @@ class TestCoalescedBatchReplay:
         n = 16
         stream = churn_stream(n, 120, seed=25)
         sequential, batch = coalesced_pair(
-            lambda: DMPCThreeHalvesMatching(make_config(n, 100, None)), None, stream, 12
+            lambda **kw: DMPCThreeHalvesMatching(make_config(n, 100, None), **kw), None, stream, 12
         )
         assert sequential.matching() == batch.matching()
         assert batch.update_round_total() <= sequential.update_round_total()
@@ -642,7 +642,7 @@ class TestCoalescedBatchReplay:
         n = 16
         stream = churn_stream(n, 120, seed=26)
         sequential, batch = coalesced_pair(
-            lambda: DMPCTwoPlusEpsMatching(make_config(n, 100, None), seed=7), None, stream, 12
+            lambda **kw: DMPCTwoPlusEpsMatching(make_config(n, 100, None), seed=7, **kw), None, stream, 12
         )
         assert sequential.matching() == batch.matching()
 
@@ -651,7 +651,7 @@ class TestCoalescedBatchReplay:
         graph = random_weighted_graph(n, m, seed=27)
         stream = list(mixed_stream(n, 100, seed=28, insert_probability=0.5, initial=graph, weighted=True))
         sequential, batch = coalesced_pair(
-            lambda: DMPCApproxMST(make_config(n, 2 * m, None), epsilon=0.1), graph, stream, 12
+            lambda **kw: DMPCApproxMST(make_config(n, 2 * m, None), epsilon=0.1, **kw), graph, stream, 12
         )
         assert sequential.spanning_forest() == batch.spanning_forest()
         assert canonical(sequential.components()) == canonical(batch.components())
@@ -667,15 +667,12 @@ class TestCoalescedBatchReplay:
         toggled = DMPCConnectivity(make_config(n, 60, None), coalesce=True)
         assert toggled.coalesce is True
         for chunk in batched(stream, 8):
-            toggled.apply_batch(chunk)  # no per-call flag: the constructor toggle drives it
+            toggled.apply_batch(chunk)  # the constructor toggle drives it
         assert toggled.coalesce_totals["input"] == len(stream)
-        overridden = DMPCConnectivity(make_config(n, 60, None), coalesce=True)
-        overridden.apply_batch(stream[:8], coalesce=False)  # the per-call flag wins
-        assert overridden.coalesce_totals == NO_COALESCING
 
     @pytest.mark.parametrize("name", sorted(COALESCE_MAKERS))
     def test_defaults_off_on_every_algorithm(self, name):
-        """No algorithm coalesces unless its constructor or the call asks; the call wins both ways."""
+        """No algorithm coalesces unless its constructor asks."""
         n = 12
         stream = list(mixed_stream(n, 32, seed=30, insert_probability=0.5, weighted=True))
         make = COALESCE_MAKERS[name]
@@ -684,15 +681,12 @@ class TestCoalescedBatchReplay:
         assert default.coalesce is False and toggled.coalesce is True
         for algorithm in (default, toggled):
             algorithm.preprocess(DynamicGraph())
-        default.apply_batch(stream[:16])
+        _, stats = toggled.normalize_batch(stream)  # what the coalesced batch below reports
+        default.apply_batch(stream)
+        toggled.apply_batch(stream)
         assert default.coalesce_totals == NO_COALESCING
-        toggled.apply_batch(stream[:16], coalesce=False)
-        assert toggled.coalesce_totals == NO_COALESCING
-        _, stats = toggled.normalize_batch(stream[16:])  # what the coalesced batch below reports
-        default.apply_batch(stream[16:], coalesce=True)
-        toggled.apply_batch(stream[16:])
-        assert default.coalesce_totals == toggled.coalesce_totals == {key: stats[key] for key in NO_COALESCING}
-        assert toggled.coalesce_totals["input"] == len(stream) - 16
+        assert toggled.coalesce_totals == {key: stats[key] for key in NO_COALESCING}
+        assert toggled.coalesce_totals["input"] == len(stream)
 
 
 # ------------------------------------------------ all four backend configs
@@ -705,7 +699,7 @@ class TestCoalescedAcrossBackends:
             algorithm = make(backend)
             algorithm.preprocess(graph.copy() if graph is not None else DynamicGraph())
             for chunk in batched(stream, batch_size):
-                algorithm.apply_batch(chunk, coalesce=True)
+                algorithm.apply_batch(chunk)
             runs[backend] = algorithm
         return runs
 
@@ -718,7 +712,7 @@ class TestCoalescedAcrossBackends:
         n = 16
         stream = churn_stream(n, 96, seed=31)
         runs = self.run_all(
-            lambda backend: DMPCConnectivity(make_config(n, 96, backend)), None, stream, 12
+            lambda backend: DMPCConnectivity(make_config(n, 96, backend), coalesce=True), None, stream, 12
         )
         self.assert_backend_invariant(runs, lambda a: canonical(a.components()), "components")
         self.assert_backend_invariant(runs, lambda a: a.spanning_forest(), "spanning forest")
@@ -730,7 +724,7 @@ class TestCoalescedAcrossBackends:
         n, m = 20, 30
         graph, stream = recorded_adversary(n, m, 80, seed=32)
         runs = self.run_all(
-            lambda backend: DMPCConnectivity(make_config(n, 4 * m, backend)), graph, stream, 16
+            lambda backend: DMPCConnectivity(make_config(n, 4 * m, backend), coalesce=True), graph, stream, 16
         )
         self.assert_backend_invariant(runs, lambda a: canonical(a.components()), "components")
         self.assert_backend_invariant(runs, lambda a: a.spanning_forest(), "spanning forest")
@@ -742,7 +736,7 @@ class TestCoalescedAcrossBackends:
         graph = gnm_random_graph(n, 24, seed=33)
         stream = list(mixed_stream(n, 96, seed=34, insert_probability=0.5, initial=graph))
         runs = self.run_all(
-            lambda backend: DMPCMaximalMatching(make_config(n, 120, backend)), graph, stream, 12
+            lambda backend: DMPCMaximalMatching(make_config(n, 120, backend), coalesce=True), graph, stream, 12
         )
         self.assert_backend_invariant(runs, lambda a: a.matching(), "matching")
         self.assert_backend_invariant(runs, per_update_rounds, "per-update rounds")

@@ -170,7 +170,8 @@ def test_the_algorithm_charges_per_key_at_every_boundary(backend):
     for w in range(1, n):
         if not graph.has_edge(0, w):
             graph.insert_edge(0, w)
-    algorithm = DMPCMaximalMatching(DMPCConfig.for_graph(n, graph.num_edges, backend=backend))
+    # sized for the stream's peak (151 edges from 89): the hub stays heavy
+    algorithm = DMPCMaximalMatching(DMPCConfig.for_graph(n, 2 * graph.num_edges, backend=backend))
     algorithm.preprocess(graph.copy())
     assert algorithm.fabric.stats_of(0).suspended_machines
     assert_charged_per_key(algorithm.fabric, "preprocess")

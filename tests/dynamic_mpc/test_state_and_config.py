@@ -58,7 +58,6 @@ class TestDMPCConfig:
             ("backend", "fast"),
             ("shard_count", 2),
             ("resident_slots", 1),
-            ("resident_shm_ring_bytes", 4096),
         ],
     )
     def test_for_graph_forwards_each_optional_field(self, field, value):

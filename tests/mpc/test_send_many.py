@@ -27,7 +27,7 @@ from repro.mpc import Cluster, Message
 from repro.mpc.contract import ContractCheckContext, ContractObservation
 from repro.mpc.program import LiveMachineContext, MachineContext, WorkerMachineContext
 from repro.mpc.sizing import word_size
-from repro.runtime.resident import _commit_frames, _RoutingMachineContext, _SessionState, _SizingMachineContext
+from repro.runtime.resident import _commit_frames, _RoutingMachineContext, _SessionState
 
 RECEIVERS = ("b", "c", "d")
 TAG = "fan-out"
@@ -80,7 +80,6 @@ LIVE_STAGERS = {
 RECORDING_CONTEXTS = {
     "MachineContext-base-loop": LoopOnlyContext,
     "WorkerMachineContext": lambda: WorkerMachineContext("a", {}),
-    "resident-sizing": lambda: _SizingMachineContext("a", {}),
     "resident-routing": lambda: _RoutingMachineContext("a", {}),
 }
 

@@ -8,11 +8,13 @@ lightweight shared-memory round barrier.  The contract is the usual one,
 sharpened: not just identical solutions but **bit-identical per-round
 RoundRecords** — fusion elides the driver barrier, never the accounting.
 
-These tests drive the fusion-shaped static workloads (connected
-components' ``[propose, apply]`` pairs, maximal matching's
-``[announce, propose]`` pairs) on the resident backend — one slot per
-host core, and the two-slot ``resident-shm`` configuration — and with a
-deliberately tiny ring that forces a mid-block stop and pipe fallback.
+These tests drive the fusion-shaped static workload (connected
+components' ``[propose, apply]`` pairs) on the resident backend — one
+slot per host core, and the two-slot ``resident-shm`` configuration — and
+with a deliberately tiny ring that forces a mid-block stop and pipe
+fallback.  A round whose sends the driver reads (maximal matching's
+propose, Borůvka's candidate scan) never reaches a worker: it runs in the
+driver, as on ``fast``.
 ``fast`` runs every superstep in the driver under the same accounting
 policy, so it is the yardstick every resident row must match bit for bit.
 """
@@ -64,13 +66,16 @@ def round_records(ledger) -> list:
     ]
 
 
-class DriverFlagProgram(SuperstepProgram):
-    """A driver-scoped no-op round: it can neither continue nor end a fused block."""
+class GlobalMergeProgram(SuperstepProgram):
+    """A round with a global merge: it runs at the workers, but only as a block of one."""
 
-    delta_scope = "driver"
+    driver_reads_sends = False
 
     def run(self, ctx, inbox, shared):
         return None
+
+    def apply(self, shared, machine_id, delta):
+        pass
 
 
 class InteriorProgram(SuperstepProgram):
@@ -81,7 +86,7 @@ class InteriorProgram(SuperstepProgram):
         return None
 
 
-class TerminalProgram(InteriorProgram):
+class DriverReadProgram(InteriorProgram):
     driver_reads_sends = True
 
 
@@ -123,6 +128,7 @@ class TestFusedVsFastBitIdentity:
             assert run.cluster.ledger.fused_rounds > 0, backend
 
     def test_maximal_matching_all_backends(self):
+        """Only the announce rounds reach the workers, each as a block of one."""
         graph = gnm_random_graph(32, 96, seed=17)
         fast = run_matching(graph, "fast")
         for backend in BACKENDS:
@@ -130,11 +136,11 @@ class TestFusedVsFastBitIdentity:
             assert run.matching == fast.matching, backend
             assert run.rounds_used == fast.rounds_used, backend
             assert_bit_identical(run, fast)
-            assert run.cluster.ledger.fused_rounds > 0, backend
+            assert run.cluster.ledger.fused_rounds == 0, backend
 
     def test_boruvka_mst_all_backends(self):
-        """The candidate scan declares that the driver reads its sends, so every
-        Borůvka round is a block of one — still bit-identical to ``fast``."""
+        """The candidate scan declares that the driver reads its sends, so no
+        Borůvka round reaches a worker — still bit-identical to ``fast``."""
         graph = random_weighted_graph(30, 80, seed=23)
         fast = StaticBoruvkaMST(graph, backend="fast")
         fast.run()
@@ -143,28 +149,53 @@ class TestFusedVsFastBitIdentity:
             run.run()
             assert run.forest == fast.forest, backend
             assert_bit_identical(run, fast)
-            ledger = run.cluster.ledger
-            assert ledger.driver_round_trips > 0, backend
-            assert ledger.fused_rounds == 0, backend
+            assert run.cluster.ledger.fused_rounds == 0, backend
+
+
+class TestDriverReadRoundsRunInTheDriver:
+    """``driver_reads_sends = True`` rounds run in the driver on ``resident``, as on ``fast``."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matching_propose_rounds_never_reach_a_worker(self, backend):
+        graph = gnm_random_graph(40, 120, seed=5)
+        fast = run_matching(graph, "fast")
+        run = run_matching(graph, backend)
+        assert run.matching == fast.matching
+        assert_bit_identical(run, fast)
+        # one propose and one announce round per iteration: only the announces are worker rounds
+        assert run.cluster.ledger.total_rounds() == 2 * run.rounds_used
+        assert run.cluster.backend.last_session_worker_rounds == run.rounds_used > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_boruvka_candidate_rounds_never_reach_a_worker(self, backend):
+        graph = random_weighted_graph(40, 120, seed=5)
+        fast = StaticBoruvkaMST(graph, backend="fast")
+        fast.run()
+        run = StaticBoruvkaMST(graph, **backend_kwargs(backend))
+        run.run()
+        assert run.forest == fast.forest
+        assert_bit_identical(run, fast)
+        assert run.cluster.ledger.total_rounds() > 0
+        assert run.cluster.backend.last_session_worker_rounds == 0
 
 
 class TestBlockSegmentation:
-    def test_interior_rounds_and_one_terminal_form_one_block(self):
-        assert fusable_span([InteriorProgram(), InteriorProgram(), TerminalProgram()]) == 3
+    def test_interior_rounds_form_one_block(self):
+        assert fusable_span([InteriorProgram(), InteriorProgram(), InteriorProgram()]) == 3
 
-    def test_a_terminal_round_ends_the_block(self):
-        span = [InteriorProgram(), TerminalProgram(), InteriorProgram(), TerminalProgram()]
+    def test_a_driver_read_round_ends_the_block(self):
+        span = [InteriorProgram(), InteriorProgram(), DriverReadProgram(), InteriorProgram()]
         assert fusable_span(span) == 2
-        assert fusable_span(span, 2) == 2
+        assert fusable_span(span, 3) == 1
 
     def test_a_position_that_cannot_fuse_is_a_block_of_one(self):
-        span = [DriverFlagProgram(), InteriorProgram(), TerminalProgram()]
+        span = [GlobalMergeProgram(), InteriorProgram(), InteriorProgram()]
         assert fusable_span(span) == 1
         assert fusable_span(span, 1) == 2
-        assert fusable_span([TerminalProgram(), TerminalProgram()]) == 1
+        assert fusable_span([DriverReadProgram(), DriverReadProgram()]) == 1
 
     def test_mixed_span_runs_as_consecutive_blocks_bit_identically(self):
-        """``[propose, apply, flag, propose, apply]`` ships as blocks of 2, 1 and 2."""
+        """``[propose, apply, merge, propose, apply]`` ships as blocks of 2, 1 and 2."""
         graph = gnm_random_graph(24, 50, seed=9)
         ledgers = {}
         for backend in ("fast", "resident-shm"):
@@ -175,7 +206,7 @@ class TestBlockSegmentation:
             apply_min = LabelApplyProgram(setup.owned, worker_ids, worker_ids[0])
             with cluster.update("mixed"), cluster.session(state):
                 records = cluster.superstep_block(
-                    [propose, apply_min, DriverFlagProgram(), propose, apply_min], machines=worker_ids, shared=state
+                    [propose, apply_min, GlobalMergeProgram(), propose, apply_min], machines=worker_ids, shared=state
                 )
             assert len(records) == 5, backend
             ledgers[backend] = (cluster.ledger, dict(state["labels"]))
@@ -235,15 +266,16 @@ class TestOwnerDeltasStayHome:
 
 
 class TestTinyRingFallback:
-    def test_mid_block_stop_and_pipe_fallback_stay_bit_identical(self):
+    def test_mid_block_stop_and_pipe_fallback_stay_bit_identical(self, monkeypatch):
         """Two slots with a 1024-byte ring: cross-slot frames overflow, the
         worker loop stops at the boundary and hands the overflow to the
         driver's pipe forward path — the run must still match the roomy-ring
         and fast runs bit for bit."""
         graph = gnm_random_graph(64, 220, seed=11)
-        tiny = run_cc(graph, "resident", resident_slots=2, resident_shm_ring_bytes=1024)
         fast = run_cc(graph, "fast")
         roomy = run_cc(graph, "resident-shm")
+        monkeypatch.setattr(ResidentSession, "_ring_capacity", lambda session: 1024)
+        tiny = run_cc(graph, "resident", resident_slots=2)
         assert tiny.labels == fast.labels == roomy.labels
         assert_bit_identical(tiny, fast)
         assert_bit_identical(roomy, fast)

@@ -26,6 +26,7 @@ from repro.mpc.cluster import Cluster
 from repro.runtime.resident import (
     ResidentSession,
     _session_close,
+    _session_flush,
     _session_open,
     _session_run_block,
     _slot_worker,
@@ -87,13 +88,17 @@ class TestSessions:
 
 
 def one_round(sessions, session_id, new_programs, shared_init, store_updates, batch):
-    """Run program 0 as a one-round block (funneled: its sends come back on the reply)."""
-    block = {"epoch0": 0, "slot": 0, "map": None, "forward": [], "rounds": [(0, False, True)], "barrier": None}
+    """Run program 0 on machine ``m0`` as a one-round routed block.
+
+    Returns the round's deltas and the frames it left at the worker, read
+    back through ``_session_flush``.
+    """
+    block = {"epoch0": 0, "slot": 0, "map": {"m0": (0, 0)}, "forward": [], "rounds": [(0, False)], "barrier": None}
     reply = _session_run_block(sessions, session_id, new_programs, [], shared_init, store_updates, batch, block)
     assert reply[:2] == ("block", 1)
-    (funneled,) = reply[2]
-    assert funneled[0] == "funneled"
-    return funneled[1]
+    (routed,) = reply[2]
+    assert routed[0] == "routed"
+    return routed[1], _session_flush(sessions, session_id)
 
 
 class TestWorkerSessionProtocol:
@@ -109,7 +114,7 @@ class TestWorkerSessionProtocol:
         assert _session_open(sessions, "s1")  # idempotent
         blob = self.make_program_blob()
         results = one_round(sessions, "s1", {0: blob}, {"labels": {}, "frontier": {"m0": []}}, [], [("m0", ())])
-        assert results == [("m0", [], None)]
+        assert results == ([("m0", None)], [])
         assert _session_close(sessions, "s1")
         assert sessions == {}
         assert not _session_close(sessions, "s1")

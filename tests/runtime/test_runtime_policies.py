@@ -43,6 +43,9 @@ class TokenProbeProgram(SuperstepProgram):
     shared_reads = ("offset",)
     shared_writes = ("results",)
     store_reads = ("token",)
+    #: the driver drains the probes only after the session's rounds, through
+    #: the flush of worker-held frames — the round itself runs at the workers
+    driver_reads_sends = False
 
     def run(self, ctx, inbox, shared):
         value = ctx.load(("token", ctx.machine_id), 0) + shared["offset"]
@@ -56,9 +59,19 @@ class TokenProbeProgram(SuperstepProgram):
 
 class UndeclaredReadProgram(SuperstepProgram):
     shared_reads = ("missing-key",)
+    driver_reads_sends = False
 
     def run(self, ctx, inbox, shared):  # pragma: no cover - never reached
         return None
+
+
+class HiddenReadProgram(SuperstepProgram):
+    """Reads a shared key it never declared; the driver reads its (absent) sends."""
+
+    shared_reads = ("offset",)
+
+    def run(self, ctx, inbox, shared):
+        return shared["hidden"]
 
 
 class ReportIndexProgram(SuperstepProgram):
@@ -76,6 +89,7 @@ class CollectInboxProgram(SuperstepProgram):
     """Every machine hands its inbox payloads, in arrival order, to the driver."""
 
     shared_writes = ("seen",)
+    driver_reads_sends = False
 
     def run(self, ctx, inbox, shared):
         return [msg.payload for msg in inbox]
@@ -86,6 +100,8 @@ class CollectInboxProgram(SuperstepProgram):
 
 class ExplodingProgram(SuperstepProgram):
     """``m1`` and ``m2`` raise: sequentially ``m1`` is first, on two slots ``m2``'s slot is."""
+
+    driver_reads_sends = False
 
     def run(self, ctx, inbox, shared):
         if ctx.machine_id in ("m1", "m2"):
@@ -495,6 +511,22 @@ class TestResidentSuperstep:
         self.assert_probe_observable(cluster, results)
         assert os.getpid() not in {pid for pid, _ in results.values()}  # every run happened elsewhere
 
+    def test_a_round_whose_sends_the_driver_reads_runs_in_the_driver(self, monkeypatch):
+        """``driver_reads_sends = True`` keeps a session round in the driver, equal to ``fast``'s."""
+        monkeypatch.setattr(TokenProbeProgram, "driver_reads_sends", True)
+        rounds = {}
+        for backend in ("fast", "resident"):
+            cluster = self.make_cluster(backend)
+            shared = {"offset": 7, "results": {}}
+            with cluster.session(shared) as session:
+                record = cluster.superstep(TokenProbeProgram(), shared=shared)
+            assert {pid for pid, _ in shared["results"].values()} == {os.getpid()}
+            rounds[backend] = (record, shared["results"])
+            self.assert_probe_observable(cluster, shared["results"])
+            assert cluster.ledger.driver_round_trips == 0
+            assert getattr(session, "worker_rounds", 0) == 0
+        assert rounds["resident"] == rounds["fast"]
+
     def test_outside_a_session_runs_in_the_driver_like_fast(self):
         """Without a session ``resident`` is ``fast``: same round, same deltas, same inboxes."""
         rounds = {}
@@ -577,6 +609,16 @@ class TestResidentSuperstep:
             with pytest.raises(KeyError, match="missing-key"):
                 cluster.superstep(UndeclaredReadProgram(), shared=shared)
 
+    def test_a_driver_round_is_contract_checked_like_fast(self, monkeypatch):
+        """Under ``REPRO_CHECK_CONTRACTS`` a round kept in the driver runs against the shadow oracle."""
+        monkeypatch.setenv("REPRO_CHECK_CONTRACTS", "1")
+        for backend in ("fast", "resident"):
+            cluster = self.make_cluster(backend)
+            shared = {"offset": 1, "hidden": 2}
+            with cluster.session(shared):
+                with pytest.raises(KeyError, match="hidden"):
+                    cluster.superstep(HiddenReadProgram(), shared=shared)
+
     def test_store_blobs_memoised_until_version_bump(self):
         cluster = self.make_cluster()
         backend = cluster.backend
@@ -592,6 +634,7 @@ class RunningTotalProgram(SuperstepProgram):
     """Each machine adds its index and inbox size to its running total and reports it to ``m0``."""
 
     shared_reads = ("totals",)
+    driver_reads_sends = False
 
     def run(self, ctx, inbox, shared):
         total = shared["totals"].get(ctx.machine_id, 0) + int(ctx.machine_id[1:]) + len(inbox)
@@ -796,7 +839,7 @@ REMOVED_ACCOUNTING = [
 
 
 class TestRemovedKnobs:
-    def test_config_has_eight_fields(self):
+    def test_config_has_seven_fields(self):
         import dataclasses
 
         assert [f.name for f in dataclasses.fields(DMPCConfig)] == [
@@ -807,7 +850,6 @@ class TestRemovedKnobs:
             "backend",
             "shard_count",
             "resident_slots",
-            "resident_shm_ring_bytes",
         ]
 
     def test_shared_ledgers_and_record_factories_are_gone(self):

@@ -41,6 +41,7 @@ from repro.mpc.program import SuperstepProgram
 from repro.mpc.sizing import word_size
 from repro.runtime import resident as resident_mod
 from repro.runtime.resident import (
+    ResidentSession,
     _session_flush,
     _session_open,
     _session_run_block,
@@ -149,7 +150,7 @@ def routed_round(sessions, session_id, program, batch_ids, machine_slots, slot, 
         "slot": slot,
         "map": dict(machine_slots),
         "forward": list(forward),
-        "rounds": [(0, not program.reads_inbox, False)],
+        "rounds": [(0, not program.reads_inbox)],
         "barrier": None,
     }
     reply = _session_run_block(
@@ -543,14 +544,13 @@ class TestEndToEndTraffic:
         assert traffic["pipe_fallbacks"] == 0
         assert traffic["shm_bytes"] == 0
 
-    def test_tiny_rings_force_pipe_fallbacks_without_changing_a_bit(self):
+    def test_tiny_rings_force_pipe_fallbacks_without_changing_a_bit(self, monkeypatch):
         """Rings sized at the floor overflow on real rounds; the spilled
         frames take the driver pipe and the run stays bit-identical."""
         graph = gnm_random_graph(64, 220, seed=23)
         fixed = run_matching(graph, backend="fast")
-        routed = run_matching(
-            graph, backend="resident", resident_slots=2, resident_shm_ring_bytes=1024
-        )
+        monkeypatch.setattr(ResidentSession, "_ring_capacity", lambda session: 1024)
+        routed = run_matching(graph, backend="resident", resident_slots=2)
         assert sorted(routed.matching) == sorted(fixed.matching)
         assert routed.rounds_used == fixed.rounds_used
         traffic = routed.cluster.backend.last_session_traffic

@@ -10,7 +10,12 @@ Two checks, both of which fail on the parent of PR 22:
 * **Dense churn.**  ``DMPCMaximalMatching`` on ``gnm(n, 2n, seed=s)`` + 4 000
   ``mixed_stream(seed=s + 10)`` updates at n in {32, 48, 64} × 10 seeds
   (updates ≫ n, so every edge is deleted and re-inserted many times), maximal
-  at *every* update boundary.  Before an empty machine was stamped current at
+  at *every* update boundary.  The streams keep to the configuration's
+  capacity of 4n edges by the correctness sweep's skip rule
+  (:func:`within_capacity`): 6 of the 30 runs would go past it — ``(n, s) =``
+  (32, 1) peaks at 220 edges against 128, (32, 4) at 158, (32, 9) at 174,
+  (48, 8) at 200 against 192, (48, 10) at 193 and (64, 8) at 263 against
+  256 — and an over-capacity insert is refused.  Before an empty machine was stamped current at
   allocation its first contact replayed the whole history buffer over records
   that had been placed current, and an old ``delete`` dropped the live copy of
   a re-inserted edge: 18 of 24 runs over seeds 3–10 lost maximality (46 of 72
@@ -59,10 +64,26 @@ MAX_LOGLOG_SLOPE = 0.6
 ROUNDS_PER_OP_TOLERANCE = 0.3
 
 
+def within_capacity(stream, edges: int, capacity: int) -> list:
+    """The sweep's skip rule: drop an insert that would take the edge count past
+    ``capacity``, together with that edge's next delete."""
+    kept, skipped = [], set()
+    for update in stream:
+        if update.edge in skipped:
+            skipped.discard(update.edge)  # the skipped edge's delete
+        elif update.is_insert and edges >= capacity:
+            skipped.add(update.edge)
+        else:
+            edges += 1 if update.is_insert else -1
+            kept.append(update)
+    return kept
+
+
 def first_violation(n: int, seed: int) -> int | None:
     """Index of the first update after which the matching is not maximal."""
     graph = gnm_random_graph(n, 2 * n, seed=seed)
     stream = mixed_stream(n, CHURN_UPDATES, seed=seed + 10, insert_probability=0.5, initial=graph)
+    stream = within_capacity(stream, graph.num_edges, 4 * n)
     alg = DMPCMaximalMatching(DMPCConfig.for_graph(n, 4 * n, backend="fast"), check_invariants=True)
     alg.preprocess(graph.copy())
     for index, update in enumerate(stream):

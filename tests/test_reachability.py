@@ -72,7 +72,7 @@ def run_system() -> None:
     for backend in sorted(BACKENDS):
         for cls in DYNAMIC:
             is_weighted = cls is DMPCApproxMST
-            algorithm = cls(DMPCConfig.for_graph(N, 2 * EDGES, backend=backend))
+            algorithm = cls(DMPCConfig.for_graph(N, 2 * EDGES, backend=backend), coalesce=True)
             initial = weighted if is_weighted else plain
             if cls in STARTS_EMPTY:
                 algorithm.preprocess(DynamicGraph(N))
@@ -85,7 +85,7 @@ def run_system() -> None:
             for update in stream[:half]:
                 algorithm.apply(update)
             for chunk in batched(stream[half:], BATCH):
-                algorithm.apply_batch(chunk, coalesce=True)
+                algorithm.apply_batch(chunk)
             algorithm.verify_invariants()
     for backend in ("fast", "reference"):
         for cls in STATIC:
