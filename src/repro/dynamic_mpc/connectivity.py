@@ -19,10 +19,12 @@ All of it lives in one :class:`~repro.mpc.layout.TourShard` record table per
 machine, behind a frozen-charge handle (``_ShardTourStore`` is the driver's
 seam onto them).  ``index_v`` is not stored: it is the union of the index
 pairs of ``v``'s tree-edge records, so every tour index lives once, and one
-:class:`~repro.mpc.layout.TourPairs` map per cluster indexes those pairs by
-component.  A link / cut is one pass over the component's pairs in the map;
-every shard holding the component then re-stores the handle it holds (a
-shift moves no charge: version bump, no sizing).  The seed's per-vertex
+:class:`~repro.mpc.layout.TourPairs` position index per cluster names, for
+each component, the pair end at every tour position.  A link / cut splices
+or splits the component's index and rewrites the positions of the slots
+that moved, and no others; every shard holding the component then
+re-stores the handle it holds (a shift moves no charge: version bump, no
+sizing).  The seed's per-vertex
 ``("tour", v)`` / ``("edges", v)`` dicts survive as the test suite's oracle
 (``tests/dynamic_mpc/tour_oracle.py``), run in lockstep with the shards.
 
@@ -33,7 +35,7 @@ Inserting or deleting an edge broadcasts a **constant number of scalars**
 machines to all machines; every machine then rewrites the indexes of the
 vertices and edge records it stores locally, with no further communication.
 That is the index arithmetic of :mod:`repro.eulertour.indexed`, every
-machine's share applied in one pass over the map.  Deleting a tree edge
+machine's share applied to the span of the position index that moves.  Deleting a tree edge
 additionally runs a replacement search: every machine owning vertices of the
 subtree being split off offers the non-tree edges incident to them to a
 designated machine, which identifies the crossing edges as exactly those
@@ -42,14 +44,15 @@ and reinserts one of them as a tree edge.
 
 The machines hold the cut's scalars through that search but rewrite nothing
 until it has answered: a vertex's side of the cut shows in the tour as it
-stands (``f(y) <= index <= l(y)``), so the offers need no applied cut.  A
+stands (``f(y) <= index <= l(y)``: one slice of the index), so the offers
+need no applied cut.  A
 cut without a replacement is then applied as such.  A **replaced cut is one
 rewrite**: the replacement link's scalars follow from the cut's by O(1)
 arithmetic (:meth:`DMPCConnectivity._replacement_link`), its broadcast goes
-out as before, and every machine applies cut ∘ link in a single pass
+out as before, and every machine applies cut ∘ link as one rewrite
 (:meth:`~repro.mpc.layout.TourPairs.cut_link`) — outside the subtree the two shifts
-cancel everywhere but between the hole and the attachment point, and no
-vertex changes component.  Rounds, messages and words are those of a cut
+cancel everywhere but between the hole and the attachment point, so only
+that span of the index is rebuilt, and no vertex changes component.  Rounds, messages and words are those of a cut
 followed by a link.
 """
 
@@ -92,9 +95,9 @@ def _lightest_crossing(offers: "Iterable[tuple[int, int, float]]") -> "tuple[int
 
 
 class _ShardTourStore:
-    """One in-place :class:`TourShard` per worker machine, and the one :class:`TourPairs` map over them.
+    """One in-place :class:`TourShard` per worker machine, and the one :class:`TourPairs` index over them.
 
-    Record edits go through the map and commit through the machine's
+    Record edits go through the index and commit through the machine's
     :class:`~repro.mpc.layout.FrozenChargeHandle`, so the word totals are
     the seed's per-vertex charges and an index rewrite sizes nothing.
     """
@@ -185,7 +188,7 @@ class _ShardTourStore:
         return groups
 
     def check_pair_index(self) -> None:
-        """The map and the shards' tree records match one-to-one (:meth:`TourPairs.mismatch`)."""
+        """The index and the shards' tree records match one-to-one (:meth:`TourPairs.mismatch`)."""
         problem = self.pairs.mismatch(self._shards())
         if problem is not None:
             raise InvariantViolation(f"tour pair index: {problem}")

@@ -1,4 +1,4 @@
-"""The one state layout of every hot path: CSR adjacency, interning, struct-of-arrays stats, edge tables, tour pairs.
+"""The one state layout of every hot path: CSR adjacency, struct-of-arrays stats, edge tables, tour pairs.
 
 Every static baseline stores its machine's adjacency as one flat CSR
 value, the dynamic matching fabric one vertex table per statistics
@@ -12,10 +12,6 @@ constants below), so every message, round and word is unchanged.
 ``layout="csr"`` is accepted, as a literal, by the constructors the
 benchmark calls (:func:`check_layout`).  This module owns:
 
-:class:`VertexInterner`
-    the dense vertex-ID map built once per static cluster — vertex ids in
-    payloads stay raw (bit-identical messages), dense positions index the
-    driver-side kernel caches.
 :class:`MachineCSR`
     one machine's owned adjacency as contiguous ``array('q')``/``array('d')``
     buffers (``verts``/``indptr``/``indices``/``weights``) plus the per-entry
@@ -56,8 +52,9 @@ benchmark calls (:func:`check_layout`).  This module owns:
 :class:`TourShard` / :class:`TourPairs`
     dynamic connectivity's Euler-tour state as one record table per machine
     (plain dicts, no arrays): every tour index lives once, in the index pair
-    of its tree-edge record.  One cluster-wide map per component indexes
-    those pairs, and its link / cut passes shift them in place.
+    of its tree-edge record.  One cluster-wide position index per component
+    names the pair end at every tour position, so a link / cut rewrites the
+    span of the tour that moves and no other.
 """
 
 from __future__ import annotations
@@ -70,7 +67,6 @@ from repro.runtime.wire import register_wire_type
 
 __all__ = [
     "check_layout",
-    "VertexInterner",
     "MachineCSR",
     "build_machine_csr",
     "AliveTable",
@@ -93,32 +89,6 @@ def check_layout(layout: str) -> None:
     """
     if layout != "csr":
         raise ValueError(f"unknown state layout {layout!r}; the only layout is 'csr'")
-
-
-# ---------------------------------------------------------------- interning
-class VertexInterner:
-    """Dense position per vertex id, fixed at cluster build time.
-
-    Message payloads stay in raw vertex-id space (the messages the seed's
-    per-vertex stores sent); the dense side is for driver-side kernel state.
-    """
-
-    __slots__ = ("vertices", "index")
-
-    def __init__(self, vertices: "Iterable[int]") -> None:
-        #: dense position -> vertex id, in the graph's vertex order
-        self.vertices: list[int] = list(vertices)
-        #: vertex id -> dense position
-        self.index: dict[int, int] = {v: i for i, v in enumerate(self.vertices)}
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def dense(self, vertex: int) -> int:
-        return self.index[vertex]
-
-    def vertex(self, position: int) -> int:
-        return self.vertices[position]
 
 
 # --------------------------------------------------------------------- CSR
@@ -783,8 +753,8 @@ class TourShard:
         path-maximum scan iterate a component's members instead of every key
         on the machine.
 
-    The shard rewrites no index: one :class:`TourPairs` map per cluster
-    indexes its pairs and shifts them in place.
+    The shard rewrites no index: one :class:`TourPairs` position index per
+    cluster holds its pairs and rewrites the ones that move.
 
     Word accounting is incremental (``live_words`` is O(1)) and charges
     what the seed's per-vertex keys did: 12 words per vertex plus one per
@@ -874,199 +844,211 @@ class TourShard:
         )
 
 
-class TourPairs:
-    """Every tree pair of a cluster's tour shards, one map per component: ``comp → {(v, w): pair}``.
+def _place(block: "list[tuple]", start: int) -> None:
+    """Write each slot's tour position, counted from ``start``, into the end of the pair it holds."""
+    for position, (_v, _w, pair, end) in enumerate(block, start):
+        pair[end] = position
 
+
+def _rotated(tour: "list[tuple]", first: int, start: int) -> "list[tuple]":
+    """A subtree's slots ``tour`` rotated to begin at ``tour[first]`` (``0``: as they are) and placed from ``start``.
+
+    A pair whose lower end wrapped round comes out reversed: it is re-sorted
+    and its two slots trade ends.  Only the wrapped slots can hold one.
+    """
+    rotated = tour[first:] + tour[:first]
+    _place(rotated, start)
+    for v, w, pair, end in rotated[len(tour) - first :]:
+        if end == 0 and pair[0] > pair[1]:
+            lo, hi = pair[1], pair[0]
+            pair[0], pair[1] = lo, hi
+            rotated[lo - start] = (v, w, pair, 0)
+            rotated[hi - start] = (v, w, pair, 1)
+    return rotated
+
+
+class TourPairs:
+    """Every tree pair of a cluster's tour shards, one position index per component: ``comp → slots``.
+
+    ``slots[p]``, for tour position ``p`` in ``1..4(k-1)``, is the pair end
+    that sits there: ``(v, w, pair, end)`` with ``pair[end] == p``, where
     ``pair`` is the ``[lo, hi]`` list of the tree record ``(v, w)`` on
-    ``v``'s shard, the very object that record and its tree row hold, so a
-    pass that shifts it shifts the record.  The shard still owns and is
-    charged for it; the map lets a broadcast rewrite be one loop over the
-    component's pairs, not one call per shard.  A singleton has no entry.
+    ``v``'s shard — the very object that record and its tree row hold, so a
+    pass that writes it moves the record.  ``slots[0]`` is ``None``: a list
+    index is a tour position, and a slice of the list is a span of the tour.
+    The shard still owns and is charged for the pair; the index lets a
+    broadcast rewrite visit only the positions that move, not every pair of
+    the component.  A component without a tree edge has no entry.
+
     Records change through :meth:`set_edge` / :meth:`pop_edge`, which edit
-    shard and map together.  A pass relabels no vertex on its shard: the
-    caller moves all of ``comp_y`` after :meth:`link`, and what :meth:`cut`
-    returns (:meth:`TourShard.move`).
+    shard and index together, filling or clearing the pair's two slots.  A
+    cut edge's positions stay ``None`` from its records' pop until the pass
+    that applies the cut drops them; a new edge's are ``None`` from the link
+    pass until its records are set.  A pass relabels no vertex on its shard:
+    the caller moves all of ``comp_y`` after :meth:`link`, and what
+    :meth:`cut` returns (:meth:`TourShard.move`).
     """
 
     __slots__ = ("comps",)
 
     def __init__(self) -> None:
-        self.comps: "dict[int, dict[tuple[int, int], list[int]]]" = {}
+        self.comps: "dict[int, list[tuple | None]]" = {}
 
     @classmethod
     def from_shards(cls, shards: "Iterable[TourShard]") -> "TourPairs":
-        """The map of ``shards``' tree records, rebuilt from the records' own pairs."""
+        """The index of ``shards``' tree records, rebuilt from the records' own pairs."""
         pairs = cls()
-        comps = pairs.comps
         for shard in shards:
             for v, row in shard.edges.items():
                 for w, record in row.items():
                     pair = record.get("indexes")
                     if pair is not None:
-                        comps.setdefault(shard.comp[v], {})[v, w] = pair
+                        pairs._fill(shard.comp[v], v, w, pair)
         return pairs
 
     def mismatch(self, shards: "Iterable[TourShard]") -> "str | None":
-        """What breaks the one-to-one match of the map with ``shards``' tree records, else ``None``.
+        """What breaks the one-to-one match of the index with ``shards``' tree records, else ``None``.
 
-        Each tree record's pair must be the object the map holds under its
-        vertex's component, no two records may share one, and the map must
-        hold nothing else.  O(pairs).
+        Every position of a component's index holds exactly one pair end,
+        ``pair[end]`` reads that position and the pair is sorted; the pairs
+        held are exactly the tree records' pairs of the component's
+        vertices, each the record's own object, and no two records share
+        one.  O(pairs).
         """
-
-        def ids(comps: dict) -> dict:
-            return {comp: {key: id(pair) for key, pair in pairs.items()} for comp, pairs in comps.items()}
-
-        held, want = ids(self.comps), ids(TourPairs.from_shards(shards).comps)
-        for comp in held.keys() | want.keys():
-            if held.get(comp) != want.get(comp):
-                return f"component {comp}: the map does not hold exactly its tree records' pairs"
-        if len({i for keyed in want.values() for i in keyed.values()}) != sum(map(len, want.values())):
-            return "two tree records share one pair"
+        records: "dict[int, dict[int, tuple[int, int]]]" = {}
+        seen: "set[int]" = set()
+        for shard in shards:
+            for v, row in shard.edges.items():
+                for w, record in row.items():
+                    pair = record.get("indexes")
+                    if pair is not None:
+                        if id(pair) in seen:
+                            return "two tree records share one pair"
+                        seen.add(id(pair))
+                        records.setdefault(shard.comp[v], {})[id(pair)] = (v, w)
+        for comp in sorted(self.comps.keys() | records.keys()):
+            slots = self.comps.get(comp, [None])
+            held = records.get(comp, {})
+            if slots[0] is not None:
+                return f"component {comp}: position 0 holds a pair end"
+            for position in range(1, len(slots)):
+                slot = slots[position]
+                if slot is None:
+                    return f"component {comp}: position {position} holds no pair end"
+                v, w, pair, end = slot
+                if pair[end] != position:
+                    return f"component {comp}: position {position} holds end {end} of ({v}, {w})'s pair {pair}"
+                if pair[0] >= pair[1]:
+                    return f"component {comp}: position {position} holds ({v}, {w})'s unsorted pair {pair}"
+                if held.get(id(pair)) != (v, w):
+                    return f"component {comp}: position {position} holds a pair no tree record ({v}, {w}) of the component holds"
+            if len(slots) - 1 != 2 * len(held):
+                return f"component {comp}: {len(slots) - 1} positions index {len(held)} tree records' pairs"
         return None
 
     # ------------------------------------------------------------------ edges
+    def _fill(self, comp: int, vertex: int, neighbor: int, pair: "list[int]") -> None:
+        slots = self.comps.get(comp)
+        if slots is None:
+            slots = self.comps[comp] = [None]
+        lo, hi = pair
+        if len(slots) <= hi:
+            slots.extend([None] * (hi + 1 - len(slots)))
+        slots[lo] = (vertex, neighbor, pair, 0)
+        slots[hi] = (vertex, neighbor, pair, 1)
+
     def set_edge(self, shard: TourShard, vertex: int, neighbor: int, record: "dict[str, Any]") -> None:
-        """:meth:`TourShard.set_edge`, indexing a tree record's pair under ``vertex``'s component."""
-        if neighbor in shard.tree[vertex]:  # a tree record it replaces leaves the map (KeyError: unknown vertex)
+        """:meth:`TourShard.set_edge`, filling a tree record's two slots in ``vertex``'s component."""
+        if neighbor in shard.tree[vertex]:  # a tree record it replaces leaves the index (KeyError: unknown vertex)
             self.pop_edge(shard, vertex, neighbor)
         pair = shard.set_edge(vertex, neighbor, record)
         if pair is not None:
-            self.comps.setdefault(shard.comp[vertex], {})[vertex, neighbor] = pair
+            self._fill(shard.comp[vertex], vertex, neighbor, pair)
 
     def pop_edge(self, shard: TourShard, vertex: int, neighbor: int) -> None:
-        """:meth:`TourShard.pop_edge`, dropping a tree record's pair from the map."""
-        if shard.pop_edge(vertex, neighbor) is not None:
-            comp = shard.comp[vertex]
-            held = self.comps[comp]
-            del held[vertex, neighbor]
-            if not held:
-                del self.comps[comp]
+        """:meth:`TourShard.pop_edge`, clearing a tree record's two slots."""
+        pair = shard.pop_edge(vertex, neighbor)
+        if pair is not None:
+            slots = self.comps[shard.comp[vertex]]
+            slots[pair[0]] = slots[pair[1]] = None
 
     # ----------------------------------------------------------------- passes
     def link(self, comp_x: int, comp_y: int, f_x: int, l_y: int, len_y: int, reroot: bool) -> None:
-        """Shift the pairs for a broadcast link and merge ``comp_y``'s into ``comp_x``'s.
+        """Splice ``comp_y``'s index into ``comp_x``'s for a broadcast link.
 
-        ``T_x`` entries past ``f_x`` make room (``+len_y+4``); ``T_y`` is
-        rotated to ``y`` when ``reroot`` — a flipped edge comes out reversed
-        and is re-sorted — then offset by ``f_x+2``.  The new edge's own two
-        pairs arrive with its records (:meth:`set_edge`).
+        ``T_y`` is rotated to ``y`` when ``reroot`` and lands at ``f_x + 3``,
+        between the new edge's two pairs of holes; ``T_x`` past ``f_x`` makes
+        room (``+len_y+4``).  The new edge's own two pairs arrive with its
+        records (:meth:`set_edge`).
         """
-        held_x = self.comps.get(comp_x)
-        if held_x is not None:
-            grow = len_y + 4
-            for pair in held_x.values():
-                if pair[1] > f_x:
-                    pair[1] += grow
-                    if pair[0] > f_x:
-                        pair[0] += grow
         held_y = self.comps.pop(comp_y, None)
-        if held_y is not None:
-            offset = f_x + 2
-            for pair in held_y.values():
-                a, b = pair
-                if reroot:
-                    a = (a - l_y) % len_y + 1
-                    b = (b - l_y) % len_y + 1
-                    if a > b:
-                        a, b = b, a
-                pair[0] = a + offset
-                pair[1] = b + offset
-            if held_x is None:
-                self.comps[comp_x] = held_y
-            else:
-                held_x.update(held_y)
+        tour = _rotated(held_y[1:] if held_y is not None else [], l_y - 1 if reroot else 0, f_x + 3)
+        slots = self.comps.get(comp_x)
+        if slots is None:
+            slots = self.comps[comp_x] = [None]
+        slots[f_x + 1 : f_x + 1] = [None, None, *tour, None, None]
+        tail = f_x + len_y + 5
+        _place(slots[tail:], tail)
 
     def cut(self, comp: int, new_comp: int, y: int, f_y: int, l_y: int) -> "set[int]":
-        """Shift the pairs for a broadcast cut; returns the vertices that move to ``new_comp``.
+        """Split ``y``'s subtree off ``comp``'s index for a broadcast cut; returns the vertices that move to ``new_comp``.
 
-        The cut edge's own records are already gone.  A pair inside
-        ``[f_y, l_y]`` belongs to ``y``'s subtree: it drops by ``f_y`` and
-        moves, with its vertex, to ``new_comp`` (as does ``y`` itself, even
-        when the cut left it a singleton); entries past ``l_y`` close the gap.
+        The cut edge's own records are already gone, and its four positions
+        with them.  The slots strictly inside ``[f_y, l_y]`` belong to
+        ``y``'s subtree: they drop by ``f_y`` and move, with their vertices,
+        to ``new_comp`` (as does ``y`` itself, even when the cut left it a
+        singleton); the slots past ``l_y + 1`` close the gap.
         """
-        moved = {y}
-        held = self.comps.get(comp)
-        if held is None:
-            return moved
-        gap = l_y - f_y + 3
-        inner = {}
-        for key, pair in held.items():
-            a = pair[0]
-            if a > l_y:
-                pair[0] = a - gap
-                pair[1] -= gap
-            elif a >= f_y:
-                pair[0] = a - f_y
-                pair[1] -= f_y
-                inner[key] = pair
-            elif pair[1] > l_y:
-                pair[1] -= gap
-        if inner:
-            for key in inner:
-                del held[key]
-                moved.add(key[0])
-            if not held:
-                del self.comps[comp]
-            self.comps[new_comp] = inner
+        slots = self.comps[comp]
+        tour = slots[f_y + 1 : l_y]
+        _place(tour, 1)
+        moved = {slot[0] for slot in tour}
+        moved.add(y)
+        if tour:
+            self.comps[new_comp] = [None, *tour]
+        del slots[f_y - 1 : l_y + 2]
+        _place(slots[f_y - 1 :], f_y - 1)
+        if len(slots) == 1:
+            del self.comps[comp]
         return moved
 
     def inside(self, comp: int, y: int, f_y: int, l_y: int) -> "set[int]":
         """The vertices of ``y``'s subtree, read before the broadcast cut is applied.
 
         The cut edge's own records are already gone.  Every pair of a vertex
-        lies on one side of the cut, so a vertex is inside iff one of its
-        pairs lies in ``[f_y, l_y]``; ``y``, whose row may be empty, is named.
+        lies on one side of the cut, so the subtree's vertices are those the
+        slots strictly inside ``[f_y, l_y]`` name; ``y``, whose row may be
+        empty, is named.
         """
-        inside = {key[0] for key, pair in self.comps.get(comp, {}).items() if f_y <= pair[0] <= l_y}
+        inside = {slot[0] for slot in self.comps[comp][f_y + 1 : l_y]}
         inside.add(y)
         return inside
 
     def cut_link(self, comp: int, f_y: int, l_y: int, f_x: int, l_b: int, len_y: int, reroot: bool) -> None:
-        """:meth:`cut` then :meth:`link` of the replacement edge, as one rewrite.
+        """:meth:`cut` then :meth:`link` of the replacement edge, as one rewrite of the span that moves.
 
         ``[f_y, l_y]`` is the cut subtree in the tour as it stands; ``f_x``,
         ``l_b``, ``len_y`` and ``reroot`` are the link's scalars as they read
-        once the cut is applied.  A pair inside the subtree drops by ``f_y``,
-        is rotated to the replacement's endpoint when ``reroot``, and lands at
-        ``f_x + 2``.  Outside it the cut's ``-(len_y + 4)`` and the link's
-        ``+(len_y + 4)`` cancel everywhere but between the hole and the
-        attachment point.  The subtree comes back to ``comp``, so no vertex
-        changes component.
+        once the cut is applied.  The subtree's slots are rotated to the
+        replacement's endpoint when ``reroot`` and land at ``f_x + 3``,
+        between the new edge's holes.  Outside the subtree the cut's
+        ``-(len_y + 4)`` and the link's ``+(len_y + 4)`` cancel everywhere
+        but between the hole and the attachment point, so the list is
+        rewritten from one to the other and nowhere else.  The subtree comes
+        back to ``comp``, so no vertex changes component.
         """
-        held = self.comps.get(comp)
-        if held is None:
-            return
+        slots = self.comps[comp]
         gap = len_y + 4
+        tour = _rotated(slots[f_y + 1 : l_y], l_b - 1 if reroot else 0, f_x + 3)
         if f_x < f_y:  # attached before the hole: what lies between moves up past the subtree
-            lo, hi, delta = f_x, f_y - 1, gap
-            first, last = f_x + 1, l_y
+            between = slots[f_x + 1 : f_y - 1]
+            _place(between, f_x + gap + 1)
+            slots[f_x + 1 : l_y + 2] = [None, None, *tour, None, None, *between]
         else:  # attached after it (f_x has the gap closed already): what lies between moves down
-            lo, hi, delta = l_y + 1, f_x + gap, -gap
-            first, last = f_y, hi
-        offset = f_x + 2
-        slide = offset - f_y
-        turn = f_y + l_b
-        for pair in held.values():
-            a, b = pair
-            if a > last or b < first:
-                continue  # wholly before or past everything that moves
-            if f_y <= a <= l_y:
-                if reroot:
-                    a = (a - turn) % len_y + 1
-                    b = (b - turn) % len_y + 1
-                    if a > b:
-                        a, b = b, a
-                    pair[0] = a + offset
-                    pair[1] = b + offset
-                else:
-                    pair[0] = a + slide
-                    pair[1] = b + slide
-            else:
-                if lo < a <= hi:
-                    pair[0] = a + delta
-                if lo < b <= hi:
-                    pair[1] = b + delta
+            stop = f_x + gap + 1  # one past the attachment point, in the tour as it stands
+            between = slots[l_y + 2 : stop]
+            _place(between, f_y - 1)
+            slots[f_y - 1 : stop] = [*between, None, None, *tour, None, None]
 
 
 # ------------------------------------------------------------ wire registry

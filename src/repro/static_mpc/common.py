@@ -4,10 +4,7 @@ All three baselines operate on *vertex-partitioned* data: every worker
 machine owns a set of vertices and stores their adjacency as one
 :class:`~repro.mpc.layout.MachineCSR` under the single ``"csr"`` key —
 contiguous ``array('q')``/``array('d')`` buffers the kernels walk directly,
-with per-entry partition owners hoisted out of the round loops.  A
-:class:`~repro.mpc.layout.VertexInterner` built once here gives the drivers
-a dense vertex-ID map for their own kernel caches; message payloads stay in
-raw vertex-id space.  The partition is the stateless hash partition, so
+with per-entry partition owners hoisted out of the round loops.  The partition is the stateless hash partition, so
 drivers and machines agree on ownership without any directory traffic.
 Every backend produces the same rounds, words and solutions (pinned by
 digest in ``tests/static_mpc/test_layout_ab.py``).
@@ -30,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.config import DMPCConfig
 from repro.graph.graph import DynamicGraph
 from repro.mpc.cluster import Cluster
-from repro.mpc.layout import MachineCSR, VertexInterner, build_machine_csr
+from repro.mpc.layout import MachineCSR, build_machine_csr
 from repro.mpc.partition import hash_partition
 from repro.mpc.program import SuperstepProgram
 
@@ -65,9 +62,6 @@ class StaticMPCSetup:
     cluster: Cluster
     worker_ids: list[str]
     graph: DynamicGraph
-    #: dense vertex-ID map, built once at cluster build time (drivers index
-    #: their kernel caches with it)
-    interner: VertexInterner
     #: machine id -> owned vertices, authoritative: populated in full by
     #: :func:`build_static_cluster` (every worker gets an entry, possibly
     #: empty), so lookups never fall back to rescanning the vertex set.
@@ -138,9 +132,7 @@ def build_static_cluster(
     worker_machines = cluster.add_machines("w", max(2, workers), role="worker")
     worker_ids = [m_.machine_id for m_ in worker_machines]
 
-    setup = StaticMPCSetup(
-        cluster=cluster, worker_ids=worker_ids, graph=graph, interner=VertexInterner(graph.vertices)
-    )
+    setup = StaticMPCSetup(cluster=cluster, worker_ids=worker_ids, graph=graph)
     # each vertex is hashed once: the owner position feeds both the owned
     # lists and every CSR entry's owner_pos
     position = {machine_id: pos for pos, machine_id in enumerate(worker_ids)}

@@ -9,13 +9,13 @@ Five guarantees are locked down here:
   max active machines)`` rows and the solution, recorded while both ran;
   every execution backend must reproduce it.
 * **Tours against the oracle** — the Euler-tour state of the tour shards
-  and their pair map (index sets, record pairs, per-machine charges) agrees at every
+  and their position index (index sets, record pairs, per-machine charges) agrees at every
   update boundary with the seed's per-vertex store
   (``tour_oracle.DictTourStore``) run in lockstep, on adversarial streams
   and on plain mixed streams where most tree deletes find a replacement
   (one composed rewrite in the shards, two passes in the oracle); the tours
   are genuine Euler tours, and two seeded mutations of the composed path
-  and one of the pair map are caught.
+  and one of the position index are caught.
 * **Heavy vertices** — through suspended-stack growth and refill, the
   matching stays a maximal matching of the graph at every boundary.
 * **Coalesced batches** — with coalescing on, ``apply_batch`` reaches the
@@ -199,9 +199,9 @@ class TestPinnedLedgers:
 def tour_snapshot(algorithm):
     """Store-neutral tour state: per-vertex (comp, index set), per-record (tree, weight, pair), per-machine words.
 
-    The shards' index sets are read from the pair map, the pairs its passes walk, under the component
-    the map files them in, so a pair left in the map after its record went shows as an index the
-    oracle does not have."""
+    The shards' index sets are read from the position index, the slots its passes move, under the
+    component the index files them in, so a slot left in the index after its record went shows as an
+    index the oracle does not have."""
     vertices, rows, words = {}, {}, {}
     for machine in algorithm.cluster.machines(role="worker"):
         words[machine.machine_id] = machine.used_words
@@ -217,10 +217,12 @@ def tour_snapshot(algorithm):
             else:
                 rows[key[1]] = value
     pairs = getattr(algorithm._tours, "pairs", None)  # the oracle keeps its indexes under its ("tour", v) keys
-    for comp, held in (pairs.comps if pairs is not None else {}).items():
-        for (v, _w), pair in held.items():
-            assert vertices[v][0] == comp, f"the map files vertex {v}'s pair under component {comp}"
-            vertices[v][1].update(pair)
+    for comp, slots in (pairs.comps if pairs is not None else {}).items():
+        for position, slot in enumerate(slots):
+            if slot is not None:
+                v = slot[0]
+                assert vertices[v][0] == comp, f"the index files vertex {v}'s pair under component {comp}"
+                vertices[v][1].add(position)
     records = {
         (v, w): (rec["tree"], rec["weight"], None if rec["indexes"] is None else tuple(rec["indexes"]))
         for v, row in rows.items()
@@ -303,6 +305,15 @@ class TestTourStateAtEveryBoundary:
 
 
 # ------------------------------ a replaced cut is one rewrite, at every boundary
+def filled_slots(pairs: TourPairs) -> dict:
+    """``comp → {position: (v, w, id(pair), end)}`` over the index's filled slots."""
+    held = {
+        comp: {position: (*slot[:2], id(slot[2]), slot[3]) for position, slot in enumerate(slots) if slot is not None}
+        for comp, slots in pairs.comps.items()
+    }
+    return {comp: filled for comp, filled in held.items() if filled}
+
+
 def assert_euler_tours(algorithm):
     """An oracle neither tour store shares: each component's index sets spell one closed walk —
     arcs at positions ``(2k + 1, 2k + 2)``, each ending where the next starts — that crosses
@@ -352,6 +363,10 @@ class TestReplacedCutDifferential:
         where = ["alone"]
 
         def counting_commit(cut, link, *, weight):
+            # the rewrite starts from the records' own index: the cut edge's positions are empty
+            assert filled_slots(csr._tours.pairs) == filled_slots(TourPairs.from_shards(csr._tours._shards())), (
+                f"layouts diverged at the rewrite of {cut}: the index is not its records'"
+            )
             replaced[where[0]] += 1
             commit(cut, link, weight=weight)
 
@@ -432,8 +447,8 @@ class TestReplacedCutDifferential:
         assert self.lockstep(runs, steps(), batch=True) == {"alone": 0, "grouped": 40}
 
     def test_open_interval_bound_is_caught(self, monkeypatch):
-        """Seeded mutation: the index at the attachment point (``hi`` itself) stays behind."""
-        monkeypatch.setattr(TourPairs, "cut_link", mutated(TourPairs.cut_link, "<= hi:", "< hi:"))
+        """Seeded mutation: the slot at the attachment point (``stop - 1`` itself) stays behind."""
+        monkeypatch.setattr(TourPairs, "cut_link", mutated(TourPairs.cut_link, "stop = f_x + gap + 1", "stop = f_x + gap"))
         with pytest.raises(AssertionError, match="layouts diverged"):
             self.run_stream("connectivity", self.SEEDS[0], None)
 
@@ -450,9 +465,10 @@ class TestReplacedCutDifferential:
             self.run_stream("connectivity", self.SEEDS[0], None)
 
     def test_dropped_pair_left_in_its_list_is_caught(self, monkeypatch):
-        """Seeded mutation: ``pop_edge`` drops a tree record but leaves its pair in the component's
-        map, so every later pass keeps shifting a pair that no record holds."""
-        monkeypatch.setattr(TourPairs, "pop_edge", mutated(TourPairs.pop_edge, "del held[vertex, neighbor]", "pass"))
+        """Seeded mutation: ``pop_edge`` drops a tree record but leaves its two slots filled.  The
+        pass that applies the cut drops the cut edge's positions whatever they hold, so the
+        boundary state is right; the rewrite must not start from slots no record holds."""
+        monkeypatch.setattr(TourPairs, "pop_edge", mutated(TourPairs.pop_edge, "slots[pair[0]] = slots[pair[1]] = None", "pass"))
         with pytest.raises(AssertionError, match="layouts diverged"):
             self.run_stream("connectivity", self.SEEDS[0], None)
 

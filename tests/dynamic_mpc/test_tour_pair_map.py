@@ -1,14 +1,14 @@
-"""The tour pair map under a deep copy mid-stream, and under ``check_invariants``.
+"""The tour position index under a deep copy mid-stream, and under ``check_invariants``.
 
 Connectivity and MST index every tree pair of their tour shards in one
-``TourPairs`` map per cluster.  A search harness clones an algorithm with
-``copy.deepcopy``: the clone's records, tree rows and map must share pair
-objects as the original's do (none of them the original's), and the clone
-must go on bit for bit like the original, on every backend (a ``fast``
-transport once kept adding the clone's senders to the original's staged
-set).  ``check_invariants=True`` audits
-the map against the tree records after every update, so a pair the map lost
-or kept stops the run at the update that broke it.
+``TourPairs`` position index per cluster.  A search harness clones an
+algorithm with ``copy.deepcopy``: the clone's records, tree rows and index
+slots must share pair objects as the original's do (none of them the
+original's), and the clone must go on bit for bit like the original, on
+every backend (a ``fast`` transport once kept adding the clone's senders to
+the original's staged set).  ``check_invariants=True`` audits the index
+against the tree records after every update, so a pair the index lost or
+kept, or a slot out of place, stops the run at the update that broke it.
 """
 
 from __future__ import annotations
@@ -47,8 +47,18 @@ def costs(algorithm, start: int) -> list:
     ]
 
 
-def pair_ids(algorithm) -> "set[int]":
-    return {id(pair) for held in algorithm._tours.pairs.comps.values() for pair in held.values()}
+def slot_pair_ids(algorithm) -> "set[int]":
+    return {id(slot[2]) for slots in algorithm._tours.pairs.comps.values() for slot in slots if slot is not None}
+
+
+def record_pair_ids(algorithm) -> "set[int]":
+    return {
+        id(record["indexes"])
+        for shard in algorithm._tours._shards()
+        for row in shard.edges.values()
+        for record in row.values()
+        if record["indexes"] is not None
+    }
 
 
 @pytest.mark.parametrize("backend", ["reference", "fast", "resident"])
@@ -59,9 +69,10 @@ def test_a_deep_copy_mid_stream_shares_its_own_pairs_and_stays_bit_identical(kin
         original.apply(update)
     clone = copy.deepcopy(original)
 
-    # the clone's records, tree rows and map hold one object per pair, and none is the original's
+    # the clone's records, tree rows and index slots hold one object per pair, and none is the original's
     assert clone._tours.pairs.mismatch(clone._tours._shards()) is None
-    assert pair_ids(clone) and not pair_ids(clone) & pair_ids(original)
+    assert slot_pair_ids(clone) == record_pair_ids(clone) and slot_pair_ids(original) == record_pair_ids(original)
+    assert slot_pair_ids(clone) and not slot_pair_ids(clone) & slot_pair_ids(original)
     assert clone._tours.pairs.comps == original._tours.pairs.comps
 
     start = len(original.ledger.updates)
@@ -82,6 +93,8 @@ def test_check_invariants_catches_a_pair_the_map_kept(kind):
         algorithm.apply(update)
     u, v = sorted(algorithm.spanning_forest())[0]
     shard = algorithm._tours._peek(algorithm._tours._machine(u))
-    shard.pop_edge(u, v)  # the record goes behind the map's back: its pair stays indexed
-    with pytest.raises(InvariantViolation, match="tour pair index"):
-        algorithm.apply(GraphUpdate.delete(u, v))  # read as a non-tree delete: v's copy and its pair go, u's pair stays
+    shard.pop_edge(u, v)  # the record goes behind the index's back: its slots stay filled
+    # read as a non-tree delete: v's copy goes and its slots empty, u's slots stay; the audit names the first bad position
+    with pytest.raises(InvariantViolation, match=r"tour pair index: component \d+: position \d+ holds (no pair end|a pair no tree record)"):
+        algorithm.apply(GraphUpdate.delete(u, v))
+

@@ -1,15 +1,17 @@
-"""``TourShard`` records and the ``TourPairs`` map over them: link/cut passes against the index-set reference.
+"""``TourShard`` records and the ``TourPairs`` position index over them: link/cut passes against the index-set reference.
 
-A forest's vertices are split over 1, 2 and 7 shards, and the map's passes
+A forest's vertices are split over 1, 2 and 7 shards, and the index's passes
 are driven with the same constant-size scalars the connectivity driver
 broadcasts; after every step the shards must say exactly what
 :class:`IndexedEulerTourForest` says — although no shard stores an index set,
 only the pairs of its tree records.  A replaced cut (``replace``) runs twice:
 as the one composed rewrite ``cut_link`` and as ``cut`` then ``link``, which
 must leave the same shards behind.  Before every cut, the offers each shard
-builds for the vertices of the map's ``inside`` scan must be what the
-per-member rule offers, and after every step the map must hold exactly the
-shards' tree pairs, each under its vertex's component.
+builds for the vertices of the index's ``inside`` slice must be what the
+per-member rule offers, and after every step — the pops of a cut's records
+included — the index must be the one :meth:`TourPairs.from_shards` rebuilds:
+each tree pair's two ends at the positions they read, under its vertex's
+component.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class ShardedForest:
         self.next_comp += 1
         self.pairs.pop_edge(self.shard(x), x, y)
         self.pairs.pop_edge(self.shard(y), y, x)
+        assert filled_slots(self.pairs) == filled_slots(TourPairs.from_shards(self.shards))  # the cut edge's slots are empty
         inside = self.pairs.inside(comp, y, *pair_y)  # what a cut's replacement search reads, before anything is rewritten
         for shard in self.shards:
             assert self.offers(shard, inside) == members_rule_offers(shard, comp, y, *pair_y)
@@ -144,19 +147,29 @@ def members_rule_offers(shard: TourShard, comp: int, y: int, f_y: int, l_y: int)
     return sorted((v, w, rec["weight"]) for v in inside for w, rec in shard.edges[v].items() if not rec["tree"])
 
 
-def assert_pair_map(pairs: TourPairs, shards: "list[TourShard]") -> None:
-    """``comps[comp]`` holds exactly the tree pairs of ``comp``'s members over all shards, each once,
-    keyed by its record, as the very list the member's tree row holds; no map outlives its pairs."""
-    listed = sorted((id(pair), v, w, comp) for comp, held in pairs.comps.items() for (v, w), pair in held.items())
-    rows = sorted((id(pair), v, w, shard.comp[v]) for shard in shards for v, row in shard.tree.items() for w, pair in row.items())
+def filled_slots(pairs: TourPairs) -> dict:
+    """``comp → {position: (v, w, id(pair), end)}`` over the index's filled slots."""
+    held = {
+        comp: {position: (*slot[:2], id(slot[2]), slot[3]) for position, slot in enumerate(slots) if slot is not None}
+        for comp, slots in pairs.comps.items()
+    }
+    return {comp: filled for comp, filled in held.items() if filled}
+
+
+def assert_pair_index(pairs: TourPairs, shards: "list[TourShard]") -> None:
+    """``comps[comp]`` holds both ends of exactly the tree pairs of ``comp``'s members over all shards,
+    each at the position it reads, as the very list the member's tree row holds; every position is
+    filled, and no index outlives its pairs."""
+    listed = sorted((id(pair), v, w, comp, end, pair[end] == position) for comp, slots in pairs.comps.items() for position, (v, w, pair, end) in enumerate(slots[1:], 1))
+    rows = sorted((id(pair), v, w, shard.comp[v], end, True) for shard in shards for v, row in shard.tree.items() for w, pair in row.items() for end in (0, 1))
     assert listed == rows
-    assert all(pairs.comps.values())
+    assert all(len(slots) > 1 and slots[0] is None for slots in pairs.comps.values())
     assert pairs.mismatch(shards) is None
 
 
 def assert_matches(forest: ShardedForest, reference: IndexedEulerTourForest, n: int) -> None:
     groups: dict[int, set[int]] = {}
-    assert_pair_map(forest.pairs, forest.shards)
+    assert_pair_index(forest.pairs, forest.shards)
     for shard in forest.shards:
         assert set(shard.comp) == set(shard.edges) == set(shard.tree)
         for comp, members in shard.by_comp.items():
@@ -333,13 +346,16 @@ def test_property_random_link_cut_sequences_match_the_reference(triples, pyrando
             elif op[0] != "toggle_non_tree":
                 getattr(reference, op[0])(*op[1:])
             assert_matches(forest, reference, N)
+            assert filled_slots(forest.pairs) == filled_slots(TourPairs.from_shards(forest.shards))
         assert runs[1][0].state() == runs[-1][0].state()  # composed ≡ two passes, on two shards each
 
 
 def test_property_catches_a_dropped_pair_left_in_its_list(monkeypatch):
-    """Seeded mutation: ``pop_edge`` drops a tree record but leaves its pair in the component's map,
-    where every later pass would keep shifting it.  The property above must fail on it."""
-    monkeypatch.setattr(TourPairs, "pop_edge", mutated(TourPairs.pop_edge, "del held[vertex, neighbor]", "pass"))
+    """Seeded mutation: ``pop_edge`` drops a tree record but leaves its two slots filled, so the
+    index ``inside`` reads holds a pair no record holds.  The pass that applies the cut drops the
+    cut edge's positions whatever they hold, so only the state between the pops and that pass
+    shows it; the property above must fail on it."""
+    monkeypatch.setattr(TourPairs, "pop_edge", mutated(TourPairs.pop_edge, "slots[pair[0]] = slots[pair[1]] = None", "pass"))
     prop = test_property_random_link_cut_sequences_match_the_reference.hypothesis.inner_test
     check = settings(max_examples=60, deadline=None, database=None, phases=[Phase.generate], report_multiple_bugs=False)
     with pytest.raises(AssertionError):
@@ -371,20 +387,45 @@ class TestShardSurface:
         for shard, original in zip(shards, forest.shards):
             assert shard.by_comp == original.by_comp and shard.live_words() == original.live_words()
             assert shard.edges == original.edges and shard.tree == original.tree
-            # one object per pair: the record's, the tree row's and the map's
+            # one object per pair: the record's, the tree row's and the index's two slots'
             for v, row in shard.tree.items():
                 for w, pair in row.items():
-                    assert shard.edges[v][w]["indexes"] is pair and pairs.comps[shard.comp[v]][v, w] is pair
-        assert_pair_map(pairs, shards)
+                    slots = pairs.comps[shard.comp[v]]
+                    assert shard.edges[v][w]["indexes"] is pair and slots[pair[0]][2] is pair and slots[pair[1]][2] is pair
+        assert_pair_index(pairs, shards)
         assert pairs.comps == forest.pairs.comps
-        assert {comp: len(held) for comp, held in pairs.comps.items()} == {3: 6}  # the tree 3-2-1-0: three edges, two copies each
+        assert {comp: len(slots) for comp, slots in pairs.comps.items()} == {3: 13}  # the tree 3-2-1-0: 12 positions and slot 0
 
     def test_mismatch_names_the_component_whose_pairs_disagree(self):
         forest = replay([("link", 0, 1), ("link", 1, 2)], 2, n=4)
         assert forest.pairs.mismatch(forest.shards) is None
-        forest.shard(2).pop_edge(2, 1)  # the record goes, its pair stays in the map
-        assert "component 0" in forest.pairs.mismatch(forest.shards)
-        forest.pairs.comps[0].pop((2, 1))
-        assert forest.pairs.mismatch(forest.shards) is None
-        forest.pairs.comps[0][1, 0] = list(forest.pairs.comps[0][1, 0])  # an equal copy is not the record's pair
-        assert "component 0" in forest.pairs.mismatch(forest.shards)
+        record = forest.shard(2).edges[2][1]
+        lo, hi = record["indexes"]
+        forest.shard(2).pop_edge(2, 1)  # the record goes, its slots stay in the index
+        stray = f"component 0: position {lo} holds a pair no tree record (2, 1) of the component holds"
+        assert forest.pairs.mismatch(forest.shards) == stray
+        forest.shard(2).set_edge(2, 1, record)  # an equal copy is not the slots' pair
+        assert forest.pairs.mismatch(forest.shards) == stray
+        forest.pairs.set_edge(forest.shard(2), 2, 1, record)
+        assert forest.pairs.mismatch(forest.shards) is None and forest.pairs.comps[0][hi][:2] == (2, 1)
+
+    @pytest.mark.parametrize(
+        "corrupt, problem",
+        [
+            (lambda slots: slots.__setitem__(5, None), "position 5 holds no pair end"),
+            (lambda slots: slots.__setitem__(5, (*slots[5][:3], 1 - slots[5][3])), "position 5 holds end 0 of (2, 1)'s pair [4, 5]"),
+            (lambda slots: slots.__setitem__(5, (*slots[5][:2], list(slots[5][2]), 1)), "position 5 holds a pair no tree record (2, 1) of the component holds"),
+            (lambda slots: slots.__setitem__(5, slots[2]), "position 5 holds end 0 of (1, 0)'s pair [2, 7]"),
+            (lambda slots: slots.append(slots[5]), "position 9 holds end 1 of (2, 1)'s pair [4, 5]"),
+            (lambda slots: slots.__setitem__(0, slots[5]), "position 0 holds a pair end"),
+        ],
+        ids=["hole", "wrong-end", "copied-pair", "moved-slot", "extra-position", "slot-zero"],
+    )
+    def test_a_corrupted_slot_is_named_by_component_and_position(self, corrupt, problem):
+        forest = replay([("link", 0, 1), ("link", 1, 2)], 2, n=4)
+        slots = forest.pairs.comps[0]
+        assert [slot[:2] + (slot[2][slot[3]],) for slot in slots[1:]] == [
+            (0, 1, 1), (1, 0, 2), (1, 2, 3), (2, 1, 4), (2, 1, 5), (1, 2, 6), (1, 0, 7), (0, 1, 8)
+        ]
+        corrupt(slots)
+        assert forest.pairs.mismatch(forest.shards) == f"component 0: {problem}"

@@ -28,7 +28,6 @@ import random
 import pytest
 
 from repro.graph.generators import gnm_random_graph, random_weighted_graph
-from repro.mpc.layout import VertexInterner
 from repro.mpc.program import WorkerMachineContext
 from repro.mpc.sizing import fast_word_size, word_size
 from repro.static_mpc import StaticBoruvkaMST, StaticConnectedComponents, StaticMaximalMatching
@@ -190,22 +189,3 @@ class TestClosedFormWords:
         # phase.
         payload = [(v, v + 1) for v in range(k)]
         assert sizer("mst-merges") + sizer(payload) == 3 + 3 * k
-
-
-class TestVertexInterner:
-    def test_round_trip_preserves_order(self):
-        vertices = [7, 3, 19, 0, 4]
-        interner = VertexInterner(vertices)
-        assert len(interner) == 5
-        assert interner.vertices == vertices
-        for position, v in enumerate(vertices):
-            assert interner.dense(v) == position
-            assert interner.vertex(position) == v
-
-    def test_unknown_vertex_raises(self):
-        interner = VertexInterner([1, 2])
-        with pytest.raises(KeyError):
-            interner.dense(99)
-
-    def test_empty(self):
-        assert len(VertexInterner([])) == 0

@@ -26,7 +26,6 @@ class TestSetup:
             assert len(csr.weights) == csr.num_entries
             placed += csr.num_entries
         assert placed == 2 * graph.num_edges
-        assert len(setup.interner) == graph.num_vertices
 
     def test_unweighted_setup_skips_weight_stores(self):
         graph = gnm_random_graph(12, 20, seed=2)
