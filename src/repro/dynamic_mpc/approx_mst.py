@@ -14,7 +14,8 @@ two changes:
   out of the tree;
 * **delete** — when a tree edge disappears, the replacement search picks the
   *minimum-weight* crossing edge rather than an arbitrary one (already what
-  :meth:`DMPCConnectivity._find_replacement` returns).
+  :meth:`DMPCConnectivity._find_replacements` returns), so a delete is
+  connectivity's update path unchanged.
 
 The ``(1+eps)`` factor comes from the preprocessing, which buckets edge
 weights into powers of ``(1+eps)`` and computes the initial forest on the
@@ -31,6 +32,7 @@ from repro.config import DMPCConfig
 from repro.dynamic_mpc.connectivity import DMPCConnectivity
 from repro.exceptions import InvariantViolation
 from repro.graph.graph import DynamicGraph
+from repro.graph.updates import GraphUpdate
 from repro.graph.validation import is_spanning_forest, minimum_spanning_forest_weight
 from repro.mpc.sizing import closed_form_words, register_closed_form
 
@@ -105,13 +107,20 @@ class DMPCApproxMST(DMPCConnectivity):
 
         self._load_shards(rounded, forest, tree_edges)
 
-    # ------------------------------------------------------------------ insert
+    # ---------------------------------------------------------------- updates
+    def _apply(self, update: GraphUpdate) -> None:
+        """An insert takes the swap-aware :meth:`_insert`; a delete is a group of one."""
+        if update.is_insert:
+            self._insert(update.u, update.v, update.weight)
+        else:
+            self._apply_group([update])
+
     def _insert(self, x: int, y: int, weight: float = 1.0) -> None:
         self.shadow.insert_edge(x, y, weight)
         stored = self.bucketed_weight(weight)
         comp = self._comp(x, create=True)
         comp_y = self._comp(y, create=True)
-        self._endpoint_query(x, y)
+        self._endpoint_query([(x, y)])
 
         if comp != comp_y:
             self._link(x, y, weight=stored)
@@ -142,12 +151,18 @@ class DMPCApproxMST(DMPCConnectivity):
         self._store_edge_record(a, b, tree=False, weight=path_weight)
         self._store_edge_record(b, a, tree=False, weight=path_weight)
 
+    def _link(self, x: int, y: int, *, weight: float) -> None:
+        """Broadcast and apply the link making ``(x, y)`` a tree edge (``y``'s component merges into ``x``'s)."""
+        scalars = self._link_scalars(x, y)
+        self._broadcast([scalars])
+        self._commit_link(scalars, weight=weight)
+
     def _cut_tree_edge(self, x: int, y: int) -> None:
         """Broadcast the cut of tree edge ``(x, y)`` without a replacement search."""
         scalars = self._cut_scalars(x, y)
         self._remove_edge_record(x, y)
         self._remove_edge_record(y, x)
-        self._broadcast(scalars)
+        self._broadcast([scalars])
         self._commit_cut(scalars)
 
     def _apply_batch(self, updates) -> None:
@@ -175,7 +190,7 @@ class DMPCApproxMST(DMPCConnectivity):
         fx = self._tours.span(x)[0]
         fy = self._tours.span(y)[0]
         scalars = {"op": "path-query", "x": x, "y": y, "f_x": fx, "f_y": fy, "comp": comp}
-        self._broadcast(scalars)
+        self._broadcast([scalars])
 
         for machine in self._workers:
             best: tuple[float, int, int] | None = None

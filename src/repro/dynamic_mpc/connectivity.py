@@ -22,25 +22,31 @@ pairs of ``v``'s tree-edge records, so every tour index lives once, and one
 :class:`~repro.mpc.layout.TourPairs` position index per cluster names, for
 each component, the pair end at every tour position.  A link / cut splices
 or splits the component's index and rewrites the positions of the slots
-that moved, and no others; every shard holding the component then
-re-stores the handle it holds (a shift moves no charge: version bump, no
-sizing).  The seed's per-vertex
+that moved, and no others; the owners of the vertices that change
+component then relabel them on their shards.  No other shard is touched,
+and no handle is re-stored for a shift or a relabel: neither moves a
+charge.  Only the endpoints' record edits commit.  The seed's per-vertex
 ``("tour", v)`` / ``("edges", v)`` dicts survive as the test suite's oracle
 (``tests/dynamic_mpc/tour_oracle.py``), run in lockstep with the shards.
 
 Update mechanism
 ----------------
-Inserting or deleting an edge broadcasts a **constant number of scalars**
-(``f(x)``, ``l(y)``, tour lengths, component ids) from the endpoints'
-machines to all machines; every machine then rewrites the indexes of the
-vertices and edge records it stores locally, with no further communication.
-That is the index arithmetic of :mod:`repro.eulertour.indexed`, every
-machine's share applied to the span of the position index that moves.  Deleting a tree edge
-additionally runs a replacement search: every machine owning vertices of the
-subtree being split off offers the non-tree edges incident to them to a
-designated machine, which identifies the crossing edges as exactly those
-offered by *one* endpoint (edges internal to the subtree are offered twice)
-and reinserts one of them as a tree edge.
+There is one update path, :meth:`DMPCConnectivity._apply_group`: a single
+update is a group of one, and a batch merges the packets of a group of
+component-disjoint updates.  The endpoints' owners name their endpoints to
+an aggregator (1 word per endpoint) and are acknowledged; the aggregator
+then broadcasts a **constant number of scalars** per link or cut (``f(x)``,
+``l(y)``, tour lengths, component ids; 10 words per packet) to all
+machines, and every machine rewrites the indexes of the vertices and edge
+records it stores locally, with no further communication.  That is the
+index arithmetic of :mod:`repro.eulertour.indexed`, every machine's share
+applied to the span of the position index that moves.  Deleting a tree
+edge additionally runs a replacement search: every machine owning vertices
+of the subtree being split off offers the non-tree edges incident to them
+to a designated machine (1 word per cut it offers for, plus 3 per offer),
+which identifies the crossing edges as exactly those offered by *one*
+endpoint (edges internal to the subtree are offered twice) and reinserts
+one of them as a tree edge.
 
 The machines hold the cut's scalars through that search but rewrite nothing
 until it has answered: a vertex's side of the cut shows in the tour as it
@@ -76,11 +82,10 @@ __all__ = ["DMPCConnectivity"]
 #: storage key of a machine's flat tour shard
 TOUR_SHARD_KEY = "tours"
 
-# Closed forms for this protocol's constant-shape sends (see
-# repro.mpc.sizing): endpoint-info ships a tuple of vertex ids, the ack is
-# always None.  Pinned equal to the recursive sizer in tests/dynamic_mpc.
-register_closed_form("endpoint-info", lambda payload: 1 + len(payload))
+# Closed form for this protocol's constant-shape send (see repro.mpc.sizing):
+# the ack is always None.  Pinned equal to the recursive sizer in tests/dynamic_mpc.
 register_closed_form("endpoint-ack", lambda payload: 1)
+_ACK_WORDS = closed_form_words("endpoint-ack", None)
 
 
 def _lightest_crossing(offers: "Iterable[tuple[int, int, float]]") -> "tuple[int, int, float] | None":
@@ -187,6 +192,11 @@ class _ShardTourStore:
                 groups.setdefault(comp, []).extend(shard.index_set(v) for v in members)
         return groups
 
+    def tour_length(self, comp: int) -> int:
+        """The length of ``comp``'s Euler tour: ``4(k - 1)`` for ``k`` vertices, 0 for a singleton."""
+        slots = self.pairs.comps.get(comp)
+        return 0 if slots is None else len(slots) - 1
+
     def check_pair_index(self) -> None:
         """The index and the shards' tree records match one-to-one (:meth:`TourPairs.mismatch`)."""
         problem = self.pairs.mismatch(self._shards())
@@ -202,35 +212,26 @@ class _ShardTourStore:
             groups.setdefault(hash_partition(v, worker_ids), set()).add(v)
         return groups
 
-    def _restore(self, comp: int, into: int, moved: "dict[str, set[int]] | None") -> None:
-        """After a pass: every shard holding ``comp`` or ``into`` moves its vertices ``moved`` names
-        (all of ``comp``'s, for ``None``) from ``comp`` to ``into``, and re-stores the handle it holds."""
-        for machine in self._workers:
-            handle = machine.load(TOUR_SHARD_KEY)
-            if handle is None:
-                continue
-            members = handle.table.by_comp.get(comp)
-            if members:
-                here = members if moved is None else moved.get(machine.machine_id)
-                if here:
-                    handle.table.move(here, comp, into)
-            elif into not in handle.table.by_comp:
-                continue
-            machine.store(TOUR_SHARD_KEY, handle)
+    def _relabel(self, moved: "set[int]", comp: int, into: int) -> None:
+        """After a pass: the owners of ``moved`` relabel them from ``comp`` to ``into``.
+
+        No handle is re-stored: a relabel, like a shift, moves no charge.
+        """
+        machines = self.algo.cluster.machines_by_id
+        for machine_id, here in self._by_owner(moved).items():
+            self._peek(machines[machine_id]).move(here, comp, into)
 
     def apply_link(self, scalars: dict) -> None:
         comp_x, comp_y = scalars["comp_x"], scalars["comp_y"]
-        self.pairs.link(comp_x, comp_y, scalars["f_x"], scalars["l_y"], scalars["len_y"], scalars["reroot"])
-        self._restore(comp_y, comp_x, None)
+        moved = self.pairs.link(comp_x, comp_y, scalars["y"], scalars["f_x"], scalars["l_y"], scalars["len_y"], scalars["reroot"])
+        self._relabel(moved, comp_y, comp_x)
 
     def apply_cut(self, scalars: dict) -> None:
         comp, new_comp = scalars["comp"], scalars["new_comp"]
-        self._restore(comp, new_comp, self._by_owner(self.pairs.cut(comp, new_comp, scalars["y"], scalars["f_y"], scalars["l_y"])))
+        self._relabel(self.pairs.cut(comp, new_comp, scalars["y"], scalars["f_y"], scalars["l_y"]), comp, new_comp)
 
     def apply_cut_link(self, cut: dict, link: dict) -> None:
-        comp = cut["comp"]
-        self.pairs.cut_link(comp, cut["f_y"], cut["l_y"], link["f_x"], link["l_y"], link["len_y"], link["reroot"])
-        self._restore(comp, comp, {})
+        self.pairs.cut_link(cut["comp"], cut["f_y"], cut["l_y"], link["f_x"], link["l_y"], link["len_y"], link["reroot"])
 
     # ------------------------------------------------------------------ scans
     def subtree_offers(self, cuts: "list[dict]") -> "Iterator[tuple[Machine, list[list[tuple[int, int, float]]]]]":
@@ -282,7 +283,6 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         self.worker_ids = [m.machine_id for m in self._workers]
         self.aggregator_id = self.worker_ids[0]
         self._next_comp = 0
-        self._comp_length: dict[int, int] = {}
         self._tours = _ShardTourStore(self)
         #: driver-side mirror of the input graph, used only for invariant checks
         self.shadow = DynamicGraph()
@@ -296,14 +296,13 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         """Component id of ``v``; ``None`` for an unseen vertex unless ``create``."""
         comp = self._tours.comp_of(v)
         if comp is None and create:
-            comp = self._new_component(0)
+            comp = self._new_component()
             self._tours.create_vertex(v, comp)
         return comp
 
-    def _new_component(self, length: int) -> int:
+    def _new_component(self) -> int:
         comp = self._next_comp
         self._next_comp += 1
-        self._comp_length[comp] = length
         return comp
 
     def _edges_of(self, v: int) -> dict:
@@ -367,7 +366,7 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         for v in graph.vertices:
             old = forest.component_of(v)
             if old not in comp_map:
-                comp_map[old] = self._new_component(forest.tour_length(v))
+                comp_map[old] = self._new_component()
         for v in graph.vertices:
             records = {}
             for w in graph.neighbors(v):
@@ -393,10 +392,7 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
 
     # ---------------------------------------------------------------- updates
     def _apply(self, update: GraphUpdate) -> None:
-        if update.is_insert:
-            self._insert(update.u, update.v, update.weight)
-        else:
-            self._delete(update.u, update.v)
+        self._apply_group([update])
 
     # --------------------------------------------------------- batched updates
     def _classify_update(self, update: GraphUpdate) -> tuple[bool, set]:
@@ -452,17 +448,16 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
                 group.append(updates[position])
                 position += 1
             if len(group) == 1:
-                update = group[0]
-                with self.cluster.update(f"{self.kind}:{update.op}:{update.u}-{update.v}"):
-                    self._apply(update)
+                label = f"{self.kind}:{group[0].op}:{group[0].u}-{group[0].v}"
             else:
                 ops = f"{sum(u.is_insert for u in group)}i{sum(u.is_delete for u in group)}d"
-                with self.cluster.update(f"{self.kind}:batch:{group_index}[{len(group)}:{ops}]"):
-                    self._apply_group(group)
+                label = f"{self.kind}:batch:{group_index}[{len(group)}:{ops}]"
+            with self.cluster.update(label):
+                self._apply_group(group)
             group_index += 1
 
     def _apply_group(self, group: list[GraphUpdate]) -> None:
-        """Apply one compatible (component-disjoint) group of updates.
+        """Apply one compatible (component-disjoint) group of updates; a single update is a group of one.
 
         Wave structure (constant rounds regardless of the group size):
 
@@ -471,12 +466,15 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
            then the local index rewrites for each link packet;
         3. for tree-edge cuts, one merged replacement-offer round resolving
            every split-off subtree at once, and one more merged broadcast for
-           the replacement links; a cut is rewritten once, with its
-           replacement link if it found one (see :meth:`_delete`).
+           the replacement links.  Every machine holds a cut's scalars but
+           rewrites nothing until the search has answered (it reads the
+           tours as they stand), and a cut is then rewritten once, with its
+           replacement link if it found one (:meth:`_commit_cut_link`).
         """
-        self._endpoint_query_many([(u.u, u.v) for u in group])
+        self._endpoint_query([(u.u, u.v) for u in group])
 
-        packets: list[tuple[str, dict, float]] = []
+        links: list[tuple[dict, float]] = []
+        cuts: list[dict] = []
         for update in group:
             x, y = update.u, update.v
             if update.is_insert:
@@ -485,25 +483,22 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
                     self._store_edge_record(x, y, tree=False, weight=update.weight)
                     self._store_edge_record(y, x, tree=False, weight=update.weight)
                 else:
-                    packets.append(("link", self._link_scalars(x, y), update.weight))
+                    links.append((self._link_scalars(x, y), update.weight))
             else:
                 self.shadow.delete_edge(x, y)
                 if self._edges_of(x).get(y, {}).get("tree"):
-                    packets.append(("cut", self._cut_scalars(x, y), 0.0))
+                    cuts.append(self._cut_scalars(x, y))
                 self._remove_edge_record(x, y)
                 self._remove_edge_record(y, x)
+        if not (links or cuts):
+            return
 
-        self._broadcast_many([scalars for (_op, scalars, _w) in packets])
-        cuts: list[dict] = []
-        for op, scalars, weight in packets:
-            if op == "link":
-                self._commit_link(scalars, weight=weight)
-            else:
-                cuts.append(scalars)
-
+        self._broadcast([link for link, _weight in links] + cuts)
+        for link, weight in links:
+            self._commit_link(link, weight=weight)
         if not cuts:
             return
-        replacements = self._find_replacements_many(cuts)
+        replacements = self._find_replacements(cuts)
         replaced: list[tuple[dict, dict, float]] = []
         for cut in cuts:
             replacement = replacements.get(cut["new_comp"])
@@ -511,43 +506,22 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
                 self._commit_cut(cut)
             else:
                 replaced.append((cut, self._replacement_link(cut, replacement), replacement[2]))
-        self._broadcast_many([link for (_cut, link, _w) in replaced])
+        self._broadcast([link for (_cut, link, _w) in replaced])
         for cut, link, weight in replaced:
             self._commit_cut_link(cut, link, weight=weight)
 
-    # ------------------------------------------------------------------ insert
-    def _insert(self, x: int, y: int, weight: float = 1.0) -> None:
-        self.shadow.insert_edge(x, y, weight)
-        comp_x = self._comp(x, create=True)
-        comp_y = self._comp(y, create=True)
-
-        # Round 1-2: the endpoints' owners exchange their scalars through the
-        # aggregator (constant-size messages).
-        self._endpoint_query(x, y)
-
-        if comp_x == comp_y:
-            self._store_edge_record(x, y, tree=False, weight=weight)
-            self._store_edge_record(y, x, tree=False, weight=weight)
-            return
-        self._link(x, y, weight=weight)
-
-    def _link(self, x: int, y: int, *, weight: float) -> None:
-        """Make ``(x, y)`` a tree edge merging ``y``'s component into ``x``'s."""
-        scalars = self._link_scalars(x, y)
-        self._broadcast(scalars)
-        self._commit_link(scalars, weight=weight)
-
+    # ------------------------------------------------------------ link / cut
     def _link_scalars(self, x: int, y: int) -> dict:
         """The constant-size scalar packet describing the link of ``(x, y)``.
 
         Pure driver-side arithmetic over the endpoints' tour state — the
         messaging (one broadcast) and the local index rewrites happen in
-        :meth:`_broadcast` / :meth:`_commit_link`, so batched application
-        can merge several packets into a single broadcast round.
+        :meth:`_broadcast` / :meth:`_commit_link`, so a group merges its
+        packets into a single broadcast round.
         """
         comp_x = self._comp(x, create=True)
         comp_y = self._comp(y, create=True)
-        len_y = self._comp_length[comp_y]
+        len_y = self._tours.tour_length(comp_y)
         f_y, l_y = self._tours.span(y)
         # Attachment offset: x's first appearance rounded down to the arc
         # boundary (0 when x is a root or a singleton).
@@ -572,9 +546,6 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
     def _commit_link(self, scalars: dict, *, weight: float) -> None:
         """Apply a broadcast link packet: local rewrites + edge records."""
         self._tours.apply_link(scalars)
-        comp_x, comp_y = scalars["comp_x"], scalars["comp_y"]
-        self._comp_length[comp_x] = self._comp_length[comp_x] + scalars["len_y"] + 4
-        self._comp_length.pop(comp_y, None)
         self._store_tree_edge(scalars, weight)
 
     def _store_tree_edge(self, link: dict, weight: float) -> None:
@@ -582,29 +553,6 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         x, y, f_x, len_y = link["x"], link["y"], link["f_x"], link["len_y"]
         self._store_edge_record(x, y, tree=True, weight=weight, indexes=(f_x + 1, f_x + len_y + 4))
         self._store_edge_record(y, x, tree=True, weight=weight, indexes=(f_x + 2, f_x + len_y + 3))
-
-    # ------------------------------------------------------------------ delete
-    def _delete(self, x: int, y: int) -> None:
-        self.shadow.delete_edge(x, y)
-        is_tree = bool(self._edges_of(x).get(y, {}).get("tree"))
-        self._endpoint_query(x, y)
-        scalars = self._cut_scalars(x, y) if is_tree else None
-        self._remove_edge_record(x, y)
-        self._remove_edge_record(y, x)
-        if scalars is None:
-            return
-
-        # Every machine has the cut's scalars but rewrites nothing yet: the
-        # replacement search reads the tours as they stand, and a cut that is
-        # replaced is applied together with its link, as one rewrite.
-        self._broadcast(scalars)
-        replacement = self._find_replacement(scalars)
-        if replacement is None:
-            self._commit_cut(scalars)
-            return
-        link = self._replacement_link(scalars, replacement)
-        self._broadcast(link)
-        self._commit_cut_link(scalars, link, weight=replacement[2])
 
     def _cut_scalars(self, x: int, y: int) -> dict:
         """The constant-size scalar packet describing the cut of tree edge ``(x, y)``.
@@ -614,7 +562,7 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         brackets it one position on each side.  Orients the pair so ``x`` is
         the ancestor endpoint and allocates the identifier of the split-off
         component; like :meth:`_link_scalars` this is pure driver-side
-        arithmetic so packets can be batched.
+        arithmetic so a group can merge its packets.
         """
         pair_x = self._edges_of(x)[y]["indexes"]
         pair_y = self._edges_of(y)[x]["indexes"]
@@ -626,18 +574,14 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
             "x": x,
             "y": y,
             "comp": self._comp(x),
-            "new_comp": self._new_component(0),
+            "new_comp": self._new_component(),
             "f_y": pair_y[0],
             "l_y": pair_y[1],
         }
 
     def _commit_cut(self, scalars: dict) -> None:
-        """Apply a broadcast cut packet: local rewrites + component lengths."""
+        """Apply a broadcast cut packet: the local rewrites."""
         self._tours.apply_cut(scalars)
-        comp, new_comp = scalars["comp"], scalars["new_comp"]
-        span = scalars["l_y"] - scalars["f_y"] + 1
-        self._comp_length[new_comp] = span - 2
-        self._comp_length[comp] = self._comp_length[comp] - span - 2
 
     def _replacement_link(self, cut: dict, replacement: tuple[int, int, float]) -> dict:
         """The link packet of a cut's replacement edge, read before the cut is applied.
@@ -681,69 +625,45 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         self._remove_edge_record(link["x"], link["y"])
         self._remove_edge_record(link["y"], link["x"])
         self._tours.apply_cut_link(cut, link)
-        self._comp_length.pop(cut["new_comp"])
         self._store_tree_edge(link, weight)
 
     # --------------------------------------------------------------- messaging
-    def _endpoint_query(self, x: int, y: int) -> None:
-        """The endpoints' owners exchange constant-size scalars (2 rounds)."""
-        owner_x, owner_y = self.owner(x), self.owner(y)
-        mx, my = self.cluster.machine(owner_x), self.cluster.machine(owner_y)
-        mx.send(self.aggregator_id, "endpoint-info", (x,), words=closed_form_words("endpoint-info", (x,)))
-        if owner_y != owner_x:
-            my.send(self.aggregator_id, "endpoint-info", (y,), words=closed_form_words("endpoint-info", (y,)))
-        self.cluster.exchange()
-        agg = self.cluster.machine(self.aggregator_id)
-        agg.drain("endpoint-info")
-        agg.send(owner_x, "endpoint-ack", None, words=closed_form_words("endpoint-ack", None))
-        if owner_y != owner_x:
-            agg.send(owner_y, "endpoint-ack", None, words=closed_form_words("endpoint-ack", None))
-        self.cluster.exchange()
-        mx.drain("endpoint-ack")
-        my.drain("endpoint-ack")
+    def _endpoint_query(self, pairs: list[tuple[int, int]]) -> None:
+        """The endpoints' owners name them to the aggregator and are acknowledged (2 rounds).
 
-    def _endpoint_query_many(self, pairs: list[tuple[int, int]]) -> None:
-        """Merged endpoint exchange for a whole group of updates (2 rounds).
-
-        Every distinct owner ships the scalars of all its involved endpoints
-        in one message, so the round cost stays 2 regardless of how many
-        updates ride the batch.
+        Every distinct owner ships all its endpoints in one message, 1 word
+        per endpoint named, so the round cost stays 2 however many updates
+        ride the group.
         """
+        worker_ids, machines = self.worker_ids, self.cluster.machines_by_id
         by_owner: dict[str, list[int]] = {}
         for x, y in pairs:
-            for v in (x, y):
-                by_owner.setdefault(self.owner(v), []).append(v)
+            by_owner.setdefault(hash_partition(x, worker_ids), []).append(x)
+            by_owner.setdefault(hash_partition(y, worker_ids), []).append(y)
         for owner_id, vertices in by_owner.items():
-            self.cluster.machine(owner_id).send(
-                self.aggregator_id, "endpoint-info", tuple(vertices), words=max(1, len(vertices))
-            )
+            machines[owner_id].send(self.aggregator_id, "endpoint-info", tuple(vertices), words=len(vertices))
         self.cluster.exchange()
-        agg = self.cluster.machine(self.aggregator_id)
+        agg = machines[self.aggregator_id]
         agg.drain("endpoint-info")
-        ack_words = closed_form_words("endpoint-ack", None)
-        agg.send_many("endpoint-ack", [(owner_id, None, ack_words) for owner_id in by_owner])
+        for owner_id in by_owner:
+            agg.send(owner_id, "endpoint-ack", None, words=_ACK_WORDS)
         self.cluster.exchange()
         for owner_id in by_owner:
-            self.cluster.machine(owner_id).drain("endpoint-ack")
+            machines[owner_id].drain("endpoint-ack")
 
-    def _broadcast(self, scalars: dict) -> None:
-        """Broadcast the constant-size update scalars to every worker (1 round)."""
-        self._fan_out_scalars(self.owner(scalars["x"]), 10)
-
-    def _broadcast_many(self, packets: list[dict]) -> None:
-        """Broadcast a merged list of scalar packets to every worker (1 round).
+    def _broadcast(self, packets: list[dict]) -> None:
+        """Broadcast a merged list of scalar packets to every worker (1 round; none for no packet).
 
         The endpoint owners already shipped their scalars to the aggregator
-        during :meth:`_endpoint_query_many`, so the aggregator is the sender
-        of the composed packet (``10`` words per update, one round total).
+        during :meth:`_endpoint_query`, so the aggregator sends the composed
+        packet: one ``tour-scalars`` message of ``10`` words per packet to
+        every other worker.
         """
-        if packets:
-            self._fan_out_scalars(self.aggregator_id, 10 * len(packets))
-
-    def _fan_out_scalars(self, sender_id: str, words: int) -> None:
-        """One ``tour-scalars`` message of ``words`` words to every other worker (1 round)."""
-        self.cluster.machine(sender_id).send_many(
-            "tour-scalars", [(machine_id, None, words) for machine_id in self.worker_ids if machine_id != sender_id]
+        if not packets:
+            return
+        words = 10 * len(packets)
+        self.cluster.machine(self.aggregator_id).send_many(
+            "tour-scalars", [(machine_id, None, words) for machine_id in self.worker_ids if machine_id != self.aggregator_id]
         )
         self.cluster.exchange()
         for machine in self._workers:
@@ -757,44 +677,31 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         self._tours.remove_edge_record(v, w)
 
     # ------------------------------------------------------- replacement search
-    def _find_replacement(self, cut: dict) -> tuple[int, int, float] | None:
-        """Find a non-tree edge reconnecting the subtree ``cut`` splits off (2 rounds).
-
-        Every machine offers, for each owned vertex inside the subtree, all
-        its incident non-tree edges.  An edge internal to the subtree is
-        offered by both endpoints, a crossing edge by exactly one — so the
-        aggregator keeps exactly the edges with an odd offer count and picks
-        one (the minimum-weight one, which is what the MST subclass needs),
-        returned as ``(inside endpoint, outside endpoint, weight)``.
-        """
-        for machine, (offers,) in self._tours.subtree_offers([cut]):
-            if offers:
-                machine.send(self.aggregator_id, "replacement-offer", offers, words=3 * len(offers) + 1)
-        self.cluster.exchange()
-        messages = self.cluster.machine(self.aggregator_id).drain("replacement-offer")
-        return _lightest_crossing(offer for msg in messages for offer in msg.payload)
-
-    def _find_replacements_many(self, cuts: list[dict]) -> dict[int, tuple[int, int, float]]:
-        """Merged replacement search for several split-off subtrees (2 rounds).
+    def _find_replacements(self, cuts: list[dict]) -> dict[int, tuple[int, int, float]]:
+        """Find a non-tree edge reconnecting each subtree ``cuts`` split off (1 round).
 
         Every machine offers, in one message, the non-tree edges of all its
-        vertices inside *any* of the subtrees, tagging each offer with the
-        identifier allocated for the split-off component.  The aggregator
-        then resolves every cut with the sequential odd-offer-count rule
-        (both endpoints of any edge share a component, so offers for
-        different cuts cannot mix).  Returns ``{new_comp: (v, w, weight)}``,
-        ``v`` the inside endpoint, for the cuts with a reconnecting edge.
+        vertices inside *any* of the subtrees, grouped per cut under the
+        identifier allocated for the split-off component: 1 word per cut it
+        offers for, plus 3 per offer.  An edge internal to a subtree is
+        offered by both endpoints, a crossing edge by exactly one, so the
+        aggregator keeps, per cut, the edges with an odd offer count and
+        picks the minimum-weight one (what the MST subclass needs).  Both
+        endpoints of any edge share a component, so offers for different
+        cuts cannot mix.  Returns ``{new_comp: (v, w, weight)}``, ``v`` the
+        inside endpoint, for the cuts with a reconnecting edge.
         """
         for machine, per_cut in self._tours.subtree_offers(cuts):
-            offers = [(cut["new_comp"], *offer) for cut, found in zip(cuts, per_cut) for offer in found]
+            offers = [(cut["new_comp"], found) for cut, found in zip(cuts, per_cut) if found]
             if offers:
-                machine.send(self.aggregator_id, "replacement-offer", offers, words=4 * len(offers) + 1)
+                words = sum(1 + 3 * len(found) for _comp, found in offers)
+                machine.send(self.aggregator_id, "replacement-offer", offers, words=words)
         self.cluster.exchange()
 
         by_comp: dict[int, list[tuple[int, int, float]]] = {}
         for msg in self.cluster.machine(self.aggregator_id).drain("replacement-offer"):
-            for comp, v, w, weight in msg.payload:
-                by_comp.setdefault(comp, []).append((v, w, weight))
+            for comp, found in msg.payload:
+                by_comp.setdefault(comp, []).extend(found)
         results: dict[int, tuple[int, int, float]] = {}
         for cut in cuts:
             best = _lightest_crossing(by_comp.get(cut["new_comp"], ()))

@@ -885,8 +885,9 @@ class TourPairs:
     cut edge's positions stay ``None`` from its records' pop until the pass
     that applies the cut drops them; a new edge's are ``None`` from the link
     pass until its records are set.  A pass relabels no vertex on its shard:
-    the caller moves all of ``comp_y`` after :meth:`link`, and what
-    :meth:`cut` returns (:meth:`TourShard.move`).
+    :meth:`link` and :meth:`cut` return the vertices that change component,
+    and the caller moves them on their owners' shards (:meth:`TourShard.move`);
+    :meth:`cut_link` moves none.
     """
 
     __slots__ = ("comps",)
@@ -973,22 +974,26 @@ class TourPairs:
             slots[pair[0]] = slots[pair[1]] = None
 
     # ----------------------------------------------------------------- passes
-    def link(self, comp_x: int, comp_y: int, f_x: int, l_y: int, len_y: int, reroot: bool) -> None:
-        """Splice ``comp_y``'s index into ``comp_x``'s for a broadcast link.
+    def link(self, comp_x: int, comp_y: int, y: int, f_x: int, l_y: int, len_y: int, reroot: bool) -> "set[int]":
+        """Splice ``comp_y``'s index into ``comp_x``'s for a broadcast link; returns the vertices that move to ``comp_x``.
 
         ``T_y`` is rotated to ``y`` when ``reroot`` and lands at ``f_x + 3``,
         between the new edge's two pairs of holes; ``T_x`` past ``f_x`` makes
         room (``+len_y+4``).  The new edge's own two pairs arrive with its
-        records (:meth:`set_edge`).
+        records (:meth:`set_edge`).  The vertices that move are those
+        ``comp_y``'s slots name, and ``y`` (a singleton has no slot).
         """
         held_y = self.comps.pop(comp_y, None)
         tour = _rotated(held_y[1:] if held_y is not None else [], l_y - 1 if reroot else 0, f_x + 3)
+        moved = {slot[0] for slot in tour}
+        moved.add(y)
         slots = self.comps.get(comp_x)
         if slots is None:
             slots = self.comps[comp_x] = [None]
         slots[f_x + 1 : f_x + 1] = [None, None, *tour, None, None]
         tail = f_x + len_y + 5
         _place(slots[tail:], tail)
+        return moved
 
     def cut(self, comp: int, new_comp: int, y: int, f_y: int, l_y: int) -> "set[int]":
         """Split ``y``'s subtree off ``comp``'s index for a broadcast cut; returns the vertices that move to ``new_comp``.

@@ -54,6 +54,7 @@ from repro.graph.graph import normalize_edge
 from repro.graph.generators import gnm_random_graph, random_forest, random_weighted_graph
 from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
 from repro.graph.validation import is_matching, is_maximal_matching
+from repro.mpc import Machine
 from repro.mpc.layout import TourPairs
 from repro.mpc.sizing import closed_form_words, registered_closed_forms, word_size
 from seeded_mutation import mutated
@@ -129,19 +130,19 @@ PINNED = {
         lambda: mixed_inputs(gnm_random_graph, 32, 64, 11, 90, 12),
         lambda backend: DMPCConnectivity(make_config(32, 128, backend), check_invariants=True),
         connectivity_solution,
-        "d251a8e4e429d7be02a00269b4b22adf78c28c4238d75e5255264961994bb609",
+        "4df5ba0d0fcb62c3b1721d31bd6cda8af65ad01d47f0826be3475cc605d55e68",
     ),
     "connectivity_adversarial": (
         lambda: recorded_adversary(24, 36, 80, seed=13),
         lambda backend: DMPCConnectivity(make_config(24, 144, backend)),
         connectivity_solution,
-        "9d1f1f0fef99e87d7b0cd2bcc24a5d58fa8d529d3deaacc015d573020a5b915b",
+        "26461d1c4217d619f035fe7d38ab7850a1a395adec6b8a01411ef81eb8cffb85",
     ),
     "approx_mst": (
         lambda: mixed_inputs(random_weighted_graph, 24, 48, 14, 80, 15, weighted=True),
         lambda backend: DMPCApproxMST(make_config(24, 96, backend), epsilon=0.1),
         lambda algorithm: sorted(algorithm.spanning_forest()),
-        "a051a0078a8f208f6bc4da44ccfdd348a63587ad5d18673cdbad16890af83019",
+        "ff245b0feca466528344fdcad350e55ac126a35977c07878850a0993378ca688",
     ),
     "maximal_matching": (
         lambda: mixed_inputs(gnm_random_graph, 32, 64, 16, 90, 17),
@@ -282,26 +283,51 @@ class TestTourStateAtEveryBoundary:
             stream,
         )
 
-    def test_shift_only_machines_keep_their_handle(self):
-        """A link / cut mints a handle on the endpoint owners only; every other machine of the
-        component re-stores the handle it holds — same object, same charge, a newer version."""
+    def test_a_pass_touches_only_the_owners_of_endpoints_and_moved_vertices(self, monkeypatch):
+        """A link / cut loads the tour handle only on the endpoint owners and the owners of the
+        vertices that change component, and stores it only on the endpoint owners, whose record sets
+        changed: a shift or a relabel moves no charge, so every other machine keeps its handle,
+        its version and its words."""
         n = 64
         graph = random_forest(n, num_trees=1, seed=44)  # a tree: no replacement edge, so a cut stays a cut
-        algorithm = DMPCConnectivity(make_config(n, 2 * n, None), check_invariants=True)
+        algorithm = DMPCConnectivity(make_config(n, 2 * n, None))
         algorithm.preprocess(graph.copy())
         workers = [m for m in algorithm.cluster.machines(role="worker") if m.load(TOUR_SHARD_KEY) is not None]
-        x, y = sorted(algorithm.spanning_forest())[n // 2]
+        # a leaf that is not the tour's root: its cut splits it off, and its link moves it back
+        y = min(v for v in range(n) if len(graph.neighbors(v)) == 1 and algorithm._tours.span(v)[0] != 1)
+        (x,) = graph.neighbors(y)
         owners = {algorithm.owner(x), algorithm.owner(y)}
-        assert len(workers) > len(owners)
+        touched = {"load": set(), "store": set()}
+        load, store = Machine.load, Machine.store
+
+        def counting_load(machine, key, default=None):
+            if key == TOUR_SHARD_KEY:
+                touched["load"].add(machine.machine_id)
+            return load(machine, key, default)
+
+        def counting_store(machine, key, value):
+            if key == TOUR_SHARD_KEY:
+                touched["store"].add(machine.machine_id)
+            store(machine, key, value)
+
+        monkeypatch.setattr(Machine, "load", counting_load)
+        monkeypatch.setattr(Machine, "store", counting_store)
         for update in (GraphUpdate.delete(x, y), GraphUpdate.insert(x, y)):
+            comps = {v: algorithm.component_of(v) for v in range(n)}
             before = {m.machine_id: (m.load(TOUR_SHARD_KEY), m.storage.version, m.used_words) for m in workers}
+            touched["load"].clear()
+            touched["store"].clear()
             algorithm.apply(update)
-            for machine in workers:
-                handle, version, words = before[machine.machine_id]
-                assert machine.storage.version > version
-                assert (machine.load(TOUR_SHARD_KEY) is handle) == (machine.machine_id not in owners)
-                if machine.machine_id not in owners:
-                    assert machine.used_words == words
+            loaded, stored = set(touched["load"]), set(touched["store"])
+            moved_owners = {algorithm.owner(v) for v in range(n) if algorithm.component_of(v) != comps[v]}
+            assert moved_owners, update
+            assert loaded <= owners | moved_owners, update
+            assert stored <= owners, update
+            untouched = [m for m in workers if m.machine_id not in owners | moved_owners]
+            assert untouched  # non-vacuous: the component has shards the pass never visits
+            for machine in untouched:
+                assert (machine.load(TOUR_SHARD_KEY), machine.storage.version, machine.used_words) == before[machine.machine_id]
+            algorithm.verify_invariants()
 
 
 # ------------------------------ a replaced cut is one rewrite, at every boundary
@@ -354,26 +380,25 @@ class TestReplacedCutDifferential:
 
     def lockstep(self, runs: dict, steps, *, batch: bool) -> dict:
         """Shards and oracle through ``steps`` (lists of updates, drawn lazily); returns how many
-        replaced cuts ran, alone and inside a merged group."""
+        replaced cuts ran, by the size of the group they ran in (a single update is a group of one)."""
         csr, oracle = runs["csr"], runs["dict"]
         n = self.N
 
-        replaced = {"alone": 0, "grouped": 0}
+        replaced: dict[int, int] = {}
         commit, apply_group = csr._commit_cut_link, csr._apply_group
-        where = ["alone"]
+        size = [0]
 
         def counting_commit(cut, link, *, weight):
             # the rewrite starts from the records' own index: the cut edge's positions are empty
             assert filled_slots(csr._tours.pairs) == filled_slots(TourPairs.from_shards(csr._tours._shards())), (
                 f"layouts diverged at the rewrite of {cut}: the index is not its records'"
             )
-            replaced[where[0]] += 1
+            replaced[size[0]] = replaced.get(size[0], 0) + 1
             commit(cut, link, weight=weight)
 
         def grouped(group):
-            where[0] = "grouped"
+            size[0] = len(group)
             apply_group(group)
-            where[0] = "alone"
 
         csr._commit_cut_link, csr._apply_group = counting_commit, grouped
 
@@ -404,7 +429,10 @@ class TestReplacedCutDifferential:
             for algorithm in (csr, oracle):
                 algorithm.verify_invariants()
             assert_euler_tours(csr)
-            assert set(csr._comp_length) == set(groups[0])  # a spent split-off id leaves nothing behind
+            # a spent split-off id leaves nothing behind, and each tour is as long as its component says
+            assert set(csr._tours.pairs.comps) <= set(groups[0])
+            lengths = [{comp: algorithm._tours.tour_length(comp) for comp in groups[0]} for algorithm in (csr, oracle)]
+            assert lengths[0] == lengths[1] == {comp: 4 * (len(sets) - 1) for comp, sets in groups[0].items()}
         return replaced
 
     @pytest.mark.parametrize("chunk", [None, 8], ids=["apply", "apply_batch-8"])
@@ -412,7 +440,7 @@ class TestReplacedCutDifferential:
     @pytest.mark.parametrize("kind", sorted(ALGORITHMS))
     def test_layouts_agree_at_every_boundary(self, kind, seed, chunk):
         replaced = self.run_stream(kind, seed, chunk)
-        assert replaced["alone"] >= 3  # non-vacuous: the composed rewrite ran
+        assert replaced.get(1, 0) >= 3  # non-vacuous: the composed rewrite ran on a single update
 
     def run_stream(self, kind: str, seed: int, chunk: "int | None") -> dict:
         n = self.N
@@ -444,7 +472,7 @@ class TestReplacedCutDifferential:
                 yield [GraphUpdate.delete(u, v) for u, v in lost]
                 yield [GraphUpdate.insert(u, v) for u, v in lost]
 
-        assert self.lockstep(runs, steps(), batch=True) == {"alone": 0, "grouped": 40}
+        assert self.lockstep(runs, steps(), batch=True) == {4: 40}
 
     def test_open_interval_bound_is_caught(self, monkeypatch):
         """Seeded mutation: the slot at the attachment point (``stop - 1`` itself) stays behind."""
@@ -471,6 +499,74 @@ class TestReplacedCutDifferential:
         monkeypatch.setattr(TourPairs, "pop_edge", mutated(TourPairs.pop_edge, "slots[pair[0]] = slots[pair[1]] = None", "pass"))
         with pytest.raises(AssertionError, match="layouts diverged"):
             self.run_stream("connectivity", self.SEEDS[0], None)
+
+
+# ------------------------------------------ a single update is a group of one
+def twin_graph(weighted: bool) -> DynamicGraph:
+    """A 2-edge-connected block (every tree edge has a replacement), a path (every edge a bridge),
+    a two-vertex tree and two isolated vertices; distinct weights when ``weighted``."""
+    graph = DynamicGraph(16)
+    edges = [(v, (v + 1) % 8) for v in range(8)] + [(0, 4), (2, 6), (8, 9), (9, 10), (10, 11), (12, 13)]
+    for i, (u, v) in enumerate(edges):
+        graph.insert_edge(u, v, 1.0 + (i * 7) % 13 if weighted else 1.0)
+    return graph
+
+
+def block_edge(algorithm, tree: bool) -> GraphUpdate:
+    """The delete of the first block edge that is (``tree``) or is not in the maintained forest."""
+    forest = algorithm.spanning_forest()
+    return GraphUpdate.delete(*min(e for e in algorithm.shadow.edge_list() if max(e) < 8 and (e in forest) == tree))
+
+
+#: case -> (update of the freshly preprocessed algorithm, the rounds it costs)
+TWIN_CASES = {
+    "non-tree insert": (lambda algorithm: GraphUpdate.insert(1, 5, 2.0), 2),
+    "link to a singleton": (lambda algorithm: GraphUpdate.insert(3, 14, 2.0), 3),
+    "link of two trees": (lambda algorithm: GraphUpdate.insert(9, 12, 2.0), 3),
+    "non-tree delete": (lambda algorithm: block_edge(algorithm, tree=False), 2),
+    "unreplaced tree delete": (lambda algorithm: GraphUpdate.delete(9, 10), 4),
+    "replaced tree delete": (lambda algorithm: block_edge(algorithm, tree=True), 5),
+}
+TWIN_KINDS = [("connectivity", case) for case in TWIN_CASES] + [
+    ("approx-mst", "unreplaced tree delete"),
+    ("approx-mst", "replaced tree delete"),
+]
+
+
+class TestOneUpdatePath:
+    """``apply(u)``, ``apply_batch([u])`` and the group path run on ``[u]`` file the same round rows
+    and leave the same tour state: a single update pays what a group of one pays."""
+
+    @pytest.mark.parametrize(("kind", "case"), TWIN_KINDS, ids=[f"{kind}-{case}" for kind, case in TWIN_KINDS])
+    def test_a_single_update_is_a_group_of_one(self, kind, case):
+        make = {"connectivity": DMPCConnectivity, "approx-mst": DMPCApproxMST}[kind]
+        pick, rounds = TWIN_CASES[case]
+
+        def group_of_one(algorithm, update):
+            with algorithm.cluster.update(f"{algorithm.kind}:{update.op}:{update.u}-{update.v}"):
+                algorithm._apply_group([update])
+
+        ways = {
+            "apply": lambda algorithm, update: algorithm.apply(update),
+            "apply_batch": lambda algorithm, update: algorithm.apply_batch([update]),
+            "group": group_of_one,
+        }
+        seen = {}
+        for way, run in ways.items():
+            algorithm = make(make_config(16, 64, None), check_invariants=True)
+            algorithm.preprocess(twin_graph(kind == "approx-mst"))
+            update = pick(algorithm)
+            run(algorithm, update)
+            algorithm.verify_invariants()
+            record = algorithm.ledger.updates[-1]
+            rows = [(r.active_machines, r.total_words, r.message_count, r.max_message_words) for r in record.rounds]
+            index = {  # the position index by value: each slot's record, pair and end
+                comp: [slot and (*slot[:2], tuple(slot[2]), slot[3]) for slot in slots]
+                for comp, slots in algorithm._tours.pairs.comps.items()
+            }
+            seen[way] = (record.label, rows, tour_snapshot(algorithm), index, connectivity_solution(algorithm))
+        assert len(seen["apply"][1]) == rounds  # the update is the kind the case names
+        assert seen["apply"] == seen["apply_batch"] == seen["group"]
 
 
 # ------------------------------- heavy-vertex fabric state at every boundary
@@ -778,7 +874,6 @@ def _stats_entries(rng: random.Random, k: int):
 #: one randomized representative-payload builder per registered tag, shaped
 #: exactly like the payload each protocol send ships
 PAYLOAD_BUILDERS = {
-    "endpoint-info": lambda rng: tuple(rng.randrange(100) for _ in range(rng.randrange(1, 4))),
     "endpoint-ack": lambda rng: None,
     "path-max-offer": lambda rng: (rng.random(), rng.randrange(50), rng.randrange(50)),
     "stats-query": lambda rng: sorted(rng.sample(range(100), rng.randrange(1, 9))),

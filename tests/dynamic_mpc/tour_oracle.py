@@ -105,6 +105,18 @@ class DictTourStore:
                     groups.setdefault(state["comp"], []).append(set(state["indexes"]))
         return groups
 
+    def tour_length(self, comp: int) -> int:
+        """The largest tour index of ``comp``'s vertices: its tour is ``1..4(k - 1)``, and a singleton's empty."""
+        return max(
+            (
+                max(state["indexes"], default=0)
+                for machine in self._workers
+                for key, state in machine.items()
+                if isinstance(key, tuple) and key[0] == "tour" and state["comp"] == comp
+            ),
+            default=0,
+        )
+
     def check_pair_index(self) -> None:
         """The per-vertex layout keeps no pair index: there is nothing to match."""
 

@@ -51,10 +51,13 @@ class ShardedForest:
         f_y, l_y = self.shard(y).span(y)
         f_x = self.shard(x).span(x)[0]
         f_x -= f_x % 2
-        self.pairs.link(comp_x, comp_y, f_x, l_y, len_y, len_y > 0 and f_y != 1)
+        members = {v for shard in self.shards for v in shard.by_comp.get(comp_y, ())}
+        moved = self.pairs.link(comp_x, comp_y, y, f_x, l_y, len_y, len_y > 0 and f_y != 1)
+        assert moved == members  # the link moves exactly y's component, a singleton included
         for shard in self.shards:
-            if comp_y in shard.by_comp:
-                shard.move(shard.by_comp[comp_y], comp_y, comp_x)
+            here = {v for v in moved if self.shard(v) is shard}
+            if here:
+                shard.move(here, comp_y, comp_x)
         self.length[comp_x] += len_y + 4
         self.set_tree_edge(x, y, f_x, len_y)
 

@@ -6,7 +6,7 @@ Outside tier-1 — the file is named like ``benchmarks/bench_*.py`` so the bare
     PYTHONPATH=src python -m pytest -q -s tests/scale/scale_tree_delete_cost.py
 
 A tree-edge deletion is the whole cost of Section 5's connectivity row
-(``cc-stream``), and most of them find a replacement edge.  Five
+(``cc-stream``), and most of them find a replacement edge.  Six
 deterministic counts per *replaced* tree delete at n = 1 024, over the
 worker machines that hold a tour shard at all:
 
@@ -22,16 +22,21 @@ worker machines that hold a tour shard at all:
 * ``TourShard`` method calls — a constant (the endpoints' scalars, the six
   edge-record edits and their commits), not one per shard: no shard
   rewrites an index or builds its own offers, the index does;
-* ``Machine.store`` calls beyond one per non-empty shard — the six
-  edge-record commits of the two edges involved;
+* ``Machine.store`` calls — the six edge-record commits of the two edges
+  involved, and no other: a shift or a relabel moves no charge, so no
+  shard re-stores its handle;
+* tour-handle loads (``Machine.load`` of the shard key) beyond one per
+  machine that offers for the subtree — the endpoints' reads and the six
+  commits' loads, a constant, not one per worker;
 * ``dict.values`` calls made by the index's passes and the store's sweeps —
   none: they slice the index, not members' tree rows.
 
 Each bound is the measured value + 20 % (rounded up).  The guard trips when
 a pass walks the whole component again (as the keyed pair map before the
 position index did, twice per replaced delete), when a per-shard kernel
-comes back (the shard count is ≈ 100), when the store sweep grows stores,
-or when a pass reads members' tree rows.
+comes back (the shard count is ≈ 100), when a pass re-stores or loads the
+handle of every shard (as the re-store sweep after each pass did: ≈ 142
+loads per replaced delete), or when a pass reads members' tree rows.
 """
 
 from __future__ import annotations
@@ -57,7 +62,9 @@ MEASURED_WHOLE_INDEX_PASSES = 0
 #: it replaces); 12 charge reads by the six commits.  None per shard.
 MEASURED_SHARD_CALLS = 25
 #: the deleted edge's two records go, the replacement's two non-tree records go, its two tree records come
-MEASURED_STORES_BEYOND_SHARDS = 6
+MEASURED_STORES = 6
+#: beyond one per machine offering for the subtree: 5–6 reads for the endpoints' scalars and records, 6 by the commits
+MEASURED_LOADS_BEYOND_OFFERS = 12
 #: the passes slice the index: no tree row is read
 MEASURED_ROW_READS = 0
 SLACK = 1.2
@@ -71,11 +78,12 @@ PASSES = {f.__code__ for f in (TourPairs.link, TourPairs.cut, TourPairs.inside, 
         _ShardTourStore.apply_cut_link,
         _ShardTourStore.subtree_offers,
         _ShardTourStore._by_owner,
-        _ShardTourStore._restore,
+        _ShardTourStore._relabel,
     )
 }
-BROADCAST = DMPCConnectivity._fan_out_scalars.__code__
+BROADCAST = DMPCConnectivity._broadcast.__code__
 STORE = Machine.store.__code__
+LOAD = Machine.load.__code__
 
 #: positions visited through the index during one delete, and whole-index passes
 visited: "set[int]" = set()
@@ -158,7 +166,18 @@ def test_a_replaced_tree_delete_visits_only_the_span_it_moves():
 
     algorithm._commit_cut_link = measuring_commit
 
-    counts = dict.fromkeys(("shard", "broadcasts", "store", "rows"), 0)
+    # the machines that offer for the subtree: each loads its handle once
+    offering = [0]
+    subtree_offers = algorithm._tours.subtree_offers
+
+    def counting_offers(cuts):
+        for machine, per_cut in subtree_offers(cuts):
+            offering[0] += 1
+            yield machine, per_cut
+
+    algorithm._tours.subtree_offers = counting_offers
+
+    counts = dict.fromkeys(("shard", "broadcasts", "store", "loads", "rows"), 0)
 
     def hook(frame, event, arg):
         if event == "call":
@@ -167,6 +186,8 @@ def test_a_replaced_tree_delete_visits_only_the_span_it_moves():
                 counts["shard"] += 1
             elif code is STORE:
                 counts["store"] += 1
+            elif code is LOAD and frame.f_locals["key"] == TOUR_SHARD_KEY:
+                counts["loads"] += 1
             elif code is BROADCAST:
                 counts["broadcasts"] += 1
         elif event == "c_call" and getattr(arg, "__qualname__", "") == "dict.values" and frame.f_code in PASSES:
@@ -183,6 +204,7 @@ def test_a_replaced_tree_delete_visits_only_the_span_it_moves():
         visited.clear()
         whole[0] = 0
         spans.clear()
+        offering[0] = 0
         size = max(map(len, comps.values()))
         sys.setprofile(hook)
         try:
@@ -192,7 +214,7 @@ def test_a_replaced_tree_delete_visits_only_the_span_it_moves():
         # endpoint query (2) + cut broadcast + offers + link broadcast: the delete found a replacement
         if algorithm.ledger.updates[-1].num_rounds == 5:
             assert len(spans) == 1
-            replaced.append(dict(counts, visited=len(visited), moved=spans[0], whole=whole[0]))
+            replaced.append(dict(counts, visited=len(visited), moved=spans[0], whole=whole[0], offering=offering[0]))
             sizes.append(size)
         algorithm.apply(GraphUpdate.insert(u, v))
     algorithm.verify_invariants()
@@ -202,7 +224,8 @@ def test_a_replaced_tree_delete_visits_only_the_span_it_moves():
     visits = max(c["visited"] / c["moved"] for c in replaced)
     whole_passes = max(c["whole"] for c in replaced)
     shard_calls = max(c["shard"] for c in replaced)
-    stores_beyond = max(c["store"] for c in replaced) - non_empty
+    stores = max(c["store"] for c in replaced)
+    loads_beyond = max(c["loads"] - c["offering"] for c in replaced)
     row_reads = max(c["rows"] for c in replaced)
 
     def mean(key: str) -> float:
@@ -215,12 +238,15 @@ def test_a_replaced_tree_delete_visits_only_the_span_it_moves():
         f"(bound {MEASURED_VISITS_PER_MOVED_POSITION * SLACK:g}), whole-index passes {whole_passes} "
         f"(bound {MEASURED_WHOLE_INDEX_PASSES}), "
         f"TourShard calls {shard_calls} (bound {MEASURED_SHARD_CALLS * SLACK:g} rounded up), "
-        f"Machine.store calls beyond one per shard {stores_beyond} (bound {MEASURED_STORES_BEYOND_SHARDS * SLACK:g} rounded up), "
+        f"Machine.store calls {stores} (bound {MEASURED_STORES * SLACK:g} rounded up), "
+        f"tour-handle loads {mean('loads'):.1f} on average, beyond one per offering machine {loads_beyond} "
+        f"(bound {MEASURED_LOADS_BEYOND_OFFERS * SLACK:g} rounded up), "
         f"dict.values calls in the passes {row_reads} (bound {MEASURED_ROW_READS * SLACK:g} rounded up)"
     )
     for c in replaced:
         assert c["visited"] <= math.ceil(MEASURED_VISITS_PER_MOVED_POSITION * SLACK * c["moved"]), c
     assert whole_passes <= MEASURED_WHOLE_INDEX_PASSES
     assert shard_calls <= math.ceil(MEASURED_SHARD_CALLS * SLACK)
-    assert stores_beyond <= math.ceil(MEASURED_STORES_BEYOND_SHARDS * SLACK)
+    assert stores <= math.ceil(MEASURED_STORES * SLACK)
+    assert loads_beyond <= math.ceil(MEASURED_LOADS_BEYOND_OFFERS * SLACK)
     assert row_reads <= math.ceil(MEASURED_ROW_READS * SLACK)
