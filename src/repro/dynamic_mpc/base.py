@@ -171,11 +171,13 @@ class DynamicMPCAlgorithm(abc.ABC):
         Exposed so benchmarks and tests can replay the normalized stream
         sequentially and assert bit-identity against the batched run: the
         survivors of :func:`~repro.graph.updates.coalesce_updates`, grouped
-        by owning machine when the algorithm exposes ``owner()``.
+        by owning machine when the algorithm exposes ``owner()``.  Survivors
+        naming a vertex id past ``capacity_n`` stay ungrouped: no machine
+        owns that id, and the batch is refused.
         """
         updates, stats = coalesce_updates(list(updates))
         owner = getattr(self, "owner", None)
-        if owner is not None and updates:
+        if owner is not None and updates and max(max(u.u, u.v) for u in updates) < self.config.capacity_n:
             updates = group_updates_by_owner(updates, owner)
         return updates, stats
 

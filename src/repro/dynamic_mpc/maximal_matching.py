@@ -18,6 +18,13 @@ The algorithm follows the paper's structure:
   loses its matched edge (or appears unmatched), it either grabs a free
   alive neighbour or *steals* a neighbour ``w`` whose mate ``z`` is light,
   after which the light ``z`` re-settles within its single machine.
+
+This is the one Section-3 update path.  Section 4
+(:class:`~repro.dynamic_mpc.three_halves_matching.DMPCThreeHalvesMatching`)
+overrides three hooks and adds nothing else to an update: ``_augment`` (an
+insert with exactly one matched endpoint; no-op here), ``_resettle`` (an
+endpoint freed by a delete; :meth:`DMPCMaximalMatching._settle` here) and
+``_update_counters`` (after every update; no counters here).
 """
 
 from __future__ import annotations
@@ -99,6 +106,7 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
             self._insert(update.u, update.v)
         else:
             self._delete(update.u, update.v)
+        self._update_counters(update)
         # Round-robin maintenance: keep every machine at most O(sqrt N) stale.
         self.fabric.round_robin_refresh()
 
@@ -149,9 +157,14 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
             return
         # Exactly one endpoint is matched: restore Invariant 3.1 if the free
         # endpoint is heavy, otherwise nothing needs to happen.
-        free_vertex, free_stats = (x, sx) if sx.mate is None else (y, sy)
-        if free_stats.degree >= self.fabric.threshold:
-            self._settle(free_vertex, free_stats)
+        (u, su), (v, sv) = ((x, sx), (y, sy)) if sx.mate is not None else ((y, sy), (x, sx))
+        if not self._augment(u, su, v, sv) and sv.degree >= fabric.threshold:
+            self._settle(v, sv)
+
+    def _augment(self, u: int, su: VertexStats, v: int, sv: VertexStats) -> bool:
+        """Section 4's hook for an inserted edge whose endpoint ``u`` is matched and ``v`` free:
+        whether it re-matched them.  Section 3 has nothing to augment."""
+        return False
 
     # ------------------------------------------------------------------ delete
     def _delete(self, x: int, y: int) -> None:
@@ -175,8 +188,11 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
         if sx.mate != y:
             return
         self._unmatch(x, y, sx, sy)
-        self._settle(x, sx)
-        self._settle(y, sy)
+        self._resettle(x, sx)
+        self._resettle(y, sy)
+
+    def _update_counters(self, update: GraphUpdate) -> None:
+        """Section 4's free-neighbour counters, pushed after every update; Section 3 keeps none."""
 
     # ------------------------------------------------------------- sub-steps
     def _handle_threshold_crossing(self, v: int, stats: VertexStats) -> None:
@@ -202,6 +218,16 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
         fabric.record("unmatch", u, v)
         fabric.push_stats({u: su, v: sv})
 
+    def _match_if_free(self, z: int, sz: VertexStats, q: int | None) -> bool:
+        """Match ``z`` to the candidate ``q`` if ``q``'s statistics machine still has it free."""
+        if q is None:
+            return False
+        sq = self.fabric.query_stats([q])[q]
+        if sq.mate is not None:
+            return False
+        self._match(z, q, sz, sq)
+        return True
+
     def _query_free_neighbor(self, z: int, sz: VertexStats) -> int | None:
         """A free neighbour of ``z`` among its alive *and* suspended edges, if any."""
         fabric = self.fabric
@@ -223,49 +249,45 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
 
     def _settle(self, z: int, sz: VertexStats) -> None:
         """(Re)match a free vertex ``z``, restoring maximality and Invariant 3.1."""
-        fabric = self.fabric
-        if sz.mate is not None:
+        if sz.mate is not None or self._match_if_free(z, sz, self._query_free_neighbor(z, sz)):
             return
-        free = self._query_free_neighbor(z, sz)
-        if free is not None:
-            sfree = fabric.query_stats([free])[free]
-            if sfree.mate is None:
-                self._match(z, free, sz, sfree)
-                return
-        if sz.degree < fabric.threshold:
+        if sz.degree < self.fabric.threshold:
             return  # light vertex with no free neighbour: maximality holds around z
-        # Heavy vertex: steal a neighbour whose mate is light.
-        reply = fabric.update_vertex(z, sz, query="matched-neighbors")
-        pairs = reply["matched"]
-        mates = [mate for (_w, mate) in pairs if mate is not None]
-        lightness = fabric.query_lightness(mates)
-        chosen: tuple[int, int] | None = None
+        stolen = self._steal(z, sz)
+        if stolen is not None:
+            # The evicted (light) vertex re-settles within its single machine.
+            w, mate, smate = stolen
+            q = self.fabric.update_vertex(mate, smate, query="free-neighbor", exclude=(w,))["free"]
+            self._match_if_free(mate, smate, q)
+
+    #: the re-settling of an endpoint freed by a delete (Section 4 overrides it)
+    _resettle = _settle
+
+    def _steal(self, z: int, sz: VertexStats) -> tuple[int, int, VertexStats] | None:
+        """Invariant 3.1 for a free heavy ``z``: take a neighbour ``w`` whose mate is light.
+
+        Returns ``(w, the evicted mate, its stats)``; the caller re-settles
+        the mate.  ``None`` when no neighbour qualifies — then ``z`` is
+        matched to a free neighbour among its suspended edges, if one is
+        there — or when the chosen pair is stale.
+        """
+        fabric = self.fabric
+        pairs = fabric.update_vertex(z, sz, query="matched-neighbors")["matched"]
+        lightness = fabric.query_lightness([mate for (_w, mate) in pairs])
         for (w, mate) in pairs:
-            if mate is not None and lightness.get(mate, False) and mate != z and w != z:
-                chosen = (w, mate)
+            if lightness[mate] and mate != z and w != z:
                 break
-        if chosen is None:
+        else:
             # Fallback: look for a free neighbour among the suspended edges.
-            free = fabric.scan_suspended_for_free(z, sz)
-            if free is not None:
-                sfree = fabric.query_stats([free])[free]
-                if sfree.mate is None:
-                    self._match(z, free, sz, sfree)
-            return
-        w, mate = chosen
-        stats_pair = fabric.query_stats([w, mate])
-        sw, smate = stats_pair[w], stats_pair[mate]
+            self._match_if_free(z, sz, fabric.scan_suspended_for_free(z, sz))
+            return None
+        stats = fabric.query_stats([w, mate])
+        sw, smate = stats[w], stats[mate]
         if sw.mate != mate:
-            return  # stale pair (can only happen if the history raced) — leave as is
+            return None  # stale pair (can only happen if the history raced) — leave as is
         self._unmatch(w, mate, sw, smate)
         self._match(z, w, sz, sw)
-        # The evicted (light) vertex re-settles within its single machine.
-        reply = fabric.update_vertex(mate, smate, query="free-neighbor", exclude=(w,))
-        q = reply["free"]
-        if q is not None:
-            sq = fabric.query_stats([q])[q]
-            if sq.mate is None:
-                self._match(mate, q, smate, sq)
+        return w, mate, smate
 
     # ------------------------------------------------------------ diagnostics
     def verify_invariants(self) -> None:

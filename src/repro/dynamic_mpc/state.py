@@ -557,17 +557,12 @@ class MatchingFabric:
         [(machine, handle)] = self._contact("vertex-update", [(machine_id, {"vertex": v, "query": query or ""}, 4)])
 
         reply: dict = {"free": None, "matched": []}
-        adjacency, status = handle.table.row(v), handle.table.status
         if query == "free-neighbor":
-            for w in sorted(adjacency):
-                if w in exclude:
-                    continue
-                if status.get(w) is None:
-                    reply["free"] = w
-                    break
+            reply["free"] = handle.table.first_free(v, exclude)
         elif query == "matched-neighbors":
+            status = handle.table.status
             pairs = []
-            for w in sorted(adjacency):
+            for w in sorted(handle.table.row(v)):
                 if w in exclude:
                     continue
                 mate = status.get(w)
@@ -589,12 +584,7 @@ class MatchingFabric:
         coordinator = self.coordinator.machine
         found: int | None = None
         for machine, handle in self._contact("suspended-scan", [(machine_id, v, 2) for machine_id in stats.suspended_machines]):
-            table = handle.table
-            candidate = None
-            for w in sorted(table.row(v)):
-                if w not in exclude and table.status.get(w) is None:
-                    candidate = w
-                    break
+            candidate = handle.table.first_free(v, exclude)
             machine.send(coordinator.machine_id, "suspended-reply", candidate, words=closed_form_words("suspended-reply", candidate))
         self.cluster.exchange()
         for msg in coordinator.drain("suspended-reply"):
@@ -626,18 +616,10 @@ class MatchingFabric:
         )
         results: dict[int, int | None] = {}
         for (machine, handle), items in zip(contacted, by_machine.values()):
-            table = handle.table
             replies = []
             for vertex, exclude in items:
-                found: int | None = None
-                for w in sorted(table.row(vertex)):
-                    if w in exclude:
-                        continue
-                    if table.status.get(w) is None:
-                        found = w
-                        break
+                found = results[vertex] = handle.table.first_free(vertex, exclude)
                 replies.append((vertex, found))
-                results[vertex] = found
             machine.send(coordinator.machine_id, "batch-free-reply", replies, words=closed_form_words("batch-free-reply", replies))
         self.cluster.exchange()
         coordinator.drain("batch-free-reply")

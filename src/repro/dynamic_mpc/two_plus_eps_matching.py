@@ -39,7 +39,7 @@ from repro.dynamic_mpc.base import DynamicMPCAlgorithm
 from repro.exceptions import InvariantViolation
 from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.graph.updates import GraphUpdate
-from repro.graph.validation import is_matching
+from repro.graph.validation import is_matching, maximum_matching_size
 from repro.mpc.partition import hash_partition
 from repro.mpc.sizing import closed_form_words, register_closed_form
 
@@ -356,7 +356,12 @@ class DMPCTwoPlusEpsMatching(DynamicMPCAlgorithm):
 
     # ------------------------------------------------------------ diagnostics
     def verify_invariants(self) -> None:
-        """The maintained edge set must always be a valid matching of the graph."""
+        """The maintained edge set is a matching of the graph and a ``(2 + eps)``-approximate one."""
         matching = self.matching()
         if not is_matching(self.shadow, matching):
             raise InvariantViolation("maintained edge set is not a matching")
+        maximum = maximum_matching_size(self.shadow)
+        if maximum > (2 + self.epsilon) * len(matching):
+            raise InvariantViolation(
+                f"a maximum matching has {maximum} edges, more than (2 + {self.epsilon}) x the maintained {len(matching)}"
+            )

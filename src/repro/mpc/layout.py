@@ -72,7 +72,6 @@ __all__ = [
     "AliveTable",
     "StatsTable",
     "StatsView",
-    "OverflowStats",
     "FrozenChargeHandle",
     "is_live_record",
     "EDGE_TABLE_KEY",
@@ -274,13 +273,12 @@ class StatsTable:
     "unmatched"), ``heavy`` a bitmap, ``alive`` the per-slot edge-machine
     id (``None`` when absent), and ``suspended`` a sparse per-slot stack —
     only heavy vertices ever hold one, so only non-empty stacks are stored
-    and ``suspended_words`` counts their entries (see :class:`_StackRecord`);
+    and ``suspended_words`` counts their entries (see :class:`StatsView`);
     with ``occupied`` that makes :meth:`live_words` O(1).
 
-    The range partition wraps vertex ids past its sizing capacity back onto
-    a machine while keeping the original id, so a machine can legitimately
-    be asked about a vertex outside its dense block; those land in the
-    sparse ``overflow`` dict with the same per-vertex record shape.
+    Every vertex a table is asked about lies in its block: the range
+    partition refuses an id past its capacity, and each vertex is routed to
+    the one machine whose block holds it.
     """
 
     __slots__ = (
@@ -295,7 +293,6 @@ class StatsTable:
         "suspended",
         "suspended_words",
         "occupied",
-        "overflow",
     )
 
     def __init__(self, base: int, size: int) -> None:
@@ -310,33 +307,22 @@ class StatsTable:
         self.suspended: "dict[int, tuple[str, ...]]" = {}
         self.suspended_words = 0
         self.occupied = 0
-        self.overflow: "dict[int, OverflowStats]" = {}
 
     # ------------------------------------------------------------------ slots
     def has(self, vertex: int) -> bool:
-        offset = vertex - self.base
-        if 0 <= offset < self.size:
-            return bool(self.present[offset])
-        return vertex in self.overflow
+        return bool(self.present[vertex - self.base])
 
-    def ensure(self, vertex: int) -> "StatsView | OverflowStats":
+    def ensure(self, vertex: int) -> "StatsView":
         """The live record for ``vertex``, occupying its slot if fresh."""
         offset = vertex - self.base
-        if not 0 <= offset < self.size:
-            record = self.overflow.get(vertex)
-            if record is None:
-                record = self.overflow[vertex] = OverflowStats(self, offset)
-            return record
         if not self.present[offset]:
             self.present[offset] = 1
             self.occupied += 1
         return StatsView(self, offset)
 
-    def view(self, vertex: int) -> "StatsView | OverflowStats | None":
+    def view(self, vertex: int) -> "StatsView | None":
         """The live record for ``vertex``, or ``None`` when never stored."""
         offset = vertex - self.base
-        if not 0 <= offset < self.size:
-            return self.overflow.get(vertex)
         if self.present[offset]:
             return StatsView(self, offset)
         return None
@@ -345,27 +331,19 @@ class StatsTable:
         """``(vertex, mate)`` for every stored vertex with a mate set."""
         base = self.base
         mate = self.mate
-        pairs = [
-            (base + offset, mate[offset])
-            for offset, present in enumerate(self.present)
-            if present and mate[offset] != -1
-        ]
-        pairs.extend(
-            (vertex, record.mate) for vertex, record in self.overflow.items() if record.mate is not None
-        )
-        return pairs
+        return [(base + offset, mate[offset]) for offset, present in enumerate(self.present) if present and mate[offset] != -1]
 
     def live_words(self) -> int:
         """Current word footprint, charged as the seed's per-vertex keys were."""
-        return _STATS_WORDS_PER_VERTEX * (self.occupied + len(self.overflow)) + self.suspended_words
+        return _STATS_WORDS_PER_VERTEX * self.occupied + self.suspended_words
 
     def payloads(self, items: "Iterable[tuple[int, Any]]") -> "tuple[list[tuple[int, dict[str, Any]]], int]":
         """The statistics protocol's ``[(vertex, payload)]`` for ``items``, built in one pass, and its ``word_size``.
 
         ``items`` are ``(vertex, record)`` pairs.  A view of this table is
         read off its slot's columns; ``None`` stands for the blank record of
-        an unstored vertex; any other record (a ``VertexStats``, an overflow
-        record, another table's view) gives its own ``as_payload()``.  The
+        an unstored vertex; any other record (a ``VertexStats``, another
+        table's view) gives its own ``as_payload()``.  The
         words are what ``stats-reply`` and ``stats-write`` are charged beyond
         their tag: the list's framing word, then per entry the tuple, the
         vertex and the dict's six keys and four scalars (16 words) plus the
@@ -397,11 +375,22 @@ class StatsTable:
         return entries, words
 
 
-class _StackRecord:
-    """What both record kinds of a :class:`StatsTable` share: the suspended
-    stack, an immutable tuple in ``table.suspended`` under the record's
-    slot (an overflow record's lies outside the dense block), replaced only
-    by the setter, which moves ``table.suspended_words`` by the difference."""
+def is_live_record(stats: Any, table: StatsTable, vertex: int) -> bool:
+    """Whether ``stats`` is ``table``'s own live record of ``vertex`` (writing it back would copy a
+    slot onto itself).  Views are minted per read: table and slot are compared, not object identity."""
+    return isinstance(stats, StatsView) and stats._table is table and stats._slot == vertex - table.base
+
+
+class StatsView:
+    """Write-through view of one :class:`StatsTable` slot.
+
+    Duck-typed to :class:`repro.dynamic_mpc.state.VertexStats`: same
+    attribute names, same payload dict, same word charge — callers mutate
+    it like a ``VertexStats`` object, and every mutation lands in the flat
+    columns.  The suspended stack is an immutable tuple in
+    ``table.suspended`` under the slot, replaced only by its setter, which
+    moves ``table.suspended_words`` by the difference.
+    """
 
     __slots__ = ("_table", "_slot")
 
@@ -409,44 +398,11 @@ class _StackRecord:
         self._table = table
         self._slot = slot
 
+    # ------------------------------------------------------------- attributes
     @property
     def vertex(self) -> int:
         return self._table.base + self._slot
 
-    @property
-    def suspended_machines(self) -> "tuple[str, ...]":
-        return self._table.suspended.get(self._slot, ())
-
-    @suspended_machines.setter
-    def suspended_machines(self, value: "Iterable[str]") -> None:
-        table = self._table
-        stack = tuple(value)
-        table.suspended_words += len(stack) - len(table.suspended.pop(self._slot, ()))
-        if stack:
-            table.suspended[self._slot] = stack
-
-    def dmpc_words(self) -> int:
-        return 6 + len(self.suspended_machines)
-
-
-def is_live_record(stats: Any, table: StatsTable, vertex: int) -> bool:
-    """Whether ``stats`` is ``table``'s own live record of ``vertex`` (writing it back would copy a
-    slot onto itself).  Views are minted per read: table and slot are compared, not object identity."""
-    return isinstance(stats, _StackRecord) and stats._table is table and stats._slot == vertex - table.base
-
-
-class StatsView(_StackRecord):
-    """Write-through view of one :class:`StatsTable` slot.
-
-    Duck-typed to :class:`repro.dynamic_mpc.state.VertexStats`: same
-    attribute names, same payload dict, same word charge — callers mutate
-    it like a ``VertexStats`` object, and every mutation lands in the flat
-    columns.
-    """
-
-    __slots__ = ()
-
-    # ------------------------------------------------------------- attributes
     @property
     def degree(self) -> int:
         return self._table.degree[self._slot]
@@ -488,6 +444,21 @@ class StatsView(_StackRecord):
     def alive_machine(self, value: "str | None") -> None:
         self._table.alive[self._slot] = value
 
+    @property
+    def suspended_machines(self) -> "tuple[str, ...]":
+        return self._table.suspended.get(self._slot, ())
+
+    @suspended_machines.setter
+    def suspended_machines(self, value: "Iterable[str]") -> None:
+        table = self._table
+        stack = tuple(value)
+        table.suspended_words += len(stack) - len(table.suspended.pop(self._slot, ()))
+        if stack:
+            table.suspended[self._slot] = stack
+
+    def dmpc_words(self) -> int:
+        return 6 + len(self.suspended_machines)
+
     def as_payload(self) -> "dict[str, Any]":
         """Same wire dict as ``VertexStats.as_payload`` (payload parity)."""
         table = self._table
@@ -506,35 +477,6 @@ class StatsView(_StackRecord):
             f"StatsView(v={self.vertex}, degree={self.degree}, mate={self.mate}, "
             f"heavy={self.heavy}, free={self.free_neighbors})"
         )
-
-
-class OverflowStats(_StackRecord):
-    """Sparse record for a vertex outside its table's dense block.
-
-    Same attribute surface, payload dict and word charge as
-    :class:`StatsView` / ``VertexStats`` — callers never observe which of
-    the three they hold.
-    """
-
-    __slots__ = ("degree", "mate", "heavy", "alive_machine", "free_neighbors")
-
-    def __init__(self, table: StatsTable, slot: int) -> None:
-        super().__init__(table, slot)
-        self.degree = 0
-        self.mate: "int | None" = None
-        self.heavy = False
-        self.alive_machine: "str | None" = None
-        self.free_neighbors = 0
-
-    def as_payload(self) -> "dict[str, Any]":
-        return {
-            "degree": self.degree,
-            "mate": self.mate if self.mate is not None else -1,
-            "heavy": self.heavy,
-            "alive": self.alive_machine or "",
-            "suspended": list(self.suspended_machines),
-            "free_neighbors": self.free_neighbors,
-        }
 
 
 class FrozenChargeHandle:
@@ -657,6 +599,14 @@ class EdgeTable:
         del row[neighbor]
         self.words -= _NEIGHBOR_WORDS
         return True
+
+    def first_free(self, vertex: int, exclude: "tuple[int, ...]" = ()) -> "int | None":
+        """The smallest neighbour in ``vertex``'s row not in ``exclude`` whose status here is free, if any."""
+        status = self.status
+        for w in sorted(self.row(vertex)):
+            if w not in exclude and status.get(w) is None:
+                return w
+        return None
 
     def place_status(self, vertex: int, mate: "int | None") -> None:
         """Record ``vertex``'s mate unless a record is here already (the one here is current)."""

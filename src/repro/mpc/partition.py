@@ -51,8 +51,6 @@ class RangePartition:
     machine_ids: tuple[str, ...]
     #: number of consecutive vertex IDs assigned to each machine
     block_size: int = field(init=False, compare=False)
-    #: vertex IDs ``0 .. span-1`` route directly; every other ID wraps modulo ``span``
-    _span: int = field(init=False, repr=False, compare=False)
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, num_vertices: int, machine_ids: Sequence[str]) -> None:
@@ -65,19 +63,15 @@ class RangePartition:
             "num_vertices": num_vertices,
             "machine_ids": machine_ids,
             "block_size": -(-num_vertices // len(machine_ids)) if num_vertices else 1,  # ceil division
-            "_span": max(num_vertices, 1),
             "_positions": {machine_id: index for index, machine_id in enumerate(machine_ids)},
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def machine_for(self, vertex: int) -> str:
-        """Return the machine storing statistics for ``vertex``."""
-        span = self._span
-        if not 0 <= vertex < span:
-            # Out-of-range vertices (e.g. created after sizing) wrap around;
-            # the coordinator only needs *a* fixed machine per vertex.
-            vertex %= span
+        """Return the machine storing statistics for ``vertex``; an id outside ``0 .. num_vertices-1`` is refused."""
+        if not 0 <= vertex < self.num_vertices:
+            raise ValueError(f"vertex {vertex} is outside the partition's ids 0 .. {self.num_vertices - 1}")
         # vertex < num_vertices <= len(machine_ids) * block_size: the index is in range
         return self.machine_ids[vertex // self.block_size]
 

@@ -71,6 +71,13 @@ class TestEveryAlgorithm:
             algorithm.apply(GraphUpdate.insert(0, 8))
         assert rounds(algorithm) == spent
 
+    def test_a_coalesced_batch_past_capacity_n_is_refused(self, name):
+        """Grouping by owner runs after coalescing, and no machine owns an id past ``capacity_n``."""
+        algorithm = MAKERS[name](DMPCConfig.for_graph(8, 16), coalesce=True)
+        with pytest.raises(CapacityExceeded, match=r"update 1 reaches vertex 9, edge count 2: .* n = 8, m = 16"):
+            algorithm.apply_batch([GraphUpdate.insert(0, 1), GraphUpdate.insert(2, 9)])
+        assert algorithm.shadow.num_edges == 0
+
     def test_a_batch_is_counted_after_coalescing(self, name):
         """A flap inside a coalesced batch cancels and fits; the raw batch holds the same net edges."""
         flap = [GraphUpdate.insert(5, 6), GraphUpdate.delete(5, 6)]

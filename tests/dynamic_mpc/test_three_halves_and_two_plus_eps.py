@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc import DMPCThreeHalvesMatching, DMPCTwoPlusEpsMatching
+from repro.exceptions import InvariantViolation
 from repro.graph import DynamicGraph, GraphUpdate
 from repro.graph.generators import gnm_random_graph
 from repro.graph.streams import mixed_stream
@@ -92,6 +93,17 @@ class TestTwoPlusEps:
         stream = mixed_stream(16, 150, seed=9, insert_probability=0.55)
         alg.apply_sequence(stream)
         assert is_matching(alg.shadow, alg.matching())
+
+    def test_an_under_sized_matching_is_caught(self, monkeypatch):
+        """``verify_invariants`` checks the ratio, not only that the edge set is a matching."""
+        alg = DMPCTwoPlusEpsMatching(DMPCConfig.for_graph(12, 16), epsilon=0.25, check_invariants=True)
+        alg.preprocess(DynamicGraph(12))
+        for v in range(0, 12, 2):
+            alg.apply(GraphUpdate.insert(v, v + 1))
+        assert alg.matching_size() == 6
+        monkeypatch.setattr(alg, "matching", lambda: {(0, 1), (2, 3)})
+        with pytest.raises(InvariantViolation, match=r"maximum matching has 6 edges, more than \(2 \+ 0.25\) x the maintained 2"):
+            alg.verify_invariants()
 
     def test_drain_reaches_near_maximality(self):
         alg = DMPCTwoPlusEpsMatching(DMPCConfig.for_graph(20, 160), epsilon=0.25, seed=1)

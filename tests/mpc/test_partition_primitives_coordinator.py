@@ -37,9 +37,11 @@ class TestPartition:
         directory = part.directory()
         assert directory["s0"] == (0, 4)
 
-    def test_range_partition_out_of_range_vertex_wraps(self):
+    @pytest.mark.parametrize("vertex", [-1, 4, 100])
+    def test_range_partition_refuses_an_out_of_range_vertex(self, vertex):
         part = RangePartition(4, ["s0", "s1"])
-        assert part.machine_for(100) in {"s0", "s1"}
+        with pytest.raises(ValueError, match=f"vertex {vertex} is outside the partition's ids 0 .. 3"):
+            part.machine_for(vertex)
 
     def test_range_partition_is_frozen(self):
         part = RangePartition(10, ["s0", "s1", "s2"])
@@ -55,15 +57,18 @@ class TestPartition:
     @given(n=st.integers(0, 300), k=st.integers(1, 40), probes=st.lists(st.integers(-1000, 1000), max_size=30))
     def test_range_partition_routes_like_the_formulas(self, n, k, probes):
         """Against the per-call formulas it caches: ``block = ceil(n / k)`` (1 for n = 0), vertex
-        ``v`` on machine ``min(v' // block, k - 1)`` with ``v' = v mod max(n, 1)`` when ``v`` is
-        outside ``0 .. n-1``, and machine ``i`` owning ``[i * block, min(n, (i + 1) * block))``."""
+        ``v`` in ``0 .. n-1`` on machine ``v // block`` and every other id refused, and machine
+        ``i`` owning ``[i * block, min(n, (i + 1) * block))``."""
         ids = [f"s{i}" for i in range(k)]
         part = RangePartition(n, ids)
         block = 1 if n == 0 else -(-n // k)
         assert part.block_size == block
         for v in [*range(-3, n + 3), *probes]:
-            wrapped = v % max(n, 1) if v < 0 or v >= max(n, 1) else v
-            assert part.machine_for(v) == ids[min(wrapped // block, k - 1)]
+            if 0 <= v < n:
+                assert part.machine_for(v) == ids[v // block]
+            else:
+                with pytest.raises(ValueError):
+                    part.machine_for(v)
         for index, machine_id in enumerate(ids):
             start = index * block
             expected = range(start, max(start, min(n, (index + 1) * block)))

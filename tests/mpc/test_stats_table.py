@@ -17,13 +17,13 @@ from hypothesis import given, settings, strategies as st
 from repro.mpc.layout import FrozenChargeHandle, StatsTable, is_live_record
 
 BASE, SIZE = 8, 6
-#: two ids below the dense block, its six slots, three ids past it (overflow records)
-VERTICES = st.integers(BASE - 2, BASE + SIZE + 2)
+#: the block's six slots (the range partition routes no other id to this table)
+VERTICES = st.integers(BASE, BASE + SIZE - 1)
 STACKS = st.lists(st.sampled_from(["edge3", "edge4", "edge5", "edge9"]), max_size=4)
 
 
 def closed_form(table: StatsTable, stacks: dict[int, list[str]]) -> int:
-    return 9 * (table.occupied + len(table.overflow)) + sum(len(stack) for stack in stacks.values())
+    return 9 * table.occupied + sum(len(stack) for stack in stacks.values())
 
 
 class TestLiveWords:
@@ -46,7 +46,7 @@ class TestLiveWords:
                 stacks[vertex] = stack
             assert table.live_words() == closed_form(table, stacks)
             assert table.suspended_words == sum(len(s) for s in stacks.values())
-            # only non-empty stacks are stored (an overflow record's under its out-of-block offset)
+            # only non-empty stacks are stored, under the slot's offset
             assert table.suspended == {v - BASE: tuple(s) for v, s in stacks.items() if s}
             assert FrozenChargeHandle(table).dmpc_words() == max(1, table.live_words())
 
@@ -57,9 +57,8 @@ class TestLiveWords:
         assert table.suspended == {}
         assert table.live_words() == 9 * SIZE
 
-    @pytest.mark.parametrize("vertex", [BASE + 1, BASE + SIZE + 1], ids=["dense", "overflow"])
-    def test_a_stack_changes_only_through_the_setter(self, vertex):
-        table = StatsTable(BASE, SIZE)
+    def test_a_stack_changes_only_through_the_setter(self):
+        table, vertex = StatsTable(BASE, SIZE), BASE + 1
         record = table.ensure(vertex)
         record.suspended_machines = ["edge3"]
         stack = record.suspended_machines
@@ -75,21 +74,20 @@ class TestLiveWords:
         table = StatsTable(BASE, SIZE)
         table.ensure(BASE).suspended_machines = ["edge3", "edge4"]
         table.ensure(BASE + 2).mate = 5
-        table.ensure(BASE + SIZE + 2).suspended_machines = ["edge9"]
+        table.ensure(BASE + SIZE - 1).suspended_machines = ["edge9"]
         handle = pickle.loads(pickle.dumps(FrozenChargeHandle(table)))
         clone = handle.table
         assert clone.suspended_words == 3
         assert clone.live_words() == table.live_words() == handle.dmpc_words() == 9 * 3 + 3
         assert clone.matched_pairs() == [(BASE + 2, 5)]
-        # the clone's overflow record moves the clone's counter, not the original's
-        clone.view(BASE + SIZE + 2).suspended_machines = []
+        # the clone's record moves the clone's counter, not the original's
+        clone.view(BASE + SIZE - 1).suspended_machines = []
         assert (clone.live_words(), table.live_words()) == (9 * 3 + 2, 9 * 3 + 3)
 
 
 class TestLiveRecord:
-    @pytest.mark.parametrize("vertex", [BASE + 1, BASE - 2, BASE + SIZE + 1], ids=["dense", "below", "overflow"])
-    def test_every_record_kind_knows_its_vertex_and_its_table(self, vertex):
-        table, other = StatsTable(BASE, SIZE), StatsTable(BASE, SIZE)
+    def test_a_view_knows_its_vertex_and_its_table(self):
+        table, other, vertex = StatsTable(BASE, SIZE), StatsTable(BASE, SIZE), BASE + 1
         record = table.ensure(vertex)
         assert record.vertex == table.view(vertex).vertex == vertex
         assert is_live_record(record, table, vertex) and is_live_record(table.view(vertex), table, vertex)

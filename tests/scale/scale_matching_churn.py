@@ -51,6 +51,7 @@ from repro.exceptions import InvariantViolation
 from repro.graph.generators import gnm_random_graph
 from repro.graph.streams import mixed_stream
 from repro.graph.validation import has_length3_augmenting_path, is_maximal_matching
+from scale_correctness_sweep import within_capacity
 
 CHURN_SIZES = (32, 48, 64)
 CHURN_SEEDS = range(1, 11)
@@ -62,21 +63,6 @@ NUM_UPDATES = 2000
 WORDS_PER_ROUND_OVER_S = {"maximal": 1.0, "three-halves": 1.25}
 MAX_LOGLOG_SLOPE = 0.6
 ROUNDS_PER_OP_TOLERANCE = 0.3
-
-
-def within_capacity(stream, edges: int, capacity: int) -> list:
-    """The sweep's skip rule: drop an insert that would take the edge count past
-    ``capacity``, together with that edge's next delete."""
-    kept, skipped = [], set()
-    for update in stream:
-        if update.edge in skipped:
-            skipped.discard(update.edge)  # the skipped edge's delete
-        elif update.is_insert and edges >= capacity:
-            skipped.add(update.edge)
-        else:
-            edges += 1 if update.is_insert else -1
-            kept.append(update)
-    return kept
 
 
 def first_violation(n: int, seed: int) -> int | None:
