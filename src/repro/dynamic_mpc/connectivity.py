@@ -38,7 +38,9 @@ an aggregator (1 word per endpoint) and are acknowledged; the aggregator
 then broadcasts a **constant number of scalars** per link or cut (``f(x)``,
 ``l(y)``, tour lengths, component ids; 10 words per packet) to all
 machines, and every machine rewrites the indexes of the vertices and edge
-records it stores locally, with no further communication.  That is the
+records it stores locally, with no further communication.  The broadcast
+is one :meth:`~repro.mpc.cluster.Cluster.broadcast` charge: its row holds a
+message per worker, but the host builds and drains none.  That is the
 index arithmetic of :mod:`repro.eulertour.indexed`, every machine's share
 applied to the span of the position index that moves.  Deleting a tree
 edge additionally runs a replacement search: every machine owning vertices
@@ -282,6 +284,8 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         self._workers = self.cluster.add_machines("w", max(2, config.num_worker_machines), role="worker")
         self.worker_ids = [m.machine_id for m in self._workers]
         self.aggregator_id = self.worker_ids[0]
+        #: the workers an aggregator broadcast reaches: every one but the aggregator
+        self._peer_ids = self.worker_ids[1:]
         self._next_comp = 0
         self._tours = _ShardTourStore(self)
         #: driver-side mirror of the input graph, used only for invariant checks
@@ -382,13 +386,7 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
                 v, comp_map[forest.component_of(v)], set(forest.state(v).indexes), records
             )
         # One round of placement traffic (constant words per worker machine).
-        agg = self.cluster.machine(self.aggregator_id)
-        for machine_id in self.worker_ids:
-            if machine_id != self.aggregator_id:
-                agg.send(machine_id, "preprocess-plan", None, words=4)
-        self.cluster.exchange()
-        for machine_id in self.worker_ids:
-            self.cluster.machine(machine_id).drain("preprocess-plan")
+        self.cluster.broadcast("preprocess-plan", self.aggregator_id, self._peer_ids, 4)
 
     # ---------------------------------------------------------------- updates
     def _apply(self, update: GraphUpdate) -> None:
@@ -657,17 +655,13 @@ class DMPCConnectivity(DynamicMPCAlgorithm):
         The endpoint owners already shipped their scalars to the aggregator
         during :meth:`_endpoint_query`, so the aggregator sends the composed
         packet: one ``tour-scalars`` message of ``10`` words per packet to
-        every other worker.
+        every other worker.  The round is one :meth:`Cluster.broadcast`
+        charge — each worker reads the packet at the barrier, so none is
+        built, delivered or drained — and its cost does not grow with the
+        worker count on the host.
         """
-        if not packets:
-            return
-        words = 10 * len(packets)
-        self.cluster.machine(self.aggregator_id).send_many(
-            "tour-scalars", [(machine_id, None, words) for machine_id in self.worker_ids if machine_id != self.aggregator_id]
-        )
-        self.cluster.exchange()
-        for machine in self._workers:
-            machine.drain("tour-scalars")
+        if packets:
+            self.cluster.broadcast("tour-scalars", self.aggregator_id, self._peer_ids, 10 * len(packets))
 
     # --------------------------------------------------------- edge records
     def _store_edge_record(self, v: int, w: int, *, tree: bool, weight: float, indexes: tuple[int, int] | None = None) -> None:

@@ -92,13 +92,10 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
         self.shadow = graph.copy()
         initial = greedy_maximal_matching(graph)
         self.fabric.load_initial_graph(graph, initial)
-        # One broadcast-style round accounts for shipping the placement plan.
-        coordinator = self.fabric.coordinator.machine
-        for machine in self.cluster.machines(role="stats"):
-            coordinator.send(machine.machine_id, "preprocess-plan", None, words=4)
-        self.cluster.exchange()
-        for machine in self.cluster.machines(role="stats"):
-            machine.drain("preprocess-plan")
+        # One broadcast round accounts for shipping the placement plan.
+        self.cluster.broadcast(
+            "preprocess-plan", self.fabric.coordinator.machine.machine_id, self.cluster.machine_ids(role="stats"), 4
+        )
 
     # ---------------------------------------------------------------- updates
     def _apply(self, update: GraphUpdate) -> None:

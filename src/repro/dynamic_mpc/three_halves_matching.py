@@ -34,7 +34,7 @@ from __future__ import annotations
 from repro.config import DMPCConfig
 from repro.dynamic_mpc.maximal_matching import DMPCMaximalMatching
 from repro.dynamic_mpc.state import VertexStats
-from repro.exceptions import InvariantViolation
+from repro.exceptions import InvariantViolation, ProtocolError
 from repro.graph.graph import DynamicGraph
 from repro.graph.updates import GraphUpdate
 from repro.graph.validation import has_length3_augmenting_path, is_matching, is_maximal_matching
@@ -117,8 +117,14 @@ class DMPCThreeHalvesMatching(DMPCMaximalMatching):
         self._match(mate_u, found, s_mate, s_found)
         return True
 
-    def _resettle(self, z: int, sz: VertexStats, *, depth: int = 0) -> None:
-        """Re-settle a newly free vertex while killing length-3 augmenting paths."""
+    def _resettle(self, z: int, sz: VertexStats) -> None:
+        """Re-settle a newly free vertex while killing length-3 augmenting paths.
+
+        A heavy ``z`` that steals evicts a mate the lightness query found
+        light, and nothing changes that mate's degree before it re-settles:
+        the recursion takes the light branch and ends there.  An evicted mate
+        at or above the threshold would break that, so it is refused.
+        """
         fabric = self.fabric
         # the Section-3 query: a vertex that fell below the threshold may
         # still keep its only free neighbours on the suspended stack
@@ -135,9 +141,14 @@ class DMPCThreeHalvesMatching(DMPCMaximalMatching):
         if self._match_if_free(z, sz, fabric.scan_suspended_for_free(z, sz)):
             return
         stolen = self._steal(z, sz)
-        if stolen is not None and depth < 2:
+        if stolen is not None:
             _w, mate, s_mate = stolen
-            self._resettle(mate, s_mate, depth=depth + 1)
+            if s_mate.degree >= fabric.threshold:
+                raise ProtocolError(
+                    f"heavy vertex {z} stole from vertex {mate}, whose degree {s_mate.degree} "
+                    f"is at or above the threshold {fabric.threshold}"
+                )
+            self._resettle(mate, s_mate)
 
     def _augment_length3(self, z: int, sz: VertexStats) -> None:
         """A light free ``z`` with no free neighbour: augment along a path ``z - w = mate(w) - q`` if one exists."""

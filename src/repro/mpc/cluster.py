@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.config import DMPCConfig
 from repro.exceptions import ProtocolError, UnknownMachineError
@@ -127,6 +127,17 @@ class Cluster:
         :class:`~repro.runtime.base.Transport`.
         """
         return self._transport.exchange()
+
+    def broadcast(self, tag: str, sender_id: str, receiver_ids: "Sequence[str]", words: int) -> RoundRecord:
+        """One round in which ``sender_id`` sends ``words`` words under ``tag`` to each of ``receiver_ids``.
+
+        Files the row that staging one message per receiver, exchanging and
+        draining would file (same checks, same costs, the per-pair map on
+        ``reference``) without building a message: the receivers read the
+        packet at the barrier, so no mailbox changes.  Nothing may be staged
+        when it is called.  See :meth:`~repro.runtime.base.Transport.broadcast`.
+        """
+        return self._transport.broadcast(tag, sender_id, receiver_ids, words)
 
     def superstep(
         self,

@@ -143,6 +143,9 @@ class Machine:
         Every triple carries its charged size — there is no unsized batch
         form, so the transport's sizer is never consulted.  A refused triple
         (``words < 1``) raises ``ValueError`` before anything is staged.
+        Its callers are superstep kernels whose receivers read the messages;
+        a driver's broadcast that no receiver reads is one
+        :meth:`~repro.mpc.cluster.Cluster.broadcast` charge instead.
         """
         sender = self.machine_id
         messages = [Message(sender, receiver, tag, payload, words) for receiver, payload, words in sends]

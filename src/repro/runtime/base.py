@@ -25,7 +25,10 @@ two cooperating policies:
     :class:`~repro.mpc.metrics.RoundRecord` and move the outboxes into the
     inboxes.  Whether a round keeps its per-(sender, receiver) breakdown is
     a class constant of the transport, :attr:`Transport.pair_detail`: every
-    round on ``reference``, none on ``fast`` / ``resident``.
+    round on ``reference``, none on ``fast`` / ``resident``.  A round that
+    only charges a packet nobody reads — one sender, the same words to
+    every receiver — is :meth:`Transport.broadcast`, which files the row
+    ``deliver`` would file without building or moving a message.
 
 Backends are selected per :class:`~repro.mpc.cluster.Cluster`, normally via
 ``DMPCConfig(backend="reference" | "fast")`` so algorithm code never needs
@@ -41,9 +44,9 @@ from __future__ import annotations
 
 import abc
 import os
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from repro.exceptions import MessageSizeExceeded, UnknownMachineError
+from repro.exceptions import MessageSizeExceeded, ProtocolError, UnknownMachineError
 from repro.mpc.metrics import RoundRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -158,6 +161,11 @@ class Transport(abc.ABC):
     #: by :meth:`discard_undelivered` — must drop all worker-held messages.
     inbox_router: "Any | None" = None
 
+    #: rounds a resident session deposited and no :meth:`exchange` has filed
+    #: yet (the resident transport shadows this with its queue); a
+    #: :meth:`broadcast` refuses to jump ahead of them
+    _worker_rounds: "Any" = ()
+
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
 
@@ -254,6 +262,54 @@ class Transport(abc.ABC):
             for msg in outbox:
                 machines[msg.receiver].inbox.append(msg)
         return cluster.ledger.file_round(None, len(active), total, count, largest, pair_words)
+
+    def has_staged(self) -> bool:
+        """Whether any machine holds a message staged since the last round (a scan of every outbox)."""
+        return any(machine.outbox for machine in self.cluster.machines_by_id.values())
+
+    def broadcast(self, tag: str, sender_id: str, receiver_ids: "Sequence[str]", words: int) -> "RoundRecord":
+        """One round in which ``sender_id`` sends a ``words``-word ``tag`` message to each of ``receiver_ids``.
+
+        The closed form of "stage one message per receiver, exchange, each
+        receiver drains ``tag``": the round is filed as :meth:`deliver`
+        would file it — ``len(receiver_ids)`` messages of ``words`` words,
+        the receivers and the sender active (a sender among its receivers
+        counts once, a duplicate receiver once), the per-pair map on a
+        transport with :attr:`pair_detail` — but no message is built and no
+        inbox or outbox is touched: the receivers read the packet at the
+        barrier.  Refusals are :meth:`deliver`'s, raised before anything is
+        filed: an unknown machine, then the I/O cap (the sender's load bounds
+        every receiver's, so its send cap is the one that trips).  A
+        broadcast is a round of its own: one while a message is staged or a
+        deposited worker round awaits its exchange is a ``ProtocolError``.
+        """
+        cluster = self.cluster
+        machines = cluster.machines_by_id
+        if self._worker_rounds or self.has_staged():
+            raise ProtocolError(f"{tag!r} broadcast while another round is staged")
+        if words < 1:
+            raise ValueError("a message always costs at least one word")
+        if sender_id not in machines:
+            raise UnknownMachineError(f"no machine named {sender_id!r}")
+        receivers = set(receiver_ids)
+        unknown = receivers.difference(machines)
+        if unknown:
+            receiver = next(r for r in receiver_ids if r in unknown)
+            raise UnknownMachineError(f"message from {sender_id!r} addressed to unknown machine {receiver!r}")
+        count = len(receiver_ids)
+        total = words * count
+        if cluster.enforce_io_cap and total > cluster.config.machine_memory:
+            raise MessageSizeExceeded(sender_id, "send", total, cluster.config.machine_memory)
+        pair_words: "dict[tuple[str, str], int] | None" = None
+        if self.pair_detail:
+            pair_words = {}
+            for receiver in receiver_ids:
+                pair = (sender_id, receiver)
+                pair_words[pair] = pair_words.get(pair, 0) + words
+        if not count:
+            return cluster.ledger.file_round(None, 0, 0, 0, 0, pair_words)
+        active = len(receivers) if sender_id in receivers else len(receivers) + 1
+        return cluster.ledger.file_round(None, active, total, count, words, pair_words)
 
     def discard_undelivered(self) -> None:
         """Drop all staged (outbox) and pending (inbox) messages."""

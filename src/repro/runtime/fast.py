@@ -190,6 +190,9 @@ class FastTransport(Transport):
             setattr(self, name, value)
         self.note_staged = self._staged.add
 
+    def has_staged(self) -> bool:
+        return bool(self._staged)
+
     def exchange(self) -> RoundRecord:
         staged = self._staged
         # one sender (the light rounds of the matching protocol) needs no ordering

@@ -4,9 +4,12 @@ A recipe is a failure kept as data.  Its header holds ``key: value`` lines —
 ``algorithm`` (a dynamic algorithm's ``kind``), ``n`` and ``capacity`` (the
 ``DMPCConfig.for_graph`` arguments), ``fails`` (the update, counted from 1,
 and the exception it raises there, as ``<update> <Type>: <message>``) and
-``fixed`` (``open`` while the defect stands, else the change that fixed it);
-``#`` lines are comments.  Then one ``+u v [w]`` / ``-u v`` line per update.
-The run starts from ``DynamicGraph(n)`` with ``check_invariants=True``.
+``fixed`` (``open`` while the defect stands, else the change that fixed it)
+and, optionally, ``start`` (``empty``: the run preprocesses the empty graph
+``DynamicGraph()``, as a stream applied without a preprocess does; by default
+it starts from ``DynamicGraph(n)``, every vertex present); ``#`` lines are
+comments.  Then one ``+u v [w]`` / ``-u v`` line per update.  The run checks
+invariants after every update (``check_invariants=True``).
 
 A recipe whose defect is ``open`` is ``xfail(strict=True)`` on its failure
 and nothing else: a fix flips it to a pass, which fails the suite until the
@@ -62,7 +65,9 @@ def test_recipe(path):
     header, updates = parse(path)
     n, capacity = int(header["n"]), int(header["capacity"])
     alg = ALGORITHMS[header["algorithm"]](DMPCConfig.for_graph(n, capacity), check_invariants=True)
-    alg.preprocess(DynamicGraph(n))
+    start = header.get("start", "vertices")
+    assert start in ("vertices", "empty"), f"{path.name}: unknown start {start!r}"
+    alg.preprocess(DynamicGraph() if start == "empty" else DynamicGraph(n))
     for number, update in enumerate(updates, 1):
         try:
             alg.apply(update)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc import DMPCThreeHalvesMatching, DMPCTwoPlusEpsMatching
-from repro.exceptions import InvariantViolation
+from repro.dynamic_mpc.state import VertexStats
+from repro.exceptions import InvariantViolation, ProtocolError
 from repro.graph import DynamicGraph, GraphUpdate
 from repro.graph.generators import gnm_random_graph
 from repro.graph.streams import mixed_stream
@@ -42,6 +43,43 @@ class TestThreeHalves:
         alg.bootstrap_from_graph(graph)
         assert is_maximal_matching(alg.shadow, alg.matching())
         assert not has_length3_augmenting_path(alg.shadow, alg.matching())
+
+    @staticmethod
+    def hub_steal(alg):
+        """Free a heavy hub whose neighbours are all matched to light mates: it steals one of them.
+
+        Hub 0 has degree 7 at the threshold isqrt(2 * 24) = 6; neighbours 1..6 are matched to 7..12
+        (degree 1 each), and deleting (0, 13) frees it."""
+        alg.preprocess(DynamicGraph(14))
+        for w in range(1, 7):
+            alg.apply(GraphUpdate.insert(w, w + 6))
+        alg.apply(GraphUpdate.insert(0, 13))
+        for w in range(1, 7):
+            alg.apply(GraphUpdate.insert(0, w))
+        assert alg.fabric.threshold == 6
+        alg.apply(GraphUpdate.delete(0, 13))
+
+    def test_a_heavy_vertex_steals_a_light_mate(self):
+        alg = DMPCThreeHalvesMatching(DMPCConfig.for_graph(14, 24), check_invariants=True)
+        stolen = []
+        steal = alg._steal
+        alg._steal = lambda z, sz: stolen.append(steal(z, sz)) or stolen[-1]
+        self.hub_steal(alg)
+        assert [(w, mate) for (w, mate, _s) in stolen] == [(1, 7)]
+        assert alg.fabric.mate_of(0) == 1
+
+    def test_a_heavy_evicted_mate_is_refused(self, monkeypatch):
+        """The evicted mate re-settles in the light branch only; one at the threshold is a protocol error."""
+        alg = DMPCThreeHalvesMatching(DMPCConfig.for_graph(14, 24))
+        steal = alg._steal
+
+        def heavy_mate(z, sz):
+            w, mate, _s_mate = steal(z, sz)
+            return w, mate, VertexStats(degree=alg.fabric.threshold)
+
+        monkeypatch.setattr(alg, "_steal", heavy_mate)
+        with pytest.raises(ProtocolError, match=r"heavy vertex 0 stole from vertex 7, whose degree 6"):
+            self.hub_steal(alg)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_no_length3_augmenting_paths_under_mixed_stream(self, seed):
