@@ -64,9 +64,11 @@ class DMPCApproxMST(DMPCConnectivity):
     def bucketed_weight(self, weight: float) -> float:
         """Round ``weight`` down to its ``(1+eps)`` bucket's lower boundary.
 
-        Bucketing only the *preprocessing* weights (as the paper prescribes)
-        is what yields the (1+eps) guarantee; dynamically inserted edges keep
-        their exact weights so later comparisons remain consistent.
+        Every stored weight is bucketed — the preprocessing graph's and each
+        dynamically inserted edge's alike (:meth:`_insert` stores
+        ``bucketed_weight(weight)``) — so all swap comparisons are between
+        bucketed weights, and the forest that is exact for them is within
+        ``(1+eps)`` of the true optimum.
         """
         if weight <= 0:
             return weight

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc.base import DynamicMPCAlgorithm
-from repro.dynamic_mpc.state import MatchingFabric, VertexStats
+from repro.dynamic_mpc.state import MatchingFabric
 from repro.exceptions import InvariantViolation
 from repro.graph.graph import DynamicGraph
 from repro.graph.updates import GraphUpdate
 from repro.graph.validation import greedy_maximal_matching, is_matching, is_maximal_matching
-from repro.mpc.layout import check_layout
+from repro.mpc.layout import StatsView, check_layout
 
 __all__ = ["DMPCMaximalMatching"]
 
@@ -158,7 +158,7 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
         if not self._augment(u, su, v, sv) and sv.degree >= fabric.threshold:
             self._settle(v, sv)
 
-    def _augment(self, u: int, su: VertexStats, v: int, sv: VertexStats) -> bool:
+    def _augment(self, u: int, su: StatsView, v: int, sv: StatsView) -> bool:
         """Section 4's hook for an inserted edge whose endpoint ``u`` is matched and ``v`` free:
         whether it re-matched them.  Section 3 has nothing to augment."""
         return False
@@ -192,7 +192,7 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
         """Section 4's free-neighbour counters, pushed after every update; Section 3 keeps none."""
 
     # ------------------------------------------------------------- sub-steps
-    def _handle_threshold_crossing(self, v: int, stats: VertexStats) -> None:
+    def _handle_threshold_crossing(self, v: int, stats: StatsView) -> None:
         """Relocate a light vertex that just became heavy to an exclusive machine."""
         fabric = self.fabric
         became_heavy = stats.degree >= fabric.threshold and not stats.heavy
@@ -201,21 +201,21 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
             exclusive = fabric._allocate_machine(light=False)
             fabric.move_vertex_edges(v, stats, exclusive)
 
-    def _match(self, u: int, v: int, su: VertexStats, sv: VertexStats) -> None:
+    def _match(self, u: int, v: int, su: StatsView, sv: StatsView) -> None:
         fabric = self.fabric
         su.mate = v
         sv.mate = u
         fabric.record("match", u, v)
         fabric.push_stats({u: su, v: sv})
 
-    def _unmatch(self, u: int, v: int, su: VertexStats, sv: VertexStats) -> None:
+    def _unmatch(self, u: int, v: int, su: StatsView, sv: StatsView) -> None:
         fabric = self.fabric
         su.mate = None
         sv.mate = None
         fabric.record("unmatch", u, v)
         fabric.push_stats({u: su, v: sv})
 
-    def _match_if_free(self, z: int, sz: VertexStats, q: int | None) -> bool:
+    def _match_if_free(self, z: int, sz: StatsView, q: int | None) -> bool:
         """Match ``z`` to the candidate ``q`` if ``q``'s statistics machine still has it free."""
         if q is None:
             return False
@@ -225,7 +225,7 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
         self._match(z, q, sz, sq)
         return True
 
-    def _query_free_neighbor(self, z: int, sz: VertexStats) -> int | None:
+    def _query_free_neighbor(self, z: int, sz: StatsView) -> int | None:
         """A free neighbour of ``z`` among its alive *and* suspended edges, if any."""
         fabric = self.fabric
         free = fabric.update_vertex(z, sz, query="free-neighbor")["free"]
@@ -244,7 +244,7 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
                 free = fabric.scan_suspended_for_free(z, sz)
         return free
 
-    def _settle(self, z: int, sz: VertexStats) -> None:
+    def _settle(self, z: int, sz: StatsView) -> None:
         """(Re)match a free vertex ``z``, restoring maximality and Invariant 3.1."""
         if sz.mate is not None or self._match_if_free(z, sz, self._query_free_neighbor(z, sz)):
             return
@@ -260,7 +260,7 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
     #: the re-settling of an endpoint freed by a delete (Section 4 overrides it)
     _resettle = _settle
 
-    def _steal(self, z: int, sz: VertexStats) -> tuple[int, int, VertexStats] | None:
+    def _steal(self, z: int, sz: StatsView) -> tuple[int, int, StatsView] | None:
         """Invariant 3.1 for a free heavy ``z``: take a neighbour ``w`` whose mate is light.
 
         Returns ``(w, the evicted mate, its stats)``; the caller re-settles
@@ -288,9 +288,11 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
 
     # ------------------------------------------------------------ diagnostics
     def verify_invariants(self) -> None:
-        """Assert that the maintained matching is a maximal matching of the graph."""
+        """Assert that the maintained matching is a maximal matching of the graph
+        and that every statistics write was committed."""
         matching = self.matching()
         if not is_matching(self.shadow, matching):
             raise InvariantViolation("maintained edge set is not a matching")
         if not is_maximal_matching(self.shadow, matching):
             raise InvariantViolation("maintained matching is not maximal")
+        self.fabric.check_unoccupied_slots()

@@ -55,20 +55,19 @@ from __future__ import annotations
 
 from bisect import insort
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.config import DMPCConfig
-from repro.exceptions import ProtocolError
+from repro.exceptions import InvariantViolation, ProtocolError
 from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.mpc.cluster import Cluster
 from repro.mpc.coordinator import Coordinator, HistoryEntry, UpdateHistory
-from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, FrozenChargeHandle, StatsTable, is_live_record
+from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, FrozenChargeHandle, StatsTable, StatsView
 from repro.mpc.machine import Machine
 from repro.mpc.partition import RangePartition
 from repro.mpc.sizing import closed_form_words, register_closed_form, string_words, word_size
 
-__all__ = ["VertexStats", "MatchingFabric"]
+__all__ = ["MatchingFabric"]
 
 #: the single machine-store key each statistics machine keeps its flat
 #: struct-of-arrays vertex table under
@@ -81,9 +80,9 @@ STATS_KEY = "stats"
 # ``tests/dynamic_mpc``; the messages themselves are unchanged, so round
 # records stay bit-identical whichever path sized the send.
 def _stats_entries_words(entries) -> int:
-    # [(v, stats.as_payload())]: each payload dict costs 14 words of fixed
-    # keys/values plus the alive-machine string and the suspended stack;
-    # the (v, dict) tuple adds 2 more.
+    # [(v, payload)] as StatsTable.payloads builds it: each payload dict
+    # costs 14 words of fixed keys/values plus the alive-machine string and
+    # the suspended stack; the (v, dict) tuple adds 2 more.
     total = 1
     for _v, payload in entries:
         total += 16 + string_words(payload["alive"] or "")
@@ -110,36 +109,6 @@ register_closed_form("move-request", lambda payload: 1)
 register_closed_form("fetch-suspended", lambda payload: 3)
 
 
-@dataclass
-class VertexStats:
-    """Statistics of one vertex: the blank record of an unstored vertex, and a record to copy in.
-
-    A stored vertex lives in its statistics machine's
-    :class:`~repro.mpc.layout.StatsTable`; its views have these attributes,
-    this payload and this word charge.
-    """
-
-    degree: int = 0
-    mate: int | None = None
-    heavy: bool = False
-    alive_machine: str | None = None
-    suspended_machines: list[str] = field(default_factory=list)
-    free_neighbors: int = 0
-
-    def dmpc_words(self) -> int:
-        return 6 + len(self.suspended_machines)
-
-    def as_payload(self) -> dict:
-        return {
-            "degree": self.degree,
-            "mate": self.mate if self.mate is not None else -1,
-            "heavy": self.heavy,
-            "alive": self.alive_machine or "",
-            "suspended": list(self.suspended_machines),
-            "free_neighbors": self.free_neighbors,
-        }
-
-
 class MatchingFabric:
     """Storage fabric + message protocol shared by the matching algorithms."""
 
@@ -151,8 +120,14 @@ class MatchingFabric:
         self.threshold = config.heavy_threshold
 
         # Statistics machines and the consecutive-ID partition over them.
-        stats_ids = [m.machine_id for m in cluster.add_machines("stats", config.stats_machine_count, role="stats")]
-        self.partition = RangePartition(config.capacity_n, stats_ids)
+        stats_machines = cluster.add_machines("stats", config.stats_machine_count, role="stats")
+        self.partition = RangePartition(config.capacity_n, [m.machine_id for m in stats_machines])
+        # Each statistics machine holds its block's table from the start, so
+        # every view of a slot, minted before or after the slot is first
+        # committed, points into the one table the machine stores.
+        for machine in stats_machines:
+            block = self.partition.vertices_on(machine.machine_id)
+            FrozenChargeHandle(StatsTable(block.start, len(block))).commit(machine, STATS_KEY)
         self.coordinator = Coordinator.create(cluster, self.partition)
 
         # Edge machine pool (allocated lazily; idle machines never become active).
@@ -227,15 +202,15 @@ class MatchingFabric:
         return self._allocate_machine(light=True)
 
     # ------------------------------------------------------------------ stats
-    def _stats_handle(self, machine) -> FrozenChargeHandle:
-        """The stats machine's committed table handle (a fresh, uncommitted
-        one over an empty table if never committed — reads of blanks must
-        not allocate storage)."""
-        handle: FrozenChargeHandle | None = machine.load(STATS_KEY)
-        if handle is None:
-            block = self.partition.vertices_on(machine.machine_id)
-            handle = FrozenChargeHandle(StatsTable(block.start, len(block)))
-        return handle
+    @staticmethod
+    def _stats_handle(machine) -> FrozenChargeHandle:
+        """The stats machine's table handle, committed since the fabric was built."""
+        return machine.load(STATS_KEY)
+
+    def stats_tables(self) -> Iterator[StatsTable]:
+        """Every statistics machine's table."""
+        for machine in self.cluster.machines(role="stats"):
+            yield self._stats_handle(machine).table
 
     # ------------------------------------------------------------ edge tables
     @staticmethod
@@ -253,55 +228,45 @@ class MatchingFabric:
         else:
             machine.delete(EDGE_TABLE_KEY)
 
-    @staticmethod
-    def _write_record(record, stats) -> None:
-        """Copy one stats record onto another (both sides duck-typed)."""
-        record.degree = stats.degree
-        record.mate = stats.mate
-        record.heavy = stats.heavy
-        record.alive_machine = stats.alive_machine
-        record.suspended_machines = list(stats.suspended_machines)
-        record.free_neighbors = stats.free_neighbors
+    def stats_of(self, v: int) -> StatsView:
+        """``v``'s statistics record, read *locally* (driver-side view of its stats machine's slot).
 
-    def stats_of(self, v: int):
-        """Read ``v``'s statistics *locally* (driver-side view of the stats machine).
-
-        **Read-only contract**: for a vertex with no stored record this
-        returns a fresh blank :class:`VertexStats` that is *not* persisted,
-        so mutating the returned object does not write through — the change
-        is silently lost unless the caller follows up with
-        :meth:`store_stats`.  (For a *stored* vertex the returned record is
-        a live write-through view of its slot in the flat table.)  Callers
-        that need read-modify-write semantics should use
-        :meth:`mutate_stats`, which persists on exit for stored and unseen
-        vertices alike.
+        A write through it lands in the slot whether or not ``v`` was ever
+        stored; only a commit (:meth:`store_stats`, :meth:`push_stats`,
+        :meth:`mutate_stats`) occupies the slot and charges its words.
         """
-        record = self._stats_handle(self._machines[self.partition.machine_for(v)]).table.view(v)
-        return record if record is not None else VertexStats()
+        return self._stats_handle(self._machines[self.partition.machine_for(v)]).table.view(v)
 
-    def store_stats(self, v: int, stats) -> None:
-        """Copy ``stats`` into ``v``'s slot and commit the table (a plain
-        ``VertexStats`` held by the caller does not write through afterwards)."""
+    def store_stats(self, v: int, stats: StatsView) -> None:
+        """Commit ``v``'s record ``stats`` — its own slot's view — locally, without a round."""
         machine = self._machines[self.partition.machine_for(v)]
         handle = self._stats_handle(machine)
-        if not is_live_record(stats, handle.table, v):
-            self._write_record(handle.table.ensure(v), stats)
+        handle.table.occupy(v, stats)
         handle.commit(machine, STATS_KEY)
 
     @contextmanager
-    def mutate_stats(self, v: int) -> Iterator[VertexStats]:
-        """Read-modify-write ``v``'s statistics; the record persists on exit.
-
-        Unlike bare :meth:`stats_of`, this always writes the (possibly
-        freshly created) record back to the statistics machine, so
-        mutations to an unseen vertex's statistics cannot be lost.
-        """
+    def mutate_stats(self, v: int) -> Iterator[StatsView]:
+        """Read-modify-write ``v``'s statistics; the record is committed on exit."""
         machine = self._machines[self.partition.machine_for(v)]
         handle = self._stats_handle(machine)
+        record = handle.table.view(v)
         try:
-            yield handle.table.ensure(v)
+            yield record
         finally:
+            handle.table.occupy(v, record)
             handle.commit(machine, STATS_KEY)
+
+    def check_unoccupied_slots(self) -> None:
+        """Raise :class:`InvariantViolation` if an unoccupied slot holds a non-blank value.
+
+        Such a value is a write through a record that no commit occupied:
+        the slot would read it back although the machine was never charged
+        for it.  Run at update boundaries under ``check_invariants``.
+        """
+        for table in self.stats_tables():
+            unpaid = table.unoccupied_writes()
+            if unpaid:
+                raise InvariantViolation(f"statistics of vertices {unpaid} were written but never committed")
 
     def is_heavy(self, v: int) -> bool:
         return self.stats_of(v).degree >= self.threshold
@@ -311,14 +276,7 @@ class MatchingFabric:
 
     def matching(self) -> set[tuple[int, int]]:
         """The maintained matching (assembled from the statistics machines)."""
-        edges: set[tuple[int, int]] = set()
-        for machine in self.cluster.machines(role="stats"):
-            handle: FrozenChargeHandle | None = machine.load(STATS_KEY)
-            if handle is None:
-                continue
-            for vertex, mate in handle.table.matched_pairs():
-                edges.add(normalize_edge(vertex, mate))
-        return edges
+        return {normalize_edge(vertex, mate) for table in self.stats_tables() for vertex, mate in table.matched_pairs()}
 
     # ---------------------------------------------------------------- history
     def record(self, kind: str, u: int, v: int) -> HistoryEntry:
@@ -384,7 +342,7 @@ class MatchingFabric:
         return contacted
 
     # ------------------------------------------------------------ edge machines
-    def _ensure_alive_machine(self, v: int, stats: VertexStats) -> str:
+    def _ensure_alive_machine(self, v: int, stats: StatsView) -> str:
         """Make sure ``v`` has an alive machine; allocate/choose one if needed."""
         machine_id = stats.alive_machine
         if machine_id is not None:
@@ -426,7 +384,7 @@ class MatchingFabric:
     # The following operations implement the message protocol.  Each returns
     # after having called ``cluster.exchange()`` the stated number of times.
 
-    def query_stats(self, vertices: list[int]) -> dict[int, VertexStats]:
+    def query_stats(self, vertices: list[int]) -> dict[int, StatsView]:
         """Coordinator queries the statistics of ``vertices`` (2 rounds)."""
         coordinator = self.coordinator.machine
         targets: dict[str, list[int]] = {}
@@ -436,41 +394,42 @@ class MatchingFabric:
             query = sorted(vs)
             coordinator.send(machine_id, "stats-query", query, words=closed_form_words("stats-query", query))
         self.cluster.exchange()
-        replies: dict[int, VertexStats] = {}
+        replies: dict[int, StatsView] = {}
         for machine_id in targets:
             machine = self._machines[machine_id]
             table = self._stats_handle(machine).table
             for msg in machine.drain("stats-query"):
-                records = []
-                for v in msg.payload:
-                    records.append((v, table.view(v)))
-                reply, words = table.payloads(records)
+                reply, words = table.payloads(msg.payload)
                 machine.send(coordinator.machine_id, "stats-reply", reply, words=_STATS_REPLY_TAG_WORDS + words)
-                for v, stats in records:
-                    replies[v] = stats if stats is not None else VertexStats()
+                for v in msg.payload:
+                    replies[v] = table.view(v)
         self.cluster.exchange()
         coordinator.drain("stats-reply")
         return replies
 
-    def push_stats(self, updates: dict[int, VertexStats]) -> None:
-        """Coordinator writes back updated statistics (1 round)."""
+    def push_stats(self, updates: dict[int, StatsView]) -> None:
+        """Coordinator writes back updated statistics (1 round).
+
+        Each record is its vertex's own view (:meth:`query_stats` handed it
+        out), so its writes are in the slot already: the round ships them
+        and the commit occupies the slot.
+        """
         coordinator = self.coordinator.machine
-        targets: dict[str, list[tuple[int, VertexStats]]] = {}
-        for v, stats in updates.items():
-            targets.setdefault(self.partition.machine_for(v), []).append((v, stats))
+        targets: dict[str, list[int]] = {}
+        for v in updates:
+            targets.setdefault(self.partition.machine_for(v), []).append(v)
         handles = []
-        for machine_id, items in targets.items():
+        for machine_id, vertices in targets.items():
             machine = self._machines[machine_id]
             handle = self._stats_handle(machine)
-            writes, words = handle.table.payloads(items)
+            writes, words = handle.table.payloads(vertices)
             coordinator.send(machine_id, "stats-write", writes, words=_STATS_WRITE_TAG_WORDS + words)
-            handles.append((machine, handle, items))
+            handles.append((machine, handle, vertices))
         self.cluster.exchange()
-        for machine, handle, items in handles:
+        for machine, handle, vertices in handles:
             machine.drain("stats-write")
-            for v, stats in items:
-                if not is_live_record(stats, handle.table, v):
-                    self._write_record(handle.table.ensure(v), stats)
+            for v in vertices:
+                handle.table.occupy(v, updates[v])
             handle.commit(machine, STATS_KEY)
 
     def refresh_machine(self, machine_id: str) -> None:
@@ -538,7 +497,7 @@ class MatchingFabric:
         self._contact("refresh", [(machine_id, None, 0) for machine_id in pending])
         return len(pending)
 
-    def update_vertex(self, v: int, stats: VertexStats, query: str | None = None, *, exclude: tuple[int, ...] = ()) -> dict:
+    def update_vertex(self, v: int, stats: StatsView, query: str | None = None, *, exclude: tuple[int, ...] = ()) -> dict:
         """The paper's ``updateVertex``: refresh ``v``'s alive machine and optionally query it.
 
         Sends one message coordinator → alive machine carrying the pending
@@ -577,7 +536,7 @@ class MatchingFabric:
         coordinator.drain("vertex-reply")
         return reply
 
-    def scan_suspended_for_free(self, v: int, stats: VertexStats, *, exclude: tuple[int, ...] = ()) -> int | None:
+    def scan_suspended_for_free(self, v: int, stats: StatsView, *, exclude: tuple[int, ...] = ()) -> int | None:
         """Fallback scan of ``v``'s suspended machines for a free neighbour (2 rounds)."""
         if not stats.suspended_machines:
             return None
@@ -592,7 +551,7 @@ class MatchingFabric:
                 found = msg.payload
         return found
 
-    def batch_free_neighbor_query(self, queries: list[tuple[int, VertexStats, tuple[int, ...]]]) -> dict[int, int | None]:
+    def batch_free_neighbor_query(self, queries: list[tuple[int, StatsView, tuple[int, ...]]]) -> dict[int, int | None]:
         """Query many vertices' alive machines for a free neighbour in 2 rounds.
 
         ``queries`` is a list of ``(vertex, stats, exclude)`` triples.  The
@@ -625,7 +584,7 @@ class MatchingFabric:
         coordinator.drain("batch-free-reply")
         return results
 
-    def neighbor_list(self, v: int, stats: VertexStats) -> list[int]:
+    def neighbor_list(self, v: int, stats: StatsView) -> list[int]:
         """Fetch ``v``'s (alive) neighbour list through the coordinator (2 rounds).
 
         For a light vertex this is its entire adjacency list; the Section 4
@@ -671,7 +630,7 @@ class MatchingFabric:
         return {v: (s.degree < self.threshold) for v, s in stats.items()}
 
     # ------------------------------------------------------------ edge moves
-    def add_edge_copy(self, v: int, w: int, stats: VertexStats, *, neighbor_mate: int | None = None) -> None:
+    def add_edge_copy(self, v: int, w: int, stats: StatsView, *, neighbor_mate: int | None = None) -> None:
         """Store the copy of edge ``(v, w)`` belonging to ``v`` (the paper's ``addEdge``).
 
         The copy goes to ``v``'s alive machine if ``v`` is light or its alive
@@ -703,7 +662,7 @@ class MatchingFabric:
         handle.table.place_status(w, neighbor_mate)
         self._commit_edges(target, handle)
 
-    def remove_edge_copy(self, v: int, w: int, stats: VertexStats) -> None:
+    def remove_edge_copy(self, v: int, w: int, stats: StatsView) -> None:
         """Remove the copy of edge ``(v, w)`` from ``v``'s alive machine if present.
 
         Suspended copies are cleaned lazily when their machine is next
@@ -718,7 +677,7 @@ class MatchingFabric:
         if handle.table.discard_edge(v, w):
             self._commit_edges(machine, handle)
 
-    def move_vertex_edges(self, v: int, stats: VertexStats, target_id: str) -> None:
+    def move_vertex_edges(self, v: int, stats: StatsView, target_id: str) -> None:
         """The paper's ``moveEdges``: relocate ``v``'s alive edges to ``target_id`` (2 rounds).
 
         The ``move-request`` brings the source current before it reads the
@@ -751,7 +710,7 @@ class MatchingFabric:
         if target_id not in self._light_machines and stats.degree < self.threshold:
             self._light_machines[target_id] = target
 
-    def fetch_suspended(self, v: int, stats: VertexStats) -> None:
+    def fetch_suspended(self, v: int, stats: StatsView) -> None:
         """The paper's ``fetchSuspended``: refill ``v``'s alive set from its suspended stack (2 rounds)."""
         alive_id = stats.alive_machine
         if not stats.suspended_machines or alive_id is None:
@@ -793,7 +752,8 @@ class MatchingFabric:
             mate[v] = u
         for v in graph.vertices:
             degree = graph.degree(v)
-            stats = VertexStats(degree=degree, mate=mate.get(v), heavy=degree >= self.threshold)
+            stats = self.stats_of(v)
+            stats.degree, stats.mate, stats.heavy = degree, mate.get(v), degree >= self.threshold
             neighbors = sorted(graph.neighbors(v))
             if stats.heavy:
                 alive_id = self._allocate_machine(light=False)
@@ -804,7 +764,7 @@ class MatchingFabric:
                 chunk = max(8, (self.config.machine_memory // 4) - 8)
                 for start in range(0, len(rest), chunk):
                     suspended_id = self._allocate_machine(light=False)
-                    stats.suspended_machines.append(suspended_id)
+                    stats.suspended_machines = [*stats.suspended_machines, suspended_id]
                     self._store_adjacency(suspended_id, v, rest[start : start + chunk], mate)
             else:
                 words_needed = 4 * max(1, degree) + 8

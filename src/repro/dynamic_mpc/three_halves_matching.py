@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc.maximal_matching import DMPCMaximalMatching
-from repro.dynamic_mpc.state import VertexStats
 from repro.exceptions import InvariantViolation, ProtocolError
 from repro.graph.graph import DynamicGraph
 from repro.graph.updates import GraphUpdate
-from repro.graph.validation import has_length3_augmenting_path, is_matching, is_maximal_matching
+from repro.graph.validation import has_length3_augmenting_path
+from repro.mpc.layout import StatsView
 
 __all__ = ["DMPCThreeHalvesMatching"]
 
@@ -83,20 +83,20 @@ class DMPCThreeHalvesMatching(DMPCMaximalMatching):
     # A vertex with no event yet in this update had, when the update began,
     # the status it has now: a vertex being matched was free, and a vertex
     # being unmatched was matched.
-    def _match(self, u: int, v: int, su: VertexStats, sv: VertexStats) -> None:
+    def _match(self, u: int, v: int, su: StatsView, sv: StatsView) -> None:
         events = self._status_events
         for vertex in (u, v):
             events[vertex] = (events[vertex][0] if vertex in events else False, True)
         super()._match(u, v, su, sv)
 
-    def _unmatch(self, u: int, v: int, su: VertexStats, sv: VertexStats) -> None:
+    def _unmatch(self, u: int, v: int, su: StatsView, sv: StatsView) -> None:
         events = self._status_events
         for vertex in (u, v):
             events[vertex] = (events[vertex][0] if vertex in events else True, False)
         super()._unmatch(u, v, su, sv)
 
     # ------------------------------------------------------------------ hooks
-    def _augment(self, u: int, su: VertexStats, v: int, sv: VertexStats) -> bool:
+    def _augment(self, u: int, su: StatsView, v: int, sv: StatsView) -> bool:
         """Kill the length-3 path ``v - u = mate(u) - q`` the inserted edge ``(u, v)`` opened, if ``q`` exists."""
         fabric = self.fabric
         mate_u = su.mate
@@ -117,7 +117,7 @@ class DMPCThreeHalvesMatching(DMPCMaximalMatching):
         self._match(mate_u, found, s_mate, s_found)
         return True
 
-    def _resettle(self, z: int, sz: VertexStats) -> None:
+    def _resettle(self, z: int, sz: StatsView) -> None:
         """Re-settle a newly free vertex while killing length-3 augmenting paths.
 
         A heavy ``z`` that steals evicts a mate the lightness query found
@@ -150,7 +150,7 @@ class DMPCThreeHalvesMatching(DMPCMaximalMatching):
                 )
             self._resettle(mate, s_mate)
 
-    def _augment_length3(self, z: int, sz: VertexStats) -> None:
+    def _augment_length3(self, z: int, sz: StatsView) -> None:
         """A light free ``z`` with no free neighbour: augment along a path ``z - w = mate(w) - q`` if one exists."""
         fabric = self.fabric
         reply = fabric.update_vertex(z, sz, query="matched-neighbors")
@@ -227,10 +227,6 @@ class DMPCThreeHalvesMatching(DMPCMaximalMatching):
 
     # ------------------------------------------------------------ diagnostics
     def verify_invariants(self) -> None:
-        matching = self.matching()
-        if not is_matching(self.shadow, matching):
-            raise InvariantViolation("maintained edge set is not a matching")
-        if not is_maximal_matching(self.shadow, matching):
-            raise InvariantViolation("maintained matching is not maximal")
-        if has_length3_augmenting_path(self.shadow, matching):
+        super().verify_invariants()
+        if has_length3_augmenting_path(self.shadow, self.matching()):
             raise InvariantViolation("a length-3 augmenting path survived the update")

@@ -62,6 +62,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.exceptions import ProtocolError
 from repro.mpc.sizing import string_words
 from repro.runtime.wire import register_wire_type
 
@@ -73,7 +74,6 @@ __all__ = [
     "StatsTable",
     "StatsView",
     "FrozenChargeHandle",
-    "is_live_record",
     "EDGE_TABLE_KEY",
     "EdgeTable",
     "TourShard",
@@ -259,7 +259,7 @@ class AliveTable:
 # -------------------------------------------------------------- stats table
 #: per-vertex word charge of the seed's per-key stats store: a stored
 #: ``(tag, v)`` key cost 3 words (tuple framing + tag + id) and a
-#: ``VertexStats`` value ``6 + len(suspended)`` — the flat table charges the
+#: statistics record ``6 + len(suspended)`` — the flat table charges the
 #: same 9 words per occupied slot plus one per suspended entry.
 _STATS_WORDS_PER_VERTEX = 9
 
@@ -268,13 +268,19 @@ class StatsTable:
     """Struct-of-arrays vertex statistics for one stats machine's range.
 
     One flat slot per vertex of the machine's contiguous range partition
-    block: ``present`` marks occupancy, ``degree``/``mate``/
-    ``free_neighbors`` are ``array('q')`` columns (``mate`` uses ``-1`` for
-    "unmatched"), ``heavy`` a bitmap, ``alive`` the per-slot edge-machine
-    id (``None`` when absent), and ``suspended`` a sparse per-slot stack —
-    only heavy vertices ever hold one, so only non-empty stacks are stored
-    and ``suspended_words`` counts their entries (see :class:`StatsView`);
-    with ``occupied`` that makes :meth:`live_words` O(1).
+    block: ``degree``/``mate``/``free_neighbors`` are ``array('q')``
+    columns (``mate`` uses ``-1`` for "unmatched"), ``heavy`` a bitmap,
+    ``alive`` the per-slot edge-machine id (``None`` when absent), and
+    ``suspended`` a sparse per-slot stack — only heavy vertices ever hold
+    one, so only non-empty stacks are stored and ``suspended_words`` counts
+    their entries (see :class:`StatsView`).  ``present`` marks the slots a
+    commit occupied (:meth:`occupy`); with ``occupied`` and
+    ``suspended_words`` that makes :meth:`live_words` O(1).
+
+    Every slot is a record from the start: an unoccupied one reads as the
+    blank record (degree 0, no mate, not heavy, no machines), and a write
+    through its :meth:`view` lands in the slot whether or not it is
+    occupied — only the commit that occupies it charges it.
 
     Every vertex a table is asked about lies in its block: the range
     partition refuses an id past its capacity, and each vertex is routed to
@@ -312,20 +318,34 @@ class StatsTable:
     def has(self, vertex: int) -> bool:
         return bool(self.present[vertex - self.base])
 
-    def ensure(self, vertex: int) -> "StatsView":
-        """The live record for ``vertex``, occupying its slot if fresh."""
+    def view(self, vertex: int) -> "StatsView":
+        """The live record of ``vertex``'s slot, occupied or not."""
+        return StatsView(self, vertex - self.base)
+
+    def occupy(self, vertex: int, record: "StatsView") -> None:
+        """Commit ``record`` as ``vertex``'s statistics: the slot is occupied, and charged, from now on.
+
+        ``record`` must be the slot's own view — its writes are already in
+        the slot.  Any other record would be a detached copy whose writes
+        never reach the table, so it is refused.
+        """
         offset = vertex - self.base
+        if record.__class__ is not StatsView or record._table is not self or record._slot != offset:
+            raise ProtocolError(f"vertex {vertex}: only a view of its own statistics slot can be committed, not {record!r}")
         if not self.present[offset]:
             self.present[offset] = 1
             self.occupied += 1
-        return StatsView(self, offset)
 
-    def view(self, vertex: int) -> "StatsView | None":
-        """The live record for ``vertex``, or ``None`` when never stored."""
-        offset = vertex - self.base
-        if self.present[offset]:
-            return StatsView(self, offset)
-        return None
+    def unoccupied_writes(self) -> "list[int]":
+        """The vertices whose slot no commit occupied but which hold a non-blank value (a write nobody paid for)."""
+        degree, mate, heavy, free = self.degree, self.mate, self.heavy, self.free_neighbors
+        alive, suspended = self.alive, self.suspended
+        return [
+            self.base + slot
+            for slot, present in enumerate(self.present)
+            if not present
+            and (degree[slot] or mate[slot] != -1 or heavy[slot] or free[slot] or alive[slot] is not None or slot in suspended)
+        ]
 
     def matched_pairs(self) -> "list[tuple[int, int]]":
         """``(vertex, mate)`` for every stored vertex with a mate set."""
@@ -337,37 +357,29 @@ class StatsTable:
         """Current word footprint, charged as the seed's per-vertex keys were."""
         return _STATS_WORDS_PER_VERTEX * self.occupied + self.suspended_words
 
-    def payloads(self, items: "Iterable[tuple[int, Any]]") -> "tuple[list[tuple[int, dict[str, Any]]], int]":
-        """The statistics protocol's ``[(vertex, payload)]`` for ``items``, built in one pass, and its ``word_size``.
+    def payloads(self, vertices: "Iterable[int]") -> "tuple[list[tuple[int, dict[str, Any]]], int]":
+        """The statistics protocol's ``[(vertex, payload)]`` for ``vertices``, read off their slots in one pass, and its ``word_size``.
 
-        ``items`` are ``(vertex, record)`` pairs.  A view of this table is
-        read off its slot's columns; ``None`` stands for the blank record of
-        an unstored vertex; any other record (a ``VertexStats``, another
-        table's view) gives its own ``as_payload()``.  The
-        words are what ``stats-reply`` and ``stats-write`` are charged beyond
-        their tag: the list's framing word, then per entry the tuple, the
-        vertex and the dict's six keys and four scalars (16 words) plus the
-        ``string_words`` of the alive machine and of each suspended one.
+        The words are what ``stats-reply`` and ``stats-write`` are charged
+        beyond their tag: the list's framing word, then per entry the tuple,
+        the vertex and the dict's six keys and four scalars (16 words) plus
+        the ``string_words`` of the alive machine and of each suspended one.
         """
+        base = self.base
         degree, mate, heavy, free = self.degree, self.mate, self.heavy, self.free_neighbors
         alive, suspended = self.alive, self.suspended
         entries = []
         words = 1
-        for vertex, record in items:
-            if record is None:
-                payload = {"degree": 0, "mate": -1, "heavy": False, "alive": "", "suspended": [], "free_neighbors": 0}
-            elif record.__class__ is StatsView and record._table is self:
-                slot = record._slot
-                payload = {
-                    "degree": degree[slot],
-                    "mate": mate[slot],
-                    "heavy": bool(heavy[slot]),
-                    "alive": alive[slot] or "",
-                    "suspended": list(suspended.get(slot, ())),
-                    "free_neighbors": free[slot],
-                }
-            else:
-                payload = record.as_payload()
+        for vertex in vertices:
+            slot = vertex - base
+            payload = {
+                "degree": degree[slot],
+                "mate": mate[slot],
+                "heavy": bool(heavy[slot]),
+                "alive": alive[slot] or "",
+                "suspended": list(suspended.get(slot, ())),
+                "free_neighbors": free[slot],
+            }
             entries.append((vertex, payload))
             words += 16 + ((len(payload["alive"]) + 7) // 8 or 1)
             for name in payload["suspended"]:
@@ -375,21 +387,12 @@ class StatsTable:
         return entries, words
 
 
-def is_live_record(stats: Any, table: StatsTable, vertex: int) -> bool:
-    """Whether ``stats`` is ``table``'s own live record of ``vertex`` (writing it back would copy a
-    slot onto itself).  Views are minted per read: table and slot are compared, not object identity."""
-    return isinstance(stats, StatsView) and stats._table is table and stats._slot == vertex - table.base
-
-
 class StatsView:
-    """Write-through view of one :class:`StatsTable` slot.
+    """Write-through view of one :class:`StatsTable` slot: the statistics record of its vertex.
 
-    Duck-typed to :class:`repro.dynamic_mpc.state.VertexStats`: same
-    attribute names, same payload dict, same word charge — callers mutate
-    it like a ``VertexStats`` object, and every mutation lands in the flat
-    columns.  The suspended stack is an immutable tuple in
-    ``table.suspended`` under the slot, replaced only by its setter, which
-    moves ``table.suspended_words`` by the difference.
+    Every mutation lands in the flat columns.  The suspended stack is an
+    immutable tuple in ``table.suspended`` under the slot, replaced only by
+    its setter, which moves ``table.suspended_words`` by the difference.
     """
 
     __slots__ = ("_table", "_slot")
@@ -455,22 +458,6 @@ class StatsView:
         table.suspended_words += len(stack) - len(table.suspended.pop(self._slot, ()))
         if stack:
             table.suspended[self._slot] = stack
-
-    def dmpc_words(self) -> int:
-        return 6 + len(self.suspended_machines)
-
-    def as_payload(self) -> "dict[str, Any]":
-        """Same wire dict as ``VertexStats.as_payload`` (payload parity)."""
-        table = self._table
-        slot = self._slot
-        return {
-            "degree": table.degree[slot],
-            "mate": table.mate[slot],
-            "heavy": bool(table.heavy[slot]),
-            "alive": table.alive[slot] or "",
-            "suspended": list(table.suspended.get(slot, ())),
-            "free_neighbors": table.free_neighbors[slot],
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

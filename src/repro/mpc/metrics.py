@@ -207,7 +207,7 @@ class MetricsLedger:
     becomes an anonymous update of its own, labelled ``"<unlabelled>"``.
 
     :class:`RoundRecord` / :class:`UpdateRecord` are the values handed out —
-    by :meth:`file_round` (hence ``Cluster.exchange()``), :meth:`record_round`,
+    by :meth:`file_round` (hence ``Cluster.exchange()``),
     :attr:`updates`, :meth:`updates_labelled` and :meth:`batches`.
     They are built when read and are snapshots: the ledger keeps none of
     them and copies a filed round's ``pair_words``, so changing a record
@@ -217,14 +217,13 @@ class MetricsLedger:
     of the transport that delivers them (``Transport.pair_detail``): every
     round on ``reference``, none on ``fast`` / ``resident``.  A transport
     condenses the round while delivering it and files its five costs with
-    :meth:`file_round`; :meth:`record_round` condenses a message list with
-    :meth:`RoundRecord.from_messages`, full breakdown included.
+    :meth:`file_round`, the one way a round enters the ledger.
     """
 
     def __init__(self) -> None:
         #: index the next recorded round will carry — ``rounds so far + 1``,
         #: global across updates and :meth:`reset`; advanced only by
-        #: :meth:`file_round` and :meth:`record_round`.  A resident session
+        #: :meth:`file_round`.  A resident session
         #: reads it up front to number the rounds of a fused block: hence a
         #: plain attribute.
         self.next_round_index = 1
@@ -345,16 +344,6 @@ class MetricsLedger:
         return self._summarize(merged)
 
     # ----------------------------------------------------------------- rounds
-    def record_round(self, messages: Iterable[Message]) -> RoundRecord:
-        """Record one synchronous round from its message list, condensed by
-        :meth:`RoundRecord.from_messages` with its full pair breakdown.
-        Rounds outside an update are allowed (e.g. ad-hoc probes) but are
-        tracked under an anonymous update."""
-        record = RoundRecord.from_messages(self.next_round_index, messages)
-        self.next_round_index += 1
-        self._file_round(*record._costs(), record.pair_words)
-        return record
-
     def file_round(
         self,
         round_index: int | None,
@@ -369,8 +358,8 @@ class MetricsLedger:
         ``round_index=None`` is a new round, numbered :attr:`next_round_index`
         (which advances): the per-round entry point of
         :meth:`Transport.deliver`, which condensed the round while delivering
-        it.  :meth:`record_round`, which moves the counter itself, files its
-        record under the index it carries.  ``pair_words`` is the round's
+        it.  A given ``round_index`` is filed as it is and leaves the
+        counter alone.  ``pair_words`` is the round's
         per-(sender, receiver) breakdown, ``None`` or empty when it kept none;
         the ledger keeps a copy.
         """
@@ -388,10 +377,6 @@ class MetricsLedger:
         self._message_count.append(message_count)
         self._max_message_words.append(max_message_words)
         return RoundRecord(round_index, active_machines, total_words, message_count, max_message_words, pair_words)
-
-    #: :meth:`file_round` under a private name, for :meth:`record_round`: ``bench/trace.py`` times
-    #: it as a leaf operation of the ledger, and a leaf calls no public method of its class
-    _file_round = file_round
 
     def _round_record(self, row: int) -> RoundRecord:
         pair_words = self._pair_words.get(row)

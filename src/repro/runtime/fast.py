@@ -191,6 +191,7 @@ class FastTransport(Transport):
         self.note_staged = self._staged.add
 
     def has_staged(self) -> bool:
+        """Whether any machine staged a driver-side message since the last round."""
         return bool(self._staged)
 
     def exchange(self) -> RoundRecord:

@@ -1682,10 +1682,6 @@ class ResidentTransport(FastTransport):
         #: replays one exchange per round to rebuild the identical records.
         self._worker_rounds: "deque[dict]" = deque()
 
-    def has_staged(self) -> bool:
-        """Whether any machine staged a driver-side message since the last round."""
-        return bool(self._staged)
-
     def deposit_worker_round(self, stats: dict) -> None:
         """Hand the next :meth:`exchange` a slot-routed round's summaries.
 

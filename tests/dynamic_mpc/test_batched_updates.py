@@ -17,7 +17,7 @@ from repro.dynamic_mpc import (
     DMPCThreeHalvesMatching,
     DMPCTwoPlusEpsMatching,
 )
-from repro.dynamic_mpc.state import MatchingFabric
+from repro.dynamic_mpc.state import STATS_KEY, MatchingFabric
 from repro.exceptions import ProtocolError
 from repro.graph import batched
 from repro.graph.generators import gnm_random_graph, random_forest, random_weighted_graph
@@ -63,14 +63,14 @@ class TestLedgerBatchScoping:
         ledger = MetricsLedger()
         first = ledger.begin_batch()
         ledger.begin_update("a")
-        ledger.record_round([])
+        ledger.file_round(None, 0, 0, 0, 0)
         ledger.end_update()
         ledger.begin_update("b")
-        ledger.record_round([])
+        ledger.file_round(None, 0, 0, 0, 0)
         ledger.end_update()
         ledger.end_batch()
         ledger.begin_update("c")
-        ledger.record_round([])
+        ledger.file_round(None, 0, 0, 0, 0)
         ledger.end_update()
         groups = ledger.batches()
         assert set(groups) == {first}
@@ -221,11 +221,25 @@ class TestStatsContract:
         cluster = Cluster(config)
         return MatchingFabric(cluster, config)
 
-    def test_stats_of_is_read_only_for_unseen_vertices(self):
+    def test_a_write_lands_in_its_slot_and_only_a_commit_occupies_it(self):
+        """Every record is its slot: a write through any view of it, minted before the first
+        commit or after, reads back from every other.  Only the commit occupies the slot and
+        charges the statistics machine the slot's 9 words."""
         fabric = self.make_fabric()
+        machine = fabric.cluster.machine(fabric.partition.machine_for(3))
+        table = machine.load(STATS_KEY).table
+        words = machine.used_words  # the key and the empty table's 1-word floor
         stats = fabric.stats_of(3)
-        stats.degree = 5  # mutation without store_stats: must not persist
-        assert fabric.stats_of(3).degree == 0
+        stats.degree = 5
+        [queried] = fabric.query_stats([3]).values()
+        assert (fabric.stats_of(3).degree, queried.degree) == (5, 5)
+        assert not table.has(3) and machine.used_words == words
+        queried.alive_machine = "edge0"
+        fabric.push_stats({3: queried})
+        assert table.has(3) and machine.used_words == words - 1 + 9
+        assert (stats.degree, stats.alive_machine) == (5, "edge0")
+        stats.mate = 9  # a committed slot takes writes through the older view as well
+        assert fabric.mate_of(3) == 9 and machine.used_words == words - 1 + 9
 
     def test_mutate_stats_persists_for_unseen_and_stored_vertices(self):
         fabric = self.make_fabric()

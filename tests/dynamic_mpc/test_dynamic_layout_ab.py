@@ -48,14 +48,14 @@ from repro.dynamic_mpc import (
     DMPCTwoPlusEpsMatching,
 )
 from repro.dynamic_mpc.connectivity import TOUR_SHARD_KEY
-from repro.dynamic_mpc.state import STATS_KEY, MatchingFabric, VertexStats
+from repro.dynamic_mpc.state import STATS_KEY, MatchingFabric
 from repro.graph import DynamicGraph, GraphUpdate, UpdateSequence, batched
 from repro.graph.graph import normalize_edge
 from repro.graph.generators import gnm_random_graph, random_forest, random_weighted_graph
 from repro.graph.streams import mixed_stream, tree_edge_adversary_stream
 from repro.graph.validation import is_matching, is_maximal_matching
 from repro.mpc import Machine
-from repro.mpc.layout import TourPairs
+from repro.mpc.layout import StatsTable, TourPairs
 from repro.mpc.sizing import closed_form_words, registered_closed_forms, word_size
 from seeded_mutation import mutated
 from tour_oracle import DictTourStore
@@ -154,7 +154,7 @@ PINNED = {
         lambda: (None, churn_stream(24, 100, seed=18)),
         lambda backend: DMPCThreeHalvesMatching(make_config(24, 140, backend)),
         matching_solution,
-        "b8e538682555e519b3dc611361c50f39b5cf3573e3bcf12e09fd99b510c4bfce",
+        "239423024ab501a90cb77b68d8f9ed02edb1cb24adbc55457a520154cf03c96c",
     ),
     "two_plus_eps_matching": (
         lambda: (None, churn_stream(24, 100, seed=19)),
@@ -626,9 +626,7 @@ class TestHeavyFabricAtEveryBoundary:
             # the maintained allocation list is the filter it replaced, in pool order
             assert fabric._allocated == [mid for mid in fabric.edge_pool if mid not in fabric._unallocated]
             for machine in algorithm.cluster.machines(role="stats"):
-                handle = machine.load(STATS_KEY)
-                if handle is not None:
-                    assert machine.used_words == word_size(STATS_KEY) + handle.dmpc_words()
+                assert machine.used_words == word_size(STATS_KEY) + machine.load(STATS_KEY).dmpc_words()
             depths.append(sum(len(fabric.stats_of(v).suspended_machines) for v in range(n)))
         # non-vacuous: stacks were pushed onto and popped (a pop releases the machine to the pool)
         assert any(after > before for before, after in zip([0, *depths], depths))
@@ -857,18 +855,16 @@ class TestCoalescedAcrossBackends:
 
 # --------------------------------------------------- closed-form sizing pins
 def _stats_entries(rng: random.Random, k: int):
-    entries = []
-    for _ in range(k):
-        stats = VertexStats(
-            degree=rng.randrange(10),
-            mate=rng.choice([None, rng.randrange(50)]),
-            heavy=rng.random() < 0.3,
-            alive_machine=rng.choice([None, f"edge-machine-{rng.randrange(12)}"]),
-            suspended_machines=[f"suspended-edge-{rng.randrange(40)}" for _ in range(rng.randrange(4))],
-            free_neighbors=rng.randrange(5),
-        )
-        entries.append((rng.randrange(100), stats.as_payload()))
-    return entries
+    """``[(vertex, payload)]`` as ``StatsTable.payloads`` builds it, over randomly written slots."""
+    table = StatsTable(0, 100)
+    vertices = [rng.randrange(100) for _ in range(k)]
+    for vertex in vertices:
+        stats = table.view(vertex)
+        stats.degree, stats.mate = rng.randrange(10), rng.choice([None, rng.randrange(50)])
+        stats.heavy, stats.free_neighbors = rng.random() < 0.3, rng.randrange(5)
+        stats.alive_machine = rng.choice([None, f"edge-machine-{rng.randrange(12)}"])
+        stats.suspended_machines = [f"suspended-edge-{rng.randrange(40)}" for _ in range(rng.randrange(4))]
+    return table.payloads(vertices)[0]
 
 
 #: one randomized representative-payload builder per registered tag, shaped

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import DMPCConfig
-from repro.dynamic_mpc import DMPCMaximalMatching
+from repro.dynamic_mpc import DMPCMaximalMatching, DMPCThreeHalvesMatching
 from repro.dynamic_mpc.state import MatchingFabric
 from repro.exceptions import InvariantViolation
 from repro.graph import DynamicGraph, GraphUpdate
@@ -65,6 +65,31 @@ class TestBasicUpdates:
         alg.preprocess(DynamicGraph(4))
         with pytest.raises(RuntimeError):
             alg.preprocess(DynamicGraph(4))
+
+
+class TestFirstTouch:
+    """From the empty graph a vertex's statistics slot is first written by the update that touches it."""
+
+    def test_each_endpoint_records_the_alive_machine_holding_its_row(self):
+        """Vertex 2 is first touched by an insert that matches nothing: only the
+        statistics push before its row is placed commits its record."""
+        alg = make_algorithm(8, 8)
+        alg.preprocess(DynamicGraph())
+        alg.apply_sequence([GraphUpdate.insert(0, 1), GraphUpdate.insert(1, 2)])
+        assert alg.matching() == {(0, 1)}
+        for v, row in ((0, {1}), (1, {0, 2}), (2, {1})):
+            alive = alg.fabric.stats_of(v).alive_machine
+            assert alive is not None, f"vertex {v}'s record names no alive machine"
+            assert set(alg.fabric.local_adjacency(alive, v)) == row
+
+    @pytest.mark.parametrize("algorithm", [DMPCMaximalMatching, DMPCThreeHalvesMatching])
+    def test_a_write_no_commit_occupied_is_caught_at_the_boundary(self, algorithm):
+        alg = algorithm(DMPCConfig.for_graph(8, 8), check_invariants=True)
+        alg.preprocess(DynamicGraph())
+        alg.apply(GraphUpdate.insert(0, 1))
+        alg.fabric.stats_of(5).alive_machine = "edge0"  # vertex 5 was never pushed
+        with pytest.raises(InvariantViolation, match=r"statistics of vertices \[5\] were written but never committed"):
+            alg.apply(GraphUpdate.insert(2, 3))
 
 
 class TestInvariantsUnderRandomStreams:

@@ -9,13 +9,13 @@ import pytest
 from seeded_mutation import mutated
 
 from repro.config import DMPCConfig
-from repro.dynamic_mpc.state import MatchingFabric, VertexStats
+from repro.dynamic_mpc.state import MatchingFabric
 from repro.exceptions import ProtocolError
 from repro.graph.generators import gnm_random_graph, star_graph
 from repro.graph.validation import greedy_maximal_matching
 from repro.mpc.cluster import Cluster
 from repro.mpc.coordinator import HistoryEntry
-from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, FrozenChargeHandle, StatsTable, is_live_record
+from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, FrozenChargeHandle, StatsTable
 from repro.mpc.machine import Machine
 from repro.mpc.sizing import closed_form_words, word_size
 
@@ -119,7 +119,8 @@ def make_fabric(n: int = 16, m: int = 80) -> MatchingFabric:
 class TestMatchingFabric:
     def test_stats_roundtrip(self):
         fabric = make_fabric()
-        stats = VertexStats(degree=3, mate=7, heavy=False)
+        stats = fabric.stats_of(2)
+        stats.degree, stats.mate = 3, 7
         fabric.store_stats(2, stats)
         loaded = fabric.stats_of(2)
         assert loaded.degree == 3
@@ -131,64 +132,36 @@ class TestMatchingFabric:
         fabric = make_fabric()
         fabric.cluster.ledger.begin_update("probe")
         replies = fabric.query_stats([1, 2, 3])
-        fabric.push_stats({1: VertexStats(degree=1)})
+        replies[1].degree = 1
+        fabric.push_stats({1: replies[1]})
         fabric.cluster.ledger.end_update()
         assert set(replies) == {1, 2, 3}
         record = fabric.cluster.ledger.updates[-1]
         assert record.num_rounds == 3  # query (2 rounds) + push (1 round)
         assert record.max_active_machines <= 1 + fabric.config.stats_machine_count
 
-    @staticmethod
-    def write_back_every_kind_of_record(store: str) -> int:
-        """Write to the stats table a view of the slot itself, a blank
-        ``VertexStats``, a view of *another* table's slot and a view of another
-        vertex of the same table, through ``push_stats`` or ``store_stats``;
-        assert what landed; return how many records were copied."""
+    @pytest.mark.parametrize("store", ["push_stats", "store_stats"])
+    def test_only_the_vertexs_own_view_is_committed(self, store):
+        """A view of another vertex's slot, of another fabric's slot, or any other object
+        is refused, naming the vertex, and occupies nothing; the own view is committed."""
         fabric, other = make_fabric(), make_fabric()
-        copies = []
-        write_record = MatchingFabric._write_record
-        fabric._write_record = lambda record, stats: (copies.append(record.vertex), write_record(record, stats))
 
-        def write(updates):
+        def commit(v, stats):
             if store == "push_stats":
-                fabric.push_stats(updates)
+                fabric.push_stats({v: stats})
             else:
-                for v, stats in updates.items():
-                    fabric.store_stats(v, stats)
+                fabric.store_stats(v, stats)
 
-        write({2: VertexStats(degree=3, mate=7), 5: VertexStats(degree=1, suspended_machines=["edge4"])})
-        assert copies == [2, 5]
-        own = fabric.stats_of(2)  # a view: minted per read, never the same object twice
-        assert own is not fabric.stats_of(2) and own.vertex == 2
+        table = fabric._stats_handle(fabric.cluster.machine(fabric.partition.machine_for(2))).table
+        for foreign in (fabric.stats_of(3), other.stats_of(2), object()):
+            with pytest.raises(ProtocolError, match="vertex 2: only a view of its own statistics slot"):
+                commit(2, foreign)
+            assert not table.has(2)
+        own = fabric.stats_of(2)
         own.degree = 4
-        write({2: own})
-        assert copies == [2, 5], "a slot was copied onto itself"
-        assert fabric.stats_of(2).degree == 4
-        other.store_stats(2, VertexStats(degree=9, mate=1, free_neighbors=2))
-        write({2: other.stats_of(2), 3: fabric.stats_of(5)})
-        assert copies == [2, 5, 2, 3]
-        assert [(s.degree, s.mate, s.free_neighbors) for s in (fabric.stats_of(2), other.stats_of(2))] == [(9, 1, 2)] * 2
-        assert (fabric.stats_of(3).degree, fabric.stats_of(3).suspended_machines) == (1, ("edge4",))
-        fabric.stats_of(2).degree = 5  # ... and they stay two records
-        assert other.stats_of(2).degree == 9
-        return len(copies)
-
-    @pytest.mark.parametrize("store", ["push_stats", "store_stats"])
-    def test_a_record_is_copied_unless_it_is_the_slot_itself(self, store):
-        assert self.write_back_every_kind_of_record(store) == 4
-
-    @pytest.mark.parametrize("store", ["push_stats", "store_stats"])
-    @pytest.mark.parametrize("skipped", ["blank VertexStats", "views of any table"])
-    def test_skipping_any_other_copy_is_caught(self, monkeypatch, store, skipped):
-        """Seeded mutations of ``is_live_record``: one takes a blank ``VertexStats``
-        for the slot's own record, one every view whatever its table and slot."""
-        mutants = {
-            "blank VertexStats": lambda stats, table, v: isinstance(stats, VertexStats) or is_live_record(stats, table, v),
-            "views of any table": lambda stats, table, v: not isinstance(stats, VertexStats),
-        }
-        monkeypatch.setattr("repro.dynamic_mpc.state.is_live_record", mutants[skipped])
-        with pytest.raises(AssertionError):
-            self.write_back_every_kind_of_record(store)
+        commit(2, own)
+        assert table.has(2) and fabric.stats_of(2).degree == 4
+        assert other.stats_of(2).degree == 0
 
     def test_load_initial_graph_places_all_edges(self):
         fabric = make_fabric(n=12, m=60)
@@ -436,42 +409,43 @@ class TestMatchingFabric:
         assert ours.used_words == reference.used_words
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_stats_payloads_are_the_records_payloads_and_their_closed_form(self, seed):
-        """``StatsTable.payloads`` reads a view of its own table off the columns and every other
-        record through ``as_payload``: the same dicts, and the words ``stats-reply`` /
-        ``stats-write`` are charged beyond their tag, which are ``word_size`` of the list."""
+    def test_stats_payloads_are_the_slots_and_their_closed_form(self, seed):
+        """``StatsTable.payloads`` reads each slot, written or blank, off the columns: the wire
+        dict of its record, and the words ``stats-reply`` / ``stats-write`` are charged beyond
+        their tag, which are ``word_size`` of the list."""
         rng = random.Random(seed)
-        table, other = StatsTable(8, 6), StatsTable(8, 6)
+        table = StatsTable(8, 6)
         machines = ["edge3", "edge-machine-17", "e", "edge-machine-with-a-long-name"]
-
-        def fill(record):
+        for vertex in rng.sample(range(8, 14), rng.randrange(7)):  # the rest stay blank
+            record = table.view(vertex)
             record.degree, record.mate = rng.randrange(9), rng.choice([None, rng.randrange(40)])
             record.heavy, record.free_neighbors = rng.random() < 0.3, rng.randrange(4)
             record.alive_machine = rng.choice([None, *machines])
             record.suspended_machines = rng.sample(machines, rng.randrange(3))
-            return record
+            if rng.random() < 0.5:
+                table.occupy(vertex, record)  # occupancy is not part of the payload
+        vertices = [rng.randrange(8, 14) for _ in range(rng.randrange(1, 9))]  # the dense block
+        entries, words = table.payloads(vertices)
 
-        items = []
-        for _ in range(rng.randrange(1, 9)):
-            vertex = rng.randrange(8, 14)  # the dense block: the range partition routes no other id here
-            kind = rng.choice(["own", "own", "blank", "other", "plain"])
-            if kind == "own":
-                items.append((vertex, fill(table.ensure(vertex))))
-            elif kind == "blank":
-                items.append((vertex, None))
-            elif kind == "other":
-                items.append((vertex, fill(other.ensure(vertex))))
-            else:
-                items.append((vertex, fill(VertexStats())))
-        entries, words = table.payloads(items)
-        assert entries == [(v, (record or VertexStats()).as_payload()) for v, record in items]
+        def wire(record):
+            return {
+                "degree": record.degree,
+                "mate": -1 if record.mate is None else record.mate,
+                "heavy": record.heavy,
+                "alive": record.alive_machine or "",
+                "suspended": list(record.suspended_machines),
+                "free_neighbors": record.free_neighbors,
+            }
+
+        assert entries == [(v, wire(table.view(v))) for v in vertices]
         assert words == word_size(entries)
         for tag in ("stats-reply", "stats-write"):
             assert word_size(tag) + words == closed_form_words(tag, entries)
 
     def test_counter_deltas_clamped_at_zero(self):
         fabric = make_fabric()
-        fabric.store_stats(4, VertexStats(free_neighbors=1))
+        with fabric.mutate_stats(4) as stats:
+            stats.free_neighbors = 1
         fabric.push_counter_deltas({4: -5})
         assert fabric.stats_of(4).free_neighbors == 0
         fabric.push_counter_deltas({4: +3})

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc import DMPCThreeHalvesMatching, DMPCTwoPlusEpsMatching
-from repro.dynamic_mpc.state import VertexStats
 from repro.exceptions import InvariantViolation, ProtocolError
 from repro.graph import DynamicGraph, GraphUpdate
 from repro.graph.generators import gnm_random_graph
@@ -74,8 +73,9 @@ class TestThreeHalves:
         steal = alg._steal
 
         def heavy_mate(z, sz):
-            w, mate, _s_mate = steal(z, sz)
-            return w, mate, VertexStats(degree=alg.fabric.threshold)
+            w, mate, s_mate = steal(z, sz)
+            s_mate.degree = alg.fabric.threshold  # the evicted mate's record, raised to the threshold
+            return w, mate, s_mate
 
         monkeypatch.setattr(alg, "_steal", heavy_mate)
         with pytest.raises(ProtocolError, match=r"heavy vertex 0 stole from vertex 7, whose degree 6"):

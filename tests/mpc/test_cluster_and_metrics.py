@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from ledger_rounds import file_messages
 
 from repro.config import DMPCConfig
 from repro.exceptions import MessageSizeExceeded, ProtocolError, UnknownMachineError
@@ -143,8 +144,8 @@ class TestMetricsLedger:
         ledger = MetricsLedger()
         for i in range(3):
             ledger.begin_update(f"op:{i}")
-            ledger.record_round([Message("a", "b", "t", list(range(i + 1)))])
-            ledger.record_round([Message("b", "a", "t", 1)])
+            file_messages(ledger, [Message("a", "b", "t", list(range(i + 1)))])
+            file_messages(ledger, [Message("b", "a", "t", 1)])
             ledger.end_update()
         summary = ledger.summary("op:")
         assert summary.num_updates == 3
@@ -154,20 +155,20 @@ class TestMetricsLedger:
 
     def test_unlabelled_rounds_tracked(self):
         ledger = MetricsLedger()
-        ledger.record_round([Message("a", "b", "t", 1)])
+        file_messages(ledger, [Message("a", "b", "t", 1)])
         assert ledger.updates[0].label == "<unlabelled>"
 
     def test_entropy_low_for_coordinator_pattern_high_for_spread(self):
         concentrated = MetricsLedger()
         concentrated.begin_update("u")
         for _ in range(8):
-            concentrated.record_round([Message("hub", "m1", "t", 1)])
+            file_messages(concentrated, [Message("hub", "m1", "t", 1)])
         concentrated.end_update()
 
         spread = MetricsLedger()
         spread.begin_update("u")
         for i in range(8):
-            spread.record_round([Message(f"m{i}", f"m{i+1}", "t", 1)])
+            file_messages(spread, [Message(f"m{i}", f"m{i+1}", "t", 1)])
         spread.end_update()
 
         assert spread.communication_entropy() > concentrated.communication_entropy()
@@ -178,7 +179,7 @@ class TestMetricsLedger:
         ledger.file_round(None, 2, 5, 1, 5)  # costs without a per-pair breakdown
         ledger.end_update()
         ledger.begin_update("detailed:u")
-        ledger.record_round([Message("a", "b", "t", None, 3), Message("c", "b", "t", None, 3)])
+        file_messages(ledger, [Message("a", "b", "t", None, 3), Message("c", "b", "t", None, 3)])
         ledger.end_update()
         assert ledger.communication_entropy("detailed:") == pytest.approx(1.0)  # two pairs, equal words
         for prefix in (None, "aggregate:"):
@@ -188,7 +189,7 @@ class TestMetricsLedger:
     def test_reset(self):
         ledger = MetricsLedger()
         ledger.begin_update("u")
-        ledger.record_round([Message("a", "b", "t", 1)])
+        file_messages(ledger, [Message("a", "b", "t", 1)])
         ledger.end_update()
         ledger.reset()
         assert ledger.updates == []
@@ -198,9 +199,9 @@ class TestMetricsLedger:
         assert ledger.traffic_totals() == dict.fromkeys(
             ("local_messages", "cross_slot_messages", "shm_bytes", "pipe_fallbacks"), 0
         )
-        ledger.record_round([Message("a", "b", "t", 1)])
+        file_messages(ledger, [Message("a", "b", "t", 1)])
         ledger.record_traffic(local_messages=3, shm_bytes=40)
-        ledger.record_round([Message("b", "a", "t", 1)])
+        file_messages(ledger, [Message("b", "a", "t", 1)])
         ledger.record_traffic(local_messages=1, cross_slot_messages=2, pipe_fallbacks=1)
         assert ledger.traffic_totals() == {
             "local_messages": 4,
@@ -218,7 +219,7 @@ class TestMetricsLedger:
 
     def test_reset_zeroes_traffic_and_keeps_the_round_counter(self):
         ledger = MetricsLedger()
-        ledger.record_round([Message("a", "b", "t", 1)])
+        file_messages(ledger, [Message("a", "b", "t", 1)])
         ledger.record_traffic(local_messages=5, cross_slot_messages=1, shm_bytes=8, pipe_fallbacks=1)
         ledger.fused_rounds, ledger.driver_round_trips = 1, 1
         ledger.reset()

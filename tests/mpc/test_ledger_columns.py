@@ -19,6 +19,7 @@ from statistics import mean
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
+from ledger_rounds import file_messages
 from seeded_mutation import mutated
 
 from repro.exceptions import ProtocolError
@@ -68,7 +69,7 @@ class OracleLedger:
         else:
             self.current.rounds.append(record)
 
-    def record_round(self, messages) -> None:
+    def file_messages(self, messages) -> None:
         self.file(RoundRecord.from_messages(self.next_round_index, messages))
         self.next_round_index += 1
 
@@ -153,7 +154,7 @@ OPERATIONS = st.lists(
         st.just(("begin_batch",)),
         st.just(("end_batch",)),
         st.tuples(st.just("file_round"), COSTS),
-        st.tuples(st.just("record_round"), MESSAGES),
+        st.tuples(st.just("file_messages"), MESSAGES),
         st.just(("reset",)),
     ),
     max_size=40,
@@ -172,8 +173,12 @@ def apply(ledger, operation) -> None:
             ledger.file_round(None, *args[0])
         else:
             ledger.file_round(args[0])
-    elif name == "record_round":
-        ledger.record_round([Message(sender, receiver, "t", None, words) for sender, receiver, words in args[0]])
+    elif name == "file_messages":
+        messages = [Message(sender, receiver, "t", None, words) for sender, receiver, words in args[0]]
+        if isinstance(ledger, MetricsLedger):
+            file_messages(ledger, messages)
+        else:
+            ledger.file_messages(messages)
     else:
         getattr(ledger, name)(*args)
 
@@ -236,12 +241,12 @@ def test_columns_answer_like_the_list_of_records():
 
 def snapshot_ledger() -> tuple[MetricsLedger, list[RoundRecord]]:
     """A ledger with one batched update of three detailed rounds and one update of one,
-    and the rounds ``record_round`` / ``file_round`` handed back."""
+    and the rounds ``file_round`` handed back."""
     ledger = MetricsLedger()
     ledger.begin_batch()
     ledger.begin_update("u")
-    recorded = ledger.record_round([Message("a", "b", "t", None, 5)])
-    also_recorded = ledger.record_round([Message("b", "a", "t", None, 3)])
+    recorded = file_messages(ledger, [Message("a", "b", "t", None, 5)])
+    also_recorded = file_messages(ledger, [Message("b", "a", "t", None, 3)])
     delivered = ledger.file_round(None, 2, 7, 1, 7, {("e", "f"): 7})
     ledger.end_update()
     ledger.end_batch()
@@ -276,21 +281,19 @@ def test_a_handed_out_record_is_a_snapshot():
 PROPERTY_MUTATIONS = [
     ("begin_update", "self._open_start = len(self._round_index)", "self._open_start = max(len(self._round_index) - 1, 0)", "update boundary one row early"),
     ("_spans", "ends.append(self._open_start if self._open_label is not None else len(self._round_index))", "ends.append(len(self._round_index))", "open update's rows charged to the last closed one"),
-    ("_file_round", "self._pair_words[len(rows)] = dict(pair_words)", "pass", "pair-detail row dropped"),
-    ("_file_round", 'self._file_update("<unlabelled>", len(rows))', "pass", "round outside an update joins the previous update"),
+    ("file_round", "self._pair_words[len(rows)] = dict(pair_words)", "pass", "pair-detail row dropped"),
+    ("file_round", 'self._file_update("<unlabelled>", len(rows))', "pass", "round outside an update joins the previous update"),
     ("_file_update", "self._batch_ids.append(self._current_batch or 0)", "self._batch_ids.append(0)", "batch tag dropped"),
     ("batch_summary", "spans.append((first, end))", "merged.append([(first, end)])", "batch members summarised apart"),
     ("_summarize", "active += self._active_machines[first:end]", "active += self._active_machines[first:end - 1]", "last round of an update left out of its active machines"),
     ("reset", "self._start_empty()", "self._traffic = dict.fromkeys(self._traffic, 0)", "reset keeps the rounds"),
-    ("record_round", "self.next_round_index += 1", "pass", "record_round leaves the counter"),
     ("file_round", "self.next_round_index = round_index + 1", "pass", "a delivered round leaves the counter"),
     ("communication_entropy", "if self._total_words[row]:", "if False:", "entropy skips a round that kept no breakdown"),
     ("communication_entropy", "if self._total_words[row]:", "if True:", "entropy refuses a wordless round"),
 ]
 #: faults only the snapshot check sees: the ledger shares a dict with a record it handed out
 SNAPSHOT_MUTATIONS = [
-    ("_file_round", "self._pair_words[len(rows)] = dict(pair_words)", "self._pair_words[len(rows)] = pair_words", "filed round's pair words shared"),
-    ("file_round", "self._pair_words[len(rows)] = dict(pair_words)", "self._pair_words[len(rows)] = pair_words", "delivered round's pair words shared"),
+    ("file_round", "self._pair_words[len(rows)] = dict(pair_words)", "self._pair_words[len(rows)] = pair_words", "filed round's pair words shared"),
     ("_round_record", "None if pair_words is None else dict(pair_words)", "pair_words", "read round's pair words shared"),
 ]
 

@@ -19,6 +19,7 @@ import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from ledger_rounds import file_messages
 
 from repro.config import DMPCConfig
 from repro.exceptions import MachineMemoryExceeded, MessageSizeExceeded, ProtocolError, UnknownMachineError
@@ -130,7 +131,7 @@ class TestEntropyNeedsPairDetail:
         recorded = MetricsLedger()
         recorded.begin_update("u")
         for sender, receiver, words in self.SENDS:
-            recorded.record_round([Message(sender, receiver, "t", None, words)])
+            file_messages(recorded, [Message(sender, receiver, "t", None, words)])
         recorded.end_update()
         expected = -sum(p * math.log2(p) for p in (3 / 8, 1 / 8, 4 / 8))
         assert ledger.communication_entropy("u") == recorded.communication_entropy("u") == pytest.approx(expected)
@@ -340,11 +341,11 @@ class TestRecords:
         assert full == RoundRecord(7, 3, 10, 3, 5)
         assert full.pair_words == {("a", "b"): 9, ("c", "a"): 1}
 
-    def test_record_round_and_file_round_share_one_counter(self):
+    def test_new_rounds_share_one_counter(self):
         ledger = MetricsLedger()
-        recorded = ledger.record_round([Message("a", "b", "t", None, 2)])
+        recorded = file_messages(ledger, [Message("a", "b", "t", None, 2)])
         delivered = ledger.file_round(None, 1, 3, 1, 3)
-        again = ledger.record_round([])
+        again = file_messages(ledger, [])
         assert [recorded.round_index, delivered.round_index, again.round_index] == [1, 2, 3]
         assert ledger.next_round_index == 4
         ledger.file_round(9, 0, 0, 0, 0)  # a record filed under the index it carries leaves the counter

@@ -14,7 +14,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mpc.layout import FrozenChargeHandle, StatsTable, is_live_record
+from repro.mpc.layout import FrozenChargeHandle, StatsTable, StatsView
 
 BASE, SIZE = 8, 6
 #: the block's six slots (the range partition routes no other id to this table)
@@ -26,6 +26,13 @@ def closed_form(table: StatsTable, stacks: dict[int, list[str]]) -> int:
     return 9 * table.occupied + sum(len(stack) for stack in stacks.values())
 
 
+def occupied(table: StatsTable, vertex: int) -> StatsView:
+    """``vertex``'s record, its slot committed."""
+    record = table.view(vertex)
+    table.occupy(vertex, record)
+    return record
+
+
 class TestLiveWords:
     @settings(max_examples=150, deadline=None)
     @given(traffic=st.lists(st.tuples(VERTICES, st.one_of(st.none(), STACKS)), max_size=40))
@@ -35,14 +42,11 @@ class TestLiveWords:
         stacks: dict[int, list[str]] = {}
         for vertex, stack in traffic:
             if stack is None:
-                record = table.view(vertex)
-                assert (record is not None) == (vertex in stacks)
-                if record is not None:
-                    assert list(record.suspended_machines) == stacks[vertex]
-                    assert record.dmpc_words() == 6 + len(stacks[vertex])
-                    assert record.as_payload()["suspended"] == stacks[vertex]
+                assert table.has(vertex) == (vertex in stacks)
+                assert list(table.view(vertex).suspended_machines) == stacks.get(vertex, [])
+                assert table.payloads([vertex])[0][0][1]["suspended"] == stacks.get(vertex, [])
             else:
-                table.ensure(vertex).suspended_machines = stack
+                occupied(table, vertex).suspended_machines = stack
                 stacks[vertex] = stack
             assert table.live_words() == closed_form(table, stacks)
             assert table.suspended_words == sum(len(s) for s in stacks.values())
@@ -53,13 +57,13 @@ class TestLiveWords:
     def test_reading_a_stack_stores_nothing(self):
         table = StatsTable(BASE, SIZE)
         for vertex in range(BASE, BASE + SIZE):
-            assert table.ensure(vertex).suspended_machines == ()
+            assert occupied(table, vertex).suspended_machines == ()
         assert table.suspended == {}
         assert table.live_words() == 9 * SIZE
 
     def test_a_stack_changes_only_through_the_setter(self):
         table, vertex = StatsTable(BASE, SIZE), BASE + 1
-        record = table.ensure(vertex)
+        record = occupied(table, vertex)
         record.suspended_machines = ["edge3"]
         stack = record.suspended_machines
         with pytest.raises(AttributeError):
@@ -72,9 +76,9 @@ class TestLiveWords:
 
     def test_pickle_round_trips_the_counter(self):
         table = StatsTable(BASE, SIZE)
-        table.ensure(BASE).suspended_machines = ["edge3", "edge4"]
-        table.ensure(BASE + 2).mate = 5
-        table.ensure(BASE + SIZE - 1).suspended_machines = ["edge9"]
+        occupied(table, BASE).suspended_machines = ["edge3", "edge4"]
+        occupied(table, BASE + 2).mate = 5
+        occupied(table, BASE + SIZE - 1).suspended_machines = ["edge9"]
         handle = pickle.loads(pickle.dumps(FrozenChargeHandle(table)))
         clone = handle.table
         assert clone.suspended_words == 3
@@ -85,13 +89,26 @@ class TestLiveWords:
         assert (clone.live_words(), table.live_words()) == (9 * 3 + 2, 9 * 3 + 3)
 
 
-class TestLiveRecord:
-    def test_a_view_knows_its_vertex_and_its_table(self):
-        table, other, vertex = StatsTable(BASE, SIZE), StatsTable(BASE, SIZE), BASE + 1
-        record = table.ensure(vertex)
-        assert record.vertex == table.view(vertex).vertex == vertex
-        assert is_live_record(record, table, vertex) and is_live_record(table.view(vertex), table, vertex)
-        assert not is_live_record(record, other, vertex)  # same slot of another table
-        assert not is_live_record(record, table, vertex + 1)  # another slot of the same table
-        assert not is_live_record(other.ensure(vertex), table, vertex)
-        assert not is_live_record(object(), table, vertex)
+class TestOccupancy:
+    def test_an_unoccupied_slot_is_the_blank_record_and_takes_writes(self):
+        table, vertex = StatsTable(BASE, SIZE), BASE + 1
+        record = table.view(vertex)
+        assert record.vertex == vertex
+        assert (record.degree, record.mate, record.heavy, record.free_neighbors) == (0, None, False, 0)
+        assert (record.alive_machine, record.suspended_machines) == (None, ())
+        assert table.unoccupied_writes() == []
+        record.degree, record.alive_machine = 2, "edge3"
+        assert table.view(vertex).degree == 2  # a view minted later reads the write
+        assert (table.occupied, table.live_words()) == (0, 0)  # ... which nothing charged yet
+        assert table.unoccupied_writes() == [vertex]
+        table.occupy(vertex, record)
+        assert (table.has(vertex), table.live_words(), table.unoccupied_writes()) == (True, 9, [])
+        table.occupy(vertex, table.view(vertex))  # occupying again charges nothing more
+        assert table.live_words() == 9
+
+    @pytest.mark.parametrize("field", ["degree", "mate", "heavy", "free_neighbors", "alive_machine", "suspended_machines"])
+    def test_every_column_of_an_unoccupied_slot_is_watched(self, field):
+        table = StatsTable(BASE, SIZE)
+        value = {"mate": 3, "heavy": True, "alive_machine": "edge3", "suspended_machines": ["edge4"]}.get(field, 1)
+        setattr(table.view(BASE + 2), field, value)
+        assert table.unoccupied_writes() == [BASE + 2]

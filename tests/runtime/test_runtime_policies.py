@@ -143,8 +143,8 @@ class TestFastWordSize:
         assert fast_word_size(payload) == word_size(payload)
 
     def test_matches_reference_on_package_objects(self):
-        from repro.dynamic_mpc.state import VertexStats
         from repro.mpc.coordinator import HistoryEntry
+        from repro.mpc.layout import FrozenChargeHandle, StatsTable
         from repro.mpc.sizing import fast_word_size, word_size
 
         class IntSubclass(int):
@@ -155,9 +155,9 @@ class TestFastWordSize:
                 return 42
 
         for payload in (
-            VertexStats(degree=3, mate=1, suspended_machines=["edge1", "edge2"]),
+            FrozenChargeHandle(StatsTable(0, 4)),
             HistoryEntry(seq=1, kind="insert", u=0, v=1),
-            [VertexStats(), {"k": (HistoryEntry(seq=2, kind="delete", u=2, v=3), None)}],
+            [{"k": (HistoryEntry(seq=2, kind="delete", u=2, v=3), None)}],
             IntSubclass(7),
             DictWithWords(a=1),
             "",

@@ -6,10 +6,14 @@ it).  Run it by path; it needs only the standard library and ``src/``:
     PYTHONPATH=src python tests/scale/scale_correctness_sweep.py          # check
     PYTHONPATH=src python tests/scale/scale_correctness_sweep.py --write  # re-record
 
-Every run starts from ``DynamicGraph(n)``, applies
+Every run applies
 ``within_capacity(mixed_stream(n, 400, seed=s, insert_probability=0.6), 0, cap)``
-to ``for_graph(n, cap, backend="fast")`` with ``check_invariants=True``, and
-stops at its first exception.  The grids:
+to ``for_graph(n, cap, backend="fast")`` with ``check_invariants=True`` and
+stops at its first exception.  It runs twice: once from ``DynamicGraph(n)``
+(every vertex's statistics stored by the preprocess) and once from the empty
+graph ``DynamicGraph()`` (each vertex stored by the update that first touches
+it).  The two starts hold the same graph at every update, so both must give
+the same outcome.  The grids:
 
 * light: capacity ``4n`` — maximal matching at n in {6, 10}, seeds 0-39;
   3/2 matching at n in {6, 8, ..., 16}, seeds 0-49;
@@ -18,10 +22,12 @@ stops at its first exception.  The grids:
 
 ``correctness_ratchet.json`` beside this file holds one line per failing
 ``(algorithm, n, capacity, seed, update, message)``, ``update`` counted from
-1.  The check fails when a run outside the ratchet fails (a regression) and
-when a ratchet run passes or fails differently (a fix: the ratchet must
-shrink in the same change, with ``--write``).  It prints the failure table
-either way.  With two worker processes the 1 100 runs take about 25 s.
+1.  The check fails, for either start, when a run outside the ratchet fails
+(a regression) and when a ratchet run passes or fails differently (a fix:
+the ratchet must shrink in the same change, with ``--write``); each such
+line names its start.  It prints the failure table of each start either
+way.  ``--write`` records the ratchet only when the two starts agree.  With
+two worker processes the 2 x 1 100 runs take about 50 s.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ from repro.graph.streams import mixed_stream
 RATCHET = Path(__file__).with_name("correctness_ratchet.json")
 UPDATES = 400
 ALGORITHMS = {cls.kind: cls for cls in (DMPCMaximalMatching, DMPCThreeHalvesMatching)}
+#: the two preprocessed graphs every run starts from, by name
+STARTS = ("DynamicGraph(n)", "DynamicGraph()")
 HEAVY = [(n, cap) for n in (6, 7, 8, 10) for cap in (n, 3 * n // 2, 2 * n)]
 #: (algorithm, regime) -> [(n, capacity)] and the seeds each pair runs
 GRIDS = {
@@ -65,21 +73,21 @@ def within_capacity(stream, edges: int, capacity: int) -> list:
     return kept
 
 
-def jobs() -> list[tuple[str, int, int, int]]:
-    """Every ``(algorithm, n, capacity, seed)`` of the grids, in ratchet order."""
+def jobs(start: str) -> list[tuple[str, int, int, int, str]]:
+    """Every ``(algorithm, n, capacity, seed, start)`` of the grids, in ratchet order."""
     return [
-        (algorithm, n, cap, seed)
+        (algorithm, n, cap, seed, start)
         for (algorithm, _regime), (pairs, seeds) in GRIDS.items()
         for (n, cap) in pairs
         for seed in seeds
     ]
 
 
-def run(job: tuple[str, int, int, int]) -> dict | None:
+def run(job: tuple[str, int, int, int, str]) -> dict | None:
     """The ratchet row of one run's first failure, or ``None`` when every boundary holds."""
-    algorithm, n, cap, seed = job
+    algorithm, n, cap, seed, start = job
     alg = ALGORITHMS[algorithm](DMPCConfig.for_graph(n, cap, backend="fast"), check_invariants=True)
-    alg.preprocess(DynamicGraph(n))
+    alg.preprocess(DynamicGraph(n) if start == "DynamicGraph(n)" else DynamicGraph())
     stream = within_capacity(mixed_stream(n, UPDATES, seed=seed, insert_probability=0.6), 0, cap)
     for number, update in enumerate(stream, 1):
         try:
@@ -90,9 +98,10 @@ def run(job: tuple[str, int, int, int]) -> dict | None:
     return None
 
 
-def sweep() -> list[dict]:
+def sweep() -> dict[str, list[dict]]:
+    """The failing runs' ratchet rows, per start."""
     with multiprocessing.get_context("spawn").Pool(os.cpu_count() or 1) as pool:
-        return [row for row in pool.map(run, jobs(), chunksize=4) if row is not None]
+        return {start: [row for row in pool.map(run, jobs(start), chunksize=4) if row is not None] for start in STARTS}
 
 
 def dump(rows: list[dict]) -> str:
@@ -128,12 +137,19 @@ def differences(rows: list[dict], ratchet: list[dict]) -> list[str]:
 
 def main(argv: list[str]) -> int:
     rows = sweep()
-    print(table(rows))
+    for start in STARTS:
+        print(f"from {start}:")
+        print(table(rows[start]))
     if argv[1:] == ["--write"]:
-        RATCHET.write_text(dump(rows))
-        print(f"wrote {len(rows)} failing runs to {RATCHET}")
+        first, second = (rows[start] for start in STARTS)
+        if first != second:
+            print(f"the two starts disagree on {len(differences(second, first))} runs: the ratchet is not written")
+            return 1
+        RATCHET.write_text(dump(first))
+        print(f"wrote {len(first)} failing runs to {RATCHET}")
         return 0
-    found = differences(rows, json.loads(RATCHET.read_text()))
+    ratchet = json.loads(RATCHET.read_text())
+    found = [f"from {start}: {line}" for start in STARTS for line in differences(rows[start], ratchet)]
     for line in found:
         print(line)
     return 1 if found else 0

@@ -6,12 +6,19 @@ Outside tier-1 — the file is named like ``benchmarks/bench_*.py`` so the bare
     PYTHONPATH=src python -m pytest -q tests/scale/scale_preprocess.py
 
 Connectivity and (1+eps)-MST on ``gnm(n, 2n)`` at n in {1 024, 4 096, 16 384},
-``fast`` backend: ``preprocess`` may grow by at most ×8 per ×4 in n (linear is
-×4; the n − 1 incremental ``link`` calls it replaced grew ×17), and must stay
-under 3 s at the largest size.  After it, 300 ``mixed_stream`` updates must
-end in the oracle's partition and a spanning forest, with rounds per update
-within ±0.3 of the n = 1 024 value (Table 1: O(1)) and never more active
-machines in a round than there are workers.
+``fast`` backend.  ``preprocess`` is bounded by a count, not a clock ratio:
+the tour indexes it writes into the vertices' index sets, per vertex, at
+every size.  ``IndexedEulerTourForest.link_all`` writes the four positions of
+each tree edge once — 3.96 per vertex at n = 1 024 — a constant, so the total
+is linear in n; the bound is that + 20 %.  The n − 1 incremental ``link``
+calls it replaced rewrite both trees per link: ≈ 1 900 per vertex at
+n = 1 024, growing with n — the last test swaps them back in and sees the
+bound trip.  (A clock ratio between sizes, ×8 per ×4 in n, failed on a busy
+host with linear code.)  ``preprocess`` must also stay under 3 s at the
+largest size.  After it, 300 ``mixed_stream`` updates must end in the
+oracle's partition and a spanning forest, with rounds per update within
+±0.3 of the n = 1 024 value (Table 1: O(1)) and never more active machines
+in a round than there are workers.
 
 This is the first test in the repository at n > 2 048.  ``bench/scale.py``
 (ROADMAP item 3c) supersedes it once a ``[benchmark]`` PR adds it.
@@ -25,13 +32,16 @@ import pytest
 
 from repro.config import DMPCConfig
 from repro.dynamic_mpc import DMPCApproxMST, DMPCConnectivity
+from repro.eulertour.indexed import IndexedEulerTourForest, VertexTourState
 from repro.graph.generators import gnm_random_graph, random_weighted_graph
 from repro.graph.streams import mixed_stream
 from repro.graph.validation import connected_components, is_spanning_forest, same_partition
 
 SIZES = (1024, 4096, 16384)
 NUM_UPDATES = 300
-MAX_GROWTH_PER_X4 = 8.0
+#: four positions per tree edge, at most n − 1 tree edges
+MEASURED_INDEX_WRITES_PER_VERTEX = 4
+SLACK = 1.2
 MAX_PREPROCESS_S = 3.0
 ROUNDS_PER_OP_TOLERANCE = 0.3
 
@@ -39,6 +49,45 @@ CASES = {
     "connectivity": (DMPCConnectivity, gnm_random_graph, False),
     "mst": (DMPCApproxMST, random_weighted_graph, True),
 }
+
+
+def incremental_link_all(forest, edges):
+    """The seeding ``link_all`` replaced: one ``link`` per unconnected pair, in order."""
+    for (u, v) in edges:
+        if not forest.connected(u, v):
+            forest.link(u, v)
+    return forest.tree_edges()
+
+
+def index_writes_per_vertex(algorithm: str, n: int, monkeypatch: pytest.MonkeyPatch) -> float:
+    """The tour indexes one ``preprocess`` of ``algorithm`` writes into vertices' index sets, per vertex.
+
+    A write is an index added to a set (``update``) or carried by a set
+    assigned to a vertex's ``indexes`` (a rewrite counts every index of the
+    new set).  Counted under a patch, so the timed runs are not slowed.
+    """
+    cls, generator, _weighted = CASES[algorithm]
+    graph = generator(n, 2 * n, seed=21)
+    written = 0
+
+    class CountingIndexes(set):
+        def update(self, *others) -> None:
+            nonlocal written
+            before = len(self)
+            super().update(*others)
+            written += len(self) - before
+
+    def counting_setattr(state, name, value) -> None:
+        nonlocal written
+        if name == "indexes":
+            written += len(value)
+            value = CountingIndexes(value)
+        object.__setattr__(state, name, value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(VertexTourState, "__setattr__", counting_setattr)
+        cls(DMPCConfig.for_graph(n, 4 * n, backend="fast")).preprocess(graph.copy())
+    return written / n
 
 
 def run_one(algorithm: str, n: int) -> dict:
@@ -64,19 +113,19 @@ def run_one(algorithm: str, n: int) -> dict:
 
 
 @pytest.mark.parametrize("algorithm", list(CASES))
-def test_preprocess_is_linear_and_updates_keep_their_shape(algorithm):
+def test_preprocess_is_linear_and_updates_keep_their_shape(algorithm, monkeypatch):
     runs = {n: run_one(algorithm, n) for n in SIZES}
+    writes = {n: index_writes_per_vertex(algorithm, n, monkeypatch) for n in SIZES}
     print()
     for n, run in runs.items():
         print(
-            f"{algorithm} n={n}: preprocess {run['preprocess_s']:.3f} s, "
+            f"{algorithm} n={n}: preprocess {run['preprocess_s']:.3f} s, {writes[n]:.2f} index writes per vertex, "
             f"{run['rounds_per_op']:.2f} rounds/op, max {run['max_active_machines']} active machines "
             f"of {len(run['alg'].worker_ids)} workers"
         )
 
-    for small, large in zip(SIZES, SIZES[1:]):
-        growth = runs[large]["preprocess_s"] / runs[small]["preprocess_s"]
-        assert growth <= MAX_GROWTH_PER_X4, f"preprocess grew x{growth:.1f} from n={small} to n={large}"
+    for n in SIZES:
+        assert writes[n] <= MEASURED_INDEX_WRITES_PER_VERTEX * SLACK, f"preprocess wrote {writes[n]:.1f} indexes per vertex at n={n}"
     assert runs[SIZES[-1]]["preprocess_s"] <= MAX_PREPROCESS_S
 
     base_rounds = runs[SIZES[0]]["rounds_per_op"]
@@ -87,3 +136,10 @@ def test_preprocess_is_linear_and_updates_keep_their_shape(algorithm):
         alg.verify_invariants()
         assert abs(run["rounds_per_op"] - base_rounds) <= ROUNDS_PER_OP_TOLERANCE, (n, run["rounds_per_op"], base_rounds)
         assert run["max_active_machines"] <= len(alg.worker_ids), (n, run["max_active_machines"])
+
+
+@pytest.mark.parametrize("algorithm", list(CASES))
+def test_incremental_seeding_trips_the_count(algorithm, monkeypatch):
+    """The count sees the seeding ``link_all`` replaced, at the smallest size already."""
+    monkeypatch.setattr(IndexedEulerTourForest, "link_all", incremental_link_all)
+    assert index_writes_per_vertex(algorithm, SIZES[0], monkeypatch) > MEASURED_INDEX_WRITES_PER_VERTEX * SLACK
