@@ -195,8 +195,9 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
     def _handle_threshold_crossing(self, v: int, stats: StatsView) -> None:
         """Relocate a light vertex that just became heavy to an exclusive machine."""
         fabric = self.fabric
-        became_heavy = stats.degree >= fabric.threshold and not stats.heavy
-        stats.heavy = stats.degree >= fabric.threshold
+        heavy = stats.degree >= fabric.threshold
+        became_heavy = heavy and not stats.heavy
+        stats.heavy = heavy
         if became_heavy and stats.alive_machine is not None:
             exclusive = fabric._allocate_machine(light=False)
             fabric.move_vertex_edges(v, stats, exclusive)
@@ -270,9 +271,9 @@ class DMPCMaximalMatching(DynamicMPCAlgorithm):
         """
         fabric = self.fabric
         pairs = fabric.update_vertex(z, sz, query="matched-neighbors")["matched"]
-        lightness = fabric.query_lightness([mate for (_w, mate) in pairs])
+        mates = fabric.query_stats(sorted({mate for (_w, mate) in pairs})) if pairs else {}
         for (w, mate) in pairs:
-            if lightness[mate] and mate != z and w != z:
+            if mates[mate].degree < fabric.threshold and mate != z and w != z:
                 break
         else:
             # Fallback: look for a free neighbour among the suspended edges.

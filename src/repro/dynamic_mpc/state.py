@@ -27,11 +27,15 @@ no machine is ever more than ``O(sqrt N)`` updates stale — which is what
 bounds the history size.  Every round that reaches an edge table is one
 primitive, ``_contact``: it ships each machine its unseen suffix, sized by
 its length, and replays it there; an update pays for the entries it ships,
-not for the buffer, and the round-robin cycles over a maintained list.
+not for the buffer, and the round-robin cycles over a maintained list
+(one pick of the next machines, a single update's and a batch's alike).
 Placement is a contact too (``add-edge``, ``move-edges``,
 ``suspended-edges``), so every record is written onto a machine that has
 just been caught up, and a buffered ``delete`` can never be replayed over a
-copy placed after it.
+copy placed after it.  So is every read: ``_ask`` is a contact whose
+machines each answer from their own records and the request they were
+sent, one reply round, and the coordinator decides from the replies in the
+order it drains them.
 
 A machine is shipped, and replays, only what it can be missing.  Two
 events stamp a machine current (``seen = last_seq``): ``_contact``, after
@@ -55,13 +59,14 @@ from __future__ import annotations
 
 from bisect import insort
 from contextlib import contextmanager
-from typing import Any, Iterator
+from itertools import islice
+from typing import Any, Callable, Iterator
 
 from repro.config import DMPCConfig
 from repro.exceptions import InvariantViolation, ProtocolError
 from repro.graph.graph import DynamicGraph, normalize_edge
 from repro.mpc.cluster import Cluster
-from repro.mpc.coordinator import Coordinator, HistoryEntry, UpdateHistory
+from repro.mpc.coordinator import Coordinator, HistoryEntry
 from repro.mpc.layout import EDGE_TABLE_KEY, EdgeTable, FrozenChargeHandle, StatsTable, StatsView
 from repro.mpc.machine import Machine
 from repro.mpc.partition import RangePartition
@@ -70,7 +75,7 @@ from repro.mpc.sizing import closed_form_words, register_closed_form, string_wor
 __all__ = ["MatchingFabric"]
 
 #: the single machine-store key each statistics machine keeps its flat
-#: struct-of-arrays vertex table under
+#: struct-of-arrays vertex table under, committed since the fabric was built
 STATS_KEY = "stats"
 
 
@@ -109,6 +114,16 @@ register_closed_form("move-request", lambda payload: 1)
 register_closed_form("fetch-suspended", lambda payload: 3)
 
 
+def _first_free_each(table: EdgeTable, request: list[tuple[int, list[int]]]) -> list[tuple[int, int | None]]:
+    """A ``batch-free-reply``: a free neighbour (or ``None``) of each requested ``(vertex, exclude)``."""
+    return [(v, table.first_free(v, exclude)) for v, exclude in request]
+
+
+def _sorted_row(table: EdgeTable, v: int) -> list[int]:
+    """A ``neighbor-list-reply``: ``v``'s row, sorted."""
+    return sorted(table.row(v))
+
+
 class MatchingFabric:
     """Storage fabric + message protocol shared by the matching algorithms."""
 
@@ -128,10 +143,13 @@ class MatchingFabric:
         for machine in stats_machines:
             block = self.partition.vertices_on(machine.machine_id)
             FrozenChargeHandle(StatsTable(block.start, len(block))).commit(machine, STATS_KEY)
-        self.coordinator = Coordinator.create(cluster, self.partition)
-
         # Edge machine pool (allocated lazily; idle machines never become active).
         pool_size = 2 * config.num_worker_machines + 8
+        # History capacity must cover the worst-case staleness of any machine:
+        # one machine is refreshed per update (round-robin), each update adds
+        # O(1) entries, so O(#machines) = O(sqrt N) entries suffice.
+        capacity = max(config.sqrt_N, 10 * (pool_size + 8))
+        self.coordinator = Coordinator.create(cluster, self.partition, history_capacity=capacity)
         self.edge_pool = [m.machine_id for m in cluster.add_machines("edge", pool_size, role="edge")]
         self._unallocated = list(reversed(self.edge_pool))
         # The machines the round-robin maintenance cycles over, in pool
@@ -142,12 +160,6 @@ class MatchingFabric:
         self._light_machines: dict[str, Machine] = {}
         self._machine_seen_seq: dict[str, int] = {mid: 0 for mid in self.edge_pool}
         self._refresh_pointer = 0
-
-        # History capacity must cover the worst-case staleness of any machine:
-        # one machine is refreshed per update (round-robin), each update adds
-        # O(1) entries, so O(#machines) = O(sqrt N) entries suffice.
-        capacity = max(config.sqrt_N, 10 * (pool_size + 8))
-        self.coordinator.history = UpdateHistory(capacity=capacity)
 
         # Batch mode: round-robin maintenance deferred and merged (see batched()).
         # The deferral cap keeps the total staleness a batch can accumulate well
@@ -202,15 +214,10 @@ class MatchingFabric:
         return self._allocate_machine(light=True)
 
     # ------------------------------------------------------------------ stats
-    @staticmethod
-    def _stats_handle(machine) -> FrozenChargeHandle:
-        """The stats machine's table handle, committed since the fabric was built."""
-        return machine.load(STATS_KEY)
-
     def stats_tables(self) -> Iterator[StatsTable]:
         """Every statistics machine's table."""
         for machine in self.cluster.machines(role="stats"):
-            yield self._stats_handle(machine).table
+            yield machine.load(STATS_KEY).table
 
     # ------------------------------------------------------------ edge tables
     @staticmethod
@@ -235,12 +242,12 @@ class MatchingFabric:
         stored; only a commit (:meth:`store_stats`, :meth:`push_stats`,
         :meth:`mutate_stats`) occupies the slot and charges its words.
         """
-        return self._stats_handle(self._machines[self.partition.machine_for(v)]).table.view(v)
+        return self._machines[self.partition.machine_for(v)].load(STATS_KEY).table.view(v)
 
     def store_stats(self, v: int, stats: StatsView) -> None:
         """Commit ``v``'s record ``stats`` — its own slot's view — locally, without a round."""
         machine = self._machines[self.partition.machine_for(v)]
-        handle = self._stats_handle(machine)
+        handle = machine.load(STATS_KEY)
         handle.table.occupy(v, stats)
         handle.commit(machine, STATS_KEY)
 
@@ -248,7 +255,7 @@ class MatchingFabric:
     def mutate_stats(self, v: int) -> Iterator[StatsView]:
         """Read-modify-write ``v``'s statistics; the record is committed on exit."""
         machine = self._machines[self.partition.machine_for(v)]
-        handle = self._stats_handle(machine)
+        handle = machine.load(STATS_KEY)
         record = handle.table.view(v)
         try:
             yield record
@@ -341,6 +348,23 @@ class MatchingFabric:
             contacted.append((machine, handle))
         return contacted
 
+    def _ask(self, tag: str, reply_tag: str, targets: list[tuple[str, Any, int]], answer: Callable[[EdgeTable, Any], Any]) -> list:
+        """One edge-table read: a ``tag`` :meth:`_contact` and a ``reply_tag`` round back (2 rounds).
+
+        Each ``(machine_id, request, words)`` of ``targets``, brought current
+        by the contact, replies ``answer(table, request)`` — its own records
+        and the request are all it reads — charged the reply tag's closed
+        form.  Returns the reply payloads in the order the coordinator drains
+        them (senders in registration order): what the coordinator decides from.
+        """
+        coordinator = self.coordinator.machine
+        coordinator_id = coordinator.machine_id
+        for (machine, handle), (_machine_id, request, _words) in zip(self._contact(tag, targets), targets):
+            reply = answer(handle.table, request)
+            machine.send(coordinator_id, reply_tag, reply, words=closed_form_words(reply_tag, reply))
+        self.cluster.exchange()
+        return [message.payload for message in coordinator.drain(reply_tag)]
+
     # ------------------------------------------------------------ edge machines
     def _ensure_alive_machine(self, v: int, stats: StatsView) -> str:
         """Make sure ``v`` has an alive machine; allocate/choose one if needed."""
@@ -397,7 +421,7 @@ class MatchingFabric:
         replies: dict[int, StatsView] = {}
         for machine_id in targets:
             machine = self._machines[machine_id]
-            table = self._stats_handle(machine).table
+            table = machine.load(STATS_KEY).table
             for msg in machine.drain("stats-query"):
                 reply, words = table.payloads(msg.payload)
                 machine.send(coordinator.machine_id, "stats-reply", reply, words=_STATS_REPLY_TAG_WORDS + words)
@@ -421,7 +445,7 @@ class MatchingFabric:
         handles = []
         for machine_id, vertices in targets.items():
             machine = self._machines[machine_id]
-            handle = self._stats_handle(machine)
+            handle = machine.load(STATS_KEY)
             writes, words = handle.table.payloads(vertices)
             coordinator.send(machine_id, "stats-write", writes, words=_STATS_WRITE_TAG_WORDS + words)
             handles.append((machine, handle, vertices))
@@ -440,23 +464,16 @@ class MatchingFabric:
         """Refresh the next edge machine in round-robin order (1 round).
 
         This is the Section 3 maintenance step that bounds every machine's
-        staleness by ``O(sqrt N)`` updates.  Inside a :meth:`batched` scope
-        the refresh is deferred and merged — the batch pays one refresh
-        round for all its updates instead of one round each (the pointer
-        still advances once per update, so the staleness bound holds).
+        staleness by ``O(sqrt N)`` updates.  The refresh is always deferred;
+        outside a :meth:`batched` scope it is flushed at once.  Inside one
+        the batch pays one merged round for all its updates instead of one
+        round each (the pointer still advances once per update, so the
+        staleness bound holds), and a batch larger than the history buffer
+        can absorb flushes mid-batch, charged to the update in progress.
         """
-        if self._batch_depth > 0:
-            self._deferred_refreshes += 1
-            # A batch larger than the history buffer can absorb must flush
-            # mid-batch (charged to the current update's ledger scope).
-            if self._deferred_refreshes >= self._max_deferred_refreshes:
-                self.flush_deferred_refreshes()
-            return
-        if not self._allocated:
-            return
-        machine_id = self._allocated[self._refresh_pointer % len(self._allocated)]
-        self._refresh_pointer += 1
-        self.refresh_machine(machine_id)
+        self._deferred_refreshes += 1
+        if not self._batch_depth or self._deferred_refreshes >= self._max_deferred_refreshes:
+            self.flush_deferred_refreshes()
 
     @contextmanager
     def batched(self) -> Iterator["MatchingFabric"]:
@@ -485,15 +502,15 @@ class MatchingFabric:
         machines refreshed.
         """
         count, self._deferred_refreshes = self._deferred_refreshes, 0
-        if count == 0:
-            return 0
         allocated = self._allocated
-        if not allocated:
+        if not count or not allocated:
             return 0
-        pending: dict[str, None] = {}
-        for _ in range(count):
-            pending[allocated[self._refresh_pointer % len(allocated)]] = None
-            self._refresh_pointer += 1
+        # the next ``count`` picks of the pointer, each machine once, in pick order
+        start = self._refresh_pointer % len(allocated)
+        self._refresh_pointer += count
+        pending = allocated[start : start + count]
+        if len(pending) < count:  # the picks wrap past the end of the list
+            pending += allocated[: min(start, count - len(pending))]
         self._contact("refresh", [(machine_id, None, 0) for machine_id in pending])
         return len(pending)
 
@@ -502,7 +519,8 @@ class MatchingFabric:
 
         Sends one message coordinator → alive machine carrying the pending
         history plus the query, and one reply back (2 rounds, 2 active
-        machines, O(sqrt N) words).  Supported queries:
+        machines, O(sqrt N) words).  Supported queries
+        (:meth:`_answer_vertex`), each skipping the neighbours in ``exclude``:
 
         * ``"free-neighbor"`` — a neighbour of ``v`` that is currently
           unmatched according to the machine's (now refreshed) status map;
@@ -512,44 +530,33 @@ class MatchingFabric:
 
         Returns the reply payload dict.
         """
-        machine_id = self._ensure_alive_machine(v, stats)
-        [(machine, handle)] = self._contact("vertex-update", [(machine_id, {"vertex": v, "query": query or ""}, 4)])
+        request = {"vertex": v, "query": query or "", "exclude": exclude}
+        return self._ask("vertex-update", "vertex-reply", [(self._ensure_alive_machine(v, stats), request, 4)], self._answer_vertex)[0]
 
-        reply: dict = {"free": None, "matched": []}
+    def _answer_vertex(self, table: EdgeTable, request: dict) -> dict:
+        """The alive machine's ``vertex-reply`` to a ``vertex-update`` request."""
+        query = request["query"]
+        if not query:  # a pure refresh: the hot path reads nothing more
+            return {"free": None, "matched": []}
+        v, exclude = request["vertex"], request["exclude"]
         if query == "free-neighbor":
-            reply["free"] = handle.table.first_free(v, exclude)
-        elif query == "matched-neighbors":
-            status = handle.table.status
-            pairs = []
-            for w in sorted(handle.table.row(v)):
-                if w in exclude:
-                    continue
-                mate = status.get(w)
-                if mate is not None:
-                    pairs.append((w, mate))
-                if len(pairs) >= self.threshold:
-                    break
-            reply["matched"] = pairs
-        coordinator = self.coordinator.machine
-        machine.send(coordinator.machine_id, "vertex-reply", reply, words=closed_form_words("vertex-reply", reply))
-        self.cluster.exchange()
-        coordinator.drain("vertex-reply")
-        return reply
+            return {"free": table.first_free(v, exclude), "matched": []}
+        if query == "matched-neighbors":
+            status = table.status
+            matched = ((w, status[w]) for w in sorted(table.row(v)) if w not in exclude and status.get(w) is not None)
+            return {"free": None, "matched": list(islice(matched, self.threshold))}
+        return {"free": None, "matched": []}
 
-    def scan_suspended_for_free(self, v: int, stats: StatsView, *, exclude: tuple[int, ...] = ()) -> int | None:
-        """Fallback scan of ``v``'s suspended machines for a free neighbour (2 rounds)."""
+    def scan_suspended_for_free(self, v: int, stats: StatsView) -> int | None:
+        """Fallback scan of ``v``'s suspended machines for a free neighbour (2 rounds): the first
+        candidate the coordinator drains, the first-registered machine's, not the stack top's."""
         if not stats.suspended_machines:
             return None
-        coordinator = self.coordinator.machine
-        found: int | None = None
-        for machine, handle in self._contact("suspended-scan", [(machine_id, v, 2) for machine_id in stats.suspended_machines]):
-            candidate = handle.table.first_free(v, exclude)
-            machine.send(coordinator.machine_id, "suspended-reply", candidate, words=closed_form_words("suspended-reply", candidate))
-        self.cluster.exchange()
-        for msg in coordinator.drain("suspended-reply"):
-            if msg.payload is not None and found is None:
-                found = msg.payload
-        return found
+        targets = [(machine_id, v, 2) for machine_id in stats.suspended_machines]
+        for candidate in self._ask("suspended-scan", "suspended-reply", targets, EdgeTable.first_free):
+            if candidate is not None:
+                return candidate
+        return None
 
     def batch_free_neighbor_query(self, queries: list[tuple[int, StatsView, tuple[int, ...]]]) -> dict[int, int | None]:
         """Query many vertices' alive machines for a free neighbour in 2 rounds.
@@ -564,25 +571,12 @@ class MatchingFabric:
         """
         if not queries:
             return {}
-        coordinator = self.coordinator.machine
-        by_machine: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
+        by_machine: dict[str, list[tuple[int, list[int]]]] = {}
         for vertex, stats, exclude in queries:
-            machine_id = self._ensure_alive_machine(vertex, stats)
-            by_machine.setdefault(machine_id, []).append((vertex, exclude))
-        contacted = self._contact(
-            "batch-free-query",
-            [(machine_id, [(v, list(ex)) for v, ex in items], 2 * len(items)) for machine_id, items in by_machine.items()],
-        )
-        results: dict[int, int | None] = {}
-        for (machine, handle), items in zip(contacted, by_machine.values()):
-            replies = []
-            for vertex, exclude in items:
-                found = results[vertex] = handle.table.first_free(vertex, exclude)
-                replies.append((vertex, found))
-            machine.send(coordinator.machine_id, "batch-free-reply", replies, words=closed_form_words("batch-free-reply", replies))
-        self.cluster.exchange()
-        coordinator.drain("batch-free-reply")
-        return results
+            by_machine.setdefault(self._ensure_alive_machine(vertex, stats), []).append((vertex, list(exclude)))
+        targets = [(machine_id, request, 2 * len(request)) for machine_id, request in by_machine.items()]
+        replies = self._ask("batch-free-query", "batch-free-reply", targets, _first_free_each)
+        return {v: found for reply in replies for v, found in reply}
 
     def neighbor_list(self, v: int, stats: StatsView) -> list[int]:
         """Fetch ``v``'s (alive) neighbour list through the coordinator (2 rounds).
@@ -591,14 +585,7 @@ class MatchingFabric:
         algorithm uses it to push free-neighbour-counter deltas to the
         statistics machines of a vertex whose matching status changed.
         """
-        machine_id = self._ensure_alive_machine(v, stats)
-        coordinator = self.coordinator.machine
-        [(machine, handle)] = self._contact("neighbor-list-query", [(machine_id, v, 2)])
-        neighbors = sorted(handle.table.row(v))
-        machine.send(coordinator.machine_id, "neighbor-list-reply", neighbors, words=closed_form_words("neighbor-list-reply", neighbors))
-        self.cluster.exchange()
-        coordinator.drain("neighbor-list-reply")
-        return neighbors
+        return self._ask("neighbor-list-query", "neighbor-list-reply", [(self._ensure_alive_machine(v, stats), v, 2)], _sorted_row)[0]
 
     def push_counter_deltas(self, deltas: dict[int, int]) -> None:
         """Apply free-neighbour-counter deltas on the statistics machines (1 round)."""
@@ -621,13 +608,6 @@ class MatchingFabric:
             for v, delta in items:
                 with self.mutate_stats(v) as stats:
                     stats.free_neighbors = max(0, stats.free_neighbors + delta)
-
-    def query_lightness(self, vertices: list[int]) -> dict[int, bool]:
-        """Coordinator asks the stats machines whether each vertex is light (2 rounds)."""
-        if not vertices:
-            return {}
-        stats = self.query_stats(sorted(set(vertices)))
-        return {v: (s.degree < self.threshold) for v, s in stats.items()}
 
     # ------------------------------------------------------------ edge moves
     def add_edge_copy(self, v: int, w: int, stats: StatsView, *, neighbor_mate: int | None = None) -> None:

@@ -120,10 +120,11 @@ class DMPCThreeHalvesMatching(DMPCMaximalMatching):
     def _resettle(self, z: int, sz: StatsView) -> None:
         """Re-settle a newly free vertex while killing length-3 augmenting paths.
 
-        A heavy ``z`` that steals evicts a mate the lightness query found
-        light, and nothing changes that mate's degree before it re-settles:
-        the recursion takes the light branch and ends there.  An evicted mate
-        at or above the threshold would break that, so it is refused.
+        A heavy ``z`` that steals evicts a mate whose statistics, read in the
+        steal, were light, and nothing changes that mate's degree before it
+        re-settles: the recursion takes the light branch and ends there.  An
+        evicted mate at or above the threshold would break that, so it is
+        refused.
         """
         fabric = self.fabric
         # the Section-3 query: a vertex that fell below the threshold may

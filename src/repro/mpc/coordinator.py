@@ -123,10 +123,10 @@ class Coordinator:
     partition: RangePartition
 
     @staticmethod
-    def create(cluster: Cluster, partition: RangePartition, *, machine_id: str = "coordinator") -> "Coordinator":
-        """Register the coordinator machine on ``cluster`` and return the wrapper."""
+    def create(cluster: Cluster, partition: RangePartition, *, history_capacity: int, machine_id: str = "coordinator") -> "Coordinator":
+        """Register the coordinator machine on ``cluster`` and return the wrapper; its history keeps ``history_capacity`` entries."""
         machine = cluster.add_machine(machine_id, role="coordinator")
-        history = UpdateHistory(capacity=max(4, cluster.config.sqrt_N))
+        history = UpdateHistory(capacity=history_capacity)
         coordinator = Coordinator(cluster=cluster, machine=machine, history=history, partition=partition)
         machine.store("directory", partition.directory())
         return coordinator

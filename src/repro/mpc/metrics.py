@@ -346,7 +346,6 @@ class MetricsLedger:
     # ----------------------------------------------------------------- rounds
     def file_round(
         self,
-        round_index: int | None,
         active_machines: int,
         total_words: int,
         message_count: int,
@@ -355,17 +354,14 @@ class MetricsLedger:
     ) -> RoundRecord:
         """File one round's five costs as the next row and hand out its record: the one column writer.
 
-        ``round_index=None`` is a new round, numbered :attr:`next_round_index`
-        (which advances): the per-round entry point of
-        :meth:`Transport.deliver`, which condensed the round while delivering
-        it.  A given ``round_index`` is filed as it is and leaves the
-        counter alone.  ``pair_words`` is the round's
+        The round is numbered :attr:`next_round_index`, which advances: the
+        per-round entry point of :meth:`Transport.deliver`, which condensed
+        the round while delivering it.  ``pair_words`` is the round's
         per-(sender, receiver) breakdown, ``None`` or empty when it kept none;
         the ledger keeps a copy.
         """
-        if round_index is None:
-            round_index = self.next_round_index
-            self.next_round_index = round_index + 1
+        round_index = self.next_round_index
+        self.next_round_index = round_index + 1
         rows = self._round_index
         if self._open_label is None:
             self._file_update("<unlabelled>", len(rows))

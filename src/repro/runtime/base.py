@@ -261,7 +261,7 @@ class Transport(abc.ABC):
             machine.outbox = []
             for msg in outbox:
                 machines[msg.receiver].inbox.append(msg)
-        return cluster.ledger.file_round(None, len(active), total, count, largest, pair_words)
+        return cluster.ledger.file_round(len(active), total, count, largest, pair_words)
 
     def has_staged(self) -> bool:
         """Whether any machine holds a message staged since the last round (a scan of every outbox)."""
@@ -307,9 +307,9 @@ class Transport(abc.ABC):
                 pair = (sender_id, receiver)
                 pair_words[pair] = pair_words.get(pair, 0) + words
         if not count:
-            return cluster.ledger.file_round(None, 0, 0, 0, 0, pair_words)
+            return cluster.ledger.file_round(0, 0, 0, 0, pair_words)
         active = len(receivers) if sender_id in receivers else len(receivers) + 1
-        return cluster.ledger.file_round(None, active, total, count, words, pair_words)
+        return cluster.ledger.file_round(active, total, count, words, pair_words)
 
     def discard_undelivered(self) -> None:
         """Drop all staged (outbox) and pending (inbox) messages."""

@@ -1772,7 +1772,7 @@ class ResidentTransport(FastTransport):
         for frame in fallback:
             machines[frame[4]].inbox.append(_frame_message(frame))
 
-        record = ledger.file_round(None, len(active), total, count, largest)
+        record = ledger.file_round(len(active), total, count, largest)
         ledger.record_traffic(**deposit["traffic"])
         return record
 

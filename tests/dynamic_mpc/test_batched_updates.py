@@ -63,14 +63,14 @@ class TestLedgerBatchScoping:
         ledger = MetricsLedger()
         first = ledger.begin_batch()
         ledger.begin_update("a")
-        ledger.file_round(None, 0, 0, 0, 0)
+        ledger.file_round(0, 0, 0, 0)
         ledger.end_update()
         ledger.begin_update("b")
-        ledger.file_round(None, 0, 0, 0, 0)
+        ledger.file_round(0, 0, 0, 0)
         ledger.end_update()
         ledger.end_batch()
         ledger.begin_update("c")
-        ledger.file_round(None, 0, 0, 0, 0)
+        ledger.file_round(0, 0, 0, 0)
         ledger.end_update()
         groups = ledger.batches()
         assert set(groups) == {first}
@@ -263,3 +263,30 @@ class TestStatsContract:
             refreshed = fabric.flush_deferred_refreshes()
         assert refreshed >= 1
         assert ledger.total_rounds() == before + 1  # one merged round
+
+    def test_a_batch_past_the_deferral_cap_flushes_in_the_update_that_reaches_it(self):
+        """A batch of more updates than the deferral cap flushes each time the cap is reached, as
+        one round charged to the update in progress; the pointer still advances once per update,
+        and no machine falls behind the history buffer although the batch outgrows it."""
+        fabric = self.make_fabric()
+        fabric.load_initial_graph(gnm_random_graph(8, 12, seed=47), set())
+        history, limit = fabric.coordinator.history, fabric._max_deferred_refreshes
+        assert limit >= len(fabric._allocated)  # a flush reaches every allocated machine
+        per_update = history.capacity // limit - 1
+        updates = 2 * limit + 3
+        assert limit * per_update < history.capacity < updates * per_update
+        ledger = fabric.cluster.ledger
+        with fabric.batched():
+            for step in range(updates):
+                with fabric.cluster.update(f"update:{step}"):
+                    for _ in range(per_update):
+                        fabric.record("insert", 0, 9)
+                    fabric.round_robin_refresh()
+            with fabric.cluster.update("flush"):
+                assert fabric.flush_deferred_refreshes() == len(fabric._allocated)
+        rounds = [record.num_rounds for record in ledger.updates_labelled("update:")]
+        assert [step for step, count in enumerate(rounds) if count] == [limit - 1, 2 * limit - 1]
+        assert max(rounds) == 1
+        assert [record.num_rounds for record in ledger.updates_labelled("flush")] == [1]
+        assert fabric._refresh_pointer == updates
+        assert all(fabric._machine_seen_seq[machine_id] == history.last_seq for machine_id in fabric._allocated)

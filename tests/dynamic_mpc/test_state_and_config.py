@@ -9,7 +9,7 @@ import pytest
 from seeded_mutation import mutated
 
 from repro.config import DMPCConfig
-from repro.dynamic_mpc.state import MatchingFabric
+from repro.dynamic_mpc.state import STATS_KEY, MatchingFabric
 from repro.exceptions import ProtocolError
 from repro.graph.generators import gnm_random_graph, star_graph
 from repro.graph.validation import greedy_maximal_matching
@@ -152,7 +152,7 @@ class TestMatchingFabric:
             else:
                 fabric.store_stats(v, stats)
 
-        table = fabric._stats_handle(fabric.cluster.machine(fabric.partition.machine_for(2))).table
+        table = fabric.cluster.machine(fabric.partition.machine_for(2)).load(STATS_KEY).table
         for foreign in (fabric.stats_of(3), other.stats_of(2), object()):
             with pytest.raises(ProtocolError, match="vertex 2: only a view of its own statistics slot"):
                 commit(2, foreign)
@@ -199,6 +199,23 @@ class TestMatchingFabric:
         fabric.record("match", neighbor, 99)
         reply = fabric.update_vertex(vertex, stats, query="free-neighbor", exclude=())
         assert reply["free"] != neighbor or reply["free"] is None or graph.degree(vertex) > 1
+
+    def test_suspended_scan_takes_the_first_registered_machines_candidate(self):
+        """Each suspended machine replies its own free neighbour; the coordinator drains the
+        replies in sender registration order and takes the first, whatever the stack order."""
+        fabric = make_fabric()
+        first, second = fabric._allocate_machine(light=False), fabric._allocate_machine(light=False)
+        assert fabric.cluster.machine(first).index < fabric.cluster.machine(second).index
+        fabric._store_adjacency(first, 0, [5], {})
+        fabric._store_adjacency(second, 0, [3], {})
+        stats = fabric.stats_of(0)
+        stats.suspended_machines = [second, first]  # ``first`` on top, ``second`` contacted first
+        fabric.store_stats(0, stats)
+        ledger = fabric.cluster.ledger
+        with fabric.cluster.update("scan"):
+            assert fabric.scan_suspended_for_free(0, stats) == 5
+        [record] = ledger.updates_labelled("scan")
+        assert record.num_rounds == 2
 
     def test_history_round_robin_refresh_bounds_staleness(self):
         fabric = make_fabric(n=10, m=40)

@@ -176,7 +176,7 @@ class TestMetricsLedger:
     def test_entropy_needs_a_breakdown_of_the_selected_rounds_only(self):
         ledger = MetricsLedger()
         ledger.begin_update("aggregate:u")
-        ledger.file_round(None, 2, 5, 1, 5)  # costs without a per-pair breakdown
+        ledger.file_round(2, 5, 1, 5)  # costs without a per-pair breakdown
         ledger.end_update()
         ledger.begin_update("detailed:u")
         file_messages(ledger, [Message("a", "b", "t", None, 3), Message("c", "b", "t", None, 3)])

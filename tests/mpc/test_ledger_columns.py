@@ -170,7 +170,7 @@ def apply(ledger, operation) -> None:
     name, *args = operation
     if name == "file_round":
         if isinstance(ledger, MetricsLedger):
-            ledger.file_round(None, *args[0])
+            ledger.file_round(*args[0])
         else:
             ledger.file_round(args[0])
     elif name == "file_messages":
@@ -247,11 +247,11 @@ def snapshot_ledger() -> tuple[MetricsLedger, list[RoundRecord]]:
     ledger.begin_update("u")
     recorded = file_messages(ledger, [Message("a", "b", "t", None, 5)])
     also_recorded = file_messages(ledger, [Message("b", "a", "t", None, 3)])
-    delivered = ledger.file_round(None, 2, 7, 1, 7, {("e", "f"): 7})
+    delivered = ledger.file_round(2, 7, 1, 7, {("e", "f"): 7})
     ledger.end_update()
     ledger.end_batch()
     ledger.begin_update("copy")
-    delivered_later = ledger.file_round(None, 2, 4, 1, 4, {("c", "d"): 4})
+    delivered_later = ledger.file_round(2, 4, 1, 4, {("c", "d"): 4})
     ledger.end_update()
     return ledger, [recorded, also_recorded, delivered, delivered_later]
 

@@ -91,7 +91,7 @@ class TestCoordinator:
         cluster = Cluster(DMPCConfig(capacity_n=16, capacity_m=32))
         stats = cluster.add_machines("stats", 2, role="stats")
         partition = RangePartition(16, [m.machine_id for m in stats])
-        coordinator = Coordinator.create(cluster, partition)
+        coordinator = Coordinator.create(cluster, partition, history_capacity=4)
         coordinator.record("insert", 1, 2)
         coordinator.record("match", 1, 2)
         coordinator.send_history(["stats0", "stats1"])
@@ -106,7 +106,7 @@ class TestCoordinator:
         cluster = Cluster(DMPCConfig(capacity_n=16, capacity_m=32))
         stats = cluster.add_machines("stats", 4, role="stats")
         partition = RangePartition(16, [m.machine_id for m in stats])
-        coordinator = Coordinator.create(cluster, partition)
+        coordinator = Coordinator.create(cluster, partition, history_capacity=4)
         coordinator.record("insert", 1, 2)
         coordinator.send_history({"stats3", "stats1", "stats0", coordinator.machine_id})
         staged = [msg.receiver for msg in coordinator.machine.outbox]

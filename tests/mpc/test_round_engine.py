@@ -344,15 +344,13 @@ class TestRecords:
     def test_new_rounds_share_one_counter(self):
         ledger = MetricsLedger()
         recorded = file_messages(ledger, [Message("a", "b", "t", None, 2)])
-        delivered = ledger.file_round(None, 1, 3, 1, 3)
+        delivered = ledger.file_round(1, 3, 1, 3)
         again = file_messages(ledger, [])
         assert [recorded.round_index, delivered.round_index, again.round_index] == [1, 2, 3]
         assert ledger.next_round_index == 4
-        ledger.file_round(9, 0, 0, 0, 0)  # a record filed under the index it carries leaves the counter
-        assert ledger.next_round_index == 4
         # each round outside an update is an anonymous update of its own
-        assert [[r.round_index for r in u.rounds] for u in ledger.updates] == [[1], [2], [3], [9]]
-        assert [u.label for u in ledger.updates] == ["<unlabelled>"] * 4
+        assert [[r.round_index for r in u.rounds] for u in ledger.updates] == [[1], [2], [3]]
+        assert [u.label for u in ledger.updates] == ["<unlabelled>"] * 3
 
 # ------------------------------------------------------------------- storage
 _TABLE = StatsTable(0, 4)
